@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -19,11 +20,30 @@ import (
 
 const crashSrc = "module main {\n  seen(X) :- u(X).\n  u(c0).\n}\n"
 
+// syncBuffer is a bytes.Buffer safe to read while os/exec's stderr copier
+// is still writing it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // daemon is one running ordlogd under test.
 type daemon struct {
 	cmd    *exec.Cmd
 	addr   string
-	stderr *bytes.Buffer
+	stderr *syncBuffer
 }
 
 // startDaemon launches bin with the given extra flags on an ephemeral
@@ -32,11 +52,19 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	t.Helper()
 	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	pr, pw := io.Pipe()
-	buf := &bytes.Buffer{}
-	cmd.Stderr = io.MultiWriter(pw, buf)
+	// The buffer is written before the pipe: once the scanner below has
+	// seen a line, the test can read that line from the buffer too.
+	buf := &syncBuffer{}
+	cmd.Stderr = io.MultiWriter(buf, pw)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// A failing assertion must not leave the daemon behind; both calls are
+	// no-ops once the test has killed and reaped it itself.
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
 	addrRe := regexp.MustCompile(`serving \d+ tenants on http://([0-9.:]+)`)
 	addrCh := make(chan string, 1)
 	go func() {

@@ -150,9 +150,12 @@ func (gs *goalSlice) comp(i int) *goalComp {
 // viewOf builds the slice's evaluation view for the component exactly
 // once. Slices are never updated in place, so there is no dead set.
 func (gc *goalComp) viewOf(gp *ground.Program, i int) *eval.View {
+	built := false
 	gc.viewOnce.Do(func() {
 		gc.view = eval.NewViewOf(gp, i, gp.Rules, nil)
+		built = true
 	})
+	countView(built)
 	return gc.view
 }
 
@@ -168,6 +171,14 @@ func (s *Snapshot) QueryGoalDirected(comp string, q ast.Query) ([]Binding, error
 // to QueryCtx's on the full grounding. The query must have a non-empty
 // body — with no literals there is nothing to slice by.
 func (s *Snapshot) QueryGoalDirectedCtx(ctx context.Context, comp string, q ast.Query) ([]Binding, error) {
+	a, err := s.answersGoalDirected(ctx, comp, q)
+	if err != nil {
+		return nil, err
+	}
+	return a.Bindings(), nil
+}
+
+func (s *Snapshot) answersGoalDirected(ctx context.Context, comp string, q ast.Query) (*Answers, error) {
 	if len(q.Body) == 0 {
 		return nil, fmt.Errorf("core: goal-directed query needs at least one literal")
 	}
@@ -179,7 +190,7 @@ func (s *Snapshot) QueryGoalDirectedCtx(ctx context.Context, comp string, q ast.
 	if err != nil {
 		return nil, err
 	}
-	return m.Query(q), nil
+	return m.Answers(q), nil
 }
 
 // sliceModel returns the least model of the goal's slice in component i,
@@ -199,7 +210,7 @@ func (s *Snapshot) sliceModel(ctx context.Context, i int, goal []ast.Literal) (*
 			return nil, err
 		}
 		return &Model{view: v, in: in}, nil
-	}, nil)
+	}, countLeast)
 }
 
 // ProveGoalDirected is ProveGoalDirectedCtx with a background context.

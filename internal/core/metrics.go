@@ -28,6 +28,10 @@ var (
 	mLeastHits     = obs.Default().Counter("core.least.hits")
 	mLeastWaiters  = obs.Default().Counter("core.least.waiters")
 
+	// One per (predicate, sign) bucket of a model's literal index, built on
+	// the first query that scans the predicate (query.go).
+	mIndexBuilds = obs.Default().Counter("core.index.builds")
+
 	// Goal-directed slice cache (per-snapshot LRU of adorned slices, keyed
 	// by the goal's binding pattern): a hit reuses a cached slice of the
 	// pinned snapshot, a miss grounds one, an eviction drops the least

@@ -1,12 +1,11 @@
 package core
 
 import (
-	"sort"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/interp"
-	"repro/internal/unify"
 )
 
 // Model is a (possibly partial) model of an ordered program in one
@@ -14,6 +13,10 @@ import (
 type Model struct {
 	view *eval.View
 	in   *interp.Interp
+
+	// idx is the lazily built literal index queries answer from (query.go).
+	idxMu sync.Mutex
+	idx   map[litKey]*litBucket
 }
 
 // Component returns the position of the component the model belongs to.
@@ -62,79 +65,9 @@ func (m *Model) Holds(l ast.Literal) bool {
 // Binding maps query variable names to ground terms.
 type Binding map[string]ast.Term
 
-// Query evaluates a conjunctive query against the model: each query
-// literal must be a member of the model under the binding (so -p(X) reads
-// "¬p(X) is known", not "p(X) is unknown") and the builtins must hold.
-// It returns one binding per solution, deduplicated, covering the query's
-// variables.
-func (m *Model) Query(q ast.Query) []Binding {
-	tab := m.view.G.Tab
-	// Index the model's literals by predicate and sign, lazily.
-	type key struct {
-		k   ast.PredKey
-		neg bool
-	}
-	index := make(map[key][]ast.Atom)
-	for _, l := range m.in.Lits() {
-		a := tab.Atom(l.Atom())
-		index[key{a.Key(), l.Neg()}] = append(index[key{a.Key(), l.Neg()}], a)
-	}
-	// Lits() iterates in atom-id order, which depends on interning order —
-	// under sharded grounding that varies with goroutine scheduling. Sort
-	// each bucket canonically so the binding enumeration order (and with it
-	// CLI output) is identical across sequential and sharded runs.
-	for _, atoms := range index {
-		sort.Slice(atoms, func(i, j int) bool { return ast.CompareAtoms(atoms[i], atoms[j]) < 0 })
-	}
-	var out []Binding
-	seen := make(map[string]bool)
-	vars := q.Vars()
-	s := unify.NewSubst()
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(q.Body) {
-			for _, b := range q.Builtins {
-				gb := ast.Builtin{Op: b.Op, L: substExpr(s, b.L), R: substExpr(s, b.R)}
-				holds, ok := ast.EvalBuiltin(gb)
-				if !ok || !holds {
-					return
-				}
-			}
-			bind := make(Binding, len(vars))
-			sig := ""
-			for _, v := range vars {
-				t := s.Apply(v)
-				bind[v.Name] = t
-				sig += "\x00" + t.String()
-			}
-			if !seen[sig] {
-				seen[sig] = true
-				out = append(out, bind)
-			}
-			return
-		}
-		l := q.Body[i]
-		for _, cand := range index[key{l.Atom.Key(), l.Neg}] {
-			mark := s.Mark()
-			if unify.MatchAtoms(s, l.Atom, cand) {
-				rec(i + 1)
-			}
-			s.Undo(mark)
-		}
-	}
-	rec(0)
-	return out
-}
-
-func substExpr(s *unify.Subst, e ast.Expr) ast.Expr {
-	return ast.SubstituteExpr(e, func(v ast.Var) ast.Term {
-		t := s.Apply(v)
-		if tv, ok := t.(ast.Var); ok && tv.Name == v.Name {
-			return nil
-		}
-		return t
-	})
-}
+// Query evaluates a conjunctive query against the model (see Answers) and
+// returns one binding per solution, covering the query's variables.
+func (m *Model) Query(q ast.Query) []Binding { return m.Answers(q).Bindings() }
 
 // Explain returns the Definition 2 statuses of every visible ground rule
 // whose head is on the given atom, as human-readable lines — a debugging

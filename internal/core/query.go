@@ -1,0 +1,367 @@
+package core
+
+import (
+	"sort"
+	"sync"
+
+	"repro/internal/ast"
+	"repro/internal/interp"
+	"repro/internal/obs"
+	"repro/internal/term"
+)
+
+// Answering a query from a memoised model. A model is immutable, so what a
+// query needs of it is built at most once and kept on the *Model for the
+// model's lifetime: per (predicate, sign) a bucket of the member literals'
+// argument ids in canonical ast.CompareAtoms order. Buckets are built
+// lazily, one per predicate a query actually scans, so a model that is
+// only ever asked ground questions — or is rebuilt after every write —
+// never pays for an index, and nothing ever invalidates one.
+
+// litKey names one bucket of a model's literal index.
+type litKey struct {
+	pred ast.PredKey
+	neg  bool
+}
+
+// span is a half-open range of bucket rows.
+type span struct{ lo, hi int32 }
+
+// litBucket holds the model's literals of one predicate and sign as rows
+// of interned argument ids, sorted canonically. Only predicates of arity
+// one and up are ever bucketed: a zero-arity literal is always fully bound
+// and answered by the membership probe. Canonical order compares
+// arguments left to right, so the rows sharing a first argument are
+// contiguous and first maps that argument to its row range: probing with a
+// bound first argument enumerates a contiguous run of the canonical order,
+// never a different order than the scan would.
+type litBucket struct {
+	once  sync.Once
+	n     int
+	args  []term.ID // arity ids per row, row-major
+	first map[term.ID]span
+}
+
+// row returns the argument ids of the i-th literal.
+func (b *litBucket) row(i, arity int) []term.ID { return b.args[i*arity : (i+1)*arity] }
+
+// bucket returns the model's literals of one predicate and sign, building
+// the bucket on first use. The map is guarded by the model's mutex; the
+// build runs outside it under the bucket's own Once, so first queries on
+// distinct predicates index concurrently and on the same predicate exactly
+// once.
+func (m *Model) bucket(k litKey) *litBucket {
+	m.idxMu.Lock()
+	b := m.idx[k]
+	if b == nil {
+		if m.idx == nil {
+			m.idx = make(map[litKey]*litBucket)
+		}
+		b = &litBucket{}
+		m.idx[k] = b
+	}
+	m.idxMu.Unlock()
+	b.once.Do(func() { m.buildBucket(k, b) })
+	return b
+}
+
+func (m *Model) buildBucket(k litKey, b *litBucket) {
+	if obs.On() {
+		mIndexBuilds.Inc()
+	}
+	tab := m.view.G.Tab
+	var atoms []ast.Atom
+	for _, id := range tab.OfPred(k.pred) {
+		if m.in.HasLit(interp.MkLit(id, k.neg)) {
+			atoms = append(atoms, tab.Atom(id))
+		}
+	}
+	// Atom ids follow interning order, which under sharded grounding varies
+	// with goroutine scheduling; canonical order is what makes enumeration
+	// (and so CLI and HTTP output) a function of the model alone.
+	sort.Slice(atoms, func(i, j int) bool { return ast.CompareAtoms(atoms[i], atoms[j]) < 0 })
+	b.n = len(atoms)
+	if b.n == 0 {
+		return
+	}
+	arity := k.pred.Arity
+	terms := tab.TermTable()
+	b.args = make([]term.ID, 0, b.n*arity)
+	for _, a := range atoms {
+		for _, t := range a.Args {
+			id, _ := terms.Lookup(t) // interned together with the atom
+			b.args = append(b.args, id)
+		}
+	}
+	b.first = make(map[term.ID]span)
+	lo := 0
+	for i := 1; i <= b.n; i++ {
+		if i == b.n || b.args[i*arity] != b.args[lo*arity] {
+			b.first[b.args[lo*arity]] = span{int32(lo), int32(i)}
+			lo = i
+		}
+	}
+}
+
+// argPat is one compiled argument position of a query literal.
+type argPat struct {
+	kind argKind
+	id   term.ID  // argConst: the interned term; term.None if the model never interned it
+	slot int      // argVar: the variable's position in Query.Vars
+	fn   string   // argPartial: functor
+	args []argPat // argPartial: sub-patterns
+}
+
+type argKind uint8
+
+const (
+	argConst   argKind = iota // ground term: an id comparison
+	argVar                    // variable: binds on first sight, compares after
+	argPartial                // compound containing variables: matched structurally
+)
+
+// litPat is one compiled query literal.
+type litPat struct {
+	key  litKey
+	pred term.ID // the predicate symbol's id; term.None if never interned
+	args []argPat
+	ids  []term.ID  // scratch for the fully bound membership probe
+	b    *litBucket // the literal's bucket, fetched on the first scan
+}
+
+// queryRun is the state of one evaluation: the compiled literals, the
+// variable environment as interned ids (term.None = unbound) with an undo
+// trail, and the rows found so far.
+type queryRun struct {
+	m        *Model
+	lits     []litPat
+	builtins []ast.Builtin
+	ans      *Answers
+	env      []term.ID
+	trail    []int
+}
+
+// Answers evaluates a conjunctive query against the model: each query
+// literal must be a member of the model under the binding (so -p(X) reads
+// "¬p(X) is known", not "p(X) is unknown") and the builtins must hold.
+// Literals are solved left to right and each literal's candidates are
+// enumerated in canonical order, which fixes the order of the rows.
+//
+// Rows are never duplicates of one another, so there is no dedup pass:
+// every variable of the body is an answer variable, hence a row determines
+// the ground instance of every body literal, and the enumeration visits
+// each combination of (distinct) member literals at most once.
+func (m *Model) Answers(q ast.Query) *Answers {
+	terms := m.view.G.Tab.TermTable()
+	vars := q.Vars()
+	r := &queryRun{
+		m: m, builtins: q.Builtins,
+		ans:  &Answers{terms: terms, vars: vars},
+		lits: make([]litPat, len(q.Body)),
+		env:  make([]term.ID, len(vars)),
+	}
+	for i := range r.env {
+		r.env[i] = term.None
+	}
+	nargs := 0
+	for _, l := range q.Body {
+		nargs += len(l.Atom.Args)
+	}
+	pats, ids := make([]argPat, nargs), make([]term.ID, nargs)
+	for i, l := range q.Body {
+		n := len(l.Atom.Args)
+		lp := litPat{key: litKey{l.Atom.Key(), l.Neg}, pred: term.None, args: pats[:n:n], ids: ids[:n:n]}
+		pats, ids = pats[n:], ids[n:]
+		if id, ok := terms.LookupSym(l.Atom.Pred); ok {
+			lp.pred = id
+		}
+		for j, t := range l.Atom.Args {
+			lp.args[j] = compileArg(t, vars, terms)
+		}
+		r.lits[i] = lp
+	}
+	r.solve(0)
+	return r.ans
+}
+
+func compileArg(t ast.Term, vars []ast.Var, terms *term.Table) argPat {
+	if v, ok := t.(ast.Var); ok {
+		return argPat{kind: argVar, slot: slotOf(vars, v)}
+	}
+	if c, ok := t.(ast.Compound); ok && !c.Ground() {
+		p := argPat{kind: argPartial, fn: c.Functor, args: make([]argPat, len(c.Args))}
+		for i, a := range c.Args {
+			p.args[i] = compileArg(a, vars, terms)
+		}
+		return p
+	}
+	id, ok := terms.Lookup(t)
+	if !ok {
+		id = term.None
+	}
+	return argPat{kind: argConst, id: id}
+}
+
+// slotOf returns v's position in vars. Queries have a handful of
+// variables, so a scan beats a map.
+func slotOf(vars []ast.Var, v ast.Var) int {
+	for i, w := range vars {
+		if w.Name == v.Name {
+			return i
+		}
+	}
+	panic("core: query variable missing from Query.Vars")
+}
+
+// solve extends the current environment over literals i.. and records a
+// row for every extension that satisfies the builtins. Each literal takes
+// the cheapest access its bound arguments allow: all bound, a membership
+// probe of the atom table that needs no bucket; first argument bound, that
+// argument's run of the bucket; otherwise the whole bucket.
+func (r *queryRun) solve(i int) {
+	if i == len(r.lits) {
+		r.emit()
+		return
+	}
+	l := &r.lits[i]
+	if l.pred == term.None {
+		return
+	}
+	arity := len(l.args)
+	bound := 0
+	for ; bound < arity; bound++ {
+		id, ok := r.boundID(&l.args[bound])
+		if !ok {
+			break
+		}
+		l.ids[bound] = id
+	}
+	if bound == arity {
+		if id, ok := r.m.view.G.Tab.LookupIDs(l.pred, l.ids); ok && r.m.in.HasLit(interp.MkLit(id, l.key.neg)) {
+			r.solve(i + 1)
+		}
+		return
+	}
+	if l.b == nil {
+		l.b = r.m.bucket(l.key)
+	}
+	b := l.b
+	rows := span{0, int32(b.n)}
+	if bound > 0 {
+		rows = b.first[l.ids[0]]
+	}
+	for row := int(rows.lo); row < int(rows.hi); row++ {
+		mark := len(r.trail)
+		ids := b.row(row, arity)
+		ok := true
+		for j := range l.args {
+			if !r.match(&l.args[j], ids[j]) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			r.solve(i + 1)
+		}
+		for _, slot := range r.trail[mark:] {
+			r.env[slot] = term.None
+		}
+		r.trail = r.trail[:mark]
+	}
+}
+
+// boundID returns the id an argument is already fixed to: a constant the
+// model knows, or a variable an earlier literal bound. A constant the
+// model never interned reports its term.None, which equals no row and no
+// atom.
+func (r *queryRun) boundID(p *argPat) (term.ID, bool) {
+	switch p.kind {
+	case argConst:
+		return p.id, true
+	case argVar:
+		return r.env[p.slot], r.env[p.slot] != term.None
+	}
+	return term.None, false
+}
+
+// match extends the environment so that the pattern equals the interned
+// ground term id.
+func (r *queryRun) match(p *argPat, id term.ID) bool {
+	switch p.kind {
+	case argConst:
+		return p.id == id
+	case argVar:
+		if r.env[p.slot] == term.None {
+			r.env[p.slot] = id
+			r.trail = append(r.trail, p.slot)
+			return true
+		}
+		return r.env[p.slot] == id
+	}
+	g, ok := r.ans.terms.Term(id).(ast.Compound)
+	if !ok || g.Functor != p.fn || len(g.Args) != len(p.args) {
+		return false
+	}
+	for i := range p.args {
+		sub, _ := r.ans.terms.Lookup(g.Args[i]) // subterms are interned with the term
+		if !r.match(&p.args[i], sub) {
+			return false
+		}
+	}
+	return true
+}
+
+// emit records the current environment as a row if the builtins hold.
+func (r *queryRun) emit() {
+	for _, b := range r.builtins {
+		gb := ast.Builtin{Op: b.Op, L: ast.SubstituteExpr(b.L, r.binding), R: ast.SubstituteExpr(b.R, r.binding)}
+		if holds, ok := ast.EvalBuiltin(gb); !ok || !holds {
+			return
+		}
+	}
+	r.ans.rows = append(r.ans.rows, r.env...)
+	r.ans.n++
+}
+
+// binding is the environment as an ast substitution (nil = unbound).
+func (r *queryRun) binding(v ast.Var) ast.Term {
+	for i, w := range r.ans.vars {
+		if w.Name == v.Name && r.env[i] != term.None {
+			return r.ans.terms.Term(r.env[i])
+		}
+	}
+	return nil
+}
+
+// Answers is the answer set of one query: one row of interned term ids per
+// solution, in enumeration order, over the query's variables. Rows stay
+// ids until a caller asks for terms (Bindings) or bytes (AppendJSON).
+// Every id of a row is bound: a variable no literal binds occurs in a
+// builtin, and a builtin over an unbound variable does not hold.
+type Answers struct {
+	terms *term.Table
+	vars  []ast.Var
+	rows  []term.ID // len(vars) ids per row
+	n     int
+}
+
+// row returns the ids of the i-th solution, in Query.Vars order.
+func (a *Answers) row(i int) []term.ID { return a.rows[i*len(a.vars) : (i+1)*len(a.vars)] }
+
+// Bindings returns the solutions as variable-name-to-term maps.
+func (a *Answers) Bindings() []Binding {
+	if a.n == 0 {
+		return nil
+	}
+	out := make([]Binding, a.n)
+	var vals []ast.Term
+	for i := range out {
+		vals = a.terms.AppendTerms(vals[:0], a.row(i))
+		b := make(Binding, len(a.vars))
+		for j, v := range a.vars {
+			b[v.Name] = vals[j]
+		}
+		out[i] = b
+	}
+	return out
+}

@@ -180,13 +180,7 @@ func (s *Snapshot) viewAt(i int) *eval.View {
 		st.view = eval.NewViewOf(s.gp, i, s.rules, s.dead)
 		built = true
 	})
-	if obs.On() {
-		if built {
-			mViewBuilds.Inc()
-		} else {
-			mViewHits.Inc()
-		}
-	}
+	countView(built)
 	return st.view
 }
 
@@ -234,26 +228,41 @@ func (s *Snapshot) LeastModelCtx(ctx context.Context, comp string) (*Model, erro
 		}
 		return &Model{view: v, in: in}, nil
 	}, func(kind string) {
-		switch kind {
-		case "hit":
-			if obs.On() {
-				mLeastHits.Inc()
-			}
-		case "waited":
-			if obs.On() {
-				mLeastWaiters.Inc()
-			}
-		case "computed":
-			if obs.On() {
-				mLeastComputed.Inc()
-			}
-			if s.eng.trace.Enabled() {
-				s.eng.trace.Emit(obs.E("least",
-					obs.F("comp", s.gp.Src.Components[i].Name),
-					obs.F("version", s.version)))
-			}
+		countLeast(kind)
+		if kind == "computed" && s.eng.trace.Enabled() {
+			s.eng.trace.Emit(obs.E("least",
+				obs.F("comp", s.gp.Src.Components[i].Name),
+				obs.F("version", s.version)))
 		}
 	})
+}
+
+// countLeast is the least-model memo accounting shared by component models
+// and goal-slice models: one of "hit", "waited", "computed" per lookup.
+func countLeast(kind string) {
+	if !obs.On() {
+		return
+	}
+	switch kind {
+	case "hit":
+		mLeastHits.Inc()
+	case "waited":
+		mLeastWaiters.Inc()
+	case "computed":
+		mLeastComputed.Inc()
+	}
+}
+
+// countView is the view memo accounting shared the same way.
+func countView(built bool) {
+	if !obs.On() {
+		return
+	}
+	if built {
+		mViewBuilds.Inc()
+	} else {
+		mViewHits.Inc()
+	}
 }
 
 // Query evaluates a conjunctive query against the component's least model
@@ -268,14 +277,24 @@ func (s *Snapshot) Query(comp string, q ast.Query) ([]Binding, error) {
 // the goal's magic-set slice instead of the component's full least model;
 // answers are identical either way.
 func (s *Snapshot) QueryCtx(ctx context.Context, comp string, q ast.Query) ([]Binding, error) {
+	a, err := s.AnswersCtx(ctx, comp, q)
+	if err != nil {
+		return nil, err
+	}
+	return a.Bindings(), nil
+}
+
+// AnswersCtx is QueryCtx returning the answer set in its interned form,
+// for callers that encode rows (Answers.AppendJSON) rather than read them.
+func (s *Snapshot) AnswersCtx(ctx context.Context, comp string, q ast.Query) (*Answers, error) {
 	if s.eng.cfg.GoalDirected && len(q.Body) > 0 {
-		return s.QueryGoalDirectedCtx(ctx, comp, q)
+		return s.answersGoalDirected(ctx, comp, q)
 	}
 	m, err := s.LeastModelCtx(ctx, comp)
 	if err != nil {
 		return nil, err
 	}
-	return m.Query(q), nil
+	return m.Answers(q), nil
 }
 
 // AssumptionFreeModels enumerates the assumption-free models in the

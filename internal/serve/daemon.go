@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -235,9 +236,10 @@ func failf(w http.ResponseWriter, code int, format string, args ...any) {
 // reqCtx derives the request's evaluation context from ?timeout=, clamped
 // to MaxTimeout, falling back to the daemon default. The base is the
 // request context, so a client disconnect cancels evaluation either way.
-func (d *Daemon) reqCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
+// params is the request's query string, parsed once by the handler.
+func (d *Daemon) reqCtx(r *http.Request, params url.Values) (context.Context, context.CancelFunc, error) {
 	timeout := d.cfg.DefaultTimeout
-	if s := r.URL.Query().Get("timeout"); s != "" {
+	if s := params.Get("timeout"); s != "" {
 		dur, err := time.ParseDuration(s)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bad timeout %q: %v", s, err)
@@ -290,9 +292,9 @@ func admit(ctx context.Context, w http.ResponseWriter, t *core.Tenant) (release 
 // absent both, reads see the current tip. Version sentinels map uniformly
 // for both parameters: ErrVersionEvicted → 410 Gone, ErrVersionUnknown →
 // 404 Not Found.
-func pin(w http.ResponseWriter, r *http.Request, t *core.Tenant) (*core.Snapshot, bool) {
-	vs := r.URL.Query().Get("version")
-	as := r.URL.Query().Get("as_of")
+func pin(w http.ResponseWriter, params url.Values, t *core.Tenant) (*core.Snapshot, bool) {
+	vs := params.Get("version")
+	as := params.Get("as_of")
 	if vs != "" && as != "" {
 		failf(w, http.StatusBadRequest, "at most one of ?version= and ?as_of=")
 		return nil, false
@@ -424,7 +426,7 @@ func (d *Daemon) handleLoad(w http.ResponseWriter, r *http.Request) {
 		failf(w, http.StatusBadRequest, "parse program: %v", err)
 		return
 	}
-	ctx, cancel, err := d.reqCtx(r)
+	ctx, cancel, err := d.reqCtx(r, r.URL.Query())
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
@@ -531,7 +533,7 @@ func (d *Daemon) handleWrite(w http.ResponseWriter, r *http.Request, retract boo
 		failf(w, http.StatusBadRequest, "parse facts: %v", err)
 		return
 	}
-	ctx, cancel, err := d.reqCtx(r)
+	ctx, cancel, err := d.reqCtx(r, r.URL.Query())
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
@@ -567,13 +569,29 @@ func (d *Daemon) handleWrite(w http.ResponseWriter, r *http.Request, retract boo
 
 // --- reads ----------------------------------------------------------------
 
-type queryRespJSON struct {
-	Tenant    string              `json:"tenant"`
-	Component string              `json:"component"`
-	Version   uint64              `json:"version"`
-	Query     string              `json:"query"`
-	Truncated bool                `json:"truncated"`
-	Answers   []map[string]string `json:"answers"`
+// queryHeadJSON is a query response without its answers: writeQueryResp
+// appends those as the object's last member, "answers".
+type queryHeadJSON struct {
+	Tenant    string `json:"tenant"`
+	Component string `json:"component"`
+	Version   uint64 `json:"version"`
+	Query     string `json:"query"`
+	Truncated bool   `json:"truncated"`
+}
+
+// writeQueryResp writes a query response: the head through encoding/json,
+// the answer rows through core's row encoder straight into the same
+// buffer — no map per row and no reflection over the rows, the bulk of a
+// response. The bytes are those writeJSON would produce for the head with
+// an "answers" array of name->term objects after it.
+func writeQueryResp(w http.ResponseWriter, code int, head queryHeadJSON, answers *core.Answers) {
+	buf, _ := json.MarshalIndent(head, "", "  ") // strings, an integer and a bool always marshal
+	buf = append(buf[:len(buf)-len("\n}")], ",\n  \"answers\": "...)
+	buf = answers.AppendJSON(buf)
+	buf = append(buf, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(code)
+	_, _ = w.Write(buf) // a failed write is a gone client
 }
 
 // parseQuery parses the ?q= conjunctive goal ("anc(c0, X), p(X)").
@@ -593,7 +611,8 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	qtext := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	qtext := params.Get("q")
 	if qtext == "" {
 		failf(w, http.StatusBadRequest, "missing ?q= goal")
 		return
@@ -603,12 +622,12 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		failf(w, http.StatusBadRequest, "parse query: %v", err)
 		return
 	}
-	comp := r.URL.Query().Get("component")
-	snap, ok := pin(w, r, t)
+	comp := params.Get("component")
+	snap, ok := pin(w, params, t)
 	if !ok {
 		return
 	}
-	ctx, cancel, err := d.reqCtx(r)
+	ctx, cancel, err := d.reqCtx(r, params)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
@@ -620,33 +639,23 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	tenantCounter(t.Name(), "reads").Inc()
-	resp := queryRespJSON{
-		Tenant: t.Name(), Component: comp, Version: snap.Version(),
-		Query: q.String(), Answers: []map[string]string{},
-	}
-	bindings, err := snap.QueryCtx(ctx, comp, q)
+	head := queryHeadJSON{Tenant: t.Name(), Component: comp, Version: snap.Version(), Query: q.String()}
+	answers, err := snap.AnswersCtx(ctx, comp, q)
 	setVersion(w, snap.Version())
 	if err != nil {
 		if partialErr(err) {
 			// The least model did not converge inside the deadline: no
 			// bindings exist yet. The truncation marker tells the client
 			// this is a deadline artifact, not an empty answer set.
-			resp.Truncated = true
+			head.Truncated = true
 			markTruncated(w)
-			writeJSON(w, http.StatusPartialContent, resp)
+			writeQueryResp(w, http.StatusPartialContent, head, nil)
 			return
 		}
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	for _, b := range bindings {
-		row := make(map[string]string, len(b))
-		for k, v := range b {
-			row[k] = v.String()
-		}
-		resp.Answers = append(resp.Answers, row)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryResp(w, http.StatusOK, head, answers)
 }
 
 type proveRespJSON struct {
@@ -663,7 +672,8 @@ func (d *Daemon) handleProve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ltext := r.URL.Query().Get("lit")
+	params := r.URL.Query()
+	ltext := params.Get("lit")
 	if ltext == "" {
 		failf(w, http.StatusBadRequest, "missing ?lit= literal")
 		return
@@ -673,12 +683,12 @@ func (d *Daemon) handleProve(w http.ResponseWriter, r *http.Request) {
 		failf(w, http.StatusBadRequest, "parse literal: %v", err)
 		return
 	}
-	comp := r.URL.Query().Get("component")
-	snap, ok := pin(w, r, t)
+	comp := params.Get("component")
+	snap, ok := pin(w, params, t)
 	if !ok {
 		return
 	}
-	ctx, cancel, err := d.reqCtx(r)
+	ctx, cancel, err := d.reqCtx(r, params)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
@@ -723,9 +733,10 @@ func (d *Daemon) handleStable(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	comp := r.URL.Query().Get("component")
+	params := r.URL.Query()
+	comp := params.Get("component")
 	var maxModels int
-	if s := r.URL.Query().Get("max"); s != "" {
+	if s := params.Get("max"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
 			failf(w, http.StatusBadRequest, "bad max %q", s)
@@ -733,11 +744,11 @@ func (d *Daemon) handleStable(w http.ResponseWriter, r *http.Request) {
 		}
 		maxModels = n
 	}
-	snap, ok := pin(w, r, t)
+	snap, ok := pin(w, params, t)
 	if !ok {
 		return
 	}
-	ctx, cancel, err := d.reqCtx(r)
+	ctx, cancel, err := d.reqCtx(r, params)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return

@@ -21,3 +21,15 @@ func winMoveCyclesSrc(k int) string {
 	sb.WriteString("}\n")
 	return sb.String()
 }
+
+// queryRespJSON is the wire shape of a query response as encoding/json
+// sees it: what the tests decode into, and the reference the hand-laid
+// response bytes are compared against (TestQueryResponseBytes).
+type queryRespJSON struct {
+	Tenant    string              `json:"tenant"`
+	Component string              `json:"component"`
+	Version   uint64              `json:"version"`
+	Query     string              `json:"query"`
+	Truncated bool                `json:"truncated"`
+	Answers   []map[string]string `json:"answers"`
+}

@@ -70,6 +70,17 @@ func (t *Table) Term(id ID) ast.Term {
 	return x
 }
 
+// AppendTerms appends the terms for ids to dst under one read lock — the
+// batch form of Term for callers decoding whole rows.
+func (t *Table) AppendTerms(dst []ast.Term, ids []ID) []ast.Term {
+	t.mu.RLock()
+	for _, id := range ids {
+		dst = append(dst, t.terms[id])
+	}
+	t.mu.RUnlock()
+	return dst
+}
+
 func (t *Table) add(x ast.Term) ID {
 	id := ID(len(t.terms))
 	t.terms = append(t.terms, x)
