@@ -137,6 +137,7 @@ func Eval(st *storage.Store, rules []*Rule, opts Options) (int, error) {
 		}
 	}
 	derived := 0
+	s := unify.NewSubst() // join scratch, empty between rules
 	// watermarks[k] is the tuple count of relation k at the start of the
 	// previous round; tuples at index >= watermark are that round's delta.
 	marks := make(map[ast.PredKey]int)
@@ -167,7 +168,7 @@ func Eval(st *storage.Store, rules []*Rule, opts Options) (int, error) {
 		}
 		for _, r := range rules {
 			if round == 0 {
-				if err := evalRule(st, r, -1, marks, opts, emit); err != nil {
+				if err := evalRule(st, r, s, -1, marks, opts, emit); err != nil {
 					return derived, err
 				}
 				continue
@@ -180,7 +181,7 @@ func Eval(st *storage.Store, rules []*Rule, opts Options) (int, error) {
 					continue
 				}
 				hasPos = true
-				if err := evalRule(st, r, i, marks, opts, emit); err != nil {
+				if err := evalRule(st, r, s, i, marks, opts, emit); err != nil {
 					return derived, err
 				}
 			}
@@ -203,9 +204,15 @@ func Eval(st *storage.Store, rules []*Rule, opts Options) (int, error) {
 // evalRule joins the rule body via the shared storage.Join planner and
 // emits head instances. If deltaPos >= 0, the positive body literal at that
 // index scans only the previous round's delta of its relation and is forced
-// to the front of the join order.
-func evalRule(st *storage.Store, r *Rule, deltaPos int, marks map[ast.PredKey]int, opts Options, emit func(ast.Atom) error) error {
-	s := unify.NewSubst()
+// to the front of the join order. s is the caller's join scratch: empty on
+// entry and on return.
+func evalRule(st *storage.Store, r *Rule, s *unify.Subst, deltaPos int, marks map[ast.PredKey]int, opts Options, emit func(ast.Atom) error) error {
+	if len(r.Body) == 0 && len(r.Builtins) == 0 {
+		// A fact is its own only derivation: nothing to join or substitute.
+		// (A non-ground one is rejected by emit, as it would be after the
+		// empty join.)
+		return emit(r.Head.Atom())
+	}
 	lits := make([]storage.JoinLit, 0, len(r.Body))
 	first := -1
 	for i, l := range r.Body {

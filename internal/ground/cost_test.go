@@ -1,0 +1,233 @@
+// Pins on what the grounder's competitor pass and update path cost, in
+// units that do not depend on the host: allocations per emitted instance,
+// targets and candidate rules visited, and pre-existing targets a universe
+// growth re-enumerates.
+package ground
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"repro/internal/interrupt"
+	"repro/internal/obs"
+)
+
+// TestGroundAllocsPerInstance: grounding the policy program allocates a
+// bounded number of times per emitted instance, and the same bound holds
+// at every size — grounding is linear in the program. (Before the fact
+// path, the scratch substitutions and the arenas it was 15.6 per instance.)
+func TestGroundAllocsPerInstance(t *testing.T) {
+	const maxPerInstance = 3.0
+	for _, kb := range []int{500, 1000, 2000} {
+		p := policyProgram(t, kb)
+		var instances int
+		allocs := testing.AllocsPerRun(3, func() {
+			gp, err := Ground(p, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			instances = len(gp.Rules)
+		})
+		if instances < 3*kb {
+			t.Fatalf("kb=%d: %d instances, want at least %d", kb, instances, 3*kb)
+		}
+		if per := allocs / float64(instances); per > maxPerInstance {
+			t.Fatalf("kb=%d: %.0f allocs for %d instances = %.2f per instance, want <= %.1f", kb, allocs, instances, per, maxPerInstance)
+		}
+	}
+}
+
+// counterDelta runs fn and returns what it added to the registry.
+func counterDelta(t *testing.T, fn func()) obs.Snap {
+	t.Helper()
+	if !obs.On() {
+		t.Skip("metrics registry disabled")
+	}
+	before := obs.Default().Snap()
+	fn()
+	return obs.Default().Snap().Diff(before)
+}
+
+func wantCounters(t *testing.T, what string, d obs.Snap, want map[string]int64) {
+	t.Helper()
+	for name, n := range want {
+		if got := d.Get(name); got != n {
+			t.Errorf("%s: %s = %d, want %d", what, name, got, n)
+		}
+	}
+}
+
+// TestGrowthTouchesNoOldTarget: asserting a fact with a fresh constant into
+// the policy program visits the two targets the assert itself creates —
+// bad(k0) and -ok(k0) — and re-enumerates none of the 2 000 that existed:
+// no rule of that program has an open variable.
+func TestGrowthTouchesNoOldTarget(t *testing.T) {
+	p := policyProgram(t, 1000)
+	gp, err := Ground(p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, _ := p.ComponentIndex("exc")
+	d := counterDelta(t, func() {
+		if _, err := gp.AssertFacts(context.Background(), comp, goalLits(t, "bad(k0)")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	wantCounters(t, "assert bad(k0)", d, map[string]int64{
+		"ground.delta.growth":           1,
+		"ground.delta.growth_revisited": 0,
+		"ground.competitor.targets":     2,
+		"ground.competitor.candidates":  0, // ok(X) :- p(X) sits above exc: it cannot compete with -ok(k0)
+	})
+}
+
+// TestCompetitorCounters: the competitor pass's counters are exact — the
+// same sequentially and sharded — and count candidates off the head index:
+// one rule per ok(cI) target on the policy program, where a component scan
+// would have matched every target against every rule.
+func TestCompetitorCounters(t *testing.T) {
+	const kb = 50
+	p := policyProgram(t, kb)
+	for _, shards := range []int{0, 3} {
+		opts := DefaultOptions()
+		opts.Shards = shards
+		d := counterDelta(t, func() {
+			if _, err := Ground(p, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		wantCounters(t, fmt.Sprintf("policy kb=%d shards=%d", kb, shards), d, map[string]int64{
+			"ground.competitor.targets":    2 * kb, // p(cI) and ok(cI)
+			"ground.competitor.candidates": kb,     // -ok(X) :- bad(X) per ok(cI)
+			"ground.delta.growth":          0,
+		})
+	}
+
+	// One rule with an open variable: growth revisits the one pre-existing
+	// target it competes against, for the new constant only.
+	q := parse(t, `
+module base { r(a, b). q(X) :- r(X, Y). }
+module exc extends base { -q(X) :- r(X, Y). }
+`)
+	var gp *Program
+	d := counterDelta(t, func() {
+		var err error
+		if gp, err = Ground(q, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	wantCounters(t, "open-variable program", d, map[string]int64{
+		"ground.competitor.targets":    3, // r(a, b), q(a), -q(a)
+		"ground.competitor.candidates": 1, // -q(X) :- r(X, Y) against q(a); base cannot compete with exc's -q(a)
+	})
+	comp, _ := q.ComponentIndex("base")
+	before := len(gp.Rules)
+	d = counterDelta(t, func() {
+		if _, err := gp.AssertFacts(context.Background(), comp, goalLits(t, "r(b, k)")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	wantCounters(t, "assert r(b, k)", d, map[string]int64{
+		"ground.delta.growth":           1,
+		"ground.delta.growth_revisited": 1, // q(a); -q(a) is visited but no rule can compete with it
+		"ground.competitor.targets":     5, // r(b, k), q(b), -q(b) in full; q(a), -q(a) for the new constant
+		"ground.competitor.candidates":  2, // -q(X) :- r(X, Y) against q(b) and against q(a)
+	})
+	// r(b, k); q(b) :- r(b, k); -q(b) :- r(b, Y) for three Y; -q(a) :- r(a, k).
+	if got := len(gp.Rules) - before; got != 6 {
+		t.Errorf("assert r(b, k) appended %d instances, want 6", got)
+	}
+}
+
+// TestGrowthOrderDeterministic: two identical sequences of universe-growing
+// updates yield identical Rules sequences — the growth path walks targets
+// in registration order, not in map order.
+func TestGrowthOrderDeterministic(t *testing.T) {
+	run := func() *Program {
+		p := parse(t, growthProgram)
+		gp, err := Ground(p, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, _ := p.ComponentIndex("base")
+		for i, batch := range [][]string{
+			{"w(k1)"}, {"r(k2, a)", "s(a, k3)"}, {"r(c, k4)", "w(b)"}, {"s(k5, k6)", "r(k6, k7)", "w(k7)"},
+		} {
+			d, err := gp.AssertFacts(context.Background(), comp, goalLits(t, batch...))
+			if err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+			if d.NewLen-d.OldLen <= len(batch) {
+				t.Fatalf("batch %d appended %d instances: growth emitted no competitor instance to order", i, d.NewLen-d.OldLen)
+			}
+		}
+		return gp
+	}
+	first := run()
+	for i := 1; i < 10; i++ {
+		sameRuleSequence(t, fmt.Sprintf("run %d", i), run(), first, false) // separate parses
+	}
+}
+
+// countdownCtx is a context that reports cancellation from its n-th Err
+// poll on: it cancels an update at exactly one of its checkpoints.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestGrowthAssertCancelledAtEveryCheckpoint: a universe-growing assert
+// cancelled at its k-th checkpoint, for every k until it runs through,
+// returns the interrupt, poisons the incremental state (so the next update
+// regrounds) and never publishes a longer Rules; among the checkpoints are
+// the competitor pass's per-target polls, for the grown targets and for the
+// revisited ones.
+func TestGrowthAssertCancelledAtEveryCheckpoint(t *testing.T) {
+	batch := []string{"r(k1, a)", "s(a, k2)", "w(k2)"}
+	stages := make(map[string]int)
+	for k := 0; ; k++ {
+		p := parse(t, growthProgram)
+		gp, err := Ground(p, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, _ := p.ComponentIndex("base")
+		before := len(gp.Rules)
+		_, err = gp.AssertFacts(&countdownCtx{Context: context.Background(), left: k}, comp, goalLits(t, batch...))
+		if err == nil {
+			if k == 0 {
+				t.Fatal("the assert polled its context not once")
+			}
+			break
+		}
+		var ie *interrupt.Error
+		if !errors.As(err, &ie) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("checkpoint %d: err = %v, want an interrupt unwrapping to context.Canceled", k, err)
+		}
+		stages[ie.Stage]++
+		if gp.Incremental() || len(gp.Rules) != before {
+			t.Fatalf("checkpoint %d (%s): incremental=%v, %d rules published (was %d)", k, ie.Stage, gp.Incremental(), len(gp.Rules), before)
+		}
+		if _, err := gp.AssertFacts(context.Background(), comp, goalLits(t, "w(a)")); RegroundReason(err) != "poisoned" {
+			t.Fatalf("checkpoint %d: update after the cancelled one: err = %v, want the poisoned fallback", k, err)
+		}
+	}
+	// Grown targets: r(k1,a), s(a,k2), w(k2), q(k1), u(k1), u(k2) and the
+	// heads the new facts derive; revisited: the pre-existing q/1 and t/1
+	// targets. Both loops poll per target.
+	if n := stages["ground: competitor pass"]; n < 8 {
+		t.Fatalf("the competitor pass polled %d times (stages seen: %v), want one poll per grown and per revisited target", n, stages)
+	}
+	if stages["ground: delta fixpoint"] == 0 {
+		t.Fatalf("stages seen: %v, want the delta fixpoint among them", stages)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/term"
 	"repro/internal/unify"
 )
 
@@ -89,9 +90,11 @@ func (gp *Program) Incremental() bool { return gp.inc != nil && !gp.inc.poisoned
 // grown (append-only) and the returned Delta says by how much.
 //
 // It returns ErrNeedsReground — with the program unchanged — whenever the
-// update cannot be expressed as a sound extension: negative facts (they
-// shrink derivability for NAF-free possible atoms is no longer an
-// over-approximation argument but a competitor one), compound (functor)
+// update cannot be expressed as a sound extension: negative facts (a new
+// negative head can change predicate shapes — which competitor instances
+// the EDB/CWA simplification dropped as provably blocked — and makes every
+// retained complementary head a target of it, neither of which is an
+// append to the possible-atom over-approximation), compound (functor)
 // arguments, or fresh constants when the universe was functor-closed or
 // used the no-constant fallback (both make the correct universe differ
 // from "old universe plus the new constants").
@@ -165,6 +168,7 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 		preMarks[k] = n
 	}
 
+	oldUni := len(g.uni)
 	if len(newConsts) > 0 {
 		domRel := g.st.Rel(domKey)
 		for _, c := range newConsts {
@@ -176,22 +180,19 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 
 	d := &Delta{OldLen: len(g.rules)}
 	var freshEDB []ast.Atom // genuinely new facts on EDB/CWA-shaped predicates
-	done := make(map[string]bool, len(facts))
+	done := make(map[interp.Lit]bool, len(facts))
 	for _, f := range facts {
 		head := interp.MkLit(g.tab.Intern(f.Atom), false)
-		g.keyBuf = appendInt32(g.keyBuf[:0], int32(comp))
-		g.keyBuf = appendInt32(g.keyBuf, int32(head))
-		key := string(g.keyBuf)
-		if done[key] {
+		if done[head] {
 			continue
 		}
-		done[key] = true
+		done[head] = true
 		atom := g.tab.Atom(head.Atom()) // canonical copy, detached from caller
 		r := ast.Fact(ast.Literal{Atom: atom})
 		// The fact re-enters the effective program either way; its constants
 		// count again towards the rebuild universe.
 		g.addConstRefs(r, 1)
-		if idx, dup := g.seen[key]; dup {
+		if idx, dup := g.findInstance(instanceHash(comp, head, nil), comp, head, nil); dup {
 			// Already instantiated at some earlier version: resurrection (or
 			// no-op) is the caller's liveness decision. The possible-atom
 			// store, targets and competitors already account for it; the
@@ -202,13 +203,13 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 			continue
 		}
 		g.extra[comp] = append(g.extra[comp], r)
-		if err := g.instantiate(comp, r, unify.NewSubst()); err != nil {
+		if err := g.instantiate(comp, r, nil); err != nil {
 			return fail(err)
 		}
 		g.st.Rel(encKey(atom.Key(), false)).Insert(atom.Args)
-		fk := g.factKey(atom)
-		g.factComps[fk] = append(g.factComps[fk], comp)
 		if g.edbShape(atom.Key()) != nil {
+			fk := g.factKey(atom)
+			g.factComps[fk] = append(g.factComps[fk], comp)
 			freshEDB = append(freshEDB, atom)
 		}
 	}
@@ -218,33 +219,38 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 	}
 
 	// Competitor maintenance. Targets that are new or own a new component
-	// rerun their full (idempotent) competitor instantiation. When the
-	// universe grew, every free-variable competitor enumeration may have new
-	// bindings, so everything reruns; otherwise only EDB-joined competitor
-	// bodies can produce new instances for pre-existing targets, and those
-	// are covered delta-wise from the genuinely new facts.
+	// rerun their full (idempotent) competitor instantiation. A pre-existing
+	// target can gain competitor instances only through genuinely new facts
+	// in EDB-joined competitor bodies, covered delta-wise, or — when the
+	// universe grew — through a candidate's open variables taking a new
+	// constant, covered by revisiting the targets such candidates compete
+	// against for exactly those bindings.
 	preComp := len(g.rules)
-	grown := g.registerTargets(d.OldLen)
+	preEm := g.em
+	if err := g.competitorsOf(g.registerTargets(d.OldLen)); err != nil {
+		return fail(err)
+	}
+	if err := g.deltaCompetitors(freshEDB, preMarks); err != nil {
+		return fail(err)
+	}
+	revisited := 0
 	if len(newConsts) > 0 {
-		for _, tg := range g.targets {
-			if err := g.check("ground: competitor pass"); err != nil {
-				return fail(err)
+		for _, ps := range g.openSigns {
+			for _, tg := range g.targetsByPred[ps] {
+				if tg.grownAt == g.pass {
+					continue // reran in full above, over the grown universe
+				}
+				if err := g.check("ground: competitor pass"); err != nil {
+					return fail(err)
+				}
+				reached := g.em.candidates
+				if err := g.competitorsFor(tg, oldUni, &g.em); err != nil {
+					return fail(err)
+				}
+				if g.em.candidates > reached {
+					revisited++
+				}
 			}
-			if err := g.competitorsFor(tg); err != nil {
-				return fail(err)
-			}
-		}
-	} else {
-		for _, tg := range grown {
-			if err := g.check("ground: competitor pass"); err != nil {
-				return fail(err)
-			}
-			if err := g.competitorsFor(tg); err != nil {
-				return fail(err)
-			}
-		}
-		if err := g.deltaCompetitors(freshEDB, preMarks); err != nil {
-			return fail(err)
 		}
 	}
 	// Competitor-emitted instances are deliberately NOT registered as
@@ -261,6 +267,12 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 		mDeltaAsserts.Inc()
 		mDeltaAssertInst.Add(int64(d.NewLen - d.OldLen))
 		mCompetitorClosure.Add(int64(len(g.rules) - preComp))
+		mCompetitorTargets.Add(int64(g.em.targets - preEm.targets))
+		mCompetitorCandidates.Add(int64(g.em.candidates - preEm.candidates))
+		if len(newConsts) > 0 {
+			mDeltaGrowth.Inc()
+			mDeltaGrowthRevisited.Add(int64(revisited))
+		}
 	}
 	return d, nil
 }
@@ -295,11 +307,13 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 		idx int32
 		f   ast.Literal
 		r   *ast.Rule
+		n   int // copies of the fact a rebuild drops
 	}
 	var hits []hit
-	dec := make(map[string]int)
-	done := make(map[string]bool, len(facts))
-	scratch := unify.NewSubst()
+	dec := make(map[term.ID]int)
+	tt := g.tab.TermTable()
+	done := make(map[interp.Lit]bool, len(facts))
+	scratch := g.em.s
 	for _, f := range facts {
 		if !f.Atom.Ground() {
 			return nil, fmt.Errorf("ground: retract of non-ground fact %s", f)
@@ -324,14 +338,11 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 			continue // atom never interned: the fact has no instance
 		}
 		head := interp.MkLit(id, f.Neg)
-		g.keyBuf = appendInt32(g.keyBuf[:0], int32(comp))
-		g.keyBuf = appendInt32(g.keyBuf, int32(head))
-		key := string(g.keyBuf)
-		if done[key] {
+		if done[head] {
 			continue
 		}
-		done[key] = true
-		idx, present := g.seen[key]
+		done[head] = true
+		idx, present := g.findInstance(instanceHash(comp, head, nil), comp, head, nil)
 		if !present {
 			continue
 		}
@@ -340,12 +351,18 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 		// builtin-only rule (p(c) :- c < d.) with a matching head would
 		// regenerate it, so dead-marking would diverge from the rebuild. Only
 		// the ground-equal true fact — which the rebuild removes too — is
-		// safe to take in place.
+		// safe to take in place. A rebuild removes every written copy of it,
+		// and each copy was counted in constRefs, so all of them leave the
+		// counts together — otherwise a constant's last occurrence would go
+		// unnoticed. (Once such a fact has been re-asserted this over-counts,
+		// which at worst regrounds early.)
+		copies := 0
 		for _, r := range gp.Src.Components[comp].Rules {
 			if len(r.Body) != 0 || r.Head.Neg != f.Neg {
 				continue
 			}
 			if r.IsFact() && r.Head.Atom.Ground() && r.Head.Atom.Equal(f.Atom) {
+				copies++
 				continue
 			}
 			mark := scratch.Mark()
@@ -356,13 +373,15 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 			}
 		}
 		r := ast.Fact(ast.Literal{Neg: f.Neg, Atom: g.tab.Atom(id)})
-		hits = append(hits, hit{idx: idx, f: f, r: r})
+		h := hit{idx: idx, f: f, r: r, n: max(copies, 1)}
+		hits = append(hits, h)
 		// Compound args were rejected above, so the top-level walk covers
 		// every constant addConstRefs will decrement for this fact.
 		for _, t := range r.Head.Atom.Args {
 			switch t.(type) {
 			case ast.Sym, ast.Int:
-				dec[t.String()]++
+				tid, _ := tt.Lookup(t) // an argument of an interned atom
+				dec[tid] += h.n
 			}
 		}
 	}
@@ -377,7 +396,7 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 	gone := make([]int32, 0, len(hits))
 	for _, h := range hits {
 		gone = append(gone, h.idx)
-		g.addConstRefs(h.r, -1)
+		g.addConstRefs(h.r, -h.n)
 		// Forget the fact as an asserted extra rule so future competitor
 		// passes no longer see it as a rule source. (Instances it already
 		// caused stay: a competitor instance with an underivable or absent
@@ -402,10 +421,11 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 
 // deltaCompetitors re-instantiates, delta-restricted, the competitor rules
 // whose EDB-joined body literals gained tuples from genuinely new facts.
-// Pre-existing targets (the grown ones already reran in full) can gain
-// competitor instances only this way: non-EDB positive body literals and
-// free variables were enumerated exhaustively over the (unchanged)
-// universe when the target first appeared. One join runs per occurrence of
+// With the universe unchanged, pre-existing targets (the grown ones already
+// reran in full) can gain competitor instances only this way: non-EDB
+// positive body literals and open variables were enumerated exhaustively
+// over the universe when the target first appeared (AssertFacts covers a
+// grown universe separately). One join runs per occurrence of
 // the fact's predicate in each rule body, with that occurrence pinned to
 // the delta — the standard semi-naive product cover; overlaps dedup.
 func (g *grounder) deltaCompetitors(freshEDB []ast.Atom, preMarks map[ast.PredKey]int) error {
@@ -413,7 +433,7 @@ func (g *grounder) deltaCompetitors(freshEDB []ast.Atom, preMarks map[ast.PredKe
 		return nil
 	}
 	donePred := make(map[ast.PredKey]bool)
-	scratch := unify.NewSubst()
+	scratch := g.em.s
 	for _, fact := range freshEDB {
 		k := fact.Key()
 		if donePred[k] {
@@ -421,37 +441,28 @@ func (g *grounder) deltaCompetitors(freshEDB []ast.Atom, preMarks map[ast.PredKe
 		}
 		donePred[k] = true
 		lo := preMarks[encKey(k, false)]
-		for _, cr := range g.bodyEDB[k] {
-			// Occurrence count of k among the EDB-joined literals of cr.r.
+		for _, cc := range g.bodyEDB[k] {
+			// Occurrence count of k among the EDB-joined literals of the rule.
 			occ := 0
-			for _, l := range cr.r.Body {
-				if !l.Neg && l.Atom.Key() == k && g.edbShape(k) != nil {
+			for _, l := range cc.c.edb {
+				if l.key == k {
 					occ++
 				}
 			}
-			if occ == 0 {
-				continue
-			}
-			for _, tg := range g.targetsByPred[predSign{key: cr.r.Head.Atom.Key(), neg: !cr.r.Head.Neg}] {
-				relevant := false
-				for cs := range tg.comps {
-					if !g.src.Less(int(cs), cr.comp) {
-						relevant = true
-						break
-					}
-				}
-				if !relevant {
+			head := cc.c.r.Head
+			for _, tg := range g.targetsByPred[predSign{key: head.Atom.Key(), neg: !head.Neg}] {
+				if !g.canCompete(tg, cc.comp) {
 					continue
 				}
 				mark := scratch.Mark()
-				if unify.MatchAtoms(scratch, cr.r.Head.Atom, tg.atom) {
+				if unify.MatchAtoms(scratch, head.Atom, tg.atom) {
 					for pos := 0; pos < occ; pos++ {
 						if err := g.check("ground: delta competitor pass"); err != nil {
 							scratch.Undo(mark)
 							return err
 						}
 						d := deltaRestrict{key: k, lo: lo, pos: pos}
-						if err := g.emitCompetitors(g.st, g.shapes, cr.comp, cr.r, scratch, d, g.instantiate); err != nil {
+						if err := g.emitCompetitors(cc.comp, cc.c, scratch, d, 0, g.instantiate); err != nil {
 							scratch.Undo(mark)
 							return err
 						}
@@ -509,18 +520,16 @@ func (g *grounder) deltaPass() error {
 // inserting the head possible atom for every satisfying substitution. It
 // returns the number of new possible-atom tuples.
 func (g *grounder) evalDeltaRule(sr srcRule, deltaPos int) (int, error) {
-	s := unify.NewSubst()
+	dk := sr.body[deltaPos].Key
+	if rel := g.st.Peek(dk); rel == nil || rel.Len() <= g.marks[dk] {
+		return 0, nil // empty delta: nothing new can bind here
+	}
+	s := g.em.s
 	jls := make([]storage.JoinLit, len(sr.body))
 	for i, l := range sr.body {
 		jls[i] = storage.JoinLit{Rel: g.st.Peek(l.Key), Args: l.Args}
-		if i == deltaPos {
-			rel := jls[i].Rel
-			if rel == nil || rel.Len() <= g.marks[l.Key] {
-				return 0, nil // empty delta: nothing new can bind here
-			}
-			jls[i].Lo = g.marks[l.Key]
-		}
 	}
+	jls[deltaPos].Lo = g.marks[dk]
 	inserted := 0
 	headKey := encKey(sr.r.Head.Atom.Key(), sr.r.Head.Neg)
 	err := storage.Join(s, jls, deltaPos, !g.opts.NoJoinPlanner, func() error {

@@ -40,7 +40,7 @@ func chainProgram(t *testing.T, n int) *ast.OrderedProgram {
 	return p
 }
 
-func goalLits(t *testing.T, lits ...string) []ast.Literal {
+func goalLits(t testing.TB, lits ...string) []ast.Literal {
 	t.Helper()
 	out := make([]ast.Literal, len(lits))
 	for i, s := range lits {

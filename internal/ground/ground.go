@@ -199,20 +199,9 @@ func GroundCtx(ctx context.Context, p *ast.OrderedProgram, opts Options) (*Progr
 		// pinned, so sharding buys nothing and is simply ignored.
 		opts.Shards = 0
 	}
-	uni, err := Universe(p, opts.MaxDepth, opts.MaxUniverse)
+	g, err := newGrounder(ctx, p, opts)
 	if err != nil {
 		return nil, err
-	}
-	g := &grounder{
-		src:  p,
-		ctx:  ctx,
-		opts: opts,
-		uni:  uni,
-		tab:  interp.NewTable(),
-		seen: make(map[string]int32),
-	}
-	if len(opts.Goal) > 0 {
-		g.rel = relevance.Analyze(p, opts.Goal)
 	}
 	switch opts.Mode {
 	case ModeFull:
@@ -241,6 +230,8 @@ func GroundCtx(ctx context.Context, p *ast.OrderedProgram, opts Options) (*Progr
 		mGroundRuns.Inc()
 		mGroundInstances.Add(int64(len(gp.Rules)))
 		mCompetitorClosure.Add(int64(g.compInstances))
+		mCompetitorTargets.Add(int64(g.em.targets))
+		mCompetitorCandidates.Add(int64(g.em.candidates))
 		if g.rel != nil {
 			mMagicRuns.Inc()
 			mMagicSeeds.Add(int64(len(g.rel.Seeds)))
@@ -252,6 +243,28 @@ func GroundCtx(ctx context.Context, p *ast.OrderedProgram, opts Options) (*Progr
 	return gp, nil
 }
 
+// newGrounder computes the universe and sets up an empty grounder for p
+// under filled options.
+func newGrounder(ctx context.Context, p *ast.OrderedProgram, opts Options) (*grounder, error) {
+	uni, noConsts, err := universe(p, opts.MaxDepth, opts.MaxUniverse)
+	if err != nil {
+		return nil, err
+	}
+	g := &grounder{
+		src:         p,
+		ctx:         ctx,
+		opts:        opts,
+		uni:         uni,
+		uniFallback: noConsts && len(uni) > 0,
+		tab:         interp.NewTable(),
+		seen:        make(map[uint64]int32),
+	}
+	if len(opts.Goal) > 0 {
+		g.rel = relevance.Analyze(p, opts.Goal)
+	}
+	return g, nil
+}
+
 type grounder struct {
 	src   *ast.OrderedProgram
 	ctx   context.Context
@@ -259,10 +272,13 @@ type grounder struct {
 	uni   []ast.Term
 	tab   *interp.Table
 	rules []Rule
-	// seen dedups instances (key: packed component + head + body ids) and
-	// remembers each instance's index in rules, which is how retraction
-	// finds the instance of a fact and re-assertion resurrects it.
-	seen map[string]int32
+	// seen dedups instances and finds each one's index in rules, which is
+	// how retraction finds the instance of a fact and re-assertion resurrects
+	// it: it maps an instance hash (component, head, body) to the newest
+	// instance with that hash, and seenPrev[i] links instance i to the
+	// previous one (-1: none), so dedup costs no allocation per instance.
+	seen     map[uint64]int32
+	seenPrev []int32
 	// emitted counts instantiate calls for the stride-based context poll
 	// (a single rule can expand to universe^vars instances, so per-stratum
 	// checkpoints alone would not bound the interruption latency).
@@ -279,8 +295,13 @@ type grounder struct {
 	// term ids (predicate symbol id then argument ids) — to the components
 	// asserting them; built by predShapes for the competitor pass.
 	factComps map[string][]int
-	// keyBuf is the reusable dedup-key scratch buffer.
-	keyBuf []byte
+	// keyBuf is the reusable factComps-key scratch buffer; bodyBuf the
+	// scratch an instance's body is built in before dedup, and bodyArena the
+	// chunk retained bodies are carved from (arenaChunk its doubling size).
+	keyBuf     []byte
+	bodyBuf    []interp.Lit
+	bodyArena  []interp.Lit
+	arenaChunk int
 
 	// Smart-mode state retained for incremental updates (delta.go). All of
 	// it is mutated only under the engine's write lock.
@@ -288,16 +309,30 @@ type grounder struct {
 	dlSrc         []srcRule        // source rules with their encoded datalog bodies
 	inUniverse    map[term.ID]bool // universe membership by interned id
 	shapes        map[ast.PredKey]*predShape
-	targets       map[interp.Lit]*target     // competitor-pass targets emitted so far
-	targetsByPred map[predSign][]*target     // same targets indexed by head predicate+sign
-	bodyEDB       map[ast.PredKey][]compRule // source rules with a positive body literal on key
-	marks         map[ast.PredKey]int        // relation sizes at the end of the last (delta) pass
-	extra         map[int][]*ast.Rule        // asserted fact rules per component, still in effect
-	// constRefs counts, per constant (keyed by String()), its occurrences in
-	// the effective program (source rules plus asserted facts minus retracted
-	// ones). A retraction that would drop a count to zero shrinks the
-	// Herbrand universe a rebuild computes, so it falls back to regrounding.
-	constRefs   map[string]int
+	targets       map[interp.Lit]*target // competitor-pass targets emitted so far
+	targetsByPred map[predSign][]*target // same targets by head predicate+sign, registration order
+	pass          int                    // registerTargets calls so far (target.grownAt stamp)
+	targetSlab    []target               // unused tail of the current target chunk (slabChunk its size)
+	slabChunk     int
+	// heads indexes the source rules, prepared as candidates, by component
+	// position and head predicate+sign in source order: the competitor pass
+	// reads a target's candidates off it instead of scanning every rule.
+	// bodyEDB indexes the same candidates by the predicates of their
+	// EDB-joined body literals, and openSigns lists (in source order) the
+	// target signs some candidate with open variables competes against —
+	// the only targets universe growth has to revisit.
+	heads     []map[predSign][]*candidate
+	bodyEDB   map[ast.PredKey][]compCandidate
+	openSigns []predSign
+	em        emitter             // the sequential passes' sink, scratch substitution and counters
+	marks     map[ast.PredKey]int // relation sizes at the end of the last (delta) pass
+	extra     map[int][]*ast.Rule // asserted fact rules per component, still in effect
+	// constRefs counts, per constant (keyed by interned term id), its
+	// occurrences in the effective program (source rules plus asserted facts
+	// minus retracted ones). A retraction that would drop a count to zero
+	// shrinks the Herbrand universe a rebuild computes, so it falls back to
+	// regrounding.
+	constRefs   map[term.ID]int
 	uniFallback bool // universe used the fresh-constant fallback
 	hasFunctors bool // program terms use function symbols
 	// poisoned marks the incremental state unusable after a mid-update
@@ -317,11 +352,24 @@ type srcRule struct {
 }
 
 // target is one competitor-pass target: a retained head literal and the
-// components owning instances with that head.
+// components owning instances with that head (a handful at most, so a
+// slice scanned linearly). grownAt is the registerTargets pass that last
+// returned it as grown.
 type target struct {
-	atom  ast.Atom
-	neg   bool
-	comps map[int32]bool
+	atom    ast.Atom
+	neg     bool
+	comps   []int32
+	own     [2]int32 // comps' initial backing
+	grownAt int
+}
+
+func (t *target) ownedBy(comp int32) bool {
+	for _, c := range t.comps {
+		if c == comp {
+			return true
+		}
+	}
+	return false
 }
 
 // predSign keys targets by head predicate and sign.
@@ -330,16 +378,11 @@ type predSign struct {
 	neg bool
 }
 
-// compRule pairs a source rule with its component position.
-type compRule struct {
-	comp int
-	r    *ast.Rule
-}
-
-// instantiate builds the ground instance of r under subst, interning its
-// atoms directly, and records it unless a duplicate (per component) was
-// seen. Instances whose builtins fail are dropped. Returns an error only
-// on budget overrun or a non-ground instance (an internal bug).
+// instantiate builds the ground instance of r under subst (nil for a rule
+// that is ground as written), interning its atoms directly, and records it
+// unless a duplicate (per component) was seen. Instances whose builtins
+// fail are dropped. Returns an error only on budget overrun or a
+// non-ground instance (an internal bug).
 func (g *grounder) instantiate(comp int, r *ast.Rule, s *unify.Subst) error {
 	g.emitted++
 	if g.emitted%256 == 0 {
@@ -347,39 +390,16 @@ func (g *grounder) instantiate(comp int, r *ast.Rule, s *unify.Subst) error {
 			return err
 		}
 	}
-	for _, b := range r.Builtins {
-		gb := ast.Builtin{Op: b.Op, L: substExpr(s, b.L), R: substExpr(s, b.R)}
-		holds, ok := ast.EvalBuiltin(gb)
-		if !ok || !holds {
-			return nil
-		}
+	head, body, keep, err := g.buildInstance(r, s, g.bodyBuf[:0])
+	g.bodyBuf = body
+	if err != nil || !keep {
+		return err
 	}
-	headAtom := s.ApplyAtom(r.Head.Atom)
-	if !headAtom.Ground() {
-		return fmt.Errorf("ground: internal error: non-ground head %s of %s", headAtom, r)
-	}
-	head := interp.MkLit(g.tab.Intern(headAtom), r.Head.Neg)
-	var body []interp.Lit
-	if len(r.Body) > 0 {
-		body = make([]interp.Lit, len(r.Body))
-		for i, l := range r.Body {
-			a := s.ApplyAtom(l.Atom)
-			if !a.Ground() {
-				return fmt.Errorf("ground: internal error: non-ground body atom %s of %s", a, r)
-			}
-			body[i] = interp.MkLit(g.tab.Intern(a), l.Neg)
-		}
-	}
-	// Dedup on the interned encoding: component, head, body, packed as
-	// little-endian int32s into a string key (instanceKey, shared with the
-	// sharded workers and their merge).
-	g.keyBuf = instanceKey(g.keyBuf[:0], comp, head, body)
-	key := string(g.keyBuf)
-	if _, dup := g.seen[key]; dup {
+	h := instanceHash(comp, head, body)
+	if _, dup := g.findInstance(h, comp, head, body); dup {
 		return nil
 	}
-	g.seen[key] = int32(len(g.rules))
-	g.rules = append(g.rules, Rule{Head: head, Body: body, Comp: int32(comp), Src: r})
+	g.appendInstance(h, Rule{Head: head, Body: g.keepBody(body), Comp: int32(comp), Src: r})
 	if g.tab.Len() > g.opts.MaxAtoms {
 		return &ErrBudget{"atom", g.opts.MaxAtoms}
 	}
@@ -387,6 +407,134 @@ func (g *grounder) instantiate(comp int, r *ast.Rule, s *unify.Subst) error {
 		return &ErrBudget{"instance", g.opts.MaxInstances}
 	}
 	return nil
+}
+
+// instanceHash is the FNV-1a hash of an instance's identity on the interned
+// encoding: component, head literal, body literals.
+func instanceHash(comp int, head interp.Lit, body []interp.Lit) uint64 {
+	h := fnvMix(fnvMix(14695981039346656037, uint32(comp)), uint32(head))
+	for _, l := range body {
+		h = fnvMix(h, uint32(l))
+	}
+	return h
+}
+
+// fnvMix folds the four bytes of v into the FNV-1a state h.
+func fnvMix(h uint64, v uint32) uint64 {
+	const prime64 = 1099511628211
+	h = (h ^ uint64(v&0xff)) * prime64
+	h = (h ^ uint64((v>>8)&0xff)) * prime64
+	h = (h ^ uint64((v>>16)&0xff)) * prime64
+	return (h ^ uint64(v>>24)) * prime64
+}
+
+// findInstance returns the index in rules of the instance with hash h and
+// the given identity, walking the chain of instances sharing the hash.
+func (g *grounder) findInstance(h uint64, comp int, head interp.Lit, body []interp.Lit) (int32, bool) {
+	i, ok := g.seen[h]
+	for ok && i >= 0 {
+		if r := &g.rules[i]; r.Head == head && int(r.Comp) == comp && litsEqual(r.Body, body) {
+			return i, true
+		}
+		i = g.seenPrev[i]
+	}
+	return 0, false
+}
+
+func litsEqual(a, b []interp.Lit) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// appendInstance retains a new instance (findInstance missed it) with hash h.
+func (g *grounder) appendInstance(h uint64, r Rule) {
+	prev, ok := g.seen[h]
+	if !ok {
+		prev = -1
+	}
+	g.seen[h] = int32(len(g.rules))
+	g.seenPrev = append(g.seenPrev, prev)
+	g.rules = append(g.rules, r)
+}
+
+// buildInstance evaluates r's builtins under s and interns its head and
+// body atoms, appending the body literals to buf. keep is false when a
+// builtin fails. It touches nothing but the (mutex-guarded) atom and term
+// tables, so the sharded workers call it concurrently.
+func (g *grounder) buildInstance(r *ast.Rule, s *unify.Subst, buf []interp.Lit) (head interp.Lit, body []interp.Lit, keep bool, err error) {
+	for _, b := range r.Builtins {
+		if s != nil {
+			b = ast.Builtin{Op: b.Op, L: substExpr(s, b.L), R: substExpr(s, b.R)}
+		}
+		holds, ok := ast.EvalBuiltin(b)
+		if !ok || !holds {
+			return 0, buf, false, nil
+		}
+	}
+	id, ok := g.internAtom(r.Head.Atom, s)
+	if !ok {
+		return 0, buf, false, fmt.Errorf("ground: internal error: non-ground head of %s", r)
+	}
+	head = interp.MkLit(id, r.Head.Neg)
+	for _, l := range r.Body {
+		id, ok := g.internAtom(l.Atom, s)
+		if !ok {
+			return 0, buf, false, fmt.Errorf("ground: internal error: non-ground body atom %s of %s", l.Atom, r)
+		}
+		buf = append(buf, interp.MkLit(id, l.Neg))
+	}
+	return head, buf, true, nil
+}
+
+// internAtom interns the instance of a under s (nil: a is ground) by
+// argument ids, so an atom the table already holds is never rebuilt. It
+// reports false when the instance is not ground.
+func (g *grounder) internAtom(a ast.Atom, s *unify.Subst) (interp.AtomID, bool) {
+	if s == nil {
+		if !a.Ground() {
+			return 0, false
+		}
+		return g.tab.Intern(a), true
+	}
+	tt := g.tab.TermTable()
+	var buf [8]term.ID
+	ids := buf[:0]
+	for _, t := range a.Args {
+		w := s.Walk(t)
+		if c, isCompound := w.(ast.Compound); isCompound {
+			w = s.Apply(c)
+		}
+		if !w.Ground() {
+			return 0, false
+		}
+		ids = append(ids, tt.Intern(w))
+	}
+	return g.tab.InternIDs(a.Pred, ids), true
+}
+
+// keepBody copies a retained instance's body out of the scratch buffer
+// into the body arena: Rules is append-only and bodies are never written
+// again, so instances share chunks instead of owning one allocation each.
+func (g *grounder) keepBody(body []interp.Lit) []interp.Lit {
+	n := len(body)
+	if n == 0 {
+		return nil
+	}
+	if len(g.bodyArena) < n {
+		g.arenaChunk = min(max(2*g.arenaChunk, 64), 4096)
+		g.bodyArena = make([]interp.Lit, max(g.arenaChunk, n))
+	}
+	kept := g.bodyArena[:n:n]
+	g.bodyArena = g.bodyArena[n:]
+	copy(kept, body)
+	return kept
 }
 
 // check is the grounder's cooperative checkpoint. Callers pass the full
@@ -420,40 +568,38 @@ func (g *grounder) factKey(a ast.Atom) string {
 // means exactly that a rebuild's universe would no longer contain the
 // constant.
 func (g *grounder) addConstRefs(r *ast.Rule, d int) {
-	var walk func(t ast.Term)
-	walk = func(t ast.Term) {
-		switch t := t.(type) {
-		case ast.Sym:
-			g.constRefs[t.String()] += d
-		case ast.Int:
-			g.constRefs[t.String()] += d
-		case ast.Compound:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		}
-	}
-	var walkExpr func(e ast.Expr)
-	walkExpr = func(e ast.Expr) {
-		switch e := e.(type) {
-		case ast.TermExpr:
-			walk(e.Term)
-		case ast.BinExpr:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		}
-	}
 	for _, t := range r.Head.Atom.Args {
-		walk(t)
+		g.addTermRefs(t, d)
 	}
 	for _, l := range r.Body {
 		for _, t := range l.Atom.Args {
-			walk(t)
+			g.addTermRefs(t, d)
 		}
 	}
 	for _, b := range r.Builtins {
-		walkExpr(b.L)
-		walkExpr(b.R)
+		g.addExprRefs(b.L, d)
+		g.addExprRefs(b.R, d)
+	}
+}
+
+func (g *grounder) addTermRefs(t ast.Term, d int) {
+	switch c := t.(type) {
+	case ast.Sym, ast.Int:
+		g.constRefs[g.tab.TermTable().Intern(t)] += d
+	case ast.Compound:
+		for _, a := range c.Args {
+			g.addTermRefs(a, d)
+		}
+	}
+}
+
+func (g *grounder) addExprRefs(e ast.Expr, d int) {
+	switch e := e.(type) {
+	case ast.TermExpr:
+		g.addTermRefs(e.Term, d)
+	case ast.BinExpr:
+		g.addExprRefs(e.L, d)
+		g.addExprRefs(e.R, d)
 	}
 }
 
@@ -477,7 +623,7 @@ func (g *grounder) full() error {
 			}
 			vars := r.Vars()
 			if len(vars) == 0 {
-				if err := g.instantiate(ci, r, unify.NewSubst()); err != nil {
+				if err := g.instantiate(ci, r, nil); err != nil {
 					return err
 				}
 				continue

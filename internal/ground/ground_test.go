@@ -8,7 +8,7 @@ import (
 	"repro/internal/parser"
 )
 
-func parse(t *testing.T, src string) *ast.OrderedProgram {
+func parse(t testing.TB, src string) *ast.OrderedProgram {
 	t.Helper()
 	p, err := parser.ParseProgram(src)
 	if err != nil {

@@ -1,0 +1,323 @@
+// The head-indexed competitor pass pinned to the scan it replaced. The
+// component walk the grounder used before — every rule of every relevant
+// component per target, the open variables and the EDB joins worked out
+// per head match instead of once per rule — survives here as
+// competitorsScanOracle, and a grounding driven by it must emit the same
+// Rules sequence, index by index, as the production pass.
+package ground
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/ast"
+	"repro/internal/parser"
+	"repro/internal/storage"
+	"repro/internal/unify"
+	"repro/internal/workload"
+)
+
+// competitorsScanOracle instantiates the competitors of one target by
+// scanning: for every component that can overrule or defeat an owner of the
+// target, every source rule and then every asserted fact, filtered by head
+// predicate and sign, head-matched, and instantiated by scanEmitCompetitors.
+func competitorsScanOracle(g *grounder, tg *target, emit emitFn) error {
+	scratch := unify.NewSubst()
+	wantKey := tg.atom.Key()
+	wantNeg := !tg.neg
+	for ci := range g.src.Components {
+		relevant := false
+		for _, cs := range tg.comps {
+			if !g.src.Less(int(cs), ci) {
+				relevant = true
+				break
+			}
+		}
+		if !relevant {
+			continue
+		}
+		rules := append(append([]*ast.Rule(nil), g.src.Components[ci].Rules...), g.extra[ci]...)
+		for _, r := range rules {
+			if r.Head.Neg != wantNeg || r.Head.Atom.Key() != wantKey {
+				continue
+			}
+			mark := scratch.Mark()
+			var err error
+			if unify.MatchAtoms(scratch, r.Head.Atom, tg.atom) {
+				err = scanEmitCompetitors(g, ci, r, scratch, emit)
+			}
+			scratch.Undo(mark)
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// scanEmitCompetitors joins the rule's positive EDB-with-CWA literals
+// against the facts, then binds whatever variables the substitution still
+// leaves free over the whole universe, dropping instances a visible fact
+// blocks through a negative literal.
+func scanEmitCompetitors(g *grounder, comp int, r *ast.Rule, s *unify.Subst, emit emitFn) error {
+	var joinLits []storage.JoinLit
+	for _, l := range r.Body {
+		if !l.Neg && g.edbShape(l.Atom.Key()) != nil {
+			joinLits = append(joinLits, storage.JoinLit{Rel: g.st.Peek(encKey(l.Atom.Key(), false)), Args: l.Atom.Args})
+		}
+	}
+	return storage.Join(s, joinLits, -1, !g.opts.NoJoinPlanner, func() error {
+		var free []ast.Var
+		for _, v := range r.Vars() {
+			if _, isVar := s.Walk(v).(ast.Var); isVar {
+				free = append(free, v)
+			}
+		}
+		emit1 := func() error {
+			for _, l := range r.Body {
+				if !l.Neg || g.opts.NoEDBSimplify {
+					continue
+				}
+				sh := g.shapes[l.Atom.Key()]
+				if sh == nil || !sh.onlyFactPos || !sh.topCWA || !sh.noOtherNeg {
+					continue
+				}
+				atom := s.ApplyAtom(l.Atom)
+				if atom.Ground() && g.blockedByVisibleFact(atom, comp, sh) {
+					return nil
+				}
+			}
+			return emit(comp, r, s)
+		}
+		var rec func(i int) error
+		rec = func(i int) error {
+			if i == len(free) {
+				return emit1()
+			}
+			for _, t := range g.uni {
+				mark := s.Mark()
+				s.Bind(free[i], t)
+				err := rec(i + 1)
+				s.Undo(mark)
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		return rec(0)
+	})
+}
+
+// groundScanOracle is sequential smart grounding with the competitor pass
+// replaced by the scan oracle; everything before it is the production code.
+func groundScanOracle(t *testing.T, p *ast.OrderedProgram, opts Options) *Program {
+	t.Helper()
+	opts.fill()
+	g, err := newGrounder(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.smartPrep(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range g.dlSrc {
+		if err := g.joinInstantiate(sr, 0, 1, &g.em); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.prepCompetitors()
+	for _, tg := range g.registerTargets(0) {
+		if err := competitorsScanOracle(g, tg, g.instantiate); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &Program{Src: p, Tab: g.tab, Rules: g.rules, Universe: g.uni}
+}
+
+// sameRuleSequence asserts two groundings agree instance by instance:
+// component, head, body (interned ids — both runs intern in the same order
+// or they would already differ), rendered rule and, when both grounded the
+// same parse (sameSrc), the source rule pointer.
+func sameRuleSequence(t *testing.T, name string, got, want *Program, sameSrc bool) {
+	t.Helper()
+	if len(got.Rules) != len(want.Rules) {
+		t.Fatalf("%s: %d instances, want %d", name, len(got.Rules), len(want.Rules))
+	}
+	for i := range want.Rules {
+		a, b := &got.Rules[i], &want.Rules[i]
+		if a.Comp != b.Comp || a.Head != b.Head || !litsEqual(a.Body, b.Body) || (sameSrc && a.Src != b.Src) ||
+			got.RuleString(a) != want.RuleString(b) {
+			t.Fatalf("%s: Rules[%d] = m%d %s (src %q), want m%d %s (src %q)", name, i,
+				a.Comp, got.RuleString(a), a.Src, b.Comp, want.RuleString(b), b.Src)
+		}
+	}
+	if got.Tab.Len() != want.Tab.Len() {
+		t.Fatalf("%s: %d atoms, want %d", name, got.Tab.Len(), want.Tab.Len())
+	}
+}
+
+// oracleCorpus is the ~200-seed differential population (the planner and
+// eval suites' mix) plus the paper's figure programs from testdata.
+func oracleCorpus(t *testing.T) (names []string, progs []*ast.OrderedProgram) {
+	t.Helper()
+	add := func(n string, p *ast.OrderedProgram) { names, progs = append(names, n), append(progs, p) }
+	for seed := int64(0); seed < 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		add(fmt.Sprintf("ordered-%d", seed), workload.RandomOrdered(rng, 1+rng.Intn(4), workload.RandomConfig{
+			Atoms: 3 + rng.Intn(5), Rules: 5 + rng.Intn(10), MaxBody: 3, NegHeads: true, NegBody: true,
+		}))
+	}
+	for seed := int64(0); seed < 80; seed++ {
+		rng := rand.New(rand.NewSource(seed + 1_000))
+		add(fmt.Sprintf("datalog-%d", seed), workload.RandomOrderedDatalog(rng, 1+rng.Intn(3), 2+rng.Intn(3)))
+	}
+	for depth := 1; depth <= 4; depth++ {
+		for props := 1; props <= 4; props++ {
+			for members := 1; members <= 3; members++ {
+				add(fmt.Sprintf("inheritance-%d-%d-%d", depth, props, members), workload.Inheritance(depth, props, members))
+			}
+		}
+	}
+	files, err := filepath.Glob("../../testdata/*.olp")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no figure programs under testdata: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := parser.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		add(filepath.Base(f), res.Program)
+	}
+	return names, progs
+}
+
+// TestCompetitorIndexMatchesScan: on the seeded corpus and the figure
+// programs, with and without the EDB/CWA simplification, the indexed pass
+// emits the scan's Rules sequence.
+func TestCompetitorIndexMatchesScan(t *testing.T) {
+	names, progs := oracleCorpus(t)
+	if len(progs) < 200 {
+		t.Fatalf("oracle corpus too small: %d", len(progs))
+	}
+	for i, p := range progs {
+		for _, noEDB := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.NoEDBSimplify = noEDB
+			got, err := Ground(p, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", names[i], err)
+			}
+			sameRuleSequence(t, fmt.Sprintf("%s (NoEDBSimplify=%v)", names[i], noEDB), got, groundScanOracle(t, p, opts), true)
+		}
+	}
+}
+
+// TestCompetitorIndexMatchesScanOnBenchmarkPrograms: the four shapes the
+// serving benchmark grounds, at its full-profile sizes.
+func TestCompetitorIndexMatchesScanOnBenchmarkPrograms(t *testing.T) {
+	for _, sh := range benchShapes(t) {
+		if testing.Short() && sh.name == "reads-full" {
+			continue // 80k instances twice; the slices cover the same rules
+		}
+		opts := DefaultOptions()
+		opts.Goal = sh.goal
+		got, err := Ground(sh.prog, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		sameRuleSequence(t, sh.name, got, groundScanOracle(t, sh.prog, opts), true)
+	}
+}
+
+// growthProgram has what universe growth exercises: competitor rules with
+// one and two open variables, a $dom-bound head variable, and an
+// EDB-with-CWA predicate joined in a competitor body under a top
+// closed-world component.
+const growthProgram = `
+module top { -r(X, Y). }
+module base extends top {
+  r(a, b). r(b, c). s(b, c). s(c, a).
+  q(X) :- r(X, Y).
+  t(X) :- q(X).
+  u(X).
+}
+module exc extends base {
+  -q(X) :- r(X, Y).
+  -q(X) :- r(X, Y), s(Y, Z).
+  -t(X) :- s(Y, Z), w(X).
+  -u(X) :- w(X).
+}
+`
+
+// TestGrowthUpdatesFindWhatTheScanFinds: after a seeded run of updates that
+// grow the universe, rescanning every registered target with the oracle
+// must emit nothing the incrementally maintained program does not already
+// hold — the revisit of open-variable candidates, the delta joins and the
+// grown targets' full passes together missed no competitor instance.
+func TestGrowthUpdatesFindWhatTheScanFinds(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := parse(t, growthProgram)
+		gp, err := Ground(p, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, _ := p.ComponentIndex("base")
+		fresh := 0
+		for step := 0; step < 6; step++ {
+			var batch []ast.Literal
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				arg := func() string {
+					if rng.Intn(2) == 0 {
+						fresh++
+						return fmt.Sprintf("k%d", fresh)
+					}
+					return []string{"a", "b", "c"}[rng.Intn(3)]
+				}
+				switch rng.Intn(3) {
+				case 0:
+					batch = append(batch, goalLits(t, fmt.Sprintf("r(%s, %s)", arg(), arg()))...)
+				case 1:
+					batch = append(batch, goalLits(t, fmt.Sprintf("s(%s, %s)", arg(), arg()))...)
+				default:
+					batch = append(batch, goalLits(t, fmt.Sprintf("w(%s)", arg()))...)
+				}
+			}
+			if _, err := gp.AssertFacts(context.Background(), comp, batch); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			g := gp.inc
+			for _, tgs := range g.targetsByPred {
+				for _, tg := range tgs {
+					err := competitorsScanOracle(g, tg, func(comp int, r *ast.Rule, s *unify.Subst) error {
+						head, body, keep, err := g.buildInstance(r, s, nil)
+						if err != nil || !keep {
+							return err
+						}
+						if _, ok := g.findInstance(instanceHash(comp, head, body), comp, head, body); !ok {
+							rule := Rule{Head: head, Body: body, Comp: int32(comp), Src: r}
+							return fmt.Errorf("target %v: scan finds m%d %s, missing from the maintained program", tg.atom, comp, gp.RuleString(&rule))
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("seed %d step %d (batch %v): %v", seed, step, batch, err)
+					}
+				}
+			}
+		}
+		if fresh == 0 {
+			t.Fatalf("seed %d never grew the universe", seed)
+		}
+	}
+}

@@ -15,6 +15,17 @@ var (
 	mDeltaRetracts     = obs.Default().Counter("ground.delta.retracts")
 	mDeltaRetractInst  = obs.Default().Counter("ground.delta.retract_instances")
 
+	// The competitor pass's work, over grounding runs and delta asserts
+	// alike: targets visited and candidate rules that reached the head match
+	// (read off the head index; a component scan would make that targets ×
+	// rules). ground.delta.growth counts asserts that grew the universe and
+	// ground.delta.growth_revisited the pre-existing targets such an assert
+	// re-enumerated because a candidate had an open variable.
+	mCompetitorTargets    = obs.Default().Counter("ground.competitor.targets")
+	mCompetitorCandidates = obs.Default().Counter("ground.competitor.candidates")
+	mDeltaGrowth          = obs.Default().Counter("ground.delta.growth")
+	mDeltaGrowthRevisited = obs.Default().Counter("ground.delta.growth_revisited")
+
 	// Sharded-grounding families, mirroring the eval.shard.* ones. The
 	// per-shard instance counters (ground.shard.instances.N) are resolved
 	// by name at flush time, once per parallel run. ground.shard.skew is

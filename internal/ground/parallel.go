@@ -17,7 +17,7 @@
 //
 // Workers share the atom and term tables (mutex-guarded interning, see
 // interp.Table and term.Table) and read-only grounder state (possible-atom
-// store, shapes, factComps, universe); everything mutable — emission
+// store, shapes, factComps, head index, universe); everything mutable — emission
 // counters, dedup scratch, instance buffers — lives on the per-worker
 // pworker. Each retained instance lands in the buffer of its head atom's
 // shard (interp.Table.ShardKey mod n, the same partition sharded
@@ -58,10 +58,9 @@ func shardOf(k term.ID, n int) int {
 	return s
 }
 
-// instanceKey packs the dedup key of a ground instance: component, head
-// and body literals as little-endian int32s. Shared by the sequential
-// instantiate, the worker emit and the merge, so all three agree on
-// instance identity.
+// instanceKey packs a worker's local dedup key of a ground instance:
+// component, head and body literals as little-endian int32s — the same
+// identity instanceHash and findInstance use for the shared instance list.
 func instanceKey(b []byte, comp int, head interp.Lit, body []interp.Lit) []byte {
 	b = appendInt32(b, int32(comp))
 	b = appendInt32(b, int32(head))
@@ -83,14 +82,15 @@ type pworker struct {
 	out     [][]Rule        // per destination shard, in emission order
 	local   map[string]bool // instances this worker already buffered
 	keyBuf  []byte
+	bodyBuf []interp.Lit
 	emitted int
 	xfer    int64         // instances buffered for a shard other than w.id
 	total   *atomic.Int64 // shared pre-merge instance valve
+	em      emitter       // this worker's sink, scratch substitution and counters
 }
 
-// emit is the worker-side instantiate: identical builtin evaluation,
-// interning and dedup-key packing, but recording into the worker's own
-// buffers. Cross-worker duplicates are left for the merge to drop; the
+// emit is the worker-side instantiate: the same buildInstance and
+// dedup-key packing, but recording into the worker's own buffers. Cross-worker duplicates are left for the merge to drop; the
 // probe of g.seen still filters instances already retained before the
 // parallel stage started (g.seen is read-only while workers run).
 func (w *pworker) emit(comp int, r *ast.Rule, s *unify.Subst) error {
@@ -101,41 +101,28 @@ func (w *pworker) emit(comp int, r *ast.Rule, s *unify.Subst) error {
 		}
 	}
 	g := w.g
-	for _, b := range r.Builtins {
-		gb := ast.Builtin{Op: b.Op, L: substExpr(s, b.L), R: substExpr(s, b.R)}
-		holds, ok := ast.EvalBuiltin(gb)
-		if !ok || !holds {
-			return nil
-		}
-	}
-	headAtom := s.ApplyAtom(r.Head.Atom)
-	if !headAtom.Ground() {
-		return fmt.Errorf("ground: internal error: non-ground head %s of %s", headAtom, r)
-	}
-	head := interp.MkLit(g.tab.Intern(headAtom), r.Head.Neg)
-	var body []interp.Lit
-	if len(r.Body) > 0 {
-		body = make([]interp.Lit, len(r.Body))
-		for i, l := range r.Body {
-			a := s.ApplyAtom(l.Atom)
-			if !a.Ground() {
-				return fmt.Errorf("ground: internal error: non-ground body atom %s of %s", a, r)
-			}
-			body[i] = interp.MkLit(g.tab.Intern(a), l.Neg)
-		}
+	head, body, keep, err := g.buildInstance(r, s, w.bodyBuf[:0])
+	w.bodyBuf = body
+	if err != nil || !keep {
+		return err
 	}
 	w.keyBuf = instanceKey(w.keyBuf[:0], comp, head, body)
 	key := string(w.keyBuf)
 	if w.local[key] {
 		return nil
 	}
-	if _, dup := g.seen[key]; dup {
+	if _, dup := g.findInstance(instanceHash(comp, head, body), comp, head, body); dup {
 		return nil
 	}
 	w.local[key] = true
 	shard := shardOf(g.tab.ShardKey(head.Atom()), w.n)
 	if shard != w.id {
 		w.xfer++
+	}
+	if len(body) > 0 {
+		body = append([]interp.Lit(nil), body...)
+	} else {
+		body = nil
 	}
 	w.out[shard] = append(w.out[shard], Rule{Head: head, Body: body, Comp: int32(comp), Src: r})
 	if g.tab.Len() > g.opts.MaxAtoms {
@@ -171,6 +158,7 @@ func (g *grounder) runWorkers(n int, task func(w *pworker) error) ([]*pworker, e
 			local: make(map[string]bool),
 			total: &total,
 		}
+		w.em = emitter{emit: w.emit, s: unify.NewSubst()}
 		workers[i] = w
 		wg.Add(1)
 		go func() {
@@ -211,13 +199,11 @@ func (g *grounder) mergeParallel(workers []*pworker) ([]int64, error) {
 		for _, w := range workers {
 			for i := range w.out[s] {
 				r := &w.out[s][i]
-				g.keyBuf = instanceKey(g.keyBuf[:0], int(r.Comp), r.Head, r.Body)
-				key := string(g.keyBuf)
-				if _, dup := g.seen[key]; dup {
+				h := instanceHash(int(r.Comp), r.Head, r.Body)
+				if _, dup := g.findInstance(h, int(r.Comp), r.Head, r.Body); dup {
 					continue
 				}
-				g.seen[key] = int32(len(g.rules))
-				g.rules = append(g.rules, *r)
+				g.appendInstance(h, *r)
 				perShard[s]++
 			}
 		}
@@ -247,7 +233,7 @@ func (g *grounder) smartParallel(n int) error {
 			if err := interrupt.Check(w.ctx, "ground: fireable pass"); err != nil {
 				return err
 			}
-			if err := g.joinInstantiateEmit(g.st, sr.comp, sr.r, sr.body, w.id, w.n, w.emit); err != nil {
+			if err := g.joinInstantiate(sr, w.id, w.n, &w.em); err != nil {
 				return err
 			}
 		}
@@ -270,7 +256,7 @@ func (g *grounder) smartParallel(n int) error {
 			if err := interrupt.Check(w.ctx, "ground: competitor pass"); err != nil {
 				return err
 			}
-			if err := g.competitorsForEmit(grown[i], w.emit); err != nil {
+			if err := g.competitorsFor(grown[i], 0, &w.em); err != nil {
 				return err
 			}
 		}
@@ -278,6 +264,10 @@ func (g *grounder) smartParallel(n int) error {
 	})
 	if err != nil {
 		return err
+	}
+	for _, w := range cw {
+		g.em.targets += w.em.targets
+		g.em.candidates += w.em.candidates
 	}
 	compShard, err := g.mergeParallel(cw)
 	if err != nil {

@@ -54,7 +54,15 @@ func (g *grounder) smart() error {
 		if err := g.check("ground: fireable pass"); err != nil {
 			return err
 		}
-		if err := g.joinInstantiate(g.st, sr.comp, sr.r, sr.body); err != nil {
+		var err error
+		if len(sr.body) == 0 {
+			// No variables and nothing to join (a ground fact, or a ground
+			// head over builtins alone): the rule is its own only instance.
+			err = g.instantiate(sr.comp, sr.r, nil)
+		} else {
+			err = g.joinInstantiate(sr, 0, 1, &g.em)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -63,15 +71,9 @@ func (g *grounder) smart() error {
 	// own instances of each head literal, then instantiate the potential
 	// competitors of every target.
 	g.prepCompetitors()
-	grown := g.registerTargets(0)
 	preComp := len(g.rules)
-	for _, tg := range grown {
-		if err := g.check("ground: competitor pass"); err != nil {
-			return err
-		}
-		if err := g.competitorsFor(tg); err != nil {
-			return err
-		}
+	if err := g.competitorsOf(g.registerTargets(0)); err != nil {
+		return err
 	}
 	g.compInstances += len(g.rules) - preComp
 	g.recordMarks()
@@ -88,21 +90,27 @@ func (g *grounder) smartPrep() error {
 	// The store shares the atom table's term table, so a term interned while
 	// filling relations is the same id the instantiation pass sees.
 	g.st = storage.NewStoreWith(g.tab.TermTable())
+	g.em = emitter{emit: g.instantiate, s: unify.NewSubst()}
 	g.extra = make(map[int][]*ast.Rule)
 	g.hasFunctors = len(g.src.Functors()) > 0
-	g.uniFallback = len(g.src.Constants()) == 0 && len(g.uni) > 0
-	g.constRefs = make(map[string]int)
+	domRel := g.st.Rel(domKey)
+	for _, t := range g.uni {
+		domRel.Insert([]ast.Term{t})
+	}
+	// After the $dom fill, so counting finds every constant interned already
+	// and term ids keep following universe order.
+	g.constRefs = make(map[term.ID]int, len(g.uni))
 	for _, c := range g.src.Components {
 		for _, r := range c.Rules {
 			g.addConstRefs(r, 1)
 		}
 	}
-	domRel := g.st.Rel(domKey)
-	for _, t := range g.uni {
-		domRel.Insert([]ast.Term{t})
-	}
 
-	var dl []*datalog.Rule
+	// One datalog rule per source rule, cut from one slab; enc caches each
+	// head's possible-atom relation key (facts repeat a handful of them).
+	enc := make(map[predSign]ast.PredKey)
+	slab := make([]datalog.Rule, g.src.NumRules())
+	dl := make([]*datalog.Rule, 0, len(slab))
 	for ci, c := range g.src.Components {
 		for _, r := range c.Rules {
 			// Goal-directed slicing: rules whose head predicate the goal
@@ -123,11 +131,19 @@ func (g *grounder) smartPrep() error {
 					sr.body = append([]datalog.Lit{guard}, sr.body...)
 				}
 			}
-			dl = append(dl, &datalog.Rule{
-				Head:     datalog.Lit{Key: encKey(r.Head.Atom.Key(), r.Head.Neg), Args: r.Head.Atom.Args},
+			ps := predSign{key: r.Head.Atom.Key(), neg: r.Head.Neg}
+			headKey, ok := enc[ps]
+			if !ok {
+				headKey = encKey(ps.key, ps.neg)
+				enc[ps] = headKey
+			}
+			dr := &slab[len(dl)]
+			*dr = datalog.Rule{
+				Head:     datalog.Lit{Key: headKey, Args: r.Head.Atom.Args},
 				Body:     sr.body,
 				Builtins: r.Builtins,
-			})
+			}
+			dl = append(dl, dr)
 			g.dlSrc = append(g.dlSrc, sr)
 		}
 	}
@@ -165,17 +181,36 @@ func (g *grounder) smartPrep() error {
 	return nil
 }
 
-// prepCompetitors builds the competitor pass's read-only side tables:
-// predicate shapes (with factComps), the body-EDB index and the empty
-// target maps registerTargets fills.
+// prepCompetitors builds the competitor pass's side tables: predicate
+// shapes (with factComps), every source rule prepared as a candidate and
+// indexed by its head (per component, source order kept) and by its
+// EDB-joined body predicates, and the empty target maps registerTargets
+// fills. Everything but the target maps is read-only afterwards, so the
+// sharded competitor workers share it without locking.
 func (g *grounder) prepCompetitors() {
 	g.shapes = g.predShapes()
-	g.bodyEDB = make(map[ast.PredKey][]compRule)
+	g.heads = make([]map[predSign][]*candidate, len(g.src.Components))
+	g.bodyEDB = make(map[ast.PredKey][]compCandidate)
+	slab := make([]candidate, 0, g.src.NumRules())
+	openSeen := make(map[predSign]bool)
 	for ci, c := range g.src.Components {
+		g.heads[ci] = make(map[predSign][]*candidate)
 		for _, r := range c.Rules {
-			for _, l := range r.Body {
-				if !l.Neg {
-					g.bodyEDB[l.Atom.Key()] = append(g.bodyEDB[l.Atom.Key()], compRule{comp: ci, r: r})
+			slab = append(slab, g.prepCandidate(r))
+			cand := &slab[len(slab)-1]
+			ps := predSign{key: r.Head.Atom.Key(), neg: r.Head.Neg}
+			g.heads[ci][ps] = append(g.heads[ci][ps], cand)
+			for i, l := range cand.edb {
+				if !edbKeyBefore(cand.edb[:i], l.key) {
+					g.bodyEDB[l.key] = append(g.bodyEDB[l.key], compCandidate{comp: ci, c: cand})
+				}
+			}
+			if len(cand.open) > 0 {
+				// Targets this rule competes against carry the complementary sign.
+				ts := predSign{key: ps.key, neg: !ps.neg}
+				if !openSeen[ts] {
+					openSeen[ts] = true
+					g.openSigns = append(g.openSigns, ts)
 				}
 			}
 		}
@@ -184,21 +219,101 @@ func (g *grounder) prepCompetitors() {
 	g.targetsByPred = make(map[predSign][]*target)
 }
 
+// edbKeyBefore reports whether an earlier EDB-joined literal already has
+// predicate k.
+func edbKeyBefore(lits []edbLit, k ast.PredKey) bool {
+	for _, l := range lits {
+		if l.key == k {
+			return true
+		}
+	}
+	return false
+}
+
+// candidate is a source rule prepared for the competitor pass: what a head
+// match against a target leaves to do is a static property of the rule and
+// the predicate shapes, so it is worked out once instead of per target.
+type candidate struct {
+	r *ast.Rule
+	// edb are the positive body literals of EDB-with-CWA predicates: they
+	// bind from the fact relation (non-fact bindings are provably blocked).
+	edb []edbLit
+	// open are the variables neither the head match nor the edb joins bind,
+	// in r.Vars() order; they range over the universe.
+	open []ast.Var
+	// negEDB are the negative body literals a visible fact can satisfy, in
+	// which case the instance is provably blocked and dropped.
+	negEDB []negLit
+}
+
+// edbLit is one EDB-joined body literal: its source predicate, that
+// predicate's possibly-true relation and the literal's arguments.
+type edbLit struct {
+	key, rel ast.PredKey
+	args     []ast.Term
+}
+
+// negLit is a negative body literal on an EDB-with-CWA predicate that has
+// no negative rules besides the CWA fact.
+type negLit struct {
+	atom ast.Atom
+	sh   *predShape
+}
+
+// compCandidate pairs a candidate with its component position.
+type compCandidate struct {
+	comp int
+	c    *candidate
+}
+
+func (g *grounder) prepCandidate(r *ast.Rule) candidate {
+	c := candidate{r: r}
+	bound := r.Head.Vars(nil)
+	for _, l := range r.Body {
+		k := l.Atom.Key()
+		sh := g.edbShape(k)
+		switch {
+		case sh == nil:
+		case !l.Neg:
+			c.edb = append(c.edb, edbLit{key: k, rel: encKey(k, false), args: l.Atom.Args})
+			bound = l.Vars(bound)
+		case sh.noOtherNeg:
+			c.negEDB = append(c.negEDB, negLit{atom: l.Atom, sh: sh})
+		}
+	}
+	for _, v := range r.Vars() {
+		if !varIn(bound, v) {
+			c.open = append(c.open, v)
+		}
+	}
+	return c
+}
+
+func varIn(vs []ast.Var, v ast.Var) bool {
+	for _, b := range vs {
+		if b.Name == v.Name {
+			return true
+		}
+	}
+	return false
+}
+
 // encodeRule builds the datalog encoding of a source rule body: one
 // possible-atom literal per body literal plus a $dom literal for every
 // variable no body literal binds.
 func encodeRule(ci int, r *ast.Rule) srcRule {
-	bound := make(map[string]bool)
+	vars := r.Vars()
+	if len(r.Body) == 0 && len(vars) == 0 {
+		return srcRule{comp: ci, r: r}
+	}
+	var bound []ast.Var
 	body := make([]datalog.Lit, 0, len(r.Body)+2)
 	for _, l := range r.Body {
 		body = append(body, datalog.Lit{Key: encKey(l.Atom.Key(), l.Neg), Args: l.Atom.Args})
-		for _, v := range l.Vars(nil) {
-			bound[v.Name] = true
-		}
+		bound = l.Vars(bound)
 	}
-	for _, v := range r.Vars() {
-		if !bound[v.Name] {
-			bound[v.Name] = true
+	for _, v := range vars {
+		if !varIn(bound, v) {
 			body = append(body, datalog.Lit{Key: domKey, Args: []ast.Term{v}})
 		}
 	}
@@ -218,24 +333,26 @@ func (g *grounder) atomFilter(a ast.Atom) bool {
 }
 
 // registerTargets folds the instances at index >= from into the target
-// index and returns the targets that are new or gained a new owning
-// component — exactly the ones whose competitor instantiation must (re)run.
+// index and returns, in registration order, the targets that are new or
+// gained a new owning component — exactly the ones whose full competitor
+// instantiation must (re)run. Each is stamped with the current pass so the
+// universe-growth revisit can tell it already ran.
 func (g *grounder) registerTargets(from int) []*target {
+	g.pass++
 	var grown []*target
-	seen := make(map[*target]bool)
 	for i := from; i < len(g.rules); i++ {
 		r := &g.rules[i]
 		t, ok := g.targets[r.Head]
 		if !ok {
-			t = &target{atom: g.tab.Atom(r.Head.Atom()), neg: r.Head.Neg(), comps: make(map[int32]bool)}
+			t = g.newTarget(r.Head)
 			g.targets[r.Head] = t
 			ps := predSign{key: t.atom.Key(), neg: t.neg}
 			g.targetsByPred[ps] = append(g.targetsByPred[ps], t)
 		}
-		if !t.comps[r.Comp] {
-			t.comps[r.Comp] = true
-			if !seen[t] {
-				seen[t] = true
+		if !t.ownedBy(r.Comp) {
+			t.comps = append(t.comps, r.Comp)
+			if t.grownAt != g.pass {
+				t.grownAt = g.pass
 				grown = append(grown, t)
 			}
 		}
@@ -243,20 +360,20 @@ func (g *grounder) registerTargets(from int) []*target {
 	return grown
 }
 
-// compRules calls fn for every source rule of the component at position ci:
-// the parsed rules plus any facts asserted after grounding.
-func (g *grounder) compRules(ci int, fn func(*ast.Rule) error) error {
-	for _, r := range g.src.Components[ci].Rules {
-		if err := fn(r); err != nil {
-			return err
-		}
+// newTarget takes the next target of the slab (targets live as long as the
+// grounder, so they are allocated a chunk at a time). Its comps start in the
+// target's own two-slot array; only a head owned by more components than
+// that spills to the heap.
+func (g *grounder) newTarget(head interp.Lit) *target {
+	if len(g.targetSlab) == 0 {
+		g.targetSlab = make([]target, min(max(2*g.slabChunk, 16), 1024))
+		g.slabChunk = len(g.targetSlab)
 	}
-	for _, r := range g.extra[ci] {
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	t := &g.targetSlab[0]
+	g.targetSlab = g.targetSlab[1:]
+	t.atom, t.neg = g.tab.Atom(head.Atom()), head.Neg()
+	t.comps = t.own[:0]
+	return t
 }
 
 // emitFn receives each fully bound rule instance the instantiation passes
@@ -265,49 +382,98 @@ func (g *grounder) compRules(ci int, fn func(*ast.Rule) error) error {
 // per-worker emit so instance recording needs no locking.
 type emitFn func(comp int, r *ast.Rule, s *unify.Subst) error
 
-// competitorsFor instantiates the potential competitors of one target: for
-// every component that can overrule or defeat an owner of the target head,
-// the head-matched rules with the complementary head. Idempotent — the
-// instance dedup absorbs re-runs, which is what lets incremental updates
-// re-run it for targets that grew.
-func (g *grounder) competitorsFor(tg *target) error {
-	return g.competitorsForEmit(tg, g.instantiate)
+// emitter is what one caller of the instantiation passes — the sequential
+// grounder or a sharded worker — keeps to itself: the instance sink, the
+// scratch substitution joins and head matches bind into (always empty
+// between uses), and the competitor pass's work counters.
+type emitter struct {
+	emit emitFn
+	s    *unify.Subst
+	// targets counts targets visited and candidates the rules that reached
+	// the head match; both flush to metrics when the run or update ends.
+	targets, candidates int
 }
 
-// competitorsForEmit is competitorsFor with an explicit instance sink.
-func (g *grounder) competitorsForEmit(tg *target, emit emitFn) error {
-	scratch := unify.NewSubst()
-	wantKey := tg.atom.Key()
-	wantNeg := !tg.neg // competitor head sign
-	for ci := range g.src.Components {
-		// A rule in component ci can overrule or defeat an instance in
-		// component cs iff cs is not strictly below ci.
-		relevant := false
-		for cs := range tg.comps {
-			if !g.src.Less(int(cs), ci) {
-				relevant = true
-				break
-			}
+// competitorsOf runs the full competitor instantiation for each target,
+// polling the context per target.
+func (g *grounder) competitorsOf(tgs []*target) error {
+	for _, tg := range tgs {
+		if err := g.check("ground: competitor pass"); err != nil {
+			return err
 		}
-		if !relevant {
-			continue
-		}
-		err := g.compRules(ci, func(r *ast.Rule) error {
-			if r.Head.Neg != wantNeg || r.Head.Atom.Key() != wantKey {
-				return nil
-			}
-			mark := scratch.Mark()
-			defer scratch.Undo(mark)
-			if unify.MatchAtoms(scratch, r.Head.Atom, tg.atom) {
-				return g.emitCompetitors(g.st, g.shapes, ci, r, scratch, deltaNone, emit)
-			}
-			return nil
-		})
-		if err != nil {
+		if err := g.competitorsFor(tg, 0, &g.em); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// canCompete reports whether a rule in component ci can overrule or defeat
+// an owner of the target: some owning component is not strictly below ci.
+func (g *grounder) canCompete(tg *target, ci int) bool {
+	for _, cs := range tg.comps {
+		if !g.src.Less(int(cs), ci) {
+			return true
+		}
+	}
+	return false
+}
+
+// competitorsFor instantiates the potential competitors of one target: for
+// every component that can overrule or defeat an owner of the target head,
+// the rules with the complementary head — found through the head index, in
+// source order, then the facts asserted since grounding. Idempotent: the
+// instance dedup absorbs re-runs, which is what lets incremental updates
+// re-run it for targets that grew.
+//
+// newFrom > 0 is the universe-growth revisit of a target whose competitors
+// were already instantiated over uni[:newFrom]: only rules with open
+// variables are matched, and only bindings holding a constant of
+// uni[newFrom:] are enumerated. newFrom == 0 is the full pass.
+func (g *grounder) competitorsFor(tg *target, newFrom int, em *emitter) error {
+	em.targets++
+	ps := predSign{key: tg.atom.Key(), neg: !tg.neg} // competitor head
+	for ci := range g.src.Components {
+		cands := g.heads[ci][ps]
+		var extra []*ast.Rule
+		if newFrom == 0 {
+			extra = g.extra[ci] // ground facts: nothing open to revisit
+		}
+		if len(cands)+len(extra) == 0 || !g.canCompete(tg, ci) {
+			continue
+		}
+		for _, c := range cands {
+			if newFrom > 0 && len(c.open) == 0 {
+				continue
+			}
+			if err := g.matchCandidate(tg, ci, c, newFrom, em); err != nil {
+				return err
+			}
+		}
+		for _, r := range extra {
+			if r.Head.Neg != ps.neg || r.Head.Atom.Key() != ps.key {
+				continue
+			}
+			fact := candidate{r: r}
+			if err := g.matchCandidate(tg, ci, &fact, newFrom, em); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// matchCandidate head-matches one candidate of component ci against the
+// target and instantiates its bodies on success.
+func (g *grounder) matchCandidate(tg *target, ci int, c *candidate, newFrom int, em *emitter) error {
+	em.candidates++
+	mark := em.s.Mark()
+	var err error
+	if unify.MatchAtoms(em.s, c.r.Head.Atom, tg.atom) {
+		err = g.emitCompetitors(ci, c, em.s, deltaNone, newFrom, em.emit)
+	}
+	em.s.Undo(mark)
+	return err
 }
 
 // predShape records what the grounder knows about all rules defining one
@@ -373,11 +539,9 @@ func (g *grounder) predShapes() map[ast.PredKey]*predShape {
 		return s
 	}
 	top := g.topComponent()
-	g.factComps = make(map[string][]int)
 	for ci, c := range g.src.Components {
 		for _, r := range c.Rules {
-			k := r.Head.Atom.Key()
-			s := get(k)
+			s := get(r.Head.Atom.Key())
 			if r.Head.Neg {
 				if ci == top && isUniversalNegFact(r) {
 					s.topCWA = true
@@ -387,7 +551,19 @@ func (g *grounder) predShapes() map[ast.PredKey]*predShape {
 				}
 			} else if !r.IsFact() || !r.Head.Atom.Ground() {
 				s.onlyFactPos = false
-			} else {
+			}
+		}
+	}
+	// factComps is consulted only for EDB-with-CWA predicates
+	// (blockedByVisibleFact), so only their facts are recorded — on a program
+	// without a closed-world component that is none of them.
+	g.factComps = make(map[string][]int)
+	for ci, c := range g.src.Components {
+		for _, r := range c.Rules {
+			if r.Head.Neg {
+				continue
+			}
+			if s := shapes[r.Head.Atom.Key()]; s.onlyFactPos && s.topCWA {
 				fk := g.factKey(r.Head.Atom)
 				g.factComps[fk] = append(g.factComps[fk], ci)
 			}
@@ -420,104 +596,84 @@ type deltaRestrict struct {
 
 var deltaNone = deltaRestrict{pos: -1}
 
-// emitCompetitors instantiates the bodies of a head-matched competitor
-// rule. Positive body literals of EDB-with-CWA predicates join against the
-// facts (non-fact bindings are provably blocked); all other variables
-// range over the universe; instances satisfying a negative literal on a
-// fact of an EDB-with-CWA predicate in a visible-from-everywhere component
-// are dropped (provably blocked as well).
-func (g *grounder) emitCompetitors(st *storage.Store, shapes map[ast.PredKey]*predShape, comp int, r *ast.Rule, s *unify.Subst, delta deltaRestrict, emit emitFn) error {
+// emitCompetitors instantiates the bodies of a head-matched candidate.
+// Its EDB literals join against the facts (non-fact bindings are provably
+// blocked); its open variables range over the universe; instances
+// satisfying a negative literal on a fact of an EDB-with-CWA predicate in a
+// visible-from-everywhere component are dropped (provably blocked as
+// well). newFrom is competitorsFor's: 0 enumerates every binding of the
+// open variables, a positive value only those holding a constant of
+// uni[newFrom:].
+func (g *grounder) emitCompetitors(comp int, c *candidate, s *unify.Subst, delta deltaRestrict, newFrom int, emit emitFn) error {
+	if len(c.edb) == 0 {
+		if delta.pos >= 0 {
+			return nil // requested delta occurrence does not exist
+		}
+		return g.enumerateOpen(comp, c, s, 0, newFrom, emit)
+	}
 	// Join items: positive EDB literals bind from the fact relation, joined
 	// in planner order.
-	var joinLits []storage.JoinLit
+	joinLits := make([]storage.JoinLit, len(c.edb))
 	first := -1
 	nth := 0
-	for _, l := range r.Body {
-		if !l.Neg && g.edbShapeOf(shapes, l.Atom.Key()) != nil {
-			jl := storage.JoinLit{Rel: st.Peek(encKey(l.Atom.Key(), false)), Args: l.Atom.Args}
-			if delta.pos >= 0 && l.Atom.Key() == delta.key {
-				if nth == delta.pos {
-					jl.Lo = delta.lo
-					first = len(joinLits)
-				}
-				nth++
+	for i, l := range c.edb {
+		joinLits[i] = storage.JoinLit{Rel: g.st.Peek(l.rel), Args: l.args}
+		if delta.pos >= 0 && l.key == delta.key {
+			if nth == delta.pos {
+				joinLits[i].Lo = delta.lo
+				first = i
 			}
-			joinLits = append(joinLits, jl)
+			nth++
 		}
 	}
 	if delta.pos >= 0 && first < 0 {
 		return nil // requested delta occurrence does not exist
 	}
 	return storage.Join(s, joinLits, first, !g.opts.NoJoinPlanner, func() error {
-		// Remaining variables range over the universe.
-		var free []ast.Var
-		for _, v := range r.Vars() {
-			if _, isVar := s.Walk(v).(ast.Var); isVar {
-				free = append(free, v)
-			}
-		}
-		return g.enumerateFiltered(st, shapes, comp, r, s, free, emit)
+		return g.enumerateOpen(comp, c, s, 0, newFrom, emit)
 	})
 }
 
-// edbShapeOf is edbShape over an explicit shape map (the base pass passes
-// the map it is still building).
-func (g *grounder) edbShapeOf(shapes map[ast.PredKey]*predShape, k ast.PredKey) *predShape {
-	if g.opts.NoEDBSimplify {
-		return nil
-	}
-	sh := shapes[k]
-	if sh != nil && sh.onlyFactPos && sh.topCWA {
-		return sh
-	}
-	return nil
-}
-
-// enumerateFiltered binds free variables over the universe and emits
-// instances, dropping those provably blocked in every model through a
-// satisfied negative literal on an everywhere-visible EDB fact.
-func (g *grounder) enumerateFiltered(st *storage.Store, shapes map[ast.PredKey]*predShape, comp int, r *ast.Rule, s *unify.Subst, free []ast.Var, emit emitFn) error {
-	emit1 := func() error {
-		for _, l := range r.Body {
-			if !l.Neg || g.opts.NoEDBSimplify {
-				continue
-			}
-			sh := shapes[l.Atom.Key()]
-			if sh == nil || !sh.onlyFactPos || !sh.topCWA || !sh.noOtherNeg {
-				continue
-			}
-			atom := s.ApplyAtom(l.Atom)
-			if !atom.Ground() {
-				continue
-			}
-			if g.blockedByVisibleFact(atom, comp, sh) {
+// enumerateOpen binds c.open[i:] over the universe and emits the instances,
+// dropping those provably blocked in every model through a satisfied
+// negative literal on an everywhere-visible EDB fact. While newFrom > 0 no
+// constant of uni[newFrom:] has been bound yet and the binding must still
+// take one, so the last open variable ranges over uni[newFrom:] only;
+// binding one clears the obligation for the positions after it. Every
+// binding with a new constant is therefore enumerated exactly once: the
+// first position holding one ranges over the new constants, earlier
+// positions over the old universe, later ones over all of it.
+func (g *grounder) enumerateOpen(comp int, c *candidate, s *unify.Subst, i, newFrom int, emit emitFn) error {
+	if i == len(c.open) {
+		if newFrom > 0 {
+			return nil // no open variable: growth has nothing to add
+		}
+		for _, l := range c.negEDB {
+			atom := s.ApplyAtom(l.atom)
+			if atom.Ground() && g.blockedByVisibleFact(atom, comp, l.sh) {
 				return nil
 			}
 		}
-		return emit(comp, r, s)
+		return emit(comp, c.r, s)
 	}
-	if len(free) == 0 {
-		return emit1()
+	from := 0
+	if i == len(c.open)-1 {
+		from = newFrom
 	}
-	if len(g.uni) == 0 {
-		return nil
-	}
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(free) {
-			return emit1()
+	for k := from; k < len(g.uni); k++ {
+		next := newFrom
+		if k >= newFrom {
+			next = 0
 		}
-		for _, t := range g.uni {
-			mark := s.Mark()
-			s.Bind(free[i], t)
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-			s.Undo(mark)
+		mark := s.Mark()
+		s.Bind(c.open[i], g.uni[k])
+		err := g.enumerateOpen(comp, c, s, i+1, next, emit)
+		s.Undo(mark)
+		if err != nil {
+			return err
 		}
-		return nil
 	}
-	return rec(0)
+	return nil
 }
 
 // blockedByVisibleFact reports whether atom is a ground fact of its
@@ -560,23 +716,16 @@ func (g *grounder) blockedByVisibleFact(atom ast.Atom, comp int, sh *predShape) 
 
 // joinInstantiate enumerates the substitutions satisfying the encoded body
 // over the possible-atom store and emits the corresponding instances. The
-// join order is chosen by the shared selectivity planner.
-func (g *grounder) joinInstantiate(st *storage.Store, comp int, r *ast.Rule, body []datalog.Lit) error {
-	return g.joinInstantiateEmit(st, comp, r, body, 0, 1, g.instantiate)
-}
-
-// joinInstantiateEmit is joinInstantiate restricted to one shard of the
-// join enumeration (storage.JoinSharded on the driving literal's tuples)
-// with an explicit instance sink; shard 0 of 1 is the full sequential
-// enumeration.
-func (g *grounder) joinInstantiateEmit(st *storage.Store, comp int, r *ast.Rule, body []datalog.Lit, shard, nShards int, emit emitFn) error {
-	s := unify.NewSubst()
-	lits := make([]storage.JoinLit, len(body))
-	for i, l := range body {
-		lits[i] = storage.JoinLit{Rel: st.Peek(l.Key), Args: l.Args}
+// join order is chosen by the shared selectivity planner. The enumeration
+// is restricted to one shard (storage.JoinSharded on the driving literal's
+// tuples); shard 0 of 1 is the full sequential enumeration.
+func (g *grounder) joinInstantiate(sr srcRule, shard, nShards int, em *emitter) error {
+	lits := make([]storage.JoinLit, len(sr.body))
+	for i, l := range sr.body {
+		lits[i] = storage.JoinLit{Rel: g.st.Peek(l.Key), Args: l.Args}
 	}
-	return storage.JoinSharded(s, lits, -1, !g.opts.NoJoinPlanner, shard, nShards, func() error {
-		return emit(comp, r, s)
+	return storage.JoinSharded(em.s, lits, -1, !g.opts.NoJoinPlanner, shard, nShards, func() error {
+		return em.emit(sr.comp, sr.r, em.s)
 	})
 }
 
@@ -589,31 +738,4 @@ func (g *grounder) recordMarks() {
 	for _, k := range g.st.Keys() {
 		g.marks[k] = g.st.Peek(k).Len()
 	}
-}
-
-// enumerate binds the free variables over the universe and emits each
-// resulting instance.
-func (g *grounder) enumerate(comp int, r *ast.Rule, s *unify.Subst, free []ast.Var) error {
-	if len(free) == 0 {
-		return g.instantiate(comp, r, s)
-	}
-	if len(g.uni) == 0 {
-		return nil
-	}
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(free) {
-			return g.instantiate(comp, r, s)
-		}
-		for _, t := range g.uni {
-			mark := s.Mark()
-			s.Bind(free[i], t)
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-			s.Undo(mark)
-		}
-		return nil
-	}
-	return rec(0)
 }

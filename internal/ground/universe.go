@@ -40,14 +40,23 @@ func (e *ErrBudget) Error() string {
 // added to keep the universe non-empty. A positive budget caps the universe
 // size.
 func Universe(p *ast.OrderedProgram, maxDepth int, budget int) ([]ast.Term, error) {
+	all, _, err := universe(p, maxDepth, budget)
+	return all, err
+}
+
+// universe is Universe that also reports whether the program has no
+// constants of its own (the universe is then empty or the u0 fallback), so
+// the grounder need not collect the constants a second time to find out.
+func universe(p *ast.OrderedProgram, maxDepth int, budget int) (all []ast.Term, noConsts bool, err error) {
 	if maxDepth < 0 {
 		maxDepth = programTermDepth(p)
 	}
 	base := p.Constants()
-	if len(base) == 0 && programHasVars(p) {
+	noConsts = len(base) == 0
+	if noConsts && programHasVars(p) {
 		base = []ast.Term{ast.Sym("u0")}
 	}
-	all := append([]ast.Term(nil), base...)
+	all = append([]ast.Term(nil), base...)
 	// Dedup members by interned id instead of canonical text. members holds
 	// ids of universe members only — a term interned merely as a subterm of
 	// a deeper base constant is not in it, so it can still be added when the
@@ -91,7 +100,7 @@ func Universe(p *ast.OrderedProgram, maxDepth int, budget int) ([]ast.Term, erro
 				return nil
 			}
 			if err := build(0, false); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 		}
 		if len(next) == 0 {
@@ -101,9 +110,9 @@ func Universe(p *ast.OrderedProgram, maxDepth int, budget int) ([]ast.Term, erro
 	}
 	ast.SortTerms(all)
 	if budget > 0 && len(all) > budget {
-		return nil, &ErrBudget{"universe", budget}
+		return nil, false, &ErrBudget{"universe", budget}
 	}
-	return all, nil
+	return all, noConsts, nil
 }
 
 func programTermDepth(p *ast.OrderedProgram) int {

@@ -95,10 +95,41 @@ func (t *Table) Intern(a ast.Atom) AtomID {
 	pred := t.tab.InternSym(a.Pred)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.buf = t.appendKey(t.buf[:0], pred, args)
-	if id, ok := t.byKey[string(t.buf)]; ok {
+	if id, ok := t.probe(pred, args); ok {
 		return id
 	}
+	return t.add(a)
+}
+
+// InternIDs returns the id for the ground atom pred(args...) given its
+// already-interned argument ids, creating it if needed. The atom itself is
+// decoded from the term table only when it is new, so re-interning a known
+// atom builds no ast.Atom at all.
+func (t *Table) InternIDs(pred string, args []term.ID) AtomID {
+	sym := t.tab.InternSym(pred)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id, ok := t.probe(sym, args); ok {
+		return id
+	}
+	a := ast.Atom{Pred: pred}
+	if len(args) > 0 {
+		a.Args = t.tab.AppendTerms(make([]ast.Term, 0, len(args)), args)
+	}
+	return t.add(a)
+}
+
+// probe packs the atom's key into the table's scratch and looks it up.
+// Callers hold the write lock.
+func (t *Table) probe(pred term.ID, args []term.ID) (AtomID, bool) {
+	t.buf = t.appendKey(t.buf[:0], pred, args)
+	id, ok := t.byKey[string(t.buf)]
+	return id, ok
+}
+
+// add records a new atom under the key the preceding probe left in the
+// scratch. Callers hold the write lock.
+func (t *Table) add(a ast.Atom) AtomID {
 	id := AtomID(len(t.atoms))
 	t.byKey[string(t.buf)] = id
 	t.atoms = append(t.atoms, a)
@@ -145,24 +176,6 @@ func (t *Table) LookupIDs(pred term.ID, args []term.ID) (AtomID, bool) {
 	id, ok := t.byKey[string(key)]
 	t.mu.RUnlock()
 	return id, ok
-}
-
-// InternIDs returns the id for the ground atom a, whose predicate symbol id
-// and argument ids have already been interned by the caller (a must decode
-// to exactly those ids). It skips re-interning the arguments.
-func (t *Table) InternIDs(a ast.Atom, pred term.ID, args []term.ID) AtomID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.buf = t.appendKey(t.buf[:0], pred, args)
-	if id, ok := t.byKey[string(t.buf)]; ok {
-		return id
-	}
-	id := AtomID(len(t.atoms))
-	t.byKey[string(t.buf)] = id
-	t.atoms = append(t.atoms, a)
-	pk := a.Key()
-	t.preds[pk] = append(t.preds[pk], id)
-	return id
 }
 
 // Atom returns the atom for an id.

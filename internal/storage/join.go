@@ -71,16 +71,16 @@ func collectVars(t ast.Term, bound []string) []string {
 // a ground term, so the planner credits positions bound by the incoming
 // substitution (e.g. a head match) as selective.
 func seedBound(s *unify.Subst, t ast.Term, bound []string) []string {
-	switch t := t.(type) {
+	switch v := t.(type) {
 	case ast.Var:
-		if !nameIn(bound, t.Name) {
-			w := s.Walk(t)
+		if !nameIn(bound, v.Name) {
+			w := s.Walk(t) // t, not v: re-boxing the variable would allocate
 			if _, isVar := w.(ast.Var); !isVar && w.Ground() {
-				bound = append(bound, t.Name)
+				bound = append(bound, v.Name)
 			}
 		}
 	case ast.Compound:
-		for _, a := range t.Args {
+		for _, a := range v.Args {
 			bound = seedBound(s, a, bound)
 		}
 	}
@@ -248,8 +248,8 @@ func JoinSharded(s *unify.Subst, lits []JoinLit, first int, plan bool, shard, nS
 		for j, a := range l.Args {
 			w := a
 			if !w.Ground() {
-				if v, ok := w.(ast.Var); ok {
-					w = s.Walk(v) // binding or the var itself; no copy
+				if _, ok := w.(ast.Var); ok {
+					w = s.Walk(w) // binding or the var itself; no copy, no re-boxing
 				} else {
 					w = s.Apply(a) // partially bound compound
 				}

@@ -23,15 +23,25 @@ type Relation struct {
 	tab   *term.Table
 	arity int
 	flat  []term.ID // len = arity * Len()
-	// seen buckets tuple indexes by the FNV-1a hash of their ID tuple;
-	// collisions are resolved by comparing the stored ids.
-	seen map[uint64][]int32
-	cols []map[term.ID][]int32
+	// seen maps the FNV-1a hash of an ID tuple to the newest tuple with that
+	// hash and chain[i] links tuple i to the previous one (-1: none), so the
+	// dedup set costs no allocation per tuple; collisions are resolved by
+	// comparing the stored ids.
+	seen  map[uint64]int32
+	chain []int32
+	cols  []map[term.ID][]int32
+	// arena is the chunk new column buckets take their first slot from (most
+	// buckets of a key-like column never grow past it); arenaChunk is the
+	// size of the last chunk, doubling up to maxBucketChunk.
+	arena      []int32
+	arenaChunk int
 }
+
+const maxBucketChunk = 1024
 
 // NewRelation returns an empty relation of the given arity over tab.
 func NewRelation(tab *term.Table, arity int) *Relation {
-	r := &Relation{tab: tab, arity: arity, seen: make(map[uint64][]int32)}
+	r := &Relation{tab: tab, arity: arity, seen: make(map[uint64]int32)}
 	r.cols = make([]map[term.ID][]int32, arity)
 	for i := range r.cols {
 		r.cols[i] = make(map[term.ID][]int32)
@@ -78,13 +88,24 @@ func (r *Relation) Tuple(i int) []ast.Term {
 
 // lookupIndex returns the insertion index of the ID tuple, or -1.
 func (r *Relation) lookupIndex(ids []term.ID) int {
-	h := term.HashIDs(ids)
-	for _, i := range r.seen[h] {
+	idx, _ := r.find(term.HashIDs(ids), ids)
+	return idx
+}
+
+// find walks the chain of tuples hashing to h. It returns the index of the
+// tuple equal to ids (or -1) and the newest tuple of the chain (or -1), the
+// link a new tuple with this hash must point to.
+func (r *Relation) find(h uint64, ids []term.ID) (idx int, newest int32) {
+	newest, ok := r.seen[h]
+	if !ok {
+		return -1, -1
+	}
+	for i := newest; i >= 0; i = r.chain[i] {
 		if idsEqual(r.row(int(i)), ids) {
-			return int(i)
+			return int(i), newest
 		}
 	}
-	return -1
+	return -1, newest
 }
 
 func idsEqual(a, b []term.ID) bool {
@@ -103,10 +124,9 @@ func (r *Relation) InsertIDs(ids []term.ID) bool {
 		panic("storage: tuple arity mismatch")
 	}
 	h := term.HashIDs(ids)
-	for _, i := range r.seen[h] {
-		if idsEqual(r.row(int(i)), ids) {
-			return false
-		}
+	dup, prev := r.find(h, ids)
+	if dup >= 0 {
+		return false
 	}
 	idx := int32(r.Len())
 	if r.arity == 0 {
@@ -114,11 +134,29 @@ func (r *Relation) InsertIDs(ids []term.ID) bool {
 	} else {
 		r.flat = append(r.flat, ids...)
 	}
-	r.seen[h] = append(r.seen[h], idx)
+	r.seen[h] = idx
+	r.chain = append(r.chain, prev)
 	for c, id := range ids {
-		r.cols[c][id] = append(r.cols[c][id], idx)
+		b, ok := r.cols[c][id]
+		if !ok {
+			b = r.newBucket()
+		}
+		r.cols[c][id] = append(b, idx)
 	}
 	return true
+}
+
+// newBucket returns an empty column bucket with room for one index, carved
+// from the arena. A bucket that outgrows its slot moves to the heap like
+// any appended slice, leaving the slot behind.
+func (r *Relation) newBucket() []int32 {
+	if len(r.arena) == 0 {
+		r.arenaChunk = min(max(2*r.arenaChunk, 8), maxBucketChunk)
+		r.arena = make([]int32, r.arenaChunk)
+	}
+	b := r.arena[:0:1]
+	r.arena = r.arena[1:]
+	return b
 }
 
 // Insert adds a ground tuple; it reports whether the tuple was new.

@@ -147,30 +147,38 @@ func (t *Table) Intern(x ast.Term) ID {
 }
 
 func (t *Table) internLocked(x ast.Term) ID {
-	switch x := x.(type) {
+	// New constants and variables are stored as the interface value the
+	// caller passed, not re-boxed from the type switch's copy: interning a
+	// fresh term allocates nothing beyond the tables' own growth.
+	switch v := x.(type) {
 	case ast.Sym:
-		return t.internSymLocked(string(x))
-	case ast.Int:
-		if id, ok := t.ints[int64(x)]; ok {
+		if id, ok := t.syms[string(v)]; ok {
 			return id
 		}
 		id := t.add(x)
-		t.ints[int64(x)] = id
+		t.syms[string(v)] = id
+		return id
+	case ast.Int:
+		if id, ok := t.ints[int64(v)]; ok {
+			return id
+		}
+		id := t.add(x)
+		t.ints[int64(v)] = id
 		return id
 	case ast.Var:
-		if id, ok := t.vars[x.Name]; ok {
+		if id, ok := t.vars[v.Name]; ok {
 			return id
 		}
 		id := t.add(x)
-		t.vars[x.Name] = id
+		t.vars[v.Name] = id
 		return id
 	case ast.Compound:
 		var buf [8]ID
 		ids := buf[:0]
-		for _, a := range x.Args {
+		for _, a := range v.Args {
 			ids = append(ids, t.internLocked(a))
 		}
-		t.buf = compoundKey(t.buf, x.Functor, ids)
+		t.buf = compoundKey(t.buf, v.Functor, ids)
 		if id, ok := t.comps[string(t.buf)]; ok {
 			return id
 		}
