@@ -17,9 +17,9 @@
 //	-explain atom      print the rule statuses around one ground atom
 //	-prove literal     goal-directed proof with derivation tree
 //	-goal-directed     answer the file's queries and -prove from per-goal
-//	                   magic-set slices: only the query-reachable part of
-//	                   the program is grounded, no full model is printed
-//	                   (least-model semantics only; requires -mode smart)
+//	                   slices of the ground program: each goal evaluates
+//	                   only the instances its atoms reach, no full model is
+//	                   printed (least-model semantics only)
 //	-edb file          merge a facts file into the target component
 //	-parallel n        answer the file's queries over a worker pool of n
 //	                   goroutines (0 = sequential, -1 = GOMAXPROCS); the
@@ -38,9 +38,6 @@
 //	                   :0 for an ephemeral port; printed to stderr)
 //	-metrics-hold d    keep the metrics listener up this long after the run
 //	                   finishes (so one-shot runs can be scraped; default 0)
-//	-v                 warn on stderr when goal-directed slicing degrades:
-//	                   a predicate whose head-only SIP collapsed to
-//	                   unrestricted is grounded in full despite the goal
 //	-i                 interactive shell (see internal/repl)
 //	-analyze           static diagnostics (internal/analyze) and exit;
 //	                   with -prove also lints rules unreachable from the goal
@@ -72,7 +69,6 @@ import (
 	"repro/internal/ground"
 	"repro/internal/obs"
 	"repro/internal/parser"
-	"repro/internal/relevance"
 	"repro/internal/repl"
 	"repro/internal/serve"
 	"repro/internal/transform"
@@ -91,7 +87,7 @@ func main() {
 	mode := flag.String("mode", "smart", "smart | full grounding")
 	explain := flag.String("explain", "", "ground atom to explain")
 	prove := flag.String("prove", "", "ground literal to prove goal-directedly")
-	goalDirected := flag.Bool("goal-directed", false, "answer queries and -prove from per-goal magic-set slices (no full model)")
+	goalDirected := flag.Bool("goal-directed", false, "answer queries and -prove from per-goal slices of the ground program (no full model)")
 	edb := flag.String("edb", "", "facts file merged into the target component before grounding")
 	parallel := flag.Int("parallel", 0, "answer queries over a worker pool (0 = sequential, -1 = GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "shard grounding and least-model fixpoints over n workers (0 or 1 = sequential)")
@@ -101,7 +97,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /debug/metrics and net/http/pprof on this address")
 	metricsHold := flag.Duration("metrics-hold", 0, "keep the metrics listener up this long after the run finishes")
 	interactive := flag.Bool("i", false, "interactive shell (optionally preloading the program)")
-	verbose := flag.Bool("v", false, "warn on stderr when goal-directed slicing degrades (head-only SIP limit)")
 	analyzeFlag := flag.Bool("analyze", false, "print static diagnostics and exit")
 	dot := flag.String("dot", "", "emit GraphViz and exit: order | deps")
 	flag.Parse()
@@ -140,7 +135,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	err := run(ctx, flag.Arg(0), *component, *semantics, *models, *maxModels, *mode, *explain, *prove, *edb, *parallel, *shards, *goalDirected, *jsonOut, *stats, *verbose)
+	err := run(ctx, flag.Arg(0), *component, *semantics, *models, *maxModels, *mode, *explain, *prove, *edb, *parallel, *shards, *goalDirected, *jsonOut, *stats)
 	if *metricsAddr != "" && *metricsHold > 0 {
 		fmt.Fprintf(os.Stderr, "ordlog: holding metrics listener for %s\n", *metricsHold)
 		time.Sleep(*metricsHold)
@@ -271,21 +266,7 @@ func printBindings(q ordlog.Query, answers []ordlog.Binding) {
 	}
 }
 
-// warnDegraded reports the head-only SIP limit for one goal: predicates
-// whose magic restriction collapsed to all-free even though a full
-// left-to-right SIP would keep a position bound (DESIGN §12). Their slices
-// are the unrestricted grounding of their region, so "goal-directed" buys
-// nothing for them — worth a warning rather than silent slow queries.
-func warnDegraded(prog *ordlog.Program, what string, goal []ordlog.Literal) {
-	a := relevance.Analyze(prog, goal)
-	for _, k := range a.Degraded {
-		fmt.Fprintf(os.Stderr,
-			"ordlog: %s: head-only SIP degraded to unrestricted for %s/%d (binding reaches it only through body-local variables; its slice is the full grounding of its region)\n",
-			what, k.Name, k.Arity)
-	}
-}
-
-func run(ctx context.Context, path, component, semantics, models string, maxModels int, mode, explain, prove, edb string, parallel, shards int, goalDirected, jsonOut, stats, verbose bool) error {
+func run(ctx context.Context, path, component, semantics, models string, maxModels int, mode, explain, prove, edb string, parallel, shards int, goalDirected, jsonOut, stats bool) error {
 	res, err := ordlog.ParseFile(path)
 	if err != nil {
 		return err
@@ -374,10 +355,7 @@ func run(ctx context.Context, path, component, semantics, models string, maxMode
 			return fmt.Errorf("-prove: %v", err)
 		}
 		if goalDirected {
-			if verbose {
-				warnDegraded(prog, fmt.Sprintf("-prove %s", lit), []ordlog.Literal{lit})
-			}
-			// The proof runs over the literal's magic-set slice; the
+			// The proof runs over the literal's slice; the
 			// derivation tree is an -explain-style full-model feature.
 			ok, err := eng.ProveCtx(ctx, component, lit)
 			if err != nil {
@@ -396,9 +374,9 @@ func run(ctx context.Context, path, component, semantics, models string, maxMode
 		}
 	}
 
-	// Goal-directed mode prints answers only: each query grounds and
-	// evaluates just its own slice, so materialising (or printing) the
-	// full least model would defeat the point.
+	// Goal-directed mode prints answers only: each query evaluates just its
+	// own slice, so materialising (or printing) the full least model would
+	// defeat the point.
 	if goalDirected {
 		workers := parallel
 		if workers < 0 {
@@ -407,9 +385,6 @@ func run(ctx context.Context, path, component, semantics, models string, maxMode
 		reqs := make([]ordlog.QueryRequest, len(res.Queries))
 		for i, q := range res.Queries {
 			reqs[i] = ordlog.QueryRequest{Comp: component, Query: q}
-			if verbose {
-				warnDegraded(prog, fmt.Sprintf("query %s", q), q.Body)
-			}
 		}
 		results := eng.QueryBatchCtx(ctx, reqs, ordlog.BatchOptions{Workers: workers})
 		for qi, q := range res.Queries {

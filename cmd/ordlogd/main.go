@@ -19,8 +19,8 @@
 //	-max-timeout d     cap on ?timeout= (default 30s)
 //	-grace d           drain budget for graceful shutdown (default 10s)
 //	-shards n          engine shards per tenant (0 or 1 = sequential)
-//	-goal-directed     answer /query and /prove from per-goal magic-set
-//	                   slices (cached per snapshot, keyed by the goal's
+//	-goal-directed     answer /query and /prove from per-goal slices of the
+//	                   ground program (cached per snapshot, keyed by the goal's
 //	                   binding pattern; ?version= pinning is honoured and
 //	                   updates invalidate automatically)
 //	-data-dir p        make tenants durable: per-tenant write-ahead logs
@@ -88,7 +88,7 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "cap on ?timeout=")
 	grace := flag.Duration("grace", 10*time.Second, "drain budget for graceful shutdown")
 	shards := flag.Int("shards", 0, "engine shards per tenant (0 or 1 = sequential)")
-	goalDirected := flag.Bool("goal-directed", false, "answer /query and /prove from per-goal magic-set slices")
+	goalDirected := flag.Bool("goal-directed", false, "answer /query and /prove from per-goal slices of the ground program")
 	dataDir := flag.String("data-dir", "", "durability root: per-tenant write-ahead logs + crash recovery ('' = memory-only)")
 	syncFlag := flag.String("sync", "interval", "WAL fsync policy: always or interval")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "WAL checkpoint cadence in update batches (0 = default 256)")

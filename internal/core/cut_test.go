@@ -1,0 +1,365 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/ast"
+	"repro/internal/ground"
+	"repro/internal/interp"
+	"repro/internal/obs"
+	"repro/internal/parser"
+	"repro/internal/workload"
+)
+
+// renderRules renders instances as "comp: head :- body." lines, so
+// programs over different atom tables compare as sets.
+func renderRules(gp *ground.Program, rules []ground.Rule, keep func(i int) bool) map[string]bool {
+	out := make(map[string]bool, len(rules))
+	for i := range rules {
+		if keep == nil || keep(i) {
+			out[gp.Src.Components[rules[i].Comp].Name+": "+gp.RuleString(&rules[i])] = true
+		}
+	}
+	return out
+}
+
+// readsSource is the serving benchmark's read tenant at size (n, m).
+func readsSource(n, m int) string {
+	var sb strings.Builder
+	sb.WriteString("module base {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "  edge(c%d, c%d).\n", i, i+1)
+	}
+	for i := 0; i < m; i++ {
+		fmt.Fprintf(&sb, "  hop(h%d, h%d).\n", i, i+1)
+	}
+	sb.WriteString("  path(X, Y) :- edge(X, Y).\n  path(X, Z) :- path(X, Y), edge(Y, Z).\n")
+	sb.WriteString("  reach(X, Y) :- hop(X, Y).\n  reach(X, Z) :- hop(X, Y), reach(Y, Z).\n}\n")
+	fmt.Fprintf(&sb, "module exc extends base {\n  -path(X, c%d) :- edge(X, c%d).\n  -reach(X, h%d) :- hop(X, h%d).\n}\n",
+		n/2, n/2, m/2, m/2)
+	sb.WriteString("module items {\n")
+	for j := 0; j < n/4; j++ {
+		fmt.Fprintf(&sb, "  item(d%d).\n", j)
+	}
+	sb.WriteString("  ok(X) :- item(X).\n}\n")
+	return sb.String()
+}
+
+// policySource is the serving benchmark's write tenant: kb facts p(cI), a
+// policy deriving ok/1 from each, and the exception component writes land
+// in.
+func policySource(kb int) string {
+	var sb strings.Builder
+	sb.WriteString("module kb {\n")
+	for i := 0; i < kb; i++ {
+		fmt.Fprintf(&sb, "p(c%d).\n", i)
+	}
+	sb.WriteString("}\nmodule policy extends kb { ok(X) :- p(X). }\nmodule exc extends policy {\n-ok(X) :- bad(X).\n}\n")
+	return sb.String()
+}
+
+func mustProgram(tb testing.TB, src string) *ast.OrderedProgram {
+	tb.Helper()
+	p, err := parser.ParseProgram(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// The cut keeps only instances the magic-set slice of the same goal keeps:
+// both close the goal's demand under bodies, complements and competitors,
+// and the cut does so on instances, which is never coarser than the
+// predicate-level adornment. Checked over the seeded corpus and the read
+// tenant, whose reach goals are the degraded-SIP shape the magic slice
+// grounds unrestricted.
+func TestCutWithinMagicSlice(t *testing.T) {
+	ctx := context.Background()
+	check := func(t *testing.T, prog *ast.OrderedProgram, goals []string) {
+		t.Helper()
+		e, err := NewEngine(prog, Config{GoalDirected: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := e.Current()
+		for _, g := range goals {
+			goal := parseGoal(t, g).Body
+			cut, err := s.cutSlice(ctx, goal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := ground.DefaultOptions()
+			opts.Goal = goal
+			magic, err := ground.GroundCtx(ctx, prog, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := renderRules(magic, magic.Rules, nil)
+			for r := range renderRules(cut, cut.Rules, nil) {
+				if !want[r] {
+					t.Errorf("goal %s: cut instance %q is not in the magic slice", g, r)
+				}
+			}
+		}
+	}
+	programs := 200
+	if testing.Short() {
+		programs = 40
+	}
+	for seed := 0; seed < programs; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		check(t, workload.RandomOrderedDatalog(rng, 3, 3), []string{
+			"p0(c0)", "p1(X)", "-p1(c1)", "e(c0, X)", "p0(X), e(X, Y)", "e(X, c1)", "-p2(X)",
+		})
+	}
+	check(t, mustProgram(t, readsSource(40, 16)), []string{
+		"path(c3, X)", "path(c3, c9)", "path(c3, X), edge(X, Y)", "reach(h2, X)", "reach(h2, h9)", "-path(c3, c20)",
+	})
+}
+
+// closureOracle is the cut's definition computed the slow way: repeat
+// "every live instance whose head atom is reached brings in its body
+// atoms" over the whole pinned prefix until nothing changes, seeded with
+// every table atom the goal's literals match.
+func closureOracle(s *Snapshot, goal []ast.Literal) map[string]bool {
+	tab := s.gp.Tab
+	reached := make(map[interp.AtomID]bool)
+	for id := 0; id < tab.Len(); id++ {
+		a := tab.Atom(interp.AtomID(id))
+		for _, l := range goal {
+			if matches(l.Atom, a) {
+				reached[interp.AtomID(id)] = true
+			}
+		}
+	}
+	live := func(i int) bool { _, gone := s.dead[int32(i)]; return !gone }
+	for changed := true; changed; {
+		changed = false
+		for i := range s.rules {
+			if !live(i) || !reached[s.rules[i].Head.Atom()] {
+				continue
+			}
+			for _, l := range s.rules[i].Body {
+				if !reached[l.Atom()] {
+					reached[l.Atom()], changed = true, true
+				}
+			}
+		}
+	}
+	return renderRules(s.gp, s.rules, func(i int) bool { return live(i) && reached[s.rules[i].Head.Atom()] })
+}
+
+func sameSet(a, b map[string]bool) (string, bool) {
+	var diff []string
+	for k := range a {
+		if !b[k] {
+			diff = append(diff, "+ "+k)
+		}
+	}
+	for k := range b {
+		if !a[k] {
+			diff = append(diff, "- "+k)
+		}
+	}
+	sort.Strings(diff)
+	return strings.Join(diff, "\n"), len(diff) == 0
+}
+
+// After asserts and retracts the cut is exactly the closure over the
+// snapshot's live instances: retracted instances (the dead set) are never
+// cut, appended ones always are. Run twice: with the head index built on
+// the first version, so later versions cut their appended instances from
+// their own tail, and built on the last, so earlier versions cut from an
+// index that covers instances they do not pin.
+func TestCutMatchesClosureAfterWrites(t *testing.T) {
+	for _, indexFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("indexFirst=%v", indexFirst), func(t *testing.T) {
+			cutAfterWrites(t, indexFirst)
+		})
+	}
+}
+
+func cutAfterWrites(t *testing.T, indexFirst bool) {
+	ctx := context.Background()
+	e, err := NewEngine(mustProgram(t, readsSource(12, 6)), Config{GoalDirected: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goals := []string{"path(c2, X)", "path(X, c13)", "path(c2, c13)", "-path(X, Y)", "reach(h1, X)", "path(c0, X), hop(X, Y)", "nosuch(X)"}
+	facts := func(s string) []ast.Literal { return []ast.Literal{lit(t, s)} }
+	snaps := []*Snapshot{e.Current()}
+	step := func(s *Snapshot, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, s)
+	}
+	if indexFirst {
+		if _, err := e.Current().cutSlice(ctx, parseGoal(t, goals[0]).Body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(e.Update(ctx, "base", facts("edge(c12, c13)")))
+	step(e.Update(ctx, "exc", facts("edge(c4, c13)")))
+	step(e.Retract(ctx, "base", facts("edge(c5, c6)")))
+	step(e.Retract(ctx, "base", facts("edge(c12, c13)")))
+	step(e.Update(ctx, "base", facts("edge(c12, c13)")))
+	step(e.Update(ctx, "base", facts("hop(h6, c1)")))
+	for i := range snaps {
+		s := snaps[len(snaps)-1-i] // newest first: without indexFirst it builds the index
+		for _, g := range goals {
+			goal := parseGoal(t, g).Body
+			cut, err := s.cutSlice(ctx, goal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff, ok := sameSet(renderRules(cut, cut.Rules, nil), closureOracle(s, goal)); !ok {
+				t.Errorf("v%d goal %s: cut differs from the closure oracle (+ cut only, - oracle only):\n%s", s.version, g, diff)
+			}
+		}
+	}
+	first, last := snaps[0].cutter(), snaps[len(snaps)-1].cutter()
+	if first.idx != last.idx {
+		t.Fatal("the versions of one ground program cut with different head indexes")
+	}
+	if indexFirst && len(last.tail) == 0 {
+		t.Error("the last version cut with no tail: the appended-instance path went untested")
+	}
+	if !indexFirst && int(first.limit) == first.idx.n {
+		t.Error("the first version pins the whole index: the limit path went untested")
+	}
+}
+
+// The head index belongs to the ground program, not to the version: 50
+// incremental updates, each followed by a cold goal on the version it
+// published, build it once. A compaction regrounds and builds it again.
+func TestSliceIndexBuildsOncePerProgram(t *testing.T) {
+	ctx := context.Background()
+	e, err := NewEngine(mustProgram(t, policySource(200)), Config{GoalDirected: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := obs.Default().Snap()
+	live := make(map[int]bool)
+	for i := 0; i < 50; i++ {
+		k := (i * 7) % 20
+		f := []ast.Literal{lit(t, fmt.Sprintf("bad(c%d)", k))}
+		write := e.Update
+		if live[k] {
+			write = e.Retract
+		}
+		live[k] = !live[k]
+		s, err := write(ctx, "exc", f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.QueryCtx(ctx, "exc", parseGoal(t, fmt.Sprintf("-ok(c%d)", k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (len(got) == 1) != live[k] {
+			t.Fatalf("update %d: -ok(c%d) has %d answers, bad(c%d) live = %v", i, k, len(got), k, live[k])
+		}
+	}
+	d := obs.Default().Snap().Diff(before)
+	if n := d.Get("core.updates.reground"); n != 0 {
+		t.Fatalf("%d updates regrounded; the case needs incremental ones", n)
+	}
+	if n := d.Get("core.slice.index_builds"); n != 1 {
+		t.Errorf("core.slice.index_builds = %d over 50 incremental updates, want 1", n)
+	}
+	s, err := e.Compact(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.QueryCtx(ctx, "exc", parseGoal(t, "-ok(c1)")); err != nil {
+		t.Fatal(err)
+	}
+	if n := obs.Default().Snap().Diff(before).Get("core.slice.index_builds"); n != 2 {
+		t.Errorf("core.slice.index_builds = %d after a compaction, want 2", n)
+	}
+}
+
+// BenchmarkGoalDirectedCold answers goals no slice cache holds on the read
+// tenant: the anchors cycle through more distinct goals than the cache
+// keeps, so every query cuts (and evaluates) its slice.
+func BenchmarkGoalDirectedCold(b *testing.B) {
+	for _, c := range []struct {
+		name, goal string
+		anchors    int
+	}{
+		{"scan", "path(c%d, X)", 390},
+		{"point", "path(c%[1]d, c3%[1]d)", 60},
+		{"join", "path(c%d, X), edge(X, Y)", 390},
+		{"reach", "reach(h%d, X)", 96},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			eng, err := NewEngine(mustProgram(b, readsSource(400, 100)), Config{GoalDirected: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			qs := make([]ast.Query, c.anchors)
+			for i := range qs {
+				qs[i] = parseGoal(b, fmt.Sprintf(c.goal, i))
+			}
+			if _, err := eng.Current().QueryCtx(ctx, "exc", qs[0]); err != nil { // build the head index
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Current().QueryCtx(ctx, "exc", qs[(i+1)%len(qs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGoalDirectedWriteThenCold is the goal-directed write path's
+// read-after-write cost on the policy tenant, with the serving benchmark's
+// compaction cadence: one toggle of bad(cK), then one goal on the version
+// it published — always a slice-cache miss.
+func BenchmarkGoalDirectedWriteThenCold(b *testing.B) {
+	const kb, window, compactEvery = 1000, 128, 256
+	eng, err := NewEngine(mustProgram(b, policySource(kb)), Config{GoalDirected: true, CompactEvery: compactEvery})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	facts := make([][]ast.Literal, window)
+	queries := make([]ast.Query, window)
+	for k := range facts {
+		facts[k] = parseGoal(b, fmt.Sprintf("bad(c%d)", k)).Body
+		queries[k] = parseGoal(b, fmt.Sprintf("-ok(c%d)", k))
+	}
+	live := make([]bool, window)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := (i * 37) % window
+		write := eng.Update
+		if live[k] {
+			write = eng.Retract
+		}
+		live[k] = !live[k]
+		snap, err := write(ctx, "exc", facts[k])
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := snap.QueryCtx(ctx, "exc", queries[k])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if (len(got) == 1) != live[k] {
+			b.Fatalf("-ok(c%d) after toggle: %d answers, bad(c%d) live = %v", k, len(got), k, live[k])
+		}
+	}
+}

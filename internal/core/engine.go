@@ -136,7 +136,7 @@ func newEngineAt(ctx context.Context, p *ast.OrderedProgram, cfg Config, base ui
 	if err != nil {
 		return nil, err
 	}
-	e.current.Store(&Snapshot{eng: e, version: base, gp: gp, rules: gp.Rules, comps: make(map[int]*compState)})
+	e.current.Store(&Snapshot{eng: e, version: base, gp: gp, rules: gp.Rules, heads: &headIndexCell{}, comps: make(map[int]*compState)})
 	if e.trace.Enabled() {
 		e.trace.Emit(obs.E("ground", obs.F("rules", len(gp.Rules)), obs.F("atoms", gp.Tab.Len())))
 	}

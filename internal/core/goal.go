@@ -16,9 +16,10 @@ import (
 )
 
 // Goal-directed querying: with Config.GoalDirected set, least-model
-// queries and proofs evaluate against a magic-set slice of the program
-// grounded for the specific goal (ground.Options.Goal) instead of the full
-// grounding. Slices are memoised per snapshot in a small LRU keyed by the
+// queries and proofs evaluate against the goal's slice of the snapshot's
+// ground program — the instances the goal's atoms reach, cut without
+// grounding anything again (cut.go) — instead of the component's full
+// least model. Slices are memoised per snapshot in a small LRU keyed by the
 // goal's binding pattern (relevance.GoalKey): queries that differ only in
 // variable names or literal order share a slice, every snapshot starts
 // with an empty cache — so updates invalidate automatically — and pinned
@@ -40,10 +41,10 @@ type sliceEntry struct {
 	used  uint64
 }
 
-// goalSlice holds one goal's sliced grounding and its lazily built
-// per-component artifacts, mirroring compState for the full grounding.
-// The grounding itself is a singleflight cell so concurrent queries with
-// the same binding pattern ground the slice exactly once.
+// goalSlice holds one goal's slice and its lazily built per-component
+// artifacts, mirroring compState for the full grounding. The slice itself
+// is a singleflight cell so concurrent queries with the same binding
+// pattern cut it exactly once.
 type goalSlice struct {
 	goal []ast.Literal
 	gp   lazyCell[*ground.Program]
@@ -66,7 +67,7 @@ type goalComp struct {
 
 // goalSliceFor returns the snapshot's cached slice state for the goal,
 // creating (and, at capacity, evicting the least recently used) entry
-// under the cache lock. Only bookkeeping happens here — grounding runs
+// under the cache lock. Only bookkeeping happens here — the cut runs
 // outside the lock, in the slice's own singleflight cell.
 func (s *Snapshot) goalSliceFor(goal []ast.Literal) *goalSlice {
 	key := relevance.GoalKey(goal)
@@ -104,24 +105,13 @@ func (s *Snapshot) goalSliceFor(goal []ast.Literal) *goalSlice {
 	return gs
 }
 
-// sliceProgram grounds (or returns the memoised) sliced program for the
-// goal as of this snapshot. Updates since the engine's initial grounding
-// are folded in by slicing the effective program — the same source a
-// reground fallback would rebuild from — so sliced answers always reflect
-// this version's fact base.
+// sliceProgram cuts (or returns the memoised) slice of this snapshot's
+// ground program for the goal (cut.go). The slice is taken from the
+// snapshot's own live instances, so it reflects this version's fact base
+// without replaying the update history or grounding anything again.
 func (s *Snapshot) sliceProgram(ctx context.Context, gs *goalSlice) (*ground.Program, error) {
 	return gs.gp.get(ctx, "core: goal-slice wait", func(runCtx context.Context) (*ground.Program, error) {
-		src := s.eng.src
-		if len(s.log) > 0 {
-			var err error
-			src, err = effectiveProgram(s.eng.src, s.log)
-			if err != nil {
-				return nil, err
-			}
-		}
-		opts := s.eng.groundOpts()
-		opts.Goal = gs.goal
-		gp, err := ground.GroundCtx(runCtx, src, opts)
+		gp, err := s.cutSlice(runCtx, gs.goal)
 		if err != nil {
 			return nil, err
 		}
@@ -165,8 +155,8 @@ func (s *Snapshot) QueryGoalDirected(comp string, q ast.Query) ([]Binding, error
 }
 
 // QueryGoalDirectedCtx answers a conjunctive least-model query from the
-// goal's magic-set slice: the query body is the goal, the slice is
-// grounded (once, cached) for this snapshot, and the query evaluates
+// goal's slice: the query body is the goal, the slice is cut (once,
+// cached) from this snapshot's ground program, and the query evaluates
 // against the slice's least model in the component. Answers are identical
 // to QueryCtx's on the full grounding. The query must have a non-empty
 // body — with no literals there is nothing to slice by.
@@ -219,12 +209,11 @@ func (s *Snapshot) ProveGoalDirected(comp string, l ast.Literal) (bool, error) {
 }
 
 // ProveGoalDirectedCtx answers a least-model membership query for one
-// ground literal from the literal's magic-set slice: the slice is grounded
-// (once, cached) for this snapshot and the memoising prover runs over the
-// slice's view. The answer is identical to ProveCtx's on the full
-// grounding — an atom outside the slice's relevant Herbrand base is
-// outside the full one's too, or unreachable from the goal and therefore
-// unprovable either way.
+// ground literal from the slice cut for that one atom: the slice is cut
+// (once, cached) from this snapshot's ground program and the memoising
+// prover runs over the slice's view. The answer is identical to ProveCtx's
+// on the full grounding — an atom outside the slice heads no live instance
+// and is unprovable either way.
 func (s *Snapshot) ProveGoalDirectedCtx(ctx context.Context, comp string, l ast.Literal) (bool, error) {
 	i, err := s.resolve(comp)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -20,10 +21,11 @@ import (
 )
 
 // The goal-directed differential contract: for every goal, answers from
-// the magic-set slice must be byte-identical to answers from the full
+// the goal's slice must be byte-identical to answers from the full
 // grounding — for least-model queries and proofs through the engine's
-// goal-directed path, and for the assumption-free/stable model families of
-// an engine grounded with ground.Options.Goal directly.
+// goal-directed path (a slice cut from the snapshot's ground program), and
+// for the assumption-free/stable model families of an engine grounded with
+// the magic-set slice of ground.Options.Goal directly.
 
 func mustQuery(t *testing.T, src string) ast.Query {
 	t.Helper()
@@ -174,6 +176,7 @@ func TestGoalDirectedDifferentialCorpus(t *testing.T) {
 	}
 	queries := []string{
 		"p0(c0)", "p1(X)", "-p1(c1)", "e(c0, X)", "p0(X), e(X, Y)",
+		"e(X, c1)", "-p2(X)", "e(c1, c2)", "p0(X), -p1(X)", "nosuch(X)",
 	}
 	proofs := []string{"p0(c0)", "-p1(c1)", "p2(c2)", "e(c0, c1)"}
 	for seed := 0; seed < programs; seed++ {
@@ -204,6 +207,12 @@ func TestGoalDirectedDifferentialChain(t *testing.T) {
 				"path(X, Y)",
 				"path(c0, X), edge(X, Y)",
 				fmt.Sprintf("-path(c0, c%d)", sz.excAt),
+				fmt.Sprintf("path(X, c%d)", sz.n-1),
+				fmt.Sprintf("-path(X, c%d)", sz.excAt),
+				"-path(X, Y)",
+				fmt.Sprintf("path(c1, X), path(X, c%d)", sz.n),
+				"jpath(X, Y)",
+				"nosuch(c0, X)",
 			}
 			proofs := []string{
 				"path(c0, c1)",
@@ -347,17 +356,207 @@ func TestGoalDirectedBatch(t *testing.T) {
 	}
 }
 
-// Rejected configurations.
+// Configuration: a cut needs only a ground program, not smart grounding,
+// so a goal-directed engine over the exhaustive grounder is accepted and
+// answers exactly like the full one. The one rejected combination is a
+// fixed Ground.Goal.
 func TestGoalDirectedConfigValidation(t *testing.T) {
-	prog := chainSource(t, 3, 2)
+	ctx := context.Background()
+	prog := chainSource(t, 4, 2)
 	fullMode := ground.DefaultOptions()
 	fullMode.Mode = ground.ModeFull
-	if _, err := core.NewEngine(prog, core.Config{GoalDirected: true, Ground: fullMode}); err == nil {
-		t.Error("GoalDirected with ModeFull accepted")
+	gd, err := core.NewEngine(prog, core.Config{GoalDirected: true, Ground: fullMode})
+	if err != nil {
+		t.Fatalf("GoalDirected over ModeFull: %v", err)
+	}
+	full, err := core.NewEngine(prog, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, qs := range []string{"path(c0, X)", "path(X, c3)", "-path(X, Y)", "path(c0, X), edge(X, Y)"} {
+		q := mustQuery(t, qs)
+		for _, comp := range []string{"base", "exc"} {
+			want, err := full.Current().QueryCtx(ctx, comp, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := gd.Current().QueryCtx(ctx, comp, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, g := answerSet(want), answerSet(got); w != g {
+				t.Errorf("%s in %s: ModeFull slice diverged\nfull:  %s\nslice: %s", qs, comp, w, g)
+			}
+		}
 	}
 	fixed := ground.DefaultOptions()
 	fixed.Goal = mustQuery(t, "path(c0, X)").Body
 	if _, err := core.NewEngine(prog, core.Config{GoalDirected: true, Ground: fixed}); err == nil {
 		t.Error("GoalDirected with a fixed Ground.Goal accepted")
+	}
+}
+
+// Slices after writes: each published version's cold goals agree with a
+// non-goal-directed engine taking the same writes — retracted instances
+// are dead, appended ones live, resurrected ones live again — and every
+// pinned version, asked goals it has never seen only after later writes
+// exist, still answers as of its own version. The first goal is asked
+// after two writes, so the oldest versions cut from a head index covering
+// instances they do not pin, and the later ones cut their own tails.
+func TestGoalDirectedAfterWritesAndPinned(t *testing.T) {
+	ctx := context.Background()
+	gd, err := core.NewEngine(chainSource(t, 6, 3), core.Config{GoalDirected: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := core.NewEngine(chainSource(t, 6, 3), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goals := []string{"path(c0, X)", "path(X, c6)", "path(X, c9)", "-path(X, c3)", "path(c2, c9)", "edge(X, Y)"}
+	ops := []struct {
+		retract bool
+		comp    string
+		fact    string
+	}{
+		{false, "base", "edge(c6, c9)"},  // appends instances over a fresh constant
+		{true, "base", "edge(c2, c3)"},   // kills instances through the dead set
+		{false, "exc", "edge(c1, c3)"},   // appends in the more specific component
+		{false, "base", "edge(c2, c3)"},  // resurrects the retracted fact
+		{true, "base", "edge(c6, c9)"},   // retracts a fact the program never had
+		{false, "base", "-path(c0, c4)"}, // a negative fact (reground fallback)
+		{true, "exc", "edge(c1, c3)"},
+	}
+	want := map[uint64]map[string]string{} // version -> goal -> answers
+	record := func() *core.Snapshot {
+		snap := full.Current()
+		per := map[string]string{}
+		for _, g := range goals {
+			for _, comp := range []string{"base", "exc"} {
+				bs, err := snap.QueryCtx(ctx, comp, mustQuery(t, g))
+				if err != nil {
+					t.Fatal(err)
+				}
+				per[comp+" "+g] = answerSet(bs)
+			}
+		}
+		want[snap.Version()] = per
+		return snap
+	}
+	check := func(snap *core.Snapshot, goals []string) {
+		t.Helper()
+		for _, g := range goals {
+			for _, comp := range []string{"base", "exc"} {
+				bs, err := snap.QueryCtx(ctx, comp, mustQuery(t, g))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w, got := want[snap.Version()][comp+" "+g], answerSet(bs); w != got {
+					t.Errorf("v%d %s in %s: slice diverged\nfull:  %s\nslice: %s", snap.Version(), g, comp, w, got)
+				}
+			}
+		}
+	}
+	record()
+	pinned := []*core.Snapshot{gd.Current()}
+	for i, op := range ops {
+		write := func(e *core.Engine) (*core.Snapshot, error) {
+			if op.retract {
+				return e.Retract(ctx, op.comp, []ast.Literal{mustLit(t, op.fact)})
+			}
+			return e.Update(ctx, op.comp, []ast.Literal{mustLit(t, op.fact)})
+		}
+		if _, err := write(full); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := write(gd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Version() != full.Current().Version() {
+			t.Fatalf("versions diverged: %d vs %d", snap.Version(), full.Current().Version())
+		}
+		record()
+		if i > 0 {
+			check(snap, goals[:len(goals)/2])
+		}
+		pinned = append(pinned, snap)
+	}
+	for _, snap := range pinned {
+		check(snap, goals)
+	}
+}
+
+// Concurrent cold goals on whatever version is current while a writer
+// publishes: every answer equals the full least model of the version the
+// reader pinned, including ground goals over atoms a later write interns.
+// Under -race this also checks that the shared head index, each snapshot's
+// cut state and the atom table's sub-tables are read safely while the
+// writer appends to the ground program.
+func TestGoalDirectedColdGoalsRaceWriter(t *testing.T) {
+	ctx := context.Background()
+	eng, err := core.NewEngine(chainSource(t, 12, 6), core.Config{GoalDirected: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers, perReader, writes = 6, 40, 30
+	facts := make([][]ast.Literal, writes)
+	for i := range facts {
+		facts[i] = []ast.Literal{mustLit(t, fmt.Sprintf("edge(c%d, c%d)", i%12, 12+i%5))}
+	}
+	var queries []ast.Query
+	for c := 0; c < 17; c++ {
+		for _, f := range []string{"path(c%d, X)", "path(X, c%d)", "-path(X, c%d)", "path(c3, c%d)"} {
+			queries = append(queries, mustQuery(t, fmt.Sprintf(f, c)))
+		}
+	}
+	done := make(chan struct{})
+	errs := make(chan error, readers+1)
+	go func() {
+		defer close(done)
+		for i, f := range facts {
+			var err error
+			if i%3 == 2 {
+				_, err = eng.Retract(ctx, "base", f)
+			} else {
+				_, err = eng.Update(ctx, "base", f)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := 0; i < perReader; i++ {
+				snap := eng.Current()
+				q := queries[rng.Intn(len(queries))]
+				got, err := snap.QueryCtx(ctx, "exc", q)
+				if err != nil {
+					errs <- err
+					return
+				}
+				m, err := snap.LeastModelCtx(ctx, "exc")
+				if err != nil {
+					errs <- err
+					return
+				}
+				if w, g := answerSet(m.Query(q)), answerSet(got); w != g {
+					errs <- fmt.Errorf("v%d %s: slice %s, full model %s", snap.Version(), q, g, w)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	<-done
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

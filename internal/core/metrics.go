@@ -39,6 +39,11 @@ var (
 	mSliceHits      = obs.Default().Counter("relevance.cache.hits")
 	mSliceMisses    = obs.Default().Counter("relevance.cache.misses")
 	mSliceEvictions = obs.Default().Counter("relevance.cache.evictions")
+
+	// One per head index built for cutting goal slices (cut.go): once per
+	// ground program, again only when its appended tail outgrows the
+	// indexed prefix.
+	mSliceIndexBuilds = obs.Default().Counter("core.slice.index_builds")
 )
 
 // countFallback bumps both the total reground counter and the per-reason

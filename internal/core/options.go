@@ -50,16 +50,17 @@ type Config struct {
 	Shards int
 
 	// GoalDirected routes least-model queries and proofs through per-goal
-	// magic-set slices: Query/QueryCtx (and the batch entry points) with a
-	// non-empty body, and Prove/ProveCtx, ground only the query-reachable
-	// slice of the program instead of evaluating the component's full
-	// least model. Answers are identical to the full path's (see DESIGN
-	// §12); sliced groundings are cached per snapshot in a small LRU keyed
-	// by the goal's binding pattern, so repeated goals reuse their slice
-	// and every update invalidates automatically. Enumeration entry points
-	// (stable/AF models, Reason, ProveExplain, ProveQuery) always use the
-	// full grounding. Requires smart grounding mode and is incompatible
-	// with a fixed Ground.Goal.
+	// slices of the snapshot's ground program: Query/QueryCtx (and the
+	// batch entry points) with a non-empty body, and Prove/ProveCtx,
+	// evaluate only the instances the goal's atoms reach — cut from the
+	// grounding the snapshot already holds, nothing is grounded again —
+	// instead of the component's full least model. Answers are identical
+	// to the full path's (see DESIGN §12); slices are cached per snapshot
+	// in a small LRU keyed by the goal's binding pattern, so repeated goals
+	// reuse their slice and every update invalidates automatically.
+	// Enumeration entry points (stable/AF models, Reason, ProveExplain,
+	// ProveQuery) always use the full grounding. Incompatible with a fixed
+	// Ground.Goal.
 	GoalDirected bool
 
 	// CompactEvery, when > 0, compacts the snapshot after this many
@@ -157,7 +158,8 @@ func WithTrace(w io.Writer) Option { return func(c *Config) { c.Trace = w } }
 func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
 
 // WithGoalDirected sets Config.GoalDirected: route queries and proofs
-// through per-goal magic-set slices instead of full least models.
+// through per-goal slices of the ground program instead of full least
+// models.
 func WithGoalDirected(on bool) Option { return func(c *Config) { c.GoalDirected = on } }
 
 // WithDurability turns on the write-ahead log in dir and, when no cadence
@@ -253,13 +255,8 @@ func (c *Config) Validate() error {
 	if g.Shards < 0 {
 		return &ConfigError{Field: "Ground.Shards", Value: g.Shards, Reason: "must be >= 0 (0 or 1 = sequential)"}
 	}
-	if c.GoalDirected {
-		if g.Mode == ground.ModeFull {
-			return &ConfigError{Field: "GoalDirected", Value: true, Reason: "goal-directed querying requires smart grounding mode"}
-		}
-		if len(g.Goal) > 0 {
-			return &ConfigError{Field: "GoalDirected", Value: true, Reason: "incompatible with a fixed Ground.Goal (the engine slices per query)"}
-		}
+	if c.GoalDirected && len(g.Goal) > 0 {
+		return &ConfigError{Field: "GoalDirected", Value: true, Reason: "incompatible with a fixed Ground.Goal (the engine slices per query)"}
 	}
 	if c.CompactEvery < 0 {
 		return &ConfigError{Field: "CompactEvery", Value: c.CompactEvery, Reason: "must be >= 0 (0 = never compact by count)"}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/ast"
@@ -70,28 +70,55 @@ func (m *Model) buildBucket(k litKey, b *litBucket) {
 		mIndexBuilds.Inc()
 	}
 	tab := m.view.G.Tab
-	var atoms []ast.Atom
+	terms := tab.TermTable()
+	arity := k.pred.Arity
+	var args []term.ID
 	for _, id := range tab.OfPred(k.pred) {
 		if m.in.HasLit(interp.MkLit(id, k.neg)) {
-			atoms = append(atoms, tab.Atom(id))
+			for _, t := range tab.Atom(id).Args {
+				tid, _ := terms.Lookup(t) // interned together with the atom
+				args = append(args, tid)
+			}
 		}
 	}
-	// Atom ids follow interning order, which under sharded grounding varies
-	// with goroutine scheduling; canonical order is what makes enumeration
-	// (and so CLI and HTTP output) a function of the model alone.
-	sort.Slice(atoms, func(i, j int) bool { return ast.CompareAtoms(atoms[i], atoms[j]) < 0 })
-	b.n = len(atoms)
+	b.n = len(args) / arity
 	if b.n == 0 {
 		return
 	}
-	arity := k.pred.Arity
-	terms := tab.TermTable()
-	b.args = make([]term.ID, 0, b.n*arity)
-	for _, a := range atoms {
-		for _, t := range a.Args {
-			id, _ := terms.Lookup(t) // interned together with the atom
-			b.args = append(b.args, id)
-		}
+	// Atom ids follow interning order, which under sharded grounding varies
+	// with goroutine scheduling; canonical order is what makes enumeration
+	// (and so CLI and HTTP output) a function of the model alone. Within one
+	// predicate that order compares arguments left to right with
+	// ast.CompareTerms, so each distinct term is ranked once and the rows
+	// sort by their rank tuples.
+	distinct := slices.Clone(args)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	vals := terms.AppendTerms(make([]ast.Term, 0, len(distinct)), distinct)
+	order := make([]int32, len(distinct))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return ast.CompareTerms(vals[x], vals[y]) })
+	rankOf := make([]int32, len(distinct))
+	for r, i := range order {
+		rankOf[i] = int32(r)
+	}
+	ranked := make([]int32, len(args))
+	for i, id := range args {
+		j, _ := slices.BinarySearch(distinct, id)
+		ranked[i] = rankOf[j]
+	}
+	rows := make([]int32, b.n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	slices.SortFunc(rows, func(x, y int32) int {
+		return slices.Compare(ranked[int(x)*arity:int(x+1)*arity], ranked[int(y)*arity:int(y+1)*arity])
+	})
+	b.args = make([]term.ID, 0, len(args))
+	for _, r := range rows {
+		b.args = append(b.args, args[int(r)*arity:int(r+1)*arity]...)
 	}
 	b.first = make(map[term.ID]span)
 	lo := 0

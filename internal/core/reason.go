@@ -37,7 +37,8 @@ func (s *Snapshot) Prove(comp string, l ast.Literal) (bool, error) {
 
 // ProveCtx is Prove with cooperative cancellation (see Engine.ProveCtx).
 // On a goal-directed engine (Config.GoalDirected) the proof runs over the
-// literal's magic-set slice; the answer is identical either way.
+// literal's slice of the ground program; the answer is identical either
+// way.
 func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bool, error) {
 	if s.eng.cfg.GoalDirected {
 		return s.ProveGoalDirectedCtx(ctx, comp, l)

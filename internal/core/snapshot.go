@@ -49,11 +49,18 @@ type Snapshot struct {
 	mu    sync.Mutex
 	comps map[int]*compState
 
-	// slices is the per-snapshot cache of goal-directed magic-set slices
-	// (see goal.go). Each snapshot starts empty, so every published update
+	// slices is the per-snapshot cache of goal-directed slices (see
+	// goal.go). Each snapshot starts empty, so every published update
 	// invalidates all cached slices automatically, while pinned snapshots
 	// keep serving their own version's slices.
 	slices sliceCache
+
+	// heads is gp's head index cell, shared by every snapshot over gp;
+	// cut, resolved once under cutOnce, is what this snapshot cuts goal
+	// slices with (see cut.go).
+	heads   *headIndexCell
+	cutOnce sync.Once
+	cut     *snapCut
 }
 
 // factKey identifies a ground fact rule by component position and rendered
@@ -274,8 +281,8 @@ func (s *Snapshot) Query(comp string, q ast.Query) ([]Binding, error) {
 // QueryCtx is Query with cooperative cancellation of the underlying
 // least-model computation. On a goal-directed engine
 // (Config.GoalDirected) queries with a non-empty body evaluate against
-// the goal's magic-set slice instead of the component's full least model;
-// answers are identical either way.
+// the goal's slice of the ground program instead of the component's full
+// least model; answers are identical either way.
 func (s *Snapshot) QueryCtx(ctx context.Context, comp string, q ast.Query) ([]Binding, error) {
 	a, err := s.AnswersCtx(ctx, comp, q)
 	if err != nil {
@@ -614,6 +621,7 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 		gp:       parent.gp,
 		rules:    parent.gp.Rules,
 		dead:     dead,
+		heads:    parent.heads,
 		factLive: overlay,
 		log:      newLog,
 		comps:    make(map[int]*compState),
@@ -654,6 +662,7 @@ func (e *Engine) reground(ctx context.Context, version uint64, newLog []factEven
 		version:  version,
 		gp:       gp,
 		rules:    gp.Rules,
+		heads:    &headIndexCell{},
 		factLive: overlay,
 		log:      newLog,
 		comps:    make(map[int]*compState),

@@ -8,6 +8,7 @@
 package interp
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,6 +60,11 @@ type Table struct {
 	atoms []ast.Atom
 	preds map[ast.PredKey][]AtomID
 	buf   []byte // scratch for Intern/InternIDs keys; lookups must not touch it
+
+	// parent and ids make a sub-table (see Sub): atom i is parent's atom
+	// ids[i]. A sub-table keeps no keys or atoms of its own, only preds.
+	parent *Table
+	ids    []AtomID
 }
 
 // NewTable returns an empty atom table with its own term table.
@@ -69,6 +75,32 @@ func NewTable() *Table { return NewTableWith(term.NewTable()) }
 // storage.Store.
 func NewTableWith(tab *term.Table) *Table {
 	return &Table{tab: tab, byKey: make(map[string]AtomID), preds: make(map[ast.PredKey][]AtomID)}
+}
+
+// Sub returns a read-only table over some of t's atoms, renumbered densely:
+// atom i of the result is t's atom ids[i]. ids must be strictly ascending
+// and t must not itself be a sub-table. The result shares t's term table and
+// resolves lookups through t, so it stores nothing per atom beyond ids and
+// its predicate lists — interpretations and views over it are sized by
+// len(ids), not by t. Interning into a sub-table panics.
+func (t *Table) Sub(ids []AtomID) *Table {
+	s := &Table{tab: t.tab, parent: t, ids: ids, preds: make(map[ast.PredKey][]AtomID)}
+	t.mu.RLock()
+	for i, id := range ids {
+		k := t.atoms[id].Key()
+		s.preds[k] = append(s.preds[k], AtomID(i))
+	}
+	t.mu.RUnlock()
+	return s
+}
+
+// local maps a parent atom id to the sub-table's id for it.
+func (t *Table) local(id AtomID, ok bool) (AtomID, bool) {
+	if !ok {
+		return 0, false
+	}
+	i, found := slices.BinarySearch(t.ids, id)
+	return AtomID(i), found
 }
 
 // TermTable returns the term table the atom table interns arguments into.
@@ -87,6 +119,7 @@ func (t *Table) appendKey(b []byte, pred term.ID, args []term.ID) []byte {
 
 // Intern returns the id for a ground atom, creating it if needed.
 func (t *Table) Intern(a ast.Atom) AtomID {
+	t.mustOwn()
 	var ids [8]term.ID
 	args := ids[:0]
 	for _, arg := range a.Args {
@@ -106,6 +139,7 @@ func (t *Table) Intern(a ast.Atom) AtomID {
 // decoded from the term table only when it is new, so re-interning a known
 // atom builds no ast.Atom at all.
 func (t *Table) InternIDs(pred string, args []term.ID) AtomID {
+	t.mustOwn()
 	sym := t.tab.InternSym(pred)
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -117,6 +151,12 @@ func (t *Table) InternIDs(pred string, args []term.ID) AtomID {
 		a.Args = t.tab.AppendTerms(make([]ast.Term, 0, len(args)), args)
 	}
 	return t.add(a)
+}
+
+func (t *Table) mustOwn() {
+	if t.parent != nil {
+		panic("interp: intern into a sub-table")
+	}
 }
 
 // probe packs the atom's key into the table's scratch and looks it up.
@@ -144,6 +184,9 @@ func (t *Table) add(a ast.Atom) AtomID {
 // table's shared scratch buffer, so concurrent Lookups on a table that is
 // no longer being interned into are safe.
 func (t *Table) Lookup(a ast.Atom) (AtomID, bool) {
+	if t.parent != nil {
+		return t.local(t.parent.Lookup(a))
+	}
 	pred, ok := t.tab.LookupSym(a.Pred)
 	if !ok {
 		return 0, false
@@ -170,6 +213,9 @@ func (t *Table) Lookup(a ast.Atom) (AtomID, bool) {
 // Lookup it takes only the read lock and is safe against a concurrent
 // writer.
 func (t *Table) LookupIDs(pred term.ID, args []term.ID) (AtomID, bool) {
+	if t.parent != nil {
+		return t.local(t.parent.LookupIDs(pred, args))
+	}
 	var kb [64]byte
 	key := t.appendKey(kb[:0], pred, args)
 	t.mu.RLock()
@@ -180,6 +226,9 @@ func (t *Table) LookupIDs(pred term.ID, args []term.ID) (AtomID, bool) {
 
 // Atom returns the atom for an id.
 func (t *Table) Atom(id AtomID) ast.Atom {
+	if t.parent != nil {
+		return t.parent.Atom(t.ids[id])
+	}
 	t.mu.RLock()
 	a := t.atoms[id]
 	t.mu.RUnlock()
@@ -188,6 +237,9 @@ func (t *Table) Atom(id AtomID) ast.Atom {
 
 // Len returns the number of interned atoms.
 func (t *Table) Len() int {
+	if t.parent != nil {
+		return len(t.ids)
+	}
 	t.mu.RLock()
 	n := len(t.atoms)
 	t.mu.RUnlock()
@@ -230,6 +282,9 @@ func (t *Table) Preds() []ast.PredKey {
 // complement always map to the same shard — which is what keeps every
 // overruler/defeater edge of the ordered semantics shard-local.
 func (t *Table) ShardKey(id AtomID) term.ID {
+	if t.parent != nil {
+		return t.parent.ShardKey(t.ids[id])
+	}
 	t.mu.RLock()
 	a := t.atoms[id]
 	t.mu.RUnlock()

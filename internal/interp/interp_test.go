@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/term"
 )
 
 func atomOf(pred string, args ...ast.Term) ast.Atom { return ast.Atom{Pred: pred, Args: args} }
@@ -58,6 +59,48 @@ func TestOfPredAndPreds(t *testing.T) {
 	if len(preds) != 2 || preds[0].Name != "p" || preds[1].Name != "q" {
 		t.Errorf("Preds = %v", preds)
 	}
+}
+
+// A sub-table renumbers the chosen atoms densely and answers every read
+// through its parent; atoms it was not given are absent from it.
+func TestSubTable(t *testing.T) {
+	tab := NewTable()
+	pa := tab.Intern(atomOf("p", ast.Sym("a")))
+	tab.Intern(atomOf("p", ast.Sym("b")))
+	q := tab.Intern(atomOf("q"))
+	pc := tab.Intern(atomOf("p", ast.Sym("c")))
+	sub := tab.Sub([]AtomID{pa, q, pc})
+	if sub.Len() != 3 || sub.TermTable() != tab.TermTable() {
+		t.Fatalf("Len = %d, shares term table = %v", sub.Len(), sub.TermTable() == tab.TermTable())
+	}
+	for i, want := range []ast.Atom{atomOf("p", ast.Sym("a")), atomOf("q"), atomOf("p", ast.Sym("c"))} {
+		if got := sub.Atom(AtomID(i)); !got.Equal(want) {
+			t.Errorf("Atom(%d) = %s, want %s", i, got, want)
+		}
+		if id, ok := sub.Lookup(want); !ok || id != AtomID(i) {
+			t.Errorf("Lookup(%s) = %d, %v, want %d", want, id, ok, i)
+		}
+		if sub.ShardKey(AtomID(i)) != tab.ShardKey(sub.ids[i]) {
+			t.Errorf("ShardKey(%d) differs from the parent's", i)
+		}
+	}
+	if _, ok := sub.Lookup(atomOf("p", ast.Sym("b"))); ok {
+		t.Error("Lookup found an atom the sub-table was not given")
+	}
+	sym, _ := tab.TermTable().LookupSym("p")
+	c, _ := tab.TermTable().Lookup(ast.Sym("c"))
+	if id, ok := sub.LookupIDs(sym, []term.ID{c}); !ok || id != 2 {
+		t.Errorf("LookupIDs(p(c)) = %d, %v, want 2", id, ok)
+	}
+	if got := sub.OfPred(ast.PredKey{Name: "p", Arity: 1}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("OfPred(p/1) = %v, want [0 2]", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Intern into a sub-table did not panic")
+		}
+	}()
+	sub.Intern(atomOf("r"))
 }
 
 func TestLitEncoding(t *testing.T) {

@@ -84,4 +84,23 @@ func TestDaemonGoalDirected(t *testing.T) {
 	if got := reached(answers("/v1/tenants/gd/query?q=path(c0,X)&version=0", http.StatusOK), "X"); got != "c1,c2,c3" {
 		t.Fatalf("pinned v0 answers = %q, want c1,c2,c3", got)
 	}
+	// Goals never asked before are cut on either version from the same
+	// ground program: v0 does not see the instances v1 appended, v1 does.
+	if got := reached(answers("/v1/tenants/gd/query?q=path(X,c3)&version=0", http.StatusOK), "X"); got != "c0,c1,c2" {
+		t.Fatalf("cold pinned v0 answers = %q, want c0,c1,c2", got)
+	}
+	if got := reached(answers("/v1/tenants/gd/query?q=path(X,c4)", http.StatusOK), "X"); got != "c0,c1,c2,c3" {
+		t.Fatalf("cold v1 answers = %q, want c0,c1,c2,c3", got)
+	}
+	// A retract kills instances through v2's dead set; v1 keeps them.
+	body, _ = json.Marshal(writeReqJSON{Component: "main", Facts: "edge(c1, c2)."})
+	if w := doReq(h, "POST", "/v1/tenants/gd/retract", "application/json", string(body)); w.Code != http.StatusOK {
+		t.Fatalf("retract: code = %d (body %s)", w.Code, w.Body)
+	}
+	if got := reached(answers("/v1/tenants/gd/query?q=path(X,c4)", http.StatusOK), "X"); got != "c2,c3" {
+		t.Fatalf("post-retract answers = %q, want c2,c3", got)
+	}
+	if got := reached(answers("/v1/tenants/gd/query?q=path(X,c4)&version=1", http.StatusOK), "X"); got != "c0,c1,c2,c3" {
+		t.Fatalf("pinned v1 answers = %q, want c0,c1,c2,c3", got)
+	}
 }
