@@ -29,78 +29,118 @@ import (
 // sub-table of the snapshot's, so everything built over the slice is sized
 // by the slice.
 
-// headIndex indexes the first n instances of one ground program by head
-// atom. It never looks at a dead set, so every snapshot over the program
-// can share it: a snapshot filters its own dead instances at cut time and
-// scans its own instances past n (its tail) separately.
-type headIndex struct {
-	n int // indexed instances: the program's Rules[:n]
-	// off and inst are a CSR over head atom ids: the instances headed by
-	// atom a, of either sign, are inst[off[a]:off[a+1]], ascending.
-	off  []int32
-	inst []int32
+// progIndex indexes the first n instances of one ground program by head
+// atom and by body atom. It never looks at a dead set, so every snapshot
+// over the program can share it: a snapshot filters its own dead instances
+// at use and indexes its own instances past n (its tail) separately. Goal
+// cuts walk it from heads to bodies; a write's cone (cone.go) walks it
+// from bodies to heads.
+type progIndex struct {
+	rules []ground.Rule // the indexed instances: the program's Rules[:n]
+	n     int
+	// head is a CSR over head atom ids: the instances headed by atom a, of
+	// either sign, ascending.
+	head csr
+	// body is a CSR over body atom ids: the instances with a or ¬a in their
+	// body, ascending, an instance once per occurrence. Only cones read it,
+	// so it is built on the first one: goal cuts never hold it.
+	bodyOnce sync.Once
+	body     csr
 	// heads lists the atoms heading at least one indexed instance, ordered
 	// by (predicate symbol id, first-argument id), so the atoms matching a
 	// goal literal's predicate and bound first argument are one range.
 	heads []interp.AtomID
+	// comps counts the indexed instances of each component.
+	comps []int32
 }
 
-// headIndexCell holds the head index of one ground program. Every snapshot
-// over the program shares the cell; the index is built on the first cold
-// goal, not when the program is grounded.
-type headIndexCell struct {
+// csr maps atom ids to instance indexes: those of atom a are
+// at[off[a]:off[a+1]].
+type csr struct{ off, at []int32 }
+
+// newCSR builds a CSR over nAtoms atom ids from the (atom, instance) pairs
+// visit reports in ascending instance order. It calls visit twice, to
+// count and to fill.
+func newCSR(nAtoms int, visit func(pair func(a interp.AtomID, i int32))) csr {
+	c := csr{off: make([]int32, nAtoms+1)}
+	visit(func(a interp.AtomID, _ int32) { c.off[a+1]++ })
+	for a := 0; a < nAtoms; a++ {
+		c.off[a+1] += c.off[a]
+	}
+	// Fill by advancing each atom's start, then shift the starts back.
+	c.at = make([]int32, c.off[nAtoms])
+	visit(func(a interp.AtomID, i int32) {
+		c.at[c.off[a]] = i
+		c.off[a]++
+	})
+	copy(c.off[1:], c.off[:nAtoms])
+	c.off[0] = 0
+	return c
+}
+
+// of returns the instances of atom a; none for an atom interned after the
+// index was built.
+func (c *csr) of(a interp.AtomID) []int32 {
+	if int(a)+1 >= len(c.off) {
+		return nil
+	}
+	return c.at[c.off[a]:c.off[a+1]]
+}
+
+// progIndexCell holds the index of one ground program. Every snapshot over
+// the program shares the cell; the index is built on the first read that
+// needs it — a cold goal or a read after a write — never when the program
+// is grounded or written.
+type progIndexCell struct {
 	mu  sync.Mutex
-	idx *headIndex
+	idx *progIndex
 }
 
 // forRules returns an index usable for a snapshot pinning rules, building
 // one when there is none yet or when the instances past the indexed
 // prefix have grown as long as the prefix itself — so rebuilds cost O(1)
 // amortised per appended instance.
-func (c *headIndexCell) forRules(tab *interp.Table, rules []ground.Rule) *headIndex {
+func (c *progIndexCell) forRules(gp *ground.Program, rules []ground.Rule) *progIndex {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.idx == nil {
-		c.idx = buildHeadIndex(tab, rules)
+		c.idx = buildProgIndex(gp, rules)
 	} else if tail := len(rules) - c.idx.n; tail > 0 && tail >= c.idx.n {
-		c.idx = buildHeadIndex(tab, rules)
+		c.idx = buildProgIndex(gp, rules)
 	}
 	return c.idx
 }
 
-func buildHeadIndex(tab *interp.Table, rules []ground.Rule) *headIndex {
+func buildProgIndex(gp *ground.Program, rules []ground.Rule) *progIndex {
 	if obs.On() {
 		mSliceIndexBuilds.Inc()
 	}
+	tab := gp.Tab
 	nAtoms := tab.Len() // every atom of rules was interned before they were published
-	idx := &headIndex{n: len(rules), off: make([]int32, nAtoms+1), inst: make([]int32, len(rules))}
-	for i := range rules {
-		idx.off[rules[i].Head.Atom()+1]++
-	}
-	nHeads := 0
-	for a := 0; a < nAtoms; a++ {
-		if idx.off[a+1] > 0 {
-			nHeads++
+	idx := &progIndex{rules: rules, n: len(rules), comps: make([]int32, gp.NumComponents())}
+	idx.head = newCSR(nAtoms, func(pair func(interp.AtomID, int32)) {
+		for i := range rules {
+			pair(rules[i].Head.Atom(), int32(i))
 		}
-		idx.off[a+1] += idx.off[a]
-	}
-	// Fill by advancing each atom's start, then shift the starts back.
+	})
 	for i := range rules {
-		a := rules[i].Head.Atom()
-		idx.inst[idx.off[a]] = int32(i)
-		idx.off[a]++
+		idx.comps[rules[i].Comp]++
 	}
-	copy(idx.off[1:], idx.off[:nAtoms])
-	idx.off[0] = 0
 
 	type keyed struct {
 		sym, first term.ID
 		id         interp.AtomID
 	}
+	nHeads := 0
+	for a := 0; a < nAtoms; a++ {
+		if idx.head.off[a+1] > idx.head.off[a] {
+			nHeads++
+		}
+	}
 	keys := make([]keyed, 0, nHeads)
 	tt := tab.TermTable()
 	for a := 0; a < nAtoms; a++ {
-		if idx.off[a+1] > idx.off[a] {
+		if idx.head.off[a+1] > idx.head.off[a] {
 			sym, first := headKey(tab, tt, interp.AtomID(a))
 			keys = append(keys, keyed{sym, first, interp.AtomID(a)})
 		}
@@ -118,7 +158,22 @@ func buildHeadIndex(tab *interp.Table, rules []ground.Rule) *headIndex {
 	return idx
 }
 
-// headKey is an atom's position in headIndex.heads: its predicate symbol id
+// bodies returns the body CSR, building it on first use over the atoms the
+// head CSR covers.
+func (idx *progIndex) bodies() *csr {
+	idx.bodyOnce.Do(func() {
+		idx.body = newCSR(len(idx.head.off)-1, func(pair func(interp.AtomID, int32)) {
+			for i := range idx.rules {
+				for _, l := range idx.rules[i].Body {
+					pair(l.Atom(), int32(i))
+				}
+			}
+		})
+	})
+	return &idx.body
+}
+
+// headKey is an atom's position in progIndex.heads: its predicate symbol id
 // and its first argument's id (term.None for a nullary atom).
 func headKey(tab *interp.Table, tt *term.Table, id interp.AtomID) (sym, first term.ID) {
 	a := tab.Atom(id)
@@ -130,30 +185,75 @@ func headKey(tab *interp.Table, tt *term.Table, id interp.AtomID) (sym, first te
 	return sym, first
 }
 
-// snapCut is what one snapshot cuts with: the shared head index, how much
-// of it the snapshot pins, and the snapshot's own live tail instances by
-// head atom.
+// snapCut is what one snapshot cuts with: the shared index, how much of it
+// the snapshot pins, the snapshot's own live tail instances by head atom
+// and by body atom, and its live instances per component.
 type snapCut struct {
-	idx   *headIndex
-	limit int32 // indexed instances below this index are in the snapshot
-	tail  map[interp.AtomID][]int32
+	idx         *progIndex
+	limit       int32 // indexed instances below this index are in the snapshot
+	tail, btail tailIndex
+	live        []int32
+}
+
+// tailIndex maps atoms to a snapshot's live tail instances: (atom,
+// instance) pairs sorted by atom, then instance. Every version a write
+// publishes resolves its own, so it is one sort of the tail rather than a
+// map of slices: no allocation per atom.
+type tailIndex struct {
+	atoms []interp.AtomID
+	inst  []int32
+}
+
+// newTailIndex builds the index of pairs packed as atom<<32 | instance.
+func newTailIndex(pairs []uint64) tailIndex {
+	slices.Sort(pairs)
+	t := tailIndex{atoms: make([]interp.AtomID, len(pairs)), inst: make([]int32, len(pairs))}
+	for j, p := range pairs {
+		t.atoms[j], t.inst[j] = interp.AtomID(p>>32), int32(uint32(p))
+	}
+	return t
+}
+
+// of returns the tail instances of atom a, ascending.
+func (t *tailIndex) of(a interp.AtomID) []int32 {
+	lo, found := slices.BinarySearch(t.atoms, a)
+	if !found {
+		return nil
+	}
+	hi := lo + 1
+	for hi < len(t.atoms) && t.atoms[hi] == a {
+		hi++
+	}
+	return t.inst[lo:hi]
 }
 
 // cutter returns the snapshot's cut state, resolving it on first use.
 func (s *Snapshot) cutter() *snapCut {
 	s.cutOnce.Do(func() {
-		idx := s.heads.forRules(s.gp.Tab, s.rules)
-		c := &snapCut{idx: idx, limit: int32(min(idx.n, len(s.rules)))}
+		idx := s.index.forRules(s.gp, s.rules)
+		c := &snapCut{idx: idx, limit: int32(min(idx.n, len(s.rules))), live: slices.Clone(idx.comps)}
+		for _, r := range idx.rules[c.limit:] {
+			c.live[r.Comp]--
+		}
+		for i := range s.dead {
+			if i < c.limit {
+				c.live[s.rules[i].Comp]--
+			}
+		}
+		var heads, bodies []uint64
+		pair := func(a interp.AtomID, i int) uint64 { return uint64(a)<<32 | uint64(i) }
 		for i := idx.n; i < len(s.rules); i++ {
 			if _, gone := s.dead[int32(i)]; gone {
 				continue
 			}
-			if c.tail == nil {
-				c.tail = make(map[interp.AtomID][]int32)
+			r := &s.rules[i]
+			c.live[r.Comp]++
+			heads = append(heads, pair(r.Head.Atom(), i))
+			for _, l := range r.Body {
+				bodies = append(bodies, pair(l.Atom(), i))
 			}
-			a := s.rules[i].Head.Atom()
-			c.tail[a] = append(c.tail[a], int32(i))
 		}
+		c.tail, c.btail = newTailIndex(heads), newTailIndex(bodies)
 		s.cut = c
 	})
 	return s.cut
@@ -199,8 +299,8 @@ func (c *snapCut) seed(tab *interp.Table, l ast.Literal, visit func(interp.AtomI
 			visit(id)
 		}
 	}
-	for id := range c.tail {
-		if matches(l.Atom, tab.Atom(id)) {
+	for j, id := range c.tail.atoms {
+		if (j == 0 || id != c.tail.atoms[j-1]) && matches(l.Atom, tab.Atom(id)) {
 			visit(id)
 		}
 	}
@@ -222,20 +322,30 @@ func matches(p, a ast.Atom) bool {
 
 // each calls f for every live instance of the snapshot headed by atom a.
 func (c *snapCut) each(s *Snapshot, a interp.AtomID, f func(int32)) {
-	if int(a)+1 < len(c.idx.off) {
-		for _, i := range c.idx.inst[c.idx.off[a]:c.idx.off[a+1]] {
-			if i >= c.limit {
-				break
-			}
-			if len(s.dead) > 0 {
-				if _, gone := s.dead[i]; gone {
-					continue
-				}
-			}
-			f(i)
+	c.pinned(s, c.idx.head.of(a), c.tail.of(a), f)
+}
+
+// eachBody calls f for every live instance of the snapshot with atom a in
+// its body, once per occurrence.
+func (c *snapCut) eachBody(s *Snapshot, a interp.AtomID, f func(int32)) {
+	c.pinned(s, c.idx.bodies().of(a), c.btail.of(a), f)
+}
+
+// pinned calls f for the indexed instances the snapshot pins and has not
+// killed, then for its tail instances.
+func (c *snapCut) pinned(s *Snapshot, indexed, tail []int32, f func(int32)) {
+	for _, i := range indexed {
+		if i >= c.limit {
+			break
 		}
+		if len(s.dead) > 0 {
+			if _, gone := s.dead[i]; gone {
+				continue
+			}
+		}
+		f(i)
 	}
-	for _, i := range c.tail[a] {
+	for _, i := range tail {
 		f(i)
 	}
 }
@@ -247,13 +357,13 @@ func (c *snapCut) each(s *Snapshot, a interp.AtomID, f func(int32)) {
 func (s *Snapshot) cutSlice(ctx context.Context, goal []ast.Literal) (*ground.Program, error) {
 	c := s.cutter()
 	tab := s.gp.Tab
-	nAtoms := tab.Len()
+	nAtoms := s.nAtoms
 	atoms := newRankSet(nAtoms)
 	picked := interp.NewBitset(len(s.rules))
 	var work []interp.AtomID
 	visit := func(a interp.AtomID) {
-		// A ground goal atom can be interned by a concurrent write after
-		// nAtoms was read; it heads no instance this snapshot pins.
+		// A ground goal atom can be interned by a later write; it heads no
+		// instance this snapshot pins.
 		if int(a) < nAtoms && atoms.add(int(a)) {
 			work = append(work, a)
 		}
@@ -280,7 +390,16 @@ func (s *Snapshot) cutSlice(ctx context.Context, goal []ast.Literal) (*ground.Pr
 		work = work[:len(work)-1]
 		c.each(s, a, pick)
 	}
+	gp, _ := s.emitSlice(picked, atoms, nRules, nBody)
+	return gp, nil
+}
 
+// emitSlice emits the picked instances in Rules order as a program over a
+// sub-table of the snapshot's atom table holding the atoms of atoms, which
+// must include every atom the picked instances mention; nRules and nBody
+// size it. It also returns the sub-table's atoms: local atom j is the
+// snapshot's ids[j].
+func (s *Snapshot) emitSlice(picked *interp.Bitset, atoms *rankSet, nRules, nBody int) (*ground.Program, []interp.AtomID) {
 	ids := atoms.freeze()
 	remap := func(l interp.Lit) interp.Lit { return interp.MkLit(atoms.rank(l.Atom()), l.Neg()) }
 	rules := make([]ground.Rule, 0, nRules)
@@ -297,7 +416,7 @@ func (s *Snapshot) cutSlice(ctx context.Context, goal []ast.Literal) (*ground.Pr
 		rules = append(rules, ground.Rule{Head: remap(r.Head), Body: body, Comp: r.Comp, Src: r.Src})
 		return true
 	})
-	return &ground.Program{Src: s.gp.Src, Tab: tab.Sub(ids), Rules: rules}, nil
+	return &ground.Program{Src: s.gp.Src, Tab: s.gp.Tab.Sub(ids), Rules: rules}, ids
 }
 
 // rankSet is a set of atom ids over a dense range that, once frozen,

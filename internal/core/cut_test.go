@@ -228,7 +228,7 @@ func cutAfterWrites(t *testing.T, indexFirst bool) {
 	if first.idx != last.idx {
 		t.Fatal("the versions of one ground program cut with different head indexes")
 	}
-	if indexFirst && len(last.tail) == 0 {
+	if indexFirst && len(last.tail.atoms) == 0 {
 		t.Error("the last version cut with no tail: the appended-instance path went untested")
 	}
 	if !indexFirst && int(first.limit) == first.idx.n {

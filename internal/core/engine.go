@@ -136,7 +136,7 @@ func newEngineAt(ctx context.Context, p *ast.OrderedProgram, cfg Config, base ui
 	if err != nil {
 		return nil, err
 	}
-	e.current.Store(&Snapshot{eng: e, version: base, gp: gp, rules: gp.Rules, heads: &headIndexCell{}, comps: make(map[int]*compState)})
+	e.current.Store(&Snapshot{eng: e, version: base, gp: gp, nAtoms: gp.Tab.Len(), rules: gp.Rules, index: &progIndexCell{}, comps: make(map[int]*compState)})
 	if e.trace.Enabled() {
 		e.trace.Emit(obs.E("ground", obs.F("rules", len(gp.Rules)), obs.F("atoms", gp.Tab.Len())))
 	}
@@ -325,7 +325,7 @@ func partialEnumErr(err error) bool {
 func wrapModels(v *eval.View, ms []*interp.Interp) []*Model {
 	out := make([]*Model, len(ms))
 	for i, m := range ms {
-		out[i] = &Model{view: v, in: m}
+		out[i] = newModel(v, m)
 	}
 	return out
 }
@@ -340,12 +340,12 @@ func (e *Engine) InterpFromLiterals(comp string, lits []ast.Literal) (*Model, er
 // CheckModel reports whether m satisfies Definition 3 in m's component,
 // with a reason when it does not.
 func (e *Engine) CheckModel(m *Model) (bool, string) {
-	bad, why := m.view.ModelViolation(m.in)
+	bad, why := m.view().ModelViolation(m.in)
 	return !bad, why
 }
 
 // CheckAssumptionFree reports whether m is an assumption-free model
 // (Definition 7 / Theorem 1(a)).
 func (e *Engine) CheckAssumptionFree(m *Model) bool {
-	return m.view.IsAssumptionFree(m.in)
+	return m.view().IsAssumptionFree(m.in)
 }

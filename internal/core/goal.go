@@ -199,7 +199,7 @@ func (s *Snapshot) sliceModel(ctx context.Context, i int, goal []ast.Literal) (*
 		if err != nil {
 			return nil, err
 		}
-		return &Model{view: v, in: in}, nil
+		return newModel(v, in), nil
 	}, countLeast)
 }
 

@@ -32,7 +32,7 @@ func (m *Model) JSON(includeUndefined bool) ([]byte, error) {
 		}
 	}
 	if includeUndefined {
-		tab := m.view.G.Tab
+		tab := m.gp.Tab
 		for _, id := range m.in.Undefined() {
 			out.Undefined = append(out.Undefined, tab.Atom(id).String())
 		}

@@ -26,6 +26,18 @@ type lazyCell[T any] struct {
 	err     error
 }
 
+// peek returns the cached value when a run has completed without error,
+// never starting or waiting for one.
+func (c *lazyCell[T]) peek() (T, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ready && c.err == nil {
+		return c.v, true
+	}
+	var zero T
+	return zero, false
+}
+
 // get returns the cached value, parking on an in-flight computation or
 // starting one with compute. stage names the wait in interruption errors.
 // note, when non-nil, receives singleflight accounting events: "hit" (the

@@ -28,6 +28,17 @@ var (
 	mLeastHits     = obs.Default().Counter("core.least.hits")
 	mLeastWaiters  = obs.Default().Counter("core.least.waiters")
 
+	// Component models derived from a write's cone (cone.go) rather than
+	// computed over the whole component, the cone atoms they re-evaluated
+	// (summed), and the reads a write affected that rebuilt the model
+	// instead, by reason: the cone was too large, no ancestor model was
+	// computed, or the context ended mid-cone.
+	mLeastCone         = obs.Default().Counter("core.least.cone")
+	mLeastConeAtoms    = obs.Default().Counter("core.least.cone_atoms")
+	mConeFallbackSize  = obs.Default().Counter("core.least.cone_fallback.size")
+	mConeFallbackBase  = obs.Default().Counter("core.least.cone_fallback.no-base")
+	mConeFallbackIntrp = obs.Default().Counter("core.least.cone_fallback.interrupted")
+
 	// One per (predicate, sign) bucket of a model's literal index, built on
 	// the first query that scans the predicate (query.go).
 	mIndexBuilds = obs.Default().Counter("core.index.builds")
@@ -45,6 +56,29 @@ var (
 	// indexed prefix.
 	mSliceIndexBuilds = obs.Default().Counter("core.slice.index_builds")
 )
+
+// countCone counts one cone-derived model of nAtoms cone atoms.
+func countCone(nAtoms int) {
+	if obs.On() {
+		mLeastCone.Inc()
+		mLeastConeAtoms.Add(int64(nAtoms))
+	}
+}
+
+// countConeFallback counts one rebuild of a model a write affected.
+func countConeFallback(reason string) {
+	if !obs.On() {
+		return
+	}
+	switch reason {
+	case "size":
+		mConeFallbackSize.Inc()
+	case "no-base":
+		mConeFallbackBase.Inc()
+	case "interrupted":
+		mConeFallbackIntrp.Inc()
+	}
+}
 
 // countFallback bumps both the total reground counter and the per-reason
 // labelled counter.

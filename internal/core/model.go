@@ -5,26 +5,48 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/ground"
 	"repro/internal/interp"
 )
 
 // Model is a (possibly partial) model of an ordered program in one
 // component: a consistent set of ground literals with three-valued reading.
 type Model struct {
-	view *eval.View
+	gp   *ground.Program // atom table and source program
+	comp int
 	in   *interp.Interp
+
+	// v is the view the model was evaluated over. A model derived from a
+	// write's cone (cone.go) was evaluated over no view of the component;
+	// viewFn builds it on demand, for Explain and the model checks.
+	v      *eval.View
+	viewFn func() *eval.View
 
 	// idx is the lazily built literal index queries answer from (query.go).
 	idxMu sync.Mutex
 	idx   map[litKey]*litBucket
 }
 
+// newModel wraps an interpretation evaluated over v.
+func newModel(v *eval.View, in *interp.Interp) *Model {
+	return &Model{gp: v.G, comp: v.Comp, in: in, v: v}
+}
+
+// view returns the component's evaluation view, building it if the model
+// was derived without one.
+func (m *Model) view() *eval.View {
+	if m.v != nil {
+		return m.v
+	}
+	return m.viewFn()
+}
+
 // Component returns the position of the component the model belongs to.
-func (m *Model) Component() int { return m.view.Comp }
+func (m *Model) Component() int { return m.comp }
 
 // ComponentName returns the name of the component the model belongs to.
 func (m *Model) ComponentName() string {
-	return m.view.G.Src.Components[m.view.Comp].Name
+	return m.gp.Src.Components[m.comp].Name
 }
 
 // Interp exposes the underlying interpretation.
@@ -46,7 +68,7 @@ func (m *Model) Total() bool { return m.in.Total() }
 // Value returns the three-valued truth of a ground atom. Atoms outside the
 // relevant Herbrand base are Undef.
 func (m *Model) Value(a ast.Atom) interp.Value {
-	id, ok := m.view.G.Tab.Lookup(a)
+	id, ok := m.gp.Tab.Lookup(a)
 	if !ok {
 		return interp.Undef
 	}
@@ -55,7 +77,7 @@ func (m *Model) Value(a ast.Atom) interp.Value {
 
 // Holds reports whether the ground literal is a member of the model.
 func (m *Model) Holds(l ast.Literal) bool {
-	id, ok := m.view.G.Tab.Lookup(l.Atom)
+	id, ok := m.gp.Tab.Lookup(l.Atom)
 	if !ok {
 		return false
 	}
@@ -73,13 +95,13 @@ func (m *Model) Query(q ast.Query) []Binding { return m.Answers(q).Bindings() }
 // whose head is on the given atom, as human-readable lines — a debugging
 // aid for understanding why a literal is (or is not) in the model.
 func (m *Model) Explain(a ast.Atom) []string {
-	tab := m.view.G.Tab
+	tab := m.gp.Tab
 	id, ok := tab.Lookup(a)
 	if !ok {
 		return []string{a.String() + ": not in the relevant Herbrand base"}
 	}
 	var out []string
-	v := m.view
+	v := m.view()
 	for r := 0; r < v.NumRules(); r++ {
 		if v.Head(r).Atom() != id {
 			continue

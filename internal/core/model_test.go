@@ -23,7 +23,7 @@ import (
 // rendered signature — once per call. It is kept as the reference the
 // indexed evaluation must reproduce, order included.
 func queryScanOracle(m *Model, q ast.Query) []Binding {
-	tab := m.view.G.Tab
+	tab := m.gp.Tab
 	type key struct {
 		k   ast.PredKey
 		neg bool

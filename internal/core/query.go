@@ -69,7 +69,7 @@ func (m *Model) buildBucket(k litKey, b *litBucket) {
 	if obs.On() {
 		mIndexBuilds.Inc()
 	}
-	tab := m.view.G.Tab
+	tab := m.gp.Tab
 	terms := tab.TermTable()
 	arity := k.pred.Arity
 	var args []term.ID
@@ -179,7 +179,7 @@ type queryRun struct {
 // the ground instance of every body literal, and the enumeration visits
 // each combination of (distinct) member literals at most once.
 func (m *Model) Answers(q ast.Query) *Answers {
-	terms := m.view.G.Tab.TermTable()
+	terms := m.gp.Tab.TermTable()
 	vars := q.Vars()
 	r := &queryRun{
 		m: m, builtins: q.Builtins,
@@ -264,7 +264,7 @@ func (r *queryRun) solve(i int) {
 		l.ids[bound] = id
 	}
 	if bound == arity {
-		if id, ok := r.m.view.G.Tab.LookupIDs(l.pred, l.ids); ok && r.m.in.HasLit(interp.MkLit(id, l.key.neg)) {
+		if id, ok := r.m.gp.Tab.LookupIDs(l.pred, l.ids); ok && r.m.in.HasLit(interp.MkLit(id, l.key.neg)) {
 			r.solve(i + 1)
 		}
 		return

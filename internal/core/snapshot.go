@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
+	"repro/internal/interrupt"
 	"repro/internal/obs"
 	"repro/internal/proof"
 	"repro/internal/stable"
@@ -31,6 +33,15 @@ type Snapshot struct {
 	eng     *Engine
 	version uint64
 	gp      *ground.Program
+
+	// nAtoms is the size of this version's Herbrand base: the atoms of
+	// gp.Tab when the version was published. Later writes intern into the
+	// same table; this version's interpretations and views are sized by
+	// nAtoms, so they never see those atoms.
+	nAtoms int
+	// written marks a version published by an incremental write: the
+	// component states it creates are those the write affected.
+	written bool
 
 	// rules pins this version's prefix of gp.Rules; later updates append to
 	// gp.Rules without invalidating the prefix. dead lists instance indexes
@@ -55,10 +66,10 @@ type Snapshot struct {
 	// keep serving their own version's slices.
 	slices sliceCache
 
-	// heads is gp's head index cell, shared by every snapshot over gp;
-	// cut, resolved once under cutOnce, is what this snapshot cuts goal
-	// slices with (see cut.go).
-	heads   *headIndexCell
+	// index is gp's index cell, shared by every snapshot over gp; cut,
+	// resolved once under cutOnce, is what this snapshot cuts goal slices
+	// and write cones with (see cut.go).
+	index   *progIndexCell
 	cutOnce sync.Once
 	cut     *snapCut
 }
@@ -97,6 +108,13 @@ type compState struct {
 	sharding  *eval.Sharding
 
 	least lazyCell[*Model]
+	// carry is what the writes since the nearest computed model of the
+	// component left for deriving this state's model from it (cone.go);
+	// nil once the model is computed, and when no ancestor's was.
+	carry atomic.Pointer[carry]
+	// afterWrite marks a state an incremental write created: the write
+	// affected the component.
+	afterWrite bool
 
 	proverSem chan struct{}
 	prover    *proof.Prover
@@ -128,8 +146,9 @@ func (s *Snapshot) Grounded() *ground.Program { return s.gp }
 // version (retracted instances excluded).
 func (s *Snapshot) NumGroundRules() int { return len(s.rules) - len(s.dead) }
 
-// NumAtoms returns the size of the (relevant) Herbrand base.
-func (s *Snapshot) NumAtoms() int { return s.gp.Tab.Len() }
+// NumAtoms returns the size of the (relevant) Herbrand base of this
+// version.
+func (s *Snapshot) NumAtoms() int { return s.nAtoms }
 
 // NumDeadRules returns the number of retracted-but-carried rule
 // instances in this version's pinned prefix: the population compaction
@@ -147,7 +166,7 @@ func (s *Snapshot) comp(i int) *compState {
 	defer s.mu.Unlock()
 	st, ok := s.comps[i]
 	if !ok {
-		st = &compState{proverSem: make(chan struct{}, 1)}
+		st = &compState{proverSem: make(chan struct{}, 1), afterWrite: s.written}
 		s.comps[i] = st
 	}
 	return st
@@ -181,10 +200,15 @@ func (s *Snapshot) View(comp string) (*eval.View, error) {
 }
 
 func (s *Snapshot) viewAt(i int) *eval.View {
-	st := s.comp(i)
+	return s.comp(i).viewOf(s.gp, i, s.rules, s.dead, s.nAtoms)
+}
+
+// viewOf returns the state's view, building it from the pinned instances
+// of a version that shares the state on first use.
+func (st *compState) viewOf(gp *ground.Program, i int, rules []ground.Rule, dead map[int32]struct{}, nAtoms int) *eval.View {
 	built := false
 	st.viewOnce.Do(func() {
-		st.view = eval.NewViewOf(s.gp, i, s.rules, s.dead)
+		st.view = eval.NewViewAt(gp, i, rules, dead, nAtoms)
 		built = true
 	})
 	countView(built)
@@ -218,10 +242,26 @@ func (s *Snapshot) LeastModelCtx(ctx context.Context, comp string) (*Model, erro
 	}
 	st := s.comp(i)
 	// Singleflight accounting: the goroutine that runs the fixpoint counts
-	// one computation, a caller that parks on someone else's run counts one
+	// one computation — under core.least.cone when the model came from a
+	// write's cone — a caller that parks on someone else's run counts one
 	// waiter (once), and a caller that finds the result already cached —
 	// never having started or waited — counts one hit.
+	coneAtoms := -1
 	return st.least.get(ctx, "core: least-model wait", func(runCtx context.Context) (*Model, error) {
+		if c := st.carry.Load(); c != nil {
+			m, n, err := s.coneModel(runCtx, i, st, c)
+			if m != nil || err != nil && !errors.Is(err, interrupt.ErrInterrupted) {
+				coneAtoms = n
+				return m, err
+			}
+			if err != nil {
+				countConeFallback("interrupted")
+			} else {
+				countConeFallback("size")
+			}
+		} else if st.afterWrite {
+			countConeFallback("no-base")
+		}
 		v := s.viewAt(i)
 		var in *interp.Interp
 		var err error
@@ -233,9 +273,16 @@ func (s *Snapshot) LeastModelCtx(ctx context.Context, comp string) (*Model, erro
 		if err != nil {
 			return nil, err
 		}
-		return &Model{view: v, in: in}, nil
+		return newModel(v, in), nil
 	}, func(kind string) {
-		countLeast(kind)
+		if kind == "computed" {
+			st.carry.Store(nil) // the model no longer needs its base
+		}
+		if kind == "computed" && coneAtoms >= 0 {
+			countCone(coneAtoms)
+		} else {
+			countLeast(kind)
+		}
 		if kind == "computed" && s.eng.trace.Enabled() {
 			s.eng.trace.Emit(obs.E("least",
 				obs.F("comp", s.gp.Src.Components[i].Name),
@@ -374,11 +421,17 @@ func (s *Snapshot) InterpFromLiterals(comp string, lits []ast.Literal) (*Model, 
 	if err != nil {
 		return nil, err
 	}
-	in, err := interp.FromLiterals(s.gp.Tab, lits)
-	if err != nil {
-		return nil, err
+	in := v.NewInterp()
+	for _, l := range lits {
+		id, ok := s.gp.Tab.Lookup(l.Atom)
+		if !ok || int(id) >= s.nAtoms {
+			return nil, fmt.Errorf("literal %s: atom not in Herbrand base", l)
+		}
+		if !in.AddLit(interp.MkLit(id, l.Neg)) {
+			return nil, fmt.Errorf("literal %s makes the interpretation inconsistent", l)
+		}
 	}
-	return &Model{view: v, in: in}, nil
+	return newModel(v, in), nil
 }
 
 // liveFact reports whether the (component, fact) pair is in effect at this
@@ -589,6 +642,9 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 	for i := range parent.dead {
 		dead[i] = struct{}{}
 	}
+	// changed lists the instances the write appended, killed or
+	// resurrected: their heads seed the cones of the affected components.
+	var changed []int32
 	if retract {
 		gone, err := parent.gp.RetractFacts(ci, ops)
 		if err != nil {
@@ -596,32 +652,38 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 		}
 		for _, idx := range gone {
 			dead[idx] = struct{}{}
-			touched[int(parent.gp.Rules[idx].Comp)] = true
+			changed = append(changed, idx)
 		}
 	} else {
 		d, err := parent.gp.AssertFacts(ctx, ci, ops)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range parent.gp.Rules[d.OldLen:d.NewLen] {
-			touched[int(r.Comp)] = true
+		for i := d.OldLen; i < d.NewLen; i++ {
+			changed = append(changed, int32(i))
 		}
 		for _, idx := range d.Existing {
 			if _, wasDead := dead[idx]; wasDead {
 				// Resurrection: the instance exists from an earlier version
 				// and this snapshot brings it back to life.
 				delete(dead, idx)
-				touched[int(parent.gp.Rules[idx].Comp)] = true
+				changed = append(changed, idx)
 			}
 		}
+	}
+	rules := parent.gp.Rules
+	for _, idx := range changed {
+		touched[int(rules[idx].Comp)] = true
 	}
 	child := &Snapshot{
 		eng:      e,
 		version:  parent.version + 1,
 		gp:       parent.gp,
-		rules:    parent.gp.Rules,
+		nAtoms:   parent.gp.Tab.Len(),
+		written:  true,
+		rules:    rules,
 		dead:     dead,
-		heads:    parent.heads,
+		index:    parent.index,
 		factLive: overlay,
 		log:      newLog,
 		comps:    make(map[int]*compState),
@@ -629,7 +691,8 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 	// A component's visible rules changed only if it can see a touched
 	// component; everything else shares the parent's state pointer, so
 	// views, least models and provers memoised on either version serve
-	// both.
+	// both. An affected component gets the seeds to derive its model from
+	// the nearest computed one (cone.go).
 	for i := range parent.gp.Src.Components {
 		affected := false
 		for _, j := range parent.gp.Src.Above(i) {
@@ -640,6 +703,10 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 		}
 		if !affected {
 			child.comps[i] = parent.comp(i)
+		} else if c := parent.carryFor(i, rules, changed); c != nil {
+			st := &compState{proverSem: make(chan struct{}, 1), afterWrite: true}
+			st.carry.Store(c)
+			child.comps[i] = st
 		}
 	}
 	return child, nil
@@ -661,8 +728,9 @@ func (e *Engine) reground(ctx context.Context, version uint64, newLog []factEven
 		eng:      e,
 		version:  version,
 		gp:       gp,
+		nAtoms:   gp.Tab.Len(),
 		rules:    gp.Rules,
-		heads:    &headIndexCell{},
+		index:    &progIndexCell{},
 		factLive: overlay,
 		log:      newLog,
 		comps:    make(map[int]*compState),

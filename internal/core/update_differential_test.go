@@ -159,6 +159,10 @@ func TestUpdateDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("after %v, comp %s: %v", history, name, err)
 					}
+					if same, rebuilt, err := snap.SameAsRebuild(name, got); err != nil || !same {
+						t.Fatalf("after %v in %s: memoised model %s, rebuilt over the snapshot %s (err %v)",
+							history, name, got, rebuilt, err)
+					}
 					want, err := fresh.LeastModel(name)
 					if err != nil {
 						t.Fatalf("after %v, comp %s (fresh): %v", history, name, err)

@@ -94,7 +94,7 @@ type FixpointStats struct {
 // counters describing the run.
 func (v *View) LeastModelStats() (*interp.Interp, FixpointStats, error) {
 	var st FixpointStats
-	in, err := v.leastModel(context.Background(), &st)
+	in, err := v.leastModel(context.Background(), nil, &st)
 	return in, st, err
 }
 
@@ -108,7 +108,7 @@ func (v *View) LeastModelStats() (*interp.Interp, FixpointStats, error) {
 // derived literals compute the fixpoint in time linear in the total number
 // of body occurrences and competitor edges.
 func (v *View) LeastModel() (*interp.Interp, error) {
-	return v.leastModel(context.Background(), nil)
+	return v.leastModel(context.Background(), nil, nil)
 }
 
 // LeastModelCtx is LeastModel with cooperative cancellation: the worklist
@@ -117,10 +117,20 @@ func (v *View) LeastModel() (*interp.Interp, error) {
 // interval and returns an interrupt.Error. No partial interpretation is
 // returned: a truncated prefix of lfp(V) is not a model of anything.
 func (v *View) LeastModelCtx(ctx context.Context) (*interp.Interp, error) {
-	return v.leastModel(ctx, nil)
+	return v.LeastModelFromCtx(ctx, nil)
 }
 
-func (v *View) leastModel(ctx context.Context, stats *FixpointStats) (*interp.Interp, error) {
+// LeastModelFromCtx is LeastModelCtx started from the interpretation seed
+// instead of ∅: the least fixpoint of V above seed. seed must be
+// consistent and mention no atom a visible rule heads — the caller fixes
+// the values of atoms the view only reads, such as the boundary of a
+// splitting set evaluated elsewhere. The result holds seed. With a nil
+// seed it is lfp(V) itself.
+func (v *View) LeastModelFromCtx(ctx context.Context, seed []interp.Lit) (*interp.Interp, error) {
+	return v.leastModel(ctx, seed, nil)
+}
+
+func (v *View) leastModel(ctx context.Context, seed []interp.Lit, stats *FixpointStats) (*interp.Interp, error) {
 	const stage = "eval: semi-naive fixpoint"
 	if err := interrupt.Check(ctx, stage); err != nil {
 		return nil, err
@@ -133,8 +143,14 @@ func (v *View) leastModel(ctx context.Context, stats *FixpointStats) (*interp.In
 	flags := make([]bool, 2*n)
 	blocked, fired := flags[:n], flags[n:]
 	in := v.NewInterp()
-	// Each queued literal is a newly derived head, so n bounds the queue.
-	queue := make([]interp.Lit, 0, n)
+	// Each queued literal is a seed or a newly derived head.
+	queue := make([]interp.Lit, 0, n+len(seed))
+	for _, l := range seed {
+		if !in.AddLit(l) {
+			return nil, fmt.Errorf("eval: inconsistent seed on %s", v.G.Tab.LitString(l))
+		}
+		queue = append(queue, l)
+	}
 
 	// track latches the metrics registry's enabled state for the whole run
 	// so bookkeeping and flush agree even if it is toggled mid-run; keep

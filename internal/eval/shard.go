@@ -73,7 +73,7 @@ func NewSharding(v *View, shards int) *Sharding {
 	if n == 1 {
 		return sh
 	}
-	nAtoms := v.G.Tab.Len()
+	nAtoms := v.NumAtoms()
 	sh.atomShard = make([]int32, nAtoms)
 	for id := 0; id < nAtoms; id++ {
 		sh.atomShard[id] = shardOfKey(v.G.Tab.ShardKey(interp.AtomID(id)), n)
@@ -151,7 +151,7 @@ func (sh *Sharding) LeastModel() (*interp.Interp, error) {
 // interrupt.Error with no partial interpretation and no leaked goroutines.
 func (sh *Sharding) LeastModelCtx(ctx context.Context) (*interp.Interp, error) {
 	if sh.n <= 1 {
-		return sh.v.leastModel(ctx, nil)
+		return sh.v.leastModel(ctx, nil, nil)
 	}
 	return sh.leastModelParallel(ctx, nil)
 }
@@ -163,7 +163,7 @@ func (sh *Sharding) LeastModelStats() (*interp.Interp, FixpointStats, error) {
 	var in *interp.Interp
 	var err error
 	if sh.n <= 1 {
-		in, err = sh.v.leastModel(context.Background(), &st)
+		in, err = sh.v.leastModel(context.Background(), nil, &st)
 	} else {
 		in, err = sh.leastModelParallel(context.Background(), &st)
 	}
@@ -180,10 +180,10 @@ type shardWorker struct {
 	id    int
 	track bool
 
-	unsat, unblocked []int32
-	blocked, fired   []bool
-	nbOver, nbDef    []int32
-	satBlocked       []int32
+	unsat, unblocked  []int32
+	blocked, fired    []bool
+	nbOver, nbDef     []int32
+	satBlocked        []int32
 	liveOver, liveDef int
 
 	in    *interp.Interp

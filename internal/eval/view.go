@@ -37,6 +37,11 @@ type View struct {
 	G    *ground.Program
 	Comp int // target component position
 
+	// nAtoms is the size of the Herbrand base the view evaluates over: the
+	// atom table's first nAtoms atoms. Interpretations are sized by it, so
+	// atoms a later version interns into a shared table are not in it.
+	nAtoms int
+
 	// Per visible rule (dense local indexes).
 	heads  []interp.Lit
 	bodies [][]interp.Lit
@@ -85,12 +90,20 @@ func NewView(g *ground.Program, comp int) *View {
 // view, which is what makes a built view safe for unsynchronised sharing
 // even while later snapshot updates append further instances to g.Rules.
 func NewViewOf(g *ground.Program, comp int, rules []ground.Rule, dead map[int32]struct{}) *View {
+	return NewViewAt(g, comp, rules, dead, g.Tab.Len())
+}
+
+// NewViewAt is NewViewOf over the first nAtoms atoms of g's table — the
+// Herbrand base of the version that pinned rules, which must mention no
+// atom at or past nAtoms.
+func NewViewAt(g *ground.Program, comp int, rules []ground.Rule, dead map[int32]struct{}, nAtoms int) *View {
 	if comp < 0 || comp >= g.NumComponents() {
 		panic(fmt.Sprintf("eval: component index %d out of range", comp))
 	}
 	v := &View{
 		G:        g,
 		Comp:     comp,
+		nAtoms:   nAtoms,
 		headOf:   make(map[interp.Lit][]int32),
 		headAtom: make(map[interp.AtomID][]int32),
 	}
@@ -115,7 +128,7 @@ func NewViewOf(g *ground.Program, comp int, rules []ground.Rule, dead map[int32]
 		v.headAtom[r.Head.Atom()] = append(v.headAtom[r.Head.Atom()], li)
 	}
 	// CSR body-occurrence index: count per literal, prefix-sum, fill.
-	nLits := 2 * g.Tab.Len()
+	nLits := 2 * nAtoms
 	v.occOff = make([]int32, nLits+1)
 	total := 0
 	for _, body := range v.bodies {
@@ -200,8 +213,11 @@ func (v *View) RuleComp(r int) int { return int(v.comps[r]) }
 // GroundRule returns the underlying ground rule of visible rule r.
 func (v *View) GroundRule(r int) *ground.Rule { return v.srcs[r] }
 
-// NewInterp returns an empty interpretation over the view's atom table.
-func (v *View) NewInterp() *interp.Interp { return interp.New(v.G.Tab) }
+// NumAtoms returns the size of the Herbrand base the view evaluates over.
+func (v *View) NumAtoms() int { return v.nAtoms }
+
+// NewInterp returns an empty interpretation over the view's Herbrand base.
+func (v *View) NewInterp() *interp.Interp { return interp.NewSized(v.G.Tab, v.nAtoms) }
 
 // Overrulers returns the local indexes of the rules that can overrule r
 // (complementary head in a strictly more specific component). Shared slice.

@@ -49,6 +49,17 @@ func (b *Bitset) Clone() *Bitset {
 	return nb
 }
 
+// CloneSized returns an independent copy with capacity n: bits at or past
+// b's capacity start clear, bits at or past n are dropped.
+func (b *Bitset) CloneSized(n int) *Bitset {
+	nb := NewBitset(n)
+	copy(nb.words, b.words)
+	if r := uint(n) & 63; r != 0 && len(nb.words) > 0 {
+		nb.words[len(nb.words)-1] &= 1<<r - 1
+	}
+	return nb
+}
+
 // CopyFrom overwrites b with the contents of o (same capacity required).
 func (b *Bitset) CopyFrom(o *Bitset) {
 	copy(b.words, o.words)

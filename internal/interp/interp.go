@@ -40,9 +40,14 @@ type Interp struct {
 	neg *Bitset
 }
 
-// New returns the empty interpretation over tab.
-func New(tab *Table) *Interp {
-	return &Interp{tab: tab, pos: NewBitset(tab.Len()), neg: NewBitset(tab.Len())}
+// New returns the empty interpretation over tab's current atoms.
+func New(tab *Table) *Interp { return NewSized(tab, tab.Len()) }
+
+// NewSized returns the empty interpretation over tab's first n atoms: the
+// Herbrand base of a version that pinned the table at n atoms, unaffected
+// by atoms later versions intern into the shared table.
+func NewSized(tab *Table, n int) *Interp {
+	return &Interp{tab: tab, pos: NewBitset(n), neg: NewBitset(n)}
 }
 
 // Table returns the underlying atom table.
@@ -99,10 +104,14 @@ func (in *Interp) RemoveLit(l Lit) {
 // Len returns the number of literals in the interpretation.
 func (in *Interp) Len() int { return in.pos.Count() + in.neg.Count() }
 
+// NumAtoms returns the size of the Herbrand base the interpretation was
+// built over.
+func (in *Interp) NumAtoms() int { return in.pos.Cap() }
+
 // Undefined returns the ids of atoms with value Undef (the paper's Ī).
 func (in *Interp) Undefined() []AtomID {
 	var out []AtomID
-	for i, n := 0, in.tab.Len(); i < n; i++ {
+	for i, n := 0, in.NumAtoms(); i < n; i++ {
 		if !in.pos.Get(i) && !in.neg.Get(i) {
 			out = append(out, AtomID(i))
 		}
@@ -112,12 +121,19 @@ func (in *Interp) Undefined() []AtomID {
 
 // Total reports whether no atom is undefined.
 func (in *Interp) Total() bool {
-	return in.pos.Count()+in.neg.Count() == in.tab.Len()
+	return in.pos.Count()+in.neg.Count() == in.NumAtoms()
 }
 
 // Clone returns an independent copy.
 func (in *Interp) Clone() *Interp {
 	return &Interp{tab: in.tab, pos: in.pos.Clone(), neg: in.neg.Clone()}
+}
+
+// CloneSized returns an independent copy over the table's first n atoms:
+// atoms at or past the original size start undefined, and atoms at or past
+// n are dropped.
+func (in *Interp) CloneSized(n int) *Interp {
+	return &Interp{tab: in.tab, pos: in.pos.CloneSized(n), neg: in.neg.CloneSized(n)}
 }
 
 // CopyFrom overwrites in with the contents of o (same table required).
@@ -162,7 +178,7 @@ func (in *Interp) Consistent() bool { return !in.pos.Intersects(in.neg) }
 // atom.
 func (in *Interp) Lits() []Lit {
 	out := make([]Lit, 0, in.Len())
-	for i, n := 0, in.tab.Len(); i < n; i++ {
+	for i, n := 0, in.NumAtoms(); i < n; i++ {
 		if in.pos.Get(i) {
 			out = append(out, MkLit(AtomID(i), false))
 		}

@@ -114,7 +114,7 @@ func (p *Prover) stages() (map[interp.Lit]int, error) {
 		return p.stageMap, nil
 	}
 	stages := make(map[interp.Lit]int)
-	cur := interp.New(p.v.G.Tab)
+	cur := p.v.NewInterp()
 	for round := 1; ; round++ {
 		if err := interrupt.Check(p.ctx, "proof: stage computation"); err != nil {
 			return nil, err

@@ -216,6 +216,36 @@ func TestDaemonWritesAndVersionPinning(t *testing.T) {
 	}
 }
 
+// A pinned version's models keep their own Herbrand base: a later write
+// that interns new atoms must not turn a total model of the pinned version
+// into a partial one on the wire.
+func TestDaemonPinnedStableStaysTotal(t *testing.T) {
+	h := New(Config{}).Handler()
+	if w := doReq(h, "PUT", "/v1/tenants/tot", "text/plain", "module m { p(a). q(X) :- p(X). }"); w.Code != http.StatusCreated {
+		t.Fatalf("load: code = %d (body %s)", w.Code, w.Body)
+	}
+	body, _ := json.Marshal(writeReqJSON{Component: "m", Facts: "p(zz)."})
+	if w := doReq(h, "POST", "/v1/tenants/tot/update", "application/json", string(body)); w.Code != http.StatusOK {
+		t.Fatalf("update: code = %d (body %s)", w.Code, w.Body)
+	}
+	for _, v := range []string{"0", "1"} {
+		w := doReq(h, "GET", "/v1/tenants/tot/stable?component=m&version="+v, "", "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("stable v%s: code = %d (body %s)", v, w.Code, w.Body)
+		}
+		var resp struct {
+			Models []struct {
+				Total bool     `json:"total"`
+				True  []string `json:"true"`
+			} `json:"models"`
+		}
+		decodeJSON(t, w, &resp)
+		if len(resp.Models) != 1 || !resp.Models[0].Total {
+			t.Fatalf("stable v%s: %s, want one total model", v, w.Body)
+		}
+	}
+}
+
 // TestDaemonConcurrentTenantsNoBleed drives two tenants with racing writers
 // and readers (run under -race in CI): answers must never leak across
 // tenants, and each tenant's served version must be monotonically

@@ -14,7 +14,7 @@ func AllModels(v *eval.View, maxLeaves int) ([]*interp.Interp, error) {
 	if maxLeaves == 0 {
 		maxLeaves = 1 << 22
 	}
-	n := v.G.Tab.Len()
+	n := v.NumAtoms()
 	cur := v.NewInterp()
 	var found []*interp.Interp
 	leaves := 0

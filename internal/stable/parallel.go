@@ -50,11 +50,11 @@ func AssumptionFreeModelsParallelCtx(ctx context.Context, v *eval.View, opts Par
 	}
 	posP, negP := possible(v)
 	base := &enumState{v: v, opts: opts.Options, least: least, posP: posP, negP: negP}
-	base.branchPos = make([]int, v.G.Tab.Len())
+	base.branchPos = make([]int, v.NumAtoms())
 	for i := range base.branchPos {
 		base.branchPos[i] = -1
 	}
-	for i := 0; i < v.G.Tab.Len(); i++ {
+	for i := 0; i < v.NumAtoms(); i++ {
 		id := interp.AtomID(i)
 		if least.Value(id) != interp.Undef {
 			continue

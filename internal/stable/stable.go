@@ -44,7 +44,7 @@ func (o *Options) fill() {
 // result can belong to no assumption-free model (its enabled version could
 // never derive it).
 func possible(v *eval.View) (pos, neg *interp.Bitset) {
-	n := v.G.Tab.Len()
+	n := v.NumAtoms()
 	pos, neg = interp.NewBitset(n), interp.NewBitset(n)
 	has := func(l interp.Lit) bool {
 		if l.Neg() {
@@ -121,11 +121,11 @@ func AssumptionFreeModelsCtx(ctx context.Context, v *eval.View, opts Options) ([
 	}
 	posP, negP := possible(v)
 	st := &enumState{v: v, opts: opts, least: least, posP: posP, negP: negP, ctxDone: ctx.Done()}
-	st.branchPos = make([]int, v.G.Tab.Len())
+	st.branchPos = make([]int, v.NumAtoms())
 	for i := range st.branchPos {
 		st.branchPos[i] = -1
 	}
-	for i := 0; i < v.G.Tab.Len(); i++ {
+	for i := 0; i < v.NumAtoms(); i++ {
 		id := interp.AtomID(i)
 		if least.Value(id) != interp.Undef {
 			continue
