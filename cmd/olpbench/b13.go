@@ -168,8 +168,8 @@ func b13() {
 	}
 	w.Flush()
 	fmt.Println("note: wal-interval acknowledges before fsync (bounded loss window); wal-always")
-	fmt.Println("      pays one fsync per update. Recovery replays the suffix past the newest")
-	fmt.Println("      consistent checkpoint through the ordinary update path.")
+	fmt.Println("      pays one fsync per update. Recovery folds the suffix past the newest")
+	fmt.Println("      consistent checkpoint into its program and grounds the tip once.")
 }
 
 // b13JSON renders the same measurements for -exp B13 -json.

@@ -116,22 +116,13 @@ func (e *Engine) asOfFromDisk(ctx context.Context, version uint64) (*Snapshot, e
 	if err != nil {
 		return nil, fmt.Errorf("%w: as-of v%d: checkpoint program: %v", wal.ErrCorrupt, version, err)
 	}
-	var events []factEvent
-	for _, rec := range res.Records[cp.Seq-(res.First-1):] {
-		if rec.Version > version {
-			break
-		}
-		ci, ok := prog.ComponentIndex(rec.Comp)
-		if !ok {
-			return nil, fmt.Errorf("%w: as-of v%d: record %d names unknown component %q", wal.ErrCorrupt, version, rec.Seq, rec.Comp)
-		}
-		for _, fs := range rec.Facts {
-			lit, err := parser.ParseLiteral(fs)
-			if err != nil {
-				return nil, fmt.Errorf("%w: as-of v%d: record %d fact %q: %v", wal.ErrCorrupt, version, rec.Seq, fs, err)
-			}
-			events = append(events, factEvent{comp: ci, lit: lit, retract: rec.Op == "retract", ver: rec.Version})
-		}
+	recs := res.Records[cp.Seq-(res.First-1):]
+	if n := version - cp.Version; uint64(len(recs)) > n {
+		recs = recs[:n]
+	}
+	events, err := decodeRecords(prog, cp.Version, recs)
+	if err != nil {
+		return nil, fmt.Errorf("core: as-of v%d: %w", version, err)
 	}
 	return e.materializeAsOf(ctx, prog, events, version)
 }

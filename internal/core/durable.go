@@ -152,13 +152,84 @@ func (e *Engine) walCheckpoint(child *Snapshot) error {
 	return nil
 }
 
+// decodeRecords turns the WAL records that follow a checkpoint at version
+// from into the update history they log: one factEvent per fact, stamped
+// with its record's version. Anything the engine could not have written
+// fails with wal.ErrCorrupt naming the record: an unknown component or
+// op, a fact that does not parse or is not ground, or a version that
+// breaks the sequence from+1, from+2, ….
+func decodeRecords(prog *ast.OrderedProgram, from uint64, recs []wal.Record) ([]factEvent, error) {
+	var events []factEvent
+	for i, rec := range recs {
+		if want := from + uint64(i) + 1; rec.Version != want {
+			return nil, fmt.Errorf("%w: record %d is v%d, the sequence from checkpoint v%d says v%d", wal.ErrCorrupt, rec.Seq, rec.Version, from, want)
+		}
+		ci, ok := prog.ComponentIndex(rec.Comp)
+		if !ok {
+			return nil, fmt.Errorf("%w: record %d names unknown component %q", wal.ErrCorrupt, rec.Seq, rec.Comp)
+		}
+		if rec.Op != "assert" && rec.Op != "retract" {
+			return nil, fmt.Errorf("%w: record %d has unknown op %q", wal.ErrCorrupt, rec.Seq, rec.Op)
+		}
+		for _, fs := range rec.Facts {
+			lit, err := parser.ParseLiteral(fs)
+			if err != nil {
+				return nil, fmt.Errorf("%w: record %d fact %q: %v", wal.ErrCorrupt, rec.Seq, fs, err)
+			}
+			if !lit.Ground() {
+				return nil, fmt.Errorf("%w: record %d fact %q is not ground", wal.ErrCorrupt, rec.Seq, fs)
+			}
+			events = append(events, factEvent{comp: ci, lit: lit, retract: rec.Op == "retract", ver: rec.Version})
+		}
+	}
+	return events, nil
+}
+
+// foldRecords walks the decoded history of recs over the checkpoint's
+// fact liveness base and returns the per-fact overlay it leaves — the
+// factLive the same updates would have produced one by one. walAppend logs
+// only deduplicated facts that changed the state, so a record without
+// facts, or any fact that is a no-op at its position (asserting a live
+// fact, retracting a dead one, or repeating one within its record), means
+// the log and the checkpoint disagree: wal.ErrCorrupt.
+func foldRecords(base map[factKey]bool, recs []wal.Record, events []factEvent) (map[factKey]bool, error) {
+	overlay := make(map[factKey]bool)
+	for _, rec := range recs {
+		if len(rec.Facts) == 0 {
+			return nil, fmt.Errorf("%w: replay diverged at record %d: it changes nothing", wal.ErrCorrupt, rec.Seq)
+		}
+		for _, ev := range events[:len(rec.Facts)] {
+			k := factKey{comp: ev.comp, lit: ev.lit.String()}
+			live, ok := overlay[k]
+			if !ok {
+				live = base[k]
+			}
+			if live != ev.retract {
+				return nil, fmt.Errorf("%w: replay diverged at record %d: %s %s changes nothing", wal.ErrCorrupt, rec.Seq, rec.Op, k.lit)
+			}
+			overlay[k] = !ev.retract
+		}
+		events = events[len(rec.Facts):]
+	}
+	return overlay, nil
+}
+
 // Recover rebuilds a durable engine from dir: load the newest checkpoint
-// consistent with the surviving log, replay the WAL suffix through the
-// ordinary Update/Retract path (the already-tested effective-program
-// machinery — recovery exercises no code of its own), and verify the
-// hash chain across every surviving record. A torn final record — the
-// artifact of a crash mid-append — is truncated away; any other CRC or
-// chain damage aborts recovery with an error wrapping wal.ErrCorrupt.
+// consistent with the surviving log, verify the hash chain across every
+// surviving record, and fold the WAL suffix past the checkpoint into its
+// program. A version's models depend only on its effective program, not
+// on the history that built it, so the recovered tip is grounded once —
+// through the same effective-program reground that fallbacks, compaction
+// and AsOf use — whatever the suffix's length and whatever its records
+// would have cost one by one. A torn final record — the artifact of a
+// crash mid-append — is truncated away; any other CRC or chain damage, and
+// any record that does not change the state it is folded into, aborts
+// recovery with an error wrapping wal.ErrCorrupt.
+//
+// The recovered engine's in-memory history starts at the checkpoint, so
+// AsOf over [checkpoint, tip] is served from memory; a suffix of at least
+// Config.CompactEvery records is collapsed as the compaction replaying it
+// would have been, which moves that floor to the tip.
 //
 // cfg/opts configure the recovered engine exactly as NewEngine would; the
 // durability directory is forced to dir and the tenant name is adopted
@@ -265,39 +336,35 @@ func Recover(ctx context.Context, dir string, cfg Config, opts ...Option) (*Engi
 	if err != nil {
 		return nil, fmt.Errorf("%w: recover %s: checkpoint v%d program: %v", wal.ErrCorrupt, dir, cp.Version, err)
 	}
-	e, err := newEngineAt(ctx, prog, cfg, cp.Version)
-	if err != nil {
-		return nil, fmt.Errorf("core: recover %s: reground checkpoint v%d: %w", dir, cp.Version, err)
-	}
-	// Replay the suffix with e.dur still nil: the records are already on
-	// disk, the replaying updates must not re-log them. Indexing is
-	// relative to the pruned horizon — cp.Seq records precede the
-	// checkpoint, of which first-1 are no longer on disk.
+	// Indexing is relative to the pruned horizon — cp.Seq records precede
+	// the checkpoint, of which first-1 are no longer on disk.
 	suffix := res.Records[cp.Seq-(first-1):]
-	for _, rec := range suffix {
-		facts := make([]ast.Literal, len(rec.Facts))
-		for i, fs := range rec.Facts {
-			lit, err := parser.ParseLiteral(fs)
-			if err != nil {
-				return nil, fmt.Errorf("%w: recover %s: record %d fact %q: %v", wal.ErrCorrupt, dir, rec.Seq, fs, err)
-			}
-			facts[i] = lit
-		}
-		var snap *Snapshot
-		switch rec.Op {
-		case "assert":
-			snap, err = e.Update(ctx, rec.Comp, facts)
-		case "retract":
-			snap, err = e.Retract(ctx, rec.Comp, facts)
-		default:
-			return nil, fmt.Errorf("%w: recover %s: record %d has unknown op %q", wal.ErrCorrupt, dir, rec.Seq, rec.Op)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: recover %s: replay record %d: %w", dir, rec.Seq, err)
-		}
-		if snap.Version() != rec.Version {
-			return nil, fmt.Errorf("%w: recover %s: replay diverged at record %d (reached v%d, log says v%d)", wal.ErrCorrupt, dir, rec.Seq, snap.Version(), rec.Version)
-		}
+	events, err := decodeRecords(prog, cp.Version, suffix)
+	if err != nil {
+		return nil, fmt.Errorf("core: recover %s: %w", dir, err)
+	}
+	base := groundFacts(prog)
+	overlay, err := foldRecords(base, suffix, events)
+	if err != nil {
+		return nil, fmt.Errorf("core: recover %s: %w", dir, err)
+	}
+	// The tip is published with e.dur still nil: the records are already
+	// on disk and nothing here may re-log them.
+	e := newEngine(prog, cfg, cp.Version)
+	e.baseFacts = base
+	tip := cp.Version + uint64(len(suffix))
+	collapse := cfg.CompactEvery > 0 && len(suffix) >= cfg.CompactEvery
+	if collapse {
+		events = collapseLog(events)
+	}
+	snap, err := e.reground(ctx, tip, events, overlay)
+	if err != nil {
+		return nil, fmt.Errorf("core: recover %s: ground v%d: %w", dir, tip, err)
+	}
+	e.current.Store(snap)
+	e.sinceCompact = len(suffix)
+	if collapse {
+		e.finishCompact(tip)
 	}
 	head := hashAt(lastSeq)
 	if head == "" {

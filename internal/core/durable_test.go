@@ -359,6 +359,22 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	// memory-only engine: the genesis checkpoint holds exactly that
 	// program, so whatever checkpoint recovery starts from, the results
 	// must agree with the full from-scratch replay.
+	apply := func(t *testing.T, fresh *core.Engine, rec wal.Record) {
+		t.Helper()
+		facts := make([]ast.Literal, len(rec.Facts))
+		for i, fs := range rec.Facts {
+			facts[i] = lit(t, fs)
+		}
+		var err error
+		if rec.Op == "retract" {
+			_, err = fresh.Retract(ctx, rec.Comp, facts)
+		} else {
+			_, err = fresh.Update(ctx, rec.Comp, facts)
+		}
+		if err != nil {
+			t.Fatalf("oracle replay record %d: %v", rec.Seq, err)
+		}
+	}
 	oracle := func(t *testing.T, recs []wal.Record) *core.Engine {
 		t.Helper()
 		fresh, err := core.NewEngine(cloneShadow(t, shadow), core.Config{})
@@ -366,20 +382,22 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rec := range recs {
-			facts := make([]ast.Literal, len(rec.Facts))
-			for i, fs := range rec.Facts {
-				facts[i] = lit(t, fs)
-			}
-			if rec.Op == "retract" {
-				_, err = fresh.Retract(ctx, rec.Comp, facts)
-			} else {
-				_, err = fresh.Update(ctx, rec.Comp, facts)
-			}
-			if err != nil {
-				t.Fatalf("oracle replay record %d: %v", rec.Seq, err)
-			}
+			apply(t, fresh, rec)
 		}
 		return fresh
+	}
+	sameLeast := func(t *testing.T, what string, got, want *core.Snapshot) {
+		t.Helper()
+		for _, name := range names {
+			g, err1 := got.LeastModel(name)
+			w, err2 := want.LeastModel(name)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s least(%s): %v / %v", what, name, err1, err2)
+			}
+			if g.String() != w.String() {
+				t.Fatalf("%s: least model diverged in %s:\nrecovered: %s\noracle:    %s", what, name, g, w)
+			}
+		}
 	}
 
 	kills := 50
@@ -407,15 +425,25 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			}
 			fresh := oracle(t, dec.Records)
 			gotSnap, wantSnap := rec.Current(), fresh.Current()
-			for _, name := range names {
-				got, err1 := gotSnap.LeastModel(name)
-				want, err2 := wantSnap.LeastModel(name)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("least(%s): %v / %v", name, err1, err2)
+			sameLeast(t, fmt.Sprintf("tip after cut %d", cut), gotSnap, wantSnap)
+			// Time travel over the recovered window: every version from the
+			// checkpoint recovery started at up to the tip answers as the
+			// oracle replayed to that version.
+			cps, err := wal.Checkpoints(crash)
+			if err != nil || len(cps) == 0 {
+				t.Fatalf("checkpoints after recovery: %v (%d)", err, len(cps))
+			}
+			from := cps[len(cps)-1].Version
+			step := oracle(t, dec.Records[:from])
+			for v := from; v <= gotSnap.Version(); v++ {
+				if v > from {
+					apply(t, step, dec.Records[v-1])
 				}
-				if got.String() != want.String() {
-					t.Fatalf("least model diverged in %s after cut %d:\nrecovered: %s\noracle:    %s", name, cut, got, want)
+				past, err := rec.AsOf(v)
+				if err != nil {
+					t.Fatalf("AsOf(%d) after cut %d: %v", v, cut, err)
 				}
+				sameLeast(t, fmt.Sprintf("AsOf(%d) after cut %d", v, cut), past, step.Current())
 			}
 			// Enumeration projections on the most specific component.
 			name := names[0]
@@ -460,4 +488,88 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			t.Fatalf("flipped bit at byte %d went undetected by VerifyDir", pos)
 		}
 	}
+}
+
+// The engine only ever logs deduplicated facts that change the state, so a
+// record that holds a no-op at its position — even beside facts that do
+// change something — means the log and the checkpoint disagree. So does
+// anything else the engine could not have written. Recovery must refuse
+// each such record with wal.ErrCorrupt rather than patch over it.
+func TestRecoverRejectsDivergentRecords(t *testing.T) {
+	ctx := context.Background()
+	// p(a) is in the source; p(x0) is asserted and p(x1) asserted then
+	// retracted, so at v3 p(a) and p(x0) are live and p(x1) is not.
+	eng, dir := durableEngine(t, 100)
+	for _, step := range []struct {
+		retract bool
+		fact    string
+	}{{false, "p(x0)"}, {false, "p(x1)"}, {true, "p(x1)"}} {
+		var err error
+		if step.retract {
+			_, err = eng.Retract(ctx, "main", []ast.Literal{lit(t, step.fact)})
+		} else {
+			_, err = eng.Update(ctx, "main", []ast.Literal{lit(t, step.fact)})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		version uint64
+		op      string
+		comp    string
+		facts   []string
+	}{
+		{"partial no-op assert", 4, "assert", "main", []string{"p(new)", "p(x0)"}},
+		{"partial no-op retract", 4, "retract", "main", []string{"p(x0)", "p(x1)"}},
+		{"no-op of a source fact", 4, "assert", "main", []string{"p(a)"}},
+		{"fact repeated within the record", 4, "assert", "main", []string{"p(new)", "p(new)"}},
+		{"empty record", 4, "assert", "main", nil},
+		{"version out of sequence", 5, "assert", "main", []string{"p(new)"}},
+		{"unknown component", 4, "assert", "nope", []string{"p(new)"}},
+		{"unknown op", 4, "upsert", "main", []string{"p(new)"}},
+		{"non-ground fact", 4, "assert", "main", []string{"p(X)"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := copyDir(t, dir)
+			res, err := wal.ReadAll(bad, wal.Genesis("tn"), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := res.Records[len(res.Records)-1]
+			log, err := wal.OpenLogWith(bad, last.Hash, last.Seq, wal.LogOptions{Policy: wal.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := log.Append(c.version, c.op, c.comp, c.facts); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The chain itself is intact: only the engine can tell.
+			if _, err := wal.VerifyDir(bad); err != nil {
+				t.Fatalf("the appended record should be well-formed: %v", err)
+			}
+			rec, err := core.Recover(ctx, bad, core.Config{})
+			if err == nil {
+				rec.Close()
+				t.Fatal("recovery accepted a record that diverges from the checkpoint")
+			}
+			if !errors.Is(err, wal.ErrCorrupt) {
+				t.Fatalf("got %v, want wal.ErrCorrupt", err)
+			}
+		})
+	}
+	// The untouched directory still recovers.
+	rec, err := core.Recover(ctx, dir, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Close()
 }

@@ -55,10 +55,10 @@ type Engine struct {
 	cfg   Config
 	trace *tracer
 
-	// base is the version of the engine's initial snapshot: 0 for a fresh
-	// engine, the recovered checkpoint's version after core.Recover. The
-	// engine's in-memory update history (Snapshot.log) starts at base;
-	// AsOf reads below it go through the WAL on disk.
+	// base is the version the engine's in-memory update history
+	// (Snapshot.log) starts at: 0 for a fresh engine, the recovered
+	// checkpoint's version after core.Recover (whose first snapshot is the
+	// log's tip). AsOf reads below it go through the WAL on disk.
 	base uint64
 
 	// memBase is the oldest version the in-memory update history can
@@ -123,15 +123,23 @@ func NewEngineCtx(ctx context.Context, p *ast.OrderedProgram, cfg Config, opts .
 	return e, nil
 }
 
-// newEngineAt grounds p into an engine whose initial snapshot carries
-// version base. It is the shared constructor core of NewEngineCtx (base
-// 0), Recover (base = checkpoint version) and AsOf materialisation (base
-// = requested version); cfg must already be validated, and the caller
-// owns the version gauge and durability attachment — throwaway AsOf
-// engines must touch neither.
-func newEngineAt(ctx context.Context, p *ast.OrderedProgram, cfg Config, base uint64) (*Engine, error) {
+// newEngine builds an engine over source p whose in-memory history starts
+// at version base, with no snapshot yet: the caller publishes the first
+// one. cfg must already be validated, and the caller owns the version
+// gauge and durability attachment — throwaway AsOf engines must touch
+// neither.
+func newEngine(p *ast.OrderedProgram, cfg Config, base uint64) *Engine {
 	e := &Engine{src: p, cfg: cfg, base: base, trace: newTracer(cfg.Trace)}
 	e.memBase.Store(base)
+	return e
+}
+
+// newEngineAt grounds p into an engine whose initial snapshot carries
+// version base: the constructor core of NewEngineCtx (base 0) and AsOf
+// materialisation (base = requested version). Recover publishes its first
+// snapshot through the reground path instead (durable.go).
+func newEngineAt(ctx context.Context, p *ast.OrderedProgram, cfg Config, base uint64) (*Engine, error) {
+	e := newEngine(p, cfg, base)
 	gp, err := ground.GroundCtx(ctx, p, e.groundOpts())
 	if err != nil {
 		return nil, err

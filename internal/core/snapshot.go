@@ -491,7 +491,7 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 		return nil, err
 	}
 	if e.baseFacts == nil {
-		e.buildBaseFacts()
+		e.baseFacts = groundFacts(e.src)
 	}
 	// Drop no-ops: asserting a fact already in effect or retracting one that
 	// is not changes nothing, and the ground layer relies on the caller
@@ -737,18 +737,79 @@ func (e *Engine) reground(ctx context.Context, version uint64, newLog []factEven
 	}, nil
 }
 
-// buildBaseFacts indexes the ground fact rules of the original source
-// program; liveFact consults it beneath the per-snapshot overlay. Called
-// lazily under writeMu.
-func (e *Engine) buildBaseFacts() {
-	e.baseFacts = make(map[factKey]bool)
-	for ci, c := range e.src.Components {
+// groundFacts indexes the ground fact rules of a source program: the
+// liveness every fact has before any update, which liveFact consults
+// beneath the per-snapshot overlay.
+func groundFacts(src *ast.OrderedProgram) map[factKey]bool {
+	facts := make(map[factKey]bool)
+	for ci, c := range src.Components {
 		for _, r := range c.Rules {
 			if r.IsFact() && r.Head.Atom.Ground() {
-				e.baseFacts[factKey{comp: ci, lit: r.Head.String()}] = true
+				facts[factKey{comp: ci, lit: r.Head.String()}] = true
 			}
 		}
 	}
+	return facts
+}
+
+// factRules is one component's rule list under edit by effectiveProgram:
+// gone marks retracted positions, and byHead lists the live ground fact
+// rules per rendered head, so an event costs its bucket, not a rule scan.
+// Distinct atoms can render alike (Sym "1" and Int 1), so a bucket is
+// filtered by Literal.Equal, never trusted by key alone.
+type factRules struct {
+	rules  []*ast.Rule
+	gone   []bool
+	byHead map[string][]int
+}
+
+func newFactRules(rules []*ast.Rule) *factRules {
+	f := &factRules{rules: append([]*ast.Rule(nil), rules...), gone: make([]bool, len(rules)), byHead: make(map[string][]int)}
+	for i, r := range rules {
+		if r.IsFact() && r.Head.Atom.Ground() {
+			k := r.Head.String()
+			f.byHead[k] = append(f.byHead[k], i)
+		}
+	}
+	return f
+}
+
+// apply replays one event: a retract removes every ground-equal fact
+// rule, an assert appends the fact rule unless a ground-equal one is live.
+func (f *factRules) apply(ev factEvent) {
+	k := ev.lit.String()
+	idx := f.byHead[k]
+	if ev.retract {
+		kept := idx[:0]
+		for _, i := range idx {
+			if f.rules[i].Head.Equal(ev.lit) {
+				f.gone[i] = true
+			} else {
+				kept = append(kept, i)
+			}
+		}
+		f.byHead[k] = kept
+		return
+	}
+	for _, i := range idx {
+		if f.rules[i].Head.Equal(ev.lit) {
+			return
+		}
+	}
+	f.byHead[k] = append(idx, len(f.rules)) // events are ground: update and decodeRecords reject others
+	f.rules = append(f.rules, ast.Fact(ev.lit))
+	f.gone = append(f.gone, false)
+}
+
+// live returns the surviving rules in order.
+func (f *factRules) live() []*ast.Rule {
+	out := make([]*ast.Rule, 0, len(f.rules))
+	for i, r := range f.rules {
+		if !f.gone[i] {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // effectiveProgram clones the source program and replays the update
@@ -756,40 +817,23 @@ func (e *Engine) buildBaseFacts() {
 // present, a retract removes every ground-equal fact rule. The result is
 // the program a caller maintaining the source by hand would have built, so
 // regrounding it yields exactly the semantics the snapshot must expose.
+// The cost is linear in the program plus the history: each touched
+// component's fact rules are indexed once by head.
 func effectiveProgram(src *ast.OrderedProgram, log []factEvent) (*ast.OrderedProgram, error) {
-	comps := make([]*ast.Component, len(src.Components))
-	for i, c := range src.Components {
-		comps[i] = &ast.Component{Name: c.Name, Rules: append([]*ast.Rule(nil), c.Rules...)}
-	}
-	equalFact := func(r *ast.Rule, l ast.Literal) bool {
-		return r.IsFact() && r.Head.Neg == l.Neg && r.Head.Atom.Ground() && r.Head.Atom.Equal(l.Atom)
-	}
+	edits := make([]*factRules, len(src.Components))
 	for _, ev := range log {
-		c := comps[ev.comp]
-		if ev.retract {
-			kept := c.Rules[:0]
-			for _, r := range c.Rules {
-				if !equalFact(r, ev.lit) {
-					kept = append(kept, r)
-				}
-			}
-			c.Rules = kept
-			continue
+		if edits[ev.comp] == nil {
+			edits[ev.comp] = newFactRules(src.Components[ev.comp].Rules)
 		}
-		present := false
-		for _, r := range c.Rules {
-			if equalFact(r, ev.lit) {
-				present = true
-				break
-			}
-		}
-		if !present {
-			c.Rules = append(c.Rules, ast.Fact(ev.lit))
-		}
+		edits[ev.comp].apply(ev)
 	}
 	p := ast.NewOrderedProgram()
-	for _, c := range comps {
-		if err := p.AddComponent(c); err != nil {
+	for i, c := range src.Components {
+		rules := append([]*ast.Rule(nil), c.Rules...)
+		if edits[i] != nil {
+			rules = edits[i].live()
+		}
+		if err := p.AddComponent(&ast.Component{Name: c.Name, Rules: rules}); err != nil {
 			return nil, err
 		}
 	}

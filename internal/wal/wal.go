@@ -116,8 +116,9 @@ var ErrCorrupt = errors.New("wal: corrupt log")
 var ErrClosed = errors.New("wal: log closed")
 
 // Record is one durable update/retract batch. Facts are the rendered
-// ground literals exactly as the engine applied them; replaying them
-// through Engine.Update/Retract reproduces the version transition.
+// ground literals exactly as the engine applied them — each one changed
+// the state — so folding them into the predecessor's effective program
+// reproduces the version transition.
 type Record struct {
 	Seq     uint64   `json:"seq"`     // 1-based position in the log
 	Version uint64   `json:"version"` // snapshot version the batch produced
