@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	olpbench [-exp all|figures|B1..B14|shards] [-quick] [-parallel]
-//	         [-workers n] [-shards list] [-timeout d] [-json] [-metrics]
+//	olpbench [-exp all|figures|B1..B14] [-quick] [-parallel]
+//	         [-workers n] [-timeout d] [-json] [-metrics]
 //
 // -json runs a fixed set of B1–B5, B7 and B10 measurements and emits a
 // JSON array of {name, ns_op, allocs_op} records to stdout — the same
@@ -14,14 +14,6 @@
 // tables. `-exp B12 -json` instead emits only the goal-directed grounding
 // records (full-vs-sliced ground-instance counts and times per goal, the
 // BENCH_8.json shape).
-//
-// -shards takes a comma-separated list of shard counts (e.g. 1,2,4,8) and
-// adds the sharded grounding + fixpoint sweep: with -json one
-// B3GroundingSmart/n=16_m=48_shards=K and one B1FixpointSemiNaive/
-// anc_n=32_shards=K record per count K (shards=1 goes through the
-// sequential code paths and pins the zero-overhead baseline); without
-// -json the same sweep prints as a table (also reachable as -exp shards,
-// defaulting to 1,2,4,8).
 //
 // -metrics keeps the engine's internal/obs counters enabled and appends
 // their per-operation deltas to each -json record as a "metrics" object.
@@ -48,7 +40,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -74,32 +65,8 @@ var (
 	jsonOut  = flag.Bool("json", false, "emit machine-readable B1–B5/B7 measurements (ns/op, allocs/op) as JSON")
 	metrics  = flag.Bool("metrics", false, "keep engine counters enabled and append their per-op deltas to -json records")
 	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	shardsF  = flag.String("shards", "", "comma-separated shard counts for the sharded grounding/fixpoint sweep (e.g. 1,2,4,8)")
-	exp      = flag.String("exp", "all", "experiment id: all | figures | B1..B14 | shards (B14 only runs when named)")
+	exp      = flag.String("exp", "all", "experiment id: all | figures | B1..B14 (B14 only runs when named)")
 )
-
-// shardList parses -shards; the sweep defaults to 1,2,4,8 when the flag is
-// empty but the sweep itself was requested (-exp shards).
-func shardList() []int {
-	s := *shardsF
-	if s == "" {
-		s = "1,2,4,8"
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := strconv.Atoi(part)
-		if err != nil || k < 1 {
-			fmt.Fprintf(os.Stderr, "olpbench: bad -shards entry %q\n", part)
-			os.Exit(1)
-		}
-		out = append(out, k)
-	}
-	return out
-}
 
 func main() {
 	flag.Parse()
@@ -144,12 +111,6 @@ func main() {
 	// rather than part of -exp all.
 	if strings.EqualFold(*exp, "B14") {
 		b14()
-	}
-	// The sharded sweep is opt-in under -exp all: it re-measures B3/B1
-	// workloads per shard count, so only run it when asked for by name or
-	// by an explicit -shards list.
-	if strings.EqualFold(*exp, "shards") || (*exp == "all" && *shardsF != "") {
-		bShards()
 	}
 }
 
@@ -360,26 +321,6 @@ func benchJSON() {
 		add(measureOp("B7bPruneOff/cycle_n=8", func() {
 			must(stable.StableModels(v, stable.Options{NoPrune: true}))
 		}))
-	}
-
-	// Sharded sweep (only with -shards): grounding and fixpoint at each
-	// shard count over the largest B3/B1 workloads. shards=1 goes through
-	// the sequential code paths, pinning the zero-overhead baseline the
-	// acceptance gate compares allocs/op against.
-	if *shardsF != "" {
-		ov := must(transform.OV("c", mixedRules(16, 48)))
-		_, v := ovViewOf(workload.AncestorChain(32))
-		for _, k := range shardList() {
-			opts := ground.DefaultOptions()
-			opts.Shards = k
-			add(measureOp(fmt.Sprintf("B3GroundingSmart/n=16_m=48_shards=%d", k), func() {
-				must(ground.Ground(ov, opts))
-			}))
-			sh := eval.NewSharding(v, k)
-			add(measureOp(fmt.Sprintf("B1FixpointSemiNaive/anc_n=32_shards=%d", k), func() {
-				must(sh.LeastModel())
-			}))
-		}
 	}
 
 	// B10: incremental Update+requery vs reparse-and-rebuild. State
@@ -632,37 +573,6 @@ func b3() {
 		})
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%v\t%v\t%.1fx\n",
 			nm[0], nm[1], smartRules, fullRules, smart, full, float64(full)/float64(smart))
-	}
-	w.Flush()
-}
-
-// ---------- shards ----------
-
-// bShards sweeps the sharded grounder and sharded semi-naive fixpoint over
-// the -shards counts on the largest B3/B1 workloads. Speedups are relative
-// to the shards=1 row, which goes through the sequential code paths —
-// expect ~1.0x on a single-core host; the sweep still pins correctness and
-// the per-shard work-balance counters there.
-func bShards() {
-	header(fmt.Sprintf("Shards: parallel grounding & fixpoint scaling (GOMAXPROCS=%d, NumCPU=%d)",
-		runtime.GOMAXPROCS(0), runtime.NumCPU()))
-	counts := shardList()
-	ov := must(transform.OV("c", mixedRules(16, 48)))
-	_, v := ovViewOf(workload.AncestorChain(32))
-	var gBase, fBase time.Duration
-	w := tw()
-	fmt.Fprintln(w, "shards\tground(n=16,m=48)\tspeedup\tfixpoint(anc n=32)\tspeedup")
-	for i, k := range counts {
-		opts := ground.DefaultOptions()
-		opts.Shards = k
-		gTime := timeIt(func() { must(ground.Ground(ov, opts)) })
-		sh := eval.NewSharding(v, k)
-		fTime := timeIt(func() { must(sh.LeastModel()) })
-		if i == 0 {
-			gBase, fBase = gTime, fTime
-		}
-		fmt.Fprintf(w, "%d\t%v\t%.2fx\t%v\t%.2fx\n",
-			k, gTime, float64(gBase)/float64(gTime), fTime, float64(fBase)/float64(fTime))
 	}
 	w.Flush()
 }

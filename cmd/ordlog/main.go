@@ -24,9 +24,6 @@
 //	-parallel n        answer the file's queries over a worker pool of n
 //	                   goroutines (0 = sequential, -1 = GOMAXPROCS); the
 //	                   least model per component is computed once and shared
-//	-shards n          shard grounding and least-model fixpoints over n
-//	                   parallel workers (0 or 1 = sequential); the results
-//	                   are identical either way
 //	-timeout d         wall-clock budget for grounding + evaluation (e.g.
 //	                   500ms, 2s; 0 = none). On expiry, enumeration prints
 //	                   whatever models were already found and exits 1 with
@@ -90,7 +87,6 @@ func main() {
 	goalDirected := flag.Bool("goal-directed", false, "answer queries and -prove from per-goal slices of the ground program (no full model)")
 	edb := flag.String("edb", "", "facts file merged into the target component before grounding")
 	parallel := flag.Int("parallel", 0, "answer queries over a worker pool (0 = sequential, -1 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "shard grounding and least-model fixpoints over n workers (0 or 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for grounding + evaluation (0 = none)")
 	jsonOut := flag.Bool("json", false, "emit models and answers as JSON")
 	stats := flag.Bool("stats", false, "print grounding statistics")
@@ -135,7 +131,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	err := run(ctx, flag.Arg(0), *component, *semantics, *models, *maxModels, *mode, *explain, *prove, *edb, *parallel, *shards, *goalDirected, *jsonOut, *stats)
+	err := run(ctx, flag.Arg(0), *component, *semantics, *models, *maxModels, *mode, *explain, *prove, *edb, *parallel, *goalDirected, *jsonOut, *stats)
 	if *metricsAddr != "" && *metricsHold > 0 {
 		fmt.Fprintf(os.Stderr, "ordlog: holding metrics listener for %s\n", *metricsHold)
 		time.Sleep(*metricsHold)
@@ -266,7 +262,7 @@ func printBindings(q ordlog.Query, answers []ordlog.Binding) {
 	}
 }
 
-func run(ctx context.Context, path, component, semantics, models string, maxModels int, mode, explain, prove, edb string, parallel, shards int, goalDirected, jsonOut, stats bool) error {
+func run(ctx context.Context, path, component, semantics, models string, maxModels int, mode, explain, prove, edb string, parallel int, goalDirected, jsonOut, stats bool) error {
 	res, err := ordlog.ParseFile(path)
 	if err != nil {
 		return err
@@ -320,10 +316,6 @@ func run(ctx context.Context, path, component, semantics, models string, maxMode
 	default:
 		return fmt.Errorf("unknown -mode %q", mode)
 	}
-	if shards < 0 {
-		return fmt.Errorf("-shards must be >= 0")
-	}
-	cfg.Shards = shards
 	if goalDirected {
 		if models != "least" {
 			return fmt.Errorf("-goal-directed answers least-model queries only (got -models %s)", models)

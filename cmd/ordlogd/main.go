@@ -18,7 +18,6 @@
 //	-default-timeout d deadline for requests without ?timeout= (0 = none)
 //	-max-timeout d     cap on ?timeout= (default 30s)
 //	-grace d           drain budget for graceful shutdown (default 10s)
-//	-shards n          engine shards per tenant (0 or 1 = sequential)
 //	-goal-directed     answer /query and /prove from per-goal slices of the
 //	                   ground program (cached per snapshot, keyed by the goal's
 //	                   binding pattern; ?version= pinning is honoured and
@@ -87,7 +86,6 @@ func main() {
 	defaultTimeout := flag.Duration("default-timeout", 0, "deadline for requests without ?timeout= (0 = none)")
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "cap on ?timeout=")
 	grace := flag.Duration("grace", 10*time.Second, "drain budget for graceful shutdown")
-	shards := flag.Int("shards", 0, "engine shards per tenant (0 or 1 = sequential)")
 	goalDirected := flag.Bool("goal-directed", false, "answer /query and /prove from per-goal slices of the ground program")
 	dataDir := flag.String("data-dir", "", "durability root: per-tenant write-ahead logs + crash recovery ('' = memory-only)")
 	syncFlag := flag.String("sync", "interval", "WAL fsync policy: always or interval")
@@ -111,7 +109,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	engCfg := core.Config{Shards: *shards, GoalDirected: *goalDirected, CompactEvery: *compactEvery, CompactRatio: *compactRatio}
+	engCfg := core.Config{GoalDirected: *goalDirected, CompactEvery: *compactEvery, CompactRatio: *compactRatio}
 	d := serve.New(serve.Config{
 		InFlight:        *inflight,
 		Retain:          *retain,

@@ -152,17 +152,12 @@ func newEngineAt(ctx context.Context, p *ast.OrderedProgram, cfg Config, base ui
 }
 
 // groundOpts returns the grounding options in effect (zero Config.Ground
-// means ground.DefaultOptions), with Config.Shards seeding Ground.Shards
-// unless the latter was set explicitly.
+// means ground.DefaultOptions).
 func (e *Engine) groundOpts() ground.Options {
-	opts := e.cfg.Ground
-	if opts.IsZero() {
-		opts = ground.DefaultOptions()
+	if e.cfg.Ground.IsZero() {
+		return ground.DefaultOptions()
 	}
-	if opts.Shards == 0 {
-		opts.Shards = e.cfg.Shards
-	}
-	return opts
+	return e.cfg.Ground
 }
 
 // fillStable applies Config.EnumBudget as the default leaf budget.

@@ -41,14 +41,6 @@ type Config struct {
 	// need not be concurrency-safe.
 	Trace io.Writer
 
-	// Shards, when > 1, runs grounding and least-model fixpoints sharded
-	// over that many parallel workers, partitioning atoms and rule
-	// instances by first-argument term id. Results are identical to the
-	// sequential engine's; only wall-clock and allocation profiles differ.
-	// It also seeds Ground.Shards when that field is zero. 0 or 1 means
-	// fully sequential (the default).
-	Shards int
-
 	// GoalDirected routes least-model queries and proofs through per-goal
 	// slices of the snapshot's ground program: Query/QueryCtx (and the
 	// batch entry points) with a non-empty body, and Prove/ProveCtx,
@@ -153,10 +145,6 @@ func WithEnumBudget(n int) Option { return func(c *Config) { c.EnumBudget = n } 
 // WithTrace sets Config.Trace.
 func WithTrace(w io.Writer) Option { return func(c *Config) { c.Trace = w } }
 
-// WithShards sets Config.Shards: the shard count for parallel grounding
-// and least-model evaluation (<= 1 = sequential).
-func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
-
 // WithGoalDirected sets Config.GoalDirected: route queries and proofs
 // through per-goal slices of the ground program instead of full least
 // models.
@@ -233,9 +221,6 @@ func (c *Config) Validate() error {
 	if c.EnumBudget < 0 {
 		return &ConfigError{Field: "EnumBudget", Value: c.EnumBudget, Reason: "must be >= 0 (0 = enumerator default)"}
 	}
-	if c.Shards < 0 {
-		return &ConfigError{Field: "Shards", Value: c.Shards, Reason: "must be >= 0 (0 or 1 = sequential)"}
-	}
 	g := c.Ground
 	if g.Mode != ground.ModeSmart && g.Mode != ground.ModeFull {
 		return &ConfigError{Field: "Ground.Mode", Value: int(g.Mode), Reason: "unknown grounding mode"}
@@ -251,9 +236,6 @@ func (c *Config) Validate() error {
 	}
 	if g.MaxInstances < 0 {
 		return &ConfigError{Field: "Ground.MaxInstances", Value: g.MaxInstances, Reason: "must be >= 0 (0 = default budget)"}
-	}
-	if g.Shards < 0 {
-		return &ConfigError{Field: "Ground.Shards", Value: g.Shards, Reason: "must be >= 0 (0 or 1 = sequential)"}
 	}
 	if c.GoalDirected && len(g.Goal) > 0 {
 		return &ConfigError{Field: "GoalDirected", Value: true, Reason: "incompatible with a fixed Ground.Goal (the engine slices per query)"}

@@ -85,12 +85,13 @@ func (m *Model) buildBucket(k litKey, b *litBucket) {
 	if b.n == 0 {
 		return
 	}
-	// Atom ids follow interning order, which under sharded grounding varies
-	// with goroutine scheduling; canonical order is what makes enumeration
-	// (and so CLI and HTTP output) a function of the model alone. Within one
-	// predicate that order compares arguments left to right with
-	// ast.CompareTerms, so each distinct term is ranked once and the rows
-	// sort by their rank tuples.
+	// Atom ids are not canonical: cone and goal-slice sub-tables renumber
+	// them, and an incrementally updated table interns in a different order
+	// than a rebuild would. Canonical order is what makes enumeration (and
+	// so CLI and HTTP output) a function of the model alone, byte-identical
+	// across those paths. Within one predicate that order compares
+	// arguments left to right with ast.CompareTerms, so each distinct term
+	// is ranked once and the rows sort by their rank tuples.
 	distinct := slices.Clone(args)
 	slices.Sort(distinct)
 	distinct = slices.Compact(distinct)

@@ -102,11 +102,6 @@ type compState struct {
 	viewOnce sync.Once
 	view     *eval.View
 
-	// sharding is the view's sharded-evaluation index, built once on first
-	// use when the engine is configured with Shards > 1 (nil otherwise).
-	shardOnce sync.Once
-	sharding  *eval.Sharding
-
 	least lazyCell[*Model]
 	// carry is what the writes since the nearest computed model of the
 	// component left for deriving this state's model from it (cone.go);
@@ -215,18 +210,6 @@ func (st *compState) viewOf(gp *ground.Program, i int, rules []ground.Rule, dead
 	return st.view
 }
 
-// shardingAt returns the component's sharded-evaluation index, built once
-// per component and version from the engine's configured shard count. Like
-// the view it wraps, the index is immutable after construction and shared
-// by every snapshot that shares the compState.
-func (s *Snapshot) shardingAt(i int, v *eval.View) *eval.Sharding {
-	st := s.comp(i)
-	st.shardOnce.Do(func() {
-		st.sharding = eval.NewSharding(v, s.eng.cfg.Shards)
-	})
-	return st.sharding
-}
-
 // LeastModel computes the least model of the program in the component as
 // of this snapshot (see Engine.LeastModel).
 func (s *Snapshot) LeastModel(comp string) (*Model, error) {
@@ -263,13 +246,7 @@ func (s *Snapshot) LeastModelCtx(ctx context.Context, comp string) (*Model, erro
 			countConeFallback("no-base")
 		}
 		v := s.viewAt(i)
-		var in *interp.Interp
-		var err error
-		if s.eng.cfg.Shards > 1 {
-			in, err = s.shardingAt(i, v).LeastModelCtx(runCtx)
-		} else {
-			in, err = v.LeastModelCtx(runCtx)
-		}
+		in, err := v.LeastModelCtx(runCtx)
 		if err != nil {
 			return nil, err
 		}

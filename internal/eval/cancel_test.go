@@ -15,15 +15,19 @@ func TestLeastModelCtxCancelled(t *testing.T) {
 	v := view(t, fig1, "c1", ground.ModeSmart)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := v.LeastModelCtx(ctx); !errors.Is(err, interrupt.ErrInterrupted) {
-		t.Fatalf("LeastModelCtx: err = %v, want ErrInterrupted", err)
+	m, err := v.LeastModelCtx(ctx)
+	if !errors.Is(err, interrupt.ErrInterrupted) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("LeastModelCtx: err = %v, want ErrInterrupted unwrapping to context.Canceled", err)
+	}
+	if m != nil {
+		t.Fatalf("LeastModelCtx: partial interpretation returned alongside the interrupt")
 	}
 	if _, err := v.LeastModelNaiveCtx(ctx); !errors.Is(err, interrupt.ErrInterrupted) {
 		t.Fatalf("LeastModelNaiveCtx: err = %v, want ErrInterrupted", err)
 	}
 	// No partial interpretation accompanies the error: a truncated prefix
 	// of lfp(V) is not a model of anything.
-	m, err := v.LeastModelCtx(context.Background())
+	m, err = v.LeastModelCtx(context.Background())
 	if err != nil || m == nil {
 		t.Fatalf("live context after abandoned attempts: %v, %v", m, err)
 	}

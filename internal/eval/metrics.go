@@ -32,20 +32,6 @@ var (
 	mRulesBlocked   = obs.Default().Counter("eval.rules.blocked")
 	mRulesOverruled = obs.Default().Counter("eval.rules.overruled")
 	mRulesDefeated  = obs.Default().Counter("eval.rules.defeated")
-
-	// Sharded-fixpoint families. The per-shard work counters
-	// (eval.shard.pops.N, eval.shard.fired.N, eval.shard.derived.N) are
-	// resolved by name at flush time, once per parallel run; their sums
-	// equal the sequential eval.fixpoint.pops / eval.fired / eval.derived
-	// for the same program, which the counter-consistency suite pins.
-	// eval.shard.skew is 100 * max(pops) / mean(pops) for the latest run
-	// (100 = perfectly balanced, shards*100 = all work on one shard);
-	// eval.shard.xfer counts delta-literal deliveries to non-owner shards
-	// (each broadcast literal reaches shards-1 foreign workers).
-	mShardRuns   = obs.Default().Counter("eval.shard.runs")
-	mShardRounds = obs.Default().Counter("eval.shard.rounds")
-	mShardXfer   = obs.Default().Counter("eval.shard.xfer")
-	mShardSkew   = obs.Default().Gauge("eval.shard.skew")
 )
 
 // countStatuses tallies the Definition 2 statuses of every visible rule

@@ -223,11 +223,6 @@ func (v *View) NewInterp() *interp.Interp { return interp.NewSized(v.G.Tab, v.nA
 // (complementary head in a strictly more specific component). Shared slice.
 func (v *View) Overrulers(r int) []int32 { return v.overrulers[r] }
 
-// Defeaters returns the local indexes of the rules that can defeat r
-// (complementary head in the same or an incomparable component). Shared
-// slice.
-func (v *View) Defeaters(r int) []int32 { return v.defeaters[r] }
-
 // HeadRules returns the local indexes of the visible rules with the given
 // head literal. Shared slice.
 func (v *View) HeadRules(l interp.Lit) []int32 { return v.headOf[l] }

@@ -83,27 +83,23 @@ func TestGrowthTouchesNoOldTarget(t *testing.T) {
 	})
 }
 
-// TestCompetitorCounters: the competitor pass's counters are exact — the
-// same sequentially and sharded — and count candidates off the head index:
-// one rule per ok(cI) target on the policy program, where a component scan
-// would have matched every target against every rule.
+// TestCompetitorCounters: the competitor pass's counters are exact and
+// count candidates off the head index: one rule per ok(cI) target on the
+// policy program, where a component scan would have matched every target
+// against every rule.
 func TestCompetitorCounters(t *testing.T) {
 	const kb = 50
 	p := policyProgram(t, kb)
-	for _, shards := range []int{0, 3} {
-		opts := DefaultOptions()
-		opts.Shards = shards
-		d := counterDelta(t, func() {
-			if _, err := Ground(p, opts); err != nil {
-				t.Fatal(err)
-			}
-		})
-		wantCounters(t, fmt.Sprintf("policy kb=%d shards=%d", kb, shards), d, map[string]int64{
-			"ground.competitor.targets":    2 * kb, // p(cI) and ok(cI)
-			"ground.competitor.candidates": kb,     // -ok(X) :- bad(X) per ok(cI)
-			"ground.delta.growth":          0,
-		})
-	}
+	d := counterDelta(t, func() {
+		if _, err := Ground(p, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	wantCounters(t, fmt.Sprintf("policy kb=%d", kb), d, map[string]int64{
+		"ground.competitor.targets":    2 * kb, // p(cI) and ok(cI)
+		"ground.competitor.candidates": kb,     // -ok(X) :- bad(X) per ok(cI)
+		"ground.delta.growth":          0,
+	})
 
 	// One rule with an open variable: growth revisits the one pre-existing
 	// target it competes against, for the new constant only.
@@ -112,7 +108,7 @@ module base { r(a, b). q(X) :- r(X, Y). }
 module exc extends base { -q(X) :- r(X, Y). }
 `)
 	var gp *Program
-	d := counterDelta(t, func() {
+	d = counterDelta(t, func() {
 		var err error
 		if gp, err = Ground(q, DefaultOptions()); err != nil {
 			t.Fatal(err)

@@ -226,7 +226,7 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 	// constant, covered by revisiting the targets such candidates compete
 	// against for exactly those bindings.
 	preComp := len(g.rules)
-	preEm := g.em
+	preTargets, preCandidates := g.compTargets, g.compCandidates
 	if err := g.competitorsOf(g.registerTargets(d.OldLen)); err != nil {
 		return fail(err)
 	}
@@ -243,11 +243,11 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 				if err := g.check("ground: competitor pass"); err != nil {
 					return fail(err)
 				}
-				reached := g.em.candidates
-				if err := g.competitorsFor(tg, oldUni, &g.em); err != nil {
+				reached := g.compCandidates
+				if err := g.competitorsFor(tg, oldUni); err != nil {
 					return fail(err)
 				}
-				if g.em.candidates > reached {
+				if g.compCandidates > reached {
 					revisited++
 				}
 			}
@@ -267,8 +267,8 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 		mDeltaAsserts.Inc()
 		mDeltaAssertInst.Add(int64(d.NewLen - d.OldLen))
 		mCompetitorClosure.Add(int64(len(g.rules) - preComp))
-		mCompetitorTargets.Add(int64(g.em.targets - preEm.targets))
-		mCompetitorCandidates.Add(int64(g.em.candidates - preEm.candidates))
+		mCompetitorTargets.Add(int64(g.compTargets - preTargets))
+		mCompetitorCandidates.Add(int64(g.compCandidates - preCandidates))
 		if len(newConsts) > 0 {
 			mDeltaGrowth.Inc()
 			mDeltaGrowthRevisited.Add(int64(revisited))
@@ -313,7 +313,7 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 	dec := make(map[term.ID]int)
 	tt := g.tab.TermTable()
 	done := make(map[interp.Lit]bool, len(facts))
-	scratch := g.em.s
+	scratch := g.sub
 	for _, f := range facts {
 		if !f.Atom.Ground() {
 			return nil, fmt.Errorf("ground: retract of non-ground fact %s", f)
@@ -433,7 +433,7 @@ func (g *grounder) deltaCompetitors(freshEDB []ast.Atom, preMarks map[ast.PredKe
 		return nil
 	}
 	donePred := make(map[ast.PredKey]bool)
-	scratch := g.em.s
+	scratch := g.sub
 	for _, fact := range freshEDB {
 		k := fact.Key()
 		if donePred[k] {
@@ -462,7 +462,7 @@ func (g *grounder) deltaCompetitors(freshEDB []ast.Atom, preMarks map[ast.PredKe
 							return err
 						}
 						d := deltaRestrict{key: k, lo: lo, pos: pos}
-						if err := g.emitCompetitors(cc.comp, cc.c, scratch, d, 0, g.instantiate); err != nil {
+						if err := g.emitCompetitors(cc.comp, cc.c, scratch, d, 0); err != nil {
 							scratch.Undo(mark)
 							return err
 						}
@@ -524,7 +524,7 @@ func (g *grounder) evalDeltaRule(sr srcRule, deltaPos int) (int, error) {
 	if rel := g.st.Peek(dk); rel == nil || rel.Len() <= g.marks[dk] {
 		return 0, nil // empty delta: nothing new can bind here
 	}
-	s := g.em.s
+	s := g.sub
 	jls := make([]storage.JoinLit, len(sr.body))
 	for i, l := range sr.body {
 		jls[i] = storage.JoinLit{Rel: g.st.Peek(l.Key), Args: l.Args}

@@ -51,13 +51,6 @@ type Options struct {
 	// literals in source order instead (ablation switch; the ground program
 	// is unchanged, only join cost differs).
 	NoJoinPlanner bool
-	// Shards runs the smart-mode fireable and competitor passes on that
-	// many parallel workers, partitioning join enumeration and competitor
-	// targets by shard; <= 1 (the default) grounds sequentially. The
-	// retained instance set is identical either way — only the append order
-	// differs (grouped by shard instead of interleaved). Ignored by
-	// ModeFull.
-	Shards int
 	// Goal, when non-empty, grounds only the query-reachable slice for
 	// this conjunctive goal: the magic-set demand transform of
 	// internal/relevance restricts the possible-atom fixpoint and the
@@ -67,8 +60,7 @@ type Options struct {
 	// sliced program answers queries matching the goal pattern exactly
 	// like the full grounding, but its Rules/atom table cover only the
 	// slice and it supports no incremental updates (AssertFacts and
-	// RetractFacts refuse). Requires ModeSmart; a goal forces sequential
-	// grounding (Shards is ignored).
+	// RetractFacts refuse). Requires ModeSmart.
 	Goal []ast.Literal
 }
 
@@ -83,7 +75,7 @@ func DefaultOptions() Options {
 func (o Options) IsZero() bool {
 	return o.Mode == ModeSmart && o.MaxDepth == 0 && o.MaxUniverse == 0 &&
 		o.MaxAtoms == 0 && o.MaxInstances == 0 && !o.NoEDBSimplify &&
-		!o.NoJoinPlanner && o.Shards == 0 && o.Goal == nil
+		!o.NoJoinPlanner && o.Goal == nil
 }
 
 func (o *Options) fill() {
@@ -190,14 +182,8 @@ func Ground(p *ast.OrderedProgram, opts Options) (*Program, error) {
 // within one checkpoint interval and returns an interrupt.Error.
 func GroundCtx(ctx context.Context, p *ast.OrderedProgram, opts Options) (*Program, error) {
 	opts.fill()
-	if len(opts.Goal) > 0 {
-		if opts.Mode != ModeSmart {
-			return nil, fmt.Errorf("ground: goal-directed grounding requires smart mode")
-		}
-		// Sliced grounding is sequential: the slice is small by design and
-		// the magic seeds are interned before the shard assignment would be
-		// pinned, so sharding buys nothing and is simply ignored.
-		opts.Shards = 0
+	if len(opts.Goal) > 0 && opts.Mode != ModeSmart {
+		return nil, fmt.Errorf("ground: goal-directed grounding requires smart mode")
 	}
 	g, err := newGrounder(ctx, p, opts)
 	if err != nil {
@@ -207,11 +193,7 @@ func GroundCtx(ctx context.Context, p *ast.OrderedProgram, opts Options) (*Progr
 	case ModeFull:
 		err = g.full()
 	case ModeSmart:
-		if opts.Shards > 1 {
-			err = g.smartParallel(opts.Shards)
-		} else {
-			err = g.smart()
-		}
+		err = g.smart()
 	default:
 		err = fmt.Errorf("ground: unknown mode %d", opts.Mode)
 	}
@@ -230,8 +212,8 @@ func GroundCtx(ctx context.Context, p *ast.OrderedProgram, opts Options) (*Progr
 		mGroundRuns.Inc()
 		mGroundInstances.Add(int64(len(gp.Rules)))
 		mCompetitorClosure.Add(int64(g.compInstances))
-		mCompetitorTargets.Add(int64(g.em.targets))
-		mCompetitorCandidates.Add(int64(g.em.candidates))
+		mCompetitorTargets.Add(int64(g.compTargets))
+		mCompetitorCandidates.Add(int64(g.compCandidates))
 		if g.rel != nil {
 			mMagicRuns.Inc()
 			mMagicSeeds.Add(int64(len(g.rel.Seeds)))
@@ -284,8 +266,10 @@ type grounder struct {
 	// checkpoints alone would not bound the interruption latency).
 	emitted int
 	// compInstances counts the instances the competitor pass appended —
-	// the competitor-closure size, flushed to metrics when the run ends.
-	compInstances int
+	// the competitor-closure size — compTargets the targets it visited and
+	// compCandidates the candidate rules that reached the head match; all
+	// three flush to metrics when the run or update ends.
+	compInstances, compTargets, compCandidates int
 	// rel is the goal-directed demand analysis when Options.Goal is set;
 	// nil grounds the full program. skippedRules counts source rules the
 	// slicing dropped (head predicate not demanded).
@@ -324,7 +308,7 @@ type grounder struct {
 	heads     []map[predSign][]*candidate
 	bodyEDB   map[ast.PredKey][]compCandidate
 	openSigns []predSign
-	em        emitter             // the sequential passes' sink, scratch substitution and counters
+	sub       *unify.Subst        // scratch joins and head matches bind into (empty between uses)
 	marks     map[ast.PredKey]int // relation sizes at the end of the last (delta) pass
 	extra     map[int][]*ast.Rule // asserted fact rules per component, still in effect
 	// constRefs counts, per constant (keyed by interned term id), its
@@ -466,8 +450,7 @@ func (g *grounder) appendInstance(h uint64, r Rule) {
 
 // buildInstance evaluates r's builtins under s and interns its head and
 // body atoms, appending the body literals to buf. keep is false when a
-// builtin fails. It touches nothing but the (mutex-guarded) atom and term
-// tables, so the sharded workers call it concurrently.
+// builtin fails.
 func (g *grounder) buildInstance(r *ast.Rule, s *unify.Subst, buf []interp.Lit) (head interp.Lit, body []interp.Lit, keep bool, err error) {
 	for _, b := range r.Builtins {
 		if s != nil {
@@ -543,15 +526,10 @@ func (g *grounder) check(stage string) error {
 	return interrupt.Check(g.ctx, stage)
 }
 
-func appendInt32(b []byte, v int32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
 // factKey packs a ground atom into the factComps key: the interned
 // predicate-symbol id followed by the argument ids, interning terms the
 // table has not seen. (blockedByVisibleFact builds the same key
-// lookup-only over a stack buffer — it runs on sharded competitor workers
-// and must not share this scratch.)
+// lookup-only over a stack buffer.)
 func (g *grounder) factKey(a ast.Atom) string {
 	tt := g.tab.TermTable()
 	g.keyBuf = g.keyBuf[:0]

@@ -1,7 +1,9 @@
 package ground
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -185,13 +187,93 @@ order a < b.
 	}
 }
 
+// TestGroundInstanceBudget: the instance and atom budgets are exact in
+// both modes — a budget one below the grounding's size is rejected with
+// ErrBudget, a budget equal to it is accepted.
 func TestGroundInstanceBudget(t *testing.T) {
-	p := parse(t, "e(a, b). e(b, c). e(c, d).\ntc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, Z), tc(Z, Y).\n")
-	opts := DefaultOptions()
-	opts.Mode = ModeFull
-	opts.MaxInstances = 5
-	if _, err := Ground(p, opts); err == nil {
-		t.Error("instance budget not enforced")
+	p := parse(t, `
+module c {
+  edge(a, b). edge(b, c). edge(c, d).
+  path(X, Y) :- edge(X, Y).
+  path(X, Z) :- edge(X, Y), path(Y, Z).
+}
+`)
+	for _, tc := range []struct {
+		mode             Mode
+		instances, atoms int
+	}{
+		{ModeSmart, 9, 9},  // 3 facts + 6 derivable path instances over 9 relevant atoms
+		{ModeFull, 83, 32}, // 3 + 4² + 4³ instances over the 2·4² Herbrand base
+	} {
+		opts := DefaultOptions()
+		opts.Mode = tc.mode
+		g, err := Ground(p, opts)
+		if err != nil {
+			t.Fatalf("mode %v: %v", tc.mode, err)
+		}
+		if len(g.Rules) != tc.instances || g.Tab.Len() != tc.atoms {
+			t.Fatalf("mode %v: %d instances over %d atoms, want %d over %d",
+				tc.mode, len(g.Rules), g.Tab.Len(), tc.instances, tc.atoms)
+		}
+		for _, b := range []struct {
+			name string
+			set  func(o *Options, n int)
+			n    int
+		}{
+			{"MaxInstances", func(o *Options, n int) { o.MaxInstances = n }, tc.instances},
+			{"MaxAtoms", func(o *Options, n int) { o.MaxAtoms = n }, tc.atoms},
+		} {
+			opts := DefaultOptions()
+			opts.Mode = tc.mode
+			b.set(&opts, b.n-1)
+			var be *ErrBudget
+			if _, err := Ground(p, opts); !errors.As(err, &be) {
+				t.Errorf("mode %v %s=%d: err = %v, want ErrBudget", tc.mode, b.name, b.n-1, err)
+			}
+			b.set(&opts, b.n)
+			if _, err := Ground(p, opts); err != nil {
+				t.Errorf("mode %v %s=%d (exactly the size): %v", tc.mode, b.name, b.n, err)
+			}
+		}
+	}
+}
+
+// TestParallelGroundingBudgets: concurrent Ground calls over one shared
+// program each enforce their own MaxInstances budget exactly — n-1 is
+// rejected, n is accepted — so budgets carry no state between groundings.
+func TestParallelGroundingBudgets(t *testing.T) {
+	p := parse(t, `
+module c {
+  edge(a, b). edge(b, c). edge(c, d).
+  path(X, Y) :- edge(X, Y).
+  path(X, Z) :- edge(X, Y), path(Y, Z).
+}
+`)
+	seq, err := Ground(p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(seq.Rules)
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			opts := DefaultOptions()
+			opts.MaxInstances = n - i%2 // even workers: exactly n; odd: n-1
+			_, errs[i] = Ground(p, opts)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		var be *ErrBudget
+		if i%2 == 1 && !errors.As(err, &be) {
+			t.Errorf("worker %d: budget %d on %d instances: err = %v, want ErrBudget", i, n-1, n, err)
+		}
+		if i%2 == 0 && err != nil {
+			t.Errorf("worker %d: budget exactly at the instance count rejected: %v", i, err)
+		}
 	}
 }
 

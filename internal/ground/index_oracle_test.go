@@ -21,6 +21,9 @@ import (
 	"repro/internal/workload"
 )
 
+// emitFn receives each fully bound instance the scan oracle enumerates.
+type emitFn func(comp int, r *ast.Rule, s *unify.Subst) error
+
 // competitorsScanOracle instantiates the competitors of one target by
 // scanning: for every component that can overrule or defeat an owner of the
 // target, every source rule and then every asserted fact, filtered by head
@@ -126,7 +129,7 @@ func groundScanOracle(t *testing.T, p *ast.OrderedProgram, opts Options) *Progra
 		t.Fatal(err)
 	}
 	for _, sr := range g.dlSrc {
-		if err := g.joinInstantiate(sr, 0, 1, &g.em); err != nil {
+		if err := g.joinInstantiate(sr); err != nil {
 			t.Fatal(err)
 		}
 	}

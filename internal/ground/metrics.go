@@ -26,17 +26,6 @@ var (
 	mDeltaGrowth          = obs.Default().Counter("ground.delta.growth")
 	mDeltaGrowthRevisited = obs.Default().Counter("ground.delta.growth_revisited")
 
-	// Sharded-grounding families, mirroring the eval.shard.* ones. The
-	// per-shard instance counters (ground.shard.instances.N) are resolved
-	// by name at flush time, once per parallel run. ground.shard.skew is
-	// 100 * max(instances) / mean(instances) over the shards of the latest
-	// run (100 = balanced, shards*100 = everything on one shard);
-	// ground.shard.xfer counts instances a worker emitted into a shard
-	// buffer other than its own — work that crossed shards at merge time.
-	mGroundShardRuns = obs.Default().Counter("ground.shard.runs")
-	mGroundShardXfer = obs.Default().Counter("ground.shard.xfer")
-	mGroundShardSkew = obs.Default().Gauge("ground.shard.skew")
-
 	// Goal-directed (magic-set) grounding family, flushed once per sliced
 	// run: seed tuples inserted, predicates demanded/magic-restricted by
 	// the relevance analysis, and source rules the slicing skipped.

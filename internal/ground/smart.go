@@ -60,7 +60,7 @@ func (g *grounder) smart() error {
 			// head over builtins alone): the rule is its own only instance.
 			err = g.instantiate(sr.comp, sr.r, nil)
 		} else {
-			err = g.joinInstantiate(sr, 0, 1, &g.em)
+			err = g.joinInstantiate(sr)
 		}
 		if err != nil {
 			return err
@@ -80,17 +80,14 @@ func (g *grounder) smart() error {
 	return nil
 }
 
-// smartPrep is smart grounding's sequential prologue, shared with the
-// sharded parallel path: store and incremental-state setup, the $dom fill,
-// rule encoding and the possible-atom Datalog fixpoint. Running it
-// single-threaded in both modes also pins the term-id assignment order, so
-// the shard of any atom (first-argument term id mod shard count) is
-// deterministic run-to-run even when the later passes intern in parallel.
+// smartPrep is smart grounding's prologue: store and incremental-state
+// setup, the $dom fill, rule encoding and the possible-atom Datalog
+// fixpoint.
 func (g *grounder) smartPrep() error {
 	// The store shares the atom table's term table, so a term interned while
 	// filling relations is the same id the instantiation pass sees.
 	g.st = storage.NewStoreWith(g.tab.TermTable())
-	g.em = emitter{emit: g.instantiate, s: unify.NewSubst()}
+	g.sub = unify.NewSubst()
 	g.extra = make(map[int][]*ast.Rule)
 	g.hasFunctors = len(g.src.Functors()) > 0
 	domRel := g.st.Rel(domKey)
@@ -185,8 +182,7 @@ func (g *grounder) smartPrep() error {
 // shapes (with factComps), every source rule prepared as a candidate and
 // indexed by its head (per component, source order kept) and by its
 // EDB-joined body predicates, and the empty target maps registerTargets
-// fills. Everything but the target maps is read-only afterwards, so the
-// sharded competitor workers share it without locking.
+// fills.
 func (g *grounder) prepCompetitors() {
 	g.shapes = g.predShapes()
 	g.heads = make([]map[predSign][]*candidate, len(g.src.Components))
@@ -376,24 +372,6 @@ func (g *grounder) newTarget(head interp.Lit) *target {
 	return t
 }
 
-// emitFn receives each fully bound rule instance the instantiation passes
-// produce. The sequential paths pass g.instantiate (dedup + append into the
-// shared grounder state); the sharded parallel workers pass their own
-// per-worker emit so instance recording needs no locking.
-type emitFn func(comp int, r *ast.Rule, s *unify.Subst) error
-
-// emitter is what one caller of the instantiation passes — the sequential
-// grounder or a sharded worker — keeps to itself: the instance sink, the
-// scratch substitution joins and head matches bind into (always empty
-// between uses), and the competitor pass's work counters.
-type emitter struct {
-	emit emitFn
-	s    *unify.Subst
-	// targets counts targets visited and candidates the rules that reached
-	// the head match; both flush to metrics when the run or update ends.
-	targets, candidates int
-}
-
 // competitorsOf runs the full competitor instantiation for each target,
 // polling the context per target.
 func (g *grounder) competitorsOf(tgs []*target) error {
@@ -401,7 +379,7 @@ func (g *grounder) competitorsOf(tgs []*target) error {
 		if err := g.check("ground: competitor pass"); err != nil {
 			return err
 		}
-		if err := g.competitorsFor(tg, 0, &g.em); err != nil {
+		if err := g.competitorsFor(tg, 0); err != nil {
 			return err
 		}
 	}
@@ -430,8 +408,8 @@ func (g *grounder) canCompete(tg *target, ci int) bool {
 // were already instantiated over uni[:newFrom]: only rules with open
 // variables are matched, and only bindings holding a constant of
 // uni[newFrom:] are enumerated. newFrom == 0 is the full pass.
-func (g *grounder) competitorsFor(tg *target, newFrom int, em *emitter) error {
-	em.targets++
+func (g *grounder) competitorsFor(tg *target, newFrom int) error {
+	g.compTargets++
 	ps := predSign{key: tg.atom.Key(), neg: !tg.neg} // competitor head
 	for ci := range g.src.Components {
 		cands := g.heads[ci][ps]
@@ -446,7 +424,7 @@ func (g *grounder) competitorsFor(tg *target, newFrom int, em *emitter) error {
 			if newFrom > 0 && len(c.open) == 0 {
 				continue
 			}
-			if err := g.matchCandidate(tg, ci, c, newFrom, em); err != nil {
+			if err := g.matchCandidate(tg, ci, c, newFrom); err != nil {
 				return err
 			}
 		}
@@ -455,7 +433,7 @@ func (g *grounder) competitorsFor(tg *target, newFrom int, em *emitter) error {
 				continue
 			}
 			fact := candidate{r: r}
-			if err := g.matchCandidate(tg, ci, &fact, newFrom, em); err != nil {
+			if err := g.matchCandidate(tg, ci, &fact, newFrom); err != nil {
 				return err
 			}
 		}
@@ -465,14 +443,14 @@ func (g *grounder) competitorsFor(tg *target, newFrom int, em *emitter) error {
 
 // matchCandidate head-matches one candidate of component ci against the
 // target and instantiates its bodies on success.
-func (g *grounder) matchCandidate(tg *target, ci int, c *candidate, newFrom int, em *emitter) error {
-	em.candidates++
-	mark := em.s.Mark()
+func (g *grounder) matchCandidate(tg *target, ci int, c *candidate, newFrom int) error {
+	g.compCandidates++
+	mark := g.sub.Mark()
 	var err error
-	if unify.MatchAtoms(em.s, c.r.Head.Atom, tg.atom) {
-		err = g.emitCompetitors(ci, c, em.s, deltaNone, newFrom, em.emit)
+	if unify.MatchAtoms(g.sub, c.r.Head.Atom, tg.atom) {
+		err = g.emitCompetitors(ci, c, g.sub, deltaNone, newFrom)
 	}
-	em.s.Undo(mark)
+	g.sub.Undo(mark)
 	return err
 }
 
@@ -604,12 +582,12 @@ var deltaNone = deltaRestrict{pos: -1}
 // well). newFrom is competitorsFor's: 0 enumerates every binding of the
 // open variables, a positive value only those holding a constant of
 // uni[newFrom:].
-func (g *grounder) emitCompetitors(comp int, c *candidate, s *unify.Subst, delta deltaRestrict, newFrom int, emit emitFn) error {
+func (g *grounder) emitCompetitors(comp int, c *candidate, s *unify.Subst, delta deltaRestrict, newFrom int) error {
 	if len(c.edb) == 0 {
 		if delta.pos >= 0 {
 			return nil // requested delta occurrence does not exist
 		}
-		return g.enumerateOpen(comp, c, s, 0, newFrom, emit)
+		return g.enumerateOpen(comp, c, s, 0, newFrom)
 	}
 	// Join items: positive EDB literals bind from the fact relation, joined
 	// in planner order.
@@ -630,7 +608,7 @@ func (g *grounder) emitCompetitors(comp int, c *candidate, s *unify.Subst, delta
 		return nil // requested delta occurrence does not exist
 	}
 	return storage.Join(s, joinLits, first, !g.opts.NoJoinPlanner, func() error {
-		return g.enumerateOpen(comp, c, s, 0, newFrom, emit)
+		return g.enumerateOpen(comp, c, s, 0, newFrom)
 	})
 }
 
@@ -643,7 +621,7 @@ func (g *grounder) emitCompetitors(comp int, c *candidate, s *unify.Subst, delta
 // binding with a new constant is therefore enumerated exactly once: the
 // first position holding one ranges over the new constants, earlier
 // positions over the old universe, later ones over all of it.
-func (g *grounder) enumerateOpen(comp int, c *candidate, s *unify.Subst, i, newFrom int, emit emitFn) error {
+func (g *grounder) enumerateOpen(comp int, c *candidate, s *unify.Subst, i, newFrom int) error {
 	if i == len(c.open) {
 		if newFrom > 0 {
 			return nil // no open variable: growth has nothing to add
@@ -654,7 +632,7 @@ func (g *grounder) enumerateOpen(comp int, c *candidate, s *unify.Subst, i, newF
 				return nil
 			}
 		}
-		return emit(comp, c.r, s)
+		return g.instantiate(comp, c.r, s)
 	}
 	from := 0
 	if i == len(c.open)-1 {
@@ -667,7 +645,7 @@ func (g *grounder) enumerateOpen(comp int, c *candidate, s *unify.Subst, i, newF
 		}
 		mark := s.Mark()
 		s.Bind(c.open[i], g.uni[k])
-		err := g.enumerateOpen(comp, c, s, i+1, next, emit)
+		err := g.enumerateOpen(comp, c, s, i+1, next)
 		s.Undo(mark)
 		if err != nil {
 			return err
@@ -680,9 +658,10 @@ func (g *grounder) enumerateOpen(comp int, c *candidate, s *unify.Subst, i, newF
 // EDB-with-CWA predicate in a component cb with comp <= cb < cwa — in
 // which case the fact is visible and undefeated in every view that sees
 // the competitor instance, so a negative literal on it blocks the instance
-// in every model. Lookup-only with a stack key buffer: the sharded
-// competitor workers call this concurrently, so it must not touch the
-// grounder's shared keyBuf scratch or intern anything.
+// in every model. Lookup-only with a stack key buffer: it runs once per
+// enumerated competitor binding, so a term the table has never seen just
+// proves the atom equals no fact head, and nothing is interned or
+// allocated on the way.
 func (g *grounder) blockedByVisibleFact(atom ast.Atom, comp int, sh *predShape) bool {
 	tt := g.tab.TermTable()
 	var kb [64]byte
@@ -715,17 +694,15 @@ func (g *grounder) blockedByVisibleFact(atom ast.Atom, comp int, sh *predShape) 
 }
 
 // joinInstantiate enumerates the substitutions satisfying the encoded body
-// over the possible-atom store and emits the corresponding instances. The
-// join order is chosen by the shared selectivity planner. The enumeration
-// is restricted to one shard (storage.JoinSharded on the driving literal's
-// tuples); shard 0 of 1 is the full sequential enumeration.
-func (g *grounder) joinInstantiate(sr srcRule, shard, nShards int, em *emitter) error {
+// over the possible-atom store and instantiates the rule for each. The
+// join order is chosen by the shared selectivity planner.
+func (g *grounder) joinInstantiate(sr srcRule) error {
 	lits := make([]storage.JoinLit, len(sr.body))
 	for i, l := range sr.body {
 		lits[i] = storage.JoinLit{Rel: g.st.Peek(l.Key), Args: l.Args}
 	}
-	return storage.JoinSharded(em.s, lits, -1, !g.opts.NoJoinPlanner, shard, nShards, func() error {
-		return em.emit(sr.comp, sr.r, em.s)
+	return storage.Join(g.sub, lits, -1, !g.opts.NoJoinPlanner, func() error {
+		return g.instantiate(sr.comp, sr.r, g.sub)
 	})
 }
 

@@ -50,9 +50,11 @@ func (l Lit) Complement() Lit { return l ^ 1 }
 // Like term.Table, an atom table is safe for concurrent use: Intern and
 // InternIDs take the write lock (so concurrent writers serialise on the
 // mutex, including the shared key scratch it guards), and
-// Lookup/LookupIDs/Atom/Len/OfPred/Preds take the read lock. The sharded
-// grounding workers rely on this: several goroutines intern head and body
-// atoms of independent rule instances against one table.
+// Lookup/LookupIDs/Atom/Len/OfPred/Preds take the read lock. The engine
+// relies on this: snapshot readers — queries, and the cone and goal-slice
+// sub-tables that answer through their parent — read the table a version
+// shares with its successors while the single writer interns an update's
+// atoms (delta grounding).
 type Table struct {
 	mu    sync.RWMutex
 	tab   *term.Table
@@ -273,28 +275,6 @@ func (t *Table) Preds() []ast.PredKey {
 		return keys[i].Arity < keys[j].Arity
 	})
 	return keys
-}
-
-// ShardKey returns the hash-partitioning key of an interned atom for
-// sharded evaluation: the interned term id of its first argument, or the
-// id of its predicate symbol for arity-0 atoms. The key is a property of
-// the atom, not of the literal sign, so an atom and its classical
-// complement always map to the same shard — which is what keeps every
-// overruler/defeater edge of the ordered semantics shard-local.
-func (t *Table) ShardKey(id AtomID) term.ID {
-	if t.parent != nil {
-		return t.parent.ShardKey(t.ids[id])
-	}
-	t.mu.RLock()
-	a := t.atoms[id]
-	t.mu.RUnlock()
-	if len(a.Args) == 0 {
-		// Interned atoms always have an interned predicate symbol.
-		k, _ := t.tab.LookupSym(a.Pred)
-		return k
-	}
-	k, _ := t.tab.Lookup(a.Args[0])
-	return k
 }
 
 // LitString renders an interned literal using the table.

@@ -80,9 +80,6 @@ func TestSubTable(t *testing.T) {
 		if id, ok := sub.Lookup(want); !ok || id != AtomID(i) {
 			t.Errorf("Lookup(%s) = %d, %v, want %d", want, id, ok, i)
 		}
-		if sub.ShardKey(AtomID(i)) != tab.ShardKey(sub.ids[i]) {
-			t.Errorf("ShardKey(%d) differs from the parent's", i)
-		}
 	}
 	if _, ok := sub.Lookup(atomOf("p", ast.Sym("b"))); ok {
 		t.Error("Lookup found an atom the sub-table was not given")

@@ -49,7 +49,7 @@ type Config struct {
 	MaxBodyBytes int64
 
 	// Engine is the construction config for every tenant's engine
-	// (shards, workers, enumeration budget, grounding options).
+	// (workers, enumeration budget, grounding options).
 	Engine core.Config
 
 	// DataDir, when non-empty, makes every tenant durable: each gets a

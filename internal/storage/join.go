@@ -172,36 +172,8 @@ func sequentialOrder(n, first int) []int {
 // ablation). Iteration stops at the first non-nil error from yield, which
 // is propagated.
 func Join(s *unify.Subst, lits []JoinLit, first int, plan bool, yield func() error) error {
-	return JoinSharded(s, lits, first, plan, 0, 1, yield)
-}
-
-// tupleShard maps a tuple to its owning shard: the first column's interned
-// term id mod nShards. Arity-0 relations hold at most one (empty) tuple,
-// which belongs to shard 0.
-func tupleShard(tup []term.ID, nShards int) int {
-	if len(tup) == 0 {
-		return 0
-	}
-	s := int(tup[0]) % nShards
-	if s < 0 {
-		s += nShards
-	}
-	return s
-}
-
-// JoinSharded is Join restricted to one shard of the enumeration: only
-// bindings whose driving-literal tuple (the first literal in join order)
-// is owned by shard — first-column term id mod nShards — are enumerated.
-// The shards partition Join's substitutions: disjoint, and their union
-// over 0..nShards-1 is exactly Join's enumeration in the same per-shard
-// order. A zero-literal join has a single empty substitution, assigned to
-// shard 0. nShards <= 1 is plain Join.
-func JoinSharded(s *unify.Subst, lits []JoinLit, first int, plan bool, shard, nShards int, yield func() error) error {
 	n := len(lits)
 	if n == 0 {
-		if nShards > 1 && shard != 0 {
-			return nil
-		}
 		return yield()
 	}
 	var order []int
@@ -268,9 +240,6 @@ func JoinSharded(s *unify.Subst, lits []JoinLit, first int, plan bool, shard, nS
 		// package): no per-level iterator closure.
 		match := func(ti int) error {
 			tup := l.Rel.TupleIDs(ti)
-			if k == 0 && nShards > 1 && tupleShard(tup, nShards) != shard {
-				return nil
-			}
 			for j, id := range ids {
 				if id != term.None && tup[j] != id {
 					return nil

@@ -29,10 +29,10 @@ const None ID = -1
 // A Table is safe for concurrent use: the mutating methods (Intern,
 // InternSym) take the write lock — concurrent writers serialise on the
 // mutex, which also guards the shared key scratch — and the reading
-// methods (Lookup, LookupSym, Term, Len) take the read lock. Most of the
-// engine funnels interning through one grounding run or snapshot update
-// at a time; the sharded grounding workers intern concurrently and lean
-// on the write lock.
+// methods (Lookup, LookupSym, Term, Len) take the read lock. The engine
+// funnels interning through one grounding run or snapshot update at a
+// time, but snapshot readers resolve terms of the table a version shares
+// with its successors while that single writer interns new ones.
 type Table struct {
 	mu    sync.RWMutex
 	syms  map[string]ID

@@ -239,12 +239,6 @@ func WithEnumBudget(n int) Option { return core.WithEnumBudget(n) }
 // event (grounding, updates, least-model computations) to w.
 func WithTrace(w io.Writer) Option { return core.WithTrace(w) }
 
-// WithShards returns an Option running grounding and least-model fixpoints
-// sharded over n parallel workers (atoms and rule instances partitioned by
-// first-argument term id). Results are identical to the sequential
-// engine's; n <= 1 keeps evaluation sequential.
-func WithShards(n int) Option { return core.WithShards(n) }
-
 // SyncPolicy selects when the write-ahead log fsyncs: SyncAlways after
 // every append (an acknowledged update is on disk), SyncInterval on a
 // background cadence (bounded loss window, near-memory throughput).
