@@ -230,6 +230,21 @@ func (b Builtin) Equal(o Builtin) bool {
 	return b.Op == o.Op && exprEqual(b.L, o.L) && exprEqual(b.R, o.R)
 }
 
+// Substitute applies a variable binding function to both sides of the
+// builtin. Unbound variables (bind returns nil) are left in place.
+func (b Builtin) Substitute(bind func(Var) Term) Builtin {
+	return Builtin{Op: b.Op, L: SubstituteExpr(b.L, bind), R: SubstituteExpr(b.R, bind)}
+}
+
+// HoldsUnder reports whether the builtin holds with its variables resolved
+// by bind (nil: unbound). A builtin that cannot be evaluated — a variable
+// left unbound, an ill-typed operand — does not hold. Every rule-instance
+// path (grounder, Datalog, classical, queries) tests builtins through it.
+func (b Builtin) HoldsUnder(bind func(Var) Term) bool {
+	holds, ok := EvalBuiltin(b.Substitute(bind))
+	return ok && holds
+}
+
 // SubstituteExpr applies a variable binding function to the expression,
 // returning a new expression. Unbound variables are left in place (bind
 // returns nil for them).

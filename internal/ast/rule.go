@@ -122,7 +122,7 @@ func (r *Rule) Substitute(bind func(Var) Term) *Rule {
 	if len(r.Builtins) > 0 {
 		nr.Builtins = make([]Builtin, len(r.Builtins))
 		for i, b := range r.Builtins {
-			nr.Builtins[i] = Builtin{Op: b.Op, L: SubstituteExpr(b.L, bind), R: SubstituteExpr(b.R, bind)}
+			nr.Builtins[i] = b.Substitute(bind)
 		}
 	}
 	return nr

@@ -14,7 +14,7 @@ package ast
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -234,5 +234,5 @@ func termRank(t Term) int {
 
 // SortTerms sorts ts in the CompareTerms order.
 func SortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return CompareTerms(ts[i], ts[j]) < 0 })
+	slices.SortFunc(ts, CompareTerms)
 }

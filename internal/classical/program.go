@@ -16,7 +16,7 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/interp"
 	"repro/internal/storage"
-	"repro/internal/unify"
+	"repro/internal/term"
 )
 
 // Rule is a ground seminegative rule over interned atoms: Head <- Pos,
@@ -152,9 +152,9 @@ func GroundRules(rules []*ast.Rule, opts Options) (*Program, error) {
 				}
 			}
 		}
-		filter := func(a ast.Atom) bool {
-			for _, t := range a.Args {
-				if ast.TermDepth(t) > maxDepth {
+		filter := func(args []term.ID) bool {
+			for _, id := range args {
+				if ast.TermDepth(st.Table().Term(id)) > maxDepth {
 					return false
 				}
 			}
@@ -167,34 +167,49 @@ func GroundRules(rules []*ast.Rule, opts Options) (*Program, error) {
 
 	// The atom table shares the store's term table, so instantiation joins
 	// and atom interning agree on term ids.
-	p := &Program{Tab: interp.NewTableWith(st.Table()), headRules: make(map[interp.AtomID][]int32)}
+	tt := st.Table()
+	p := &Program{Tab: interp.NewTableWith(tt), headRules: make(map[interp.AtomID][]int32)}
 	seen := make(map[string]bool)
-	var keyBuf []byte
+	f := &storage.Frame{}
+	var (
+		keyBuf []byte
+		argBuf []term.ID
+		atoms  []interp.IDAtom
+		ids    []interp.AtomID
+	)
 	appendLit := func(b []byte, l interp.Lit) []byte {
 		return append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
 	}
-	emit := func(r *ast.Rule, s *unify.Subst) error {
-		for _, b := range r.Builtins {
-			gb := ast.Builtin{Op: b.Op, L: substExpr(s, b.L), R: substExpr(s, b.R)}
-			holds, ok := ast.EvalBuiltin(gb)
-			if !ok || !holds {
+	emit := func(c *crule) error {
+		res := storage.Resolver{F: f, Tab: tt, Vars: c.vars}
+		for _, b := range c.r.Builtins {
+			if !b.HoldsUnder(res.Term) {
 				return nil
 			}
 		}
-		gr := Rule{Src: r}
-		head := s.ApplyAtom(r.Head.Atom)
-		if !head.Ground() {
-			return fmt.Errorf("classical: non-ground head instance of %s", r)
+		// Head then body atoms, interned under one lock; argument ids go to
+		// argBuf first so the atoms' slices do not move under them.
+		argBuf = argBuf[:0]
+		for i := range c.atoms {
+			var ok bool
+			if argBuf, ok = f.Build(tt, c.atoms[i].args, argBuf); !ok {
+				return fmt.Errorf("classical: non-ground instance of %s", c.r)
+			}
 		}
+		atoms = atoms[:0]
+		off := 0
+		for i := range c.atoms {
+			n := len(c.atoms[i].args)
+			atoms = append(atoms, interp.IDAtom{Pred: c.atoms[i].pred, Sym: c.atoms[i].sym, Args: argBuf[off : off+n]})
+			off += n
+		}
+		ids = p.Tab.InternAtoms(ids[:0], atoms)
 		// Dedup on the interned encoding: head id then signed body lit ids,
 		// packed little-endian.
-		keyBuf = appendLit(keyBuf[:0], interp.MkLit(p.Tab.Intern(head), false))
-		for _, l := range r.Body {
-			a := s.ApplyAtom(l.Atom)
-			if !a.Ground() {
-				return fmt.Errorf("classical: non-ground instance of %s", r)
-			}
-			id := p.Tab.Intern(a)
+		keyBuf = appendLit(keyBuf[:0], interp.MkLit(ids[0], false))
+		gr := Rule{Head: ids[0], Src: c.r}
+		for i, l := range c.r.Body {
+			id := ids[i+1]
 			if l.Neg {
 				gr.Neg = append(gr.Neg, id)
 			} else {
@@ -207,7 +222,6 @@ func GroundRules(rules []*ast.Rule, opts Options) (*Program, error) {
 			return nil
 		}
 		seen[key] = true
-		gr.Head = p.Tab.Intern(head)
 		p.headRules[gr.Head] = append(p.headRules[gr.Head], int32(len(p.Rules)))
 		p.Rules = append(p.Rules, gr)
 		if len(p.Rules) > opts.MaxDerived {
@@ -215,11 +229,21 @@ func GroundRules(rules []*ast.Rule, opts Options) (*Program, error) {
 		}
 		return nil
 	}
+	crs := make([]crule, len(srcs))
+	for i, sr := range srcs {
+		crs[i] = compileRule(st, sr.r, sr.body)
+		f.Reserve(len(crs[i].vars))
+	}
 	if opts.Full {
 		// Exhaustive instantiation over the constant universe, then intern
 		// the complete Herbrand base of every referenced predicate.
-		for _, r := range rules {
-			if err := enumerateAll(r, uni, func(s *unify.Subst) error { return emit(r, s) }); err != nil {
+		uniIDs := make([]term.ID, len(uni))
+		for i, t := range uni {
+			uniIDs[i] = tt.Intern(t)
+		}
+		for i := range crs {
+			c := &crs[i]
+			if err := enumerateAll(f, c.nvars, uniIDs, func() error { return emit(c) }); err != nil {
 				return nil, err
 			}
 		}
@@ -230,30 +254,68 @@ func GroundRules(rules []*ast.Rule, opts Options) (*Program, error) {
 		}
 		return p, nil
 	}
-	for _, sr := range srcs {
-		if err := joinOver(st, sr.body, func(s *unify.Subst) error { return emit(sr.r, s) }); err != nil {
+	for i := range crs {
+		c := &crs[i]
+		if err := storage.Join(f, c.join, -1, true, func() error { return emit(c) }); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// enumerateAll binds every rule variable over the universe.
-func enumerateAll(r *ast.Rule, uni []ast.Term, yield func(*unify.Subst) error) error {
-	vars := r.Vars()
-	s := unify.NewSubst()
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(vars) {
-			return yield(s)
+// catom is a compiled rule atom: predicate name and symbol id, argument
+// patterns.
+type catom struct {
+	pred string
+	sym  term.ID
+	args []storage.Pat
+}
+
+// crule is a rule compiled for the join kernel: slots 0..nvars-1 are its
+// own variables in r.Vars() order (vars may add the $dom-bound ones, all
+// among them); atoms are head then body; join is the positive body plus
+// the $dom literals over st's relations.
+type crule struct {
+	r     *ast.Rule
+	vars  []ast.Var
+	nvars int
+	atoms []catom
+	join  []storage.JoinLit
+}
+
+func compileRule(st *storage.Store, r *ast.Rule, body []datalog.Lit) crule {
+	tt := st.Table()
+	c := crule{r: r, vars: r.Vars()}
+	c.nvars = len(c.vars)
+	add := func(a ast.Atom) {
+		c.atoms = append(c.atoms, catom{pred: a.Pred, sym: tt.InternSym(a.Pred), args: storage.CompileArgs(tt, a.Args, &c.vars)})
+	}
+	add(r.Head.Atom)
+	for _, l := range r.Body {
+		add(l.Atom)
+	}
+	for _, l := range body {
+		c.join = append(c.join, storage.JoinLit{Rel: st.Peek(l.Key), Args: storage.CompileArgs(tt, l.Args, &c.vars)})
+	}
+	return c
+}
+
+// enumerateAll binds slots 0..n-1 over the universe, calling yield per
+// binding.
+func enumerateAll(f *storage.Frame, n int, uni []term.ID, yield func() error) error {
+	var rec func(i int32) error
+	rec = func(i int32) error {
+		if int(i) == n {
+			return yield()
 		}
-		for _, t := range uni {
-			mark := s.Mark()
-			s.Bind(vars[i], t)
-			if err := rec(i + 1); err != nil {
+		for _, id := range uni {
+			mark := f.Mark()
+			f.Bind(i, id)
+			err := rec(i + 1)
+			f.Undo(mark)
+			if err != nil {
 				return err
 			}
-			s.Undo(mark)
 		}
 		return nil
 	}
@@ -281,27 +343,6 @@ func internAll(tab *interp.Table, k ast.PredKey, uni []ast.Term, budget int) err
 		return nil
 	}
 	return rec(0)
-}
-
-// joinOver enumerates substitutions satisfying the positive body over st,
-// in selectivity-planner order.
-func joinOver(st *storage.Store, body []datalog.Lit, yield func(*unify.Subst) error) error {
-	s := unify.NewSubst()
-	lits := make([]storage.JoinLit, len(body))
-	for i, l := range body {
-		lits[i] = storage.JoinLit{Rel: st.Peek(l.Key), Args: l.Args}
-	}
-	return storage.Join(s, lits, -1, true, func() error { return yield(s) })
-}
-
-func substExpr(s *unify.Subst, e ast.Expr) ast.Expr {
-	return ast.SubstituteExpr(e, func(v ast.Var) ast.Term {
-		t := s.Apply(v)
-		if tv, ok := t.(ast.Var); ok && tv.Name == v.Name {
-			return nil
-		}
-		return t
-	})
 }
 
 // RuleString renders a ground classical rule.

@@ -44,9 +44,7 @@ func queryScanOracle(m *Model, q ast.Query) []Binding {
 	rec = func(i int) {
 		if i == len(q.Body) {
 			for _, b := range q.Builtins {
-				gb := ast.Builtin{Op: b.Op, L: substExpr(s, b.L), R: substExpr(s, b.R)}
-				holds, ok := ast.EvalBuiltin(gb)
-				if !ok || !holds {
+				if !b.HoldsUnder(s.Resolve) {
 					return
 				}
 			}

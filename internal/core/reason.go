@@ -93,18 +93,6 @@ func (s *Snapshot) ProveExplainCtx(ctx context.Context, comp string, l ast.Liter
 	return tree.Render(pr), true, nil
 }
 
-// substExpr applies the substitution to a builtin's expression, leaving
-// unbound variables in place.
-func substExpr(s *unify.Subst, e ast.Expr) ast.Expr {
-	return ast.SubstituteExpr(e, func(v ast.Var) ast.Term {
-		t := s.Apply(v)
-		if tv, ok := t.(ast.Var); ok && tv.Name == v.Name {
-			return nil
-		}
-		return t
-	})
-}
-
 // ProveQuery answers a conjunctive query goal-directedly as of this
 // snapshot (see Engine.ProveQuery).
 func (s *Snapshot) ProveQuery(comp string, q ast.Query) ([]Binding, error) {
@@ -134,9 +122,7 @@ func (s *Snapshot) ProveQueryCtx(ctx context.Context, comp string, q ast.Query) 
 	rec = func(i int) error {
 		if i == len(q.Body) {
 			for _, b := range q.Builtins {
-				gb := ast.Builtin{Op: b.Op, L: substExpr(sub, b.L), R: substExpr(sub, b.R)}
-				holds, okB := ast.EvalBuiltin(gb)
-				if !okB || !holds {
+				if !b.HoldsUnder(sub.Resolve) {
 					return nil
 				}
 			}

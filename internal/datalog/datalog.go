@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/storage"
-	"repro/internal/unify"
+	"repro/internal/term"
 )
 
 // Lit is a body or head literal over a predicate. Neg marks a
@@ -111,16 +111,41 @@ type Options struct {
 	// MaxDerived caps the total number of tuples the evaluation may insert;
 	// 0 means no cap.
 	MaxDerived int
-	// AtomFilter, when non-nil, rejects derived atoms (they are silently
-	// not inserted). Callers use it to keep function-symbol programs
-	// inside a depth-bounded Herbrand universe, without which a rule like
-	// num(s(X)) :- num(X) would diverge.
-	AtomFilter func(ast.Atom) bool
+	// AtomFilter, when non-nil, rejects derived atoms by their argument ids
+	// (they are silently not inserted). Callers use it to keep
+	// function-symbol programs inside a depth-bounded Herbrand universe,
+	// without which a rule like num(s(X)) :- num(X) would diverge.
+	AtomFilter func(args []term.ID) bool
 	// NoPlanner disables the selectivity-driven join planner and joins
 	// body literals in source order (delta literal still first). Used by
 	// differential tests to check the planner only changes cost, never the
 	// least model.
 	NoPlanner bool
+}
+
+// compiled is a rule compiled once per evaluation for the join kernel: its
+// variables numbered into frame slots, every literal's arguments into
+// patterns.
+type compiled struct {
+	r    *Rule
+	vars []ast.Var
+	head []storage.Pat
+	body [][]storage.Pat
+}
+
+// compile compiles r, carving its patterns from *slab.
+func compile(tab *term.Table, r *Rule, slab *[]storage.Pat) compiled {
+	c := compiled{r: r, body: make([][]storage.Pat, len(r.Body))}
+	carve := func(args []ast.Term) []storage.Pat {
+		start := len(*slab)
+		*slab = storage.AppendPats(*slab, tab, args, &c.vars)
+		return (*slab)[start:len(*slab):len(*slab)]
+	}
+	for i, l := range r.Body {
+		c.body[i] = carve(l.Args)
+	}
+	c.head = carve(r.Head.Args)
+	return c
 }
 
 // Eval runs the rules to fixpoint over st (which already holds the EDB),
@@ -136,11 +161,31 @@ func Eval(st *storage.Store, rules []*Rule, opts Options) (int, error) {
 			return 0, err
 		}
 	}
-	derived := 0
-	s := unify.NewSubst() // join scratch, empty between rules
-	// watermarks[k] is the tuple count of relation k at the start of the
-	// previous round; tuples at index >= watermark are that round's delta.
-	marks := make(map[ast.PredKey]int)
+	e := evaluator{st: st, tab: st.Table(), opts: opts, f: &storage.Frame{}}
+	// Facts insert their head as written; every other rule is compiled,
+	// its patterns carved from one slab.
+	nargs, nrules := 0, 0
+	for _, r := range rules {
+		if r.isFact() {
+			continue
+		}
+		nrules++
+		nargs += len(r.Head.Args)
+		for _, l := range r.Body {
+			nargs += len(l.Args)
+		}
+	}
+	slab := make([]storage.Pat, 0, nargs)
+	comps := make([]compiled, 0, nrules)
+	for _, r := range rules {
+		if !r.isFact() {
+			comps = append(comps, compile(e.tab, r, &slab))
+			e.f.Reserve(len(comps[len(comps)-1].vars))
+		}
+	}
+	// marks[k] is the tuple count of relation k at the start of the
+	// previous round; tuples at index >= mark are that round's delta.
+	e.marks = make(map[ast.PredKey]int)
 	round := 0
 	for {
 		// Snapshot current sizes: tuples inserted this round extend deltas
@@ -149,110 +194,142 @@ func Eval(st *storage.Store, rules []*Rule, opts Options) (int, error) {
 		for _, k := range st.Keys() {
 			startSizes[k] = st.Peek(k).Len()
 		}
-		newThisRound := 0
-		emit := func(a ast.Atom) error {
-			if !a.Ground() {
-				return fmt.Errorf("datalog: derived non-ground atom %s", a)
-			}
-			if opts.AtomFilter != nil && !opts.AtomFilter(a) {
-				return nil
-			}
-			if st.InsertAtom(a) {
-				newThisRound++
-				derived++
-				if opts.MaxDerived > 0 && derived > opts.MaxDerived {
-					return ErrBudget
-				}
-			}
-			return nil
-		}
+		e.newThisRound = 0
+		next := 0 // comps index of the next non-fact rule
 		for _, r := range rules {
+			if r.isFact() {
+				// A fact is its own only derivation, in round 0.
+				if round == 0 {
+					if err := e.emitFact(r); err != nil {
+						return e.derived, err
+					}
+				}
+				continue
+			}
+			c := &comps[next]
+			next++
 			if round == 0 {
-				if err := evalRule(st, r, s, -1, marks, opts, emit); err != nil {
-					return derived, err
+				if err := e.evalRule(c, -1); err != nil {
+					return e.derived, err
 				}
 				continue
 			}
 			// Semi-naive: require at least one positive literal to bind in
 			// the previous round's delta.
-			hasPos := false
 			for i, l := range r.Body {
 				if l.Neg {
 					continue
 				}
-				hasPos = true
-				if err := evalRule(st, r, s, i, marks, opts, emit); err != nil {
-					return derived, err
+				if err := e.evalRule(c, i); err != nil {
+					return e.derived, err
 				}
-			}
-			if !hasPos {
-				continue // facts fire only in round 0
 			}
 		}
 		// Advance watermarks to the sizes seen at the start of this round:
 		// everything inserted during this round is the next round's delta.
 		for k, n := range startSizes {
-			marks[k] = n
+			e.marks[k] = n
 		}
 		round++
-		if newThisRound == 0 {
-			return derived, nil
+		if e.newThisRound == 0 {
+			return e.derived, nil
 		}
 	}
+}
+
+// evaluator is one Eval's state: the join frame, the id scratch heads and
+// NAF probes are built in, and the derivation counts.
+type evaluator struct {
+	st                    *storage.Store
+	tab                   *term.Table
+	opts                  Options
+	f                     *storage.Frame
+	ids                   []term.ID
+	marks                 map[ast.PredKey]int
+	derived, newThisRound int
+}
+
+func (r *Rule) isFact() bool { return len(r.Body) == 0 && len(r.Builtins) == 0 }
+
+// emit inserts the head instance the frame binds.
+func (e *evaluator) emit(c *compiled) error {
+	args, ok := e.f.Build(e.tab, c.head, e.ids[:0])
+	e.ids = args
+	if !ok {
+		return fmt.Errorf("datalog: derived non-ground atom of %s", c.r)
+	}
+	return e.insert(c.r.Head.Key, args)
+}
+
+// emitFact inserts a fact's head, which must be ground.
+func (e *evaluator) emitFact(r *Rule) error {
+	args := e.ids[:0]
+	for _, t := range r.Head.Args {
+		if !t.Ground() {
+			return fmt.Errorf("datalog: derived non-ground atom %s", r.Head)
+		}
+		args = append(args, e.tab.Intern(t))
+	}
+	e.ids = args
+	return e.insert(r.Head.Key, args)
+}
+
+// insert adds a derived tuple the atom filter admits.
+func (e *evaluator) insert(k ast.PredKey, args []term.ID) error {
+	if e.opts.AtomFilter != nil && !e.opts.AtomFilter(args) {
+		return nil
+	}
+	if e.st.Rel(k).InsertIDs(args) {
+		e.newThisRound++
+		e.derived++
+		if e.opts.MaxDerived > 0 && e.derived > e.opts.MaxDerived {
+			return ErrBudget
+		}
+	}
+	return nil
 }
 
 // evalRule joins the rule body via the shared storage.Join planner and
 // emits head instances. If deltaPos >= 0, the positive body literal at that
 // index scans only the previous round's delta of its relation and is forced
-// to the front of the join order. s is the caller's join scratch: empty on
-// entry and on return.
-func evalRule(st *storage.Store, r *Rule, s *unify.Subst, deltaPos int, marks map[ast.PredKey]int, opts Options, emit func(ast.Atom) error) error {
-	if len(r.Body) == 0 && len(r.Builtins) == 0 {
-		// A fact is its own only derivation: nothing to join or substitute.
-		// (A non-ground one is rejected by emit, as it would be after the
-		// empty join.)
-		return emit(r.Head.Atom())
-	}
+// to the front of the join order.
+func (e *evaluator) evalRule(c *compiled, deltaPos int) error {
+	r := c.r
 	lits := make([]storage.JoinLit, 0, len(r.Body))
 	first := -1
 	for i, l := range r.Body {
 		if l.Neg {
 			continue
 		}
-		jl := storage.JoinLit{Rel: st.Peek(l.Key), Args: l.Args}
+		jl := storage.JoinLit{Rel: e.st.Peek(l.Key), Args: c.body[i]}
 		if i == deltaPos {
-			jl.Lo = marks[l.Key]
+			jl.Lo = e.marks[l.Key]
 			first = len(lits)
 		}
 		lits = append(lits, jl)
 	}
-	return storage.Join(s, lits, first, !opts.NoPlanner, func() error {
+	res := storage.Resolver{F: e.f, Tab: e.tab, Vars: c.vars}
+	return storage.Join(e.f, lits, first, !e.opts.NoPlanner, func() error {
 		// All positive literals bound: test builtins and NAF literals.
 		for _, b := range r.Builtins {
-			gb := ast.Builtin{Op: b.Op, L: substExpr(s, b.L), R: substExpr(s, b.R)}
-			holds, ok := ast.EvalBuiltin(gb)
-			if !ok || !holds {
+			if !b.HoldsUnder(res.Term) {
 				return nil
 			}
 		}
-		for _, l := range r.Body {
+		for i, l := range r.Body {
 			if !l.Neg {
 				continue
 			}
-			if st.ContainsAtom(s.ApplyAtom(l.Atom())) {
+			rel := e.st.Peek(l.Key)
+			if rel == nil {
+				continue
+			}
+			ids, ok := e.f.Lookup(e.tab, c.body[i], e.ids[:0])
+			e.ids = ids
+			if ok && rel.ContainsIDs(ids) {
 				return nil
 			}
 		}
-		return emit(s.ApplyAtom(r.Head.Atom()))
-	})
-}
-
-func substExpr(s *unify.Subst, e ast.Expr) ast.Expr {
-	return ast.SubstituteExpr(e, func(v ast.Var) ast.Term {
-		t := s.Apply(v)
-		if tv, ok := t.(ast.Var); ok && tv.Name == v.Name {
-			return nil
-		}
-		return t
+		return e.emit(c)
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/term"
-	"repro/internal/unify"
 )
 
 // ErrNeedsReground reports that an incremental update cannot preserve the
@@ -129,7 +128,7 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 			if _, isCompound := t.(ast.Compound); isCompound {
 				return nil, needsReground("compound-args")
 			}
-			if id, ok := tt.Lookup(t); ok && g.inUniverse[id] {
+			if id, ok := tt.Lookup(t); ok && g.inUniverse.has(id) {
 				continue
 			}
 			if !newSeen[t] {
@@ -172,9 +171,11 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 	if len(newConsts) > 0 {
 		domRel := g.st.Rel(domKey)
 		for _, c := range newConsts {
+			id := tt.Intern(c)
 			g.uni = append(g.uni, c)
-			g.inUniverse[tt.Intern(c)] = true
-			domRel.Insert([]ast.Term{c})
+			g.uniIDs = append(g.uniIDs, id)
+			g.inUniverse.add(id)
+			domRel.InsertIDs(g.uniIDs[len(g.uniIDs)-1:])
 		}
 	}
 
@@ -203,7 +204,7 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 			continue
 		}
 		g.extra[comp] = append(g.extra[comp], r)
-		if err := g.instantiate(comp, r, nil); err != nil {
+		if err := g.instantiate(comp, g.compiled(nil, r)); err != nil {
 			return fail(err)
 		}
 		g.st.Rel(encKey(atom.Key(), false)).Insert(atom.Args)
@@ -313,7 +314,6 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 	dec := make(map[term.ID]int)
 	tt := g.tab.TermTable()
 	done := make(map[interp.Lit]bool, len(facts))
-	scratch := g.sub
 	for _, f := range facts {
 		if !f.Atom.Ground() {
 			return nil, fmt.Errorf("ground: retract of non-ground fact %s", f)
@@ -357,17 +357,27 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 		// unnoticed. (Once such a fact has been re-asserted this over-counts,
 		// which at worst regrounds early.)
 		copies := 0
-		for _, r := range gp.Src.Components[comp].Rules {
-			if len(r.Body) != 0 || r.Head.Neg != f.Neg {
+		var args []term.ID // resolved on the first head match
+		var cands []*candidate
+		if byComp := g.heads[predSign{key: f.Atom.Key(), neg: f.Neg}]; byComp != nil {
+			cands = byComp[comp]
+		}
+		for _, c := range cands {
+			r := c.r
+			if len(r.Body) != 0 {
 				continue
 			}
 			if r.IsFact() && r.Head.Atom.Ground() && r.Head.Atom.Equal(f.Atom) {
 				copies++
 				continue
 			}
-			mark := scratch.Mark()
-			matched := unify.MatchAtoms(scratch, r.Head.Atom, f.Atom)
-			scratch.Undo(mark)
+			if args == nil {
+				args = g.atomArgs(f.Atom)
+			}
+			cr := g.compiled(c.c, r)
+			mark := g.f.Mark()
+			matched := g.f.Match(tt, cr.atoms[0].args, args)
+			g.f.Undo(mark)
 			if matched {
 				return nil, needsReground("universal-fact")
 			}
@@ -433,7 +443,7 @@ func (g *grounder) deltaCompetitors(freshEDB []ast.Atom, preMarks map[ast.PredKe
 		return nil
 	}
 	donePred := make(map[ast.PredKey]bool)
-	scratch := g.sub
+	tt := g.tab.TermTable()
 	for _, fact := range freshEDB {
 		k := fact.Key()
 		if donePred[k] {
@@ -450,25 +460,26 @@ func (g *grounder) deltaCompetitors(freshEDB []ast.Atom, preMarks map[ast.PredKe
 				}
 			}
 			head := cc.c.r.Head
+			cr := cc.c.c // an EDB-joined body: never a ground fact
 			for _, tg := range g.targetsByPred[predSign{key: head.Atom.Key(), neg: !head.Neg}] {
 				if !g.canCompete(tg, cc.comp) {
 					continue
 				}
-				mark := scratch.Mark()
-				if unify.MatchAtoms(scratch, head.Atom, tg.atom) {
+				mark := g.f.Mark()
+				if g.f.Match(tt, cr.atoms[0].args, g.atomArgs(tg.atom)) {
 					for pos := 0; pos < occ; pos++ {
 						if err := g.check("ground: delta competitor pass"); err != nil {
-							scratch.Undo(mark)
+							g.f.Undo(mark)
 							return err
 						}
 						d := deltaRestrict{key: k, lo: lo, pos: pos}
-						if err := g.emitCompetitors(cc.comp, cc.c, scratch, d, 0); err != nil {
-							scratch.Undo(mark)
+						if err := g.emitCompetitors(cc.comp, cc.c, cr, d, 0); err != nil {
+							g.f.Undo(mark)
 							return err
 						}
 					}
 				}
-				scratch.Undo(mark)
+				g.f.Undo(mark)
 			}
 		}
 	}
@@ -490,10 +501,11 @@ func (g *grounder) deltaPass() error {
 			startSizes[k] = g.st.Peek(k).Len()
 		}
 		newThisRound := 0
-		for _, sr := range g.dlSrc {
+		for j := range g.dlSrc {
 			if err := g.check("ground: delta fixpoint"); err != nil {
 				return err
 			}
+			sr := &g.dlSrc[j]
 			for i := range sr.body {
 				n, err := g.evalDeltaRule(sr, i)
 				if err != nil {
@@ -519,35 +531,30 @@ func (g *grounder) deltaPass() error {
 // restricted to its relation's delta, instantiating the source rule and
 // inserting the head possible atom for every satisfying substitution. It
 // returns the number of new possible-atom tuples.
-func (g *grounder) evalDeltaRule(sr srcRule, deltaPos int) (int, error) {
-	dk := sr.body[deltaPos].Key
+func (g *grounder) evalDeltaRule(sr *srcRule, deltaPos int) (int, error) {
+	dk := sr.body[deltaPos].key
 	if rel := g.st.Peek(dk); rel == nil || rel.Len() <= g.marks[dk] {
 		return 0, nil // empty delta: nothing new can bind here
 	}
-	s := g.sub
-	jls := make([]storage.JoinLit, len(sr.body))
-	for i, l := range sr.body {
-		jls[i] = storage.JoinLit{Rel: g.st.Peek(l.Key), Args: l.Args}
-	}
+	jls := g.joinLits(sr)
 	jls[deltaPos].Lo = g.marks[dk]
 	inserted := 0
 	headKey := encKey(sr.r.Head.Atom.Key(), sr.r.Head.Neg)
-	err := storage.Join(s, jls, deltaPos, !g.opts.NoJoinPlanner, func() error {
-		for _, b := range sr.r.Builtins {
-			gb := ast.Builtin{Op: b.Op, L: substExpr(s, b.L), R: substExpr(s, b.R)}
-			holds, ok := ast.EvalBuiltin(gb)
-			if !ok || !holds {
-				return nil
-			}
+	tt := g.tab.TermTable()
+	cr := sr.c
+	err := storage.Join(g.f, jls, deltaPos, !g.opts.NoJoinPlanner, func() error {
+		if !g.builtinsHold(cr) {
+			return nil
 		}
-		if err := g.instantiate(sr.comp, sr.r, s); err != nil {
+		if err := g.instantiate(sr.comp, cr); err != nil {
 			return err
 		}
-		head := s.ApplyAtom(sr.r.Head.Atom)
+		head, _ := g.f.Build(tt, cr.atoms[0].args, g.argBuf[:0])
+		g.argBuf = head
 		if !g.atomFilter(head) {
 			return nil
 		}
-		if g.st.Rel(headKey).Insert(head.Args) {
+		if g.st.Rel(headKey).InsertIDs(head) {
 			inserted++
 		}
 		return nil

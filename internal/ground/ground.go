@@ -8,14 +8,12 @@ import (
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/datalog"
 	"repro/internal/interp"
 	"repro/internal/interrupt"
 	"repro/internal/obs"
 	"repro/internal/relevance"
 	"repro/internal/storage"
 	"repro/internal/term"
-	"repro/internal/unify"
 )
 
 // Mode selects the grounding strategy.
@@ -95,8 +93,8 @@ func (o *Options) fill() {
 // rule it instantiates.
 type Rule struct {
 	Head interp.Lit
+	Comp int32 // next to Head: the struct packs into 40 bytes
 	Body []interp.Lit
-	Comp int32
 	Src  *ast.Rule
 }
 
@@ -240,6 +238,14 @@ func newGrounder(ctx context.Context, p *ast.OrderedProgram, opts Options) (*gro
 		uniFallback: noConsts && len(uni) > 0,
 		tab:         interp.NewTable(),
 		seen:        make(map[uint64]int32),
+		f:           &storage.Frame{},
+	}
+	// Universe members get the first term ids, in universe order; joins and
+	// open-variable enumeration bind these ids.
+	tt := g.tab.TermTable()
+	g.uniIDs = make([]term.ID, len(uni), cap(uni)) // room to grow as uni does
+	for i, t := range uni {
+		g.uniIDs[i] = tt.Intern(t)
 	}
 	if len(opts.Goal) > 0 {
 		g.rel = relevance.Analyze(p, opts.Goal)
@@ -286,29 +292,43 @@ type grounder struct {
 	bodyBuf    []interp.Lit
 	bodyArena  []interp.Lit
 	arenaChunk int
+	// f is the frame every join and head match binds (all slots unbound
+	// between uses), sized for the widest compiled rule. uniIDs are the
+	// universe's term ids, in g.uni order. argBuf, atomBuf and idBuf are the
+	// scratch an instance's atoms are built and interned in; jls the scratch
+	// competitor and delta joins list their literals in; tgtArgs a target's
+	// argument ids; scratch a variable-free rule compiled on use.
+	f       *storage.Frame
+	uniIDs  []term.ID
+	argBuf  []term.ID
+	atomBuf []interp.IDAtom
+	idBuf   []interp.AtomID
+	jls     []storage.JoinLit
+	tgtArgs []term.ID
+	scratch crule
 
 	// Smart-mode state retained for incremental updates (delta.go). All of
 	// it is mutated only under the engine's write lock.
-	st            *storage.Store   // possible-atom store (t:/f:/$dom relations)
-	dlSrc         []srcRule        // source rules with their encoded datalog bodies
-	inUniverse    map[term.ID]bool // universe membership by interned id
+	st            *storage.Store // possible-atom store (t:/f:/$dom relations)
+	dlSrc         []srcRule      // source rules with their encoded datalog bodies
+	inUniverse    idSet          // universe membership by interned id
 	shapes        map[ast.PredKey]*predShape
 	targets       map[interp.Lit]*target // competitor-pass targets emitted so far
 	targetsByPred map[predSign][]*target // same targets by head predicate+sign, registration order
 	pass          int                    // registerTargets calls so far (target.grownAt stamp)
 	targetSlab    []target               // unused tail of the current target chunk (slabChunk its size)
 	slabChunk     int
-	// heads indexes the source rules, prepared as candidates, by component
-	// position and head predicate+sign in source order: the competitor pass
+	// heads indexes the source rules, prepared as candidates, by head
+	// predicate+sign and then component position, in source order (one hash
+	// probe per target, not per component): the competitor pass
 	// reads a target's candidates off it instead of scanning every rule.
 	// bodyEDB indexes the same candidates by the predicates of their
 	// EDB-joined body literals, and openSigns lists (in source order) the
 	// target signs some candidate with open variables competes against —
 	// the only targets universe growth has to revisit.
-	heads     []map[predSign][]*candidate
+	heads     map[predSign][][]*candidate
 	bodyEDB   map[ast.PredKey][]compCandidate
 	openSigns []predSign
-	sub       *unify.Subst        // scratch joins and head matches bind into (empty between uses)
 	marks     map[ast.PredKey]int // relation sizes at the end of the last (delta) pass
 	extra     map[int][]*ast.Rule // asserted fact rules per component, still in effect
 	// constRefs counts, per constant (keyed by interned term id), its
@@ -327,12 +347,83 @@ type grounder struct {
 	poisoned bool
 }
 
-// srcRule pairs a source rule with its owning component and its encoded
-// datalog body (possible-atom literals plus $dom literals for free vars).
+// srcRule pairs a source rule with its owning component, the rule compiled
+// for the join kernel and its encoded body (possible-atom literals plus
+// $dom literals for free vars) compiled over the same slots. A
+// variable-free rule without body (a ground fact) keeps neither: it has
+// nothing to join and compiles on use.
 type srcRule struct {
 	comp int
 	r    *ast.Rule
-	body []datalog.Lit
+	c    *crule
+	body []encLit
+}
+
+// encLit is one compiled literal of an encoded body: a possible-atom (or
+// $dom) relation and the argument patterns.
+type encLit struct {
+	key  ast.PredKey
+	args []storage.Pat
+}
+
+// catom is a compiled rule atom: predicate name and symbol id, sign, and
+// argument patterns; ground is the atom itself when it is ground as
+// written (the atom table then stores it rather than a decoded copy).
+type catom struct {
+	pred   string
+	sym    term.ID
+	neg    bool
+	args   []storage.Pat
+	ground ast.Atom
+}
+
+// crule is a source rule compiled for the join kernel: frame slot i holds
+// vars[i] (r.Vars() order), atoms[0] is the head and atoms[1:] the body;
+// their patterns are carved from pats.
+type crule struct {
+	r     *ast.Rule
+	vars  []ast.Var
+	atoms []catom
+	pats  []storage.Pat
+}
+
+// compileInto compiles r into c, reusing c's storage, and makes room for
+// its slots in the frame.
+func (g *grounder) compileInto(r *ast.Rule, c *crule) {
+	tt := g.tab.TermTable()
+	c.r, c.vars, c.atoms, c.pats = r, r.Vars(), c.atoms[:0], c.pats[:0]
+	add := func(l ast.Literal) {
+		start := len(c.pats)
+		c.pats = storage.AppendPats(c.pats, tt, l.Atom.Args, &c.vars)
+		a := catom{pred: l.Atom.Pred, sym: tt.InternSym(l.Atom.Pred), neg: l.Neg, args: c.pats[start:len(c.pats):len(c.pats)]}
+		if len(l.Atom.Args) > 0 && l.Atom.Ground() {
+			a.ground = l.Atom
+		}
+		c.atoms = append(c.atoms, a)
+	}
+	add(r.Head)
+	for _, l := range r.Body {
+		add(l)
+	}
+	g.f.Reserve(len(c.vars))
+}
+
+// compile returns r compiled into a rule of its own, for retention.
+func (g *grounder) compile(r *ast.Rule) *crule {
+	c := &crule{}
+	g.compileInto(r, c)
+	return c
+}
+
+// compiled returns c, or r compiled into the grounder's scratch rule when c
+// is nil (a ground fact, compiled on use). The scratch is valid until the
+// next call.
+func (g *grounder) compiled(c *crule, r *ast.Rule) *crule {
+	if c != nil {
+		return c
+	}
+	g.compileInto(r, &g.scratch)
+	return &g.scratch
 }
 
 // target is one competitor-pass target: a retained head literal and the
@@ -356,25 +447,38 @@ func (t *target) ownedBy(comp int32) bool {
 	return false
 }
 
+// idSet is a set of term ids, dense by id: ids are small and dense, so
+// membership is an index, not a hash.
+type idSet []bool
+
+func (s idSet) has(id term.ID) bool { return int(id) < len(s) && s[id] }
+
+func (s *idSet) add(id term.ID) {
+	for int(id) >= len(*s) {
+		*s = append(*s, false)
+	}
+	(*s)[id] = true
+}
+
 // predSign keys targets by head predicate and sign.
 type predSign struct {
 	key ast.PredKey
 	neg bool
 }
 
-// instantiate builds the ground instance of r under subst (nil for a rule
-// that is ground as written), interning its atoms directly, and records it
-// unless a duplicate (per component) was seen. Instances whose builtins
-// fail are dropped. Returns an error only on budget overrun or a
-// non-ground instance (an internal bug).
-func (g *grounder) instantiate(comp int, r *ast.Rule, s *unify.Subst) error {
+// instantiate builds the ground instance of c under the frame's bindings,
+// interning its atoms directly, and records it unless a duplicate (per
+// component) was seen. Instances whose builtins fail are dropped. Returns
+// an error only on budget overrun or a non-ground instance (an internal
+// bug).
+func (g *grounder) instantiate(comp int, c *crule) error {
 	g.emitted++
 	if g.emitted%256 == 0 {
 		if err := g.check("ground: instance emission"); err != nil {
 			return err
 		}
 	}
-	head, body, keep, err := g.buildInstance(r, s, g.bodyBuf[:0])
+	head, body, keep, err := g.buildInstance(c, g.bodyBuf[:0])
 	g.bodyBuf = body
 	if err != nil || !keep {
 		return err
@@ -383,7 +487,7 @@ func (g *grounder) instantiate(comp int, r *ast.Rule, s *unify.Subst) error {
 	if _, dup := g.findInstance(h, comp, head, body); dup {
 		return nil
 	}
-	g.appendInstance(h, Rule{Head: head, Body: g.keepBody(body), Comp: int32(comp), Src: r})
+	g.appendInstance(h, Rule{Head: head, Body: g.keepBody(body), Comp: int32(comp), Src: c.r})
 	if g.tab.Len() > g.opts.MaxAtoms {
 		return &ErrBudget{"atom", g.opts.MaxAtoms}
 	}
@@ -448,58 +552,52 @@ func (g *grounder) appendInstance(h uint64, r Rule) {
 	g.rules = append(g.rules, r)
 }
 
-// buildInstance evaluates r's builtins under s and interns its head and
-// body atoms, appending the body literals to buf. keep is false when a
-// builtin fails.
-func (g *grounder) buildInstance(r *ast.Rule, s *unify.Subst, buf []interp.Lit) (head interp.Lit, body []interp.Lit, keep bool, err error) {
-	for _, b := range r.Builtins {
-		if s != nil {
-			b = ast.Builtin{Op: b.Op, L: substExpr(s, b.L), R: substExpr(s, b.R)}
-		}
-		holds, ok := ast.EvalBuiltin(b)
-		if !ok || !holds {
-			return 0, buf, false, nil
+// builtinsHold reports whether every builtin of c holds under the frame.
+func (g *grounder) builtinsHold(c *crule) bool {
+	if len(c.r.Builtins) == 0 {
+		return true
+	}
+	res := storage.Resolver{F: g.f, Tab: g.tab.TermTable(), Vars: c.vars}
+	for _, b := range c.r.Builtins {
+		if !b.HoldsUnder(res.Term) {
+			return false
 		}
 	}
-	id, ok := g.internAtom(r.Head.Atom, s)
-	if !ok {
-		return 0, buf, false, fmt.Errorf("ground: internal error: non-ground head of %s", r)
-	}
-	head = interp.MkLit(id, r.Head.Neg)
-	for _, l := range r.Body {
-		id, ok := g.internAtom(l.Atom, s)
-		if !ok {
-			return 0, buf, false, fmt.Errorf("ground: internal error: non-ground body atom %s of %s", l.Atom, r)
-		}
-		buf = append(buf, interp.MkLit(id, l.Neg))
-	}
-	return head, buf, true, nil
+	return true
 }
 
-// internAtom interns the instance of a under s (nil: a is ground) by
-// argument ids, so an atom the table already holds is never rebuilt. It
-// reports false when the instance is not ground.
-func (g *grounder) internAtom(a ast.Atom, s *unify.Subst) (interp.AtomID, bool) {
-	if s == nil {
-		if !a.Ground() {
-			return 0, false
-		}
-		return g.tab.Intern(a), true
+// buildInstance evaluates c's builtins under the frame and interns its head
+// and body atoms — argument ids straight from the frame, every atom under
+// one atom-table lock — appending the body literals to buf. keep is false
+// when a builtin fails.
+func (g *grounder) buildInstance(c *crule, buf []interp.Lit) (head interp.Lit, body []interp.Lit, keep bool, err error) {
+	if !g.builtinsHold(c) {
+		return 0, buf, false, nil
 	}
 	tt := g.tab.TermTable()
-	var buf [8]term.ID
-	ids := buf[:0]
-	for _, t := range a.Args {
-		w := s.Walk(t)
-		if c, isCompound := w.(ast.Compound); isCompound {
-			w = s.Apply(c)
+	args := g.argBuf[:0]
+	for i := range c.atoms {
+		var ok bool
+		if args, ok = g.f.Build(tt, c.atoms[i].args, args); !ok {
+			g.argBuf = args
+			return 0, buf, false, fmt.Errorf("ground: internal error: non-ground atom %s of %s", c.atoms[i].pred, c.r)
 		}
-		if !w.Ground() {
-			return 0, false
-		}
-		ids = append(ids, tt.Intern(w))
 	}
-	return g.tab.InternIDs(a.Pred, ids), true
+	g.argBuf = args
+	atoms := g.atomBuf[:0]
+	for i := range c.atoms {
+		n := len(c.atoms[i].args)
+		atoms = append(atoms, interp.IDAtom{Pred: c.atoms[i].pred, Sym: c.atoms[i].sym, Args: args[:n:n], Atom: c.atoms[i].ground})
+		args = args[n:]
+	}
+	g.atomBuf = atoms
+	ids := g.tab.InternAtoms(g.idBuf[:0], atoms)
+	g.idBuf = ids
+	head = interp.MkLit(ids[0], c.atoms[0].neg)
+	for i, id := range ids[1:] {
+		buf = append(buf, interp.MkLit(id, c.atoms[i+1].neg))
+	}
+	return head, buf, true, nil
 }
 
 // keepBody copies a retained instance's body out of the scratch buffer
@@ -581,47 +679,32 @@ func (g *grounder) addExprRefs(e ast.Expr, d int) {
 	}
 }
 
-func substExpr(s *unify.Subst, e ast.Expr) ast.Expr {
-	return ast.SubstituteExpr(e, func(v ast.Var) ast.Term {
-		t := s.Apply(v)
-		if tv, ok := t.(ast.Var); ok && tv.Name == v.Name {
-			return nil
-		}
-		return t
-	})
-}
-
 // full enumerates every substitution of every rule over the universe and
 // interns the complete Herbrand base.
 func (g *grounder) full() error {
-	for ci, c := range g.src.Components {
-		for _, r := range c.Rules {
+	var c crule
+	for ci, comp := range g.src.Components {
+		for _, r := range comp.Rules {
 			if err := g.check("ground: full-mode rule"); err != nil {
 				return err
 			}
-			vars := r.Vars()
-			if len(vars) == 0 {
-				if err := g.instantiate(ci, r, nil); err != nil {
-					return err
-				}
-				continue
-			}
-			if len(g.uni) == 0 {
+			g.compileInto(r, &c)
+			if len(c.vars) > 0 && len(g.uni) == 0 {
 				continue // variables but empty universe: no instances
 			}
-			s := unify.NewSubst()
-			var rec func(i int) error
-			rec = func(i int) error {
-				if i == len(vars) {
-					return g.instantiate(ci, r, s)
+			var rec func(i int32) error
+			rec = func(i int32) error {
+				if int(i) == len(c.vars) {
+					return g.instantiate(ci, &c)
 				}
-				for _, t := range g.uni {
-					mark := s.Mark()
-					s.Bind(vars[i], t)
-					if err := rec(i + 1); err != nil {
+				for _, id := range g.uniIDs {
+					mark := g.f.Mark()
+					g.f.Bind(i, id)
+					err := rec(i + 1)
+					g.f.Undo(mark)
+					if err != nil {
 						return err
 					}
-					s.Undo(mark)
 				}
 				return nil
 			}

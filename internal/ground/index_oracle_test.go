@@ -17,21 +17,28 @@ import (
 	"repro/internal/ast"
 	"repro/internal/parser"
 	"repro/internal/storage"
-	"repro/internal/unify"
+	"repro/internal/term"
 	"repro/internal/workload"
 )
 
-// emitFn receives each fully bound instance the scan oracle enumerates.
-type emitFn func(comp int, r *ast.Rule, s *unify.Subst) error
+// emitFn receives each fully bound instance the scan oracle enumerates:
+// the compiled rule, its bindings live in the grounder's frame.
+type emitFn func(comp int, c *crule) error
 
 // competitorsScanOracle instantiates the competitors of one target by
 // scanning: for every component that can overrule or defeat an owner of the
 // target, every source rule and then every asserted fact, filtered by head
-// predicate and sign, head-matched, and instantiated by scanEmitCompetitors.
+// predicate and sign, compiled, head-matched, and instantiated by
+// scanEmitCompetitors.
 func competitorsScanOracle(g *grounder, tg *target, emit emitFn) error {
-	scratch := unify.NewSubst()
 	wantKey := tg.atom.Key()
 	wantNeg := !tg.neg
+	tt := g.tab.TermTable()
+	var tgArgs []term.ID
+	for _, a := range tg.atom.Args {
+		id, _ := tt.Lookup(a)
+		tgArgs = append(tgArgs, id)
+	}
 	for ci := range g.src.Components {
 		relevant := false
 		for _, cs := range tg.comps {
@@ -48,12 +55,13 @@ func competitorsScanOracle(g *grounder, tg *target, emit emitFn) error {
 			if r.Head.Neg != wantNeg || r.Head.Atom.Key() != wantKey {
 				continue
 			}
-			mark := scratch.Mark()
+			c := g.compile(r)
+			mark := g.f.Mark()
 			var err error
-			if unify.MatchAtoms(scratch, r.Head.Atom, tg.atom) {
-				err = scanEmitCompetitors(g, ci, r, scratch, emit)
+			if g.f.Match(tt, c.atoms[0].args, tgArgs) {
+				err = scanEmitCompetitors(g, ci, c, emit)
 			}
-			scratch.Undo(mark)
+			g.f.Undo(mark)
 			if err != nil {
 				return err
 			}
@@ -63,25 +71,26 @@ func competitorsScanOracle(g *grounder, tg *target, emit emitFn) error {
 }
 
 // scanEmitCompetitors joins the rule's positive EDB-with-CWA literals
-// against the facts, then binds whatever variables the substitution still
-// leaves free over the whole universe, dropping instances a visible fact
-// blocks through a negative literal.
-func scanEmitCompetitors(g *grounder, comp int, r *ast.Rule, s *unify.Subst, emit emitFn) error {
+// against the facts, then binds whatever slots the frame still leaves
+// free over the whole universe, dropping instances a visible fact blocks
+// through a negative literal.
+func scanEmitCompetitors(g *grounder, comp int, c *crule, emit emitFn) error {
 	var joinLits []storage.JoinLit
-	for _, l := range r.Body {
+	for i, l := range c.r.Body {
 		if !l.Neg && g.edbShape(l.Atom.Key()) != nil {
-			joinLits = append(joinLits, storage.JoinLit{Rel: g.st.Peek(encKey(l.Atom.Key(), false)), Args: l.Atom.Args})
+			joinLits = append(joinLits, storage.JoinLit{Rel: g.st.Peek(encKey(l.Atom.Key(), false)), Args: c.atoms[i+1].args})
 		}
 	}
-	return storage.Join(s, joinLits, -1, !g.opts.NoJoinPlanner, func() error {
-		var free []ast.Var
-		for _, v := range r.Vars() {
-			if _, isVar := s.Walk(v).(ast.Var); isVar {
-				free = append(free, v)
+	tt := g.tab.TermTable()
+	return storage.Join(g.f, joinLits, -1, !g.opts.NoJoinPlanner, func() error {
+		var free []int32
+		for i := range c.vars {
+			if g.f.Vals[i] == term.None {
+				free = append(free, int32(i))
 			}
 		}
 		emit1 := func() error {
-			for _, l := range r.Body {
+			for i, l := range c.r.Body {
 				if !l.Neg || g.opts.NoEDBSimplify {
 					continue
 				}
@@ -89,23 +98,23 @@ func scanEmitCompetitors(g *grounder, comp int, r *ast.Rule, s *unify.Subst, emi
 				if sh == nil || !sh.onlyFactPos || !sh.topCWA || !sh.noOtherNeg {
 					continue
 				}
-				atom := s.ApplyAtom(l.Atom)
-				if atom.Ground() && g.blockedByVisibleFact(atom, comp, sh) {
+				a := &c.atoms[i+1]
+				if args, ok := g.f.Lookup(tt, a.args, nil); ok && g.blockedByVisibleFact(a.sym, args, comp, sh) {
 					return nil
 				}
 			}
-			return emit(comp, r, s)
+			return emit(comp, c)
 		}
 		var rec func(i int) error
 		rec = func(i int) error {
 			if i == len(free) {
 				return emit1()
 			}
-			for _, t := range g.uni {
-				mark := s.Mark()
-				s.Bind(free[i], t)
+			for _, id := range g.uniIDs {
+				mark := g.f.Mark()
+				g.f.Bind(free[i], id)
 				err := rec(i + 1)
-				s.Undo(mark)
+				g.f.Undo(mark)
 				if err != nil {
 					return err
 				}
@@ -128,8 +137,8 @@ func groundScanOracle(t *testing.T, p *ast.OrderedProgram, opts Options) *Progra
 	if err := g.smartPrep(); err != nil {
 		t.Fatal(err)
 	}
-	for _, sr := range g.dlSrc {
-		if err := g.joinInstantiate(sr); err != nil {
+	for i := range g.dlSrc {
+		if err := g.joinInstantiate(&g.dlSrc[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,13 +311,13 @@ func TestGrowthUpdatesFindWhatTheScanFinds(t *testing.T) {
 			g := gp.inc
 			for _, tgs := range g.targetsByPred {
 				for _, tg := range tgs {
-					err := competitorsScanOracle(g, tg, func(comp int, r *ast.Rule, s *unify.Subst) error {
-						head, body, keep, err := g.buildInstance(r, s, nil)
+					err := competitorsScanOracle(g, tg, func(comp int, c *crule) error {
+						head, body, keep, err := g.buildInstance(c, nil)
 						if err != nil || !keep {
 							return err
 						}
 						if _, ok := g.findInstance(instanceHash(comp, head, body), comp, head, body); !ok {
-							rule := Rule{Head: head, Body: body, Comp: int32(comp), Src: r}
+							rule := Rule{Head: head, Body: body, Comp: int32(comp), Src: c.r}
 							return fmt.Errorf("target %v: scan finds m%d %s, missing from the maintained program", tg.atom, comp, gp.RuleString(&rule))
 						}
 						return nil

@@ -6,7 +6,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/storage"
 	"repro/internal/term"
-	"repro/internal/unify"
 )
 
 // domKey is the auxiliary unary predicate holding the Herbrand universe; it
@@ -50,19 +49,11 @@ func (g *grounder) smart() error {
 	}
 
 	// Fireable pass.
-	for _, sr := range g.dlSrc {
+	for i := range g.dlSrc {
 		if err := g.check("ground: fireable pass"); err != nil {
 			return err
 		}
-		var err error
-		if len(sr.body) == 0 {
-			// No variables and nothing to join (a ground fact, or a ground
-			// head over builtins alone): the rule is its own only instance.
-			err = g.instantiate(sr.comp, sr.r, nil)
-		} else {
-			err = g.joinInstantiate(sr)
-		}
-		if err != nil {
+		if err := g.joinInstantiate(&g.dlSrc[i]); err != nil {
 			return err
 		}
 	}
@@ -87,12 +78,11 @@ func (g *grounder) smartPrep() error {
 	// The store shares the atom table's term table, so a term interned while
 	// filling relations is the same id the instantiation pass sees.
 	g.st = storage.NewStoreWith(g.tab.TermTable())
-	g.sub = unify.NewSubst()
 	g.extra = make(map[int][]*ast.Rule)
 	g.hasFunctors = len(g.src.Functors()) > 0
 	domRel := g.st.Rel(domKey)
-	for _, t := range g.uni {
-		domRel.Insert([]ast.Term{t})
+	for i := range g.uniIDs {
+		domRel.InsertIDs(g.uniIDs[i : i+1])
 	}
 	// After the $dom fill, so counting finds every constant interned already
 	// and term ids keep following universe order.
@@ -108,6 +98,7 @@ func (g *grounder) smartPrep() error {
 	enc := make(map[predSign]ast.PredKey)
 	slab := make([]datalog.Rule, g.src.NumRules())
 	dl := make([]*datalog.Rule, 0, len(slab))
+	g.dlSrc = make([]srcRule, 0, len(slab))
 	for ci, c := range g.src.Components {
 		for _, r := range c.Rules {
 			// Goal-directed slicing: rules whose head predicate the goal
@@ -122,10 +113,10 @@ func (g *grounder) smartPrep() error {
 				g.skippedRules++
 				continue
 			}
-			sr := encodeRule(ci, r)
+			body := encodeBody(r)
 			if g.rel != nil {
 				if guard, ok := g.rel.GuardLit(r.Head); ok {
-					sr.body = append([]datalog.Lit{guard}, sr.body...)
+					body = append([]datalog.Lit{guard}, body...)
 				}
 			}
 			ps := predSign{key: r.Head.Atom.Key(), neg: r.Head.Neg}
@@ -137,11 +128,11 @@ func (g *grounder) smartPrep() error {
 			dr := &slab[len(dl)]
 			*dr = datalog.Rule{
 				Head:     datalog.Lit{Key: headKey, Args: r.Head.Atom.Args},
-				Body:     sr.body,
+				Body:     body,
 				Builtins: r.Builtins,
 			}
 			dl = append(dl, dr)
-			g.dlSrc = append(g.dlSrc, sr)
+			g.dlSrc = append(g.dlSrc, g.compileSrc(ci, r, body))
 		}
 	}
 	if g.rel != nil {
@@ -158,13 +149,9 @@ func (g *grounder) smartPrep() error {
 	}
 	// Keep the possible-atom closure inside the depth-bounded universe:
 	// with function symbols a rule like num(s(X)) :- num(X) would
-	// otherwise diverge. Universe members were interned when filling $dom,
-	// so a term the table has never seen is provably outside the universe
-	// and membership is an id probe.
-	tt := g.tab.TermTable()
-	g.inUniverse = make(map[term.ID]bool, len(g.uni))
-	for _, t := range g.uni {
-		g.inUniverse[tt.Intern(t)] = true
+	// otherwise diverge. Membership is an index by term id.
+	for _, id := range g.uniIDs {
+		g.inUniverse.add(id)
 	}
 	if err := g.check("ground: possible-atom fixpoint"); err != nil {
 		return err
@@ -175,6 +162,11 @@ func (g *grounder) smartPrep() error {
 		}
 		return err
 	}
+	// Every retained head is a possible atom, so the possible-atom
+	// relations size the atom table and the instance dedup set.
+	n := g.st.Size() - domRel.Len()
+	g.tab.Reserve(n)
+	g.seen = make(map[uint64]int32, n)
 	return nil
 }
 
@@ -185,17 +177,21 @@ func (g *grounder) smartPrep() error {
 // fills.
 func (g *grounder) prepCompetitors() {
 	g.shapes = g.predShapes()
-	g.heads = make([]map[predSign][]*candidate, len(g.src.Components))
+	g.heads = make(map[predSign][][]*candidate)
 	g.bodyEDB = make(map[ast.PredKey][]compCandidate)
 	slab := make([]candidate, 0, g.src.NumRules())
 	openSeen := make(map[predSign]bool)
 	for ci, c := range g.src.Components {
-		g.heads[ci] = make(map[predSign][]*candidate)
 		for _, r := range c.Rules {
 			slab = append(slab, g.prepCandidate(r))
 			cand := &slab[len(slab)-1]
 			ps := predSign{key: r.Head.Atom.Key(), neg: r.Head.Neg}
-			g.heads[ci][ps] = append(g.heads[ci][ps], cand)
+			byComp := g.heads[ps]
+			if byComp == nil {
+				byComp = make([][]*candidate, len(g.src.Components))
+				g.heads[ps] = byComp
+			}
+			byComp[ci] = append(byComp[ci], cand)
 			for i, l := range cand.edb {
 				if !edbKeyBefore(cand.edb[:i], l.key) {
 					g.bodyEDB[l.key] = append(g.bodyEDB[l.key], compCandidate{comp: ci, c: cand})
@@ -231,28 +227,31 @@ func edbKeyBefore(lits []edbLit, k ast.PredKey) bool {
 // the predicate shapes, so it is worked out once instead of per target.
 type candidate struct {
 	r *ast.Rule
+	// c is the rule compiled (nil for a ground fact, compiled on use); the
+	// slots below are its frame slots.
+	c *crule
 	// edb are the positive body literals of EDB-with-CWA predicates: they
 	// bind from the fact relation (non-fact bindings are provably blocked).
 	edb []edbLit
-	// open are the variables neither the head match nor the edb joins bind,
-	// in r.Vars() order; they range over the universe.
-	open []ast.Var
+	// open are the slots of the variables neither the head match nor the
+	// edb joins bind, in r.Vars() order; they range over the universe.
+	open []int32
 	// negEDB are the negative body literals a visible fact can satisfy, in
 	// which case the instance is provably blocked and dropped.
 	negEDB []negLit
 }
 
 // edbLit is one EDB-joined body literal: its source predicate, that
-// predicate's possibly-true relation and the literal's arguments.
+// predicate's possibly-true relation and the literal's argument patterns.
 type edbLit struct {
 	key, rel ast.PredKey
-	args     []ast.Term
+	args     []storage.Pat
 }
 
 // negLit is a negative body literal on an EDB-with-CWA predicate that has
 // no negative rules besides the CWA fact.
 type negLit struct {
-	atom ast.Atom
+	atom *catom
 	sh   *predShape
 }
 
@@ -264,22 +263,26 @@ type compCandidate struct {
 
 func (g *grounder) prepCandidate(r *ast.Rule) candidate {
 	c := candidate{r: r}
+	if len(r.Body) == 0 && len(r.Builtins) == 0 && r.Head.Atom.Ground() {
+		return c // a ground fact: the head match is all there is
+	}
+	c.c = g.compile(r)
 	bound := r.Head.Vars(nil)
-	for _, l := range r.Body {
+	for i, l := range r.Body {
 		k := l.Atom.Key()
 		sh := g.edbShape(k)
 		switch {
 		case sh == nil:
 		case !l.Neg:
-			c.edb = append(c.edb, edbLit{key: k, rel: encKey(k, false), args: l.Atom.Args})
+			c.edb = append(c.edb, edbLit{key: k, rel: encKey(k, false), args: c.c.atoms[i+1].args})
 			bound = l.Vars(bound)
 		case sh.noOtherNeg:
-			c.negEDB = append(c.negEDB, negLit{atom: l.Atom, sh: sh})
+			c.negEDB = append(c.negEDB, negLit{atom: &c.c.atoms[i+1], sh: sh})
 		}
 	}
-	for _, v := range r.Vars() {
+	for i, v := range c.c.vars {
 		if !varIn(bound, v) {
-			c.open = append(c.open, v)
+			c.open = append(c.open, int32(i))
 		}
 	}
 	return c
@@ -294,13 +297,15 @@ func varIn(vs []ast.Var, v ast.Var) bool {
 	return false
 }
 
-// encodeRule builds the datalog encoding of a source rule body: one
+// encodeBody builds the datalog encoding of a source rule body: one
 // possible-atom literal per body literal plus a $dom literal for every
-// variable no body literal binds.
-func encodeRule(ci int, r *ast.Rule) srcRule {
+// variable no body literal binds. A variable-free rule without body (a
+// ground fact, or a ground head over builtins alone) encodes to nothing: it
+// is its own only instance.
+func encodeBody(r *ast.Rule) []datalog.Lit {
 	vars := r.Vars()
 	if len(r.Body) == 0 && len(vars) == 0 {
-		return srcRule{comp: ci, r: r}
+		return nil
 	}
 	var bound []ast.Var
 	body := make([]datalog.Lit, 0, len(r.Body)+2)
@@ -313,15 +318,30 @@ func encodeRule(ci int, r *ast.Rule) srcRule {
 			body = append(body, datalog.Lit{Key: domKey, Args: []ast.Term{v}})
 		}
 	}
-	return srcRule{comp: ci, r: r, body: body}
+	return body
+}
+
+// compileSrc compiles a source rule and its encoded body over one set of
+// slots. A ground fact keeps neither (see srcRule).
+func (g *grounder) compileSrc(ci int, r *ast.Rule, body []datalog.Lit) srcRule {
+	sr := srcRule{comp: ci, r: r}
+	if len(body) == 0 && len(r.Builtins) == 0 {
+		return sr
+	}
+	sr.c = g.compile(r)
+	tt := g.tab.TermTable()
+	sr.body = make([]encLit, len(body))
+	for i, l := range body {
+		sr.body[i] = encLit{key: l.Key, args: storage.CompileArgs(tt, l.Args, &sr.c.vars)}
+	}
+	g.f.Reserve(len(sr.c.vars))
+	return sr
 }
 
 // atomFilter keeps derived possible atoms inside the current universe.
-func (g *grounder) atomFilter(a ast.Atom) bool {
-	tt := g.tab.TermTable()
-	for _, t := range a.Args {
-		id, ok := tt.Lookup(t)
-		if !ok || !g.inUniverse[id] {
+func (g *grounder) atomFilter(args []term.ID) bool {
+	for _, id := range args {
+		if !g.inUniverse.has(id) {
 			return false
 		}
 	}
@@ -411,8 +431,13 @@ func (g *grounder) canCompete(tg *target, ci int) bool {
 func (g *grounder) competitorsFor(tg *target, newFrom int) error {
 	g.compTargets++
 	ps := predSign{key: tg.atom.Key(), neg: !tg.neg} // competitor head
+	var tgArgs []term.ID                             // resolved on the first head match
+	byComp := g.heads[ps]
 	for ci := range g.src.Components {
-		cands := g.heads[ci][ps]
+		var cands []*candidate
+		if byComp != nil {
+			cands = byComp[ci]
+		}
 		var extra []*ast.Rule
 		if newFrom == 0 {
 			extra = g.extra[ci] // ground facts: nothing open to revisit
@@ -420,11 +445,14 @@ func (g *grounder) competitorsFor(tg *target, newFrom int) error {
 		if len(cands)+len(extra) == 0 || !g.canCompete(tg, ci) {
 			continue
 		}
+		if tgArgs == nil {
+			tgArgs = g.atomArgs(tg.atom)
+		}
 		for _, c := range cands {
 			if newFrom > 0 && len(c.open) == 0 {
 				continue
 			}
-			if err := g.matchCandidate(tg, ci, c, newFrom); err != nil {
+			if err := g.matchCandidate(tgArgs, ci, c, newFrom); err != nil {
 				return err
 			}
 		}
@@ -433,7 +461,7 @@ func (g *grounder) competitorsFor(tg *target, newFrom int) error {
 				continue
 			}
 			fact := candidate{r: r}
-			if err := g.matchCandidate(tg, ci, &fact, newFrom); err != nil {
+			if err := g.matchCandidate(tgArgs, ci, &fact, newFrom); err != nil {
 				return err
 			}
 		}
@@ -441,16 +469,30 @@ func (g *grounder) competitorsFor(tg *target, newFrom int) error {
 	return nil
 }
 
-// matchCandidate head-matches one candidate of component ci against the
-// target and instantiates its bodies on success.
-func (g *grounder) matchCandidate(tg *target, ci int, c *candidate, newFrom int) error {
-	g.compCandidates++
-	mark := g.sub.Mark()
-	var err error
-	if unify.MatchAtoms(g.sub, c.r.Head.Atom, tg.atom) {
-		err = g.emitCompetitors(ci, c, g.sub, deltaNone, newFrom)
+// atomArgs returns the argument ids of an interned atom, in the grounder's
+// target scratch (valid until the next call).
+func (g *grounder) atomArgs(a ast.Atom) []term.ID {
+	tt := g.tab.TermTable()
+	ids := g.tgtArgs[:0]
+	for _, t := range a.Args {
+		id, _ := tt.Lookup(t) // interned together with the atom
+		ids = append(ids, id)
 	}
-	g.sub.Undo(mark)
+	g.tgtArgs = ids
+	return ids
+}
+
+// matchCandidate head-matches one candidate of component ci against the
+// target's argument ids and instantiates its bodies on success.
+func (g *grounder) matchCandidate(tgArgs []term.ID, ci int, c *candidate, newFrom int) error {
+	g.compCandidates++
+	cr := g.compiled(c.c, c.r)
+	mark := g.f.Mark()
+	var err error
+	if g.f.Match(g.tab.TermTable(), cr.atoms[0].args, tgArgs) {
+		err = g.emitCompetitors(ci, c, cr, deltaNone, newFrom)
+	}
+	g.f.Undo(mark)
 	return err
 }
 
@@ -582,20 +624,20 @@ var deltaNone = deltaRestrict{pos: -1}
 // well). newFrom is competitorsFor's: 0 enumerates every binding of the
 // open variables, a positive value only those holding a constant of
 // uni[newFrom:].
-func (g *grounder) emitCompetitors(comp int, c *candidate, s *unify.Subst, delta deltaRestrict, newFrom int) error {
+func (g *grounder) emitCompetitors(comp int, c *candidate, cr *crule, delta deltaRestrict, newFrom int) error {
 	if len(c.edb) == 0 {
 		if delta.pos >= 0 {
 			return nil // requested delta occurrence does not exist
 		}
-		return g.enumerateOpen(comp, c, s, 0, newFrom)
+		return g.enumerateOpen(comp, c, cr, 0, newFrom)
 	}
 	// Join items: positive EDB literals bind from the fact relation, joined
 	// in planner order.
-	joinLits := make([]storage.JoinLit, len(c.edb))
+	joinLits := g.jls[:0]
 	first := -1
 	nth := 0
 	for i, l := range c.edb {
-		joinLits[i] = storage.JoinLit{Rel: g.st.Peek(l.rel), Args: l.args}
+		joinLits = append(joinLits, storage.JoinLit{Rel: g.st.Peek(l.rel), Args: l.args})
 		if delta.pos >= 0 && l.key == delta.key {
 			if nth == delta.pos {
 				joinLits[i].Lo = delta.lo
@@ -604,11 +646,12 @@ func (g *grounder) emitCompetitors(comp int, c *candidate, s *unify.Subst, delta
 			nth++
 		}
 	}
+	g.jls = joinLits
 	if delta.pos >= 0 && first < 0 {
 		return nil // requested delta occurrence does not exist
 	}
-	return storage.Join(s, joinLits, first, !g.opts.NoJoinPlanner, func() error {
-		return g.enumerateOpen(comp, c, s, 0, newFrom)
+	return storage.Join(g.f, joinLits, first, !g.opts.NoJoinPlanner, func() error {
+		return g.enumerateOpen(comp, c, cr, 0, newFrom)
 	})
 }
 
@@ -621,32 +664,34 @@ func (g *grounder) emitCompetitors(comp int, c *candidate, s *unify.Subst, delta
 // binding with a new constant is therefore enumerated exactly once: the
 // first position holding one ranges over the new constants, earlier
 // positions over the old universe, later ones over all of it.
-func (g *grounder) enumerateOpen(comp int, c *candidate, s *unify.Subst, i, newFrom int) error {
+func (g *grounder) enumerateOpen(comp int, c *candidate, cr *crule, i, newFrom int) error {
 	if i == len(c.open) {
 		if newFrom > 0 {
 			return nil // no open variable: growth has nothing to add
 		}
+		tt := g.tab.TermTable()
 		for _, l := range c.negEDB {
-			atom := s.ApplyAtom(l.atom)
-			if atom.Ground() && g.blockedByVisibleFact(atom, comp, l.sh) {
+			args, ok := g.f.Lookup(tt, l.atom.args, g.argBuf[:0])
+			g.argBuf = args
+			if ok && g.blockedByVisibleFact(l.atom.sym, args, comp, l.sh) {
 				return nil
 			}
 		}
-		return g.instantiate(comp, c.r, s)
+		return g.instantiate(comp, cr)
 	}
 	from := 0
 	if i == len(c.open)-1 {
 		from = newFrom
 	}
-	for k := from; k < len(g.uni); k++ {
+	for k := from; k < len(g.uniIDs); k++ {
 		next := newFrom
 		if k >= newFrom {
 			next = 0
 		}
-		mark := s.Mark()
-		s.Bind(c.open[i], g.uni[k])
-		err := g.enumerateOpen(comp, c, s, i+1, next)
-		s.Undo(mark)
+		mark := g.f.Mark()
+		g.f.Bind(c.open[i], g.uniIDs[k])
+		err := g.enumerateOpen(comp, c, cr, i+1, next)
+		g.f.Undo(mark)
 		if err != nil {
 			return err
 		}
@@ -654,32 +699,20 @@ func (g *grounder) enumerateOpen(comp int, c *candidate, s *unify.Subst, i, newF
 	return nil
 }
 
-// blockedByVisibleFact reports whether atom is a ground fact of its
-// EDB-with-CWA predicate in a component cb with comp <= cb < cwa — in
-// which case the fact is visible and undefeated in every view that sees
-// the competitor instance, so a negative literal on it blocks the instance
-// in every model. Lookup-only with a stack key buffer: it runs once per
-// enumerated competitor binding, so a term the table has never seen just
-// proves the atom equals no fact head, and nothing is interned or
+// blockedByVisibleFact reports whether the atom sym(args...) is a ground
+// fact of its EDB-with-CWA predicate in a component cb with comp <= cb <
+// cwa — in which case the fact is visible and undefeated in every view that
+// sees the competitor instance, so a negative literal on it blocks the
+// instance in every model. The key is built over a stack buffer: it runs
+// once per enumerated competitor binding, and nothing is interned or
 // allocated on the way.
-func (g *grounder) blockedByVisibleFact(atom ast.Atom, comp int, sh *predShape) bool {
-	tt := g.tab.TermTable()
+func (g *grounder) blockedByVisibleFact(sym term.ID, args []term.ID, comp int, sh *predShape) bool {
 	var kb [64]byte
-	buf := kb[:0]
-	id, ok := tt.LookupSym(atom.Pred)
-	if !ok {
-		return false // predicate symbol never interned: atom equals no fact head
+	buf := term.AppendID(kb[:0], sym)
+	for _, id := range args {
+		buf = term.AppendID(buf, id)
 	}
-	buf = term.AppendID(buf, id)
-	for _, t := range atom.Args {
-		tid, ok := tt.Lookup(t)
-		if !ok {
-			return false // some subterm was never interned: atom equals no fact head
-		}
-		buf = term.AppendID(buf, tid)
-	}
-	fk := string(buf)
-	for _, cb := range g.factComps[fk] {
+	for _, cb := range g.factComps[string(buf)] {
 		if cb == sh.cwaComp {
 			continue
 		}
@@ -693,17 +726,26 @@ func (g *grounder) blockedByVisibleFact(atom ast.Atom, comp int, sh *predShape) 
 	return false
 }
 
-// joinInstantiate enumerates the substitutions satisfying the encoded body
-// over the possible-atom store and instantiates the rule for each. The
-// join order is chosen by the shared selectivity planner.
-func (g *grounder) joinInstantiate(sr srcRule) error {
-	lits := make([]storage.JoinLit, len(sr.body))
-	for i, l := range sr.body {
-		lits[i] = storage.JoinLit{Rel: g.st.Peek(l.Key), Args: l.Args}
-	}
-	return storage.Join(g.sub, lits, -1, !g.opts.NoJoinPlanner, func() error {
-		return g.instantiate(sr.comp, sr.r, g.sub)
+// joinInstantiate enumerates the frames satisfying the encoded body over
+// the possible-atom store and instantiates the rule for each. The join
+// order is chosen by the shared selectivity planner; a ground fact has
+// nothing to join and is its own only instance.
+func (g *grounder) joinInstantiate(sr *srcRule) error {
+	cr := g.compiled(sr.c, sr.r)
+	return storage.Join(g.f, g.joinLits(sr), -1, !g.opts.NoJoinPlanner, func() error {
+		return g.instantiate(sr.comp, cr)
 	})
+}
+
+// joinLits lists sr's encoded body as join literals over the store, in the
+// grounder's join scratch.
+func (g *grounder) joinLits(sr *srcRule) []storage.JoinLit {
+	lits := g.jls[:0]
+	for _, l := range sr.body {
+		lits = append(lits, storage.JoinLit{Rel: g.st.Peek(l.key), Args: l.args})
+	}
+	g.jls = lits
+	return lits
 }
 
 // recordMarks snapshots every relation's size: the next delta pass treats

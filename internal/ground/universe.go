@@ -57,6 +57,10 @@ func universe(p *ast.OrderedProgram, maxDepth int, budget int) (all []ast.Term, 
 		base = []ast.Term{ast.Sym("u0")}
 	}
 	all = append([]ast.Term(nil), base...)
+	functors := p.Functors()
+	if maxDepth < 1 || len(functors) == 0 {
+		return all, noConsts, checkBudget(all, budget)
+	}
 	// Dedup members by interned id instead of canonical text. members holds
 	// ids of universe members only — a term interned merely as a subterm of
 	// a deeper base constant is not in it, so it can still be added when the
@@ -66,7 +70,7 @@ func universe(p *ast.OrderedProgram, maxDepth int, budget int) (all []ast.Term, 
 	for _, t := range all {
 		members[dedup.Intern(t)] = true
 	}
-	functors := p.Functors()
+	grown := false
 	for d := 1; d <= maxDepth && len(functors) > 0; d++ {
 		var next []ast.Term
 		for _, f := range functors {
@@ -107,12 +111,20 @@ func universe(p *ast.OrderedProgram, maxDepth int, budget int) (all []ast.Term, 
 			break
 		}
 		all = append(all, next...)
+		grown = true
 	}
-	ast.SortTerms(all)
+	if grown {
+		ast.SortTerms(all) // base came sorted from Constants
+	}
+	return all, noConsts, checkBudget(all, budget)
+}
+
+// checkBudget fails a universe larger than a positive budget.
+func checkBudget(all []ast.Term, budget int) error {
 	if budget > 0 && len(all) > budget {
-		return nil, false, &ErrBudget{"universe", budget}
+		return &ErrBudget{"universe", budget}
 	}
-	return all, noConsts, nil
+	return nil
 }
 
 func programTermDepth(p *ast.OrderedProgram) int {

@@ -42,26 +42,36 @@ func (l Lit) Neg() bool { return l&1 == 1 }
 func (l Lit) Complement() Lit { return l ^ 1 }
 
 // Table interns ground atoms. Atoms are keyed by their predicate symbol id
-// plus the packed interned ids of their arguments (internal/term), so
-// interning an already-seen atom costs one per-argument id lookup and one
-// map probe over a short binary key instead of re-serialising the atom to
-// a string. The zero value is not usable; call NewTable.
+// plus the interned ids of their arguments (internal/term), so interning an
+// already-seen atom costs one hash over a few ids and one map probe instead
+// of re-serialising the atom to a string. The zero value is not usable;
+// call NewTable.
 //
 // Like term.Table, an atom table is safe for concurrent use: Intern and
-// InternIDs take the write lock (so concurrent writers serialise on the
-// mutex, including the shared key scratch it guards), and
-// Lookup/LookupIDs/Atom/Len/OfPred/Preds take the read lock. The engine
-// relies on this: snapshot readers — queries, and the cone and goal-slice
-// sub-tables that answer through their parent — read the table a version
-// shares with its successors while the single writer interns an update's
-// atoms (delta grounding).
+// InternAtoms take the write lock (so concurrent writers serialise on the
+// mutex), and Lookup/LookupIDs/Atom/Len/OfPred/Preds take the read lock.
+// The engine relies on this: snapshot readers — queries, and the cone and
+// goal-slice sub-tables that answer through their parent — read the table a
+// version shares with its successors while the single writer interns an
+// update's atoms (delta grounding).
 type Table struct {
-	mu    sync.RWMutex
-	tab   *term.Table
-	byKey map[string]AtomID
-	atoms []ast.Atom
-	preds map[ast.PredKey][]AtomID
-	buf   []byte // scratch for Intern/InternIDs keys; lookups must not touch it
+	mu  sync.RWMutex
+	tab *term.Table
+	// seen maps the hash of an atom's key — predicate symbol id, then
+	// argument ids — to the newest atom with that hash, and chain[i] links
+	// atom i to the previous one (-1: none). Atom i's key is
+	// keys[keyOff[i]:keyOff[i+1]], so collisions resolve by comparing ids
+	// and a new atom allocates no key of its own.
+	seen   map[uint64]AtomID
+	chain  []AtomID
+	keys   []term.ID
+	keyOff []int32
+	atoms  []ast.Atom
+	preds  map[ast.PredKey]*[]AtomID
+	// argArena is the chunk InternAtoms carves new atoms' arguments from
+	// (argChunk its doubling size); atoms are never rewritten.
+	argArena []ast.Term
+	argChunk int
 
 	// parent and ids make a sub-table (see Sub): atom i is parent's atom
 	// ids[i]. A sub-table keeps no keys or atoms of its own, only preds.
@@ -76,7 +86,7 @@ func NewTable() *Table { return NewTableWith(term.NewTable()) }
 // tab, so a caller can share one term table between its atom table and a
 // storage.Store.
 func NewTableWith(tab *term.Table) *Table {
-	return &Table{tab: tab, byKey: make(map[string]AtomID), preds: make(map[ast.PredKey][]AtomID)}
+	return &Table{tab: tab, seen: make(map[uint64]AtomID), keyOff: []int32{0}, preds: make(map[ast.PredKey]*[]AtomID)}
 }
 
 // Sub returns a read-only table over some of t's atoms, renumbered densely:
@@ -86,14 +96,23 @@ func NewTableWith(tab *term.Table) *Table {
 // its predicate lists — interpretations and views over it are sized by
 // len(ids), not by t. Interning into a sub-table panics.
 func (t *Table) Sub(ids []AtomID) *Table {
-	s := &Table{tab: t.tab, parent: t, ids: ids, preds: make(map[ast.PredKey][]AtomID)}
+	s := &Table{tab: t.tab, parent: t, ids: ids, preds: make(map[ast.PredKey]*[]AtomID)}
 	t.mu.RLock()
 	for i, id := range ids {
-		k := t.atoms[id].Key()
-		s.preds[k] = append(s.preds[k], AtomID(i))
+		s.addPred(t.atoms[id].Key(), AtomID(i))
 	}
 	t.mu.RUnlock()
 	return s
+}
+
+// addPred appends id to its predicate's list.
+func (t *Table) addPred(k ast.PredKey, id AtomID) {
+	l := t.preds[k]
+	if l == nil {
+		l = new([]AtomID)
+		t.preds[k] = l
+	}
+	*l = append(*l, id)
 }
 
 // local maps a parent atom id to the sub-table's id for it.
@@ -108,15 +127,40 @@ func (t *Table) local(id AtomID, ok bool) (AtomID, bool) {
 // TermTable returns the term table the atom table interns arguments into.
 func (t *Table) TermTable() *term.Table { return t.tab }
 
-// appendKey packs the atom's key: the interned predicate-symbol id followed
-// by one id per argument. Distinct arities yield distinct key lengths, so
-// p/1 and p/2 atoms cannot collide.
-func (t *Table) appendKey(b []byte, pred term.ID, args []term.ID) []byte {
-	b = term.AppendID(b, pred)
-	for _, id := range args {
-		b = term.AppendID(b, id)
+// keyHash is the FNV-1a hash of an atom's key: the predicate symbol id,
+// then one id per argument.
+func keyHash(pred term.ID, args []term.ID) uint64 {
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037)
+	mix := func(id term.ID) {
+		v := uint32(id)
+		h = (h ^ uint64(v&0xff)) * prime64
+		h = (h ^ uint64((v>>8)&0xff)) * prime64
+		h = (h ^ uint64((v>>16)&0xff)) * prime64
+		h = (h ^ uint64(v>>24)) * prime64
 	}
-	return b
+	mix(pred)
+	for _, id := range args {
+		mix(id)
+	}
+	return h
+}
+
+// find walks the chain of atoms hashing to h. It returns the atom with the
+// given key (found) and the newest atom of the chain (-1: none), the link a
+// new atom with this hash must point to. Callers hold a lock.
+func (t *Table) find(h uint64, pred term.ID, args []term.ID) (id, newest AtomID, found bool) {
+	newest, ok := t.seen[h]
+	if !ok {
+		return 0, -1, false
+	}
+	for i := newest; i >= 0; i = t.chain[i] {
+		k := t.keys[t.keyOff[i]:t.keyOff[i+1]]
+		if len(k) == 1+len(args) && k[0] == pred && slices.Equal(k[1:], args) {
+			return i, newest, true
+		}
+	}
+	return 0, newest, false
 }
 
 // Intern returns the id for a ground atom, creating it if needed.
@@ -130,29 +174,67 @@ func (t *Table) Intern(a ast.Atom) AtomID {
 	pred := t.tab.InternSym(a.Pred)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.probe(pred, args); ok {
+	h := keyHash(pred, args)
+	id, newest, ok := t.find(h, pred, args)
+	if ok {
 		return id
 	}
-	return t.add(a)
+	return t.add(h, newest, pred, args, a)
 }
 
-// InternIDs returns the id for the ground atom pred(args...) given its
-// already-interned argument ids, creating it if needed. The atom itself is
-// decoded from the term table only when it is new, so re-interning a known
-// atom builds no ast.Atom at all.
-func (t *Table) InternIDs(pred string, args []term.ID) AtomID {
+// IDAtom is a ground atom given by interned ids: its predicate's name and
+// symbol id, and its argument ids. Atom, when set (Pred non-empty), is the
+// same atom as written — a ground atom of a rule — and is stored as is if
+// the atom is new, instead of decoding Args.
+type IDAtom struct {
+	Pred string
+	Sym  term.ID
+	Args []term.ID
+	Atom ast.Atom
+}
+
+// InternAtoms interns every atom under one write lock — a ground
+// instance's head and body together — and appends their ids to dst. An
+// atom is decoded from the term table only when it is new, so re-interning
+// known atoms builds no ast.Atom at all; new atoms' arguments are carved
+// from a shared arena rather than allocated one slice each.
+func (t *Table) InternAtoms(dst []AtomID, atoms []IDAtom) []AtomID {
 	t.mustOwn()
-	sym := t.tab.InternSym(pred)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.probe(sym, args); ok {
-		return id
+	for i := range atoms {
+		a := &atoms[i]
+		h := keyHash(a.Sym, a.Args)
+		id, newest, ok := t.find(h, a.Sym, a.Args)
+		if !ok {
+			at := ast.Atom{Pred: a.Pred}
+			if a.Atom.Pred != "" {
+				at = a.Atom
+			} else if n := len(a.Args); n > 0 {
+				if len(t.argArena) < n {
+					t.argChunk = min(max(2*t.argChunk, 16), 256)
+					t.argArena = make([]ast.Term, max(t.argChunk, n))
+				}
+				at.Args = t.tab.AppendTerms(t.argArena[:0:n], a.Args)
+				t.argArena = t.argArena[n:]
+			}
+			id = t.add(h, newest, a.Sym, a.Args, at)
+		}
+		dst = append(dst, id)
 	}
-	a := ast.Atom{Pred: pred}
-	if len(args) > 0 {
-		a.Args = t.tab.AppendTerms(make([]ast.Term, 0, len(args)), args)
+	return dst
+}
+
+// Reserve presizes an empty table's key map for n atoms, so a caller that
+// can estimate the atom count — the grounder, from its possible-atom
+// relations — interns without rehashing.
+func (t *Table) Reserve(n int) {
+	t.mustOwn()
+	t.mu.Lock()
+	if len(t.atoms) == 0 {
+		t.seen = make(map[uint64]AtomID, n)
 	}
-	return t.add(a)
+	t.mu.Unlock()
 }
 
 func (t *Table) mustOwn() {
@@ -161,30 +243,23 @@ func (t *Table) mustOwn() {
 	}
 }
 
-// probe packs the atom's key into the table's scratch and looks it up.
-// Callers hold the write lock.
-func (t *Table) probe(pred term.ID, args []term.ID) (AtomID, bool) {
-	t.buf = t.appendKey(t.buf[:0], pred, args)
-	id, ok := t.byKey[string(t.buf)]
-	return id, ok
-}
-
-// add records a new atom under the key the preceding probe left in the
-// scratch. Callers hold the write lock.
-func (t *Table) add(a ast.Atom) AtomID {
+// add records a new atom with key hash h, linked to newest (find's). Callers
+// hold the write lock.
+func (t *Table) add(h uint64, newest AtomID, pred term.ID, args []term.ID, a ast.Atom) AtomID {
 	id := AtomID(len(t.atoms))
-	t.byKey[string(t.buf)] = id
+	t.seen[h] = id
+	t.chain = append(t.chain, newest)
+	t.keys = append(append(t.keys, pred), args...)
+	t.keyOff = append(t.keyOff, int32(len(t.keys)))
 	t.atoms = append(t.atoms, a)
-	pk := a.Key()
-	t.preds[pk] = append(t.preds[pk], id)
+	t.addPred(a.Key(), id)
 	return id
 }
 
 // Lookup returns the id of a ground atom and whether it is interned. It
 // never interns: an atom whose predicate symbol or arguments are absent
-// from the term table cannot have been interned. Lookup never touches the
-// table's shared scratch buffer, so concurrent Lookups on a table that is
-// no longer being interned into are safe.
+// from the term table cannot have been interned. Lookup takes the read
+// lock only, so any number of Lookups run against at most one writer.
 func (t *Table) Lookup(a ast.Atom) (AtomID, bool) {
 	if t.parent != nil {
 		return t.local(t.parent.Lookup(a))
@@ -202,12 +277,7 @@ func (t *Table) Lookup(a ast.Atom) (AtomID, bool) {
 		}
 		args = append(args, id)
 	}
-	var kb [64]byte
-	key := t.appendKey(kb[:0], pred, args)
-	t.mu.RLock()
-	id, ok := t.byKey[string(key)]
-	t.mu.RUnlock()
-	return id, ok
+	return t.LookupIDs(pred, args)
 }
 
 // LookupIDs returns the id of the ground atom with the given predicate
@@ -218,10 +288,9 @@ func (t *Table) LookupIDs(pred term.ID, args []term.ID) (AtomID, bool) {
 	if t.parent != nil {
 		return t.local(t.parent.LookupIDs(pred, args))
 	}
-	var kb [64]byte
-	key := t.appendKey(kb[:0], pred, args)
+	h := keyHash(pred, args)
 	t.mu.RLock()
-	id, ok := t.byKey[string(key)]
+	id, _, ok := t.find(h, pred, args)
 	t.mu.RUnlock()
 	return id, ok
 }
@@ -254,7 +323,10 @@ func (t *Table) Len() int {
 // prefix the caller received is immutable.
 func (t *Table) OfPred(k ast.PredKey) []AtomID {
 	t.mu.RLock()
-	ids := t.preds[k]
+	var ids []AtomID
+	if l := t.preds[k]; l != nil {
+		ids = *l
+	}
 	t.mu.RUnlock()
 	return ids
 }

@@ -29,7 +29,11 @@ type Relation struct {
 	// comparing the stored ids.
 	seen  map[uint64]int32
 	chain []int32
-	cols  []map[term.ID][]int32
+	// cols[c] indexes column c: term id -> ascending tuple indexes. A
+	// column's index is built on the first probe that binds it (nil until
+	// then) and kept up to date from there, so a relation only ever
+	// scanned — most derived ones — builds none.
+	cols []map[term.ID][]int32
 	// arena is the chunk new column buckets take their first slot from (most
 	// buckets of a key-like column never grow past it); arenaChunk is the
 	// size of the last chunk, doubling up to maxBucketChunk.
@@ -41,12 +45,7 @@ const maxBucketChunk = 1024
 
 // NewRelation returns an empty relation of the given arity over tab.
 func NewRelation(tab *term.Table, arity int) *Relation {
-	r := &Relation{tab: tab, arity: arity, seen: make(map[uint64]int32)}
-	r.cols = make([]map[term.ID][]int32, arity)
-	for i := range r.cols {
-		r.cols[i] = make(map[term.ID][]int32)
-	}
-	return r
+	return &Relation{tab: tab, arity: arity, seen: make(map[uint64]int32), cols: make([]map[term.ID][]int32, arity)}
 }
 
 // Table returns the term table the relation interns into.
@@ -136,14 +135,33 @@ func (r *Relation) InsertIDs(ids []term.ID) bool {
 	}
 	r.seen[h] = idx
 	r.chain = append(r.chain, prev)
-	for c, id := range ids {
-		b, ok := r.cols[c][id]
-		if !ok {
-			b = r.newBucket()
+	for c, col := range r.cols {
+		if col != nil {
+			r.index(col, ids[c], idx)
 		}
-		r.cols[c][id] = append(b, idx)
 	}
 	return true
+}
+
+// index appends tuple idx to the bucket of id in a column index.
+func (r *Relation) index(col map[term.ID][]int32, id term.ID, idx int32) {
+	b, ok := col[id]
+	if !ok {
+		b = r.newBucket()
+	}
+	col[id] = append(b, idx)
+}
+
+// column returns column c's index, building it on first use.
+func (r *Relation) column(c int) map[term.ID][]int32 {
+	if r.cols[c] == nil {
+		col := make(map[term.ID][]int32)
+		for i, n := 0, r.Len(); i < n; i++ {
+			r.index(col, r.flat[i*r.arity+c], int32(i))
+		}
+		r.cols[c] = col
+	}
+	return r.cols[c]
 }
 
 // newBucket returns an empty column bucket with room for one index, carved
@@ -213,7 +231,7 @@ func (r *Relation) bestBucket(pattern []term.ID) ([]int32, bool) {
 		if pattern[c] == term.None {
 			continue
 		}
-		b := r.cols[c][pattern[c]]
+		b := r.column(c)[pattern[c]]
 		if !bound || len(b) < len(best) {
 			best = b
 		}

@@ -189,6 +189,52 @@ func (t *Table) internLocked(x ast.Term) ID {
 	panic("term: intern of unknown term kind")
 }
 
+// InternCompound returns the id of the compound functor(args...) given its
+// already-interned argument ids, interning it if needed: the join kernel
+// builds instance arguments from frame ids without an ast.Term in hand.
+func (t *Table) InternCompound(functor string, args []ID) ID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.buf = compoundKey(t.buf, functor, args)
+	if id, ok := t.comps[string(t.buf)]; ok {
+		return id
+	}
+	c := ast.Compound{Functor: functor, Args: make([]ast.Term, len(args))}
+	for i, a := range args {
+		c.Args[i] = t.terms[a]
+	}
+	id := t.add(c)
+	t.comps[string(t.buf)] = id
+	return id
+}
+
+// LookupCompound returns the id of the compound functor(args...) without
+// interning; false when it was never interned.
+func (t *Table) LookupCompound(functor string, args []ID) (ID, bool) {
+	var kb [64]byte
+	key := compoundKey(kb[:0], functor, args)
+	t.mu.RLock()
+	id, ok := t.comps[string(key)]
+	t.mu.RUnlock()
+	return id, ok
+}
+
+// Decompose splits a compound's id into its functor and argument ids,
+// appended to dst. ok is false when id is not a compound.
+func (t *Table) Decompose(id ID, dst []ID) (functor string, args []ID, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	c, isCompound := t.terms[id].(ast.Compound)
+	if !isCompound {
+		return "", dst, false
+	}
+	for _, a := range c.Args {
+		aid, _ := t.lookupLocked(a) // subterms are interned with the compound
+		dst = append(dst, aid)
+	}
+	return c.Functor, dst, true
+}
+
 // Lookup returns the id of x without interning. The second result is false
 // when x (or any subterm) has never been interned — in particular, a ground
 // term not present in any relation of the owning store. Lookup takes the

@@ -1,6 +1,7 @@
 // Package unify implements substitutions, most general unifiers and
-// matching for the term language of internal/ast. The grounder and the
-// query evaluator are its main clients.
+// matching for the term language of internal/ast. The goal-directed query
+// evaluator is its main client; the grounder joins over term ids
+// (internal/storage) instead, and tests use Match as the join's oracle.
 package unify
 
 import (
@@ -8,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/term"
 )
 
 // Subst is a substitution: a finite mapping from variable names to terms,
@@ -105,16 +105,18 @@ func (s *Subst) ApplyLiteral(l ast.Literal) ast.Literal {
 	return ast.Literal{Neg: l.Neg, Atom: s.ApplyAtom(l.Atom)}
 }
 
-// ApplyRule applies the substitution to a whole rule.
-func (s *Subst) ApplyRule(r *ast.Rule) *ast.Rule {
-	return r.Substitute(func(v ast.Var) ast.Term {
-		t := s.Apply(v)
-		if tv, ok := t.(ast.Var); ok && tv.Name == v.Name {
-			return nil // unbound: keep in place
-		}
-		return t
-	})
+// Resolve returns v's binding applied deeply, or nil when v is unbound: the
+// binding function ast's Substitute helpers take.
+func (s *Subst) Resolve(v ast.Var) ast.Term {
+	t := s.Apply(v)
+	if tv, ok := t.(ast.Var); ok && tv.Name == v.Name {
+		return nil // unbound: keep in place
+	}
+	return t
 }
+
+// ApplyRule applies the substitution to a whole rule.
+func (s *Subst) ApplyRule(r *ast.Rule) *ast.Rule { return r.Substitute(s.Resolve) }
 
 // String renders the substitution as {X->a, Y->f(b)} with sorted keys.
 func (s *Subst) String() string {
@@ -239,24 +241,6 @@ func Match(s *Subst, pattern, g ast.Term) bool {
 		return true
 	}
 	return false
-}
-
-// MatchID extends s so that pattern instantiated by s equals the interned
-// ground term id over tab. It is the interned fast path of Match: an
-// unbound variable binds in O(1) to the decoded term, a ground pattern
-// reduces to an id comparison (never interned ⇒ cannot match), and only
-// partially bound compounds fall back to structural matching.
-func MatchID(s *Subst, pattern ast.Term, id term.ID, tab *term.Table) bool {
-	pattern = s.Walk(pattern)
-	if v, ok := pattern.(ast.Var); ok {
-		s.Bind(v, tab.Term(id))
-		return true
-	}
-	if pattern.Ground() {
-		pid, ok := tab.Lookup(pattern)
-		return ok && pid == id
-	}
-	return Match(s, pattern, tab.Term(id))
 }
 
 // MatchAtoms extends s to match a pattern atom against a ground atom.
