@@ -182,6 +182,11 @@ func TermSize(t Term) int {
 // value/name/arity/args. The result is negative, zero or positive in the
 // manner of strings.Compare. Variables sort after all ground terms by name.
 func CompareTerms(a, b Term) int {
+	if as, ok := a.(Sym); ok { // the common case, without the rank switch
+		if bs, ok := b.(Sym); ok {
+			return strings.Compare(string(as), string(bs))
+		}
+	}
 	ra, rb := termRank(a), termRank(b)
 	if ra != rb {
 		return ra - rb

@@ -247,6 +247,10 @@ type evaluator struct {
 	ids                   []term.ID
 	marks                 map[ast.PredKey]int
 	derived, newThisRound int
+	// rel is the relation the last insert went to, relKey its key:
+	// derivations come in runs of one head.
+	rel    *storage.Relation
+	relKey ast.PredKey
 }
 
 func (r *Rule) isFact() bool { return len(r.Body) == 0 && len(r.Builtins) == 0 }
@@ -279,7 +283,10 @@ func (e *evaluator) insert(k ast.PredKey, args []term.ID) error {
 	if e.opts.AtomFilter != nil && !e.opts.AtomFilter(args) {
 		return nil
 	}
-	if e.st.Rel(k).InsertIDs(args) {
+	if e.rel == nil || k != e.relKey {
+		e.rel, e.relKey = e.st.Rel(k), k
+	}
+	if e.rel.InsertIDs(args) {
 		e.newThisRound++
 		e.derived++
 		if e.opts.MaxDerived > 0 && e.derived > e.opts.MaxDerived {

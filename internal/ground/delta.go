@@ -396,7 +396,7 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 		}
 	}
 	for k, n := range dec {
-		if g.constRefs[k]-n <= 0 {
+		if int(k) >= len(g.constRefs) || g.constRefs[k]-n <= 0 {
 			// Last occurrence of a constant: a rebuild's Herbrand universe
 			// would shrink, and with it the $dom enumerations behind both
 			// fireable and competitor instances.

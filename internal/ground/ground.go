@@ -331,12 +331,12 @@ type grounder struct {
 	openSigns []predSign
 	marks     map[ast.PredKey]int // relation sizes at the end of the last (delta) pass
 	extra     map[int][]*ast.Rule // asserted fact rules per component, still in effect
-	// constRefs counts, per constant (keyed by interned term id), its
+	// constRefs counts, per constant (indexed by interned term id), its
 	// occurrences in the effective program (source rules plus asserted facts
 	// minus retracted ones). A retraction that would drop a count to zero
 	// shrinks the Herbrand universe a rebuild computes, so it falls back to
 	// regrounding.
-	constRefs   map[term.ID]int
+	constRefs   []int
 	uniFallback bool // universe used the fresh-constant fallback
 	hasFunctors bool // program terms use function symbols
 	// poisoned marks the incremental state unusable after a mid-update
@@ -661,7 +661,11 @@ func (g *grounder) addConstRefs(r *ast.Rule, d int) {
 func (g *grounder) addTermRefs(t ast.Term, d int) {
 	switch c := t.(type) {
 	case ast.Sym, ast.Int:
-		g.constRefs[g.tab.TermTable().Intern(t)] += d
+		id := g.tab.TermTable().Intern(t)
+		for int(id) >= len(g.constRefs) {
+			g.constRefs = append(g.constRefs, 0)
+		}
+		g.constRefs[id] += d
 	case ast.Compound:
 		for _, a := range c.Args {
 			g.addTermRefs(a, d)

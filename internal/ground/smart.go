@@ -86,7 +86,7 @@ func (g *grounder) smartPrep() error {
 	}
 	// After the $dom fill, so counting finds every constant interned already
 	// and term ids keep following universe order.
-	g.constRefs = make(map[term.ID]int, len(g.uni))
+	g.constRefs = make([]int, 0, len(g.uni))
 	for _, c := range g.src.Components {
 		for _, r := range c.Rules {
 			g.addConstRefs(r, 1)
@@ -356,14 +356,26 @@ func (g *grounder) atomFilter(args []term.ID) bool {
 func (g *grounder) registerTargets(from int) []*target {
 	g.pass++
 	var grown []*target
+	// New targets come in runs of one head predicate and sign: each run
+	// reads and writes its targetsByPred list once.
+	var (
+		runPS  predSign
+		runs   bool
+		runTgs []*target
+	)
 	for i := from; i < len(g.rules); i++ {
 		r := &g.rules[i]
 		t, ok := g.targets[r.Head]
 		if !ok {
 			t = g.newTarget(r.Head)
 			g.targets[r.Head] = t
-			ps := predSign{key: t.atom.Key(), neg: t.neg}
-			g.targetsByPred[ps] = append(g.targetsByPred[ps], t)
+			if ps := (predSign{key: t.atom.Key(), neg: t.neg}); !runs || ps != runPS {
+				if runs {
+					g.targetsByPred[runPS] = runTgs
+				}
+				runPS, runs, runTgs = ps, true, g.targetsByPred[ps]
+			}
+			runTgs = append(runTgs, t)
 		}
 		if !t.ownedBy(r.Comp) {
 			t.comps = append(t.comps, r.Comp)
@@ -372,6 +384,9 @@ func (g *grounder) registerTargets(from int) []*target {
 				grown = append(grown, t)
 			}
 		}
+	}
+	if runs {
+		g.targetsByPred[runPS] = runTgs
 	}
 	return grown
 }

@@ -68,6 +68,10 @@ type Table struct {
 	keyOff []int32
 	atoms  []ast.Atom
 	preds  map[ast.PredKey]*[]AtomID
+	// lastPred and lastList cache the predicate list the last new atom
+	// went to: atoms are interned in runs of one predicate.
+	lastPred ast.PredKey
+	lastList *[]AtomID
 	// argArena is the chunk InternAtoms carves new atoms' arguments from
 	// (argChunk its doubling size); atoms are never rewritten.
 	argArena []ast.Term
@@ -107,12 +111,15 @@ func (t *Table) Sub(ids []AtomID) *Table {
 
 // addPred appends id to its predicate's list.
 func (t *Table) addPred(k ast.PredKey, id AtomID) {
-	l := t.preds[k]
-	if l == nil {
-		l = new([]AtomID)
-		t.preds[k] = l
+	if t.lastList == nil || k != t.lastPred {
+		l := t.preds[k]
+		if l == nil {
+			l = new([]AtomID)
+			t.preds[k] = l
+		}
+		t.lastPred, t.lastList = k, l
 	}
-	*l = append(*l, id)
+	*t.lastList = append(*t.lastList, id)
 }
 
 // local maps a parent atom id to the sub-table's id for it.
@@ -225,14 +232,15 @@ func (t *Table) InternAtoms(dst []AtomID, atoms []IDAtom) []AtomID {
 	return dst
 }
 
-// Reserve presizes an empty table's key map for n atoms, so a caller that
-// can estimate the atom count — the grounder, from its possible-atom
-// relations — interns without rehashing.
+// Reserve presizes an empty table for n atoms, so a caller that can
+// estimate the atom count — the grounder, from its possible-atom relations
+// — interns without rehashing or regrowing.
 func (t *Table) Reserve(n int) {
 	t.mustOwn()
 	t.mu.Lock()
 	if len(t.atoms) == 0 {
 		t.seen = make(map[uint64]AtomID, n)
+		t.atoms = make([]ast.Atom, 0, n)
 	}
 	t.mu.Unlock()
 }
