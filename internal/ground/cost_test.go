@@ -44,12 +44,12 @@ func TestGroundAllocsPerInstance(t *testing.T) {
 
 // TestGroundBytesPerInstance: grounding the policy program at kb = 1 000
 // allocates a bounded number of bytes per emitted instance. (Before the
-// join kernel it was 1 145; the bound is the measured 827 plus 10 %.)
+// join kernel it was 1 145; the bound is the measured 830 plus 10 %.)
 func TestGroundBytesPerInstance(t *testing.T) {
 	const (
 		kb             = 1000
 		runs           = 5
-		maxPerInstance = 910.0
+		maxPerInstance = 915.0
 	)
 	p := policyProgram(t, kb)
 	gp, err := Ground(p, DefaultOptions()) // warm: first-use allocations stay out

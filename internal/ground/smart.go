@@ -86,7 +86,7 @@ func (g *grounder) smartPrep() error {
 	}
 	// After the $dom fill, so counting finds every constant interned already
 	// and term ids keep following universe order.
-	g.constRefs = make([]int, 0, len(g.uni))
+	g.constRefs = make([]int, 0, 2*len(g.uni)) // room for the ids updates add
 	for _, c := range g.src.Components {
 		for _, r := range c.Rules {
 			g.addConstRefs(r, 1)
