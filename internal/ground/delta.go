@@ -367,16 +367,17 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 			if len(r.Body) != 0 {
 				continue
 			}
-			if r.IsFact() && r.Head.Atom.Ground() && r.Head.Atom.Equal(f.Atom) {
-				copies++
+			if c.c == nil { // a ground fact: it matches f only when it is f
+				if r.Head.Atom.Equal(f.Atom) {
+					copies++
+				}
 				continue
 			}
 			if args == nil {
 				args = g.atomArgs(f.Atom)
 			}
-			cr := g.compiled(c.c, r)
 			mark := g.f.Mark()
-			matched := g.f.Match(tt, cr.atoms[0].args, args)
+			matched := g.f.Match(tt, c.c.atoms[0].args, args)
 			g.f.Undo(mark)
 			if matched {
 				return nil, needsReground("universal-fact")

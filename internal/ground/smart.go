@@ -467,7 +467,7 @@ func (g *grounder) competitorsFor(tg *target, newFrom int) error {
 			if newFrom > 0 && len(c.open) == 0 {
 				continue
 			}
-			if err := g.matchCandidate(tgArgs, ci, c, newFrom); err != nil {
+			if err := g.matchCandidate(tg, tgArgs, ci, c, newFrom); err != nil {
 				return err
 			}
 		}
@@ -476,7 +476,7 @@ func (g *grounder) competitorsFor(tg *target, newFrom int) error {
 				continue
 			}
 			fact := candidate{r: r}
-			if err := g.matchCandidate(tgArgs, ci, &fact, newFrom); err != nil {
+			if err := g.matchCandidate(tg, tgArgs, ci, &fact, newFrom); err != nil {
 				return err
 			}
 		}
@@ -498,14 +498,20 @@ func (g *grounder) atomArgs(a ast.Atom) []term.ID {
 }
 
 // matchCandidate head-matches one candidate of component ci against the
-// target's argument ids and instantiates its bodies on success.
-func (g *grounder) matchCandidate(tgArgs []term.ID, ci int, c *candidate, newFrom int) error {
+// target (tgArgs: its argument ids) and instantiates its bodies on success.
+// A ground fact matches only the target's own atom and binds nothing.
+func (g *grounder) matchCandidate(tg *target, tgArgs []term.ID, ci int, c *candidate, newFrom int) error {
 	g.compCandidates++
-	cr := g.compiled(c.c, c.r)
+	if c.c == nil {
+		if !c.r.Head.Atom.Equal(tg.atom) {
+			return nil
+		}
+		return g.emitCompetitors(ci, c, g.compiled(nil, c.r), deltaNone, newFrom)
+	}
 	mark := g.f.Mark()
 	var err error
-	if g.f.Match(g.tab.TermTable(), cr.atoms[0].args, tgArgs) {
-		err = g.emitCompetitors(ci, c, cr, deltaNone, newFrom)
+	if g.f.Match(g.tab.TermTable(), c.c.atoms[0].args, tgArgs) {
+		err = g.emitCompetitors(ci, c, c.c, deltaNone, newFrom)
 	}
 	g.f.Undo(mark)
 	return err
