@@ -4,8 +4,9 @@
 // engine-evaluation benchmarks (the paper has no performance tables, so
 // these are the tables a systems venue would have demanded: fixpoint
 // strategies, ordered-vs-classical overhead, grounding modes, stable-model
-// search, and inheritance scaling). cmd/olpbench prints the same sweeps as
-// readable tables with derived metrics.
+// search, and inheritance scaling). EXPERIMENTS.md maps every experiment id
+// to the benchmark or test that runs it; TestPaperFigures asserts the
+// figure rows.
 package ordlog_test
 
 import (

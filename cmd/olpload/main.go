@@ -22,7 +22,7 @@
 //	-churn             write ops toggle facts in a bounded key window
 //	                   (assert when absent, retract when present) instead
 //	                   of asserting globally fresh facts — the sustained
-//	                   assert/retract workload behind olpbench -exp B14,
+//	                   assert/retract workload of experiment B14,
 //	                   driven over the wire against a live daemon
 //	-churn-keys n      size of the per-tenant churned key window, picked
 //	                   Zipf-skewed so hot keys flap constantly (default 256)

@@ -1,9 +1,8 @@
 // Package batch provides a bounded worker pool for fanning independent
 // engine work items — least-model computations, conjunctive queries,
 // stable enumerations — across goroutines, plus a latency histogram for
-// benchmark reporting. It is the building block behind
-// core.Engine.QueryBatch and core.Engine.LeastModelAll and the
-// cmd/olpbench -parallel mode.
+// load reporting (cmd/olpload, the obs registry). It is the building block
+// behind core.Engine.QueryBatch and core.Engine.ProveBatch.
 //
 // The pool is deliberately simple: item order in, result order out. Work
 // items must be independent; the engine's per-component singleflight
@@ -35,18 +34,13 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Each runs fn(worker, i) for every i in [0, n) over a bounded pool. The
-// worker index (in [0, workers)) supports per-worker accounting such as
-// latency histograms; items are handed out dynamically, so the mapping of
-// items to workers is not deterministic.
-func Each(n int, opts Options, fn func(worker, i int)) {
-	EachCtx(context.Background(), n, opts, fn)
-}
-
-// EachCtx runs fn(worker, i) like Each but stops handing out items once
-// ctx is cancelled. Items already handed out run to completion; the
-// return value is nil when every item ran and an interrupt.Error (matching
-// interrupt.ErrInterrupted) when the context cut the batch short.
+// EachCtx runs fn(worker, i) for every i in [0, n) over a bounded pool and
+// stops handing out items once ctx is cancelled. The worker index (in
+// [0, workers)) supports per-worker accounting; items are handed out
+// dynamically, so the mapping of items to workers is not deterministic.
+// Items already handed out run to completion; the return value is nil when
+// every item ran and an interrupt.Error (matching interrupt.ErrInterrupted)
+// when the context cut the batch short.
 func EachCtx(ctx context.Context, n int, opts Options, fn func(worker, i int)) error {
 	const stage = "batch: item hand-out"
 	workers := opts.workers()
@@ -130,7 +124,7 @@ func MapCtx[T, R any](ctx context.Context, items []T, opts Options, fn func(item
 	return results, errs
 }
 
-// FirstError returns the first non-nil error of a Map/Each error slice.
+// FirstError returns the first non-nil error of a Map error slice.
 func FirstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {

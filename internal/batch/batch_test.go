@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -11,9 +12,11 @@ import (
 func TestEachCoversAllItems(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8, 100} {
 		var hits [257]atomic.Int32
-		Each(len(hits), Options{Workers: workers}, func(_, i int) {
+		if err := EachCtx(context.Background(), len(hits), Options{Workers: workers}, func(_, i int) {
 			hits[i].Add(1)
-		})
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: item %d executed %d times", workers, i, got)
@@ -24,7 +27,9 @@ func TestEachCoversAllItems(t *testing.T) {
 
 func TestEachZeroItems(t *testing.T) {
 	called := false
-	Each(0, Options{Workers: 4}, func(_, _ int) { called = true })
+	if err := EachCtx(context.Background(), 0, Options{Workers: 4}, func(_, _ int) { called = true }); err != nil {
+		t.Fatal(err)
+	}
 	if called {
 		t.Error("fn called with no items")
 	}
@@ -33,11 +38,13 @@ func TestEachZeroItems(t *testing.T) {
 func TestEachWorkerIndexBounded(t *testing.T) {
 	const workers = 5
 	var bad atomic.Bool
-	Each(200, Options{Workers: workers}, func(w, _ int) {
+	if err := EachCtx(context.Background(), 200, Options{Workers: workers}, func(w, _ int) {
 		if w < 0 || w >= workers {
 			bad.Store(true)
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if bad.Load() {
 		t.Error("worker index out of range")
 	}

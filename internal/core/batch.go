@@ -60,24 +60,6 @@ func (s *Snapshot) QueryBatchCtx(ctx context.Context, reqs []QueryRequest, opts 
 	return out
 }
 
-// LeastModelAll computes the least model of every named component ("" is
-// not accepted here; name components explicitly) over a bounded worker
-// pool, all against this snapshot. Results and errors are positional;
-// per-item errors are tagged with the item index.
-func (s *Snapshot) LeastModelAll(comps []string, opts batch.Options) ([]*Model, []error) {
-	return s.LeastModelAllCtx(context.Background(), comps, opts)
-}
-
-// LeastModelAllCtx is LeastModelAll with cooperative cancellation: items
-// not yet started when the context dies are skipped, in-flight fixpoints
-// are interrupted at their checkpoints, and both report an interrupt.Error
-// in their error slot. Models already computed (or cached) are returned.
-func (s *Snapshot) LeastModelAllCtx(ctx context.Context, comps []string, opts batch.Options) ([]*Model, []error) {
-	return batch.MapCtx(ctx, comps, s.eng.fillBatch(opts), func(comp string) (*Model, error) {
-		return s.LeastModelCtx(ctx, comp)
-	})
-}
-
 // ProveBatch answers a slice of goal-directed membership queries over a
 // bounded worker pool, all against this snapshot. Proofs within one
 // component share that component's memoising prover and are serialised;
@@ -108,18 +90,6 @@ func (e *Engine) QueryBatch(reqs []QueryRequest, opts batch.Options) []QueryResu
 // Snapshot.QueryBatchCtx). The whole batch reads one pinned snapshot.
 func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []QueryRequest, opts batch.Options) []QueryResult {
 	return e.Current().QueryBatchCtx(ctx, reqs, opts)
-}
-
-// LeastModelAll computes the least model of every named component over a
-// bounded worker pool against one pinned snapshot.
-func (e *Engine) LeastModelAll(comps []string, opts batch.Options) ([]*Model, []error) {
-	return e.Current().LeastModelAll(comps, opts)
-}
-
-// LeastModelAllCtx is LeastModelAll with cooperative cancellation (see
-// Snapshot.LeastModelAllCtx). The whole batch reads one pinned snapshot.
-func (e *Engine) LeastModelAllCtx(ctx context.Context, comps []string, opts batch.Options) ([]*Model, []error) {
-	return e.Current().LeastModelAllCtx(ctx, comps, opts)
 }
 
 // ProveBatch answers a slice of goal-directed membership queries over a

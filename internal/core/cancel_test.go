@@ -155,19 +155,36 @@ func TestLeastModelSingleflightConcurrentWaiters(t *testing.T) {
 	}
 }
 
-// TestLeastModelAllCancelNoGoroutineLeak cancels a batched least-model
-// computation mid-flight and asserts (under -race in CI) that the call
-// returns promptly, reports only nil or ErrInterrupted per item, and that
-// every worker and detached singleflight goroutine exits.
-func TestLeastModelAllCancelNoGoroutineLeak(t *testing.T) {
+// TestQueryBatchCancelNoGoroutineLeak cancels a batched query over every
+// level of an inheritance hierarchy mid-flight and asserts (under -race in
+// CI) that the call returns promptly, reports only nil or ErrInterrupted
+// per item, that every finished item carries the sequential answers, and
+// that every worker and detached singleflight goroutine exits.
+func TestQueryBatchCancelNoGoroutineLeak(t *testing.T) {
 	prog := workload.Inheritance(8, 8, 16)
 	eng, err := core.NewEngine(prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps := make([]string, 0, 8)
+	ref, err := core.NewEngine(prog, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := parser.Parse("?- p0(X).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := parsed.Queries[0]
+	reqs := make([]core.QueryRequest, 0, 8)
+	want := make([]int, 0, 8)
 	for lvl := 0; lvl < 8; lvl++ {
-		comps = append(comps, "lvl"+string(rune('0'+lvl)))
+		comp := "lvl" + string(rune('0'+lvl))
+		reqs = append(reqs, core.QueryRequest{Comp: comp, Query: q})
+		bindings, err := ref.Query(comp, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, len(bindings))
 	}
 	before := runtime.NumGoroutine()
 
@@ -177,19 +194,19 @@ func TestLeastModelAllCancelNoGoroutineLeak(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	models, errs := eng.LeastModelAllCtx(ctx, comps, batch.Options{Workers: 4})
+	results := eng.QueryBatchCtx(ctx, reqs, batch.Options{Workers: 4})
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancelled batch took %v, want prompt return", elapsed)
 	}
-	if len(models) != len(comps) || len(errs) != len(comps) {
-		t.Fatalf("got %d models / %d errors, want %d positional slots", len(models), len(errs), len(comps))
+	if len(results) != len(reqs) {
+		t.Fatalf("got %d results, want %d positional slots", len(results), len(reqs))
 	}
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, interrupt.ErrInterrupted) {
-			t.Errorf("item %d: err = %v, want nil or ErrInterrupted", i, err)
+	for i, r := range results {
+		if r.Err != nil && !errors.Is(r.Err, interrupt.ErrInterrupted) {
+			t.Errorf("item %d: err = %v, want nil or ErrInterrupted", i, r.Err)
 		}
-		if err == nil && models[i] == nil {
-			t.Errorf("item %d: nil model with nil error", i)
+		if r.Err == nil && len(r.Bindings) != want[i] {
+			t.Errorf("item %d: %d bindings with nil error, want %d", i, len(r.Bindings), want[i])
 		}
 	}
 

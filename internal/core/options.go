@@ -24,9 +24,9 @@ type Config struct {
 	Ground ground.Options
 
 	// Workers, when positive, is the default worker count for batch entry
-	// points (QueryBatch, LeastModelAll, ProveBatch) and parallel stable
-	// enumeration whenever the per-call options leave their Workers field
-	// zero. Zero keeps the per-call default (GOMAXPROCS).
+	// points (QueryBatch, ProveBatch) and parallel stable enumeration
+	// whenever the per-call options leave their Workers field zero. Zero
+	// keeps the per-call default (GOMAXPROCS).
 	Workers int
 
 	// EnumBudget, when positive, is the default leaf budget for stable and

@@ -5,6 +5,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -135,8 +136,9 @@ func TestEngineSharedRace(t *testing.T) {
 }
 
 // TestEngineBatchRace drives the batched front ends on a shared engine
-// over an inheritance hierarchy: QueryBatch across components and
-// LeastModelAll concurrently, checked against sequential answers.
+// over an inheritance hierarchy: QueryBatch across components and a
+// LeastModelCtx per component concurrently, checked against sequential
+// answers.
 func TestEngineBatchRace(t *testing.T) {
 	const depth = 5
 	prog := workload.Inheritance(depth, 4, 6)
@@ -191,17 +193,22 @@ func TestEngineBatchRace(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			ms, errs := shared.LeastModelAll(comps, batch.Options{Workers: 8})
-			if err := batch.FirstError(errs); err != nil {
-				t.Errorf("LeastModelAll: %v", err)
-				return
+			var inner sync.WaitGroup
+			for i, comp := range comps {
+				inner.Add(1)
+				go func(i int, comp string) {
+					defer inner.Done()
+					m, err := shared.LeastModelCtx(context.Background(), comp)
+					if err != nil {
+						t.Errorf("LeastModelCtx(%s): %v", comp, err)
+						return
+					}
+					if got := len(m.Query(q)); got != want[i] {
+						t.Errorf("LeastModelCtx(%s) answers %d bindings, want %d", comp, got, want[i])
+					}
+				}(i, comp)
 			}
-			for i, m := range ms {
-				if m == nil {
-					t.Errorf("LeastModelAll[%d] = nil model for %s", i, comps[i])
-					return
-				}
-			}
+			inner.Wait()
 		}()
 	}
 	wg.Wait()

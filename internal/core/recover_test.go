@@ -342,3 +342,65 @@ func BenchmarkRecover(b *testing.B) {
 	perRecord := float64(time.Since(start).Microseconds()) / 1e3 / float64(b.N) / float64(toggles-every)
 	b.ReportMetric(perRecord, "ms/record")
 }
+
+// BenchmarkUpdateDurable is the cost of one update and its requery under
+// each persistence mode: the policy tenant (kb = 1000), an assert of
+// bad(cJ) into exc, then a proof of -ok(cJ) on the version it published.
+// An episode is 200 such updates on a fresh engine, built off the clock
+// (NewEngine resets the durability directory), so every iteration is a
+// genuine state change over the same history length. The gap between the
+// modes is what a WAL append, and an fsync per append, add to an Update.
+func BenchmarkUpdateDurable(b *testing.B) {
+	const kb, episode = 1000, 200
+	for _, m := range []struct {
+		name string
+		opts func(dir string) []Option
+	}{
+		{"memory", func(string) []Option { return nil }},
+		{"wal-interval", func(dir string) []Option {
+			return []Option{WithDurability(dir), WithSync(wal.SyncInterval)}
+		}},
+		{"wal-always", func(dir string) []Option {
+			return []Option{WithDurability(dir), WithSync(wal.SyncAlways)}
+		}},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			prog := mustProgram(b, policySource(kb))
+			dir := b.TempDir()
+			facts := make([][]ast.Literal, episode)
+			goals := make([]ast.Literal, episode)
+			for j := range facts {
+				c := ast.Sym(fmt.Sprintf("c%d", j))
+				facts[j] = []ast.Literal{ast.Pos(ast.Atom{Pred: "bad", Args: []ast.Term{c}})}
+				goals[j] = ast.Neg(ast.Atom{Pred: "ok", Args: []ast.Term{c}})
+			}
+			ctx := context.Background()
+			var eng *Engine
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % episode
+				if j == 0 {
+					b.StopTimer()
+					if eng != nil {
+						eng.Close()
+					}
+					var err error
+					if eng, err = NewEngine(prog, Config{}, m.opts(dir)...); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				snap, err := eng.Update(ctx, "exc", facts[j])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ok, err := snap.Prove("exc", goals[j]); err != nil || !ok {
+					b.Fatalf("requery %s: %v, %v", goals[j], ok, err)
+				}
+			}
+			b.StopTimer()
+			eng.Close()
+		})
+	}
+}

@@ -63,56 +63,64 @@ func ruleStringSet(gp *Program) map[string]bool {
 
 // The sliced instance set must be a subset of the full one (slicing never
 // invents instances), must still contain the goal cone, and must drop the
-// disconnected component and the off-goal path instances entirely.
+// disconnected component and the off-goal path instances entirely. At
+// n = 100 the full grounding carries the O(n^2) closure and the slice the
+// O(n) cone, so the slice must be at least ten times smaller.
 func TestGoalSliceSubset(t *testing.T) {
-	const n = 12
-	p := chainProgram(t, n)
-	opts := DefaultOptions()
-	full, err := Ground(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Goal = goalLits(t, "path(c0, X)")
-	sliced, err := Ground(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sliced.sliced || sliced.Incremental() {
-		t.Error("sliced program must be marked sliced and non-incremental")
-	}
-	fullSet, slicedSet := ruleStringSet(full), ruleStringSet(sliced)
-	for r := range slicedSet {
-		if !fullSet[r] {
-			t.Errorf("sliced instance %s not in the full grounding", r)
-		}
-	}
-	if len(sliced.Rules) >= len(full.Rules) {
-		t.Errorf("sliced %d instances, full %d: no reduction", len(sliced.Rules), len(full.Rules))
-	}
-	for r := range slicedSet {
-		if strings.Contains(r, "jpath") || strings.Contains(r, "jedge") {
-			t.Errorf("disconnected instance survived slicing: %s", r)
-		}
-	}
-	// The whole c0 cone must be present...
-	for i := 1; i <= n; i++ {
-		want := false
-		for r := range slicedSet {
-			if strings.Contains(r, fmt.Sprintf("path(c0, c%d)", i)) {
-				want = true
-				break
+	for _, c := range []struct{ n, minRatio int }{{12, 1}, {100, 10}} {
+		t.Run(fmt.Sprintf("n=%d", c.n), func(t *testing.T) {
+			p := chainProgram(t, c.n)
+			opts := DefaultOptions()
+			full, err := Ground(p, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !want {
-			t.Errorf("goal-cone atom path(c0, c%d) missing from the slice", i)
-		}
-	}
-	// ...while off-goal cones (sources other than c0) must not be: the
-	// full grounding has the O(n^2) closure, the slice only O(n).
-	for r := range slicedSet {
-		if strings.Contains(r, "path(c5,") {
-			t.Errorf("off-goal instance in slice: %s", r)
-		}
+			opts.Goal = goalLits(t, "path(c0, X)")
+			sliced, err := Ground(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sliced.sliced || sliced.Incremental() {
+				t.Error("sliced program must be marked sliced and non-incremental")
+			}
+			fullSet, slicedSet := ruleStringSet(full), ruleStringSet(sliced)
+			for r := range slicedSet {
+				if !fullSet[r] {
+					t.Errorf("sliced instance %s not in the full grounding", r)
+				}
+			}
+			if len(sliced.Rules) >= len(full.Rules) {
+				t.Errorf("sliced %d instances, full %d: no reduction", len(sliced.Rules), len(full.Rules))
+			}
+			if len(sliced.Rules)*c.minRatio > len(full.Rules) {
+				t.Errorf("sliced %d instances, full %d: want at least %d× fewer", len(sliced.Rules), len(full.Rules), c.minRatio)
+			}
+			for r := range slicedSet {
+				if strings.Contains(r, "jpath") || strings.Contains(r, "jedge") {
+					t.Errorf("disconnected instance survived slicing: %s", r)
+				}
+			}
+			// The whole c0 cone must be present...
+			for i := 1; i <= c.n; i++ {
+				atom := fmt.Sprintf("path(c0, c%d)", i)
+				want := false
+				for r := range slicedSet {
+					if strings.Contains(r, atom) {
+						want = true
+						break
+					}
+				}
+				if !want {
+					t.Errorf("goal-cone atom %s missing from the slice", atom)
+				}
+			}
+			// ...while off-goal cones (sources other than c0) must not be.
+			for r := range slicedSet {
+				if strings.Contains(r, "path(c5,") {
+					t.Errorf("off-goal instance in slice: %s", r)
+				}
+			}
+		})
 	}
 }
 

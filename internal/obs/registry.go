@@ -19,7 +19,7 @@
 // On(), which is one atomic load. Counters are process-global — snapshots
 // taken with Registry.Snap and compared with Snap.Diff give per-operation
 // deltas, which is how the differential counter-consistency tests and the
-// olpbench -metrics mode use them.
+// churn footprint test use them.
 package obs
 
 import (

@@ -52,10 +52,10 @@
 // updates: writers are serialised among themselves and never block
 // readers, and a reader keeps the snapshot it pinned. Per-component views
 // and least models are memoised with singleflight semantics, and the
-// batched front ends (Engine.QueryBatch, Engine.LeastModelAll,
-// Engine.ProveBatch, Engine.StableModelsParallel) fan independent work
-// over a bounded worker pool against one pinned snapshot each. Returned
-// models are shared and must be treated as read-only. See README.md
+// batched front ends (Engine.QueryBatch, Engine.ProveBatch,
+// Engine.StableModelsParallel) fan independent work over a bounded worker
+// pool against one pinned snapshot each. Returned models are shared and
+// must be treated as read-only. See README.md
 // "Concurrency" for the full contract.
 package ordlog
 
