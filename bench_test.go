@@ -271,10 +271,21 @@ func BenchmarkB3GroundingFull(b *testing.B) {
 
 // --- B4: stable-model enumeration on win–move ---
 
+// The parallel legs run stable.StableModelsParallel over GOMAXPROCS
+// workers on the same views as the sequential cycle_n legs; they are what
+// keeps the parallel enumerator (EXPERIMENTS.md "One entry point per
+// question").
 func BenchmarkB4StableWinMoveCycle(b *testing.B) {
-	for _, n := range []int{4, 6, 8, 10} {
-		b.Run(fmt.Sprintf("cycle_n=%d", n), func(b *testing.B) {
-			rules := workload.WinMove(workload.CycleEdges(n))
+	for _, c := range []struct {
+		n        int
+		parallel bool
+	}{{4, false}, {6, false}, {8, false}, {10, false}, {12, false}, {10, true}, {12, true}} {
+		name := fmt.Sprintf("cycle_n=%d", c.n)
+		if c.parallel {
+			name = "parallel_" + name
+		}
+		b.Run(name, func(b *testing.B) {
+			rules := workload.WinMove(workload.CycleEdges(c.n))
 			ov, err := transform.OV("c", rules)
 			if err != nil {
 				b.Fatal(err)
@@ -289,7 +300,12 @@ func BenchmarkB4StableWinMoveCycle(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := stable.StableModels(v, stable.Options{}); err != nil {
+				if c.parallel {
+					_, err = stable.StableModelsParallel(v, stable.ParallelOptions{})
+				} else {
+					_, err = stable.StableModels(v, stable.Options{})
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

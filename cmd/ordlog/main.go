@@ -18,12 +18,10 @@
 //	-prove literal     goal-directed proof with derivation tree
 //	-goal-directed     answer the file's queries and -prove from per-goal
 //	                   slices of the ground program: each goal evaluates
-//	                   only the instances its atoms reach, no full model is
+//	                   only the instances its atoms reach (the queries run
+//	                   over a pool of GOMAXPROCS workers), no full model is
 //	                   printed (least-model semantics only)
 //	-edb file          merge a facts file into the target component
-//	-parallel n        answer the file's queries over a worker pool of n
-//	                   goroutines (0 = sequential, -1 = GOMAXPROCS); the
-//	                   least model per component is computed once and shared
 //	-timeout d         wall-clock budget for grounding + evaluation (e.g.
 //	                   500ms, 2s; 0 = none). On expiry, enumeration prints
 //	                   whatever models were already found and exits 1 with
@@ -53,6 +51,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -61,7 +60,6 @@ import (
 
 	ordlog "repro"
 	"repro/internal/analyze"
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/ground"
 	"repro/internal/obs"
@@ -77,19 +75,19 @@ func main() {
 	if len(os.Args) >= 2 && os.Args[1] == "wal" {
 		os.Exit(runWAL(os.Args[2:]))
 	}
-	component := flag.String("component", "", "target component (default: most specific)")
-	semantics := flag.String("semantics", "ordered", "ordered | ov | ev | 3v")
-	models := flag.String("models", "least", "least | stable | af | cautious")
-	maxModels := flag.Int("max-models", 0, "cap for stable/af enumeration (0 = all)")
-	mode := flag.String("mode", "smart", "smart | full grounding")
-	explain := flag.String("explain", "", "ground atom to explain")
-	prove := flag.String("prove", "", "ground literal to prove goal-directedly")
-	goalDirected := flag.Bool("goal-directed", false, "answer queries and -prove from per-goal slices of the ground program (no full model)")
-	edb := flag.String("edb", "", "facts file merged into the target component before grounding")
-	parallel := flag.Int("parallel", 0, "answer queries over a worker pool (0 = sequential, -1 = GOMAXPROCS)")
+	var o options
+	flag.StringVar(&o.component, "component", "", "target component (default: most specific)")
+	flag.StringVar(&o.semantics, "semantics", "ordered", "ordered | ov | ev | 3v")
+	flag.StringVar(&o.models, "models", "least", "least | stable | af | cautious")
+	flag.IntVar(&o.maxModels, "max-models", 0, "cap for stable/af enumeration (0 = all)")
+	flag.StringVar(&o.mode, "mode", "smart", "smart | full grounding")
+	flag.StringVar(&o.explain, "explain", "", "ground atom to explain")
+	flag.StringVar(&o.prove, "prove", "", "ground literal to prove goal-directedly")
+	flag.BoolVar(&o.goalDirected, "goal-directed", false, "answer queries and -prove from per-goal slices of the ground program (no full model)")
+	flag.StringVar(&o.edb, "edb", "", "facts file merged into the target component before grounding")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for grounding + evaluation (0 = none)")
-	jsonOut := flag.Bool("json", false, "emit models and answers as JSON")
-	stats := flag.Bool("stats", false, "print grounding statistics")
+	flag.BoolVar(&o.json, "json", false, "emit models and answers as JSON")
+	flag.BoolVar(&o.stats, "stats", false, "print grounding statistics")
 	metricsAddr := flag.String("metrics-addr", "", "serve /debug/metrics and net/http/pprof on this address")
 	metricsHold := flag.Duration("metrics-hold", 0, "keep the metrics listener up this long after the run finishes")
 	interactive := flag.Bool("i", false, "interactive shell (optionally preloading the program)")
@@ -106,7 +104,7 @@ func main() {
 		stopMetrics = shutdown
 	}
 	if (*analyzeFlag || *dot != "") && flag.NArg() == 1 {
-		if err := runAnalysis(flag.Arg(0), *analyzeFlag, *dot, *prove); err != nil {
+		if err := runAnalysis(flag.Arg(0), *analyzeFlag, *dot, o.prove); err != nil {
 			fmt.Fprintln(os.Stderr, "ordlog:", err)
 			os.Exit(1)
 		}
@@ -131,7 +129,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	err := run(ctx, flag.Arg(0), *component, *semantics, *models, *maxModels, *mode, *explain, *prove, *edb, *parallel, *goalDirected, *jsonOut, *stats)
+	err := run(ctx, os.Stdout, flag.Arg(0), o)
 	if *metricsAddr != "" && *metricsHold > 0 {
 		fmt.Fprintf(os.Stderr, "ordlog: holding metrics listener for %s\n", *metricsHold)
 		time.Sleep(*metricsHold)
@@ -241,12 +239,22 @@ func runREPL(args []string) error {
 	return repl.New(prog, core.Config{}, os.Stdout).Run(os.Stdin)
 }
 
-// printBindings renders one query's answers, one indented line per
+// printAnswers renders one query's answer set: a JSON object with -json,
+// otherwise the query and its answer count, then one indented line per
 // binding ("true" for the empty binding of a ground query).
-func printBindings(q ordlog.Query, answers []ordlog.Binding) {
+func printAnswers(w io.Writer, q ordlog.Query, answers []ordlog.Binding, jsonOut bool) error {
+	if jsonOut {
+		jb, err := core.BindingsJSON(q, answers)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, string(jb))
+		return nil
+	}
+	fmt.Fprintf(w, "%s  %% %d answers\n", q, len(answers))
 	for _, b := range answers {
 		if len(b) == 0 {
-			fmt.Println("  true")
+			fmt.Fprintln(w, "  true")
 			continue
 		}
 		line := "  "
@@ -258,18 +266,30 @@ func printBindings(q ordlog.Query, answers []ordlog.Binding) {
 			first = false
 			line += v.Name + " = " + b[v.Name].String()
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
+	return nil
 }
 
-func run(ctx context.Context, path, component, semantics, models string, maxModels int, mode, explain, prove, edb string, parallel int, goalDirected, jsonOut, stats bool) error {
+// options are the evaluation flags of one run (see the command doc).
+type options struct {
+	component, semantics, models string
+	maxModels                    int
+	mode, explain, prove, edb    string
+	goalDirected, json, stats    bool
+}
+
+// run evaluates the program in path as the flags in o ask and writes the
+// result to w.
+func run(ctx context.Context, w io.Writer, path string, o options) error {
 	res, err := ordlog.ParseFile(path)
 	if err != nil {
 		return err
 	}
 	prog := res.Program
-	if edb != "" {
-		b, err := os.ReadFile(edb)
+	component := o.component
+	if o.edb != "" {
+		b, err := os.ReadFile(o.edb)
 		if err != nil {
 			return err
 		}
@@ -282,14 +302,14 @@ func run(ctx context.Context, path, component, semantics, models string, maxMode
 		}
 	}
 
-	switch semantics {
+	switch o.semantics {
 	case "ordered":
 	case "ov", "ev", "3v":
 		rules, err := transform.FlattenSingle(prog)
 		if err != nil {
-			return fmt.Errorf("-semantics %s needs a module-free program: %v", semantics, err)
+			return fmt.Errorf("-semantics %s needs a module-free program: %v", o.semantics, err)
 		}
-		switch semantics {
+		switch o.semantics {
 		case "ov":
 			prog, err = ordlog.OV(parser.MainComponent, rules)
 		case "ev":
@@ -304,23 +324,23 @@ func run(ctx context.Context, path, component, semantics, models string, maxMode
 			return err
 		}
 	default:
-		return fmt.Errorf("unknown -semantics %q", semantics)
+		return fmt.Errorf("unknown -semantics %q", o.semantics)
 	}
 
 	cfg := ordlog.Config{}
-	switch mode {
+	switch o.mode {
 	case "smart":
 	case "full":
 		cfg.Ground = ground.DefaultOptions()
 		cfg.Ground.Mode = ground.ModeFull
 	default:
-		return fmt.Errorf("unknown -mode %q", mode)
+		return fmt.Errorf("unknown -mode %q", o.mode)
 	}
-	if goalDirected {
-		if models != "least" {
-			return fmt.Errorf("-goal-directed answers least-model queries only (got -models %s)", models)
+	if o.goalDirected {
+		if o.models != "least" {
+			return fmt.Errorf("-goal-directed answers least-model queries only (got -models %s)", o.models)
 		}
-		if explain != "" {
+		if o.explain != "" {
 			return fmt.Errorf("-explain needs the full model; drop -goal-directed")
 		}
 		cfg.GoalDirected = true
@@ -336,76 +356,65 @@ func run(ctx context.Context, path, component, semantics, models string, maxMode
 			return err
 		}
 	}
-	if stats {
-		fmt.Printf("%% components: %d, ground rules: %d, relevant atoms: %d\n",
+	if o.stats {
+		fmt.Fprintf(w, "%% components: %d, ground rules: %d, relevant atoms: %d\n",
 			len(prog.Components), eng.NumGroundRules(), eng.NumAtoms())
 	}
 
-	if prove != "" {
-		lit, err := ordlog.ParseLiteral(prove)
+	if o.prove != "" {
+		lit, err := ordlog.ParseLiteral(o.prove)
 		if err != nil {
 			return fmt.Errorf("-prove: %v", err)
 		}
-		if goalDirected {
+		if o.goalDirected {
 			// The proof runs over the literal's slice; the
 			// derivation tree is an -explain-style full-model feature.
 			ok, err := eng.ProveCtx(ctx, component, lit)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%% prove %s in %s: %v (goal-directed)\n", lit, component, ok)
+			fmt.Fprintf(w, "%% prove %s in %s: %v (goal-directed)\n", lit, component, ok)
 		} else {
 			tree, ok, err := eng.ProveExplainCtx(ctx, component, lit)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%% prove %s in %s: %v\n", lit, component, ok)
+			fmt.Fprintf(w, "%% prove %s in %s: %v\n", lit, component, ok)
 			if ok {
-				fmt.Print(tree)
+				fmt.Fprint(w, tree)
 			}
 		}
 	}
 
 	// Goal-directed mode prints answers only: each query evaluates just its
 	// own slice, so materialising (or printing) the full least model would
-	// defeat the point.
-	if goalDirected {
-		workers := parallel
-		if workers < 0 {
-			workers = 0 // batch treats 0 as GOMAXPROCS
-		}
+	// defeat the point. The slices are independent, so the batch cuts and
+	// evaluates them in parallel.
+	if o.goalDirected {
 		reqs := make([]ordlog.QueryRequest, len(res.Queries))
 		for i, q := range res.Queries {
 			reqs[i] = ordlog.QueryRequest{Comp: component, Query: q}
 		}
-		results := eng.QueryBatchCtx(ctx, reqs, ordlog.BatchOptions{Workers: workers})
+		results := eng.QueryBatchCtx(ctx, reqs)
 		for qi, q := range res.Queries {
 			if results[qi].Err != nil {
 				return results[qi].Err
 			}
-			answers := results[qi].Bindings
-			if jsonOut {
-				jb, err := core.BindingsJSON(q, answers)
-				if err != nil {
-					return err
-				}
-				fmt.Println(string(jb))
-				continue
+			if err := printAnswers(w, q, results[qi].Bindings, o.json); err != nil {
+				return err
 			}
-			fmt.Printf("%s  %% %d answers\n", q, len(answers))
-			printBindings(q, answers)
 		}
 		return nil
 	}
 
-	if models == "cautious" {
+	if o.models == "cautious" {
 		cons, err := eng.ReasonCtx(ctx, component, ordlog.EnumOptions{})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%% cautious consequences over %d stable models in %s\n", cons.NumModels(), component)
+		fmt.Fprintf(w, "%% cautious consequences over %d stable models in %s\n", cons.NumModels(), component)
 		for _, l := range cons.CautiousLiterals() {
-			fmt.Println(l)
+			fmt.Fprintln(w, l)
 		}
 		return nil
 	}
@@ -418,7 +427,7 @@ func run(ctx context.Context, path, component, semantics, models string, maxMode
 	partial := func(err error) bool {
 		return errors.Is(err, ordlog.ErrEnumBudget) || errors.Is(err, ordlog.ErrInterrupted)
 	}
-	switch models {
+	switch o.models {
 	case "least":
 		m, err := eng.LeastModelCtx(ctx, component)
 		if err != nil {
@@ -426,98 +435,57 @@ func run(ctx context.Context, path, component, semantics, models string, maxMode
 		}
 		out = []*ordlog.Model{m}
 	case "stable":
-		out, err = eng.StableModelsCtx(ctx, component, ordlog.EnumOptions{MaxModels: maxModels})
+		out, err = eng.StableModelsCtx(ctx, component, ordlog.EnumOptions{MaxModels: o.maxModels})
 		if err != nil && !partial(err) {
 			return err
 		}
 		enumErr = err
 	case "af":
-		out, err = eng.AssumptionFreeModelsCtx(ctx, component, ordlog.EnumOptions{MaxModels: maxModels})
+		out, err = eng.AssumptionFreeModelsCtx(ctx, component, ordlog.EnumOptions{MaxModels: o.maxModels})
 		if err != nil && !partial(err) {
 			return err
 		}
 		enumErr = err
 	default:
-		return fmt.Errorf("unknown -models %q", models)
+		return fmt.Errorf("unknown -models %q", o.models)
 	}
 	if enumErr != nil {
-		fmt.Printf("%% enumeration incomplete (%d models found before interruption)\n", len(out))
+		fmt.Fprintf(w, "%% enumeration incomplete (%d models found before interruption)\n", len(out))
 	}
 
-	// queryAnswers evaluates every query of the file against one model,
-	// fanning multi-query files over a bounded worker pool when -parallel
-	// is set. For the (cached) least model the engine's batch front end is
-	// used; enumerated models are matched with a plain pool since each
-	// model object is already materialised.
-	queryAnswers := func(m *ordlog.Model) [][]ordlog.Binding {
-		workers := parallel
-		if workers < 0 {
-			workers = 0 // batch treats 0 as GOMAXPROCS
-		}
-		if parallel != 0 && len(res.Queries) > 1 {
-			if models == "least" {
-				reqs := make([]ordlog.QueryRequest, len(res.Queries))
-				for i, q := range res.Queries {
-					reqs[i] = ordlog.QueryRequest{Comp: component, Query: q}
-				}
-				results := eng.QueryBatchCtx(ctx, reqs, ordlog.BatchOptions{Workers: workers})
-				answers := make([][]ordlog.Binding, len(results))
-				for i, r := range results {
-					answers[i] = r.Bindings // least model already computed: no errors
-				}
-				return answers
-			}
-			answers, _ := batch.MapCtx(ctx, res.Queries, batch.Options{Workers: workers},
-				func(q ordlog.Query) ([]ordlog.Binding, error) { return m.Query(q), nil })
-			return answers
-		}
-		answers := make([][]ordlog.Binding, len(res.Queries))
-		for i, q := range res.Queries {
-			answers[i] = m.Query(q)
-		}
-		return answers
-	}
-
+	// Each model is already materialised, so its queries are matched
+	// against it in a plain loop.
 	for i, m := range out {
-		kind := models
-		modelAnswers := queryAnswers(m)
-		if jsonOut {
+		if o.json {
 			b, err := m.JSON(false)
 			if err != nil {
 				return err
 			}
-			fmt.Println(string(b))
-			for qi, q := range res.Queries {
-				jb, err := core.BindingsJSON(q, modelAnswers[qi])
-				if err != nil {
-					return err
-				}
-				fmt.Println(string(jb))
-			}
-			continue
-		}
-		if len(out) > 1 {
-			fmt.Printf("%% %s model %d of %d in %s\n", kind, i+1, len(out), component)
+			fmt.Fprintln(w, string(b))
 		} else {
-			fmt.Printf("%% %s model in %s\n", kind, component)
+			if len(out) > 1 {
+				fmt.Fprintf(w, "%% %s model %d of %d in %s\n", o.models, i+1, len(out), component)
+			} else {
+				fmt.Fprintf(w, "%% %s model in %s\n", o.models, component)
+			}
+			fmt.Fprintln(w, m)
 		}
-		fmt.Println(m)
-		for qi, q := range res.Queries {
-			answers := modelAnswers[qi]
-			fmt.Printf("%s  %% %d answers\n", q, len(answers))
-			printBindings(q, answers)
+		for _, q := range res.Queries {
+			if err := printAnswers(w, q, m.Query(q), o.json); err != nil {
+				return err
+			}
 		}
 	}
 
-	if explain != "" && len(out) > 0 {
-		lit, err := ordlog.ParseLiteral(explain)
+	if o.explain != "" && len(out) > 0 {
+		lit, err := ordlog.ParseLiteral(o.explain)
 		if err != nil {
 			return fmt.Errorf("-explain: %v", err)
 		}
 		m := out[0]
-		fmt.Printf("%% explanation for %s (value %s)\n", lit.Atom, m.Value(lit.Atom))
+		fmt.Fprintf(w, "%% explanation for %s (value %s)\n", lit.Atom, m.Value(lit.Atom))
 		for _, line := range m.Explain(lit.Atom) {
-			fmt.Println("  " + line)
+			fmt.Fprintln(w, "  "+line)
 		}
 	}
 	return enumErr

@@ -2,24 +2,23 @@ package batch
 
 import (
 	"context"
-	"errors"
-	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestEachCoversAllItems(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8, 100} {
-		var hits [257]atomic.Int32
-		if err := EachCtx(context.Background(), len(hits), Options{Workers: workers}, func(_, i int) {
+	for _, n := range []int{1, 2, 3, 257} {
+		hits := make([]atomic.Int32, n)
+		if err := EachCtx(context.Background(), n, func(_, i int) {
 			hits[i].Add(1)
 		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("n=%d: %v", n, err)
 		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: item %d executed %d times", workers, i, got)
+				t.Fatalf("n=%d: item %d executed %d times", n, i, got)
 			}
 		}
 	}
@@ -27,7 +26,7 @@ func TestEachCoversAllItems(t *testing.T) {
 
 func TestEachZeroItems(t *testing.T) {
 	called := false
-	if err := EachCtx(context.Background(), 0, Options{Workers: 4}, func(_, _ int) { called = true }); err != nil {
+	if err := EachCtx(context.Background(), 0, func(_, _ int) { called = true }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -36,9 +35,9 @@ func TestEachZeroItems(t *testing.T) {
 }
 
 func TestEachWorkerIndexBounded(t *testing.T) {
-	const workers = 5
+	workers := runtime.GOMAXPROCS(0)
 	var bad atomic.Bool
-	if err := EachCtx(context.Background(), 200, Options{Workers: workers}, func(w, _ int) {
+	if err := EachCtx(context.Background(), 200, func(w, _ int) {
 		if w < 0 || w >= workers {
 			bad.Store(true)
 		}
@@ -47,35 +46,6 @@ func TestEachWorkerIndexBounded(t *testing.T) {
 	}
 	if bad.Load() {
 		t.Error("worker index out of range")
-	}
-}
-
-func TestMapOrderAndErrors(t *testing.T) {
-	items := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	wantErr := errors.New("odd")
-	got, errs := Map(items, Options{Workers: 3}, func(x int) (string, error) {
-		if x%2 == 1 {
-			return "", wantErr
-		}
-		return fmt.Sprintf("v%d", x), nil
-	})
-	for i, x := range items {
-		if x%2 == 1 {
-			if !errors.Is(errs[i], wantErr) {
-				t.Errorf("item %d: err = %v, want odd", x, errs[i])
-			}
-			continue
-		}
-		if errs[i] != nil || got[i] != fmt.Sprintf("v%d", x) {
-			t.Errorf("item %d: got %q, %v", x, got[i], errs[i])
-		}
-	}
-	if FirstError(errs) == nil {
-		t.Error("FirstError missed the failures")
-	}
-	_, cleanErrs := Map(items, Options{}, func(x int) (int, error) { return x, nil })
-	if FirstError(cleanErrs) != nil {
-		t.Error("FirstError on clean run")
 	}
 }
 

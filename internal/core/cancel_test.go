@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/interrupt"
 	"repro/internal/parser"
@@ -194,7 +193,7 @@ func TestQueryBatchCancelNoGoroutineLeak(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	results := eng.QueryBatchCtx(ctx, reqs, batch.Options{Workers: 4})
+	results := eng.QueryBatchCtx(ctx, reqs)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancelled batch took %v, want prompt return", elapsed)
 	}
@@ -240,7 +239,7 @@ func TestQueryBatchCtxPreCancelled(t *testing.T) {
 		{Comp: "arctic", Query: q},
 		{Comp: "birds", Query: q},
 	}
-	results := eng.QueryBatchCtx(ctx, reqs, batch.Options{Workers: 2})
+	results := eng.QueryBatchCtx(ctx, reqs)
 	for i, r := range results {
 		if !errors.Is(r.Err, interrupt.ErrInterrupted) {
 			t.Errorf("item %d: err = %v, want ErrInterrupted", i, r.Err)

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ast"
-	"repro/internal/batch"
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
@@ -37,9 +36,9 @@ import (
 // The returned *Model values (and the interp.Interp they expose) are
 // shared and must be treated as read-only; callers that need a private
 // copy clone the interpretation. Goal-directed proofs (Prove,
-// ProveExplain, ProveQuery) share a memoising prover per component and are
-// serialised per component; queries against different components proceed
-// in parallel.
+// ProveExplain) share a memoising prover per component and are serialised
+// per component; queries against different components proceed in
+// parallel.
 //
 // Cancellation contract: every evaluation entry point has a ...Ctx variant
 // that stops at the engine's cooperative checkpoints once the context is
@@ -164,23 +163,6 @@ func (e *Engine) groundOpts() ground.Options {
 func (e *Engine) fillStable(opts stable.Options) stable.Options {
 	if opts.MaxLeaves == 0 && e.cfg.EnumBudget > 0 {
 		opts.MaxLeaves = e.cfg.EnumBudget
-	}
-	return opts
-}
-
-// fillParallel applies Config.EnumBudget and Config.Workers as defaults.
-func (e *Engine) fillParallel(opts stable.ParallelOptions) stable.ParallelOptions {
-	opts.Options = e.fillStable(opts.Options)
-	if opts.Workers == 0 && e.cfg.Workers > 0 {
-		opts.Workers = e.cfg.Workers
-	}
-	return opts
-}
-
-// fillBatch applies Config.Workers as the default pool size.
-func (e *Engine) fillBatch(opts batch.Options) batch.Options {
-	if opts.Workers == 0 && e.cfg.Workers > 0 {
-		opts.Workers = e.cfg.Workers
 	}
 	return opts
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/ast"
@@ -149,29 +148,13 @@ func (gc *goalComp) viewOf(gp *ground.Program, i int) *eval.View {
 	return gc.view
 }
 
-// QueryGoalDirected is QueryGoalDirectedCtx with a background context.
-func (s *Snapshot) QueryGoalDirected(comp string, q ast.Query) ([]Binding, error) {
-	return s.QueryGoalDirectedCtx(context.Background(), comp, q)
-}
-
-// QueryGoalDirectedCtx answers a conjunctive least-model query from the
+// answersGoalDirected answers a conjunctive least-model query from the
 // goal's slice: the query body is the goal, the slice is cut (once,
 // cached) from this snapshot's ground program, and the query evaluates
 // against the slice's least model in the component. Answers are identical
-// to QueryCtx's on the full grounding. The query must have a non-empty
-// body — with no literals there is nothing to slice by.
-func (s *Snapshot) QueryGoalDirectedCtx(ctx context.Context, comp string, q ast.Query) ([]Binding, error) {
-	a, err := s.answersGoalDirected(ctx, comp, q)
-	if err != nil {
-		return nil, err
-	}
-	return a.Bindings(), nil
-}
-
+// to those of the full least model. The caller routes only queries with
+// a non-empty body here — with no literals there is nothing to slice by.
 func (s *Snapshot) answersGoalDirected(ctx context.Context, comp string, q ast.Query) (*Answers, error) {
-	if len(q.Body) == 0 {
-		return nil, fmt.Errorf("core: goal-directed query needs at least one literal")
-	}
 	i, err := s.resolve(comp)
 	if err != nil {
 		return nil, err
@@ -203,25 +186,13 @@ func (s *Snapshot) sliceModel(ctx context.Context, i int, goal []ast.Literal) (*
 	}, countLeast)
 }
 
-// ProveGoalDirected is ProveGoalDirectedCtx with a background context.
-func (s *Snapshot) ProveGoalDirected(comp string, l ast.Literal) (bool, error) {
-	return s.ProveGoalDirectedCtx(context.Background(), comp, l)
-}
-
-// ProveGoalDirectedCtx answers a least-model membership query for one
-// ground literal from the slice cut for that one atom: the slice is cut
-// (once, cached) from this snapshot's ground program and the memoising
-// prover runs over the slice's view. The answer is identical to ProveCtx's
-// on the full grounding — an atom outside the slice heads no live instance
+// proveGoalDirected answers a least-model membership query for one
+// ground literal in component i from the slice cut for that one atom: the
+// slice is cut (once, cached) from this snapshot's ground program and the
+// memoising prover runs over the slice's view. The answer is identical to
+// the full grounding's — an atom outside the slice heads no live instance
 // and is unprovable either way.
-func (s *Snapshot) ProveGoalDirectedCtx(ctx context.Context, comp string, l ast.Literal) (bool, error) {
-	i, err := s.resolve(comp)
-	if err != nil {
-		return false, err
-	}
-	if !l.Atom.Ground() {
-		return false, fmt.Errorf("core: Prove needs a ground literal, got %s", l)
-	}
+func (s *Snapshot) proveGoalDirected(ctx context.Context, i int, l ast.Literal) (bool, error) {
 	gs := s.goalSliceFor([]ast.Literal{l})
 	gp, err := s.sliceProgram(ctx, gs)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/ground"
 	"repro/internal/interrupt"
@@ -27,7 +26,7 @@ import (
 // for the assumption-free/stable model families of an engine grounded with
 // the magic-set slice of ground.Options.Goal directly.
 
-func mustQuery(t *testing.T, src string) ast.Query {
+func mustQuery(t testing.TB, src string) ast.Query {
 	t.Helper()
 	res, err := parser.Parse("?- " + src + ".")
 	if err != nil {
@@ -78,7 +77,7 @@ func projectedAnswers(t *testing.T, ms []*core.Model, err error, q ast.Query) st
 // n-edge chain with an exception component and a disconnected junk
 // component — the program family where the adornment actually restricts
 // bindings (path^bf), unlike the head-unbound corpus rules.
-func chainSource(t *testing.T, n, excAt int) *ast.OrderedProgram {
+func chainSource(t testing.TB, n, excAt int) *ast.OrderedProgram {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString("module base {\n")
@@ -344,8 +343,8 @@ func TestGoalDirectedBatch(t *testing.T) {
 		{Comp: "exc", Query: mustQuery(t, "path(c1, X)")},
 		{Comp: "base", Query: mustQuery(t, "path(X, c6)")},
 	}
-	got := gd.QueryBatch(reqs, batch.Options{})
-	want := full.QueryBatch(reqs, batch.Options{})
+	got := gd.QueryBatch(reqs)
+	want := full.QueryBatch(reqs)
 	for i := range reqs {
 		if got[i].Err != nil || want[i].Err != nil {
 			t.Fatalf("batch[%d]: errs full=%v goal-directed=%v", i, want[i].Err, got[i].Err)
@@ -353,6 +352,51 @@ func TestGoalDirectedBatch(t *testing.T) {
 		if g, w := answerSet(got[i].Bindings), answerSet(want[i].Bindings); g != w {
 			t.Errorf("batch[%d]: answers diverged\nfull:  %s\nslice: %s", i, w, g)
 		}
+	}
+}
+
+// BenchmarkQueryBatch answers 64 distinct path(cI, X) goals per op, once
+// through QueryBatchCtx's GOMAXPROCS pool and once in a plain QueryCtx
+// loop, on a goal-directed engine and on a full-model one. The goals
+// outnumber the 32-entry slice cache and recur in the same order, so on
+// the goal-directed engine every goal cuts and evaluates its slice; on the
+// full-model engine the component's least model is computed once and
+// every goal is a lookup. This is the measurement that keeps the batch
+// pool (EXPERIMENTS.md "One entry point per question").
+func BenchmarkQueryBatch(b *testing.B) {
+	const goals = 64
+	prog := chainSource(b, 120, 60)
+	reqs := make([]core.QueryRequest, goals)
+	for i := range reqs {
+		reqs[i] = core.QueryRequest{Comp: "exc", Query: mustQuery(b, fmt.Sprintf("path(c%d, X)", i))}
+	}
+	ctx := context.Background()
+	for _, eng := range []struct {
+		name string
+		cfg  core.Config
+	}{{"goal-directed", core.Config{GoalDirected: true}}, {"full", core.Config{}}} {
+		e, err := core.NewEngine(prog, eng.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(eng.name+"/loop", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, r := range reqs {
+					if _, err := e.QueryCtx(ctx, r.Comp, r.Query); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(eng.name+"/batch", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, r := range e.QueryBatchCtx(ctx, reqs) {
+					if r.Err != nil {
+						b.Fatal(r.Err)
+					}
+				}
+			}
+		})
 	}
 }
 

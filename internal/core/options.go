@@ -13,21 +13,14 @@ import (
 
 // Config configures an Engine.
 //
-// The zero value is valid and means: default grounding options, worker
-// counts chosen per call (GOMAXPROCS), no enumeration budget override and
-// no tracing. Invalid configurations (negative counts, unknown grounding
-// mode) are rejected by NewEngine with a *ConfigError rather than silently
-// replaced by defaults.
+// The zero value is valid and means: default grounding options, no
+// enumeration budget override and no tracing. Invalid configurations
+// (negative counts, unknown grounding mode) are rejected by NewEngine with
+// a *ConfigError rather than silently replaced by defaults.
 type Config struct {
 	// Ground selects grounding mode, depth bound and budgets. The zero
 	// value means ground.DefaultOptions().
 	Ground ground.Options
-
-	// Workers, when positive, is the default worker count for batch entry
-	// points (QueryBatch, ProveBatch) and parallel stable enumeration
-	// whenever the per-call options leave their Workers field zero. Zero
-	// keeps the per-call default (GOMAXPROCS).
-	Workers int
 
 	// EnumBudget, when positive, is the default leaf budget for stable and
 	// assumption-free model enumeration whenever the per-call
@@ -50,9 +43,8 @@ type Config struct {
 	// to the full path's (see DESIGN §12); slices are cached per snapshot
 	// in a small LRU keyed by the goal's binding pattern, so repeated goals
 	// reuse their slice and every update invalidates automatically.
-	// Enumeration entry points (stable/AF models, Reason, ProveExplain,
-	// ProveQuery) always use the full grounding. Incompatible with a fixed
-	// Ground.Goal.
+	// Enumeration entry points (stable/AF models, Reason) and ProveExplain
+	// always use the full grounding. Incompatible with a fixed Ground.Goal.
 	GoalDirected bool
 
 	// CompactEvery, when > 0, compacts the snapshot after this many
@@ -136,9 +128,6 @@ type Durability struct {
 // then each Option mutates the copy in order.
 type Option func(*Config)
 
-// WithWorkers sets Config.Workers.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
 // WithEnumBudget sets Config.EnumBudget.
 func WithEnumBudget(n int) Option { return func(c *Config) { c.EnumBudget = n } }
 
@@ -215,9 +204,6 @@ func (e *ConfigError) Error() string {
 // Validate checks the configuration and returns a *ConfigError for the
 // first invalid field, nil otherwise.
 func (c *Config) Validate() error {
-	if c.Workers < 0 {
-		return &ConfigError{Field: "Workers", Value: c.Workers, Reason: "must be >= 0 (0 = GOMAXPROCS)"}
-	}
 	if c.EnumBudget < 0 {
 		return &ConfigError{Field: "EnumBudget", Value: c.EnumBudget, Reason: "must be >= 0 (0 = enumerator default)"}
 	}

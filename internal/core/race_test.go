@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/parser"
 	"repro/internal/stable"
@@ -179,7 +178,7 @@ func TestEngineBatchRace(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			results := shared.QueryBatch(reqs, batch.Options{Workers: 8})
+			results := shared.QueryBatch(reqs)
 			for i, r := range results {
 				if r.Err != nil {
 					t.Errorf("QueryBatch[%d]: %v", i, r.Err)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/interrupt"
 	"repro/internal/proof"
 	"repro/internal/stable"
-	"repro/internal/unify"
 )
 
 // prover acquires the component's 1-slot prover semaphore — honouring the
@@ -40,15 +39,15 @@ func (s *Snapshot) Prove(comp string, l ast.Literal) (bool, error) {
 // literal's slice of the ground program; the answer is identical either
 // way.
 func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bool, error) {
-	if s.eng.cfg.GoalDirected {
-		return s.ProveGoalDirectedCtx(ctx, comp, l)
-	}
 	i, err := s.resolve(comp)
 	if err != nil {
 		return false, err
 	}
 	if !l.Atom.Ground() {
 		return false, fmt.Errorf("core: Prove needs a ground literal, got %s", l)
+	}
+	if s.eng.cfg.GoalDirected {
+		return s.proveGoalDirected(ctx, i, l)
 	}
 	id, ok := s.gp.Tab.Lookup(l.Atom)
 	if !ok {
@@ -91,78 +90,6 @@ func (s *Snapshot) ProveExplainCtx(ctx context.Context, comp string, l ast.Liter
 		return "", false, err
 	}
 	return tree.Render(pr), true, nil
-}
-
-// ProveQuery answers a conjunctive query goal-directedly as of this
-// snapshot (see Engine.ProveQuery).
-func (s *Snapshot) ProveQuery(comp string, q ast.Query) ([]Binding, error) {
-	return s.ProveQueryCtx(context.Background(), comp, q)
-}
-
-// ProveQueryCtx is ProveQuery with cooperative cancellation: the per-goal
-// proofs poll the context, and an interruption abandons the remaining
-// candidates (no partial binding set is returned — a prefix of the answer
-// set has no meaningful semantics for a conjunctive query).
-func (s *Snapshot) ProveQueryCtx(ctx context.Context, comp string, q ast.Query) ([]Binding, error) {
-	i, err := s.resolve(comp)
-	if err != nil {
-		return nil, err
-	}
-	pr, release, err := s.prover(ctx, i)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	tab := s.gp.Tab
-	var out []Binding
-	seen := make(map[string]bool)
-	vars := q.Vars()
-	sub := unify.NewSubst()
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(q.Body) {
-			for _, b := range q.Builtins {
-				if !b.HoldsUnder(sub.Resolve) {
-					return nil
-				}
-			}
-			bind := make(Binding, len(vars))
-			sig := ""
-			for _, vv := range vars {
-				t := sub.Apply(vv)
-				bind[vv.Name] = t
-				sig += "\x00" + t.String()
-			}
-			if !seen[sig] {
-				seen[sig] = true
-				out = append(out, bind)
-			}
-			return nil
-		}
-		l := q.Body[i]
-		for _, id := range tab.OfPred(l.Atom.Key()) {
-			mark := sub.Mark()
-			if unify.MatchAtoms(sub, l.Atom, tab.Atom(id)) {
-				proved, err := pr.ProveCtx(ctx, interp.MkLit(id, l.Neg))
-				if err != nil {
-					sub.Undo(mark)
-					return err
-				}
-				if proved {
-					if err := rec(i + 1); err != nil {
-						sub.Undo(mark)
-						return err
-					}
-				}
-			}
-			sub.Undo(mark)
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Reason enumerates the stable models of the component as of this snapshot
@@ -210,20 +137,6 @@ func (e *Engine) ProveExplain(comp string, l ast.Literal) (string, bool, error) 
 // ProveExplainCtx is ProveExplain with cooperative cancellation.
 func (e *Engine) ProveExplainCtx(ctx context.Context, comp string, l ast.Literal) (string, bool, error) {
 	return e.Current().ProveExplainCtx(ctx, comp, l)
-}
-
-// ProveQuery answers a conjunctive query goal-directedly: candidate
-// bindings come from matching each query literal against the relevant
-// Herbrand base, and every ground instance is checked with the prover, so
-// only the needed parts of the least model are computed. Builtins filter
-// as usual.
-func (e *Engine) ProveQuery(comp string, q ast.Query) ([]Binding, error) {
-	return e.Current().ProveQuery(comp, q)
-}
-
-// ProveQueryCtx is ProveQuery with cooperative cancellation.
-func (e *Engine) ProveQueryCtx(ctx context.Context, comp string, q ast.Query) ([]Binding, error) {
-	return e.Current().ProveQueryCtx(ctx, comp, q)
 }
 
 // Consequences holds cautious (every stable model) and brave (some stable

@@ -383,7 +383,8 @@ func (s *Snapshot) StableModelsParallelCtx(ctx context.Context, comp string, opt
 	if err != nil {
 		return nil, err
 	}
-	ms, enumErr := stable.StableModelsParallelCtx(ctx, v, s.eng.fillParallel(opts))
+	opts.Options = s.eng.fillStable(opts.Options)
+	ms, enumErr := stable.StableModelsParallelCtx(ctx, v, opts)
 	if enumErr != nil && !partialEnumErr(enumErr) {
 		return nil, enumErr
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/batch"
 	"repro/internal/ground"
 	"repro/internal/parser"
 )
@@ -285,7 +284,7 @@ func TestBatchPinsOneVersion(t *testing.T) {
 	if _, err := e.Update(ctx, "kb", []ast.Literal{lit(t, "p(zz1)")}); err != nil {
 		t.Fatal(err)
 	}
-	for i, res := range snap.QueryBatch(reqs, batch.Options{}) {
+	for i, res := range snap.QueryBatch(reqs) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -323,7 +322,7 @@ func TestBatchPinsOneVersion(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 20; round++ {
-		out := e.QueryBatch(reqs, batch.Options{Workers: 4})
+		out := e.QueryBatch(reqs)
 		want := -1
 		for i, res := range out {
 			if res.Err != nil {
@@ -385,9 +384,6 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cerr *ConfigError
-	if _, err := NewEngine(p, Config{Workers: -1}); !errors.As(err, &cerr) || cerr.Field != "Workers" {
-		t.Fatalf("want ConfigError on Workers, got %v", err)
-	}
 	if _, err := NewEngine(p, Config{}, WithEnumBudget(-5)); !errors.As(err, &cerr) || cerr.Field != "EnumBudget" {
 		t.Fatalf("want ConfigError on EnumBudget via option, got %v", err)
 	}
@@ -405,11 +401,11 @@ func TestFunctionalOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	e, err := NewEngine(p, Config{}, WithWorkers(2), WithEnumBudget(1<<16), WithTrace(&buf))
+	e, err := NewEngine(p, Config{}, WithEnumBudget(1<<16), WithTrace(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg.Workers != 2 || e.cfg.EnumBudget != 1<<16 {
+	if e.cfg.EnumBudget != 1<<16 {
 		t.Fatalf("options not applied: %+v", e.cfg)
 	}
 	if _, err := e.Update(context.Background(), "kb", []ast.Literal{lit(t, "p(x1)")}); err != nil {

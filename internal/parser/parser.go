@@ -127,6 +127,32 @@ func MustParseLiteral(src string) ast.Literal {
 	return l
 }
 
+// ParseFacts parses module-free source text (typically a bulk fact base)
+// into ground-fact literals, the form Engine.Update takes. The source must
+// not declare modules, and every clause must be a ground fact. Empty
+// source yields no facts.
+func ParseFacts(src string) ([]ast.Literal, error) {
+	p, err := ParseProgram(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.Components) == 0 {
+		return nil, nil
+	}
+	if len(p.Components) != 1 || p.Components[0].Name != MainComponent {
+		return nil, fmt.Errorf("fact source must be module-free")
+	}
+	rules := p.Components[0].Rules
+	facts := make([]ast.Literal, 0, len(rules))
+	for _, r := range rules {
+		if !r.IsFact() || !r.Head.Atom.Ground() {
+			return nil, fmt.Errorf("not a ground fact: %s", r)
+		}
+		facts = append(facts, r.Head)
+	}
+	return facts, nil
+}
+
 type parser struct {
 	toks []lexer.Token
 	pos  int

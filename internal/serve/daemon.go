@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/stable"
-	"repro/internal/transform"
 	"repro/internal/wal"
 )
 
@@ -471,33 +470,6 @@ func (d *Daemon) handleDrop(w http.ResponseWriter, r *http.Request) {
 
 // --- writes ---------------------------------------------------------------
 
-// parseFacts parses module-free source text into ground-fact literals —
-// the body format of update/retract (same contract as ordlog.ParseFacts).
-func parseFacts(src string) ([]ast.Literal, error) {
-	extra, err := parser.ParseProgram(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(extra.Components) == 0 {
-		return nil, nil
-	}
-	if len(extra.Components) != 1 || extra.Components[0].Name != parser.MainComponent {
-		return nil, fmt.Errorf("fact source must be module-free")
-	}
-	rules, err := transform.FlattenSingle(extra)
-	if err != nil {
-		return nil, err
-	}
-	facts := make([]ast.Literal, 0, len(rules))
-	for _, r := range rules {
-		if !r.IsFact() || !r.Head.Atom.Ground() {
-			return nil, fmt.Errorf("not a ground fact: %s", r)
-		}
-		facts = append(facts, r.Head)
-	}
-	return facts, nil
-}
-
 type writeReqJSON struct {
 	Component string `json:"component"`
 	Facts     string `json:"facts"`
@@ -528,7 +500,7 @@ func (d *Daemon) handleWrite(w http.ResponseWriter, r *http.Request, retract boo
 		failf(w, http.StatusBadRequest, "bad JSON body: %v", err)
 		return
 	}
-	facts, err := parseFacts(req.Facts)
+	facts, err := parser.ParseFacts(req.Facts)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "parse facts: %v", err)
 		return

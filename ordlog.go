@@ -51,12 +51,12 @@
 // An Engine is safe for concurrent shared use, including concurrent
 // updates: writers are serialised among themselves and never block
 // readers, and a reader keeps the snapshot it pinned. Per-component views
-// and least models are memoised with singleflight semantics, and the
-// batched front ends (Engine.QueryBatch, Engine.ProveBatch,
-// Engine.StableModelsParallel) fan independent work over a bounded worker
-// pool against one pinned snapshot each. Returned models are shared and
-// must be treated as read-only. See README.md
-// "Concurrency" for the full contract.
+// and least models are memoised with singleflight semantics, and the two
+// pooled front ends (Engine.QueryBatch over GOMAXPROCS workers,
+// Engine.StableModelsParallel over a per-call worker count) fan
+// independent work across goroutines against one pinned snapshot each.
+// Returned models are shared and must be treated as read-only. See
+// README.md "Concurrency" for the full contract.
 package ordlog
 
 import (
@@ -68,7 +68,6 @@ import (
 
 	"repro/internal/analyze"
 	"repro/internal/ast"
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/ground"
 	"repro/internal/interp"
@@ -126,8 +125,8 @@ type (
 	Snapshot = core.Snapshot
 	// Config configures engine construction.
 	Config = core.Config
-	// Option is a functional engine option (WithWorkers, WithEnumBudget,
-	// WithTrace) applied on top of a Config by NewEngine.
+	// Option is a functional engine option (WithEnumBudget, WithTrace,
+	// WithDurability, ...) applied on top of a Config by NewEngine.
 	Option = core.Option
 	// ConfigError reports the invalid Config field that made NewEngine
 	// reject a configuration; inspect it with errors.As.
@@ -142,8 +141,6 @@ type (
 	EnumOptions = stable.Options
 	// ParallelEnumOptions adds a worker count to EnumOptions.
 	ParallelEnumOptions = stable.ParallelOptions
-	// BatchOptions sizes the worker pool of the batched query APIs.
-	BatchOptions = batch.Options
 	// QueryRequest is one unit of Engine.QueryBatch.
 	QueryRequest = core.QueryRequest
 	// QueryResult is the outcome of one QueryRequest.
@@ -225,11 +222,6 @@ func NewEngineCtx(ctx context.Context, p *Program, cfg Config, opts ...Option) (
 	return core.NewEngineCtx(ctx, p, cfg, opts...)
 }
 
-// WithWorkers returns an Option setting the default worker-pool size used
-// by the batched entry points and parallel enumeration whenever a call
-// leaves its own Workers field zero.
-func WithWorkers(n int) Option { return core.WithWorkers(n) }
-
 // WithEnumBudget returns an Option setting the default leaf budget for
 // stable and assumption-free enumeration whenever a call leaves
 // EnumOptions.MaxLeaves zero.
@@ -300,8 +292,8 @@ func WithCompactRatio(r float64) Option { return core.WithCompactRatio(r) }
 
 // Recover rebuilds a durable engine from a directory written by an engine
 // constructed with WithDurability: load the newest checkpoint consistent
-// with the log, replay the WAL suffix through the ordinary update path,
-// and verify the hash chain end to end. See Engine.AsOf for time travel
+// with the log, verify the hash chain end to end, fold the WAL suffix past
+// the checkpoint into its program, and ground the recovered tip once. See Engine.AsOf for time travel
 // over the recovered history.
 func Recover(ctx context.Context, dir string, cfg Config, opts ...Option) (*Engine, error) {
 	return core.Recover(ctx, dir, cfg, opts...)
@@ -310,30 +302,7 @@ func Recover(ctx context.Context, dir string, cfg Config, opts ...Option) (*Engi
 // ParseFacts parses module-free clauses (typically a bulk fact base) and
 // returns them as literals suitable for Engine.Update. Every clause must
 // be a ground fact.
-func ParseFacts(src string) ([]Literal, error) {
-	extra, err := parser.ParseProgram(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(extra.Components) == 0 {
-		return nil, nil
-	}
-	if len(extra.Components) != 1 || extra.Components[0].Name != parser.MainComponent {
-		return nil, fmt.Errorf("fact source must be module-free")
-	}
-	rules, err := transform.FlattenSingle(extra)
-	if err != nil {
-		return nil, err
-	}
-	facts := make([]Literal, 0, len(rules))
-	for _, r := range rules {
-		if !r.IsFact() || !r.Head.Atom.Ground() {
-			return nil, fmt.Errorf("not a ground fact: %s", r)
-		}
-		facts = append(facts, r.Head)
-	}
-	return facts, nil
-}
+func ParseFacts(src string) ([]Literal, error) { return parser.ParseFacts(src) }
 
 // OV builds the ordered version of a seminegative program (§3): a
 // closed-world component above the program, capturing the founded and
@@ -357,9 +326,9 @@ func SingleComponent(name string, rules []*Rule) *Program {
 // variables, undefined body predicates, defeat sources, empty components.
 func Analyze(p *Program) []Diagnostic { return analyze.Program(p) }
 
-// MergeFacts parses additional clauses (typically a bulk-loaded fact base)
-// and appends them to the named component of an already-parsed program.
-// Call before NewEngine; the program is modified in place.
+// MergeFacts parses a module-free fact base (see ParseFacts) and appends
+// its facts to the named component of an already-parsed program. Call
+// before NewEngine; the program is modified in place.
 //
 // Deprecated: build the engine first and use Engine.Update, which applies
 // the facts as an incremental snapshot without mutating the source program
@@ -367,17 +336,7 @@ func Analyze(p *Program) []Diagnostic { return analyze.Program(p) }
 // keeps working for pre-engine bulk loading; ParseFacts converts the same
 // source text into the literals Engine.Update takes.
 func MergeFacts(p *Program, comp string, src string) error {
-	extra, err := parser.ParseProgram(src)
-	if err != nil {
-		return err
-	}
-	if len(extra.Components) == 0 {
-		return nil // nothing to merge
-	}
-	if len(extra.Components) != 1 || extra.Components[0].Name != parser.MainComponent {
-		return fmt.Errorf("fact source must be module-free")
-	}
-	rules, err := transform.FlattenSingle(extra)
+	facts, err := parser.ParseFacts(src)
 	if err != nil {
 		return err
 	}
@@ -385,6 +344,8 @@ func MergeFacts(p *Program, comp string, src string) error {
 	if c == nil {
 		return fmt.Errorf("unknown component %q", comp)
 	}
-	c.Rules = append(c.Rules, rules...)
+	for _, f := range facts {
+		c.AddRule(ast.Fact(f))
+	}
 	return nil
 }

@@ -157,6 +157,14 @@ module data extends rules { }
 	if err := ordlog.MergeFacts(prog, "data", "p :- q :-."); err == nil {
 		t.Error("syntax error not propagated")
 	}
+	if err := ordlog.MergeFacts(prog, "data", "anc(X, X) :- parent(X, b)."); err == nil || !strings.Contains(err.Error(), "not a ground fact") {
+		t.Errorf("rule in a fact source: err = %v, want \"not a ground fact\"", err)
+	}
+	for src, want := range map[string]string{"module x { a. }": "module-free", "p(X).": "not a ground fact"} {
+		if _, err := ordlog.ParseFacts(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseFacts(%q) = %v, want an error containing %q", src, err, want)
+		}
+	}
 }
 
 func TestThreeVFacade(t *testing.T) {
