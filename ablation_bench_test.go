@@ -5,6 +5,7 @@
 package ordlog_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -65,7 +66,7 @@ func benchStableWinMove(b *testing.B, n int, noPrune bool) {
 	opts := stable.Options{NoPrune: noPrune}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stable.StableModels(v, opts); err != nil {
+		if _, err := stable.StableModelsCtx(context.Background(), v, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

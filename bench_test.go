@@ -10,7 +10,9 @@
 package ordlog_test
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	ordlog "repro"
@@ -271,18 +273,18 @@ func BenchmarkB3GroundingFull(b *testing.B) {
 
 // --- B4: stable-model enumeration on win–move ---
 
-// The parallel legs run stable.StableModelsParallel over GOMAXPROCS
-// workers on the same views as the sequential cycle_n legs; they are what
-// keeps the parallel enumerator (EXPERIMENTS.md "One entry point per
-// question").
+// The cycle_n legs run the enumerator as any caller does: at n ≥ 10 it
+// fans out over GOMAXPROCS workers. The inline_cycle_n legs run the same
+// searches at GOMAXPROCS=1, where it never does; auto ÷ inline is what
+// keeps the fan-out (EXPERIMENTS.md "One stable-model enumerator").
 func BenchmarkB4StableWinMoveCycle(b *testing.B) {
 	for _, c := range []struct {
-		n        int
-		parallel bool
+		n      int
+		inline bool
 	}{{4, false}, {6, false}, {8, false}, {10, false}, {12, false}, {10, true}, {12, true}} {
 		name := fmt.Sprintf("cycle_n=%d", c.n)
-		if c.parallel {
-			name = "parallel_" + name
+		if c.inline {
+			name = "inline_" + name
 		}
 		b.Run(name, func(b *testing.B) {
 			rules := workload.WinMove(workload.CycleEdges(c.n))
@@ -298,14 +300,12 @@ func BenchmarkB4StableWinMoveCycle(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			if c.inline {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if c.parallel {
-					_, err = stable.StableModelsParallel(v, stable.ParallelOptions{})
-				} else {
-					_, err = stable.StableModels(v, stable.Options{})
-				}
-				if err != nil {
+				if _, err := stable.StableModelsCtx(context.Background(), v, stable.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

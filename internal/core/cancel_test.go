@@ -68,37 +68,37 @@ func TestEngineDeadlinePartialModels(t *testing.T) {
 	}
 }
 
-// TestEngineBudgetPartialAgreement: sequential and parallel engine-level
-// enumeration agree on the ErrBudget contract — sentinel error, non-nil
-// partial model set, every model sound.
+// TestEngineBudgetPartialAgreement: the engine-level ErrBudget contract —
+// sentinel error, non-nil partial model set, every model sound — holds
+// both in-line (GOMAXPROCS=1) and fanned out (GOMAXPROCS=2, n = 12), and
+// the two return the same partial list.
 func TestEngineBudgetPartialAgreement(t *testing.T) {
-	eng := winMoveEngine(t, 8)
+	eng := winMoveEngine(t, 12)
 	opts := stable.Options{MaxLeaves: 4}
-
-	seq, err := eng.StableModelsCtx(context.Background(), "c", opts)
-	if !errors.Is(err, stable.ErrBudget) {
-		t.Fatalf("sequential: err = %v, want ErrBudget", err)
-	}
-	if len(seq) == 0 {
-		t.Fatalf("sequential: no partial models alongside ErrBudget")
-	}
-	for _, m := range seq {
-		if !eng.CheckAssumptionFree(m) {
-			t.Errorf("sequential: partial model is not assumption-free")
+	var runs [2][]*core.Model
+	for i, procs := range []int{1, 2} {
+		var ms []*core.Model
+		var err error
+		atProcs(procs, func() { ms, err = eng.StableModelsCtx(context.Background(), "c", opts) })
+		if !errors.Is(err, stable.ErrBudget) {
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want ErrBudget", procs, err)
 		}
+		if len(ms) == 0 {
+			t.Fatalf("GOMAXPROCS=%d: no partial models alongside ErrBudget", procs)
+		}
+		for _, m := range ms {
+			if !eng.CheckAssumptionFree(m) {
+				t.Errorf("GOMAXPROCS=%d: partial model is not assumption-free", procs)
+			}
+		}
+		runs[i] = ms
 	}
-
-	par, err := eng.StableModelsParallelCtx(context.Background(), "c",
-		stable.ParallelOptions{Options: opts, Workers: 4})
-	if !errors.Is(err, stable.ErrBudget) {
-		t.Fatalf("parallel: err = %v, want ErrBudget", err)
+	if len(runs[0]) != len(runs[1]) {
+		t.Fatalf("partial lists: %d models in-line, %d fanned out", len(runs[0]), len(runs[1]))
 	}
-	if par == nil {
-		t.Fatalf("parallel: nil model slice alongside ErrBudget; want non-nil partial set")
-	}
-	for _, m := range par {
-		if !eng.CheckAssumptionFree(m) {
-			t.Errorf("parallel: partial model is not assumption-free")
+	for i := range runs[0] {
+		if runs[0][i].String() != runs[1][i].String() {
+			t.Fatalf("partial model %d: in-line %s, fanned out %s", i, runs[0][i], runs[1][i])
 		}
 	}
 }

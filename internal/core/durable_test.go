@@ -270,14 +270,14 @@ func TestTenantAsOfFallsBackToEngine(t *testing.T) {
 		t.Fatalf("At(1): got %v, want ErrVersionEvicted", err)
 	}
 	// …but AsOf reconstructs it from the engine's history.
-	snap, err := tn.AsOf(1)
+	snap, err := tn.AsOf(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := leastStr(t, snap); got != want[1] {
 		t.Fatalf("Tenant.AsOf(1) diverged:\n%s\nwant:\n%s", got, want[1])
 	}
-	if _, err := tn.AsOf(9); !errors.Is(err, core.ErrVersionUnknown) {
+	if _, err := tn.AsOf(context.Background(), 9); !errors.Is(err, core.ErrVersionUnknown) {
 		t.Fatalf("Tenant.AsOf(9): got %v, want ErrVersionUnknown", err)
 	}
 }

@@ -257,8 +257,11 @@ func (e *Engine) QueryCtx(ctx context.Context, comp string, q ast.Query) ([]Bind
 }
 
 // AssumptionFreeModels enumerates the assumption-free models in the
-// component (Definition 7) as of the current snapshot. On ErrBudget the
-// models found before the budget ran out are returned alongside the error.
+// component (Definition 7) as of the current snapshot, in the enumerator's
+// depth-first order; a large search fans out over GOMAXPROCS workers
+// without changing that order (see stable.AssumptionFreeModelsCtx). On
+// ErrBudget the models found before the budget ran out are returned
+// alongside the error.
 func (e *Engine) AssumptionFreeModels(comp string, opts stable.Options) ([]*Model, error) {
 	return e.Current().AssumptionFreeModels(comp, opts)
 }
@@ -283,22 +286,6 @@ func (e *Engine) StableModels(comp string, opts stable.Options) ([]*Model, error
 // same partial-result contract as AssumptionFreeModelsCtx.
 func (e *Engine) StableModelsCtx(ctx context.Context, comp string, opts stable.Options) ([]*Model, error) {
 	return e.Current().StableModelsCtx(ctx, comp, opts)
-}
-
-// StableModelsParallel enumerates the stable models with a worker pool
-// (see stable.AssumptionFreeModelsParallel for the exact semantics of the
-// shared budgets). On ErrBudget the maximal models of the truncated
-// enumeration are returned alongside the error, exactly as with the
-// sequential StableModels.
-func (e *Engine) StableModelsParallel(comp string, opts stable.ParallelOptions) ([]*Model, error) {
-	return e.Current().StableModelsParallel(comp, opts)
-}
-
-// StableModelsParallelCtx is StableModelsParallel with cooperative
-// cancellation: workers stop on the context's cancellation and the partial
-// model set collected so far is returned alongside an interrupt.Error.
-func (e *Engine) StableModelsParallelCtx(ctx context.Context, comp string, opts stable.ParallelOptions) ([]*Model, error) {
-	return e.Current().StableModelsParallelCtx(ctx, comp, opts)
 }
 
 // partialEnumErr reports whether an enumeration error carries partial

@@ -8,9 +8,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
-	"repro/internal/interrupt"
 	"repro/internal/obs"
-	"repro/internal/proof"
 	"repro/internal/relevance"
 )
 
@@ -41,27 +39,15 @@ type sliceEntry struct {
 }
 
 // goalSlice holds one goal's slice and its lazily built per-component
-// artifacts, mirroring compState for the full grounding. The slice itself
-// is a singleflight cell so concurrent queries with the same binding
-// pattern cut it exactly once.
+// artifacts, one compState per component as for the full grounding. The
+// slice itself is a singleflight cell so concurrent queries with the same
+// binding pattern cut it exactly once.
 type goalSlice struct {
 	goal []ast.Literal
 	gp   lazyCell[*ground.Program]
 
 	mu    sync.Mutex
-	comps map[int]*goalComp
-}
-
-// goalComp mirrors compState: the slice's evaluation view, least model and
-// memoising prover for one component.
-type goalComp struct {
-	viewOnce sync.Once
-	view     *eval.View
-
-	least lazyCell[*Model]
-
-	proverSem chan struct{}
-	prover    *proof.Prover
+	comps map[int]*compState
 }
 
 // goalSliceFor returns the snapshot's cached slice state for the goal,
@@ -96,7 +82,7 @@ func (s *Snapshot) goalSliceFor(goal []ast.Literal) *goalSlice {
 			mSliceEvictions.Inc()
 		}
 	}
-	gs := &goalSlice{goal: goal, comps: make(map[int]*goalComp)}
+	gs := &goalSlice{goal: goal, comps: make(map[int]*compState)}
 	c.entries[key] = &sliceEntry{slice: gs, used: c.tick}
 	if obs.On() {
 		mSliceMisses.Inc()
@@ -125,27 +111,21 @@ func (s *Snapshot) sliceProgram(ctx context.Context, gs *goalSlice) (*ground.Pro
 }
 
 // comp returns the slice's per-component state, creating it on first use.
-func (gs *goalSlice) comp(i int) *goalComp {
+func (gs *goalSlice) comp(i int) *compState {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	gc, ok := gs.comps[i]
+	st, ok := gs.comps[i]
 	if !ok {
-		gc = &goalComp{proverSem: make(chan struct{}, 1)}
-		gs.comps[i] = gc
+		st = newCompState(false)
+		gs.comps[i] = st
 	}
-	return gc
+	return st
 }
 
-// viewOf builds the slice's evaluation view for the component exactly
+// sliceView returns the slice's evaluation view for component i, built
 // once. Slices are never updated in place, so there is no dead set.
-func (gc *goalComp) viewOf(gp *ground.Program, i int) *eval.View {
-	built := false
-	gc.viewOnce.Do(func() {
-		gc.view = eval.NewViewOf(gp, i, gp.Rules, nil)
-		built = true
-	})
-	countView(built)
-	return gc.view
+func sliceView(st *compState, gp *ground.Program, i int) *eval.View {
+	return st.viewOf(gp, i, gp.Rules, nil, gp.Tab.Len())
 }
 
 // answersGoalDirected answers a conjunctive least-model query from the
@@ -175,9 +155,9 @@ func (s *Snapshot) sliceModel(ctx context.Context, i int, goal []ast.Literal) (*
 	if err != nil {
 		return nil, err
 	}
-	gc := gs.comp(i)
-	return gc.least.get(ctx, "core: goal-slice least-model wait", func(runCtx context.Context) (*Model, error) {
-		v := gc.viewOf(gp, i)
+	st := gs.comp(i)
+	return st.least.get(ctx, "core: goal-slice least-model wait", func(runCtx context.Context) (*Model, error) {
+		v := sliceView(st, gp, i)
 		in, err := v.LeastModelCtx(runCtx)
 		if err != nil {
 			return nil, err
@@ -202,15 +182,11 @@ func (s *Snapshot) proveGoalDirected(ctx context.Context, i int, l ast.Literal) 
 	if !ok {
 		return false, nil
 	}
-	gc := gs.comp(i)
-	select {
-	case gc.proverSem <- struct{}{}:
-	case <-ctx.Done():
-		return false, &interrupt.Error{Stage: "core: prover queue", Cause: ctx.Err()}
+	st := gs.comp(i)
+	pr, release, err := st.acquireProver(ctx, func() *eval.View { return sliceView(st, gp, i) })
+	if err != nil {
+		return false, err
 	}
-	defer func() { <-gc.proverSem }()
-	if gc.prover == nil {
-		gc.prover = proof.New(gc.viewOf(gp, i), 0)
-	}
-	return gc.prover.ProveCtx(ctx, interp.MkLit(id, l.Neg))
+	defer release()
+	return pr.ProveCtx(ctx, interp.MkLit(id, l.Neg))
 }

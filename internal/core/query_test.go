@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -124,41 +125,35 @@ func TestQueryMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestParallelStableFacade exercises the engine-level parallel entry point.
+// TestParallelStableFacade: the engine's stable models on a search large
+// enough to fan out (win-move n = 12 at GOMAXPROCS=2) are the list the
+// in-line search (GOMAXPROCS=1) returns, model for model and in order.
 func TestParallelStableFacade(t *testing.T) {
-	eng := engineOf(t, `
-module c2 { a. b. c. }
-module c1 extends c2 { -a :- b, c. -b :- a. -b :- -b. }
-`)
-	seq, err := eng.StableModels("c1", stableOptions())
+	eng := winMoveEngine(t, 12)
+	var inline, fanned []*core.Model
+	var err error
+	atProcs(1, func() { inline, err = eng.StableModels("c", stableOptions()) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := eng.StableModelsParallel("c1", parallelOptions(4))
+	atProcs(2, func() { fanned, err = eng.StableModels("c", stableOptions()) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != len(par) {
-		t.Fatalf("parallel facade returned %d models, sequential %d", len(par), len(seq))
+	if len(inline) < 2 || len(fanned) != len(inline) {
+		t.Fatalf("fanned out %d models, in-line %d (want the same, at least 2)", len(fanned), len(inline))
 	}
-	ss := modelSet(seq)
-	ps := modelSet(par)
-	if strings.Join(ss, ";") != strings.Join(ps, ";") {
-		t.Errorf("families differ: %v vs %v", ss, ps)
+	for i := range inline {
+		if fanned[i].String() != inline[i].String() {
+			t.Fatalf("model %d: fanned out %s, in-line %s", i, fanned[i], inline[i])
+		}
 	}
 }
 
-func modelSet(ms []*core.Model) []string {
-	out := make([]string, len(ms))
-	for i, m := range ms {
-		out[i] = m.String()
-	}
-	sort.Strings(out)
-	return out
+// atProcs runs f at GOMAXPROCS=n, restoring the setting afterwards.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
 }
 
 func stableOptions() stable.Options { return stable.Options{} }
-
-func parallelOptions(w int) stable.ParallelOptions {
-	return stable.ParallelOptions{Workers: w}
-}

@@ -5,25 +5,26 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
+	"repro/internal/eval"
 	"repro/internal/interp"
 	"repro/internal/interrupt"
 	"repro/internal/proof"
 	"repro/internal/stable"
 )
 
-// prover acquires the component's 1-slot prover semaphore — honouring the
-// caller's context while queueing — and returns the shared memoising
-// prover plus the release function. The prover is non-reentrant, so
-// callers hold the slot across every Prover method call.
-func (s *Snapshot) prover(ctx context.Context, i int) (*proof.Prover, func(), error) {
-	st := s.comp(i)
+// acquireProver takes the state's 1-slot prover semaphore — honouring the
+// caller's context while queueing — and returns the memoising prover,
+// built over view() on first use, plus the release function. The prover
+// is non-reentrant, so callers hold the slot across every Prover method
+// call.
+func (st *compState) acquireProver(ctx context.Context, view func() *eval.View) (*proof.Prover, func(), error) {
 	select {
 	case st.proverSem <- struct{}{}:
 	case <-ctx.Done():
 		return nil, nil, &interrupt.Error{Stage: "core: prover queue", Cause: ctx.Err()}
 	}
 	if st.prover == nil {
-		st.prover = proof.New(s.viewAt(i), 0)
+		st.prover = proof.New(view(), 0)
 	}
 	return st.prover, func() { <-st.proverSem }, nil
 }
@@ -53,7 +54,7 @@ func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bo
 	if !ok {
 		return false, nil
 	}
-	pr, release, err := s.prover(ctx, i)
+	pr, release, err := s.comp(i).acquireProver(ctx, func() *eval.View { return s.viewAt(i) })
 	if err != nil {
 		return false, err
 	}
@@ -80,7 +81,7 @@ func (s *Snapshot) ProveExplainCtx(ctx context.Context, comp string, l ast.Liter
 	if !ok {
 		return "", false, nil
 	}
-	pr, release, err := s.prover(ctx, i)
+	pr, release, err := s.comp(i).acquireProver(ctx, func() *eval.View { return s.viewAt(i) })
 	if err != nil {
 		return "", false, err
 	}

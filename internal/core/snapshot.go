@@ -115,6 +115,12 @@ type compState struct {
 	prover    *proof.Prover
 }
 
+// newCompState returns an empty per-component state; afterWrite marks one
+// an incremental write created.
+func newCompState(afterWrite bool) *compState {
+	return &compState{proverSem: make(chan struct{}, 1), afterWrite: afterWrite}
+}
+
 // Version returns the snapshot's version number: 0 for the engine's
 // initial grounding, incremented by every successful update.
 func (s *Snapshot) Version() uint64 { return s.version }
@@ -161,7 +167,7 @@ func (s *Snapshot) comp(i int) *compState {
 	defer s.mu.Unlock()
 	st, ok := s.comps[i]
 	if !ok {
-		st = &compState{proverSem: make(chan struct{}, 1), afterWrite: s.written}
+		st = newCompState(s.written)
 		s.comps[i] = st
 	}
 	return st
@@ -363,28 +369,6 @@ func (s *Snapshot) StableModelsCtx(ctx context.Context, comp string, opts stable
 		return nil, err
 	}
 	ms, enumErr := stable.StableModelsCtx(ctx, v, s.eng.fillStable(opts))
-	if enumErr != nil && !partialEnumErr(enumErr) {
-		return nil, enumErr
-	}
-	return wrapModels(v, ms), enumErr
-}
-
-// StableModelsParallel enumerates the stable models with a worker pool as
-// of this snapshot (see Engine.StableModelsParallel).
-func (s *Snapshot) StableModelsParallel(comp string, opts stable.ParallelOptions) ([]*Model, error) {
-	return s.StableModelsParallelCtx(context.Background(), comp, opts)
-}
-
-// StableModelsParallelCtx is StableModelsParallel with cooperative
-// cancellation and the partial-result contract of
-// Engine.StableModelsParallelCtx.
-func (s *Snapshot) StableModelsParallelCtx(ctx context.Context, comp string, opts stable.ParallelOptions) ([]*Model, error) {
-	v, err := s.View(comp)
-	if err != nil {
-		return nil, err
-	}
-	opts.Options = s.eng.fillStable(opts.Options)
-	ms, enumErr := stable.StableModelsParallelCtx(ctx, v, opts)
 	if enumErr != nil && !partialEnumErr(enumErr) {
 		return nil, enumErr
 	}
@@ -682,7 +666,7 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 		if !affected {
 			child.comps[i] = parent.comp(i)
 		} else if c := parent.carryFor(i, rules, changed); c != nil {
-			st := &compState{proverSem: make(chan struct{}, 1), afterWrite: true}
+			st := newCompState(true)
 			st.carry.Store(c)
 			child.comps[i] = st
 		}

@@ -97,8 +97,9 @@ func (t *Tenant) At(version uint64) (*Snapshot, error) {
 // engine's AsOf reconstruction through the update history and — on a
 // durable tenant — the WAL. The error contract matches At's:
 // ErrVersionUnknown ahead of the tip, ErrVersionEvicted when the version
-// predates every reachable source.
-func (t *Tenant) AsOf(version uint64) (*Snapshot, error) {
+// predates every reachable source. ctx bounds a reconstruction (see
+// Engine.AsOfCtx); an interrupted one fails with an interrupt.Error.
+func (t *Tenant) AsOf(ctx context.Context, version uint64) (*Snapshot, error) {
 	s, err := t.At(version)
 	if err == nil {
 		return s, nil
@@ -106,7 +107,7 @@ func (t *Tenant) AsOf(version uint64) (*Snapshot, error) {
 	if !errors.Is(err, ErrVersionEvicted) {
 		return nil, err
 	}
-	return t.eng.AsOf(version)
+	return t.eng.AsOfCtx(ctx, version)
 }
 
 // Versions returns the pinnable versions, ascending. The current version

@@ -7,6 +7,7 @@
 package eval_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -159,7 +160,7 @@ func TestProposition2(t *testing.T) {
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			af, err := stable.AssumptionFreeModels(v, stable.Options{})
+			af, err := stable.AssumptionFreeModelsCtx(context.Background(), v, stable.Options{})
 			if err != nil {
 				t.Fatalf("seed %d comp %d: af: %v", seed, ci, err)
 			}
@@ -207,11 +208,11 @@ func TestSmartVsFullGrounding(t *testing.T) {
 			if lf.String() != ls.String() {
 				t.Fatalf("seed %d comp %d: full least %s != smart least %s", seed, ci, lf, ls)
 			}
-			aff, err := stable.AssumptionFreeModels(vf, stable.Options{})
+			aff, err := stable.AssumptionFreeModelsCtx(context.Background(), vf, stable.Options{})
 			if err != nil {
 				t.Fatalf("seed %d comp %d: full af: %v", seed, ci, err)
 			}
-			afs, err := stable.AssumptionFreeModels(vs, stable.Options{})
+			afs, err := stable.AssumptionFreeModelsCtx(context.Background(), vs, stable.Options{})
 			if err != nil {
 				t.Fatalf("seed %d comp %d: smart af: %v", seed, ci, err)
 			}
@@ -291,11 +292,11 @@ func TestSmartVsFullDatalogOV(t *testing.T) {
 				t.Fatalf("seed %d %s: full least != smart least\nfull:  %s\nsmart: %s\nprogram: %v",
 					seed, translate, lf, ls, rules)
 			}
-			aff, err := stable.AssumptionFreeModels(vf, stable.Options{MaxLeaves: 1 << 15})
+			aff, err := stable.AssumptionFreeModelsCtx(context.Background(), vf, stable.Options{MaxLeaves: 1 << 15})
 			if err != nil {
 				continue // search too large for this seed; least already checked
 			}
-			afs, err := stable.AssumptionFreeModels(vs, stable.Options{MaxLeaves: 1 << 15})
+			afs, err := stable.AssumptionFreeModelsCtx(context.Background(), vs, stable.Options{MaxLeaves: 1 << 15})
 			if err != nil {
 				continue
 			}

@@ -1,6 +1,7 @@
 package ground_test
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -63,8 +64,8 @@ func TestEDBSimplificationIsPureOptimisation(t *testing.T) {
 				t.Fatalf("seed %d %s: least model changed by ablation:\non:  %s\noff: %s",
 					seed, tr, lOn, lOff)
 			}
-			afOn, err1 := stable.AssumptionFreeModels(vOn, stable.Options{MaxLeaves: 1 << 14})
-			afOff, err2 := stable.AssumptionFreeModels(vOff, stable.Options{MaxLeaves: 1 << 14})
+			afOn, err1 := stable.AssumptionFreeModelsCtx(context.Background(), vOn, stable.Options{MaxLeaves: 1 << 14})
+			afOff, err2 := stable.AssumptionFreeModelsCtx(context.Background(), vOff, stable.Options{MaxLeaves: 1 << 14})
 			if err1 != nil || err2 != nil {
 				continue // search too large; least-model agreement already checked
 			}

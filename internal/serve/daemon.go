@@ -288,10 +288,13 @@ func admit(ctx context.Context, w http.ResponseWriter, t *core.Tenant) (release 
 // retained version; ?as_of= time-travels through Tenant.AsOf, which falls
 // past the retention ring into the engine's update history and — on a
 // durable tenant — the WAL on disk. At most one of the two may be given;
-// absent both, reads see the current tip. Version sentinels map uniformly
-// for both parameters: ErrVersionEvicted → 410 Gone, ErrVersionUnknown →
-// 404 Not Found.
-func pin(w http.ResponseWriter, params url.Values, t *core.Tenant) (*core.Snapshot, bool) {
+// absent both, reads see the current tip. Handlers pin after admission,
+// under the request's context: a reconstruction costs a grounding, so it
+// waits its turn and stops at the deadline. Version sentinels map
+// uniformly for both parameters: ErrVersionEvicted → 410 Gone,
+// ErrVersionUnknown → 404 Not Found; an interrupted reconstruction is
+// 503 Service Unavailable.
+func pin(ctx context.Context, w http.ResponseWriter, params url.Values, t *core.Tenant) (*core.Snapshot, bool) {
 	vs := params.Get("version")
 	as := params.Get("as_of")
 	if vs != "" && as != "" {
@@ -300,7 +303,8 @@ func pin(w http.ResponseWriter, params url.Values, t *core.Tenant) (*core.Snapsh
 	}
 	param, s, resolve := "version", vs, t.At
 	if as != "" {
-		param, s, resolve = "as_of", as, t.AsOf
+		param, s = "as_of", as
+		resolve = func(v uint64) (*core.Snapshot, error) { return t.AsOf(ctx, v) }
 	}
 	if s == "" {
 		return t.Current(), true
@@ -326,6 +330,8 @@ func versionStatus(err error) int {
 		return http.StatusGone
 	case errors.Is(err, core.ErrVersionUnknown):
 		return http.StatusNotFound
+	case errors.Is(err, interrupt.ErrInterrupted):
+		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
 	}
@@ -595,10 +601,6 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	comp := params.Get("component")
-	snap, ok := pin(w, params, t)
-	if !ok {
-		return
-	}
 	ctx, cancel, err := d.reqCtx(r, params)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
@@ -610,6 +612,10 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	snap, ok := pin(ctx, w, params, t)
+	if !ok {
+		return
+	}
 	tenantCounter(t.Name(), "reads").Inc()
 	head := queryHeadJSON{Tenant: t.Name(), Component: comp, Version: snap.Version(), Query: q.String()}
 	answers, err := snap.AnswersCtx(ctx, comp, q)
@@ -656,10 +662,6 @@ func (d *Daemon) handleProve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	comp := params.Get("component")
-	snap, ok := pin(w, params, t)
-	if !ok {
-		return
-	}
 	ctx, cancel, err := d.reqCtx(r, params)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
@@ -671,6 +673,10 @@ func (d *Daemon) handleProve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	snap, ok := pin(ctx, w, params, t)
+	if !ok {
+		return
+	}
 	tenantCounter(t.Name(), "reads").Inc()
 	resp := proveRespJSON{
 		Tenant: t.Name(), Component: comp, Version: snap.Version(), Literal: l.String(),
@@ -716,10 +722,6 @@ func (d *Daemon) handleStable(w http.ResponseWriter, r *http.Request) {
 		}
 		maxModels = n
 	}
-	snap, ok := pin(w, params, t)
-	if !ok {
-		return
-	}
 	ctx, cancel, err := d.reqCtx(r, params)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
@@ -731,6 +733,10 @@ func (d *Daemon) handleStable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	snap, ok := pin(ctx, w, params, t)
+	if !ok {
+		return
+	}
 	tenantCounter(t.Name(), "reads").Inc()
 	models, err := snap.StableModelsCtx(ctx, comp, stable.Options{MaxModels: maxModels})
 	setVersion(w, snap.Version())

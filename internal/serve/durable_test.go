@@ -8,6 +8,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -72,6 +73,48 @@ func TestDaemonAsOfTimeTravel(t *testing.T) {
 	}
 	if w := doReq(h, "GET", "/v1/tenants/pin/query?q=seen(X)&version=3&as_of=2", "", ""); w.Code != http.StatusBadRequest {
 		t.Fatalf("both pins: code = %d, want 400 (body %s)", w.Code, w.Body)
+	}
+}
+
+// TestDaemonAsOfAdmission: an ?as_of= read reconstructs its version only
+// once admitted and under the request's deadline. With the tenant's only
+// slot held, an evicted version is rejected with 429 before anything is
+// grounded; with a deadline that has already passed, the reconstruction
+// is interrupted and answers 503.
+func TestDaemonAsOfAdmission(t *testing.T) {
+	d := New(Config{Retain: 2, InFlight: 1})
+	h := d.Handler()
+	loadAndUpdate(t, h, 4) // retain 2 keeps {3,4}: as_of=1 must reground
+	tn, ok := d.Registry().Get("pin")
+	if !ok {
+		t.Fatal("tenant not registered")
+	}
+	runs := obs.Default().Counter("ground.runs")
+
+	release, ok := tn.TryAcquire()
+	if !ok {
+		t.Fatal("could not take the only admission slot")
+	}
+	before := runs.Value()
+	w := doReq(h, "GET", "/v1/tenants/pin/query?q=seen(X)&as_of=1&timeout=30ms", "", "")
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("saturated ?as_of=1: code = %d, want 429 (body %s)", w.Code, w.Body)
+	}
+	if got := runs.Value() - before; got != 0 {
+		t.Fatalf("rejected ?as_of=1 grounded %d times, want 0", got)
+	}
+	release()
+
+	w = doReq(h, "GET", "/v1/tenants/pin/query?q=seen(X)&as_of=1&timeout=1ns", "", "")
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("?as_of=1&timeout=1ns: code = %d, want 503 (body %s)", w.Code, w.Body)
+	}
+	w = doReq(h, "GET", "/v1/tenants/pin/query?q=seen(X)&as_of=1&timeout=10s", "", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("?as_of=1 after the interrupted one: code = %d, want 200 (body %s)", w.Code, w.Body)
+	}
+	if got := tn.InFlight(); got != 0 {
+		t.Fatalf("in-flight after all requests done = %d, want 0", got)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Cancellation and budget-exhaustion contract tests: sequential and
-// parallel enumeration must return partial model sets alongside the
+// Cancellation and budget-exhaustion contract tests: the enumeration, run
+// in-line or fanned out, must return partial model sets alongside the
 // ErrBudget / interrupt.ErrInterrupted sentinels, never discarding work
 // already done, and a cancelled context must stop the search within one
 // DFS checkpoint.
@@ -8,6 +8,8 @@ package stable_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -41,75 +43,56 @@ func winMoveView(t *testing.T, n int) *eval.View {
 	return v
 }
 
-// TestBudgetPartialContract: on budget exhaustion the sequential and
-// parallel enumerations agree on the contract — the sentinel ErrBudget is
-// returned together with the models found so far, each of which is a
-// genuine assumption-free model, and StableModels additionally filters the
-// truncated family to its maximal elements.
+// TestBudgetPartialContract: on budget exhaustion the enumeration returns
+// the sentinel ErrBudget together with the models found so far, each of
+// which is a genuine assumption-free model, and StableModelsCtx
+// additionally filters the truncated family to its maximal elements. A
+// fanned-out search returns the in-line partial lists exactly.
 func TestBudgetPartialContract(t *testing.T) {
 	v := winMoveView(t, 8)
 	opts := stable.Options{MaxLeaves: 4}
+	ctx := context.Background()
 
-	af, err := stable.AssumptionFreeModels(v, opts)
+	af, err := stable.AssumptionFreeModelsCtx(ctx, v, opts)
 	if !errors.Is(err, stable.ErrBudget) {
-		t.Fatalf("sequential af: err = %v, want ErrBudget", err)
+		t.Fatalf("af: err = %v, want ErrBudget", err)
 	}
 	if len(af) == 0 {
-		t.Fatalf("sequential af: no partial models alongside ErrBudget")
+		t.Fatalf("af: no partial models alongside ErrBudget")
 	}
 	for _, m := range af {
 		if !v.IsAssumptionFree(m) {
-			t.Errorf("sequential af: partial result %v is not assumption-free", m)
+			t.Errorf("af: partial result %v is not assumption-free", m)
 		}
 	}
 
-	st, err := stable.StableModels(v, opts)
+	st, err := stable.StableModelsCtx(ctx, v, opts)
 	if !errors.Is(err, stable.ErrBudget) {
-		t.Fatalf("sequential stable: err = %v, want ErrBudget", err)
+		t.Fatalf("stable: err = %v, want ErrBudget", err)
 	}
 	if len(st) == 0 {
-		t.Fatalf("sequential stable: no partial models alongside ErrBudget")
+		t.Fatalf("stable: no partial models alongside ErrBudget")
 	}
 	for i, m := range st {
 		for j, o := range st {
 			if i != j && m.ProperSubsetOf(o) {
-				t.Errorf("sequential stable: partial result %d not maximal within family", i)
+				t.Errorf("stable: partial result %d not maximal within family", i)
 			}
 		}
 	}
 
-	// Parallel: identical contract for every worker count. The exact
-	// partial family may differ (subtrees race for the shared budget), but
-	// the sentinel, the non-nil model slice, and the soundness of every
-	// returned model must match the sequential behaviour.
-	for _, workers := range []int{2, 4, 8} {
-		popts := stable.ParallelOptions{Options: opts, Workers: workers}
-		paf, err := stable.AssumptionFreeModelsParallel(v, popts)
-		if !errors.Is(err, stable.ErrBudget) {
-			t.Fatalf("parallel af workers=%d: err = %v, want ErrBudget", workers, err)
-		}
-		for _, m := range paf {
-			if !v.IsAssumptionFree(m) {
-				t.Errorf("parallel af workers=%d: partial result is not assumption-free", workers)
-			}
-		}
-		pst, err := stable.StableModelsParallel(v, popts)
-		if !errors.Is(err, stable.ErrBudget) {
-			t.Fatalf("parallel stable workers=%d: err = %v, want ErrBudget", workers, err)
-		}
-		for i, m := range pst {
-			for j, o := range pst {
-				if i != j && m.ProperSubsetOf(o) {
-					t.Errorf("parallel stable workers=%d: partial result %d not maximal", workers, i)
-				}
-			}
+	for _, maximal := range []bool{false, true} {
+		want := enumerate(v, opts, 1, maximal)
+		for _, workers := range []int{2, 4, 8} {
+			sameRun(t, fmt.Sprintf("maximal=%v workers=%d", maximal, workers), want, enumerate(v, opts, workers, maximal))
 		}
 	}
 }
 
 // TestCancelledContextUpfront: an already-cancelled context fails the
-// enumeration immediately with an error matching both ErrInterrupted and
-// context.Canceled; the partial model slice is empty.
+// enumeration immediately, in-line or fanned out, with an error matching
+// both ErrInterrupted and context.Canceled; the partial model slice is
+// empty.
 func TestCancelledContextUpfront(t *testing.T) {
 	v := winMoveView(t, 6)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -127,36 +110,47 @@ func TestCancelledContextUpfront(t *testing.T) {
 			t.Fatalf("%s: %d models from an enumeration that never ran", what, len(ms))
 		}
 	}
-	ms, err := stable.AssumptionFreeModelsCtx(ctx, v, stable.Options{})
-	check("af", ms, err)
-	ms, err = stable.StableModelsCtx(ctx, v, stable.Options{})
-	check("stable", ms, err)
-	ms, err = stable.AssumptionFreeModelsParallelCtx(ctx, v, stable.ParallelOptions{Workers: 4})
-	check("parallel af", ms, err)
-	ms, err = stable.StableModelsParallelCtx(ctx, v, stable.ParallelOptions{Workers: 4})
-	check("parallel stable", ms, err)
-
-	if _, err := stable.ReasonCtx(ctx, v, stable.Options{}); !errors.Is(err, interrupt.ErrInterrupted) {
-		t.Fatalf("ReasonCtx: err = %v, want ErrInterrupted (no partial consequences)", err)
+	for _, workers := range []int{1, 4} {
+		restore := stable.SetFanOut(workers, 0)
+		ms, err := stable.AssumptionFreeModelsCtx(ctx, v, stable.Options{})
+		check(fmt.Sprintf("af workers=%d", workers), ms, err)
+		ms, err = stable.StableModelsCtx(ctx, v, stable.Options{})
+		check(fmt.Sprintf("stable workers=%d", workers), ms, err)
+		if _, err := stable.ReasonCtx(ctx, v, stable.Options{}); !errors.Is(err, interrupt.ErrInterrupted) {
+			t.Fatalf("ReasonCtx workers=%d: err = %v, want ErrInterrupted (no partial consequences)", workers, err)
+		}
+		restore()
 	}
 }
 
 // TestDeadlineMidEnumeration: a deadline expiring mid-search stops the DFS
 // within one checkpoint interval — far sooner than the full exhaustive
 // search would finish — and the models already found survive alongside the
-// ErrInterrupted error. NoPrune makes the n=12 search take hundreds of
-// milliseconds, so a 50ms deadline reliably interrupts it.
+// ErrInterrupted error. A fanned-out search stops every worker before it
+// returns: no goroutine outlives the call. NoPrune makes the n=12 search
+// take hundreds of milliseconds, so a 50ms deadline reliably interrupts it.
 func TestDeadlineMidEnumeration(t *testing.T) {
 	v := winMoveView(t, 12)
 	opts := stable.Options{NoPrune: true, MaxLeaves: 1 << 30}
 
-	run := func(what string, f func(ctx context.Context) ([]*interp.Interp, error)) {
-		t.Helper()
+	for _, workers := range []int{1, 4} {
+		what := fmt.Sprintf("workers=%d", workers)
+		restore := stable.SetFanOut(workers, 0)
+		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
 		start := time.Now()
-		ms, err := f(ctx)
+		ms, err := stable.AssumptionFreeModelsCtx(ctx, v, opts)
 		elapsed := time.Since(start)
+		cancel()
+		restore()
+		// A worker is counted until it exits, a moment after it signalled
+		// the search; give the workers a bounded grace period.
+		for grace := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(grace) {
+				t.Fatalf("%s: %d goroutines after the search, %d before", what, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
 		if elapsed > 2*time.Second {
 			t.Fatalf("%s: took %v, want the deadline to cut the search well under 2s", what, elapsed)
 		}
@@ -164,7 +158,7 @@ func TestDeadlineMidEnumeration(t *testing.T) {
 			// The machine finished the whole search inside the deadline;
 			// nothing to assert about interruption.
 			t.Logf("%s: search finished before the deadline (%v)", what, elapsed)
-			return
+			continue
 		}
 		if !errors.Is(err, interrupt.ErrInterrupted) || !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s: err = %v, want ErrInterrupted unwrapping to DeadlineExceeded", what, err)
@@ -175,10 +169,4 @@ func TestDeadlineMidEnumeration(t *testing.T) {
 			}
 		}
 	}
-	run("sequential", func(ctx context.Context) ([]*interp.Interp, error) {
-		return stable.AssumptionFreeModelsCtx(ctx, v, opts)
-	})
-	run("parallel", func(ctx context.Context) ([]*interp.Interp, error) {
-		return stable.AssumptionFreeModelsParallelCtx(ctx, v, stable.ParallelOptions{Options: opts, Workers: 4})
-	})
 }

@@ -30,15 +30,10 @@ type Reasoning struct {
 	NumModels int
 }
 
-// Reason enumerates the stable models of the view's component and returns
-// the cautious and brave consequences.
-func Reason(v *eval.View, opts Options) (*Reasoning, error) {
-	return ReasonCtx(context.Background(), v, opts)
-}
-
-// ReasonCtx is Reason with cooperative cancellation. A truncated
-// enumeration (budget or interruption) fails the whole call: cautious and
-// brave consequences are only sound over the complete stable-model family.
+// ReasonCtx enumerates the stable models of the view's component and
+// returns the cautious and brave consequences. A truncated enumeration
+// (budget or interruption) fails the whole call: cautious and brave
+// consequences are only sound over the complete stable-model family.
 func ReasonCtx(ctx context.Context, v *eval.View, opts Options) (*Reasoning, error) {
 	ms, err := StableModelsCtx(ctx, v, opts)
 	if err != nil {

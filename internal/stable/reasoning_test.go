@@ -1,6 +1,7 @@
 package stable_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestReasonExample5(t *testing.T) {
 module c2 { a. b. c. }
 module c1 extends c2 { -a :- b, c. -b :- a. -b :- -b. }
 `, "c1")
-	r, err := stable.Reason(v, stable.Options{})
+	r, err := stable.ReasonCtx(context.Background(), v, stable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestPruneIsPureOptimisation(t *testing.T) {
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			with, err := stable.AssumptionFreeModels(v, stable.Options{})
+			with, err := stable.AssumptionFreeModelsCtx(context.Background(), v, stable.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			without, err := stable.AssumptionFreeModels(v, stable.Options{NoPrune: true})
+			without, err := stable.AssumptionFreeModelsCtx(context.Background(), v, stable.Options{NoPrune: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,11 +100,11 @@ func TestReasonProperties(t *testing.T) {
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			r, err := stable.Reason(v, stable.Options{})
+			r, err := stable.ReasonCtx(context.Background(), v, stable.Options{})
 			if err != nil {
 				t.Fatalf("seed %d comp %d: %v", seed, ci, err)
 			}
-			ms, err := stable.StableModels(v, stable.Options{})
+			ms, err := stable.StableModelsCtx(context.Background(), v, stable.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

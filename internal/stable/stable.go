@@ -3,12 +3,17 @@
 // assumption-free model. The enumeration is exact: it branches three-valued
 // (true/false/undefined) over the contested atoms only — atoms outside the
 // least model whose literals are derivable at all — with sound pruning, and
-// verifies each leaf with the Theorem 1(a) check.
+// verifies each leaf with the Theorem 1(a) check. A large search fans out
+// over GOMAXPROCS goroutines and returns the models in the order the
+// in-line search finds them.
 package stable
 
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/eval"
 	"repro/internal/interp"
@@ -81,7 +86,8 @@ func possible(v *eval.View) (pos, neg *interp.Bitset) {
 	return pos, neg
 }
 
-// enumState drives the three-valued DFS.
+// enumState drives the three-valued DFS: the whole search when it runs
+// in-line, one prefix task at a time inside a fan-out worker.
 type enumState struct {
 	v         *eval.View
 	opts      Options
@@ -94,25 +100,48 @@ type enumState struct {
 	leaves    int
 	nodes     int64 // DFS nodes expanded, flushed to metrics at the end
 	found     []*interp.Interp
+	ords      []int // ords[i] is the leaf ordinal at which found[i] appeared
 	overflow  bool
 	// ctxDone is the enumeration context's Done channel (nil when the
-	// search is unbounded); dfs polls it at every node — the checkpoint
-	// interval of the cancellation contract — and raises interrupted.
+	// search is unbounded) and stop a fan-out's shared flag (nil in-line);
+	// dfs polls both at every node — the checkpoint interval of the
+	// cancellation contract — and raises interrupted.
 	ctxDone     <-chan struct{}
+	stop        *atomic.Bool
 	interrupted bool
 }
 
-// AssumptionFreeModels enumerates the assumption-free models of the view's
-// component. The least model is always among them (Theorem 1).
-func AssumptionFreeModels(v *eval.View, opts Options) ([]*interp.Interp, error) {
-	return AssumptionFreeModelsCtx(context.Background(), v, opts)
-}
+// fanOutMinAtoms is the branch-atom count from which a search splits into
+// prefix tasks; smaller searches finish in-line before a split pays for
+// itself (EXPERIMENTS.md "One stable-model enumerator"). A variable only
+// so tests can force either branch.
+var fanOutMinAtoms = 10
 
-// AssumptionFreeModelsCtx is AssumptionFreeModels with cooperative
-// cancellation: the DFS polls the context at every node, so a cancelled or
-// expired context stops the search within one checkpoint interval and
-// returns the models found so far alongside an interrupt.Error — the same
-// partial-result contract as ErrBudget.
+// maxWorkers bounds the goroutines of a split search. A variable only so
+// tests can force a worker count.
+var maxWorkers = func() int { return runtime.GOMAXPROCS(0) }
+
+// tasksPerWorker is the number of prefix tasks a split search aims to give
+// each worker: subtree sizes vary widely, so several tasks per worker keep
+// them all busy to the end.
+const tasksPerWorker = 8
+
+// AssumptionFreeModelsCtx enumerates the assumption-free models of the
+// view's component in depth-first order (branch atoms ascending, each
+// tried true, false, then undefined). The least model is always among
+// them (Theorem 1).
+//
+// With GOMAXPROCS > 1 and at least fanOutMinAtoms branch atoms, the
+// search splits on its first branch atoms into prefix tasks run on up to
+// GOMAXPROCS goroutines; the task results are merged in task order, so
+// the returned list, the MaxModels cut and the leaf-budget cut are
+// exactly those of the in-line DFS.
+//
+// The DFS polls the context at every node, so a cancelled or expired
+// context stops the search within one checkpoint interval and returns the
+// models found so far — a prefix of the complete list — alongside an
+// interrupt.Error. On ErrBudget the models found before the budget ran
+// out are returned the same way.
 func AssumptionFreeModelsCtx(ctx context.Context, v *eval.View, opts Options) ([]*interp.Interp, error) {
 	opts.fill()
 	least, err := v.LeastModelCtx(ctx)
@@ -135,9 +164,15 @@ func AssumptionFreeModelsCtx(ctx context.Context, v *eval.View, opts Options) ([
 			st.atoms = append(st.atoms, id)
 		}
 	}
-	st.cur = least.Clone()
-	st.dfs(0)
-	flushSearch(st.nodes, int64(st.leaves), int64(len(st.found)), st.overflow)
+	fanned := false
+	if w := maxWorkers(); w > 1 && len(st.atoms) >= fanOutMinAtoms {
+		st.fanOut(w)
+		fanned = true
+	} else {
+		st.cur = least.Clone()
+		st.dfs(0)
+	}
+	flushSearch(st.nodes, int64(st.leaves), int64(len(st.found)), st.overflow, fanned)
 	if st.interrupted {
 		return st.found, interrupt.Check(ctx, "stable: three-valued DFS")
 	}
@@ -152,15 +187,27 @@ func (st *enumState) done() bool {
 		(st.opts.MaxModels > 0 && len(st.found) >= st.opts.MaxModels)
 }
 
-func (st *enumState) dfs(k int) {
-	st.nodes++
-	if st.ctxDone != nil && !st.interrupted {
+// poll raises interrupted once the context is done or the fan-out stopped.
+func (st *enumState) poll() {
+	if st.interrupted {
+		return
+	}
+	if st.ctxDone != nil {
 		select {
 		case <-st.ctxDone:
 			st.interrupted = true
+			return
 		default:
 		}
 	}
+	if st.stop != nil && st.stop.Load() {
+		st.interrupted = true
+	}
+}
+
+func (st *enumState) dfs(k int) {
+	st.nodes++
+	st.poll()
 	if st.done() {
 		return
 	}
@@ -172,6 +219,7 @@ func (st *enumState) dfs(k int) {
 		}
 		if st.v.IsAssumptionFree(st.cur) {
 			st.found = append(st.found, st.cur.Clone())
+			st.ords = append(st.ords, st.leaves)
 		}
 		return
 	}
@@ -200,6 +248,159 @@ func (st *enumState) dfs(k int) {
 		return
 	}
 	st.dfs(k + 1) // undefined
+}
+
+// task is one subtree of a split search: a value per prefix atom, and
+// what the DFS below that prefix found.
+type task struct {
+	prefix   []interp.Value
+	found    []*interp.Interp
+	ords     []int // leaf ordinals within the task
+	leaves   int
+	finished bool // searched to its end or its own cut; set under fanOut's lock
+}
+
+// fanOut runs the search as prefix tasks on up to workers goroutines. The
+// tasks list the prefix assignments in DFS order; workers take them in
+// that order, and each runs the DFS below its prefix with the search's
+// own MaxModels and leaf budget. Once the finished tasks at the front of
+// the list hold MaxModels models or spend more than the leaf budget, the
+// rest cannot reach the result and the workers stop. merge then leaves
+// st exactly as the in-line DFS would have.
+func (st *enumState) fanOut(workers int) {
+	tasks := st.prefixTasks(workers)
+	workers = min(workers, len(tasks))
+	var (
+		next  atomic.Int64
+		stop  atomic.Bool
+		nodes atomic.Int64
+		mu    sync.Mutex
+		front int // tasks[:front] have finished
+		left  = st.opts.MaxLeaves
+		want  = st.opts.MaxModels
+		wg    sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := *st
+			ws.stop, ws.cur = &stop, st.least.Clone()
+			defer func() { nodes.Add(ws.nodes) }()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(tasks) {
+					return
+				}
+				t := &tasks[i]
+				if !ws.run(t) {
+					stop.Store(true) // interrupted: the merge ends here
+					return
+				}
+				mu.Lock()
+				t.finished = true
+				for front < len(tasks) && tasks[front].finished {
+					left -= tasks[front].leaves
+					want -= len(tasks[front].found)
+					front++
+				}
+				if left < 0 || st.opts.MaxModels > 0 && want <= 0 {
+					stop.Store(true)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	st.nodes = nodes.Load()
+	st.merge(tasks)
+}
+
+// prefixTasks lists the search's prefix tasks in DFS order. Every
+// assignment of the first branch atoms is a task, with enough atoms taken
+// to give each worker tasksPerWorker tasks — except the all-undefined
+// prefix, whose subtree no decided literal prunes: it splits again at
+// every further atom, into its true and false subtrees and the
+// all-undefined rest. A value the atom can never take is skipped, as the
+// DFS skips it.
+func (st *enumState) prefixTasks(workers int) []task {
+	depth, n := 0, 1
+	for depth < len(st.atoms) && n < workers*tasksPerWorker {
+		depth++
+		n *= 3
+	}
+	var tasks []task
+	var gen func(prefix []interp.Value, undecided bool)
+	gen = func(prefix []interp.Value, undecided bool) {
+		k := len(prefix)
+		if k == len(st.atoms) || k >= depth && !undecided {
+			tasks = append(tasks, task{prefix: append([]interp.Value(nil), prefix...)})
+			return
+		}
+		a := int(st.atoms[k])
+		if st.posP.Get(a) {
+			gen(append(prefix, interp.True), false)
+		}
+		if st.negP.Get(a) {
+			gen(append(prefix, interp.False), false)
+		}
+		gen(append(prefix, interp.Undef), undecided)
+	}
+	gen(make([]interp.Value, 0, len(st.atoms)), true)
+	return tasks
+}
+
+// run searches one task's subtree: it decides the prefix atoms — a prefix
+// the DFS would prune yields an empty task — then runs the DFS below them.
+// It reports whether the task finished, that is, was not interrupted.
+func (st *enumState) run(t *task) bool {
+	st.cur.CopyFrom(st.least)
+	st.found, st.ords, st.leaves, st.overflow = nil, nil, 0, false
+	for k, val := range t.prefix {
+		if val == interp.Undef {
+			continue
+		}
+		st.cur.AddLit(interp.MkLit(st.atoms[k], val == interp.False))
+		if !st.opts.NoPrune && st.doomed(k) {
+			return true
+		}
+	}
+	st.dfs(len(t.prefix))
+	t.found, t.ords, t.leaves = st.found, st.ords, st.leaves
+	return !st.interrupted
+}
+
+// merge concatenates the task results in task order and applies the
+// search-wide cuts the tasks could not see: a model is kept only while the
+// leaves spent before it, earlier tasks' included, stay within the
+// budget, and the list stops at MaxModels. An unfinished task ends the
+// list after its own models: the search was interrupted there.
+func (st *enumState) merge(tasks []task) {
+	budget := st.opts.MaxLeaves
+	for i := range tasks {
+		t := &tasks[i]
+		for j, m := range t.found {
+			if st.leaves+t.ords[j] > budget {
+				st.leaves, st.overflow = budget+1, true
+				return
+			}
+			st.found = append(st.found, m)
+			if st.opts.MaxModels > 0 && len(st.found) >= st.opts.MaxModels {
+				st.leaves += t.ords[j]
+				return
+			}
+		}
+		if !t.finished {
+			st.leaves += t.leaves
+			st.interrupted = true
+			return
+		}
+		if st.leaves+t.leaves > budget {
+			st.leaves, st.overflow = budget+1, true
+			return
+		}
+		st.leaves += t.leaves
+	}
 }
 
 // doomed applies a sound Definition 3(a) prune after deciding branch atom
@@ -261,16 +462,11 @@ func (st *enumState) doomed(k int) bool {
 	return false
 }
 
-// StableModels returns the maximal assumption-free models of the view's
-// component (Definition 9). On ErrBudget the maximal models of the
+// StableModelsCtx returns the maximal assumption-free models of the
+// view's component (Definition 9), in the order AssumptionFreeModelsCtx
+// found them. On ErrBudget or an interruption the maximal models of the
 // truncated enumeration are returned alongside the error (maximal within
 // the collected family only — the full search might have extended them).
-func StableModels(v *eval.View, opts Options) ([]*interp.Interp, error) {
-	return StableModelsCtx(context.Background(), v, opts)
-}
-
-// StableModelsCtx is StableModels with cooperative cancellation; see
-// AssumptionFreeModelsCtx for the checkpoint and partial-result contract.
 func StableModelsCtx(ctx context.Context, v *eval.View, opts Options) ([]*interp.Interp, error) {
 	all, err := AssumptionFreeModelsCtx(ctx, v, opts)
 	if err != nil {

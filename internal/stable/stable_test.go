@@ -1,6 +1,7 @@
 package stable_test
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -38,10 +39,8 @@ func modelStrings(ms []*interp.Interp) []string {
 	return out
 }
 
-// Example 5: P5 has exactly two stable models in C1, {a,-b,c} and
-// {-a,b,c}, while {c} is assumption-free but not stable.
-func TestExample5Stable(t *testing.T) {
-	src := `
+// example5Src is Example 5's program P5.
+const example5Src = `
 module c2 { a. b. c. }
 module c1 extends c2 {
   -a :- b, c.
@@ -49,8 +48,12 @@ module c1 extends c2 {
   -b :- -b.
 }
 `
-	v := view(t, src, "c1")
-	af, err := stable.AssumptionFreeModels(v, stable.Options{})
+
+// Example 5: P5 has exactly two stable models in C1, {a,-b,c} and
+// {-a,b,c}, while {c} is assumption-free but not stable.
+func TestExample5Stable(t *testing.T) {
+	v := view(t, example5Src, "c1")
+	af, err := stable.AssumptionFreeModelsCtx(context.Background(), v, stable.Options{})
 	if err != nil {
 		t.Fatalf("enumerate: %v", err)
 	}
@@ -59,7 +62,7 @@ module c1 extends c2 {
 	if strings.Join(gotAF, ";") != strings.Join(wantAF, ";") {
 		t.Errorf("assumption-free models = %v, want %v", gotAF, wantAF)
 	}
-	st, err := stable.StableModels(v, stable.Options{})
+	st, err := stable.StableModelsCtx(context.Background(), v, stable.Options{})
 	if err != nil {
 		t.Fatalf("stable: %v", err)
 	}
@@ -75,7 +78,7 @@ module c1 extends c2 {
 // assumption-free (hence stable) model.
 func TestExample4(t *testing.T) {
 	v := view(t, "a :- b.\n", "main")
-	af, err := stable.AssumptionFreeModels(v, stable.Options{})
+	af, err := stable.AssumptionFreeModelsCtx(context.Background(), v, stable.Options{})
 	if err != nil {
 		t.Fatalf("enumerate: %v", err)
 	}
@@ -88,7 +91,7 @@ module c2 { -a. -b. }
 module c1 extends c2 { a :- b. }
 `
 	v2 := view(t, src, "c1")
-	af2, err := stable.AssumptionFreeModels(v2, stable.Options{})
+	af2, err := stable.AssumptionFreeModelsCtx(context.Background(), v2, stable.Options{})
 	if err != nil {
 		t.Fatalf("enumerate: %v", err)
 	}
@@ -98,7 +101,7 @@ module c1 extends c2 { a :- b. }
 	if got := modelStrings(af2); strings.Join(got, ";") != "{-a, -b}" {
 		t.Errorf("assumption-free models = %v, want [{-a, -b}]", got)
 	}
-	st2, err := stable.StableModels(v2, stable.Options{})
+	st2, err := stable.StableModelsCtx(context.Background(), v2, stable.Options{})
 	if err != nil {
 		t.Fatalf("stable: %v", err)
 	}

@@ -7,6 +7,7 @@
 package transform_test
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -227,7 +228,7 @@ func TestProp4AndCor1(t *testing.T) {
 		}
 		g := groundFull(t, ov)
 		v := viewOf(t, g, "c")
-		af, err := stable.AssumptionFreeModels(v, stable.Options{})
+		af, err := stable.AssumptionFreeModelsCtx(context.Background(), v, stable.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: af: %v", seed, err)
 		}
@@ -267,7 +268,7 @@ func TestProp4AndCor1(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: sz stable: %v", seed, err)
 		}
-		ovStable, err := stable.StableModels(v, stable.Options{})
+		ovStable, err := stable.StableModelsCtx(context.Background(), v, stable.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: ov stable: %v", seed, err)
 		}
@@ -313,11 +314,11 @@ func TestProp5(t *testing.T) {
 		}
 		go_ := groundFull(t, ovp)
 		vo := viewOf(t, go_, "c")
-		afOV, err := stable.AssumptionFreeModels(vo, stable.Options{})
+		afOV, err := stable.AssumptionFreeModelsCtx(context.Background(), vo, stable.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: af(OV): %v", seed, err)
 		}
-		afEV, err := stable.AssumptionFreeModels(ve, stable.Options{})
+		afEV, err := stable.AssumptionFreeModelsCtx(context.Background(), ve, stable.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: af(EV): %v", seed, err)
 		}
@@ -385,7 +386,7 @@ func TestTheorem2(t *testing.T) {
 		}
 		g3 := groundFull(t, tv)
 		v3 := viewOf(t, g3, transform.ExceptionsName)
-		af3, err := stable.AssumptionFreeModels(v3, stable.Options{})
+		af3, err := stable.AssumptionFreeModelsCtx(context.Background(), v3, stable.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: 3V af: %v", seed, err)
 		}

@@ -1,6 +1,7 @@
 package transform_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/classical"
@@ -67,7 +68,7 @@ func TestWFTrueFalseInsideEveryStableOV(t *testing.T) {
 		}
 		g := groundFull(t, ov)
 		v := viewOf(t, g, "c")
-		ms, err := stable.StableModels(v, stable.Options{})
+		ms, err := stable.StableModelsCtx(context.Background(), v, stable.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: stable: %v", seed, err)
 		}

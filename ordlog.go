@@ -51,12 +51,12 @@
 // An Engine is safe for concurrent shared use, including concurrent
 // updates: writers are serialised among themselves and never block
 // readers, and a reader keeps the snapshot it pinned. Per-component views
-// and least models are memoised with singleflight semantics, and the two
-// pooled front ends (Engine.QueryBatch over GOMAXPROCS workers,
-// Engine.StableModelsParallel over a per-call worker count) fan
-// independent work across goroutines against one pinned snapshot each.
-// Returned models are shared and must be treated as read-only. See
-// README.md "Concurrency" for the full contract.
+// and least models are memoised with singleflight semantics.
+// Engine.QueryBatch fans independent goals over GOMAXPROCS workers against
+// one pinned snapshot, and a large stable-model search fans its subtrees
+// out the same way, returning the models in the order the in-line search
+// finds them. Returned models are shared and must be treated as
+// read-only. See README.md "Concurrency" for the full contract.
 package ordlog
 
 import (
@@ -139,8 +139,6 @@ type (
 	GroundOptions = ground.Options
 	// EnumOptions bounds stable-model enumeration.
 	EnumOptions = stable.Options
-	// ParallelEnumOptions adds a worker count to EnumOptions.
-	ParallelEnumOptions = stable.ParallelOptions
 	// QueryRequest is one unit of Engine.QueryBatch.
 	QueryRequest = core.QueryRequest
 	// QueryResult is the outcome of one QueryRequest.
