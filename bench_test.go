@@ -12,7 +12,6 @@ package ordlog_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	ordlog "repro"
@@ -273,21 +272,13 @@ func BenchmarkB3GroundingFull(b *testing.B) {
 
 // --- B4: stable-model enumeration on win–move ---
 
-// The cycle_n legs run the enumerator as any caller does: at n ≥ 10 it
-// fans out over GOMAXPROCS workers. The inline_cycle_n legs run the same
-// searches at GOMAXPROCS=1, where it never does; auto ÷ inline is what
-// keeps the fan-out (EXPERIMENTS.md "One stable-model enumerator").
+// The legs run the enumerator as any caller does: at n ≥ 10 it fans out
+// over GOMAXPROCS workers. internal/stable's BenchmarkFanOutWinMoveCycle
+// runs the same searches in-line and fanned out at one GOMAXPROCS.
 func BenchmarkB4StableWinMoveCycle(b *testing.B) {
-	for _, c := range []struct {
-		n      int
-		inline bool
-	}{{4, false}, {6, false}, {8, false}, {10, false}, {12, false}, {10, true}, {12, true}} {
-		name := fmt.Sprintf("cycle_n=%d", c.n)
-		if c.inline {
-			name = "inline_" + name
-		}
-		b.Run(name, func(b *testing.B) {
-			rules := workload.WinMove(workload.CycleEdges(c.n))
+	for _, n := range []int{4, 6, 8, 10, 12} {
+		b.Run(fmt.Sprintf("cycle_n=%d", n), func(b *testing.B) {
+			rules := workload.WinMove(workload.CycleEdges(n))
 			ov, err := transform.OV("c", rules)
 			if err != nil {
 				b.Fatal(err)
@@ -299,9 +290,6 @@ func BenchmarkB4StableWinMoveCycle(b *testing.B) {
 			v, err := eval.NewViewByName(g, "c")
 			if err != nil {
 				b.Fatal(err)
-			}
-			if c.inline {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -288,33 +288,54 @@ func admit(ctx context.Context, w http.ResponseWriter, t *core.Tenant) (release 
 // retained version; ?as_of= time-travels through Tenant.AsOf, which falls
 // past the retention ring into the engine's update history and — on a
 // durable tenant — the WAL on disk. At most one of the two may be given;
-// absent both, reads see the current tip. Handlers pin after admission,
-// under the request's context: a reconstruction costs a grounding, so it
-// waits its turn and stops at the deadline. Version sentinels map
+// absent both, reads see the current tip. Version sentinels map
 // uniformly for both parameters: ErrVersionEvicted → 410 Gone,
-// ErrVersionUnknown → 404 Not Found; an interrupted reconstruction is
-// 503 Service Unavailable.
-func pin(ctx context.Context, w http.ResponseWriter, params url.Values, t *core.Tenant) (*core.Snapshot, bool) {
+// ErrVersionUnknown → 404 Not Found.
+//
+// Handlers pin before admission, so a malformed or unresolvable pin
+// answers its own status even when the tenant is saturated. Only an
+// ?as_of= version the retention ring no longer holds is left open: pin
+// returns a nil snapshot, and the handler reconstructs it with
+// reconstruct once admitted.
+func pin(w http.ResponseWriter, params url.Values, t *core.Tenant) (snap *core.Snapshot, asOf uint64, ok bool) {
 	vs := params.Get("version")
 	as := params.Get("as_of")
 	if vs != "" && as != "" {
 		failf(w, http.StatusBadRequest, "at most one of ?version= and ?as_of=")
-		return nil, false
+		return nil, 0, false
 	}
-	param, s, resolve := "version", vs, t.At
+	param, s := "version", vs
 	if as != "" {
 		param, s = "as_of", as
-		resolve = func(v uint64) (*core.Snapshot, error) { return t.AsOf(ctx, v) }
 	}
 	if s == "" {
-		return t.Current(), true
+		return t.Current(), 0, true
 	}
 	v, err := strconv.ParseUint(s, 10, 64)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "bad %s %q: %v", param, s, err)
-		return nil, false
+		return nil, 0, false
 	}
-	snap, err := resolve(v)
+	snap, err = t.At(v)
+	if err != nil {
+		if param == "as_of" && errors.Is(err, core.ErrVersionEvicted) {
+			return nil, v, true
+		}
+		failf(w, versionStatus(err), "%v", err)
+		return nil, 0, false
+	}
+	return snap, 0, true
+}
+
+// reconstruct finishes a pin: it returns snap when pin resolved one, and
+// otherwise rebuilds version v through Tenant.AsOf. A reconstruction
+// costs a grounding, so handlers call this after admission, under the
+// request's context; an interrupted one answers 503.
+func reconstruct(ctx context.Context, w http.ResponseWriter, t *core.Tenant, snap *core.Snapshot, v uint64) (*core.Snapshot, bool) {
+	if snap != nil {
+		return snap, true
+	}
+	snap, err := t.AsOf(ctx, v)
 	if err != nil {
 		failf(w, versionStatus(err), "%v", err)
 		return nil, false
@@ -601,6 +622,10 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	comp := params.Get("component")
+	snap, asOf, ok := pin(w, params, t)
+	if !ok {
+		return
+	}
 	ctx, cancel, err := d.reqCtx(r, params)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
@@ -612,8 +637,7 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	snap, ok := pin(ctx, w, params, t)
-	if !ok {
+	if snap, ok = reconstruct(ctx, w, t, snap, asOf); !ok {
 		return
 	}
 	tenantCounter(t.Name(), "reads").Inc()
@@ -662,6 +686,10 @@ func (d *Daemon) handleProve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	comp := params.Get("component")
+	snap, asOf, ok := pin(w, params, t)
+	if !ok {
+		return
+	}
 	ctx, cancel, err := d.reqCtx(r, params)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
@@ -673,8 +701,7 @@ func (d *Daemon) handleProve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	snap, ok := pin(ctx, w, params, t)
-	if !ok {
+	if snap, ok = reconstruct(ctx, w, t, snap, asOf); !ok {
 		return
 	}
 	tenantCounter(t.Name(), "reads").Inc()
@@ -722,6 +749,10 @@ func (d *Daemon) handleStable(w http.ResponseWriter, r *http.Request) {
 		}
 		maxModels = n
 	}
+	snap, asOf, ok := pin(w, params, t)
+	if !ok {
+		return
+	}
 	ctx, cancel, err := d.reqCtx(r, params)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
@@ -733,8 +764,7 @@ func (d *Daemon) handleStable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	snap, ok := pin(ctx, w, params, t)
-	if !ok {
+	if snap, ok = reconstruct(ctx, w, t, snap, asOf); !ok {
 		return
 	}
 	tenantCounter(t.Name(), "reads").Inc()

@@ -79,8 +79,10 @@ func TestDaemonAsOfTimeTravel(t *testing.T) {
 // TestDaemonAsOfAdmission: an ?as_of= read reconstructs its version only
 // once admitted and under the request's deadline. With the tenant's only
 // slot held, an evicted version is rejected with 429 before anything is
-// grounded; with a deadline that has already passed, the reconstruction
-// is interrupted and answers 503.
+// grounded, while a pin that fails on its own — malformed, both
+// parameters, an evicted ?version=, a version past the tip — answers its
+// own status without waiting for a slot. With a deadline that has already
+// passed, the reconstruction is interrupted and answers 503.
 func TestDaemonAsOfAdmission(t *testing.T) {
 	d := New(Config{Retain: 2, InFlight: 1})
 	h := d.Handler()
@@ -99,6 +101,21 @@ func TestDaemonAsOfAdmission(t *testing.T) {
 	w := doReq(h, "GET", "/v1/tenants/pin/query?q=seen(X)&as_of=1&timeout=30ms", "", "")
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated ?as_of=1: code = %d, want 429 (body %s)", w.Code, w.Body)
+	}
+	for _, c := range []struct {
+		pin  string
+		code int
+	}{
+		{"as_of=x", http.StatusBadRequest},
+		{"version=1&as_of=1", http.StatusBadRequest},
+		{"version=1", http.StatusGone},
+		{"as_of=99", http.StatusNotFound},
+		{"version=4", http.StatusTooManyRequests},
+	} {
+		w := doReq(h, "GET", "/v1/tenants/pin/query?q=seen(X)&timeout=30ms&"+c.pin, "", "")
+		if w.Code != c.code {
+			t.Fatalf("saturated ?%s: code = %d, want %d (body %s)", c.pin, w.Code, c.code, w.Body)
+		}
 	}
 	if got := runs.Value() - before; got != 0 {
 		t.Fatalf("rejected ?as_of=1 grounded %d times, want 0", got)

@@ -26,7 +26,7 @@ import (
 // tests: even cycles have several assumption-free models, found early by
 // the true-first branch order, so a small leaf budget yields a non-empty
 // partial family.
-func winMoveView(t *testing.T, n int) *eval.View {
+func winMoveView(t testing.TB, n int) *eval.View {
 	t.Helper()
 	ov, err := transform.OV("c", workload.WinMove(workload.CycleEdges(n)))
 	if err != nil {

@@ -232,3 +232,50 @@ func TestParallelSingleWorkerFallsBack(t *testing.T) {
 		}
 	}
 }
+
+// TestFanOutAllocationBounded: a split search stores each prefix task by
+// its decided literals only. On 2 000 branch atoms under MaxModels = 1 —
+// p(i) and -p(i) asserted side by side, so every true or false branch is
+// doomed and the one model is the all-undefined leaf of the last task —
+// the fan-out allocates at most 2 KiB per branch atom more than the
+// in-line search: a task list that grows with the square of the atom
+// count would allocate tens of MiB here.
+func TestFanOutAllocationBounded(t *testing.T) {
+	const n = 2000
+	var src strings.Builder
+	src.WriteString("module c {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, "  p(%d). -p(%d).\n", i, i)
+	}
+	src.WriteString("}\n")
+	res, err := parser.Parse(src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ground.Ground(res.Program, ground.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := eval.NewView(g, 0)
+	alloc := func(workers int) uint64 {
+		defer stable.SetFanOut(workers, 0)()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		ms, err := stable.AssumptionFreeModelsCtx(context.Background(), v, stable.Options{MaxModels: 1})
+		runtime.ReadMemStats(&m1)
+		if err != nil || len(ms) != 1 || ms[0].Len() != 0 {
+			t.Fatalf("workers=%d: %d models, err %v; want the empty model", workers, len(ms), err)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	inline := alloc(1)
+	t.Logf("in-line %d KiB", inline>>10)
+	for _, w := range []int{2, 8} {
+		fanned := alloc(w)
+		t.Logf("workers=%d %d KiB", w, fanned>>10)
+		if fanned > inline+2<<10*n {
+			t.Fatalf("workers=%d: the fan-out allocated %d KiB, the in-line search %d KiB; bound %d KiB more",
+				w, fanned>>10, inline>>10, 2*n)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -112,9 +113,11 @@ type enumState struct {
 }
 
 // fanOutMinAtoms is the branch-atom count from which a search splits into
-// prefix tasks; smaller searches finish in-line before a split pays for
-// itself (EXPERIMENTS.md "One stable-model enumerator"). A variable only
-// so tests can force either branch.
+// prefix tasks: the smallest win–move cycle whose split search was faster
+// in ≥ 9 of 10 pairs and took at most 15 % more CPU time than in-line
+// (BenchmarkFanOutWinMoveCycle at GOMAXPROCS=2; EXPERIMENTS.md "One
+// stable-model enumerator"). A variable only so tests can force either
+// branch.
 var fanOutMinAtoms = 10
 
 // maxWorkers bounds the goroutines of a split search. A variable only so
@@ -250,10 +253,13 @@ func (st *enumState) dfs(k int) {
 	st.dfs(k + 1) // undefined
 }
 
-// task is one subtree of a split search: a value per prefix atom, and
-// what the DFS below that prefix found.
+// task is one subtree of a split search, stored by what it decides: the
+// branch atoms its prefix sets true or false, in ascending order, with
+// every other atom below start left undefined. The DFS below the prefix
+// resumes at branch atom start.
 type task struct {
-	prefix   []interp.Value
+	lits     []interp.Lit
+	start    int
 	found    []*interp.Interp
 	ords     []int // leaf ordinals within the task
 	leaves   int
@@ -320,52 +326,70 @@ func (st *enumState) fanOut(workers int) {
 // assignment of the first branch atoms is a task, with enough atoms taken
 // to give each worker tasksPerWorker tasks — except the all-undefined
 // prefix, whose subtree no decided literal prunes: it splits again at
-// every further atom, into its true and false subtrees and the
-// all-undefined rest. A value the atom can never take is skipped, as the
-// DFS skips it.
+// every further atom, into that atom's true and false subtrees, and ends
+// with the all-undefined assignment. A value the atom can never take is
+// skipped, as the DFS skips it. A task holds only its decided literals,
+// so the list takes O(tasks · depth) space however many atoms branch.
 func (st *enumState) prefixTasks(workers int) []task {
 	depth, n := 0, 1
 	for depth < len(st.atoms) && n < workers*tasksPerWorker {
 		depth++
 		n *= 3
 	}
-	var tasks []task
-	var gen func(prefix []interp.Value, undecided bool)
-	gen = func(prefix []interp.Value, undecided bool) {
-		k := len(prefix)
-		if k == len(st.atoms) || k >= depth && !undecided {
-			tasks = append(tasks, task{prefix: append([]interp.Value(nil), prefix...)})
+	tasks := make([]task, 0, n+2*(len(st.atoms)-depth)+1)
+	var gen func(k int, lits []interp.Lit)
+	gen = func(k int, lits []interp.Lit) {
+		if k == depth && len(lits) > 0 {
+			tasks = append(tasks, task{lits: slices.Clone(lits), start: depth})
 			return
 		}
-		a := int(st.atoms[k])
-		if st.posP.Get(a) {
-			gen(append(prefix, interp.True), false)
+		if k == depth {
+			for j := depth; j < len(st.atoms); j++ {
+				a := st.atoms[j]
+				if st.posP.Get(int(a)) {
+					tasks = append(tasks, task{lits: []interp.Lit{interp.MkLit(a, false)}, start: j + 1})
+				}
+				if st.negP.Get(int(a)) {
+					tasks = append(tasks, task{lits: []interp.Lit{interp.MkLit(a, true)}, start: j + 1})
+				}
+			}
+			tasks = append(tasks, task{start: len(st.atoms)})
+			return
 		}
-		if st.negP.Get(a) {
-			gen(append(prefix, interp.False), false)
+		a := st.atoms[k]
+		if st.posP.Get(int(a)) {
+			gen(k+1, append(lits, interp.MkLit(a, false)))
 		}
-		gen(append(prefix, interp.Undef), undecided)
+		if st.negP.Get(int(a)) {
+			gen(k+1, append(lits, interp.MkLit(a, true)))
+		}
+		gen(k+1, lits)
 	}
-	gen(make([]interp.Value, 0, len(st.atoms)), true)
+	gen(0, make([]interp.Lit, 0, depth))
 	return tasks
 }
 
-// run searches one task's subtree: it decides the prefix atoms — a prefix
-// the DFS would prune yields an empty task — then runs the DFS below them.
-// It reports whether the task finished, that is, was not interrupted.
+// run searches one task's subtree: it decides the prefix literals — a
+// prefix the DFS would prune yields an empty task — then runs the DFS
+// below them, and takes the literals back out, leaving st.cur the least
+// model again. It reports whether the task finished, that is, was not
+// interrupted.
 func (st *enumState) run(t *task) bool {
-	st.cur.CopyFrom(st.least)
 	st.found, st.ords, st.leaves, st.overflow = nil, nil, 0, false
-	for k, val := range t.prefix {
-		if val == interp.Undef {
-			continue
+	added := 0
+	defer func() {
+		for _, l := range t.lits[:added] {
+			st.cur.RemoveLit(l)
 		}
-		st.cur.AddLit(interp.MkLit(st.atoms[k], val == interp.False))
-		if !st.opts.NoPrune && st.doomed(k) {
+	}()
+	for _, l := range t.lits {
+		st.cur.AddLit(l)
+		added++
+		if !st.opts.NoPrune && st.doomed(st.branchPos[l.Atom()]) {
 			return true
 		}
 	}
-	st.dfs(len(t.prefix))
+	st.dfs(t.start)
 	t.found, t.ords, t.leaves = st.found, st.ords, st.leaves
 	return !st.interrupted
 }
