@@ -29,7 +29,7 @@ func benchGroundAncestor(b *testing.B, n int, noSimplify bool) {
 	opts.NoEDBSimplify = noSimplify
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ground.Ground(ov, opts); err != nil {
+		if _, err := ground.GroundCtx(context.Background(), ov, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func benchStableWinMove(b *testing.B, n int, noPrune bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := ground.Ground(ov, ground.DefaultOptions())
+	g, err := ground.GroundCtx(context.Background(), ov, ground.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -71,11 +71,11 @@ func benchLeast(b *testing.B, src, comp string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+		eng, err := ordlog.NewEngineCtx(context.Background(), prog, ordlog.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.LeastModel(comp); err != nil {
+		if _, err := eng.LeastModelCtx(context.Background(), comp); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,13 +90,13 @@ func BenchmarkEx5Stable(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+	eng, err := ordlog.NewEngineCtx(context.Background(), prog, ordlog.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ms, err := eng.StableModels("c1", ordlog.EnumOptions{})
+		ms, err := eng.StableModelsCtx(context.Background(), "c1", ordlog.EnumOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func ovView(b *testing.B, rules []*ordlog.Rule) *eval.View {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := ground.Ground(ov, ground.DefaultOptions())
+	g, err := ground.GroundCtx(context.Background(), ov, ground.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func BenchmarkB1FixpointSemiNaive(b *testing.B) {
 			v := ovView(b, workload.AncestorChain(n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.LeastModel(); err != nil {
+				if _, err := v.LeastModelCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -145,7 +145,7 @@ func BenchmarkB1FixpointNaive(b *testing.B) {
 			v := ovView(b, workload.AncestorChain(n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.LeastModelNaive(); err != nil {
+				if _, err := v.LeastModelNaiveCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -165,7 +165,7 @@ func BenchmarkB2OrderedOV(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g, err := ground.Ground(ov, ground.DefaultOptions())
+				g, err := ground.GroundCtx(context.Background(), ov, ground.DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -173,7 +173,7 @@ func BenchmarkB2OrderedOV(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := v.LeastModel(); err != nil {
+				if _, err := v.LeastModelCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -243,7 +243,7 @@ func BenchmarkB3GroundingSmart(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ground.Ground(ov, ground.DefaultOptions()); err != nil {
+				if _, err := ground.GroundCtx(context.Background(), ov, ground.DefaultOptions()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -262,7 +262,7 @@ func BenchmarkB3GroundingFull(b *testing.B) {
 			opts.Mode = ground.ModeFull
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ground.Ground(ov, opts); err != nil {
+				if _, err := ground.GroundCtx(context.Background(), ov, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -283,7 +283,7 @@ func BenchmarkB4StableWinMoveCycle(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g, err := ground.Ground(ov, ground.DefaultOptions())
+			g, err := ground.GroundCtx(context.Background(), ov, ground.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -329,7 +329,7 @@ func BenchmarkB5OrderedWinMoveChain(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g, err := ground.Ground(ov, ground.DefaultOptions())
+			g, err := ground.GroundCtx(context.Background(), ov, ground.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -339,7 +339,7 @@ func BenchmarkB5OrderedWinMoveChain(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.LeastModel(); err != nil {
+				if _, err := v.LeastModelCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -369,7 +369,7 @@ func BenchmarkB6Inheritance(b *testing.B) {
 		depth, props, members := cfg[0], cfg[1], cfg[2]
 		b.Run(fmt.Sprintf("depth=%d_props=%d_members=%d", depth, props, members), func(b *testing.B) {
 			p := workload.Inheritance(depth, props, members)
-			g, err := ground.Ground(p, ground.DefaultOptions())
+			g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -379,7 +379,7 @@ func BenchmarkB6Inheritance(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.LeastModel(); err != nil {
+				if _, err := v.LeastModelCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -25,7 +25,9 @@
 //	-timeout d         wall-clock budget for grounding + evaluation (e.g.
 //	                   500ms, 2s; 0 = none). On expiry, enumeration prints
 //	                   whatever models were already found and exits 1 with
-//	                   an "interrupted" error
+//	                   an "interrupted" error; with -i the budget applies to
+//	                   each shell command, and a command over it prints an
+//	                   "interrupted" error
 //	-json              machine-readable output
 //	-stats             print grounding statistics
 //	-metrics-addr a    serve /debug/metrics (engine counters as JSON) and
@@ -111,7 +113,7 @@ func main() {
 		return
 	}
 	if *interactive {
-		if err := runREPL(flag.Args()); err != nil {
+		if err := runREPL(flag.Args(), os.Stdin, os.Stdout, *timeout); err != nil {
 			fmt.Fprintln(os.Stderr, "ordlog:", err)
 			os.Exit(1)
 		}
@@ -218,7 +220,10 @@ func runAnalysis(path string, diags bool, dot, prove string) error {
 	return nil
 }
 
-func runREPL(args []string) error {
+// runREPL runs the interactive shell over the program in args (or an empty
+// one), reading commands from in; each command runs under budget (0 =
+// none).
+func runREPL(args []string, in io.Reader, out io.Writer, budget time.Duration) error {
 	var prog *ordlog.Program
 	if len(args) == 1 {
 		res, err := ordlog.ParseFile(args[0])
@@ -235,8 +240,8 @@ func runREPL(args []string) error {
 	} else {
 		return fmt.Errorf("usage: ordlog -i [program.olp]")
 	}
-	fmt.Println("ordered logic shell — type help for commands")
-	return repl.New(prog, core.Config{}, os.Stdout).Run(os.Stdin)
+	fmt.Fprintln(out, "ordered logic shell — type help for commands")
+	return repl.New(prog, core.Config{}, out).Run(context.Background(), in, budget)
 }
 
 // printAnswers renders one query's answer set: a JSON object with -json,

@@ -3,9 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/transform"
+	"repro/internal/workload"
 )
 
 // runOut drives run on one testdata program and returns what it printed.
@@ -73,5 +78,51 @@ func TestRunMultiQueryOrder(t *testing.T) {
 	fragile := strings.Index(jsonGot, `"query": "?- fragile(X)."`)
 	if price < 0 || fragile < price || strings.Count(jsonGot, `"query"`) != 2 {
 		t.Errorf("-goal-directed -json: queries missing or out of file order:\n%s", jsonGot)
+	}
+}
+
+// TestREPLDeadline: with -i, -timeout bounds every shell command. A
+// stable-model search over 30 disjoint win–move 2-cycles (3^30
+// assumption-free models, far beyond any budget) is cut at the deadline
+// with an "interrupted" error, and the next command, under a fresh budget,
+// still answers.
+func TestREPLDeadline(t *testing.T) {
+	var edges [][2]int
+	for i := 0; i < 60; i += 2 {
+		edges = append(edges, [2]int{i, i + 1}, [2]int{i + 1, i})
+	}
+	prog, err := transform.OV("main", workload.WinMove(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "winmove.olp")
+	if err := os.WriteFile(path, []byte(prog.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 300 * time.Millisecond
+	in := strings.NewReader("component main\nstable\n?- move(c0, c1).\n")
+	var out bytes.Buffer
+	done := make(chan error, 1)
+	go func() { done <- runREPL([]string{path}, in, &out, budget) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * budget):
+		t.Fatalf("session still running after %v with a %v budget per command", 30*budget, budget)
+	}
+	lines := strings.Split(out.String(), "\n")
+	stableAt, answerAt := -1, -1
+	for i, l := range lines {
+		if strings.Contains(l, "error: interrupted") && stableAt < 0 {
+			stableAt = i
+		}
+		if strings.HasSuffix(l, "yes") {
+			answerAt = i
+		}
+	}
+	if stableAt < 0 || answerAt <= stableAt {
+		t.Errorf("want an interrupted stable command, then a yes answer; got:\n%s", out.String())
 	}
 }

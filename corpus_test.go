@@ -1,6 +1,7 @@
 package ordlog_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,11 +35,11 @@ func TestCorpus(t *testing.T) {
 				cfg := ordlog.Config{}
 				cfg.Ground = ground.DefaultOptions()
 				cfg.Ground.Mode = mode
-				eng, err := ordlog.NewEngine(res.Program, cfg)
+				eng, err := ordlog.NewEngineCtx(context.Background(), res.Program, cfg)
 				if err != nil {
 					t.Fatalf("mode %v: engine: %v", mode, err)
 				}
-				m, err := eng.LeastModel("")
+				m, err := eng.LeastModelCtx(context.Background(), "")
 				if err != nil {
 					t.Fatalf("mode %v: least: %v", mode, err)
 				}
@@ -94,11 +95,11 @@ func TestCorpusKnownAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := ordlog.NewEngine(res.Program, ordlog.Config{})
+		eng, err := ordlog.NewEngineCtx(context.Background(), res.Program, ordlog.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := eng.LeastModel(c.comp)
+		m, err := eng.LeastModelCtx(context.Background(), c.comp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,13 +50,14 @@ func stableOf(src string) []*ordlog.Model {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+	ctx := context.Background()
+	eng, err := ordlog.NewEngineCtx(ctx, prog, ordlog.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Definition 10 evaluates negative programs in the exceptions
 	// component of 3V(C).
-	ms, err := eng.StableModels("exceptions", ordlog.EnumOptions{})
+	ms, err := eng.StableModelsCtx(ctx, "exceptions", ordlog.EnumOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,11 +32,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+	ctx := context.Background()
+	eng, err := ordlog.NewEngineCtx(ctx, prog, ordlog.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := eng.LeastModel("c1")
+	m, err := eng.LeastModelCtx(ctx, "c1")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func main() {
 
 	// No total model exists in c1 (the paper notes this after Definition
 	// 5); the stable models stay partial.
-	ms, err := eng.StableModels("c1", ordlog.EnumOptions{})
+	ms, err := eng.StableModelsCtx(ctx, "c1", ordlog.EnumOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+	ctx := context.Background()
+	eng, err := ordlog.NewEngineCtx(ctx, prog, ordlog.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,14 +56,14 @@ func main() {
 	// Each component is an object with its own meaning; the upper ones
 	// hold no item facts, so their least models are empty.
 	for _, comp := range []string{"product", "glassware", "glassware_v2"} {
-		m, err := eng.LeastModel(comp)
+		m, err := eng.LeastModelCtx(ctx, comp)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("view from %s:\n  least model: %s\n", comp, m)
 	}
 
-	m, err := eng.LeastModel("shop")
+	m, err := eng.LeastModelCtx(ctx, "shop")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,11 +35,12 @@ func run(name, facts string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+	ctx := context.Background()
+	eng, err := ordlog.NewEngineCtx(ctx, prog, ordlog.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := eng.LeastModel("myself")
+	m, err := eng.LeastModelCtx(ctx, "myself")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -86,11 +86,12 @@ func main() {
 		fmt.Println("  " + d.String())
 	}
 
-	eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+	ctx := context.Background()
+	eng, err := ordlog.NewEngineCtx(ctx, prog, ordlog.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := eng.LeastModel("site")
+	m, err := eng.LeastModelCtx(ctx, "site")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -118,11 +119,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	snap, err := eng.Update(context.Background(), "site", facts)
+	snap, err := eng.Update(ctx, "site", facts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m2, err := snap.LeastModel("site")
+	m2, err := snap.LeastModelCtx(ctx, "site")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,20 +32,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+	ctx := context.Background()
+	eng, err := ordlog.NewEngineCtx(ctx, prog, ordlog.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	for _, comp := range []string{"birds", "arctic"} {
-		m, err := eng.LeastModel(comp)
+		m, err := eng.LeastModelCtx(ctx, comp)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("least model in %s:\n  %s\n", comp, m)
 	}
 
-	m, err := eng.LeastModel("arctic")
+	m, err := eng.LeastModelCtx(ctx, "arctic")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -21,11 +22,12 @@ func solve(name string, edges [][2]int, n int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(ov, ordlog.Config{})
+	ctx := context.Background()
+	eng, err := ordlog.NewEngineCtx(ctx, ov, ordlog.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := eng.LeastModel("game")
+	m, err := eng.LeastModelCtx(ctx, "game")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func solve(name string, edges [][2]int, n int) {
 	}
 	fmt.Println()
 
-	ms, err := eng.StableModels("game", ordlog.EnumOptions{})
+	ms, err := eng.StableModelsCtx(ctx, "game", ordlog.EnumOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

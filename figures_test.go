@@ -1,6 +1,7 @@
 package ordlog_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -47,7 +48,7 @@ func figureEngine(t *testing.T, src string) *ordlog.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+	eng, err := ordlog.NewEngineCtx(context.Background(), prog, ordlog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func figureEngine(t *testing.T, src string) *ordlog.Engine {
 
 func figureLeast(t *testing.T, src, comp string) string {
 	t.Helper()
-	m, err := figureEngine(t, src).LeastModel(comp)
+	m, err := figureEngine(t, src).LeastModelCtx(context.Background(), comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func figureLeast(t *testing.T, src, comp string) string {
 // figureStable renders the stable models of comp, sorted, space-separated.
 func figureStable(t *testing.T, src, comp string) string {
 	t.Helper()
-	ms, err := figureEngine(t, src).StableModels(comp, ordlog.EnumOptions{})
+	ms, err := figureEngine(t, src).StableModelsCtx(context.Background(), comp, ordlog.EnumOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func figureColored(t *testing.T, src string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(tv, ordlog.Config{})
+	eng, err := ordlog.NewEngineCtx(context.Background(), tv, ordlog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := eng.StableModels(transform.ExceptionsName, ordlog.EnumOptions{})
+	ms, err := eng.StableModelsCtx(context.Background(), transform.ExceptionsName, ordlog.EnumOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

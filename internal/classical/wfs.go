@@ -84,18 +84,6 @@ func (p *Program) WellFounded() *interp.Interp {
 	return out
 }
 
-// occIndex returns, for each atom, the rules whose positive body mentions
-// it (one entry per occurrence).
-func (p *Program) occIndex() map[interp.AtomID][]int32 {
-	occ := make(map[interp.AtomID][]int32)
-	for i := range p.Rules {
-		for _, a := range p.Rules[i].Pos {
-			occ[a] = append(occ[a], int32(i))
-		}
-	}
-	return occ
-}
-
 // reductLFP computes the least model of the Gelfond–Lifschitz reduct P^M
 // for a total candidate M given as its true-atom set.
 func (p *Program) reductLFP(m *interp.Bitset) *interp.Bitset {

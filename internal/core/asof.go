@@ -15,7 +15,7 @@ import (
 // without letting a version scan hold every reconstruction alive.
 const asOfCacheSize = 8
 
-// AsOf returns a snapshot of the engine's state as of a past version —
+// AsOfCtx returns a snapshot of the engine's state as of a past version —
 // the first-class time-travel read. Three sources, tried in order: the
 // current snapshot (free), the engine's in-memory update history (any
 // version back to the engine's initial grounding, rebuilt through the
@@ -28,13 +28,8 @@ const asOfCacheSize = 8
 // version, but it is a read-only reconstruction: it belongs to a private
 // replay engine, so updating through its Engine() does not advance this
 // engine. Reconstructions are cached (small FIFO), so repeated reads of
-// the same version pay the rebuild once.
-func (e *Engine) AsOf(version uint64) (*Snapshot, error) {
-	return e.AsOfCtx(context.Background(), version)
-}
-
-// AsOfCtx is AsOf with cooperative cancellation of the reconstruction's
-// grounding phase.
+// the same version pay the rebuild once. The context interrupts the
+// reconstruction's grounding phase.
 func (e *Engine) AsOfCtx(ctx context.Context, version uint64) (*Snapshot, error) {
 	cur := e.Current()
 	if version == cur.Version() {

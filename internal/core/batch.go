@@ -23,23 +23,18 @@ type QueryResult struct {
 	Err      error
 }
 
-// QueryBatch evaluates a slice of queries — possibly across different
+// QueryBatchCtx evaluates a slice of queries — possibly across different
 // components — over a pool of GOMAXPROCS workers and returns per-query
 // results in input order, all against this snapshot. Least models are
 // computed once per component (singleflight) and shared by every request
 // that targets it, so a batch of M queries over K components runs K
 // fixpoints, not M; on a goal-directed engine (Config.GoalDirected) the
-// per-goal slices are cut and evaluated in parallel.
-func (s *Snapshot) QueryBatch(reqs []QueryRequest) []QueryResult {
-	return s.QueryBatchCtx(context.Background(), reqs)
-}
-
-// QueryBatchCtx is QueryBatch with cooperative cancellation: once the
-// context is cancelled no further requests start, requests already running
-// are interrupted at the engine's checkpoints, and every request that
-// never produced a result carries an interrupt.Error (tagged with its
-// index). Finished results are kept — the batch degrades to partial
-// answers instead of discarding completed work.
+// per-goal slices are cut and evaluated in parallel. Once the context is
+// cancelled no further requests start, requests already running are
+// interrupted at the engine's checkpoints, and every request that never
+// produced a result carries an interrupt.Error (tagged with its index).
+// Finished results are kept — the batch degrades to partial answers
+// instead of discarding completed work.
 func (s *Snapshot) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []QueryResult {
 	out := make([]QueryResult, len(reqs))
 	ran := make([]bool, len(reqs))
@@ -62,16 +57,11 @@ func (s *Snapshot) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []Que
 	return out
 }
 
-// QueryBatch evaluates a slice of queries over a pool of GOMAXPROCS
+// QueryBatchCtx evaluates a slice of queries over a pool of GOMAXPROCS
 // workers against one pinned snapshot: the engine's current version is
 // captured once for the whole batch, so a concurrent Update never changes
-// the answers of later items relative to earlier ones.
-func (e *Engine) QueryBatch(reqs []QueryRequest) []QueryResult {
-	return e.Current().QueryBatch(reqs)
-}
-
-// QueryBatchCtx is QueryBatch with cooperative cancellation (see
-// Snapshot.QueryBatchCtx). The whole batch reads one pinned snapshot.
+// the answers of later items relative to earlier ones. Cancellation and
+// partial results are as in Snapshot.QueryBatchCtx.
 func (e *Engine) QueryBatchCtx(ctx context.Context, reqs []QueryRequest) []QueryResult {
 	return e.Current().QueryBatchCtx(ctx, reqs)
 }

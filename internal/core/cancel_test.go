@@ -30,7 +30,7 @@ func winMoveEngine(t *testing.T, n int) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(ov, core.Config{})
+	eng, err := core.NewEngineCtx(context.Background(), ov, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestLeastModelCacheNotPoisoned(t *testing.T) {
 	if _, err := eng.LeastModelCtx(ctx, "c"); !errors.Is(err, interrupt.ErrInterrupted) {
 		t.Fatalf("cancelled caller: err = %v, want ErrInterrupted", err)
 	}
-	m, err := eng.LeastModel("c")
+	m, err := eng.LeastModelCtx(context.Background(), "c")
 	if err != nil || m == nil {
 		t.Fatalf("after abandoned attempt: LeastModel = %v, %v; want the model", m, err)
 	}
@@ -161,11 +161,11 @@ func TestLeastModelSingleflightConcurrentWaiters(t *testing.T) {
 // that every worker and detached singleflight goroutine exits.
 func TestQueryBatchCancelNoGoroutineLeak(t *testing.T) {
 	prog := workload.Inheritance(8, 8, 16)
-	eng, err := core.NewEngine(prog, core.Config{})
+	eng, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.NewEngine(prog, core.Config{})
+	ref, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestQueryBatchCancelNoGoroutineLeak(t *testing.T) {
 	for lvl := 0; lvl < 8; lvl++ {
 		comp := "lvl" + string(rune('0'+lvl))
 		reqs = append(reqs, core.QueryRequest{Comp: comp, Query: q})
-		bindings, err := ref.Query(comp, q)
+		bindings, err := ref.QueryCtx(context.Background(), comp, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestProveCtxCancelled(t *testing.T) {
 	}
 	// The prover slot must have been released (or never taken): a live
 	// context proves normally afterwards.
-	ok, err := eng.Prove("arctic", lit)
+	ok, err := eng.ProveCtx(context.Background(), "arctic", lit)
 	if err != nil || !ok {
 		t.Fatalf("Prove after cancelled attempt = %v, %v; want true", ok, err)
 	}

@@ -43,7 +43,7 @@ func TestChurnCompactDifferential(t *testing.T) {
 			case 1:
 				cfg.CompactRatio = 0.01
 			}
-			eng, err := core.NewEngine(prog, cfg)
+			eng, err := core.NewEngineCtx(context.Background(), prog, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,12 +77,12 @@ func TestChurnCompactDifferential(t *testing.T) {
 					}
 				}
 				applyShadowOp(shadow, o)
-				fresh, err = core.NewEngine(cloneShadow(t, shadow), core.Config{})
+				fresh, err = core.NewEngineCtx(context.Background(), cloneShadow(t, shadow), core.Config{})
 				if err != nil {
 					t.Fatalf("shadow rebuild after %v: %v", history, err)
 				}
 				for _, name := range names {
-					got, err := snap.LeastModel(name)
+					got, err := snap.LeastModelCtx(context.Background(), name)
 					if err != nil {
 						t.Fatalf("after %v, comp %s: %v", history, name, err)
 					}
@@ -90,7 +90,7 @@ func TestChurnCompactDifferential(t *testing.T) {
 						t.Fatalf("after %v in %s: memoised model %s, rebuilt over the snapshot %s (err %v)",
 							history, name, got, rebuilt, err)
 					}
-					want, err := fresh.LeastModel(name)
+					want, err := fresh.LeastModelCtx(context.Background(), name)
 					if err != nil {
 						t.Fatalf("after %v, comp %s (fresh): %v", history, name, err)
 					}
@@ -112,14 +112,14 @@ func TestChurnCompactDifferential(t *testing.T) {
 				t.Fatalf("final compaction left %d dead rules", n)
 			}
 			for _, name := range names {
-				gotAF, errG := snap.AssumptionFreeModels(name, stable.Options{})
-				wantAF, errW := fresh.AssumptionFreeModels(name, stable.Options{})
+				gotAF, errG := snap.AssumptionFreeModelsCtx(context.Background(), name, stable.Options{})
+				wantAF, errW := fresh.AssumptionFreeModelsCtx(context.Background(), name, stable.Options{})
 				if g, w := diffModelSet(t, gotAF, errG), diffModelSet(t, wantAF, errW); g != w {
 					t.Fatalf("AF models diverged after %v in %s:\ncompacting: %s\nrebuild:    %s",
 						history, name, g, w)
 				}
-				gotSt, errG := snap.StableModels(name, stable.Options{})
-				wantSt, errW := fresh.StableModels(name, stable.Options{})
+				gotSt, errG := snap.StableModelsCtx(context.Background(), name, stable.Options{})
+				wantSt, errW := fresh.StableModelsCtx(context.Background(), name, stable.Options{})
 				if g, w := diffModelSet(t, gotSt, errG), diffModelSet(t, wantSt, errW); g != w {
 					t.Fatalf("stable models diverged after %v in %s:\ncompacting: %s\nrebuild:    %s",
 						history, name, g, w)
@@ -134,7 +134,7 @@ func TestChurnCompactDifferential(t *testing.T) {
 // most one event per fact, however many updates ran.
 func TestCompactEveryBoundsHistory(t *testing.T) {
 	ctx := context.Background()
-	eng, err := core.NewEngine(tenantProgram(t, "a"), core.Config{CompactEvery: 4})
+	eng, err := core.NewEngineCtx(ctx, tenantProgram(t, "a"), core.Config{CompactEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCompactEveryBoundsHistory(t *testing.T) {
 // dead set is always empty.
 func TestCompactRatioDrainsDeadSet(t *testing.T) {
 	ctx := context.Background()
-	eng, err := core.NewEngine(tenantProgram(t, "a", "b", "c"), core.Config{CompactRatio: 0.0001})
+	eng, err := core.NewEngineCtx(ctx, tenantProgram(t, "a", "b", "c"), core.Config{CompactRatio: 0.0001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,15 +178,15 @@ func TestCompactRatioDrainsDeadSet(t *testing.T) {
 			t.Fatalf("retract %s published %d dead rules despite ratio trigger", f, n)
 		}
 	}
-	m, err := eng.Current().LeastModel("main")
+	m, err := eng.Current().LeastModelCtx(ctx, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.NewEngine(tenantProgram(t), core.Config{})
+	want, err := core.NewEngineCtx(ctx, tenantProgram(t), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm, err := want.Current().LeastModel("main")
+	wm, err := want.Current().LeastModelCtx(ctx, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCompactRatioDrainsDeadSet(t *testing.T) {
 // current version still reads fine.
 func TestCompactSameVersionAndMemoryFloor(t *testing.T) {
 	ctx := context.Background()
-	eng, err := core.NewEngine(tenantProgram(t, "a"), core.Config{})
+	eng, err := core.NewEngineCtx(ctx, tenantProgram(t, "a"), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCompactSameVersionAndMemoryFloor(t *testing.T) {
 	before := eng.Current()
 	wantModel := leastStr(t, before)
 	// Older versions reconstruct from memory before the compaction…
-	if _, err := eng.AsOf(1); err != nil {
+	if _, err := eng.AsOfCtx(ctx, 1); err != nil {
 		t.Fatalf("AsOf(1) before compact: %v", err)
 	}
 	snap, err := eng.Compact(ctx)
@@ -228,10 +228,10 @@ func TestCompactSameVersionAndMemoryFloor(t *testing.T) {
 	}
 	// …and are evicted after it (no WAL to fall back to). AsOf(1) was
 	// cached by the earlier read, so probe v2, which never materialised.
-	if _, err := eng.AsOf(2); !errors.Is(err, core.ErrVersionEvicted) {
+	if _, err := eng.AsOfCtx(ctx, 2); !errors.Is(err, core.ErrVersionEvicted) {
 		t.Fatalf("AsOf(2) after compact: got %v, want ErrVersionEvicted", err)
 	}
-	if cur, err := eng.AsOf(snap.Version()); err != nil || cur.Version() != snap.Version() {
+	if cur, err := eng.AsOfCtx(ctx, snap.Version()); err != nil || cur.Version() != snap.Version() {
 		t.Fatalf("AsOf(current) after compact: %v", err)
 	}
 	// Updates continue normally from a compacted snapshot.
@@ -250,7 +250,7 @@ func TestCompactSameVersionAndMemoryFloor(t *testing.T) {
 func TestCompactAsOfFallsThroughToWAL(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	eng, err := core.NewEngine(tenantProgram(t, "a"), core.Config{CompactEvery: 2},
+	eng, err := core.NewEngineCtx(ctx, tenantProgram(t, "a"), core.Config{CompactEvery: 2},
 		core.WithDurability(dir), core.WithDurableName("tn"),
 		core.WithCheckpointEvery(1), core.WithSync(wal.SyncAlways))
 	if err != nil {
@@ -268,7 +268,7 @@ func TestCompactAsOfFallsThroughToWAL(t *testing.T) {
 	// CompactEvery=2 has advanced the floor past the early versions; every
 	// one of them must still read identically through the disk path.
 	for v := uint64(0); v <= 6; v++ {
-		snap, err := eng.AsOf(v)
+		snap, err := eng.AsOfCtx(ctx, v)
 		if err != nil {
 			t.Fatalf("AsOf(%d) on compacting durable engine: %v", v, err)
 		}
@@ -285,7 +285,7 @@ func TestCompactAsOfFallsThroughToWAL(t *testing.T) {
 func TestAsOfEvictedByRetention(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	eng, err := core.NewEngine(tenantProgram(t, "a"), core.Config{},
+	eng, err := core.NewEngineCtx(ctx, tenantProgram(t, "a"), core.Config{},
 		core.WithDurability(dir), core.WithDurableName("tn"),
 		core.WithCheckpointEvery(1), core.WithSync(wal.SyncAlways),
 		core.WithRotateRecords(1), core.WithKeepCheckpoints(2))
@@ -308,12 +308,12 @@ func TestAsOfEvictedByRetention(t *testing.T) {
 	if _, err := eng.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.AsOf(1); !errors.Is(err, core.ErrVersionEvicted) {
+	if _, err := eng.AsOfCtx(ctx, 1); !errors.Is(err, core.ErrVersionEvicted) {
 		t.Fatalf("AsOf(1) with pruned history: got %v, want ErrVersionEvicted", err)
 	}
 	// The newest retained checkpoint covers the recent versions.
 	for v := last - 1; v <= last; v++ {
-		snap, err := eng.AsOf(v)
+		snap, err := eng.AsOfCtx(ctx, v)
 		if err != nil {
 			t.Fatalf("AsOf(%d) inside the retained window: %v", v, err)
 		}
@@ -343,7 +343,7 @@ func TestAsOfEvictedByRetention(t *testing.T) {
 func TestRotatedRecoverRoundtrip(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	eng, err := core.NewEngine(tenantProgram(t, "a"), core.Config{},
+	eng, err := core.NewEngineCtx(ctx, tenantProgram(t, "a"), core.Config{},
 		core.WithDurability(dir), core.WithDurableName("tn"),
 		core.WithCheckpointEvery(2), core.WithSync(wal.SyncAlways),
 		core.WithRotateRecords(2))

@@ -48,7 +48,7 @@ func TestConeDifferential(t *testing.T) {
 func coneAgainstRebuild(t *testing.T, rng *rand.Rand, comps, nconst, k int) {
 	ctx := context.Background()
 	prog := workload.RandomOrderedDatalog(rng, comps, nconst)
-	eng, err := core.NewEngine(prog, core.Config{})
+	eng, err := core.NewEngineCtx(ctx, prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func coneAgainstRebuild(t *testing.T, rng *rand.Rand, comps, nconst, k int) {
 	read := func(s *core.Snapshot) {
 		t.Helper()
 		for _, c := range prog.Components {
-			m, err := s.LeastModel(c.Name)
+			m, err := s.LeastModelCtx(ctx, c.Name)
 			if err != nil {
 				t.Fatalf("after %v, v%d %s: %v", history, s.Version(), c.Name, err)
 			}

@@ -21,7 +21,7 @@ import (
 // nowhere else, and the p/1 bucket, outside the cone, is the parent's.
 func TestConeCountsOneToggle(t *testing.T) {
 	ctx := context.Background()
-	e, err := NewEngine(mustProgram(t, policySource(50)), Config{})
+	e, err := NewEngineCtx(ctx, mustProgram(t, policySource(50)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestConeCountsOneToggle(t *testing.T) {
 		}
 	}
 	// Explain builds the component's view on demand.
-	m, err := e.Current().LeastModel("exc")
+	m, err := e.Current().LeastModelCtx(ctx, "exc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestConeFallbacks(t *testing.T) {
 	ctx := context.Background()
 	read := func(s *Snapshot) {
 		t.Helper()
-		m, err := s.LeastModel("exc")
+		m, err := s.LeastModelCtx(ctx, "exc")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestConeFallbacks(t *testing.T) {
 		{kb: 50, readV0: true, counter: "core.least.cone", computed: 0},
 	} {
 		t.Run(fmt.Sprintf("kb%d/readV0=%v", c.kb, c.readV0), func(t *testing.T) {
-			e, err := NewEngine(mustProgram(t, policySource(c.kb)), Config{})
+			e, err := NewEngineCtx(ctx, mustProgram(t, policySource(c.kb)), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,11 +129,11 @@ func TestConeFallbacks(t *testing.T) {
 // A cone interrupted by its context yields an interruption and no model;
 // the carry survives, so the next read derives the model from it.
 func TestConeInterrupted(t *testing.T) {
-	e, err := NewEngine(mustProgram(t, policySource(50)), Config{})
+	e, err := NewEngineCtx(context.Background(), mustProgram(t, policySource(50)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Current().LeastModel("exc"); err != nil {
+	if _, err := e.Current().LeastModelCtx(context.Background(), "exc"); err != nil {
 		t.Fatal(err)
 	}
 	s, err := e.Update(context.Background(), "exc", []ast.Literal{lit(t, "bad(c7)")})
@@ -167,7 +167,7 @@ func TestPinnedSnapshotKeepsItsHerbrandBase(t *testing.T) {
 	const src = "module m { p(a). q(X) :- p(X). }"
 	for _, computeFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("computeFirst=%v", computeFirst), func(t *testing.T) {
-			e, err := NewEngine(mustProgram(t, src), Config{})
+			e, err := NewEngineCtx(context.Background(), mustProgram(t, src), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,14 +177,14 @@ func TestPinnedSnapshotKeepsItsHerbrandBase(t *testing.T) {
 				if n := v0.NumAtoms(); n != 2 {
 					t.Errorf("v0 NumAtoms = %d, want 2", n)
 				}
-				m, err := v0.LeastModel("m")
+				m, err := v0.LeastModelCtx(context.Background(), "m")
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !m.Total() || len(m.Interp().Undefined()) != 0 {
 					t.Errorf("v0 least model %s: Total %v, undefined %v", m, m.Total(), m.Interp().Undefined())
 				}
-				sms, err := v0.StableModels("m", stable.Options{})
+				sms, err := v0.StableModelsCtx(context.Background(), "m", stable.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,7 +211,7 @@ func TestPinnedSnapshotKeepsItsHerbrandBase(t *testing.T) {
 // forward: whichever of them computes a version's model first, every
 // version's model equals its rebuild.
 func TestConeConcurrentReadersAndWriter(t *testing.T) {
-	e, err := NewEngine(mustProgram(t, policySource(40)), Config{})
+	e, err := NewEngineCtx(context.Background(), mustProgram(t, policySource(40)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestConeConcurrentReadersAndWriter(t *testing.T) {
 				default:
 				}
 				s := e.Current()
-				m, err := s.LeastModel("exc")
+				m, err := s.LeastModelCtx(context.Background(), "exc")
 				if err != nil {
 					t.Error(err)
 					return
@@ -273,7 +273,7 @@ func BenchmarkWriteThenRead(b *testing.B) {
 		{"range", func(int) string { return "-ok(X)" }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			eng, err := NewEngine(mustProgram(b, policySource(kb)), Config{CompactEvery: compactEvery})
+			eng, err := NewEngineCtx(context.Background(), mustProgram(b, policySource(kb)), Config{CompactEvery: compactEvery})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func engineOf(t *testing.T, src string) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(p, core.Config{})
+	eng, err := core.NewEngineCtx(context.Background(), p, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestDefaultComponent(t *testing.T) {
 
 func TestLeastModelAndValues(t *testing.T) {
 	eng := engineOf(t, fig1)
-	m, err := eng.LeastModel("") // default component
+	m, err := eng.LeastModelCtx(context.Background(), "") // default component
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestLeastModelAndValues(t *testing.T) {
 
 func TestUnknownComponent(t *testing.T) {
 	eng := engineOf(t, fig1)
-	if _, err := eng.LeastModel("nope"); err == nil {
+	if _, err := eng.LeastModelCtx(context.Background(), "nope"); err == nil {
 		t.Error("unknown component accepted")
 	}
 }
@@ -97,7 +98,7 @@ parent(ann, bob). parent(bob, carl). parent(ann, dora).
 anc(X, Y) :- parent(X, Y).
 anc(X, Y) :- parent(X, Z), anc(Z, Y).
 `)
-	m, err := eng.LeastModel("main")
+	m, err := eng.LeastModelCtx(context.Background(), "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ anc(X, Y) :- parent(X, Z), anc(Z, Y).
 
 func TestQueryNegativeLiterals(t *testing.T) {
 	eng := engineOf(t, fig1)
-	m, err := eng.LeastModel("arctic")
+	m, err := eng.LeastModelCtx(context.Background(), "arctic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +167,14 @@ func TestStableAndAFThroughEngine(t *testing.T) {
 module c2 { a. b. c. }
 module c1 extends c2 { -a :- b, c. -b :- a. -b :- -b. }
 `)
-	st, err := eng.StableModels("c1", stable.Options{})
+	st, err := eng.StableModelsCtx(context.Background(), "c1", stable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(st) != 2 {
 		t.Errorf("stable models = %d", len(st))
 	}
-	af, err := eng.AssumptionFreeModels("c1", stable.Options{})
+	af, err := eng.AssumptionFreeModelsCtx(context.Background(), "c1", stable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestCheckModelAndInterpFromLiterals(t *testing.T) {
 
 func TestExplain(t *testing.T) {
 	eng := engineOf(t, fig1)
-	m, err := eng.LeastModel("arctic")
+	m, err := eng.LeastModelCtx(context.Background(), "arctic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestExplain(t *testing.T) {
 
 func TestModelJSON(t *testing.T) {
 	eng := engineOf(t, fig1)
-	m, err := eng.LeastModel("arctic")
+	m, err := eng.LeastModelCtx(context.Background(), "arctic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestModelJSON(t *testing.T) {
 func TestProveExplainFacade(t *testing.T) {
 	eng := engineOf(t, fig1)
 	lit := parser.MustParseLiteral("-fly(penguin)")
-	tree, ok, err := eng.ProveExplain("arctic", lit)
+	tree, ok, err := eng.ProveExplainCtx(context.Background(), "arctic", lit)
 	if err != nil || !ok {
 		t.Fatalf("ProveExplain: %v %v", ok, err)
 	}
@@ -302,12 +303,12 @@ func TestProveExplainFacade(t *testing.T) {
 		t.Errorf("tree = %q", tree)
 	}
 	// Unprovable literal.
-	_, ok2, err := eng.ProveExplain("arctic", parser.MustParseLiteral("fly(penguin)"))
+	_, ok2, err := eng.ProveExplainCtx(context.Background(), "arctic", parser.MustParseLiteral("fly(penguin)"))
 	if err != nil || ok2 {
 		t.Errorf("fly(penguin) explained: %v %v", ok2, err)
 	}
 	// Out-of-base atom.
-	_, ok3, err := eng.ProveExplain("arctic", parser.MustParseLiteral("zzz"))
+	_, ok3, err := eng.ProveExplainCtx(context.Background(), "arctic", parser.MustParseLiteral("zzz"))
 	if err != nil || ok3 {
 		t.Errorf("zzz explained: %v %v", ok3, err)
 	}
@@ -315,18 +316,18 @@ func TestProveExplainFacade(t *testing.T) {
 
 func TestLeastModelCached(t *testing.T) {
 	eng := engineOf(t, fig1)
-	m1, err := eng.LeastModel("arctic")
+	m1, err := eng.LeastModelCtx(context.Background(), "arctic")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := eng.LeastModel("arctic")
+	m2, err := eng.LeastModelCtx(context.Background(), "arctic")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1 != m2 {
 		t.Error("least model not cached (distinct pointers)")
 	}
-	other, err := eng.LeastModel("birds")
+	other, err := eng.LeastModelCtx(context.Background(), "birds")
 	if err != nil {
 		t.Fatal(err)
 	}

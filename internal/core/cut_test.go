@@ -82,7 +82,7 @@ func TestCutWithinMagicSlice(t *testing.T) {
 	ctx := context.Background()
 	check := func(t *testing.T, prog *ast.OrderedProgram, goals []string) {
 		t.Helper()
-		e, err := NewEngine(prog, Config{GoalDirected: true})
+		e, err := NewEngineCtx(ctx, prog, Config{GoalDirected: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestCutMatchesClosureAfterWrites(t *testing.T) {
 
 func cutAfterWrites(t *testing.T, indexFirst bool) {
 	ctx := context.Background()
-	e, err := NewEngine(mustProgram(t, readsSource(12, 6)), Config{GoalDirected: true})
+	e, err := NewEngineCtx(ctx, mustProgram(t, readsSource(12, 6)), Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func cutAfterWrites(t *testing.T, indexFirst bool) {
 // published, build it once. A compaction regrounds and builds it again.
 func TestSliceIndexBuildsOncePerProgram(t *testing.T) {
 	ctx := context.Background()
-	e, err := NewEngine(mustProgram(t, policySource(200)), Config{GoalDirected: true})
+	e, err := NewEngineCtx(ctx, mustProgram(t, policySource(200)), Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func BenchmarkGoalDirectedCold(b *testing.B) {
 		{"reach", "reach(h%d, X)", 96},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			eng, err := NewEngine(mustProgram(b, readsSource(400, 100)), Config{GoalDirected: true})
+			eng, err := NewEngineCtx(context.Background(), mustProgram(b, readsSource(400, 100)), Config{GoalDirected: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -329,7 +329,7 @@ func BenchmarkGoalDirectedCold(b *testing.B) {
 // it published — always a slice-cache miss.
 func BenchmarkGoalDirectedWriteThenCold(b *testing.B) {
 	const kb, window, compactEvery = 1000, 128, 256
-	eng, err := NewEngine(mustProgram(b, policySource(kb)), Config{GoalDirected: true, CompactEvery: compactEvery})
+	eng, err := NewEngineCtx(context.Background(), mustProgram(b, policySource(kb)), Config{GoalDirected: true, CompactEvery: compactEvery})
 	if err != nil {
 		b.Fatal(err)
 	}

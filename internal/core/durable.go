@@ -38,11 +38,11 @@ func logOptions(d Durability) wal.LogOptions {
 
 // initDurability starts a fresh durable history for a newly constructed
 // engine: the directory is created, any previous WAL state in it is
-// removed (NewEngine means "this program is the new genesis" — Recover is
+// removed (NewEngineCtx means "this program is the new genesis" — Recover is
 // the path that restores a history), a genesis checkpoint of the source
 // program is written, and the log is opened. The checkpoint write doubles
 // as the writability probe the config contract promises: an unusable
-// directory surfaces as a *ConfigError from NewEngine.
+// directory surfaces as a *ConfigError from NewEngineCtx.
 func (e *Engine) initDurability() error {
 	d := e.cfg.Durability
 	fail := func(err error) error {
@@ -231,7 +231,7 @@ func foldRecords(base map[factKey]bool, recs []wal.Record, events []factEvent) (
 // Config.CompactEvery records is collapsed as the compaction replaying it
 // would have been, which moves that floor to the tip.
 //
-// cfg/opts configure the recovered engine exactly as NewEngine would; the
+// cfg/opts configure the recovered engine exactly as NewEngineCtx would; the
 // durability directory is forced to dir and the tenant name is adopted
 // from the checkpoints (setting a conflicting WithDurableName is an
 // error). The recovered engine continues appending to the same log.

@@ -32,7 +32,7 @@ func TestDurabilityConfigValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := core.NewEngine(prog, core.Config{}, c.opts...)
+			_, err := core.NewEngineCtx(context.Background(), prog, core.Config{}, c.opts...)
 			var ce *core.ConfigError
 			if !errors.As(err, &ce) {
 				t.Fatalf("got %v, want *ConfigError", err)
@@ -43,7 +43,7 @@ func TestDurabilityConfigValidation(t *testing.T) {
 		})
 	}
 	// The happy path: WithDurability alone presets the checkpoint cadence.
-	eng, err := core.NewEngine(prog, core.Config{}, core.WithDurability(t.TempDir()))
+	eng, err := core.NewEngineCtx(context.Background(), prog, core.Config{}, core.WithDurability(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestDurabilityConfigValidation(t *testing.T) {
 func durableEngine(t *testing.T, every int) (*core.Engine, string) {
 	t.Helper()
 	dir := t.TempDir()
-	eng, err := core.NewEngine(tenantProgram(t, "a"), core.Config{},
+	eng, err := core.NewEngineCtx(context.Background(), tenantProgram(t, "a"), core.Config{},
 		core.WithDurability(dir), core.WithDurableName("tn"),
 		core.WithCheckpointEvery(every), core.WithSync(wal.SyncAlways))
 	if err != nil {
@@ -69,7 +69,7 @@ func durableEngine(t *testing.T, every int) (*core.Engine, string) {
 
 func leastStr(t *testing.T, s *core.Snapshot) string {
 	t.Helper()
-	m, err := s.LeastModel("main")
+	m, err := s.LeastModelCtx(context.Background(), "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +149,9 @@ func TestNewEngineResetsHistory(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A second NewEngine over the same directory is a fresh genesis: the
+	// A second NewEngineCtx over the same directory is a fresh genesis: the
 	// old log and checkpoints must not bleed into the new chain.
-	eng2, err := core.NewEngine(tenantProgram(t, "b"), core.Config{},
+	eng2, err := core.NewEngineCtx(ctx, tenantProgram(t, "b"), core.Config{},
 		core.WithDurability(dir), core.WithDurableName("tn"), core.WithSync(wal.SyncAlways))
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestNewEngineResetsHistory(t *testing.T) {
 
 func TestAsOfInMemory(t *testing.T) {
 	ctx := context.Background()
-	eng, err := core.NewEngine(tenantProgram(t, "a"), core.Config{})
+	eng, err := core.NewEngineCtx(ctx, tenantProgram(t, "a"), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestAsOfInMemory(t *testing.T) {
 	// Every past version is reachable from the in-memory history, no
 	// durability required — including v0, the initial grounding.
 	for v := uint64(0); v <= 3; v++ {
-		snap, err := eng.AsOf(v)
+		snap, err := eng.AsOfCtx(ctx, v)
 		if err != nil {
 			t.Fatalf("AsOf(%d): %v", v, err)
 		}
@@ -201,12 +201,12 @@ func TestAsOfInMemory(t *testing.T) {
 		}
 	}
 	// Repeated reads hit the cache: same snapshot pointer.
-	s1, _ := eng.AsOf(1)
-	s2, _ := eng.AsOf(1)
+	s1, _ := eng.AsOfCtx(ctx, 1)
+	s2, _ := eng.AsOfCtx(ctx, 1)
 	if s1 != s2 {
 		t.Fatal("AsOf(1) not cached")
 	}
-	if _, err := eng.AsOf(99); !errors.Is(err, core.ErrVersionUnknown) {
+	if _, err := eng.AsOfCtx(ctx, 99); !errors.Is(err, core.ErrVersionUnknown) {
 		t.Fatalf("AsOf(99): got %v, want ErrVersionUnknown", err)
 	}
 }
@@ -233,7 +233,7 @@ func TestAsOfFromDisk(t *testing.T) {
 	// The recovered engine's base is the newest checkpoint (v6 with this
 	// cadence), so versions below it resolve through the WAL on disk.
 	for v := uint64(0); v <= 6; v++ {
-		snap, err := rec.AsOf(v)
+		snap, err := rec.AsOfCtx(ctx, v)
 		if err != nil {
 			t.Fatalf("AsOf(%d) after recovery: %v", v, err)
 		}
@@ -244,7 +244,7 @@ func TestAsOfFromDisk(t *testing.T) {
 			t.Fatalf("AsOf(%d) diverged after recovery:\n%s\nwant:\n%s", v, got, want[v])
 		}
 	}
-	if _, err := rec.AsOf(7); !errors.Is(err, core.ErrVersionUnknown) {
+	if _, err := rec.AsOfCtx(ctx, 7); !errors.Is(err, core.ErrVersionUnknown) {
 		t.Fatalf("AsOf(7): got %v, want ErrVersionUnknown", err)
 	}
 }
@@ -270,14 +270,14 @@ func TestTenantAsOfFallsBackToEngine(t *testing.T) {
 		t.Fatalf("At(1): got %v, want ErrVersionEvicted", err)
 	}
 	// …but AsOf reconstructs it from the engine's history.
-	snap, err := tn.AsOf(context.Background(), 1)
+	snap, err := tn.AsOf(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := leastStr(t, snap); got != want[1] {
 		t.Fatalf("Tenant.AsOf(1) diverged:\n%s\nwant:\n%s", got, want[1])
 	}
-	if _, err := tn.AsOf(context.Background(), 9); !errors.Is(err, core.ErrVersionUnknown) {
+	if _, err := tn.AsOf(ctx, 9); !errors.Is(err, core.ErrVersionUnknown) {
 		t.Fatalf("Tenant.AsOf(9): got %v, want ErrVersionUnknown", err)
 	}
 }
@@ -322,7 +322,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	shadow := cloneShadow(t, prog) // pristine copy for oracle rebuilds
 
 	dir := t.TempDir()
-	eng, err := core.NewEngine(prog, core.Config{},
+	eng, err := core.NewEngineCtx(context.Background(), prog, core.Config{},
 		core.WithDurability(dir), core.WithDurableName("crash"),
 		core.WithCheckpointEvery(16), core.WithSync(wal.SyncAlways))
 	if err != nil {
@@ -377,7 +377,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	}
 	oracle := func(t *testing.T, recs []wal.Record) *core.Engine {
 		t.Helper()
-		fresh, err := core.NewEngine(cloneShadow(t, shadow), core.Config{})
+		fresh, err := core.NewEngineCtx(context.Background(), cloneShadow(t, shadow), core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,8 +389,8 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	sameLeast := func(t *testing.T, what string, got, want *core.Snapshot) {
 		t.Helper()
 		for _, name := range names {
-			g, err1 := got.LeastModel(name)
-			w, err2 := want.LeastModel(name)
+			g, err1 := got.LeastModelCtx(context.Background(), name)
+			w, err2 := want.LeastModelCtx(context.Background(), name)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s least(%s): %v / %v", what, name, err1, err2)
 			}
@@ -439,7 +439,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 				if v > from {
 					apply(t, step, dec.Records[v-1])
 				}
-				past, err := rec.AsOf(v)
+				past, err := rec.AsOfCtx(context.Background(), v)
 				if err != nil {
 					t.Fatalf("AsOf(%d) after cut %d: %v", v, cut, err)
 				}
@@ -447,13 +447,13 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			}
 			// Enumeration projections on the most specific component.
 			name := names[0]
-			gotAF, errG := gotSnap.AssumptionFreeModels(name, stable.Options{})
-			wantAF, errW := wantSnap.AssumptionFreeModels(name, stable.Options{})
+			gotAF, errG := gotSnap.AssumptionFreeModelsCtx(context.Background(), name, stable.Options{})
+			wantAF, errW := wantSnap.AssumptionFreeModelsCtx(context.Background(), name, stable.Options{})
 			if g, w := diffModelSet(t, gotAF, errG), diffModelSet(t, wantAF, errW); g != w {
 				t.Fatalf("AF models diverged after cut %d:\nrecovered: %s\noracle:    %s", cut, g, w)
 			}
-			gotSt, errG := gotSnap.StableModels(name, stable.Options{})
-			wantSt, errW := wantSnap.StableModels(name, stable.Options{})
+			gotSt, errG := gotSnap.StableModelsCtx(context.Background(), name, stable.Options{})
+			wantSt, errW := wantSnap.StableModelsCtx(context.Background(), name, stable.Options{})
 			if g, w := diffModelSet(t, gotSt, errG), diffModelSet(t, wantSt, errW); g != w {
 				t.Fatalf("stable models diverged after cut %d:\nrecovered: %s\noracle:    %s", cut, g, w)
 			}

@@ -35,10 +35,10 @@ import (
 // whose visible rules agree on a component share the memo across versions.
 // The returned *Model values (and the interp.Interp they expose) are
 // shared and must be treated as read-only; callers that need a private
-// copy clone the interpretation. Goal-directed proofs (Prove,
-// ProveExplain) share a memoising prover per component and are serialised
-// per component; queries against different components proceed in
-// parallel.
+// copy clone the interpretation. Goal-directed proofs (ProveCtx,
+// ProveExplainCtx) share a memoising prover per component and are
+// serialised per component; queries against different components proceed
+// in parallel.
 //
 // Cancellation contract: every evaluation entry point has a ...Ctx variant
 // that stops at the engine's cooperative checkpoints once the context is
@@ -89,16 +89,11 @@ type Engine struct {
 	asOfOrder []uint64
 }
 
-// NewEngine grounds the program into the engine's initial snapshot. The
+// NewEngineCtx grounds the program into the engine's initial snapshot. The
 // program must be validated (parser output always is; hand-built programs
 // need Validate). The configuration is cfg with the options applied on
-// top; an invalid result is rejected with a *ConfigError.
-func NewEngine(p *ast.OrderedProgram, cfg Config, opts ...Option) (*Engine, error) {
-	return NewEngineCtx(context.Background(), p, cfg, opts...)
-}
-
-// NewEngineCtx is NewEngine with cooperative cancellation of the grounding
-// phase (see ground.GroundCtx for the checkpoints). No partial engine is
+// top; an invalid result is rejected with a *ConfigError. Grounding
+// honours ctx at the checkpoints of ground.GroundCtx; no partial engine is
 // returned on interruption.
 func NewEngineCtx(ctx context.Context, p *ast.OrderedProgram, cfg Config, opts ...Option) (*Engine, error) {
 	for _, o := range opts {
@@ -222,68 +217,48 @@ func (e *Engine) DefaultComponent() (string, error) {
 // immutable afterwards.
 func (e *Engine) View(comp string) (*eval.View, error) { return e.Current().View(comp) }
 
-// LeastModel computes the least model of the program in the component
+// LeastModelCtx computes the least model of the program in the component
 // (lfp of the ordered immediate transformation, Theorem 1(b)) as of the
 // current snapshot. Results are cached per component and version with
 // singleflight semantics; callers must not mutate the returned model's
-// interpretation.
-func (e *Engine) LeastModel(comp string) (*Model, error) { return e.Current().LeastModel(comp) }
-
-// LeastModelCtx is LeastModel with cooperative cancellation. The
-// singleflight cache stays single-flight: concurrent callers share one
-// fixpoint computation, but each waiter honours its own context — a caller
-// whose context dies returns an interrupt.Error immediately while the
-// computation keeps serving the remaining waiters, and only when every
-// waiter has abandoned it is the computation itself cancelled (and the
-// cache left clean for the next caller to retry). Deterministic evaluation
-// errors are cached exactly as with LeastModel.
+// interpretation. Concurrent callers share one fixpoint computation, but
+// each waiter honours its own context — a caller whose context dies
+// returns an interrupt.Error immediately while the computation keeps
+// serving the remaining waiters, and only when every waiter has abandoned
+// it is the computation itself cancelled (and the cache left clean for the
+// next caller to retry). Deterministic evaluation errors are cached.
 func (e *Engine) LeastModelCtx(ctx context.Context, comp string) (*Model, error) {
 	return e.Current().LeastModelCtx(ctx, comp)
 }
 
-// Query evaluates a conjunctive query against the component's least model
-// in the current snapshot and returns one binding per solution (see
-// Model.Query).
-func (e *Engine) Query(comp string, q ast.Query) ([]Binding, error) {
-	return e.Current().Query(comp, q)
-}
-
-// QueryCtx is Query with cooperative cancellation of the underlying
-// least-model computation. Match enumeration over an already-materialised
-// model is not interruptible (it is linear in the model and fast); the
-// fixpoint is the unbounded part.
+// QueryCtx evaluates a conjunctive query against the component's least
+// model in the current snapshot and returns one binding per solution (see
+// Model.Query). The context interrupts the underlying least-model
+// computation; match enumeration over an already-materialised model is not
+// interruptible (it is linear in the model and fast), the fixpoint is the
+// unbounded part.
 func (e *Engine) QueryCtx(ctx context.Context, comp string, q ast.Query) ([]Binding, error) {
 	return e.Current().QueryCtx(ctx, comp, q)
 }
 
-// AssumptionFreeModels enumerates the assumption-free models in the
+// AssumptionFreeModelsCtx enumerates the assumption-free models in the
 // component (Definition 7) as of the current snapshot, in the enumerator's
 // depth-first order; a large search fans out over GOMAXPROCS workers
-// without changing that order (see stable.AssumptionFreeModelsCtx). On
-// ErrBudget the models found before the budget ran out are returned
-// alongside the error.
-func (e *Engine) AssumptionFreeModels(comp string, opts stable.Options) ([]*Model, error) {
-	return e.Current().AssumptionFreeModels(comp, opts)
-}
-
-// AssumptionFreeModelsCtx is AssumptionFreeModels with cooperative
-// cancellation: a cancelled or expired context stops the search within one
-// DFS checkpoint and returns the (possibly empty, always non-nil) partial
-// model set alongside an interrupt.Error.
+// without changing that order (see stable.AssumptionFreeModelsCtx). The
+// result may be partial: on ErrBudget the models found before the budget
+// ran out are returned alongside the error, and a cancelled or expired
+// context stops the search within one DFS checkpoint and returns the
+// (possibly empty, always non-nil) partial model set alongside an
+// interrupt.Error.
 func (e *Engine) AssumptionFreeModelsCtx(ctx context.Context, comp string, opts stable.Options) ([]*Model, error) {
 	return e.Current().AssumptionFreeModelsCtx(ctx, comp, opts)
 }
 
-// StableModels enumerates the stable models in the component — the maximal
-// assumption-free models (Definition 9) — as of the current snapshot. On
-// ErrBudget the maximal models of the truncated enumeration are returned
-// alongside the error.
-func (e *Engine) StableModels(comp string, opts stable.Options) ([]*Model, error) {
-	return e.Current().StableModels(comp, opts)
-}
-
-// StableModelsCtx is StableModels with cooperative cancellation and the
-// same partial-result contract as AssumptionFreeModelsCtx.
+// StableModelsCtx enumerates the stable models in the component — the
+// maximal assumption-free models (Definition 9) — as of the current
+// snapshot, with the partial-result contract of AssumptionFreeModelsCtx:
+// on ErrBudget or an interruption the maximal models of the truncated
+// enumeration are returned alongside the error.
 func (e *Engine) StableModelsCtx(ctx context.Context, comp string, opts stable.Options) ([]*Model, error) {
 	return e.Current().StableModelsCtx(ctx, comp, opts)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 
 	"repro/internal/eval"
@@ -16,7 +17,7 @@ func (s *Snapshot) SameAsRebuild(comp string, m *Model) (bool, string, error) {
 	if err != nil {
 		return false, "", err
 	}
-	want, err := eval.NewViewOf(s.gp, i, s.rules, s.dead).LeastModel()
+	want, err := eval.NewViewOf(s.gp, i, s.rules, s.dead).LeastModelCtx(context.Background())
 	if err != nil {
 		return false, "", err
 	}

@@ -39,7 +39,7 @@ func TestChurnFootprintBounded(t *testing.T) {
 	)
 	ctx := context.Background()
 	dir := t.TempDir()
-	eng, err := NewEngine(mustProgram(t, policySource(kb)), Config{CompactEvery: compactEvery},
+	eng, err := NewEngineCtx(context.Background(), mustProgram(t, policySource(kb)), Config{CompactEvery: compactEvery},
 		WithDurability(dir), WithDurableName("churn"), WithSync(wal.SyncInterval),
 		WithCheckpointEvery(checkpointEvery), WithRotateRecords(rotateRecords),
 		WithKeepCheckpoints(keepCheckpoints))

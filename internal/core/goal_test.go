@@ -99,11 +99,11 @@ func chainSource(t testing.TB, n, excAt int) *ast.OrderedProgram {
 func diffGoals(t *testing.T, prog *ast.OrderedProgram, queries []string, proofs []string) {
 	t.Helper()
 	ctx := context.Background()
-	full, err := core.NewEngine(prog, core.Config{})
+	full, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, err := core.NewEngine(prog, core.Config{GoalDirected: true})
+	gd, err := core.NewEngineCtx(context.Background(), prog, core.Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func diffGoals(t *testing.T, prog *ast.OrderedProgram, queries []string, proofs 
 		// model families must match the full engine's.
 		opts := ground.DefaultOptions()
 		opts.Goal = q.Body
-		slicedEng, err := core.NewEngine(prog, core.Config{Ground: opts})
+		slicedEng, err := core.NewEngineCtx(context.Background(), prog, core.Config{Ground: opts})
 		if err != nil {
 			t.Fatalf("goal %s: sliced engine: %v", qs, err)
 		}
@@ -134,13 +134,13 @@ func diffGoals(t *testing.T, prog *ast.OrderedProgram, queries []string, proofs 
 			if w, g := answerSet(want), answerSet(got); w != g {
 				t.Errorf("goal %s in %s: least answers diverged\nfull:  %s\nslice: %s", qs, name, w, g)
 			}
-			wantAF, errW := full.Current().AssumptionFreeModels(name, stable.Options{})
-			gotAF, errG := slicedEng.Current().AssumptionFreeModels(name, stable.Options{})
+			wantAF, errW := full.Current().AssumptionFreeModelsCtx(context.Background(), name, stable.Options{})
+			gotAF, errG := slicedEng.Current().AssumptionFreeModelsCtx(context.Background(), name, stable.Options{})
 			if w, g := projectedAnswers(t, wantAF, errW, q), projectedAnswers(t, gotAF, errG, q); w != g {
 				t.Errorf("goal %s in %s: AF projections diverged\nfull:  %s\nslice: %s", qs, name, w, g)
 			}
-			wantSt, errW := full.Current().StableModels(name, stable.Options{})
-			gotSt, errG := slicedEng.Current().StableModels(name, stable.Options{})
+			wantSt, errW := full.Current().StableModelsCtx(context.Background(), name, stable.Options{})
+			gotSt, errG := slicedEng.Current().StableModelsCtx(context.Background(), name, stable.Options{})
 			if w, g := projectedAnswers(t, wantSt, errW, q), projectedAnswers(t, gotSt, errG, q); w != g {
 				t.Errorf("goal %s in %s: stable projections diverged\nfull:  %s\nslice: %s", qs, name, w, g)
 			}
@@ -233,11 +233,11 @@ func TestGoalDirectedDifferentialChain(t *testing.T) {
 func TestGoalDirectedUpdateInvalidation(t *testing.T) {
 	ctx := context.Background()
 	prog := chainSource(t, 4, 2)
-	gd, err := core.NewEngine(prog, core.Config{GoalDirected: true})
+	gd, err := core.NewEngineCtx(ctx, prog, core.Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := core.NewEngine(chainSource(t, 4, 2), core.Config{})
+	full, err := core.NewEngineCtx(ctx, chainSource(t, 4, 2), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +287,11 @@ func TestGoalDirectedUpdateInvalidation(t *testing.T) {
 // path.
 func TestGoalDirectedCancellation(t *testing.T) {
 	prog := chainSource(t, 30, 15)
-	gd, err := core.NewEngine(prog, core.Config{GoalDirected: true})
+	gd, err := core.NewEngineCtx(context.Background(), prog, core.Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := core.NewEngine(prog, core.Config{})
+	full, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +330,11 @@ func mustLit(t *testing.T, src string) ast.Literal {
 // The batch entry points inherit the goal-directed routing.
 func TestGoalDirectedBatch(t *testing.T) {
 	prog := chainSource(t, 6, 3)
-	gd, err := core.NewEngine(prog, core.Config{GoalDirected: true})
+	gd, err := core.NewEngineCtx(context.Background(), prog, core.Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := core.NewEngine(prog, core.Config{})
+	full, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,8 +343,8 @@ func TestGoalDirectedBatch(t *testing.T) {
 		{Comp: "exc", Query: mustQuery(t, "path(c1, X)")},
 		{Comp: "base", Query: mustQuery(t, "path(X, c6)")},
 	}
-	got := gd.QueryBatch(reqs)
-	want := full.QueryBatch(reqs)
+	got := gd.QueryBatchCtx(context.Background(), reqs)
+	want := full.QueryBatchCtx(context.Background(), reqs)
 	for i := range reqs {
 		if got[i].Err != nil || want[i].Err != nil {
 			t.Fatalf("batch[%d]: errs full=%v goal-directed=%v", i, want[i].Err, got[i].Err)
@@ -375,7 +375,7 @@ func BenchmarkQueryBatch(b *testing.B) {
 		name string
 		cfg  core.Config
 	}{{"goal-directed", core.Config{GoalDirected: true}}, {"full", core.Config{}}} {
-		e, err := core.NewEngine(prog, eng.cfg)
+		e, err := core.NewEngineCtx(context.Background(), prog, eng.cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -409,11 +409,11 @@ func TestGoalDirectedConfigValidation(t *testing.T) {
 	prog := chainSource(t, 4, 2)
 	fullMode := ground.DefaultOptions()
 	fullMode.Mode = ground.ModeFull
-	gd, err := core.NewEngine(prog, core.Config{GoalDirected: true, Ground: fullMode})
+	gd, err := core.NewEngineCtx(ctx, prog, core.Config{GoalDirected: true, Ground: fullMode})
 	if err != nil {
 		t.Fatalf("GoalDirected over ModeFull: %v", err)
 	}
-	full, err := core.NewEngine(prog, core.Config{})
+	full, err := core.NewEngineCtx(ctx, prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestGoalDirectedConfigValidation(t *testing.T) {
 	}
 	fixed := ground.DefaultOptions()
 	fixed.Goal = mustQuery(t, "path(c0, X)").Body
-	if _, err := core.NewEngine(prog, core.Config{GoalDirected: true, Ground: fixed}); err == nil {
+	if _, err := core.NewEngineCtx(ctx, prog, core.Config{GoalDirected: true, Ground: fixed}); err == nil {
 		t.Error("GoalDirected with a fixed Ground.Goal accepted")
 	}
 }
@@ -449,11 +449,11 @@ func TestGoalDirectedConfigValidation(t *testing.T) {
 // instances they do not pin, and the later ones cut their own tails.
 func TestGoalDirectedAfterWritesAndPinned(t *testing.T) {
 	ctx := context.Background()
-	gd, err := core.NewEngine(chainSource(t, 6, 3), core.Config{GoalDirected: true})
+	gd, err := core.NewEngineCtx(ctx, chainSource(t, 6, 3), core.Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := core.NewEngine(chainSource(t, 6, 3), core.Config{})
+	full, err := core.NewEngineCtx(ctx, chainSource(t, 6, 3), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +539,7 @@ func TestGoalDirectedAfterWritesAndPinned(t *testing.T) {
 // writer appends to the ground program.
 func TestGoalDirectedColdGoalsRaceWriter(t *testing.T) {
 	ctx := context.Background()
-	eng, err := core.NewEngine(chainSource(t, 12, 6), core.Config{GoalDirected: true})
+	eng, err := core.NewEngineCtx(ctx, chainSource(t, 12, 6), core.Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}

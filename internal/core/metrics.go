@@ -97,9 +97,3 @@ func countFallback(reason string) {
 // registry: every engine-layer counter and gauge by dotted name. Diff two
 // snapshots (obs.Snap.Diff) to attribute counts to a span of work.
 func (e *Engine) Metrics() obs.Snap { return obs.Default().Snap() }
-
-// Metrics returns a point-in-time snapshot of the process-global metrics
-// registry; see Engine.Metrics. Snapshots of the fact base are immutable
-// but the metrics registry is live — the values reflect all engine work up
-// to the call, not the state when the snapshot was published.
-func (s *Snapshot) Metrics() obs.Snap { return obs.Default().Snap() }

@@ -115,7 +115,7 @@ func sameAsOracle(t *testing.T, where string, m *Model, q ast.Query) {
 func diffModels(t *testing.T, prog *ast.OrderedProgram, goals []string) {
 	t.Helper()
 	ctx := context.Background()
-	eng, err := NewEngine(prog, Config{GoalDirected: true})
+	eng, err := NewEngineCtx(context.Background(), prog, Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestQueryConcurrentFirstUse(t *testing.T) {
 	}
 	for name, build := range models {
 		t.Run(name, func(t *testing.T) {
-			eng, err := NewEngine(prog, Config{GoalDirected: true})
+			eng, err := NewEngineCtx(context.Background(), prog, Config{GoalDirected: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,11 +362,11 @@ func TestGroundQueryBuildsNoBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(prog, Config{})
+	eng, err := NewEngineCtx(context.Background(), prog, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := eng.LeastModel("exc")
+	m, err := eng.LeastModelCtx(context.Background(), "exc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestGoalDirectedQueryCountsMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(prog, Config{GoalDirected: true})
+	eng, err := NewEngineCtx(context.Background(), prog, Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}

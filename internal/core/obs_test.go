@@ -25,7 +25,7 @@ func TestTraceCapturesRegroundReason(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	e, err := NewEngine(p, Config{}, WithTrace(&buf))
+	e, err := NewEngineCtx(context.Background(), p, Config{}, WithTrace(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTraceCapturesNegativeFactReason(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(p, Config{}, WithTrace(&buf))
+	e, err := NewEngineCtx(context.Background(), p, Config{}, WithTrace(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestTraceCapturesNegativeFactReason(t *testing.T) {
 	}
 }
 
-// Engine.Metrics / Snapshot.Metrics expose the process-global registry,
+// Engine.Metrics exposes the process-global registry,
 // and one incremental update moves the expected counters.
 func TestMetricsAccessor(t *testing.T) {
 	e := snapEngine(t)
@@ -78,10 +78,10 @@ func TestMetricsAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v1.LeastModel("policy"); err != nil {
+	if _, err := v1.LeastModelCtx(context.Background(), "policy"); err != nil {
 		t.Fatal(err)
 	}
-	d := v1.Metrics().Diff(before)
+	d := e.Metrics().Diff(before)
 	if d.Get("core.updates") != 1 || d.Get("core.updates.incremental") != 1 {
 		t.Fatalf("update counters wrong: %v", d)
 	}
@@ -95,11 +95,11 @@ func TestMetricsAccessor(t *testing.T) {
 		t.Fatalf("least memo miss not counted: %v", d)
 	}
 	// Second read of the same memo is a hit.
-	h0 := v1.Metrics().Get("core.least.hits")
-	if _, err := v1.LeastModel("policy"); err != nil {
+	h0 := e.Metrics().Get("core.least.hits")
+	if _, err := v1.LeastModelCtx(context.Background(), "policy"); err != nil {
 		t.Fatal(err)
 	}
-	if v1.Metrics().Get("core.least.hits") != h0+1 {
+	if e.Metrics().Get("core.least.hits") != h0+1 {
 		t.Fatal("cached least model did not count a hit")
 	}
 }
@@ -125,7 +125,7 @@ func BenchmarkTraceDisabled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngine(p, Config{})
+	e, err := NewEngineCtx(context.Background(), p, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func BenchmarkTraceEnabled(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	e, err := NewEngine(p, Config{}, WithTrace(&buf))
+	e, err := NewEngineCtx(context.Background(), p, Config{}, WithTrace(&buf))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 //
 // The zero value is valid and means: default grounding options, no
 // enumeration budget override and no tracing. Invalid configurations
-// (negative counts, unknown grounding mode) are rejected by NewEngine with
+// (negative counts, unknown grounding mode) are rejected by NewEngineCtx with
 // a *ConfigError rather than silently replaced by defaults.
 type Config struct {
 	// Ground selects grounding mode, depth bound and budgets. The zero
@@ -35,16 +35,17 @@ type Config struct {
 	Trace io.Writer
 
 	// GoalDirected routes least-model queries and proofs through per-goal
-	// slices of the snapshot's ground program: Query/QueryCtx (and the
-	// batch entry points) with a non-empty body, and Prove/ProveCtx,
+	// slices of the snapshot's ground program: QueryCtx (and the batch
+	// entry point) with a non-empty body, and ProveCtx,
 	// evaluate only the instances the goal's atoms reach — cut from the
 	// grounding the snapshot already holds, nothing is grounded again —
 	// instead of the component's full least model. Answers are identical
 	// to the full path's (see DESIGN §12); slices are cached per snapshot
 	// in a small LRU keyed by the goal's binding pattern, so repeated goals
 	// reuse their slice and every update invalidates automatically.
-	// Enumeration entry points (stable/AF models, Reason) and ProveExplain
-	// always use the full grounding. Incompatible with a fixed Ground.Goal.
+	// Enumeration entry points (stable/AF models, ReasonCtx) and
+	// ProveExplainCtx always use the full grounding. Incompatible with a
+	// fixed Ground.Goal.
 	GoalDirected bool
 
 	// CompactEvery, when > 0, compacts the snapshot after this many
@@ -80,7 +81,7 @@ const DefaultCheckpointEvery = 256
 // Snapshot contract: with a non-empty Dir, Update/Retract appends the
 // batch's effective operations to the WAL — fsynced per Sync — before the
 // new snapshot becomes visible, so every version an observer can read is
-// reconstructible by Recover. NewEngine resets Dir to an empty history
+// reconstructible by Recover. NewEngineCtx resets Dir to an empty history
 // (the engine's program is the new genesis); Recover is the path that
 // restores one. Every CheckpointEvery appended batches the engine syncs
 // the log and writes a checkpoint (serialized effective program + version
@@ -124,7 +125,7 @@ type Durability struct {
 }
 
 // Option is a functional engine option applied on top of a Config by
-// NewEngine. Options and an explicit Config compose: the Config is copied,
+// NewEngineCtx. Options and an explicit Config compose: the Config is copied,
 // then each Option mutates the copy in order.
 type Option func(*Config)
 
@@ -133,11 +134,6 @@ func WithEnumBudget(n int) Option { return func(c *Config) { c.EnumBudget = n } 
 
 // WithTrace sets Config.Trace.
 func WithTrace(w io.Writer) Option { return func(c *Config) { c.Trace = w } }
-
-// WithGoalDirected sets Config.GoalDirected: route queries and proofs
-// through per-goal slices of the ground program instead of full least
-// models.
-func WithGoalDirected(on bool) Option { return func(c *Config) { c.GoalDirected = on } }
 
 // WithDurability turns on the write-ahead log in dir and, when no cadence
 // has been chosen yet, presets Durability.CheckpointEvery to
@@ -188,7 +184,7 @@ func WithRotateBytes(n int64) Option { return func(c *Config) { c.Durability.Rot
 func WithKeepCheckpoints(n int) Option { return func(c *Config) { c.Durability.KeepCheckpoints = n } }
 
 // ConfigError reports an invalid Config field. It is returned (wrapped in
-// nothing) by NewEngine, so callers can errors.As for it and inspect which
+// nothing) by NewEngineCtx, so callers can errors.As for it and inspect which
 // field was rejected instead of parsing a message.
 type ConfigError struct {
 	Field  string

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -94,11 +95,11 @@ func TestQueryMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := core.NewEngine(prog, core.Config{})
+		eng, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := eng.LeastModel("main")
+		m, err := eng.LeastModelCtx(context.Background(), "main")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +133,11 @@ func TestParallelStableFacade(t *testing.T) {
 	eng := winMoveEngine(t, 12)
 	var inline, fanned []*core.Model
 	var err error
-	atProcs(1, func() { inline, err = eng.StableModels("c", stableOptions()) })
+	atProcs(1, func() { inline, err = eng.StableModelsCtx(context.Background(), "c", stableOptions()) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	atProcs(2, func() { fanned, err = eng.StableModels("c", stableOptions()) })
+	atProcs(2, func() { fanned, err = eng.StableModelsCtx(context.Background(), "c", stableOptions()) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Race tests for the Engine's concurrency contract: one Engine shared by
-// many goroutines issuing mixed LeastModel / Query / Prove / StableModels
+// many goroutines issuing mixed LeastModelCtx / QueryCtx / ProveCtx / StableModelsCtx
 // calls against overlapping components must produce exactly the results a
 // sequential engine produces, and must be clean under `go test -race`.
 package core_test
@@ -51,19 +51,19 @@ func TestEngineSharedRace(t *testing.T) {
 	}
 	q := flyQ.Queries[0]
 	for _, c := range comps {
-		m, err := ref.LeastModel(c)
+		m, err := ref.LeastModelCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantLeast[c] = m.String()
 		wantFly[c] = len(m.Query(q))
-		ms, err := ref.StableModels(c, stable.Options{})
+		ms, err := ref.StableModelsCtx(context.Background(), c, stable.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantStable[c] = len(ms)
 	}
-	penguinFlies, err := ref.Prove("base", parser.MustParseLiteral("fly(penguin)"))
+	penguinFlies, err := ref.ProveCtx(context.Background(), "base", parser.MustParseLiteral("fly(penguin)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestEngineSharedRace(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				switch (g + it) % 4 {
 				case 0:
-					m, err := shared.LeastModel(comp)
+					m, err := shared.LeastModelCtx(context.Background(), comp)
 					if err != nil {
 						errCh <- fmt.Errorf("g%d LeastModel(%s): %v", g, comp, err)
 						return
@@ -94,7 +94,7 @@ func TestEngineSharedRace(t *testing.T) {
 						return
 					}
 				case 1:
-					m, err := shared.LeastModel(comp)
+					m, err := shared.LeastModelCtx(context.Background(), comp)
 					if err != nil {
 						errCh <- fmt.Errorf("g%d LeastModel(%s): %v", g, comp, err)
 						return
@@ -104,7 +104,7 @@ func TestEngineSharedRace(t *testing.T) {
 						return
 					}
 				case 2:
-					ms, err := shared.StableModels(comp, stable.Options{})
+					ms, err := shared.StableModelsCtx(context.Background(), comp, stable.Options{})
 					if err != nil {
 						errCh <- fmt.Errorf("g%d StableModels(%s): %v", g, comp, err)
 						return
@@ -114,7 +114,7 @@ func TestEngineSharedRace(t *testing.T) {
 						return
 					}
 				case 3:
-					ok, err := shared.Prove(comp, parser.MustParseLiteral("bird(penguin)"))
+					ok, err := shared.ProveCtx(context.Background(), comp, parser.MustParseLiteral("bird(penguin)"))
 					if err != nil {
 						errCh <- fmt.Errorf("g%d Prove(%s): %v", g, comp, err)
 						return
@@ -141,11 +141,11 @@ func TestEngineSharedRace(t *testing.T) {
 func TestEngineBatchRace(t *testing.T) {
 	const depth = 5
 	prog := workload.Inheritance(depth, 4, 6)
-	shared, err := core.NewEngine(prog, core.Config{})
+	shared, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.NewEngine(prog, core.Config{})
+	ref, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestEngineBatchRace(t *testing.T) {
 	}
 	want := make([]int, len(reqs))
 	for i, r := range reqs {
-		m, err := ref.LeastModel(r.Comp)
+		m, err := ref.LeastModelCtx(context.Background(), r.Comp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestEngineBatchRace(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			results := shared.QueryBatch(reqs)
+			results := shared.QueryBatchCtx(context.Background(), reqs)
 			for i, r := range results {
 				if r.Err != nil {
 					t.Errorf("QueryBatch[%d]: %v", i, r.Err)

@@ -29,14 +29,9 @@ func (st *compState) acquireProver(ctx context.Context, view func() *eval.View) 
 	return st.prover, func() { <-st.proverSem }, nil
 }
 
-// Prove answers a least-model membership query for one ground literal in
-// the component as of this snapshot (see Engine.Prove).
-func (s *Snapshot) Prove(comp string, l ast.Literal) (bool, error) {
-	return s.ProveCtx(context.Background(), comp, l)
-}
-
-// ProveCtx is Prove with cooperative cancellation (see Engine.ProveCtx).
-// On a goal-directed engine (Config.GoalDirected) the proof runs over the
+// ProveCtx answers a least-model membership query for one ground literal
+// in the component as of this snapshot (see Engine.ProveCtx). On a
+// goal-directed engine (Config.GoalDirected) the proof runs over the
 // literal's slice of the ground program; the answer is identical either
 // way.
 func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bool, error) {
@@ -62,13 +57,9 @@ func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bo
 	return pr.ProveCtx(ctx, interp.MkLit(id, l.Neg))
 }
 
-// ProveExplain proves the literal goal-directedly and, on success, returns
-// the rendered derivation tree (see Engine.ProveExplain).
-func (s *Snapshot) ProveExplain(comp string, l ast.Literal) (string, bool, error) {
-	return s.ProveExplainCtx(context.Background(), comp, l)
-}
-
-// ProveExplainCtx is ProveExplain with cooperative cancellation.
+// ProveExplainCtx proves the literal goal-directedly and, on success,
+// returns the rendered derivation tree as of this snapshot (see
+// Engine.ProveExplainCtx).
 func (s *Snapshot) ProveExplainCtx(ctx context.Context, comp string, l ast.Literal) (string, bool, error) {
 	i, err := s.resolve(comp)
 	if err != nil {
@@ -93,14 +84,10 @@ func (s *Snapshot) ProveExplainCtx(ctx context.Context, comp string, l ast.Liter
 	return tree.Render(pr), true, nil
 }
 
-// Reason enumerates the stable models of the component as of this snapshot
-// and returns its cautious and brave consequences.
-func (s *Snapshot) Reason(comp string, opts stable.Options) (*Consequences, error) {
-	return s.ReasonCtx(context.Background(), comp, opts)
-}
-
-// ReasonCtx is Reason with cooperative cancellation (see Engine.ReasonCtx
-// for why no partial Consequences value is ever returned).
+// ReasonCtx enumerates the stable models of the component as of this
+// snapshot and returns its cautious and brave consequences (see
+// Engine.ReasonCtx for why no partial Consequences value is ever
+// returned).
 func (s *Snapshot) ReasonCtx(ctx context.Context, comp string, opts stable.Options) (*Consequences, error) {
 	v, err := s.View(comp)
 	if err != nil {
@@ -113,29 +100,20 @@ func (s *Snapshot) ReasonCtx(ctx context.Context, comp string, opts stable.Optio
 	return &Consequences{r: r, tab: s.gp.Tab}, nil
 }
 
-// Prove answers a least-model membership query for one ground literal in
-// the component with the goal-directed proof procedure (no full model is
-// materialised), as of the current snapshot. Literals over atoms outside
-// the relevant Herbrand base are unprovable.
-func (e *Engine) Prove(comp string, l ast.Literal) (bool, error) {
-	return e.Current().Prove(comp, l)
-}
-
-// ProveCtx is Prove with cooperative cancellation: both the wait for the
+// ProveCtx answers a least-model membership query for one ground literal
+// in the component with the goal-directed proof procedure (no full model
+// is materialised), as of the current snapshot. Literals over atoms
+// outside the relevant Herbrand base are unprovable. Both the wait for the
 // per-component prover slot and the goal recursion itself honour the
 // context (see proof.Prover.ProveCtx for the checkpoints).
 func (e *Engine) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bool, error) {
 	return e.Current().ProveCtx(ctx, comp, l)
 }
 
-// ProveExplain proves the literal goal-directedly and, on success, returns
-// the rendered derivation tree: the firing rule, its body subproofs, and
-// one blocking proof per competitor.
-func (e *Engine) ProveExplain(comp string, l ast.Literal) (string, bool, error) {
-	return e.Current().ProveExplain(comp, l)
-}
-
-// ProveExplainCtx is ProveExplain with cooperative cancellation.
+// ProveExplainCtx proves the literal goal-directedly and, on success,
+// returns the rendered derivation tree: the firing rule, its body
+// subproofs, and one blocking proof per competitor. The context is
+// honoured as in ProveCtx.
 func (e *Engine) ProveExplainCtx(ctx context.Context, comp string, l ast.Literal) (string, bool, error) {
 	return e.Current().ProveExplainCtx(ctx, comp, l)
 }
@@ -147,16 +125,12 @@ type Consequences struct {
 	tab *interp.Table
 }
 
-// Reason enumerates the stable models of the component in the current
-// snapshot and returns its cautious and brave consequences.
-func (e *Engine) Reason(comp string, opts stable.Options) (*Consequences, error) {
-	return e.Current().Reason(comp, opts)
-}
-
-// ReasonCtx is Reason with cooperative cancellation. Interruption fails
-// the whole call: cautious/brave consequences over a truncated model
-// family would be unsound (cautious could contain literals a missing
-// stable model refutes), so no partial Consequences value is returned.
+// ReasonCtx enumerates the stable models of the component in the current
+// snapshot and returns its cautious and brave consequences. Interruption,
+// like an exhausted leaf budget, fails the whole call: cautious/brave
+// consequences over a truncated model family would be unsound (cautious
+// could contain literals a missing stable model refutes), so no partial
+// Consequences value is returned.
 func (e *Engine) ReasonCtx(ctx context.Context, comp string, opts stable.Options) (*Consequences, error) {
 	return e.Current().ReasonCtx(ctx, comp, opts)
 }

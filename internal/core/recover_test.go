@@ -127,7 +127,7 @@ func writePolicyHistory(t *testing.T, kb int, keys []string, opts ...Option) (*E
 	t.Helper()
 	dir := t.TempDir()
 	opts = append([]Option{WithDurability(dir), WithDurableName("policy"), WithSync(wal.SyncAlways)}, opts...)
-	eng, err := NewEngine(mustProgram(t, policySource(kb)), Config{}, opts...)
+	eng, err := NewEngineCtx(context.Background(), mustProgram(t, policySource(kb)), Config{}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +185,8 @@ func TestRecoverGroundsOnce(t *testing.T) {
 		t.Fatalf("recovered v%d, want v%d", got, want)
 	}
 	for _, comp := range []string{"kb", "policy", "exc"} {
-		g, err1 := rec.LeastModel(comp)
-		w, err2 := orig.LeastModel(comp)
+		g, err1 := rec.LeastModelCtx(context.Background(), comp)
+		w, err2 := orig.LeastModelCtx(context.Background(), comp)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -250,11 +250,11 @@ func TestRecoverEdgeCases(t *testing.T) {
 			}
 			// Every version since the checkpoint answers as it was written.
 			for v := c.wantCP; v <= tip; v++ {
-				got, err := rec.AsOf(v)
+				got, err := rec.AsOfCtx(context.Background(), v)
 				if err != nil {
 					t.Fatalf("AsOf(%d): %v", v, err)
 				}
-				want, err := orig.AsOf(v)
+				want, err := orig.AsOfCtx(context.Background(), v)
 				if err != nil {
 					t.Fatalf("oracle AsOf(%d): %v", v, err)
 				}
@@ -282,7 +282,7 @@ func TestRecoverEdgeCases(t *testing.T) {
 
 func leastOf(t *testing.T, s *Snapshot) string {
 	t.Helper()
-	m, err := s.LeastModel("exc")
+	m, err := s.LeastModelCtx(context.Background(), "exc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func leastOf(t *testing.T, s *Snapshot) string {
 func BenchmarkRecover(b *testing.B) {
 	const kb, window, toggles, every = 1000, 128, 450, 250
 	dir := b.TempDir()
-	eng, err := NewEngine(mustProgram(b, policySource(kb)), Config{CompactEvery: 256},
+	eng, err := NewEngineCtx(context.Background(), mustProgram(b, policySource(kb)), Config{CompactEvery: 256},
 		WithDurability(dir), WithDurableName("policy"), WithSync(wal.SyncInterval),
 		WithCheckpointEvery(every), WithRotateRecords(500), WithKeepCheckpoints(3))
 	if err != nil {
@@ -347,7 +347,7 @@ func BenchmarkRecover(b *testing.B) {
 // each persistence mode: the policy tenant (kb = 1000), an assert of
 // bad(cJ) into exc, then a proof of -ok(cJ) on the version it published.
 // An episode is 200 such updates on a fresh engine, built off the clock
-// (NewEngine resets the durability directory), so every iteration is a
+// (NewEngineCtx resets the durability directory), so every iteration is a
 // genuine state change over the same history length. The gap between the
 // modes is what a WAL append, and an fsync per append, add to an Update.
 func BenchmarkUpdateDurable(b *testing.B) {
@@ -386,7 +386,7 @@ func BenchmarkUpdateDurable(b *testing.B) {
 						eng.Close()
 					}
 					var err error
-					if eng, err = NewEngine(prog, Config{}, m.opts(dir)...); err != nil {
+					if eng, err = NewEngineCtx(context.Background(), prog, Config{}, m.opts(dir)...); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()
@@ -395,7 +395,7 @@ func BenchmarkUpdateDurable(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if ok, err := snap.Prove("exc", goals[j]); err != nil || !ok {
+				if ok, err := snap.ProveCtx(context.Background(), "exc", goals[j]); err != nil || !ok {
 					b.Fatalf("requery %s: %v, %v", goals[j], ok, err)
 				}
 			}

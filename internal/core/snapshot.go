@@ -216,14 +216,9 @@ func (st *compState) viewOf(gp *ground.Program, i int, rules []ground.Rule, dead
 	return st.view
 }
 
-// LeastModel computes the least model of the program in the component as
-// of this snapshot (see Engine.LeastModel).
-func (s *Snapshot) LeastModel(comp string) (*Model, error) {
-	return s.LeastModelCtx(context.Background(), comp)
-}
-
-// LeastModelCtx is LeastModel with cooperative cancellation (see
-// Engine.LeastModelCtx for the exact singleflight/cancellation contract).
+// LeastModelCtx computes the least model of the program in the component
+// as of this snapshot (see Engine.LeastModelCtx for the exact
+// singleflight/cancellation contract).
 func (s *Snapshot) LeastModelCtx(ctx context.Context, comp string) (*Model, error) {
 	i, err := s.resolve(comp)
 	if err != nil {
@@ -302,17 +297,12 @@ func countView(built bool) {
 	}
 }
 
-// Query evaluates a conjunctive query against the component's least model
-// as of this snapshot (see Model.Query).
-func (s *Snapshot) Query(comp string, q ast.Query) ([]Binding, error) {
-	return s.QueryCtx(context.Background(), comp, q)
-}
-
-// QueryCtx is Query with cooperative cancellation of the underlying
-// least-model computation. On a goal-directed engine
-// (Config.GoalDirected) queries with a non-empty body evaluate against
-// the goal's slice of the ground program instead of the component's full
-// least model; answers are identical either way.
+// QueryCtx evaluates a conjunctive query against the component's least
+// model as of this snapshot (see Model.Query), with cooperative
+// cancellation of the underlying least-model computation. On a
+// goal-directed engine (Config.GoalDirected) queries with a non-empty body
+// evaluate against the goal's slice of the ground program instead of the
+// component's full least model; answers are identical either way.
 func (s *Snapshot) QueryCtx(ctx context.Context, comp string, q ast.Query) ([]Binding, error) {
 	a, err := s.AnswersCtx(ctx, comp, q)
 	if err != nil {
@@ -334,15 +324,9 @@ func (s *Snapshot) AnswersCtx(ctx context.Context, comp string, q ast.Query) (*A
 	return m.Answers(q), nil
 }
 
-// AssumptionFreeModels enumerates the assumption-free models in the
-// component as of this snapshot (see Engine.AssumptionFreeModels).
-func (s *Snapshot) AssumptionFreeModels(comp string, opts stable.Options) ([]*Model, error) {
-	return s.AssumptionFreeModelsCtx(context.Background(), comp, opts)
-}
-
-// AssumptionFreeModelsCtx is AssumptionFreeModels with cooperative
-// cancellation and the partial-result contract of
-// Engine.AssumptionFreeModelsCtx.
+// AssumptionFreeModelsCtx enumerates the assumption-free models in the
+// component as of this snapshot, with the order and partial-result
+// contract of Engine.AssumptionFreeModelsCtx.
 func (s *Snapshot) AssumptionFreeModelsCtx(ctx context.Context, comp string, opts stable.Options) ([]*Model, error) {
 	v, err := s.View(comp)
 	if err != nil {
@@ -355,14 +339,9 @@ func (s *Snapshot) AssumptionFreeModelsCtx(ctx context.Context, comp string, opt
 	return wrapModels(v, ms), enumErr
 }
 
-// StableModels enumerates the stable models in the component as of this
-// snapshot (see Engine.StableModels).
-func (s *Snapshot) StableModels(comp string, opts stable.Options) ([]*Model, error) {
-	return s.StableModelsCtx(context.Background(), comp, opts)
-}
-
-// StableModelsCtx is StableModels with cooperative cancellation and the
-// same partial-result contract as AssumptionFreeModelsCtx.
+// StableModelsCtx enumerates the stable models in the component as of this
+// snapshot, with the partial-result contract of
+// Engine.AssumptionFreeModelsCtx (see Engine.StableModelsCtx).
 func (s *Snapshot) StableModelsCtx(ctx context.Context, comp string, opts stable.Options) ([]*Model, error) {
 	v, err := s.View(comp)
 	if err != nil {

@@ -33,7 +33,7 @@ func snapEngine(t *testing.T) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(p, Config{})
+	e, err := NewEngineCtx(context.Background(), p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func lit(t *testing.T, s string) ast.Literal {
 
 func holdsIn(t *testing.T, s *Snapshot, comp, l string) bool {
 	t.Helper()
-	m, err := s.LeastModel(comp)
+	m, err := s.LeastModelCtx(context.Background(), comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestUpdateNoop(t *testing.T) {
 func TestRetractIncrementalAndResurrect(t *testing.T) {
 	e := snapEngine(t)
 	ctx := context.Background()
-	m0, err := e.Current().LeastModel("exc")
+	m0, err := e.Current().LeastModelCtx(context.Background(), "exc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestRetractIncrementalAndResurrect(t *testing.T) {
 	if !holdsIn(t, v1, "exc", "-ok(a)") || holdsIn(t, v1, "exc", "ok(a)") {
 		t.Fatal("exception did not overrule ok(a)")
 	}
-	m1, err := v1.LeastModel("exc")
+	m1, err := v1.LeastModelCtx(context.Background(), "exc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRetractIncrementalAndResurrect(t *testing.T) {
 	if v2.Grounded() != v1.Grounded() {
 		t.Fatal("retract of bad(a) should have stayed incremental (shared ground program)")
 	}
-	m2, err := v2.LeastModel("exc")
+	m2, err := v2.LeastModelCtx(context.Background(), "exc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRetractIncrementalAndResurrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m3, err := v3.LeastModel("exc")
+	m3, err := v3.LeastModelCtx(context.Background(), "exc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestUpdateMemoSharing(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(p, Config{})
+	e, err := NewEngineCtx(context.Background(), p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestUpdateMemoSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m0, err := v0.LeastModel("m1")
+	m0, err := v0.LeastModelCtx(context.Background(), "m1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestUpdateMemoSharing(t *testing.T) {
 	if view0 != view1 {
 		t.Fatal("unaffected component m1 must share its view across versions")
 	}
-	m1, err := v1.LeastModel("m1")
+	m1, err := v1.LeastModelCtx(context.Background(), "m1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestBatchPinsOneVersion(t *testing.T) {
 	if _, err := e.Update(ctx, "kb", []ast.Literal{lit(t, "p(zz1)")}); err != nil {
 		t.Fatal(err)
 	}
-	for i, res := range snap.QueryBatch(reqs) {
+	for i, res := range snap.QueryBatchCtx(context.Background(), reqs) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -322,7 +322,7 @@ func TestBatchPinsOneVersion(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 20; round++ {
-		out := e.QueryBatch(reqs)
+		out := e.QueryBatchCtx(context.Background(), reqs)
 		want := -1
 		for i, res := range out {
 			if res.Err != nil {
@@ -384,10 +384,10 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cerr *ConfigError
-	if _, err := NewEngine(p, Config{}, WithEnumBudget(-5)); !errors.As(err, &cerr) || cerr.Field != "EnumBudget" {
+	if _, err := NewEngineCtx(context.Background(), p, Config{}, WithEnumBudget(-5)); !errors.As(err, &cerr) || cerr.Field != "EnumBudget" {
 		t.Fatalf("want ConfigError on EnumBudget via option, got %v", err)
 	}
-	if _, err := NewEngine(p, Config{Ground: ground.Options{Mode: ground.Mode(42)}}); !errors.As(err, &cerr) || cerr.Field != "Ground.Mode" {
+	if _, err := NewEngineCtx(context.Background(), p, Config{Ground: ground.Options{Mode: ground.Mode(42)}}); !errors.As(err, &cerr) || cerr.Field != "Ground.Mode" {
 		t.Fatalf("want ConfigError on Ground.Mode, got %v", err)
 	}
 	if !strings.Contains(cerr.Error(), "Ground.Mode") {
@@ -401,7 +401,7 @@ func TestFunctionalOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	e, err := NewEngine(p, Config{}, WithEnumBudget(1<<16), WithTrace(&buf))
+	e, err := NewEngineCtx(context.Background(), p, Config{}, WithEnumBudget(1<<16), WithTrace(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestRetractUniversalFactFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(p, Config{})
+	e, err := NewEngineCtx(context.Background(), p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestRetractCompoundFactFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(p, Config{})
+	e, err := NewEngineCtx(context.Background(), p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,15 +510,15 @@ func TestRetractCompoundFactFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe, err := NewEngine(fresh, Config{})
+	fe, err := NewEngineCtx(context.Background(), fresh, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v1.LeastModel("m")
+	got, err := v1.LeastModelCtx(context.Background(), "m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fe.LeastModel("m")
+	want, err := fe.LeastModelCtx(context.Background(), "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,16 +543,16 @@ func TestUpdateManyVersionsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := NewEngine(fresh, Config{})
+		fe, err := NewEngineCtx(context.Background(), fresh, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, comp := range []string{"kb", "policy", "exc"} {
-			got, err := e.LeastModel(comp)
+			got, err := e.LeastModelCtx(context.Background(), comp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fe.LeastModel(comp)
+			want, err := fe.LeastModelCtx(context.Background(), comp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -571,7 +571,7 @@ func TestMergeFactsStillWorks(t *testing.T) {
 	}
 	c := p.Component("kb")
 	c.AddRule(ast.Fact(ast.Pos(ast.Atom{Pred: "p", Args: []ast.Term{ast.Sym("m")}})))
-	e, err := NewEngine(p, Config{})
+	e, err := NewEngineCtx(context.Background(), p, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,11 +585,11 @@ func ExampleEngine_Update() {
 		module kb { p(a). }
 		module policy extends kb { ok(X) :- p(X). }
 	`)
-	e, _ := NewEngine(p, Config{})
+	e, _ := NewEngineCtx(context.Background(), p, Config{})
 	snap, _ := e.Update(context.Background(), "kb", []ast.Literal{
 		{Atom: ast.Atom{Pred: "p", Args: []ast.Term{ast.Sym("b")}}},
 	})
-	m, _ := snap.LeastModel("policy")
+	m, _ := snap.LeastModelCtx(context.Background(), "policy")
 	fmt.Println(m.Holds(ast.Pos(ast.Atom{Pred: "ok", Args: []ast.Term{ast.Sym("b")}})))
 	// Output: true
 }

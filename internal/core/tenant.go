@@ -94,7 +94,7 @@ func (t *Tenant) At(version uint64) (*Snapshot, error) {
 
 // AsOf resolves a time-travel snapshot: the retention ring when the
 // version is still pinned there (same fast path as At), otherwise the
-// engine's AsOf reconstruction through the update history and — on a
+// engine's AsOfCtx reconstruction through the update history and — on a
 // durable tenant — the WAL. The error contract matches At's:
 // ErrVersionUnknown ahead of the tip, ErrVersionEvicted when the version
 // predates every reachable source. ctx bounds a reconstruction (see

@@ -114,7 +114,7 @@ func TestTenantVersionPinning(t *testing.T) {
 		}
 		// The pinned snapshot answers as of its version: p(u<k>) holds
 		// exactly for k < v-0 (updates 0..v-1).
-		m, err := s.LeastModel("main")
+		m, err := s.LeastModelCtx(context.Background(), "main")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestTenantConcurrentWriters(t *testing.T) {
 			t.Fatalf("retained versions not strictly ascending: %v", vs)
 		}
 	}
-	m, err := tn.Current().LeastModel("main")
+	m, err := tn.Current().LeastModelCtx(context.Background(), "main")
 	if err != nil {
 		t.Fatal(err)
 	}

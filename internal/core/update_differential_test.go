@@ -126,7 +126,7 @@ func TestUpdateDifferential(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed)))
 			prog := workload.RandomOrderedDatalog(rng, comps, nconst)
 			shadow := cloneShadow(t, prog)
-			eng, err := core.NewEngine(prog, core.Config{})
+			eng, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,12 +150,12 @@ func TestUpdateDifferential(t *testing.T) {
 					t.Fatalf("after %v: %v", history, err)
 				}
 				applyShadowOp(shadow, o)
-				fresh, err = core.NewEngine(shadow, core.Config{})
+				fresh, err = core.NewEngineCtx(context.Background(), shadow, core.Config{})
 				if err != nil {
 					t.Fatalf("shadow rebuild after %v: %v", history, err)
 				}
 				for _, name := range names {
-					got, err := snap.LeastModel(name)
+					got, err := snap.LeastModelCtx(context.Background(), name)
 					if err != nil {
 						t.Fatalf("after %v, comp %s: %v", history, name, err)
 					}
@@ -163,7 +163,7 @@ func TestUpdateDifferential(t *testing.T) {
 						t.Fatalf("after %v in %s: memoised model %s, rebuilt over the snapshot %s (err %v)",
 							history, name, got, rebuilt, err)
 					}
-					want, err := fresh.LeastModel(name)
+					want, err := fresh.LeastModelCtx(context.Background(), name)
 					if err != nil {
 						t.Fatalf("after %v, comp %s (fresh): %v", history, name, err)
 					}
@@ -178,14 +178,14 @@ func TestUpdateDifferential(t *testing.T) {
 			}
 			// The enumeration semantics must agree too, on the final state.
 			for _, name := range names {
-				gotAF, errG := snap.AssumptionFreeModels(name, stable.Options{})
-				wantAF, errW := fresh.AssumptionFreeModels(name, stable.Options{})
+				gotAF, errG := snap.AssumptionFreeModelsCtx(context.Background(), name, stable.Options{})
+				wantAF, errW := fresh.AssumptionFreeModelsCtx(context.Background(), name, stable.Options{})
 				if g, w := diffModelSet(t, gotAF, errG), diffModelSet(t, wantAF, errW); g != w {
 					t.Fatalf("AF models diverged after %v in %s:\nincremental: %s\nrebuild:     %s",
 						history, name, g, w)
 				}
-				gotSt, errG := snap.StableModels(name, stable.Options{})
-				wantSt, errW := fresh.StableModels(name, stable.Options{})
+				gotSt, errG := snap.StableModelsCtx(context.Background(), name, stable.Options{})
+				wantSt, errW := fresh.StableModelsCtx(context.Background(), name, stable.Options{})
 				if g, w := diffModelSet(t, gotSt, errG), diffModelSet(t, wantSt, errW); g != w {
 					t.Fatalf("stable models diverged after %v in %s:\nincremental: %s\nrebuild:     %s",
 						history, name, g, w)

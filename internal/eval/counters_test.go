@@ -7,6 +7,7 @@
 package eval_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/eval"
@@ -29,14 +30,14 @@ func TestCounterConsistencyAppliedRules(t *testing.T) {
 		t.Skip("metrics registry disabled")
 	}
 	for pi, p := range differentialPrograms(t) {
-		g, err := ground.Ground(p, ground.DefaultOptions())
+		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 		if err != nil {
 			t.Fatalf("program %d: ground: %v", pi, err)
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			semi := statusDelta(t, func() error { _, err := v.LeastModel(); return err })
-			naive := statusDelta(t, func() error { _, err := v.LeastModelNaive(); return err })
+			semi := statusDelta(t, func() error { _, err := v.LeastModelCtx(context.Background()); return err })
+			naive := statusDelta(t, func() error { _, err := v.LeastModelNaiveCtx(context.Background()); return err })
 			for _, name := range []string{
 				"eval.rules.applied",
 				"eval.rules.blocked",

@@ -1,5 +1,5 @@
 // Differential tests pinning the semi-naive least-model engine to its
-// naive reference oracle (LeastModelNaive iterates Definition 4's V
+// naive reference oracle (LeastModelNaiveCtx iterates Definition 4's V
 // transformation literally) on a large population of seeded workloads, in
 // the spirit of the cross-checked evaluators of the plp compiler
 // (Delgrande & Schaub). Every fast path must agree with the oracle
@@ -8,6 +8,7 @@
 package eval_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -54,13 +55,13 @@ func differentialPrograms(t *testing.T) []*ast.OrderedProgram {
 // FixpointStats.Derived equals the least model's size.
 func TestDifferentialLeastModel(t *testing.T) {
 	for pi, p := range differentialPrograms(t) {
-		g, err := ground.Ground(p, ground.DefaultOptions())
+		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 		if err != nil {
 			t.Fatalf("program %d: ground: %v", pi, err)
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			naive, err := v.LeastModelNaive()
+			naive, err := v.LeastModelNaiveCtx(context.Background())
 			if err != nil {
 				t.Fatalf("program %d comp %d: naive: %v", pi, ci, err)
 			}
@@ -96,13 +97,13 @@ func TestDifferentialLeastModelFullGrounding(t *testing.T) {
 			Atoms: 3 + rng.Intn(4), Rules: 6 + rng.Intn(8), MaxBody: 2,
 			NegHeads: true, NegBody: true,
 		})
-		g, err := ground.Ground(p, opts)
+		g, err := ground.GroundCtx(context.Background(), p, opts)
 		if err != nil {
 			t.Fatalf("seed %d: ground: %v", seed, err)
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			naive, err := v.LeastModelNaive()
+			naive, err := v.LeastModelNaiveCtx(context.Background())
 			if err != nil {
 				t.Fatalf("seed %d comp %d: naive: %v", seed, ci, err)
 			}

@@ -1,6 +1,7 @@
 package eval_test
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func view(t *testing.T, src, comp string, mode ground.Mode) *eval.View {
 	}
 	opts := ground.DefaultOptions()
 	opts.Mode = mode
-	g, err := ground.Ground(prog, opts)
+	g, err := ground.GroundCtx(context.Background(), prog, opts)
 	if err != nil {
 		t.Fatalf("ground: %v", err)
 	}
@@ -58,7 +59,7 @@ func modelString(m *interp.Interp) string {
 func TestFig1LeastModelInC1(t *testing.T) {
 	for _, mode := range []ground.Mode{ground.ModeSmart, ground.ModeFull} {
 		v := view(t, fig1, "c1", mode)
-		m, err := v.LeastModel()
+		m, err := v.LeastModelCtx(context.Background())
 		if err != nil {
 			t.Fatalf("mode %v: least model: %v", mode, err)
 		}
@@ -78,7 +79,7 @@ func TestFig1LeastModelInC1(t *testing.T) {
 		if !v.IsAssumptionFreeDirect(m) {
 			t.Errorf("mode %v: least model not assumption free (direct check)", mode)
 		}
-		naive, err := v.LeastModelNaive()
+		naive, err := v.LeastModelNaiveCtx(context.Background())
 		if err != nil {
 			t.Fatalf("mode %v: naive: %v", mode, err)
 		}
@@ -103,7 +104,7 @@ ground_animal(penguin).
 `
 	for _, mode := range []ground.Mode{ground.ModeSmart, ground.ModeFull} {
 		v := view(t, flat, "main", mode)
-		m, err := v.LeastModel()
+		m, err := v.LeastModelCtx(context.Background())
 		if err != nil {
 			t.Fatalf("least model: %v", err)
 		}
@@ -188,7 +189,7 @@ module c1 extends c2 {
 `
 	for _, mode := range []ground.Mode{ground.ModeSmart, ground.ModeFull} {
 		v := view(t, src, "c1", mode)
-		m, err := v.LeastModel()
+		m, err := v.LeastModelCtx(context.Background())
 		if err != nil {
 			t.Fatalf("least: %v", err)
 		}

@@ -41,15 +41,9 @@ func (v *View) VOnce(in *interp.Interp) (*interp.Interp, error) {
 	return out, nil
 }
 
-// LeastModelNaive computes lfp(V) by iterating VOnce from the empty
-// interpretation. It is the reference implementation used to cross-check
-// the semi-naive engine.
-func (v *View) LeastModelNaive() (*interp.Interp, error) {
-	return v.LeastModelNaiveCtx(context.Background())
-}
-
-// LeastModelNaiveCtx is LeastModelNaive with a cancellation checkpoint per
-// naive round.
+// LeastModelNaiveCtx computes lfp(V) by iterating VOnce from the empty
+// interpretation, with a cancellation checkpoint per naive round. It is
+// the reference implementation used to cross-check the semi-naive engine.
 func (v *View) LeastModelNaiveCtx(ctx context.Context) (*interp.Interp, error) {
 	in := v.NewInterp()
 	rounds := int64(0)
@@ -90,7 +84,7 @@ type FixpointStats struct {
 	BlockEvents int
 }
 
-// LeastModelStats computes lfp(V) like LeastModel and also reports
+// LeastModelStats computes lfp(V) like LeastModelCtx and also reports
 // counters describing the run.
 func (v *View) LeastModelStats() (*interp.Interp, FixpointStats, error) {
 	var st FixpointStats
@@ -98,8 +92,9 @@ func (v *View) LeastModelStats() (*interp.Interp, FixpointStats, error) {
 	return in, st, err
 }
 
-// LeastModel computes lfp(V) — the least model of the program in the view's
-// component (Proposition 1, Theorem 1(b)) — with a semi-naive algorithm.
+// LeastModelCtx computes lfp(V) — the least model of the program in the
+// view's component (Proposition 1, Theorem 1(b)) — with a semi-naive
+// algorithm.
 //
 // A rule fires when its unsatisfied-body count reaches zero and all its
 // overrulers and defeaters are blocked. Both events are monotone along the
@@ -107,15 +102,12 @@ func (v *View) LeastModelStats() (*interp.Interp, FixpointStats, error) {
 // more competitors, so per-rule counters driven by a worklist of newly
 // derived literals compute the fixpoint in time linear in the total number
 // of body occurrences and competitor edges.
-func (v *View) LeastModel() (*interp.Interp, error) {
-	return v.leastModel(context.Background(), nil, nil)
-}
-
-// LeastModelCtx is LeastModel with cooperative cancellation: the worklist
-// loop polls the context every checkStride pops (and once up front), so a
-// cancelled or expired context stops the fixpoint within one checkpoint
-// interval and returns an interrupt.Error. No partial interpretation is
-// returned: a truncated prefix of lfp(V) is not a model of anything.
+//
+// Cancellation is cooperative: the worklist loop polls the context every
+// checkStride pops (and once up front), so a cancelled or expired context
+// stops the fixpoint within one checkpoint interval and returns an
+// interrupt.Error. No partial interpretation is returned: a truncated
+// prefix of lfp(V) is not a model of anything.
 func (v *View) LeastModelCtx(ctx context.Context) (*interp.Interp, error) {
 	return v.LeastModelFromCtx(ctx, nil)
 }

@@ -120,7 +120,3 @@ func (v *View) IsAssumptionFreeDirect(m *interp.Interp) bool {
 func (v *View) IsAssumptionFree(m *interp.Interp) bool {
 	return v.IsModel(m) && v.TEnabled(m).Equal(m)
 }
-
-// IsTotal reports whether m assigns a truth value to every atom of the
-// (relevant) Herbrand base.
-func (v *View) IsTotal(m *interp.Interp) bool { return m.Total() }

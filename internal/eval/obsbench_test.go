@@ -1,6 +1,7 @@
 package eval_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/eval"
@@ -15,7 +16,7 @@ func benchLeast(b *testing.B, on bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := ground.Ground(ov, ground.DefaultOptions())
+	g, err := ground.GroundCtx(context.Background(), ov, ground.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func benchLeast(b *testing.B, on bool) {
 	defer obs.SetEnabled(true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := v.LeastModel(); err != nil {
+		if _, err := v.LeastModelCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

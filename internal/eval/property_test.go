@@ -34,7 +34,7 @@ func groundMode(t *testing.T, p *ast.OrderedProgram, mode ground.Mode) *ground.P
 	t.Helper()
 	opts := ground.DefaultOptions()
 	opts.Mode = mode
-	g, err := ground.Ground(p, opts)
+	g, err := ground.GroundCtx(context.Background(), p, opts)
 	if err != nil {
 		t.Fatalf("ground: %v", err)
 	}
@@ -104,11 +104,11 @@ func TestTheorem1(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 20_000))
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			least, err := v.LeastModel()
+			least, err := v.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatalf("seed %d comp %d: least: %v", seed, ci, err)
 			}
-			naive, err := v.LeastModelNaive()
+			naive, err := v.LeastModelNaiveCtx(context.Background())
 			if err != nil {
 				t.Fatalf("seed %d comp %d: naive least: %v", seed, ci, err)
 			}
@@ -197,11 +197,11 @@ func TestSmartVsFullGrounding(t *testing.T) {
 		for ci := range p.Components {
 			vf := eval.NewView(gf, ci)
 			vs := eval.NewView(gs, ci)
-			lf, err := vf.LeastModel()
+			lf, err := vf.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatalf("seed %d comp %d: full least: %v", seed, ci, err)
 			}
-			ls, err := vs.LeastModel()
+			ls, err := vs.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatalf("seed %d comp %d: smart least: %v", seed, ci, err)
 			}
@@ -280,11 +280,11 @@ func TestSmartVsFullDatalogOV(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lf, err := vf.LeastModel()
+			lf, err := vf.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatalf("seed %d %s: full least: %v", seed, translate, err)
 			}
-			ls, err := vs.LeastModel()
+			ls, err := vs.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatalf("seed %d %s: smart least: %v", seed, translate, err)
 			}
@@ -321,11 +321,11 @@ func TestSmartVsFullOrderedDatalog(t *testing.T) {
 		for ci := range p.Components {
 			vf := eval.NewView(gf, ci)
 			vs := eval.NewView(gs, ci)
-			lf, err := vf.LeastModel()
+			lf, err := vf.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatalf("seed %d comp %d: full: %v", seed, ci, err)
 			}
-			ls, err := vs.LeastModel()
+			ls, err := vs.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatalf("seed %d comp %d: smart: %v", seed, ci, err)
 			}
@@ -345,13 +345,13 @@ func TestSmartVsFullOrderedDatalog(t *testing.T) {
 func TestQuickLeastModelIsModel(t *testing.T) {
 	f := func(seed int64) bool {
 		p := randomOrdered(seed % 100_000)
-		g, err := ground.Ground(p, ground.DefaultOptions())
+		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 		if err != nil {
 			return false
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			m, err := v.LeastModel()
+			m, err := v.LeastModelCtx(context.Background())
 			if err != nil {
 				return false
 			}

@@ -1,6 +1,7 @@
 package eval_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/eval"
@@ -197,11 +198,11 @@ r :- p(a, a), p(a, a).
 `
 	for _, mode := range []ground.Mode{ground.ModeSmart, ground.ModeFull} {
 		v := view(t, src, "main", mode)
-		m, err := v.LeastModel()
+		m, err := v.LeastModelCtx(context.Background())
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
-		naive, err := v.LeastModelNaive()
+		naive, err := v.LeastModelNaiveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +226,7 @@ r :- p(a, a), p(a, a).
 // own head (found by the random tests to be a useful degenerate case).
 func TestSelfBlockingRule(t *testing.T) {
 	v := view(t, "a :- -a.\n", "main", ground.ModeFull)
-	m, err := v.LeastModel()
+	m, err := v.LeastModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestFixpointStats(t *testing.T) {
 		t.Error("expected some block events on Fig. 1")
 	}
 	// The stats variant computes the same model.
-	plain, err := v.LeastModel()
+	plain, err := v.LeastModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,12 +283,12 @@ func TestFunctionSymbols(t *testing.T) {
 	}
 	opts := ground.DefaultOptions()
 	opts.MaxDepth = 3
-	g, err := ground.Ground(prog, opts)
+	g, err := ground.GroundCtx(context.Background(), prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := eval.NewView(g, 0)
-	m, err := v.LeastModel()
+	m, err := v.LeastModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 // threatOver/threatDef, overInit/defInit — is built once inside NewView and
 // never mutated afterwards (construct-once/
 // read-many). A *View is therefore safe for unsynchronised sharing across
-// goroutines; all evaluation methods (VOnce, LeastModel, TEnabled,
+// goroutines; all evaluation methods (VOnce, LeastModelCtx, TEnabled,
 // IsModel, the Definition 2 status checks) allocate their mutable state
 // per call. Any future lazily built index must either move into NewView or
 // be guarded, or it breaks core.Engine's concurrency contract.

@@ -32,11 +32,11 @@ func TestEDBSimplificationIsPureOptimisation(t *testing.T) {
 			on := ground.DefaultOptions()
 			off := ground.DefaultOptions()
 			off.NoEDBSimplify = true
-			gOn, err := ground.Ground(p, on)
+			gOn, err := ground.GroundCtx(context.Background(), p, on)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gOff, err := ground.Ground(p, off)
+			gOff, err := ground.GroundCtx(context.Background(), p, off)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,11 +52,11 @@ func TestEDBSimplificationIsPureOptimisation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lOn, err := vOn.LeastModel()
+			lOn, err := vOn.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			lOff, err := vOff.LeastModel()
+			lOff, err := vOff.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,7 +27,7 @@ func TestGroundAllocsPerInstance(t *testing.T) {
 		p := policyProgram(t, kb)
 		var instances int
 		allocs := testing.AllocsPerRun(3, func() {
-			gp, err := Ground(p, DefaultOptions())
+			gp, err := GroundCtx(context.Background(), p, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestGroundBytesPerInstance(t *testing.T) {
 		maxPerInstance = 915.0
 	)
 	p := policyProgram(t, kb)
-	gp, err := Ground(p, DefaultOptions()) // warm: first-use allocations stay out
+	gp, err := GroundCtx(context.Background(), p, DefaultOptions()) // warm: first-use allocations stay out
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestGroundBytesPerInstance(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := Ground(p, DefaultOptions()); err != nil {
+		if _, err := GroundCtx(context.Background(), p, DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,7 +96,7 @@ func wantCounters(t *testing.T, what string, d obs.Snap, want map[string]int64) 
 // no rule of that program has an open variable.
 func TestGrowthTouchesNoOldTarget(t *testing.T) {
 	p := policyProgram(t, 1000)
-	gp, err := Ground(p, DefaultOptions())
+	gp, err := GroundCtx(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCompetitorCounters(t *testing.T) {
 	const kb = 50
 	p := policyProgram(t, kb)
 	d := counterDelta(t, func() {
-		if _, err := Ground(p, DefaultOptions()); err != nil {
+		if _, err := GroundCtx(context.Background(), p, DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -141,7 +141,7 @@ module exc extends base { -q(X) :- r(X, Y). }
 	var gp *Program
 	d = counterDelta(t, func() {
 		var err error
-		if gp, err = Ground(q, DefaultOptions()); err != nil {
+		if gp, err = GroundCtx(context.Background(), q, DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -174,7 +174,7 @@ module exc extends base { -q(X) :- r(X, Y). }
 func TestGrowthOrderDeterministic(t *testing.T) {
 	run := func() *Program {
 		p := parse(t, growthProgram)
-		gp, err := Ground(p, DefaultOptions())
+		gp, err := GroundCtx(context.Background(), p, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestGrowthAssertCancelledAtEveryCheckpoint(t *testing.T) {
 	stages := make(map[string]int)
 	for k := 0; ; k++ {
 		p := parse(t, growthProgram)
-		gp, err := Ground(p, DefaultOptions())
+		gp, err := GroundCtx(context.Background(), p, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -238,7 +238,7 @@ func leastModels(t *testing.T, gp *ground.Program, dead map[int32]struct{}) []st
 	t.Helper()
 	out := make([]string, gp.NumComponents())
 	for c := range out {
-		m, err := eval.NewViewOf(gp, c, gp.Rules, dead).LeastModel()
+		m, err := eval.NewViewOf(gp, c, gp.Rules, dead).LeastModelCtx(context.Background())
 		if err != nil {
 			t.Fatalf("comp %d: %v", c, err)
 		}
@@ -320,7 +320,7 @@ func TestDeltaAssertMatchesRebuild(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		src := deltaProgram(rng)
 		p := mustProgram(t, src)
-		gp, err := ground.Ground(p, ground.DefaultOptions())
+		gp, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -334,7 +334,7 @@ func TestDeltaAssertMatchesRebuild(t *testing.T) {
 				t.Fatalf("seed %d step %d: assert %v: %v", seed, step, texts, err)
 			}
 			tn.asserted(texts, facts)
-			fresh, err := ground.Ground(tn.effective(t), ground.DefaultOptions())
+			fresh, err := ground.GroundCtx(context.Background(), tn.effective(t), ground.DefaultOptions())
 			if err != nil {
 				t.Fatalf("seed %d step %d: rebuild: %v", seed, step, err)
 			}
@@ -360,7 +360,7 @@ func TestDeltaChurnMatchesRebuildModels(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 500))
 		src := deltaProgram(rng)
 		p := mustProgram(t, src)
-		gp, err := ground.Ground(p, ground.DefaultOptions())
+		gp, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -379,7 +379,7 @@ func TestDeltaChurnMatchesRebuildModels(t *testing.T) {
 				switch {
 				case errors.Is(err, ground.ErrNeedsReground):
 					regrounds[ground.RegroundReason(err)]++
-					gp, err = ground.Ground(tn.effective(t), ground.DefaultOptions())
+					gp, err = ground.GroundCtx(context.Background(), tn.effective(t), ground.DefaultOptions())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -405,7 +405,7 @@ func TestDeltaChurnMatchesRebuildModels(t *testing.T) {
 				}
 				tn.asserted(texts, facts)
 			}
-			fresh, err := ground.Ground(tn.effective(t), ground.DefaultOptions())
+			fresh, err := ground.GroundCtx(context.Background(), tn.effective(t), ground.DefaultOptions())
 			if err != nil {
 				t.Fatalf("seed %d step %d: rebuild: %v", seed, step, err)
 			}
@@ -440,7 +440,7 @@ module exc extends base { -q(X) :- e(X, Y). }
 	ctx := context.Background()
 	fresh := func(t *testing.T, text string, opts ground.Options) (*ground.Program, int) {
 		p := mustProgram(t, text)
-		gp, err := ground.Ground(p, opts)
+		gp, err := ground.GroundCtx(context.Background(), p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

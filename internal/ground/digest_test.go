@@ -93,7 +93,7 @@ func groundDigest(gp *Program) string {
 
 // digestOf grounds p and digests the result, or the error.
 func digestOf(p *ast.OrderedProgram, opts Options) string {
-	gp, err := Ground(p, opts)
+	gp, err := GroundCtx(context.Background(), p, opts)
 	if err != nil {
 		sum := sha256.Sum256([]byte("error: " + err.Error()))
 		return hex.EncodeToString(sum[:])
@@ -164,7 +164,7 @@ func gotDigests(t *testing.T) map[string]string {
 	// assert, a kb-constant toggle (assert, retract, re-assert) and the
 	// last-constant retract that must fall back.
 	p := policyProgram(t, 1000)
-	gp, err := Ground(p, DefaultOptions())
+	gp, err := GroundCtx(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

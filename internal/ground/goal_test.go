@@ -71,12 +71,12 @@ func TestGoalSliceSubset(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", c.n), func(t *testing.T) {
 			p := chainProgram(t, c.n)
 			opts := DefaultOptions()
-			full, err := Ground(p, opts)
+			full, err := GroundCtx(context.Background(), p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts.Goal = goalLits(t, "path(c0, X)")
-			sliced, err := Ground(p, opts)
+			sliced, err := GroundCtx(context.Background(), p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestGoalRequiresSmartMode(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Mode = ModeFull
 	opts.Goal = goalLits(t, "path(c0, X)")
-	if _, err := Ground(p, opts); err == nil {
+	if _, err := GroundCtx(context.Background(), p, opts); err == nil {
 		t.Fatal("ModeFull with a goal must be rejected")
 	}
 }
@@ -138,7 +138,7 @@ func TestGoalSlicedUpdatesReground(t *testing.T) {
 	p := chainProgram(t, 3)
 	opts := DefaultOptions()
 	opts.Goal = goalLits(t, "path(c0, X)")
-	gp, err := Ground(p, opts)
+	gp, err := GroundCtx(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +159,12 @@ func TestGoalSlicedUpdatesReground(t *testing.T) {
 func TestGoalFreeVariableSlice(t *testing.T) {
 	p := chainProgram(t, 6)
 	opts := DefaultOptions()
-	full, err := Ground(p, opts)
+	full, err := GroundCtx(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Goal = goalLits(t, "path(X, Y)")
-	sliced, err := Ground(p, opts)
+	sliced, err := GroundCtx(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,13 +167,9 @@ func (g *Program) Dump(w io.Writer) error {
 	return err
 }
 
-// Ground instantiates the program. The source program must have been
-// validated (parser output always is).
-func Ground(p *ast.OrderedProgram, opts Options) (*Program, error) {
-	return GroundCtx(context.Background(), p, opts)
-}
-
-// GroundCtx is Ground with cooperative cancellation: the grounder polls
+// GroundCtx instantiates the program. The source program must have been
+// validated (parser output always is). Cancellation is cooperative: the
+// grounder polls
 // the context between grounding strata (possible-atom fixpoint, fireable
 // pass, competitor pass; per rule in full mode) and every few hundred
 // emitted instances, so a cancelled or expired context stops grounding

@@ -1,6 +1,7 @@
 package ground
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -115,7 +116,7 @@ func TestGroundPropositional(t *testing.T) {
 	for _, mode := range []Mode{ModeSmart, ModeFull} {
 		opts := DefaultOptions()
 		opts.Mode = mode
-		g, err := Ground(p, opts)
+		g, err := GroundCtx(context.Background(), p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestGroundInstantiation(t *testing.T) {
 	p := parse(t, "bird(tweety).\nbird(sam).\nfly(X) :- bird(X).\n")
 	opts := DefaultOptions()
 	opts.Mode = ModeFull
-	g, err := Ground(p, opts)
+	g, err := GroundCtx(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestGroundInstantiation(t *testing.T) {
 
 func TestGroundBuiltinsFilter(t *testing.T) {
 	p := parse(t, "n(1). n(2). n(3).\nbig(X) :- n(X), X > 1.\n")
-	g, err := Ground(p, DefaultOptions())
+	g, err := GroundCtx(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ module a { p. p. }
 module b { p. }
 order a < b.
 `)
-	g, err := Ground(p, DefaultOptions())
+	g, err := GroundCtx(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ module c {
 	} {
 		opts := DefaultOptions()
 		opts.Mode = tc.mode
-		g, err := Ground(p, opts)
+		g, err := GroundCtx(context.Background(), p, opts)
 		if err != nil {
 			t.Fatalf("mode %v: %v", tc.mode, err)
 		}
@@ -227,11 +228,11 @@ module c {
 			opts.Mode = tc.mode
 			b.set(&opts, b.n-1)
 			var be *ErrBudget
-			if _, err := Ground(p, opts); !errors.As(err, &be) {
+			if _, err := GroundCtx(context.Background(), p, opts); !errors.As(err, &be) {
 				t.Errorf("mode %v %s=%d: err = %v, want ErrBudget", tc.mode, b.name, b.n-1, err)
 			}
 			b.set(&opts, b.n)
-			if _, err := Ground(p, opts); err != nil {
+			if _, err := GroundCtx(context.Background(), p, opts); err != nil {
 				t.Errorf("mode %v %s=%d (exactly the size): %v", tc.mode, b.name, b.n, err)
 			}
 		}
@@ -249,7 +250,7 @@ module c {
   path(X, Z) :- edge(X, Y), path(Y, Z).
 }
 `)
-	seq, err := Ground(p, DefaultOptions())
+	seq, err := GroundCtx(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ module c {
 			defer wg.Done()
 			opts := DefaultOptions()
 			opts.MaxInstances = n - i%2 // even workers: exactly n; odd: n-1
-			_, errs[i] = Ground(p, opts)
+			_, errs[i] = GroundCtx(context.Background(), p, opts)
 		}(i)
 	}
 	wg.Wait()
@@ -279,7 +280,7 @@ module c {
 
 func TestRuleString(t *testing.T) {
 	p := parse(t, "bird(tweety).\nfly(tweety) :- bird(tweety).\n")
-	g, err := Ground(p, DefaultOptions())
+	g, err := GroundCtx(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestSmartKeepsNeverFireableCompetitors(t *testing.T) {
 	// never fire (q is underivable) but permanently defeats the fact p,
 	// so it must be retained.
 	p := parse(t, "p.\n-p :- q.\n")
-	g, err := Ground(p, DefaultOptions())
+	g, err := GroundCtx(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ module c {
 }
 order c < cwa.
 `)
-	g, err := Ground(p, DefaultOptions())
+	g, err := GroundCtx(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,7 +225,7 @@ func TestCompetitorIndexMatchesScan(t *testing.T) {
 		for _, noEDB := range []bool{false, true} {
 			opts := DefaultOptions()
 			opts.NoEDBSimplify = noEDB
-			got, err := Ground(p, opts)
+			got, err := GroundCtx(context.Background(), p, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", names[i], err)
 			}
@@ -243,7 +243,7 @@ func TestCompetitorIndexMatchesScanOnBenchmarkPrograms(t *testing.T) {
 		}
 		opts := DefaultOptions()
 		opts.Goal = sh.goal
-		got, err := Ground(sh.prog, opts)
+		got, err := GroundCtx(context.Background(), sh.prog, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
@@ -280,7 +280,7 @@ func TestGrowthUpdatesFindWhatTheScanFinds(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := parse(t, growthProgram)
-		gp, err := Ground(p, DefaultOptions())
+		gp, err := GroundCtx(context.Background(), p, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package ground_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -54,13 +55,13 @@ func plannerPrograms(t *testing.T) []*ast.OrderedProgram {
 // model of every component, in component order.
 func leastModelStrings(t *testing.T, p *ast.OrderedProgram, opts ground.Options) []string {
 	t.Helper()
-	g, err := ground.Ground(p, opts)
+	g, err := ground.GroundCtx(context.Background(), p, opts)
 	if err != nil {
 		t.Fatalf("ground: %v", err)
 	}
 	out := make([]string, len(p.Components))
 	for ci := range p.Components {
-		m, err := eval.NewView(g, ci).LeastModel()
+		m, err := eval.NewView(g, ci).LeastModelCtx(context.Background())
 		if err != nil {
 			t.Fatalf("comp %d: least model: %v", ci, err)
 		}

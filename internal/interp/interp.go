@@ -199,16 +199,6 @@ func (in *Interp) PosAtoms() []AtomID {
 	return out
 }
 
-// NegAtoms returns the ids of atoms asserted false.
-func (in *Interp) NegAtoms() []AtomID {
-	bits := in.neg.Bits()
-	out := make([]AtomID, len(bits))
-	for i, b := range bits {
-		out[i] = AtomID(b)
-	}
-	return out
-}
-
 // Literals returns the member literals as AST literals, sorted canonically
 // for stable printing.
 func (in *Interp) Literals() []ast.Literal {

@@ -1,6 +1,7 @@
 package negsem_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ast"
@@ -18,7 +19,7 @@ func semOf(t *testing.T, src string) *negsem.Semantics {
 	}
 	opts := ground.DefaultOptions()
 	opts.Mode = ground.ModeFull
-	g, err := ground.Ground(p, opts)
+	g, err := ground.GroundCtx(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

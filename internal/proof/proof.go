@@ -33,9 +33,9 @@ type Prover struct {
 	failed   map[interp.Lit]bool // memo: literal is not in lfp(V)
 	calls    int
 	maxCall  int
-	ctx      context.Context    // context of the in-flight Prove/Explain call
-	stageMap map[interp.Lit]int // lazily built by Explain
-	// inProgress is the DFS path set, pooled across Prove calls. The
+	ctx      context.Context    // context of the in-flight ProveCtx/ExplainCtx call
+	stageMap map[interp.Lit]int // lazily built by ExplainCtx
+	// inProgress is the DFS path set, pooled across ProveCtx calls. The
 	// per-frame deferred deletes in prove leave it empty after every call
 	// (deferred deletes run during error unwinds too); the clear in
 	// ProveCtx is belt-and-braces. Pooling is safe because a Prover is
@@ -44,7 +44,7 @@ type Prover struct {
 }
 
 // New returns a prover over the view. maxCalls bounds the total recursive
-// goal invocations per Prove call tree (0 = 1<<24); the bound exists to
+// goal invocations per ProveCtx call tree (0 = 1<<24); the bound exists to
 // guard against pathological blow-ups, not termination (the in-progress
 // set already ensures termination).
 func New(v *eval.View, maxCalls int) *Prover {
@@ -67,15 +67,11 @@ type ErrBudget struct{}
 // Error implements the error interface.
 func (ErrBudget) Error() string { return "proof: call budget exceeded" }
 
-// Prove reports whether the ground literal is in the least model of the
-// prover's component. Results are memoised across calls.
-func (p *Prover) Prove(l interp.Lit) (bool, error) {
-	return p.ProveCtx(context.Background(), l)
-}
-
-// ProveCtx is Prove with cooperative cancellation: the goal recursion
-// polls the context every 256 goal invocations (and once up front), so a
-// cancelled or expired context fails the proof with an interrupt.Error.
+// ProveCtx reports whether the ground literal is in the least model of the
+// prover's component. Results are memoised across calls. The goal
+// recursion polls the context every 256 goal invocations (and once up
+// front), so a cancelled or expired context fails the proof with an
+// interrupt.Error.
 // Memoised results accumulated before the interruption are kept — they
 // are sound, only the in-flight call tree is abandoned.
 func (p *Prover) ProveCtx(ctx context.Context, l interp.Lit) (bool, error) {

@@ -1,6 +1,7 @@
 package proof_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,7 +20,7 @@ func viewOf(t *testing.T, src, comp string) *eval.View {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ground.Ground(p, ground.DefaultOptions())
+	g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ module c1 extends c2 {
 		if !ok {
 			t.Fatalf("atom %s not interned", l.Atom)
 		}
-		got, err := pr.Prove(interp.MkLit(id, l.Neg))
+		got, err := pr.ProveCtx(context.Background(), interp.MkLit(id, l.Neg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,13 +80,13 @@ func TestProveMatchesLeastModel(t *testing.T) {
 			Atoms: 4 + rng.Intn(3), Rules: 8 + rng.Intn(6), MaxBody: 2,
 			NegHeads: true, NegBody: true,
 		})
-		g, err := ground.Ground(p, ground.DefaultOptions())
+		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			least, err := v.LeastModel()
+			least, err := v.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +94,7 @@ func TestProveMatchesLeastModel(t *testing.T) {
 			for a := 0; a < g.Tab.Len(); a++ {
 				for _, neg := range []bool{false, true} {
 					l := interp.MkLit(interp.AtomID(a), neg)
-					got, err := pr.Prove(l)
+					got, err := pr.ProveCtx(context.Background(), l)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -115,7 +116,7 @@ func TestProveOnDatalogOV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ground.Ground(ov, ground.DefaultOptions())
+	g, err := ground.GroundCtx(context.Background(), ov, ground.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestProveOnDatalogOV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	least, err := v.LeastModel()
+	least, err := v.LeastModelCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestProveOnDatalogOV(t *testing.T) {
 	for a := 0; a < g.Tab.Len(); a++ {
 		for _, neg := range []bool{false, true} {
 			l := interp.MkLit(interp.AtomID(a), neg)
-			got, err := pr.Prove(l)
+			got, err := pr.ProveCtx(context.Background(), l)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +148,7 @@ func TestProverMemoisation(t *testing.T) {
 	pr := proof.New(v, 0)
 	id, _ := v.G.Tab.Lookup(parser.MustParseLiteral("c").Atom)
 	for i := 0; i < 3; i++ {
-		ok, err := pr.Prove(interp.MkLit(id, false))
+		ok, err := pr.ProveCtx(context.Background(), interp.MkLit(id, false))
 		if err != nil || !ok {
 			t.Fatalf("round %d: %v %v", i, ok, err)
 		}
@@ -163,7 +164,7 @@ func TestProverCycleTermination(t *testing.T) {
 		if !ok {
 			continue
 		}
-		got, err := pr.Prove(interp.MkLit(id, false))
+		got, err := pr.ProveCtx(context.Background(), interp.MkLit(id, false))
 		if err != nil {
 			t.Fatal(err)
 		}

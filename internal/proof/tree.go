@@ -31,18 +31,13 @@ type Refutation struct {
 	Blocker    *Tree
 }
 
-// Explain proves the literal and returns its derivation tree, or ok=false
+// ExplainCtx proves the literal and returns its derivation tree, or ok=false
 // when the literal is not in the least model. The witness is
 // stage-respecting: every subtree's goal enters the fixpoint at a strictly
 // earlier V stage than its parent, so the justification is well-founded
 // (never circular) regardless of rule ordering. Shared subproofs make the
-// tree a DAG; rendering elides repeats.
-func (p *Prover) Explain(l interp.Lit) (*Tree, bool, error) {
-	return p.ExplainCtx(context.Background(), l)
-}
-
-// ExplainCtx is Explain with cooperative cancellation: both the proof
-// search and the stage computation poll the context.
+// tree a DAG; rendering elides repeats. Both the proof search and the
+// stage computation poll the context.
 func (p *Prover) ExplainCtx(ctx context.Context, l interp.Lit) (*Tree, bool, error) {
 	ok, err := p.ProveCtx(ctx, l)
 	if err != nil || !ok {

@@ -1,6 +1,7 @@
 package proof_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ module c1 extends c2 {
 }
 `, "c1")
 	pr := proof.New(v, 0)
-	tree, ok, err := pr.Explain(litOf(t, v, "-fly(penguin)"))
+	tree, ok, err := pr.ExplainCtx(context.Background(), litOf(t, v, "-fly(penguin)"))
 	if err != nil || !ok {
 		t.Fatalf("Explain: %v %v", ok, err)
 	}
@@ -53,7 +54,7 @@ module c1 extends c2 {
 		}
 	}
 	// The unprovable direction returns ok=false without a tree.
-	tree2, ok2, err := pr.Explain(litOf(t, v, "fly(penguin)"))
+	tree2, ok2, err := pr.ExplainCtx(context.Background(), litOf(t, v, "fly(penguin)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ p.
 -q.
 `, "main")
 	pr := proof.New(v, 0)
-	tree, ok, err := pr.Explain(litOf(t, v, "p"))
+	tree, ok, err := pr.ExplainCtx(context.Background(), litOf(t, v, "p"))
 	if err != nil || !ok {
 		t.Fatalf("Explain(p): %v %v", ok, err)
 	}
@@ -90,19 +91,19 @@ func TestExplainConsistentWithProve(t *testing.T) {
 		p := workload.RandomOrdered(rng, 1+rng.Intn(2), workload.RandomConfig{
 			Atoms: 4, Rules: 8, MaxBody: 2, NegHeads: true, NegBody: true,
 		})
-		g, err := ground.Ground(p, ground.DefaultOptions())
+		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
 			pr := proof.New(v, 0)
-			least, err := v.LeastModel()
+			least, err := v.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, l := range least.Lits() {
-				tree, ok, err := pr.Explain(l)
+				tree, ok, err := pr.ExplainCtx(context.Background(), l)
 				if err != nil || !ok {
 					t.Fatalf("seed %d: Explain(%s) failed: %v %v", seed, g.Tab.LitString(l), ok, err)
 				}

@@ -386,22 +386,6 @@ func (a *Analysis) NumRestricted() int {
 	return n
 }
 
-// DemandedPreds returns the demanded predicates in sorted order (for
-// diagnostics and deterministic rendering).
-func (a *Analysis) DemandedPreds() []ast.PredKey {
-	out := make([]ast.PredKey, 0, len(a.Demanded))
-	for k := range a.Demanded {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Arity < out[j].Arity
-	})
-	return out
-}
-
 // AdornString renders a predicate's adornment in the classic b/f
 // notation ("path/2^bf"); predicates without positions render bare.
 func (a *Analysis) AdornString(k ast.PredKey) string {

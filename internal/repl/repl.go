@@ -3,7 +3,9 @@
 // sketches. Ground facts are asserted and retracted through the engine's
 // incremental snapshot machinery (no re-grounding); asserting a proper
 // rule rebuilds the engine lazily. Queries, membership checks, proofs and
-// model requests all read the current snapshot.
+// model requests all read the current snapshot. Each command runs under
+// the session's per-command budget, if it has one: a command over budget
+// prints an "interrupted" error and the next command starts afresh.
 //
 // Commands (one per line):
 //
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"repro/internal/analyze"
 	"repro/internal/ast"
@@ -62,14 +65,21 @@ func New(prog *ast.OrderedProgram, cfg core.Config, out io.Writer) *REPL {
 	return &REPL{prog: prog, cfg: cfg, out: out, prompt: "> "}
 }
 
-// Run reads commands until EOF or quit.
-func (r *REPL) Run(in io.Reader) error {
+// Run reads commands until EOF or quit. Each command runs under a context
+// derived from ctx with a budget deadline; budget 0 means no deadline.
+func (r *REPL) Run(ctx context.Context, in io.Reader, budget time.Duration) error {
 	sc := bufio.NewScanner(in)
 	fmt.Fprint(r.out, r.prompt)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line != "" {
-			if quit := r.Exec(line); quit {
+			cmdCtx, cancel := ctx, func() {}
+			if budget > 0 {
+				cmdCtx, cancel = context.WithTimeout(ctx, budget)
+			}
+			quit := r.Exec(cmdCtx, line)
+			cancel()
+			if quit {
 				return nil
 			}
 		}
@@ -78,8 +88,9 @@ func (r *REPL) Run(in io.Reader) error {
 	return sc.Err()
 }
 
-// Exec runs one command line; it returns true on quit.
-func (r *REPL) Exec(line string) bool {
+// Exec runs one command line under ctx, which interrupts grounding and
+// evaluation; it returns true on quit.
+func (r *REPL) Exec(ctx context.Context, line string) bool {
 	defer func() {
 		if p := recover(); p != nil {
 			fmt.Fprintf(r.out, "error: internal panic: %v\n", p)
@@ -91,7 +102,7 @@ func (r *REPL) Exec(line string) bool {
 	case line == "help":
 		r.help()
 	case line == "stats":
-		r.stats()
+		r.stats(ctx)
 	case line == "list":
 		fmt.Fprint(r.out, r.prog.String())
 		for _, ev := range r.events {
@@ -106,7 +117,7 @@ func (r *REPL) Exec(line string) bool {
 			fmt.Fprintln(r.out, d)
 		}
 	case line == "ground":
-		eng, err := r.engine()
+		eng, err := r.engine(ctx)
 		if err != nil {
 			fmt.Fprintf(r.out, "error: %v\n", err)
 			return false
@@ -115,21 +126,21 @@ func (r *REPL) Exec(line string) bool {
 			fmt.Fprintf(r.out, "error: %v\n", err)
 		}
 	case strings.HasPrefix(line, "?-"):
-		r.query(line)
+		r.query(ctx, line)
 	case strings.HasPrefix(line, "assert "):
-		r.assert(strings.TrimPrefix(line, "assert "))
+		r.assert(ctx, strings.TrimPrefix(line, "assert "))
 	case strings.HasPrefix(line, "retract "):
-		r.retract(strings.TrimPrefix(line, "retract "))
+		r.retract(ctx, strings.TrimPrefix(line, "retract "))
 	case line == "least" || strings.HasPrefix(line, "least "):
-		r.least(strings.TrimSpace(strings.TrimPrefix(line, "least")))
+		r.least(ctx, strings.TrimSpace(strings.TrimPrefix(line, "least")))
 	case line == "stable" || strings.HasPrefix(line, "stable "):
-		r.stable(strings.TrimSpace(strings.TrimPrefix(line, "stable")))
+		r.stable(ctx, strings.TrimSpace(strings.TrimPrefix(line, "stable")))
 	case line == "cautious" || strings.HasPrefix(line, "cautious "):
-		r.cautious(strings.TrimSpace(strings.TrimPrefix(line, "cautious")))
+		r.cautious(ctx, strings.TrimSpace(strings.TrimPrefix(line, "cautious")))
 	case strings.HasPrefix(line, "prove "):
-		r.prove(strings.TrimSpace(strings.TrimPrefix(line, "prove ")))
+		r.prove(ctx, strings.TrimSpace(strings.TrimPrefix(line, "prove ")))
 	case strings.HasPrefix(line, "explain "):
-		r.explain(strings.TrimSpace(strings.TrimPrefix(line, "explain ")))
+		r.explain(ctx, strings.TrimSpace(strings.TrimPrefix(line, "explain ")))
 	case strings.HasPrefix(line, "component "):
 		r.comp = strings.TrimSpace(strings.TrimPrefix(line, "component "))
 		fmt.Fprintf(r.out, "default component: %s\n", r.comp)
@@ -154,11 +165,11 @@ func (r *REPL) help() {
 `)
 }
 
-func (r *REPL) engine() (*core.Engine, error) {
+func (r *REPL) engine(ctx context.Context) (*core.Engine, error) {
 	if r.eng != nil {
 		return r.eng, nil
 	}
-	eng, err := core.NewEngine(r.prog, r.cfg)
+	eng, err := core.NewEngineCtx(ctx, r.prog, r.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +184,7 @@ func (r *REPL) compOr(arg string) string {
 	return r.comp
 }
 
-func (r *REPL) query(line string) {
+func (r *REPL) query(ctx context.Context, line string) {
 	res, err := parser.Parse(line)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
@@ -183,12 +194,12 @@ func (r *REPL) query(line string) {
 		fmt.Fprintln(r.out, "error: expected exactly one query")
 		return
 	}
-	eng, err := r.engine()
+	eng, err := r.engine(ctx)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	m, err := eng.LeastModel(r.comp)
+	m, err := eng.LeastModelCtx(ctx, r.comp)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
@@ -213,7 +224,7 @@ func (r *REPL) query(line string) {
 	}
 }
 
-func (r *REPL) assert(rest string) {
+func (r *REPL) assert(ctx context.Context, rest string) {
 	fields := strings.SplitN(rest, " ", 2)
 	if len(fields) != 2 {
 		fmt.Fprintln(r.out, "error: usage: assert <component> <clause>")
@@ -233,7 +244,7 @@ func (r *REPL) assert(rest string) {
 	// snapshot machinery; the source program catches up lazily (flush) when
 	// a proper rule forces a rebuild.
 	if r.eng != nil && rule.IsFact() && rule.Head.Atom.Ground() {
-		snap, err := r.eng.Update(context.Background(), comp, []ast.Literal{rule.Head})
+		snap, err := r.eng.Update(ctx, comp, []ast.Literal{rule.Head})
 		if err != nil {
 			fmt.Fprintf(r.out, "error: %v\n", err)
 			return
@@ -248,7 +259,7 @@ func (r *REPL) assert(rest string) {
 	fmt.Fprintf(r.out, "added to %s: %s\n", comp, rule)
 }
 
-func (r *REPL) retract(rest string) {
+func (r *REPL) retract(ctx context.Context, rest string) {
 	fields := strings.SplitN(rest, " ", 2)
 	if len(fields) != 2 {
 		fmt.Fprintln(r.out, "error: usage: retract <component> <fact>")
@@ -268,12 +279,12 @@ func (r *REPL) retract(rest string) {
 		fmt.Fprintf(r.out, "error: unknown component %q\n", comp)
 		return
 	}
-	eng, err := r.engine()
+	eng, err := r.engine(ctx)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	snap, err := eng.Retract(context.Background(), comp, []ast.Literal{lit})
+	snap, err := eng.Retract(ctx, comp, []ast.Literal{lit})
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
@@ -316,13 +327,13 @@ func (r *REPL) flush() {
 	r.events = nil
 }
 
-func (r *REPL) least(comp string) {
-	eng, err := r.engine()
+func (r *REPL) least(ctx context.Context, comp string) {
+	eng, err := r.engine(ctx)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	m, err := eng.LeastModel(r.compOr(comp))
+	m, err := eng.LeastModelCtx(ctx, r.compOr(comp))
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
@@ -330,13 +341,13 @@ func (r *REPL) least(comp string) {
 	fmt.Fprintln(r.out, m)
 }
 
-func (r *REPL) stable(comp string) {
-	eng, err := r.engine()
+func (r *REPL) stable(ctx context.Context, comp string) {
+	eng, err := r.engine(ctx)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	ms, err := eng.StableModels(r.compOr(comp), stable.Options{})
+	ms, err := eng.StableModelsCtx(ctx, r.compOr(comp), stable.Options{})
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
@@ -346,13 +357,13 @@ func (r *REPL) stable(comp string) {
 	}
 }
 
-func (r *REPL) cautious(comp string) {
-	eng, err := r.engine()
+func (r *REPL) cautious(ctx context.Context, comp string) {
+	eng, err := r.engine(ctx)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	cons, err := eng.Reason(r.compOr(comp), stable.Options{})
+	cons, err := eng.ReasonCtx(ctx, r.compOr(comp), stable.Options{})
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
@@ -363,18 +374,18 @@ func (r *REPL) cautious(comp string) {
 	}
 }
 
-func (r *REPL) prove(arg string) {
+func (r *REPL) prove(ctx context.Context, arg string) {
 	lit, err := parser.ParseLiteral(strings.TrimSuffix(arg, "."))
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	eng, err := r.engine()
+	eng, err := r.engine(ctx)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	tree, ok, err := eng.ProveExplain(r.comp, lit)
+	tree, ok, err := eng.ProveExplainCtx(ctx, r.comp, lit)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
@@ -386,18 +397,18 @@ func (r *REPL) prove(arg string) {
 	fmt.Fprint(r.out, tree)
 }
 
-func (r *REPL) explain(arg string) {
+func (r *REPL) explain(ctx context.Context, arg string) {
 	lit, err := parser.ParseLiteral(strings.TrimSuffix(arg, "."))
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	eng, err := r.engine()
+	eng, err := r.engine(ctx)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	m, err := eng.LeastModel(r.comp)
+	m, err := eng.LeastModelCtx(ctx, r.comp)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
@@ -408,8 +419,8 @@ func (r *REPL) explain(arg string) {
 	}
 }
 
-func (r *REPL) stats() {
-	eng, err := r.engine()
+func (r *REPL) stats(ctx context.Context) {
+	eng, err := r.engine(ctx)
 	if err != nil {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return

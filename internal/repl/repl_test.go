@@ -1,6 +1,7 @@
 package repl_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func session(t *testing.T, src string, commands ...string) string {
 	var out strings.Builder
 	r := repl.New(prog, core.Config{}, &out)
 	in := strings.NewReader(strings.Join(commands, "\n") + "\n")
-	if err := r.Run(in); err != nil {
+	if err := r.Run(context.Background(), in, 0); err != nil {
 		t.Fatal(err)
 	}
 	return out.String()

@@ -32,7 +32,7 @@ func winMoveView(t testing.TB, n int) *eval.View {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ground.Ground(ov, ground.DefaultOptions())
+	g, err := ground.GroundCtx(context.Background(), ov, ground.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

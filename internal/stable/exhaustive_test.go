@@ -1,6 +1,7 @@
 package stable_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestDefinition5Properties(t *testing.T) {
 		})
 		opts := ground.DefaultOptions()
 		opts.Mode = ground.ModeFull
-		g, err := ground.Ground(p, opts)
+		g, err := ground.GroundCtx(context.Background(), p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestNonTotalExhaustiveWitness(t *testing.T) {
 		})
 		opts := ground.DefaultOptions()
 		opts.Mode = ground.ModeFull
-		g, err := ground.Ground(p, opts)
+		g, err := ground.GroundCtx(context.Background(), p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

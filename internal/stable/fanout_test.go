@@ -123,7 +123,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		p := workload.RandomOrdered(rng, 1+rng.Intn(3), workload.RandomConfig{
 			Atoms: 4 + rng.Intn(3), Rules: 8 + rng.Intn(5), MaxBody: 2, NegHeads: true, NegBody: true,
 		})
-		g, err := ground.Ground(p, ground.DefaultOptions())
+		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestStableParallelWorkerSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		g, err := ground.Ground(res.Program, ground.DefaultOptions())
+		g, err := ground.GroundCtx(context.Background(), res.Program, ground.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -252,7 +252,7 @@ func TestFanOutAllocationBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ground.Ground(res.Program, ground.DefaultOptions())
+	g, err := ground.GroundCtx(context.Background(), res.Program, ground.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestPruneIsPureOptimisation(t *testing.T) {
 		p := workload.RandomOrdered(rng, 1+rng.Intn(3), workload.RandomConfig{
 			Atoms: 4 + rng.Intn(2), Rules: 8, MaxBody: 2, NegHeads: true, NegBody: true,
 		})
-		g, err := ground.Ground(p, ground.DefaultOptions())
+		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestReasonProperties(t *testing.T) {
 		p := workload.RandomOrdered(rng, 1+rng.Intn(2), workload.RandomConfig{
 			Atoms: 4, Rules: 7, MaxBody: 2, NegHeads: true, NegBody: true,
 		})
-		g, err := ground.Ground(p, ground.DefaultOptions())
+		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestReasonProperties(t *testing.T) {
 					}
 				}
 			}
-			least, err := v.LeastModel()
+			least, err := v.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,7 +19,7 @@ func view(t *testing.T, src, comp string) *eval.View {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	g, err := ground.Ground(prog, ground.DefaultOptions())
+	g, err := ground.GroundCtx(context.Background(), prog, ground.DefaultOptions())
 	if err != nil {
 		t.Fatalf("ground: %v", err)
 	}
@@ -114,7 +114,7 @@ module c1 extends c2 { a :- b. }
 // intersection of all models.
 func TestLeastIsIntersectionOfAllModels(t *testing.T) {
 	v := view(t, "a :- b.\n-a :- b.\n", "main")
-	least, err := v.LeastModel()
+	least, err := v.LeastModelCtx(context.Background())
 	if err != nil {
 		t.Fatalf("least: %v", err)
 	}
@@ -147,7 +147,7 @@ module c1 extends c2 {
 }
 `
 	v := view(t, src, "c1")
-	least, err := v.LeastModel()
+	least, err := v.LeastModelCtx(context.Background())
 	if err != nil {
 		t.Fatalf("least: %v", err)
 	}

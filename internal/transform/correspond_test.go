@@ -28,7 +28,7 @@ func groundFull(t *testing.T, p *ast.OrderedProgram) *ground.Program {
 	t.Helper()
 	opts := ground.DefaultOptions()
 	opts.Mode = ground.ModeFull
-	g, err := ground.Ground(p, opts)
+	g, err := ground.GroundCtx(context.Background(), p, opts)
 	if err != nil {
 		t.Fatalf("ground: %v", err)
 	}
@@ -371,7 +371,7 @@ func TestTheorem2(t *testing.T) {
 		single := ast.SingleComponent("c", rules)
 		opts := ground.DefaultOptions()
 		opts.Mode = ground.ModeFull
-		gs, err := ground.Ground(single, opts)
+		gs, err := ground.GroundCtx(context.Background(), single, opts)
 		if err != nil {
 			t.Fatalf("seed %d: ground: %v", seed, err)
 		}

@@ -32,7 +32,7 @@ func TestLeastOVvsWellFounded(t *testing.T) {
 		}
 		g := groundFull(t, ov)
 		v := viewOf(t, g, "c")
-		least, err := v.LeastModel()
+		least, err := v.LeastModelCtx(context.Background())
 		if err != nil {
 			t.Fatalf("seed %d: least: %v", seed, err)
 		}

@@ -100,11 +100,6 @@ func (s *Subst) ApplyAtom(a ast.Atom) ast.Atom {
 	return ast.Atom{Pred: a.Pred, Args: args}
 }
 
-// ApplyLiteral applies the substitution to the literal's atom.
-func (s *Subst) ApplyLiteral(l ast.Literal) ast.Literal {
-	return ast.Literal{Neg: l.Neg, Atom: s.ApplyAtom(l.Atom)}
-}
-
 // Resolve returns v's binding applied deeply, or nil when v is unbound: the
 // binding function ast's Substitute helpers take.
 func (s *Subst) Resolve(v ast.Var) ast.Term {
@@ -197,19 +192,6 @@ func Unify(s *Subst, a, b ast.Term) bool {
 		return true
 	}
 	return false
-}
-
-// UnifyAtoms extends s to unify two atoms.
-func UnifyAtoms(s *Subst, a, b ast.Atom) bool {
-	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
-		return false
-	}
-	for i := range a.Args {
-		if !Unify(s, a.Args[i], b.Args[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Match extends s so that pattern instantiated by s equals the ground term

@@ -645,7 +645,7 @@ func Checkpoints(dir string) ([]Checkpoint, error) {
 }
 
 // Reset removes all WAL state (log, checkpoints, leftover temp files)
-// from dir, which must exist. NewEngine-style fresh starts call it so a
+// from dir, which must exist. NewEngineCtx-style fresh starts call it so a
 // replaced tenant's history cannot bleed into its successor's chain.
 func Reset(dir string) error {
 	entries, err := os.ReadDir(dir)

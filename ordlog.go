@@ -24,8 +24,9 @@
 //	        -fly(X) :- ground_animal(X).
 //	    }
 //	`)
-//	eng, err := ordlog.NewEngine(prog.Program, ordlog.Config{})
-//	m, err := eng.LeastModel("arctic")
+//	ctx := context.Background()
+//	eng, err := ordlog.NewEngineCtx(ctx, prog.Program, ordlog.Config{})
+//	m, err := eng.LeastModelCtx(ctx, "arctic")
 //	fmt.Println(m) // {-fly(penguin), ..., fly(pigeon), ...}
 //
 // The classical semantics the paper subsumes are available through the
@@ -44,7 +45,7 @@
 // query the snapshot directly:
 //
 //	snap, err := eng.Update(ctx, "birds", facts)
-//	m, err := snap.LeastModel("arctic") // this version, whatever happens next
+//	m, err := snap.LeastModelCtx(ctx, "arctic") // this version, whatever happens next
 //
 // # Concurrency
 //
@@ -52,10 +53,10 @@
 // updates: writers are serialised among themselves and never block
 // readers, and a reader keeps the snapshot it pinned. Per-component views
 // and least models are memoised with singleflight semantics.
-// Engine.QueryBatch fans independent goals over GOMAXPROCS workers against
-// one pinned snapshot, and a large stable-model search fans its subtrees
-// out the same way, returning the models in the order the in-line search
-// finds them. Returned models are shared and must be treated as
+// Engine.QueryBatchCtx fans independent goals over GOMAXPROCS workers
+// against one pinned snapshot, and a large stable-model search fans its
+// subtrees out the same way, returning the models in the order the in-line
+// search finds them. Returned models are shared and must be treated as
 // read-only. See README.md "Concurrency" for the full contract.
 package ordlog
 
@@ -78,12 +79,15 @@ import (
 	"repro/internal/wal"
 )
 
-// Cancellation sentinels. Every Engine method has a ...Ctx variant that
-// honours context cancellation and deadlines at cooperative checkpoints;
-// when one fires, the returned error matches ErrInterrupted (and also
-// context.Canceled / context.DeadlineExceeded via Unwrap). Enumeration
-// entry points return whatever partial models were found alongside the
-// error — the same graceful-degradation contract as ErrEnumBudget.
+// Cancellation sentinels. Every read question (least model, query, proof,
+// assumption-free and stable models, consequences, time travel) has one
+// entry point, and it takes a context: callers without one pass
+// context.Background(). Cancellation and deadlines are honoured at
+// cooperative checkpoints; when one fires, the returned error matches
+// ErrInterrupted (and also context.Canceled / context.DeadlineExceeded via
+// Unwrap). Enumeration entry points return whatever partial models were
+// found alongside the error — the same graceful-degradation contract as
+// ErrEnumBudget.
 var (
 	// ErrInterrupted matches any context-induced interruption.
 	ErrInterrupted = interrupt.ErrInterrupted
@@ -91,7 +95,7 @@ var (
 	// exceeded its leaf budget; partial models accompany it.
 	ErrEnumBudget = stable.ErrBudget
 	// ErrVersionUnknown reports a version never published (ahead of the
-	// tip); Engine.AsOf and Tenant.AsOf wrap it.
+	// tip); Engine.AsOfCtx and Tenant.AsOf wrap it.
 	ErrVersionUnknown = core.ErrVersionUnknown
 	// ErrVersionEvicted reports a version that existed but is no longer
 	// reconstructible (no durability, or it predates every checkpoint).
@@ -126,9 +130,9 @@ type (
 	// Config configures engine construction.
 	Config = core.Config
 	// Option is a functional engine option (WithEnumBudget, WithTrace,
-	// WithDurability, ...) applied on top of a Config by NewEngine.
+	// WithDurability, ...) applied on top of a Config by NewEngineCtx.
 	Option = core.Option
-	// ConfigError reports the invalid Config field that made NewEngine
+	// ConfigError reports the invalid Config field that made NewEngineCtx
 	// reject a configuration; inspect it with errors.As.
 	ConfigError = core.ConfigError
 	// Model is a (possibly partial) model in one component.
@@ -139,7 +143,7 @@ type (
 	GroundOptions = ground.Options
 	// EnumOptions bounds stable-model enumeration.
 	EnumOptions = stable.Options
-	// QueryRequest is one unit of Engine.QueryBatch.
+	// QueryRequest is one unit of Engine.QueryBatchCtx.
 	QueryRequest = core.QueryRequest
 	// QueryResult is the outcome of one QueryRequest.
 	QueryResult = core.QueryResult
@@ -207,14 +211,9 @@ func ParseRule(src string) (*Rule, error) { return parser.ParseRule(src) }
 // ParseLiteral parses a single literal such as "-fly(penguin)".
 func ParseLiteral(src string) (Literal, error) { return parser.ParseLiteral(src) }
 
-// NewEngine grounds a program and returns an evaluation engine. The
+// NewEngineCtx grounds a program and returns an evaluation engine. The
 // functional options are applied on top of cfg; an invalid configuration
-// is rejected with a *ConfigError.
-func NewEngine(p *Program, cfg Config, opts ...Option) (*Engine, error) {
-	return core.NewEngine(p, cfg, opts...)
-}
-
-// NewEngineCtx is NewEngine with cooperative cancellation of the grounding
+// is rejected with a *ConfigError. The context interrupts the grounding
 // phase.
 func NewEngineCtx(ctx context.Context, p *Program, cfg Config, opts ...Option) (*Engine, error) {
 	return core.NewEngineCtx(ctx, p, cfg, opts...)
@@ -291,8 +290,8 @@ func WithCompactRatio(r float64) Option { return core.WithCompactRatio(r) }
 // Recover rebuilds a durable engine from a directory written by an engine
 // constructed with WithDurability: load the newest checkpoint consistent
 // with the log, verify the hash chain end to end, fold the WAL suffix past
-// the checkpoint into its program, and ground the recovered tip once. See Engine.AsOf for time travel
-// over the recovered history.
+// the checkpoint into its program, and ground the recovered tip once. See
+// Engine.AsOfCtx for time travel over the recovered history.
 func Recover(ctx context.Context, dir string, cfg Config, opts ...Option) (*Engine, error) {
 	return core.Recover(ctx, dir, cfg, opts...)
 }
@@ -326,11 +325,11 @@ func Analyze(p *Program) []Diagnostic { return analyze.Program(p) }
 
 // MergeFacts parses a module-free fact base (see ParseFacts) and appends
 // its facts to the named component of an already-parsed program. Call
-// before NewEngine; the program is modified in place.
+// before NewEngineCtx; the program is modified in place.
 //
 // Deprecated: build the engine first and use Engine.Update, which applies
 // the facts as an incremental snapshot without mutating the source program
-// (mutating a Program after NewEngine has undefined results). MergeFacts
+// (mutating a Program after NewEngineCtx has undefined results). MergeFacts
 // keeps working for pre-engine bulk loading; ParseFacts converts the same
 // source text into the literals Engine.Update takes.
 func MergeFacts(p *Program, comp string, src string) error {

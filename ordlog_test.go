@@ -1,6 +1,7 @@
 package ordlog_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -26,11 +27,11 @@ module arctic extends birds {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+	eng, err := ordlog.NewEngineCtx(context.Background(), prog, ordlog.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := eng.LeastModel("arctic")
+	m, err := eng.LeastModelCtx(context.Background(), "arctic")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,8 +46,8 @@ parent(ann, bob). parent(bob, carl).
 anc(X, Y) :- parent(X, Y).
 anc(X, Y) :- parent(X, Z), anc(Z, Y).
 `)
-	eng, _ := ordlog.NewEngine(prog, ordlog.Config{})
-	m, _ := eng.LeastModel("main")
+	eng, _ := ordlog.NewEngineCtx(context.Background(), prog, ordlog.Config{})
+	m, _ := eng.LeastModelCtx(context.Background(), "main")
 	res, _ := ordlog.Parse(`?- anc(ann, X).`)
 	var names []string
 	for _, b := range m.Query(res.Queries[0]) {
@@ -58,7 +59,7 @@ anc(X, Y) :- parent(X, Z), anc(Z, Y).
 	// [bob carl]
 }
 
-func ExampleEngine_StableModels() {
+func ExampleEngine_StableModelsCtx() {
 	prog, _ := ordlog.ParseProgram(`
 module c2 { a. b. c. }
 module c1 extends c2 {
@@ -67,8 +68,8 @@ module c1 extends c2 {
   -b :- -b.
 }
 `)
-	eng, _ := ordlog.NewEngine(prog, ordlog.Config{})
-	ms, _ := eng.StableModels("c1", ordlog.EnumOptions{})
+	eng, _ := ordlog.NewEngineCtx(context.Background(), prog, ordlog.Config{})
+	ms, _ := eng.StableModelsCtx(context.Background(), "c1", ordlog.EnumOptions{})
 	var out []string
 	for _, m := range ms {
 		out = append(out, m.String())
@@ -91,8 +92,8 @@ reach(a).
 reach(Y) :- reach(X), edge(X, Y).
 `)
 	ov, _ := ordlog.OV("main", prog.Components[0].Rules)
-	eng, _ := ordlog.NewEngine(ov, ordlog.Config{})
-	m, _ := eng.LeastModel("main")
+	eng, _ := ordlog.NewEngineCtx(context.Background(), ov, ordlog.Config{})
+	m, _ := eng.LeastModelCtx(context.Background(), "main")
 	lit, _ := ordlog.ParseLiteral("-reach(b)")
 	fmt.Println(m.Holds(lit), m.Value(lit.Atom))
 	lit2, _ := ordlog.ParseLiteral("reach(b)")
@@ -102,7 +103,7 @@ reach(Y) :- reach(X), edge(X, Y).
 	// true T
 }
 
-func ExampleEngine_Prove() {
+func ExampleEngine_ProveCtx() {
 	prog, _ := ordlog.ParseProgram(`
 module general { safe(X) :- checked(X). }
 module audit extends general {
@@ -111,9 +112,9 @@ module audit extends general {
   flagged(ledger).
 }
 `)
-	eng, _ := ordlog.NewEngine(prog, ordlog.Config{})
+	eng, _ := ordlog.NewEngineCtx(context.Background(), prog, ordlog.Config{})
 	lit, _ := ordlog.ParseLiteral("-safe(ledger)")
-	ok, _ := eng.Prove("audit", lit)
+	ok, _ := eng.ProveCtx(context.Background(), "audit", lit)
 	fmt.Println(ok)
 	// Output:
 	// true
@@ -130,11 +131,11 @@ module data extends rules { }
 	if err := ordlog.MergeFacts(prog, "data", "parent(a, b). parent(b, c)."); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+	eng, err := ordlog.NewEngineCtx(context.Background(), prog, ordlog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := eng.LeastModel("data")
+	m, err := eng.LeastModelCtx(context.Background(), "data")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ bird(tux). penguin(tux). bird(robin).
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(tv, ordlog.Config{})
+	eng, err := ordlog.NewEngineCtx(context.Background(), tv, ordlog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ bird(tux). penguin(tux). bird(robin).
 	// the general component permanently compete with the CWA facts, so
 	// lfp(V) derives little; the intended answers are the stable models
 	// (exactly why §4's examples are read under stable semantics).
-	least, err := eng.LeastModel("exceptions")
+	least, err := eng.LeastModelCtx(context.Background(), "exceptions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ bird(tux). penguin(tux). bird(robin).
 	if !least.Holds(noFly) {
 		t.Errorf("least model misses the applied exception: %s", least)
 	}
-	ms, err := eng.StableModels("exceptions", ordlog.EnumOptions{})
+	ms, err := eng.StableModelsCtx(context.Background(), "exceptions", ordlog.EnumOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +225,11 @@ module c1 extends c2 { -a :- b, c. -b :- a. -b :- -b. }
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := ordlog.NewEngine(prog, ordlog.Config{})
+	eng, err := ordlog.NewEngineCtx(context.Background(), prog, ordlog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := eng.Reason("c1", ordlog.EnumOptions{})
+	cons, err := eng.ReasonCtx(context.Background(), "c1", ordlog.EnumOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +277,11 @@ func TestParseFiles(t *testing.T) {
 	if len(res.Queries) != 1 {
 		t.Fatalf("queries = %d", len(res.Queries))
 	}
-	eng, err := ordlog.NewEngine(res.Program, ordlog.Config{})
+	eng, err := ordlog.NewEngineCtx(context.Background(), res.Program, ordlog.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := eng.LeastModel("kb")
+	m, err := eng.LeastModelCtx(context.Background(), "kb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +308,11 @@ func TestParseFileAndFullMode(t *testing.T) {
 	cfg := ordlog.Config{}
 	cfg.Ground.Mode = ordlog.ModeFull
 	cfg.Ground.MaxDepth = -1
-	eng, err := ordlog.NewEngine(res.Program, cfg)
+	eng, err := ordlog.NewEngineCtx(context.Background(), res.Program, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.LeastModel("arctic"); err != nil {
+	if _, err := eng.LeastModelCtx(context.Background(), "arctic"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@
 package ordlog_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -22,7 +23,7 @@ func ancestorView(tb testing.TB, n int) *eval.View {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	g, err := ground.Ground(ov, ground.DefaultOptions())
+	g, err := ground.GroundCtx(context.Background(), ov, ground.DefaultOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func BenchmarkB8ProveSingleQuery(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pr := proof.New(v, 0) // fresh memo: a cold single query
-				ok, err := pr.Prove(goal)
+				ok, err := pr.ProveCtx(context.Background(), goal)
 				if err != nil || !ok {
 					b.Fatalf("prove: %v %v", ok, err)
 				}
@@ -70,13 +71,13 @@ func BenchmarkB8ProveWarm(b *testing.B) {
 	v := ancestorView(b, 32)
 	goal := ancLit(b, v, 0, 16)
 	pr := proof.New(v, 0)
-	if ok, err := pr.Prove(goal); err != nil || !ok {
+	if ok, err := pr.ProveCtx(context.Background(), goal); err != nil || !ok {
 		b.Fatalf("warm-up prove: %v %v", ok, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ok, err := pr.Prove(goal); err != nil || !ok {
+		if ok, err := pr.ProveCtx(context.Background(), goal); err != nil || !ok {
 			b.Fatalf("prove: %v %v", ok, err)
 		}
 	}
@@ -90,11 +91,11 @@ func TestProveWarmZeroAllocs(t *testing.T) {
 	v := ancestorView(t, 32)
 	goal := ancLit(t, v, 0, 16)
 	pr := proof.New(v, 0)
-	if ok, err := pr.Prove(goal); err != nil || !ok {
+	if ok, err := pr.ProveCtx(context.Background(), goal); err != nil || !ok {
 		t.Fatalf("warm-up prove: %v %v", ok, err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		ok, err := pr.Prove(goal)
+		ok, err := pr.ProveCtx(context.Background(), goal)
 		if err != nil || !ok {
 			t.Fatalf("prove: %v %v", ok, err)
 		}
@@ -111,7 +112,7 @@ func BenchmarkB8MaterialiseThenQuery(b *testing.B) {
 			goal := ancLit(b, v, 0, n/2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m, err := v.LeastModel()
+				m, err := v.LeastModelCtx(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,6 +6,7 @@
 package ordlog_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -37,11 +38,11 @@ func readsModel(tb testing.TB, n int) *core.Model {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	eng, err := core.NewEngine(prog, core.Config{})
+	eng, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	model, err := eng.LeastModel("exc")
+	model, err := eng.LeastModelCtx(context.Background(), "exc")
 	if err != nil {
 		tb.Fatal(err)
 	}
