@@ -10,8 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/classical"
-	"repro/internal/eval"
 	"repro/internal/ground"
+	"repro/internal/oracle/nafmodels"
+	"repro/internal/oracle/naive"
 	"repro/internal/stable"
 	"repro/internal/transform"
 	"repro/internal/workload"
@@ -59,7 +60,7 @@ func benchStableWinMove(b *testing.B, n int, noPrune bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := eval.NewViewByName(g, "c")
+	v, err := naive.NewViewByName(g, "c")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func BenchmarkB7cClassicalGLWithWFS(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.StableModelsTotal(classical.StableOptions{}); err != nil {
+				if _, err := nafmodels.StableModelsTotal(p, nafmodels.StableOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

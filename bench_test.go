@@ -18,6 +18,9 @@ import (
 	"repro/internal/classical"
 	"repro/internal/eval"
 	"repro/internal/ground"
+	"repro/internal/oracle/gen"
+	"repro/internal/oracle/nafmodels"
+	"repro/internal/oracle/naive"
 	"repro/internal/stable"
 	"repro/internal/transform"
 	"repro/internal/workload"
@@ -118,7 +121,7 @@ func ovView(b *testing.B, rules []*ordlog.Rule) *eval.View {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := eval.NewViewByName(g, "c")
+	v, err := naive.NewViewByName(g, "c")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func BenchmarkB1FixpointNaive(b *testing.B) {
 			v := ovView(b, workload.AncestorChain(n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.LeastModelNaiveCtx(context.Background()); err != nil {
+				if _, err := naive.LeastModelNaiveCtx(context.Background(), v); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -169,7 +172,7 @@ func BenchmarkB2OrderedOV(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				v, err := eval.NewViewByName(g, "c")
+				v, err := naive.NewViewByName(g, "c")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -287,7 +290,7 @@ func BenchmarkB4StableWinMoveCycle(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			v, err := eval.NewViewByName(g, "c")
+			v, err := naive.NewViewByName(g, "c")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -311,7 +314,7 @@ func BenchmarkB4StableClassicalGL(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.StableModelsTotal(classical.StableOptions{}); err != nil {
+				if _, err := nafmodels.StableModelsTotal(p, nafmodels.StableOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -333,7 +336,7 @@ func BenchmarkB5OrderedWinMoveChain(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			v, err := eval.NewViewByName(g, "c")
+			v, err := naive.NewViewByName(g, "c")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -368,12 +371,12 @@ func BenchmarkB6Inheritance(b *testing.B) {
 	for _, cfg := range [][3]int{{2, 4, 8}, {4, 4, 8}, {8, 4, 8}, {8, 8, 16}} {
 		depth, props, members := cfg[0], cfg[1], cfg[2]
 		b.Run(fmt.Sprintf("depth=%d_props=%d_members=%d", depth, props, members), func(b *testing.B) {
-			p := workload.Inheritance(depth, props, members)
+			p := gen.Inheritance(depth, props, members)
 			g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
-			v, err := eval.NewViewByName(g, "lvl0")
+			v, err := naive.NewViewByName(g, "lvl0")
 			if err != nil {
 				b.Fatal(err)
 			}

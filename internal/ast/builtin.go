@@ -38,25 +38,6 @@ func (op CmpOp) String() string {
 	return fmt.Sprintf("CmpOp(%d)", int(op))
 }
 
-// Negate returns the complementary comparison (e.g. < becomes >=).
-func (op CmpOp) Negate() CmpOp {
-	switch op {
-	case EQ:
-		return NE
-	case NE:
-		return EQ
-	case LT:
-		return GE
-	case LE:
-		return GT
-	case GT:
-		return LE
-	case GE:
-		return LT
-	}
-	return op
-}
-
 // ArithOp is an arithmetic operator inside comparison arguments.
 type ArithOp byte
 

@@ -81,11 +81,3 @@ func (s *Semaphore) Release() {
 func (s *Semaphore) InFlight() int {
 	return int(s.held.Load())
 }
-
-// Cap returns the admission bound (0 = unbounded).
-func (s *Semaphore) Cap() int {
-	if s.slots == nil {
-		return 0
-	}
-	return cap(s.slots)
-}

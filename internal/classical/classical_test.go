@@ -9,6 +9,8 @@ import (
 	"repro/internal/ast"
 	"repro/internal/classical"
 	"repro/internal/interp"
+	"repro/internal/oracle/gen"
+	"repro/internal/oracle/nafmodels"
 	"repro/internal/workload"
 )
 
@@ -32,7 +34,7 @@ func TestStratifyAncestor(t *testing.T) {
 	}
 	p := mustGround(t, rules, false)
 	m := p.StratifiedModel(strat)
-	atoms := p.TrueAtoms(m)
+	atoms := nafmodels.TrueAtoms(p, m)
 	// 4 parent facts + C(5,2)=10 ancestor pairs.
 	if len(atoms) != 14 {
 		t.Errorf("got %d true atoms, want 14: %v", len(atoms), atoms)
@@ -89,7 +91,7 @@ func TestStratifiedWithNegation(t *testing.T) {
 	}
 	p := mustGround(t, rules, false)
 	m := p.StratifiedModel(strat)
-	atoms := strings.Join(p.TrueAtoms(m), " ")
+	atoms := strings.Join(nafmodels.TrueAtoms(p, m), " ")
 	if !strings.Contains(atoms, "unreach(c)") || strings.Contains(atoms, "unreach(a)") ||
 		strings.Contains(atoms, "unreach(b)") {
 		t.Errorf("unexpected stratified model: %s", atoms)
@@ -145,13 +147,13 @@ func TestWellFoundedWinMoveCycle(t *testing.T) {
 func TestStableTotalEvenCycle(t *testing.T) {
 	// win over a 2-cycle: two total stable models (exactly one side wins).
 	p := mustGround(t, workload.WinMove(workload.CycleEdges(2)), false)
-	ms, err := p.StableModelsTotal(classical.StableOptions{})
+	ms, err := nafmodels.StableModelsTotal(p, nafmodels.StableOptions{})
 	if err != nil {
 		t.Fatalf("stable: %v", err)
 	}
 	var got []string
 	for _, m := range ms {
-		got = append(got, strings.Join(p.TrueAtoms(m), ","))
+		got = append(got, strings.Join(nafmodels.TrueAtoms(p, m), ","))
 	}
 	sort.Strings(got)
 	if len(got) != 2 {
@@ -164,7 +166,7 @@ func TestStableTotalEvenCycle(t *testing.T) {
 
 func TestStableTotalOddCycleHasNone(t *testing.T) {
 	p := mustGround(t, workload.WinMove(workload.CycleEdges(3)), false)
-	ms, err := p.StableModelsTotal(classical.StableOptions{})
+	ms, err := nafmodels.StableModelsTotal(p, nafmodels.StableOptions{})
 	if err != nil {
 		t.Fatalf("stable: %v", err)
 	}
@@ -178,7 +180,7 @@ func TestStableTotalOddCycleHasNone(t *testing.T) {
 func TestWFSubsumesStratified(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rules := workload.RandomPropositional(rng, workload.RandomConfig{
+		rules := gen.RandomPropositional(rng, gen.RandomConfig{
 			Atoms: 5, Rules: 7, MaxBody: 2, NegBody: true,
 		})
 		strat, err := classical.Stratify(rules)
@@ -208,12 +210,12 @@ func TestWFSubsumesStratified(t *testing.T) {
 func TestWFIntersectionOfStable(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rules := workload.RandomPropositional(rng, workload.RandomConfig{
+		rules := gen.RandomPropositional(rng, gen.RandomConfig{
 			Atoms: 5, Rules: 7, MaxBody: 2, NegBody: true,
 		})
 		p := mustGround(t, rules, true)
 		wf := p.WellFounded()
-		ms, err := p.StableModelsTotal(classical.StableOptions{})
+		ms, err := nafmodels.StableModelsTotal(p, nafmodels.StableOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: stable: %v", seed, err)
 		}
@@ -239,21 +241,21 @@ func TestWFIntersectionOfStable(t *testing.T) {
 func TestGLStableAreFoundedTotal(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rules := workload.RandomPropositional(rng, workload.RandomConfig{
+		rules := gen.RandomPropositional(rng, gen.RandomConfig{
 			Atoms: 4, Rules: 6, MaxBody: 2, NegBody: true,
 		})
 		p := mustGround(t, rules, true)
-		gl, err := p.StableModelsTotal(classical.StableOptions{})
+		gl, err := nafmodels.StableModelsTotal(p, nafmodels.StableOptions{})
 		if err != nil {
 			t.Fatalf("stable: %v", err)
 		}
-		founded, err := p.FoundedModels(0)
+		founded, err := nafmodels.FoundedModels(p, 0)
 		if err != nil {
 			t.Fatalf("founded: %v", err)
 		}
 		glSet := make(map[string]bool)
 		for _, m := range gl {
-			glSet[strings.Join(p.TrueAtoms(m), ",")] = true
+			glSet[strings.Join(nafmodels.TrueAtoms(p, m), ",")] = true
 		}
 		totalFounded := make(map[string]bool)
 		for _, m := range founded {

@@ -8,6 +8,8 @@ import (
 	"repro/internal/ast"
 	"repro/internal/classical"
 	"repro/internal/interp"
+	"repro/internal/oracle/gen"
+	"repro/internal/oracle/nafmodels"
 	"repro/internal/parser"
 	"repro/internal/workload"
 )
@@ -30,14 +32,14 @@ func TestSelfNegation(t *testing.T) {
 	if wf.Value(id) != interp.Undef {
 		t.Errorf("wf(p) = %v, want U", wf.Value(id))
 	}
-	ms, err := p.StableModelsTotal(classical.StableOptions{})
+	ms, err := nafmodels.StableModelsTotal(p, nafmodels.StableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ms) != 0 {
 		t.Errorf("p :- not p has %d total stable models", len(ms))
 	}
-	founded, err := p.FoundedModels(0)
+	founded, err := nafmodels.FoundedModels(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestEvenNegationLoop(t *testing.T) {
 	if wf.Value(pid) != interp.Undef || wf.Value(qid) != interp.Undef {
 		t.Error("wf should leave both undefined")
 	}
-	ms, err := p.StableModelsTotal(classical.StableOptions{})
+	ms, err := nafmodels.StableModelsTotal(p, nafmodels.StableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestEvenNegationLoop(t *testing.T) {
 	}
 	var got []string
 	for _, m := range ms {
-		got = append(got, strings.Join(p.TrueAtoms(m), ","))
+		got = append(got, strings.Join(nafmodels.TrueAtoms(p, m), ","))
 	}
 	if !(contains(got, "p") && contains(got, "q")) {
 		t.Errorf("stable models = %v", got)
@@ -148,7 +150,7 @@ hasout(X) :- edge(X, Y).
 	}
 	p := mustGround(t, rules, false)
 	m := p.StratifiedModel(strat)
-	atoms := strings.Join(p.TrueAtoms(m), " ")
+	atoms := strings.Join(nafmodels.TrueAtoms(p, m), " ")
 	if !strings.Contains(atoms, "sink(c)") || strings.Contains(atoms, "sink(a)") || strings.Contains(atoms, "sink(b)") {
 		t.Errorf("sinks wrong: %s", atoms)
 	}
@@ -200,21 +202,21 @@ tc(X, Y) :- e(X, Z), tc(Z, Y).
 func TestBacktrackingMatchesDPLL(t *testing.T) {
 	check := func(t *testing.T, p *classical.Program, tag string) {
 		t.Helper()
-		a, err := p.StableModelsTotal(classical.StableOptions{})
+		a, err := nafmodels.StableModelsTotal(p, nafmodels.StableOptions{})
 		if err != nil {
 			t.Fatalf("%s: dpll: %v", tag, err)
 		}
-		b, err := p.StableModelsBacktracking(classical.StableOptions{})
+		b, err := nafmodels.StableModelsBacktracking(p, nafmodels.StableOptions{})
 		if err != nil {
 			t.Fatalf("%s: backtracking: %v", tag, err)
 		}
 		as := make(map[string]bool)
 		for _, m := range a {
-			as[strings.Join(p.TrueAtoms(m), ",")] = true
+			as[strings.Join(nafmodels.TrueAtoms(p, m), ",")] = true
 		}
 		bs := make(map[string]bool)
 		for _, m := range b {
-			bs[strings.Join(p.TrueAtoms(m), ",")] = true
+			bs[strings.Join(nafmodels.TrueAtoms(p, m), ",")] = true
 		}
 		if len(as) != len(bs) {
 			t.Fatalf("%s: %d vs %d stable models", tag, len(as), len(bs))
@@ -227,7 +229,7 @@ func TestBacktrackingMatchesDPLL(t *testing.T) {
 	}
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rules := workload.RandomPropositional(rng, workload.RandomConfig{
+		rules := gen.RandomPropositional(rng, gen.RandomConfig{
 			Atoms: 5, Rules: 8, MaxBody: 2, NegBody: true,
 		})
 		check(t, mustGround(t, rules, true), "random")
@@ -242,7 +244,7 @@ func TestBacktrackingMatchesDPLL(t *testing.T) {
 func TestHeadRulesIndex(t *testing.T) {
 	p := mustGround(t, rulesOf(t, "a.\na :- b.\nb.\n"), true)
 	id, _ := p.Tab.Lookup(ast.Atom{Pred: "a"})
-	if got := len(p.HeadRules(id)); got != 2 {
+	if got := len(nafmodels.HeadRules(p, id)); got != 2 {
 		t.Errorf("HeadRules(a) = %d, want 2", got)
 	}
 }

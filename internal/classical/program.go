@@ -1,8 +1,10 @@
-// Package classical implements the classical negation-as-failure semantics
-// the paper compares against: stratified Datalog [ABW], the well-founded
-// semantics [VRS] via the alternating fixpoint, total stable models [GL1],
-// and the 3-valued models and founded/stable models of [P3] and [SZ] that
-// §3 of the paper proves are captured by the OV/EV translations.
+// Package classical implements the classical negation-as-failure baseline
+// the paper compares against: a grounder for seminegative programs,
+// stratified Datalog [ABW], and the well-founded semantics [VRS] via the
+// alternating fixpoint. The tests' enumerators of total stable models
+// [GL1] and of the 3-valued and founded models of [P3] and [SZ], which §3
+// of the paper proves the OV/EV translations capture, work over this
+// package's ground programs from internal/oracle/nafmodels.
 //
 // Programs here are seminegative (positive heads); body negation is read
 // as negation as failure. The package has its own ground representation:
@@ -32,12 +34,7 @@ type Rule struct {
 type Program struct {
 	Tab   *interp.Table
 	Rules []Rule
-	// headRules[a] lists the indexes of rules with head a.
-	headRules map[interp.AtomID][]int32
 }
-
-// HeadRules returns the indexes of the rules with the given head atom.
-func (p *Program) HeadRules(a interp.AtomID) []int32 { return p.headRules[a] }
 
 // Options configures classical grounding.
 type Options struct {
@@ -168,7 +165,7 @@ func GroundRules(rules []*ast.Rule, opts Options) (*Program, error) {
 	// The atom table shares the store's term table, so instantiation joins
 	// and atom interning agree on term ids.
 	tt := st.Table()
-	p := &Program{Tab: interp.NewTableWith(tt), headRules: make(map[interp.AtomID][]int32)}
+	p := &Program{Tab: interp.NewTableWith(tt)}
 	seen := make(map[string]bool)
 	f := &storage.Frame{}
 	var (
@@ -222,7 +219,6 @@ func GroundRules(rules []*ast.Rule, opts Options) (*Program, error) {
 			return nil
 		}
 		seen[key] = true
-		p.headRules[gr.Head] = append(p.headRules[gr.Head], int32(len(p.Rules)))
 		p.Rules = append(p.Rules, gr)
 		if len(p.Rules) > opts.MaxDerived {
 			return datalog.ErrBudget
@@ -343,28 +339,4 @@ func internAll(tab *interp.Table, k ast.PredKey, uni []ast.Term, budget int) err
 		return nil
 	}
 	return rec(0)
-}
-
-// RuleString renders a ground classical rule.
-func (p *Program) RuleString(r *Rule) string {
-	s := p.Tab.Atom(r.Head).String()
-	if len(r.Pos)+len(r.Neg) > 0 {
-		s += " :- "
-		first := true
-		for _, a := range r.Pos {
-			if !first {
-				s += ", "
-			}
-			first = false
-			s += p.Tab.Atom(a).String()
-		}
-		for _, a := range r.Neg {
-			if !first {
-				s += ", "
-			}
-			first = false
-			s += "not " + p.Tab.Atom(a).String()
-		}
-	}
-	return s + "."
 }

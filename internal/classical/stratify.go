@@ -2,7 +2,6 @@ package classical
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/interp"
@@ -140,16 +139,4 @@ func (p *Program) StratifiedModel(strat *Stratification) *interp.Bitset {
 		}
 	}
 	return true_
-}
-
-// TrueAtoms converts a truth bitset to a sorted list of atom strings, for
-// printing and tests.
-func (p *Program) TrueAtoms(b *interp.Bitset) []string {
-	var out []string
-	b.Range(func(i int) bool {
-		out = append(out, p.Tab.Atom(interp.AtomID(i)).String())
-		return true
-	})
-	sort.Strings(out)
-	return out
 }

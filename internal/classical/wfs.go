@@ -83,16 +83,3 @@ func (p *Program) WellFounded() *interp.Interp {
 	}
 	return out
 }
-
-// reductLFP computes the least model of the Gelfond–Lifschitz reduct P^M
-// for a total candidate M given as its true-atom set.
-func (p *Program) reductLFP(m *interp.Bitset) *interp.Bitset {
-	return p.omega(m)
-}
-
-// IsStableTotal checks the Gelfond–Lifschitz condition: M (a total
-// two-valued interpretation given by its true set) is stable iff the least
-// model of the reduct P^M equals M.
-func (p *Program) IsStableTotal(m *interp.Bitset) bool {
-	return p.reductLFP(m).Equal(m)
-}

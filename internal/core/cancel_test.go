@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/interrupt"
+	"repro/internal/oracle/gen"
 	"repro/internal/parser"
 	"repro/internal/stable"
 	"repro/internal/transform"
@@ -160,7 +161,7 @@ func TestLeastModelSingleflightConcurrentWaiters(t *testing.T) {
 // per item, that every finished item carries the sequential answers, and
 // that every worker and detached singleflight goroutine exits.
 func TestQueryBatchCancelNoGoroutineLeak(t *testing.T) {
-	prog := workload.Inheritance(8, 8, 16)
+	prog := gen.Inheritance(8, 8, 16)
 	eng, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)

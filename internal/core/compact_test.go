@@ -9,9 +9,9 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/oracle/gen"
 	"repro/internal/stable"
 	"repro/internal/wal"
-	"repro/internal/workload"
 )
 
 // The churn-oracle differential: compaction must be invisible to every
@@ -32,7 +32,7 @@ func TestChurnCompactDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(1000 + seed)))
-			prog := workload.RandomOrderedDatalog(rng, comps, nconst)
+			prog := gen.RandomOrderedDatalog(rng, comps, nconst)
 			shadow := cloneShadow(t, prog)
 			// Alternate the trigger per seed: count-driven, ratio-driven,
 			// or explicit-only, so all three compaction paths see churn.

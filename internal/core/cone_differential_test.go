@@ -9,7 +9,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/workload"
+	"repro/internal/oracle/gen"
 )
 
 // A model derived from a write's cone must hold exactly the literals of
@@ -39,15 +39,15 @@ func TestConeDifferential(t *testing.T) {
 		}
 	})
 	d := obs.Default().Snap().Diff(before)
-	if d.Get("core.least.cone") == 0 || d.Get("core.least.cone_fallback.size") == 0 {
+	if d["core.least.cone"] == 0 || d["core.least.cone_fallback.size"] == 0 {
 		t.Errorf("the corpus derived %d models from cones and fell back on size %d times; both paths need cases",
-			d.Get("core.least.cone"), d.Get("core.least.cone_fallback.size"))
+			d["core.least.cone"], d["core.least.cone_fallback.size"])
 	}
 }
 
 func coneAgainstRebuild(t *testing.T, rng *rand.Rand, comps, nconst, k int) {
 	ctx := context.Background()
-	prog := workload.RandomOrderedDatalog(rng, comps, nconst)
+	prog := gen.RandomOrderedDatalog(rng, comps, nconst)
 	eng, err := core.NewEngineCtx(ctx, prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)

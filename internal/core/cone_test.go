@@ -64,7 +64,7 @@ func TestConeCountsOneToggle(t *testing.T) {
 		}
 		d := obs.Default().Snap().Diff(before)
 		for k, w := range want {
-			if g := d.Get(k); g != w {
+			if g := d[k]; g != w {
 				t.Errorf("step %d: %s = %d, want %d", step, k, g, w)
 			}
 		}
@@ -119,8 +119,8 @@ func TestConeFallbacks(t *testing.T) {
 			}
 			read(s)
 			d := obs.Default().Snap().Diff(before)
-			if d.Get(c.counter) != 1 || d.Get("core.least.computed") != c.computed {
-				t.Errorf("%s = %d, core.least.computed = %d; want 1, %d", c.counter, d.Get(c.counter), d.Get("core.least.computed"), c.computed)
+			if d[c.counter] != 1 || d["core.least.computed"] != c.computed {
+				t.Errorf("%s = %d, core.least.computed = %d; want 1, %d", c.counter, d[c.counter], d["core.least.computed"], c.computed)
 			}
 		})
 	}
@@ -152,7 +152,7 @@ func TestConeInterrupted(t *testing.T) {
 	if !holdsIn(t, s, "exc", "-ok(c7)") {
 		t.Fatal("-ok(c7) does not hold after asserting bad(c7)")
 	}
-	if n := obs.Default().Snap().Diff(before).Get("core.least.cone"); n != 1 {
+	if n := obs.Default().Snap().Diff(before)["core.least.cone"]; n != 1 {
 		t.Fatalf("core.least.cone = %d after the interrupted cone, want 1", n)
 	}
 	if st.carry.Load() != nil {

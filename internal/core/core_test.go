@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/ground"
+	"repro/internal/oracle/parsetest"
 	"repro/internal/parser"
 	"repro/internal/stable"
 )
@@ -65,7 +67,7 @@ func TestLeastModelAndValues(t *testing.T) {
 	if m.ComponentName() != "arctic" {
 		t.Errorf("model component = %q", m.ComponentName())
 	}
-	lit := parser.MustParseLiteral("fly(penguin)")
+	lit := parsetest.MustParseLiteral("fly(penguin)")
 	if got := m.Value(lit.Atom); got.String() != "F" {
 		t.Errorf("fly(penguin) = %v", got)
 	}
@@ -73,7 +75,7 @@ func TestLeastModelAndValues(t *testing.T) {
 		t.Error("Holds wrong")
 	}
 	// Atoms outside the relevant base are undefined.
-	out := parser.MustParseLiteral("fly(elephant)")
+	out := parsetest.MustParseLiteral("fly(elephant)")
 	if got := m.Value(out.Atom); got.String() != "U" {
 		t.Errorf("out-of-base atom = %v", got)
 	}
@@ -186,12 +188,12 @@ module c1 extends c2 { -a :- b, c. -b :- a. -b :- -b. }
 func TestCheckModelAndInterpFromLiterals(t *testing.T) {
 	eng := engineOf(t, fig1)
 	lits := []ast.Literal{
-		parser.MustParseLiteral("bird(penguin)"),
-		parser.MustParseLiteral("bird(pigeon)"),
-		parser.MustParseLiteral("ground_animal(penguin)"),
-		parser.MustParseLiteral("-ground_animal(pigeon)"),
-		parser.MustParseLiteral("fly(pigeon)"),
-		parser.MustParseLiteral("-fly(penguin)"),
+		parsetest.MustParseLiteral("bird(penguin)"),
+		parsetest.MustParseLiteral("bird(pigeon)"),
+		parsetest.MustParseLiteral("ground_animal(penguin)"),
+		parsetest.MustParseLiteral("-ground_animal(pigeon)"),
+		parsetest.MustParseLiteral("fly(pigeon)"),
+		parsetest.MustParseLiteral("-fly(penguin)"),
 	}
 	m, err := eng.InterpFromLiterals("arctic", lits)
 	if err != nil {
@@ -212,7 +214,7 @@ func TestCheckModelAndInterpFromLiterals(t *testing.T) {
 		t.Error("bad model accepted or reason missing")
 	}
 	// Unknown atoms are reported.
-	if _, err := eng.InterpFromLiterals("arctic", []ast.Literal{parser.MustParseLiteral("zzz")}); err == nil {
+	if _, err := eng.InterpFromLiterals("arctic", []ast.Literal{parsetest.MustParseLiteral("zzz")}); err == nil {
 		t.Error("unknown literal accepted")
 	}
 }
@@ -223,14 +225,14 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := m.Explain(parser.MustParseLiteral("fly(penguin)").Atom)
+	lines := m.Explain(parsetest.MustParseLiteral("fly(penguin)").Atom)
 	joined := strings.Join(lines, "\n")
 	for _, want := range []string{"overruled", "applied", "component birds", "component arctic"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("Explain missing %q:\n%s", want, joined)
 		}
 	}
-	none := m.Explain(parser.MustParseLiteral("zzz").Atom)
+	none := m.Explain(parsetest.MustParseLiteral("zzz").Atom)
 	if len(none) != 1 || !strings.Contains(none[0], "not in the relevant Herbrand base") {
 		t.Errorf("Explain on unknown atom = %v", none)
 	}
@@ -294,7 +296,7 @@ func TestModelJSON(t *testing.T) {
 
 func TestProveExplainFacade(t *testing.T) {
 	eng := engineOf(t, fig1)
-	lit := parser.MustParseLiteral("-fly(penguin)")
+	lit := parsetest.MustParseLiteral("-fly(penguin)")
 	tree, ok, err := eng.ProveExplainCtx(context.Background(), "arctic", lit)
 	if err != nil || !ok {
 		t.Fatalf("ProveExplain: %v %v", ok, err)
@@ -303,12 +305,12 @@ func TestProveExplainFacade(t *testing.T) {
 		t.Errorf("tree = %q", tree)
 	}
 	// Unprovable literal.
-	_, ok2, err := eng.ProveExplainCtx(context.Background(), "arctic", parser.MustParseLiteral("fly(penguin)"))
+	_, ok2, err := eng.ProveExplainCtx(context.Background(), "arctic", parsetest.MustParseLiteral("fly(penguin)"))
 	if err != nil || ok2 {
 		t.Errorf("fly(penguin) explained: %v %v", ok2, err)
 	}
 	// Out-of-base atom.
-	_, ok3, err := eng.ProveExplainCtx(context.Background(), "arctic", parser.MustParseLiteral("zzz"))
+	_, ok3, err := eng.ProveExplainCtx(context.Background(), "arctic", parsetest.MustParseLiteral("zzz"))
 	if err != nil || ok3 {
 		t.Errorf("zzz explained: %v %v", ok3, err)
 	}
@@ -343,5 +345,38 @@ func TestEngineStats(t *testing.T) {
 	}
 	if eng.Source() == nil || eng.Grounded() == nil {
 		t.Error("accessors nil")
+	}
+}
+
+// TestPartialGroundConfigKeepsCompoundAnswers: a Config.Ground that sets
+// only some fields grounds like the zero one for the rest — MaxDepth 0 is
+// the deepest program term, as every zero budget is its default — so a
+// compound answer is not silently dropped.
+func TestPartialGroundConfigKeepsCompoundAnswers(t *testing.T) {
+	p, err := parser.ParseProgram("p(f(a)).\nq(X) :- p(X).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := parsetest.MustParseLiteral("q(f(a))")
+	for _, tc := range []struct {
+		name string
+		opts ground.Options
+	}{
+		{"zero", ground.Options{}},
+		{"MaxAtoms only", ground.Options{MaxAtoms: 1 << 21}},
+		{"full mode only", ground.Options{Mode: ground.ModeFull}},
+		{"MaxDepth -1", ground.Options{MaxDepth: -1, MaxInstances: 1 << 22}},
+	} {
+		eng, err := core.NewEngineCtx(context.Background(), p, core.Config{Ground: tc.opts})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		m, err := eng.LeastModelCtx(context.Background(), "main")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !m.Holds(want) {
+			t.Errorf("%s: least model %s lacks %s", tc.name, m, want)
+		}
 	}
 }

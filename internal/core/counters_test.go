@@ -54,11 +54,11 @@ func TestUpdateCounterConsistency(t *testing.T) {
 	}
 	d := obs.Default().Snap().Diff(before)
 
-	total := d.Get("core.updates")
+	total := d["core.updates"]
 	if total != workers*per {
 		t.Fatalf("core.updates = %d, want %d", total, workers*per)
 	}
-	incr, reground := d.Get("core.updates.incremental"), d.Get("core.updates.reground")
+	incr, reground := d["core.updates.incremental"], d["core.updates.reground"]
 	if incr+reground != total {
 		t.Fatalf("incremental (%d) + reground (%d) != total updates (%d): an update path is uncounted or double-counted",
 			incr, reground, total)
@@ -75,7 +75,7 @@ func TestUpdateCounterConsistency(t *testing.T) {
 	}
 	// The negative-fact asserts cannot be applied in place, so at least one
 	// reground with that label must have happened.
-	if d.Get("core.update.fallback.negative-fact") == 0 {
+	if d["core.update.fallback.negative-fact"] == 0 {
 		t.Fatalf("expected negative-fact fallbacks, got none: %v", d)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/ground"
 	"repro/internal/interp"
 	"repro/internal/obs"
+	"repro/internal/oracle/gen"
 	"repro/internal/parser"
-	"repro/internal/workload"
 )
 
 // renderRules renders instances as "comp: head :- body." lines, so
@@ -113,7 +113,7 @@ func TestCutWithinMagicSlice(t *testing.T) {
 	}
 	for seed := 0; seed < programs; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		check(t, workload.RandomOrderedDatalog(rng, 3, 3), []string{
+		check(t, gen.RandomOrderedDatalog(rng, 3, 3), []string{
 			"p0(c0)", "p1(X)", "-p1(c1)", "e(c0, X)", "p0(X), e(X, Y)", "e(X, c1)", "-p2(X)",
 		})
 	}
@@ -268,10 +268,10 @@ func TestSliceIndexBuildsOncePerProgram(t *testing.T) {
 		}
 	}
 	d := obs.Default().Snap().Diff(before)
-	if n := d.Get("core.updates.reground"); n != 0 {
+	if n := d["core.updates.reground"]; n != 0 {
 		t.Fatalf("%d updates regrounded; the case needs incremental ones", n)
 	}
-	if n := d.Get("core.slice.index_builds"); n != 1 {
+	if n := d["core.slice.index_builds"]; n != 1 {
 		t.Errorf("core.slice.index_builds = %d over 50 incremental updates, want 1", n)
 	}
 	s, err := e.Compact(ctx)
@@ -281,7 +281,7 @@ func TestSliceIndexBuildsOncePerProgram(t *testing.T) {
 	if _, err := s.QueryCtx(ctx, "exc", parseGoal(t, "-ok(c1)")); err != nil {
 		t.Fatal(err)
 	}
-	if n := obs.Default().Snap().Diff(before).Get("core.slice.index_builds"); n != 2 {
+	if n := obs.Default().Snap().Diff(before)["core.slice.index_builds"]; n != 2 {
 		t.Errorf("core.slice.index_builds = %d after a compaction, want 2", n)
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/oracle/gen"
 	"repro/internal/stable"
 	"repro/internal/wal"
-	"repro/internal/workload"
 )
 
 func TestDurabilityConfigValidation(t *testing.T) {
@@ -318,7 +318,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	const comps, nconst = 3, 3
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(9))
-	prog := workload.RandomOrderedDatalog(rng, comps, nconst)
+	prog := gen.RandomOrderedDatalog(rng, comps, nconst)
 	shadow := cloneShadow(t, prog) // pristine copy for oracle rebuilds
 
 	dir := t.TempDir()
@@ -411,7 +411,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			if err := os.Truncate(filepath.Join(crash, wal.LogName), int64(cut)); err != nil {
 				t.Fatal(err)
 			}
-			dec, err := wal.Decode(raw[:cut], wal.Genesis("crash"), false)
+			dec, err := wal.ReadAll(crash, wal.Genesis("crash"), false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -134,7 +134,7 @@ func newEngine(p *ast.OrderedProgram, cfg Config, base uint64) *Engine {
 // snapshot through the reground path instead (durable.go).
 func newEngineAt(ctx context.Context, p *ast.OrderedProgram, cfg Config, base uint64) (*Engine, error) {
 	e := newEngine(p, cfg, base)
-	gp, err := ground.GroundCtx(ctx, p, e.groundOpts())
+	gp, err := ground.GroundCtx(ctx, p, e.cfg.Ground)
 	if err != nil {
 		return nil, err
 	}
@@ -143,15 +143,6 @@ func newEngineAt(ctx context.Context, p *ast.OrderedProgram, cfg Config, base ui
 		e.trace.Emit(obs.E("ground", obs.F("rules", len(gp.Rules)), obs.F("atoms", gp.Tab.Len())))
 	}
 	return e, nil
-}
-
-// groundOpts returns the grounding options in effect (zero Config.Ground
-// means ground.DefaultOptions).
-func (e *Engine) groundOpts() ground.Options {
-	if e.cfg.Ground.IsZero() {
-		return ground.DefaultOptions()
-	}
-	return e.cfg.Ground
 }
 
 // fillStable applies Config.EnumBudget as the default leaf budget.

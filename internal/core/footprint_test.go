@@ -93,7 +93,7 @@ func TestChurnFootprintBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	incr, reground, compactions := d.Get("core.updates.incremental"), d.Get("core.updates.reground"), d.Get("update.compact.runs")
+	incr, reground, compactions := d["core.updates.incremental"], d["core.updates.reground"], d["update.compact.runs"]
 	t.Logf("v%d: dead %d, log events %d (max %d), heap %d KiB, WAL %d KiB in %d segments + %d checkpoints; %d incremental, %d reground, %d compactions",
 		snap.Version(), snap.NumDeadRules(), snap.NumLogEvents(), maxLog, ms.HeapAlloc>>10,
 		walBytes>>10, len(segs), len(cps), incr, reground, compactions)

@@ -14,9 +14,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/ground"
 	"repro/internal/interrupt"
+	"repro/internal/oracle/gen"
 	"repro/internal/parser"
 	"repro/internal/stable"
-	"repro/internal/workload"
 )
 
 // The goal-directed differential contract: for every goal, answers from
@@ -183,7 +183,7 @@ func TestGoalDirectedDifferentialCorpus(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(seed)))
-			prog := workload.RandomOrderedDatalog(rng, comps, nconst)
+			prog := gen.RandomOrderedDatalog(rng, comps, nconst)
 			diffGoals(t, prog, queries, proofs)
 		})
 	}

@@ -12,9 +12,9 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/obs"
+	"repro/internal/oracle/gen"
 	"repro/internal/parser"
 	"repro/internal/unify"
-	"repro/internal/workload"
 )
 
 // queryScanOracle is Model.Query as it was before the memoised index: it
@@ -168,7 +168,7 @@ func TestQueryDifferentialCorpus(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(seed)))
-			diffModels(t, workload.RandomOrderedDatalog(rng, comps, nconst), goals)
+			diffModels(t, gen.RandomOrderedDatalog(rng, comps, nconst), goals)
 		})
 	}
 }
@@ -344,7 +344,7 @@ func TestQueryConcurrentFirstUse(t *testing.T) {
 			}
 			close(start)
 			wg.Wait()
-			if got := obs.Default().Snap().Diff(before).Get("core.index.builds"); got != buckets {
+			if got := obs.Default().Snap().Diff(before)["core.index.builds"]; got != buckets {
 				t.Errorf("core.index.builds = %d after %d workers x %d goals, want %d: a bucket was built twice or not at all",
 					got, workers, len(goals), buckets)
 			}
@@ -398,16 +398,16 @@ func TestGoalDirectedQueryCountsMemo(t *testing.T) {
 	}
 	cold := obs.Default().Snap()
 	d := cold.Diff(before)
-	if d.Get("core.least.computed") != 1 || d.Get("core.least.hits") != 0 || d.Get("core.view.builds") != 1 {
+	if d["core.least.computed"] != 1 || d["core.least.hits"] != 0 || d["core.view.builds"] != 1 {
 		t.Fatalf("cold goal-directed query: computed %d, hits %d, view builds %d; want 1, 0, 1",
-			d.Get("core.least.computed"), d.Get("core.least.hits"), d.Get("core.view.builds"))
+			d["core.least.computed"], d["core.least.hits"], d["core.view.builds"])
 	}
 	if _, err := eng.Current().QueryCtx(ctx, "exc", q); err != nil {
 		t.Fatal(err)
 	}
 	d = obs.Default().Snap().Diff(cold)
-	if d.Get("core.least.hits") != 1 || d.Get("core.least.computed") != 0 || d.Get("core.view.builds") != 0 {
+	if d["core.least.hits"] != 1 || d["core.least.computed"] != 0 || d["core.view.builds"] != 0 {
 		t.Fatalf("warm goal-directed query: hits %d, computed %d, view builds %d; want 1, 0, 0",
-			d.Get("core.least.hits"), d.Get("core.least.computed"), d.Get("core.view.builds"))
+			d["core.least.hits"], d["core.least.computed"], d["core.view.builds"])
 	}
 }

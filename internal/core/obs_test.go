@@ -43,11 +43,11 @@ func TestTraceCapturesRegroundReason(t *testing.T) {
 		t.Fatalf("reground trace line drops the ErrNeedsReground cause:\n%s", out)
 	}
 	d := obs.Default().Snap().Diff(before)
-	if d.Get("core.update.fallback.universal-fact") != 1 {
+	if d["core.update.fallback.universal-fact"] != 1 {
 		t.Fatalf("fallback counter not labelled with reason: %v", d)
 	}
-	if d.Get("core.updates.reground") != 1 {
-		t.Fatalf("reground counter = %d, want 1", d.Get("core.updates.reground"))
+	if d["core.updates.reground"] != 1 {
+		t.Fatalf("reground counter = %d, want 1", d["core.updates.reground"])
 	}
 }
 
@@ -82,24 +82,24 @@ func TestMetricsAccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := e.Metrics().Diff(before)
-	if d.Get("core.updates") != 1 || d.Get("core.updates.incremental") != 1 {
+	if d["core.updates"] != 1 || d["core.updates.incremental"] != 1 {
 		t.Fatalf("update counters wrong: %v", d)
 	}
-	if d.Get("ground.delta.asserts") != 1 {
-		t.Fatalf("delta assert counter = %d, want 1", d.Get("ground.delta.asserts"))
+	if d["ground.delta.asserts"] != 1 {
+		t.Fatalf("delta assert counter = %d, want 1", d["ground.delta.asserts"])
 	}
-	if d.Get("eval.fixpoints") < 1 {
+	if d["eval.fixpoints"] < 1 {
 		t.Fatalf("least-model run did not count a fixpoint: %v", d)
 	}
-	if d.Get("core.least.computed") < 1 {
+	if d["core.least.computed"] < 1 {
 		t.Fatalf("least memo miss not counted: %v", d)
 	}
 	// Second read of the same memo is a hit.
-	h0 := e.Metrics().Get("core.least.hits")
+	h0 := e.Metrics()["core.least.hits"]
 	if _, err := v1.LeastModelCtx(context.Background(), "policy"); err != nil {
 		t.Fatal(err)
 	}
-	if e.Metrics().Get("core.least.hits") != h0+1 {
+	if e.Metrics()["core.least.hits"] != h0+1 {
 		t.Fatal("cached least model did not count a hit")
 	}
 }

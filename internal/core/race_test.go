@@ -11,9 +11,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/oracle/gen"
+	"repro/internal/oracle/parsetest"
 	"repro/internal/parser"
 	"repro/internal/stable"
-	"repro/internal/workload"
 )
 
 const raceSrc = `
@@ -63,7 +64,7 @@ func TestEngineSharedRace(t *testing.T) {
 		}
 		wantStable[c] = len(ms)
 	}
-	penguinFlies, err := ref.ProveCtx(context.Background(), "base", parser.MustParseLiteral("fly(penguin)"))
+	penguinFlies, err := ref.ProveCtx(context.Background(), "base", parsetest.MustParseLiteral("fly(penguin)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestEngineSharedRace(t *testing.T) {
 						return
 					}
 				case 3:
-					ok, err := shared.ProveCtx(context.Background(), comp, parser.MustParseLiteral("bird(penguin)"))
+					ok, err := shared.ProveCtx(context.Background(), comp, parsetest.MustParseLiteral("bird(penguin)"))
 					if err != nil {
 						errCh <- fmt.Errorf("g%d Prove(%s): %v", g, comp, err)
 						return
@@ -140,7 +141,7 @@ func TestEngineSharedRace(t *testing.T) {
 // answers.
 func TestEngineBatchRace(t *testing.T) {
 	const depth = 5
-	prog := workload.Inheritance(depth, 4, 6)
+	prog := gen.Inheritance(depth, 4, 6)
 	shared, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 	if err != nil {
 		t.Fatal(err)

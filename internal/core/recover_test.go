@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/obs"
+	"repro/internal/oracle/gen"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -95,7 +96,7 @@ func TestEffectiveProgramMatchesOracle(t *testing.T) {
 	const comps, nconst = 3, 3
 	for seed := 0; seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
-		prog := workload.RandomOrderedDatalog(rng, comps, nconst)
+		prog := gen.RandomOrderedDatalog(rng, comps, nconst)
 		if seed%2 == 1 {
 			for _, c := range prog.Components {
 				for _, r := range c.Rules {
@@ -160,7 +161,7 @@ func TestRecoverGroundsOnce(t *testing.T) {
 	keys := []string{"bad(k1)", "bad(c1)", "bad(k1)", "bad(k2)", "bad(k2)", "bad(c1)", "bad(k3)"}
 	before := obs.Default().Snap()
 	orig, dir := writePolicyHistory(t, 20, keys, WithCheckpointEvery(100))
-	if d := obs.Default().Snap().Diff(before); d.Get("core.update.fallback.last-constant") != 2 {
+	if d := obs.Default().Snap().Diff(before); d["core.update.fallback.last-constant"] != 2 {
 		t.Fatalf("the history should reground twice for last-constant, counters: %v", d)
 	}
 	before = obs.Default().Snap()
@@ -177,7 +178,7 @@ func TestRecoverGroundsOnce(t *testing.T) {
 		"ground.delta.retracts": 0,
 		"wal.recover.records":   int64(len(keys)),
 	} {
-		if got := d.Get(name); got != want {
+		if got := d[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}

@@ -661,7 +661,7 @@ func (e *Engine) reground(ctx context.Context, version uint64, newLog []factEven
 	if err != nil {
 		return nil, err
 	}
-	gp, err := ground.GroundCtx(ctx, eff, e.groundOpts())
+	gp, err := ground.GroundCtx(ctx, eff, e.cfg.Ground)
 	if err != nil {
 		return nil, err
 	}

@@ -232,8 +232,8 @@ func TestUpdateMemoSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v1.Grounded().Incremental() {
-		t.Fatal("expected incremental update")
+	if v1.Grounded() != v0.Grounded() {
+		t.Fatal("expected incremental update (it reground into a new ground program)")
 	}
 	view1, err := v1.View("m1")
 	if err != nil {

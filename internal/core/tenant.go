@@ -55,15 +55,6 @@ func (t *Tenant) Acquire(ctx context.Context) (release func(), err error) {
 	return t.sem.Release, nil
 }
 
-// TryAcquire takes an admission slot without blocking; the second return
-// reports success. On success the first return releases the slot.
-func (t *Tenant) TryAcquire() (release func(), ok bool) {
-	if !t.sem.TryAcquire() {
-		return nil, false
-	}
-	return t.sem.Release, true
-}
-
 // InFlight returns the number of admission slots currently held.
 func (t *Tenant) InFlight() int { return t.sem.InFlight() }
 

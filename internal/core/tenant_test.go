@@ -146,8 +146,11 @@ func TestTenantAdmission(t *testing.T) {
 	if tn.InFlight() != 1 {
 		t.Fatalf("InFlight = %d, want 1", tn.InFlight())
 	}
-	if _, ok := tn.TryAcquire(); ok {
-		t.Fatal("second TryAcquire succeeded at bound 1")
+	// Under an already-cancelled context Acquire is a non-blocking try.
+	done, stop := context.WithCancel(context.Background())
+	stop()
+	if _, err := tn.Acquire(done); err == nil {
+		t.Fatal("second non-blocking Acquire succeeded at bound 1")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
@@ -155,9 +158,9 @@ func TestTenantAdmission(t *testing.T) {
 		t.Fatalf("blocked Acquire err = %v, want ErrInterrupted", err)
 	}
 	release()
-	rel2, ok := tn.TryAcquire()
-	if !ok {
-		t.Fatal("TryAcquire after release failed")
+	rel2, err := tn.Acquire(done)
+	if err != nil {
+		t.Fatalf("non-blocking Acquire after release: %v", err)
 	}
 	rel2()
 }

@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/oracle/gen"
 	"repro/internal/stable"
-	"repro/internal/workload"
 )
 
 // The differential contract of incremental maintenance: after any sequence
@@ -124,7 +124,7 @@ func TestUpdateDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(seed)))
-			prog := workload.RandomOrderedDatalog(rng, comps, nconst)
+			prog := gen.RandomOrderedDatalog(rng, comps, nconst)
 			shadow := cloneShadow(t, prog)
 			eng, err := core.NewEngineCtx(context.Background(), prog, core.Config{})
 			if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/storage"
+	"repro/internal/term"
 )
 
 var (
@@ -26,7 +27,7 @@ func nlit(pred string, args ...ast.Term) Lit {
 }
 
 func edge(st *storage.Store, a, b int) {
-	st.InsertAtom(ast.Atom{Pred: "e", Args: []ast.Term{ast.Int(int64(a)), ast.Int(int64(b))}})
+	insertAtom(st, ast.Atom{Pred: "e", Args: []ast.Term{ast.Int(int64(a)), ast.Int(int64(b))}})
 }
 
 func tcRules() []*Rule {
@@ -50,10 +51,10 @@ func TestTransitiveClosureChain(t *testing.T) {
 	if derived != want {
 		t.Errorf("derived %d tc tuples, want %d", derived, want)
 	}
-	if !st.ContainsAtom(ast.Atom{Pred: "tc", Args: []ast.Term{ast.Int(0), ast.Int(9)}}) {
+	if !containsAtom(st, ast.Atom{Pred: "tc", Args: []ast.Term{ast.Int(0), ast.Int(9)}}) {
 		t.Error("tc(0,9) missing")
 	}
-	if st.ContainsAtom(ast.Atom{Pred: "tc", Args: []ast.Term{ast.Int(5), ast.Int(5)}}) {
+	if containsAtom(st, ast.Atom{Pred: "tc", Args: []ast.Term{ast.Int(5), ast.Int(5)}}) {
 		t.Error("tc(5,5) derived on a chain")
 	}
 }
@@ -135,7 +136,7 @@ func naiveTC(rng *rand.Rand, st *storage.Store, n int) int {
 func TestBuiltinFilter(t *testing.T) {
 	st := storage.NewStore()
 	for i := 0; i < 5; i++ {
-		st.InsertAtom(ast.Atom{Pred: "n", Args: []ast.Term{ast.Int(int64(i))}})
+		insertAtom(st, ast.Atom{Pred: "n", Args: []ast.Term{ast.Int(int64(i))}})
 	}
 	rules := []*Rule{{
 		Head:     lit("big", vx),
@@ -152,9 +153,9 @@ func TestBuiltinFilter(t *testing.T) {
 
 func TestNAFFilterStratifiedUse(t *testing.T) {
 	st := storage.NewStore()
-	st.InsertAtom(ast.Atom{Pred: "node", Args: []ast.Term{ast.Sym("a")}})
-	st.InsertAtom(ast.Atom{Pred: "node", Args: []ast.Term{ast.Sym("b")}})
-	st.InsertAtom(ast.Atom{Pred: "mark", Args: []ast.Term{ast.Sym("a")}})
+	insertAtom(st, ast.Atom{Pred: "node", Args: []ast.Term{ast.Sym("a")}})
+	insertAtom(st, ast.Atom{Pred: "node", Args: []ast.Term{ast.Sym("b")}})
+	insertAtom(st, ast.Atom{Pred: "mark", Args: []ast.Term{ast.Sym("a")}})
 	rules := []*Rule{{
 		Head: lit("unmarked", vx),
 		Body: []Lit{lit("node", vx), nlit("mark", vx)},
@@ -162,10 +163,10 @@ func TestNAFFilterStratifiedUse(t *testing.T) {
 	if _, err := Eval(st, rules, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if !st.ContainsAtom(ast.Atom{Pred: "unmarked", Args: []ast.Term{ast.Sym("b")}}) {
+	if !containsAtom(st, ast.Atom{Pred: "unmarked", Args: []ast.Term{ast.Sym("b")}}) {
 		t.Error("unmarked(b) missing")
 	}
-	if st.ContainsAtom(ast.Atom{Pred: "unmarked", Args: []ast.Term{ast.Sym("a")}}) {
+	if containsAtom(st, ast.Atom{Pred: "unmarked", Args: []ast.Term{ast.Sym("a")}}) {
 		t.Error("unmarked(a) derived")
 	}
 }
@@ -244,3 +245,23 @@ func TestLargeChainDepth(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // reserved for debugging helpers
+
+// insertAtom adds a ground atom to st.
+func insertAtom(st *storage.Store, a ast.Atom) { st.Rel(a.Key()).Insert(a.Args) }
+
+// containsAtom reports whether st holds the ground atom.
+func containsAtom(st *storage.Store, a ast.Atom) bool {
+	r := st.Peek(a.Key())
+	if r == nil {
+		return false
+	}
+	ids := make([]term.ID, len(a.Args))
+	for i, t := range a.Args {
+		id, ok := st.Table().Lookup(t)
+		if !ok {
+			return false
+		}
+		ids[i] = id
+	}
+	return r.ContainsIDs(ids)
+}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ground"
 	"repro/internal/interrupt"
+	"repro/internal/oracle/naive"
 )
 
 func TestLeastModelCtxCancelled(t *testing.T) {
@@ -22,7 +23,7 @@ func TestLeastModelCtxCancelled(t *testing.T) {
 	if m != nil {
 		t.Fatalf("LeastModelCtx: partial interpretation returned alongside the interrupt")
 	}
-	if _, err := v.LeastModelNaiveCtx(ctx); !errors.Is(err, interrupt.ErrInterrupted) {
+	if _, err := naive.LeastModelNaiveCtx(ctx, v); !errors.Is(err, interrupt.ErrInterrupted) {
 		t.Fatalf("LeastModelNaiveCtx: err = %v, want ErrInterrupted", err)
 	}
 	// No partial interpretation accompanies the error: a truncated prefix

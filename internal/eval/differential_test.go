@@ -15,7 +15,10 @@ import (
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/ground"
-	"repro/internal/workload"
+	"repro/internal/interp"
+	"repro/internal/obs"
+	"repro/internal/oracle/gen"
+	"repro/internal/oracle/naive"
 )
 
 // differentialPrograms yields ≥200 seeded programs mixing every random
@@ -26,7 +29,7 @@ func differentialPrograms(t *testing.T) []*ast.OrderedProgram {
 	// 80 random propositional ordered programs.
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		progs = append(progs, workload.RandomOrdered(rng, 1+rng.Intn(4), workload.RandomConfig{
+		progs = append(progs, gen.RandomOrdered(rng, 1+rng.Intn(4), gen.RandomConfig{
 			Atoms: 3 + rng.Intn(5), Rules: 5 + rng.Intn(10), MaxBody: 3,
 			NegHeads: true, NegBody: true,
 		}))
@@ -34,13 +37,13 @@ func differentialPrograms(t *testing.T) []*ast.OrderedProgram {
 	// 80 random non-ground ordered Datalog programs.
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed + 1_000))
-		progs = append(progs, workload.RandomOrderedDatalog(rng, 1+rng.Intn(3), 2+rng.Intn(3)))
+		progs = append(progs, gen.RandomOrderedDatalog(rng, 1+rng.Intn(3), 2+rng.Intn(3)))
 	}
 	// 48 inheritance hierarchies sweeping depth, properties and members.
 	for depth := 1; depth <= 4; depth++ {
 		for props := 1; props <= 4; props++ {
 			for members := 1; members <= 3; members++ {
-				progs = append(progs, workload.Inheritance(depth, props, members))
+				progs = append(progs, gen.Inheritance(depth, props, members))
 			}
 		}
 	}
@@ -61,17 +64,17 @@ func TestDifferentialLeastModel(t *testing.T) {
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			naive, err := v.LeastModelNaiveCtx(context.Background())
+			ref, err := naive.LeastModelNaiveCtx(context.Background(), v)
 			if err != nil {
 				t.Fatalf("program %d comp %d: naive: %v", pi, ci, err)
 			}
-			semi, stats, err := v.LeastModelStats()
+			semi, stats, err := leastModelStats(t, v)
 			if err != nil {
 				t.Fatalf("program %d comp %d: semi-naive: %v", pi, ci, err)
 			}
-			if !semi.Equal(naive) {
+			if !semi.Equal(ref) {
 				t.Fatalf("program %d comp %d: semi-naive %s != naive %s\nprogram:\n%s",
-					pi, ci, semi, naive, p)
+					pi, ci, semi, ref, p)
 			}
 			if stats.Derived != semi.Len() {
 				t.Fatalf("program %d comp %d: stats.Derived=%d but model size=%d",
@@ -93,7 +96,7 @@ func TestDifferentialLeastModelFullGrounding(t *testing.T) {
 	opts.Mode = ground.ModeFull
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed + 5_000))
-		p := workload.RandomOrdered(rng, 1+rng.Intn(3), workload.RandomConfig{
+		p := gen.RandomOrdered(rng, 1+rng.Intn(3), gen.RandomConfig{
 			Atoms: 3 + rng.Intn(4), Rules: 6 + rng.Intn(8), MaxBody: 2,
 			NegHeads: true, NegBody: true,
 		})
@@ -103,16 +106,16 @@ func TestDifferentialLeastModelFullGrounding(t *testing.T) {
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			naive, err := v.LeastModelNaiveCtx(context.Background())
+			ref, err := naive.LeastModelNaiveCtx(context.Background(), v)
 			if err != nil {
 				t.Fatalf("seed %d comp %d: naive: %v", seed, ci, err)
 			}
-			semi, stats, err := v.LeastModelStats()
+			semi, stats, err := leastModelStats(t, v)
 			if err != nil {
 				t.Fatalf("seed %d comp %d: semi-naive: %v", seed, ci, err)
 			}
-			if !semi.Equal(naive) {
-				t.Fatalf("seed %d comp %d: semi-naive %s != naive %s", seed, ci, semi, naive)
+			if !semi.Equal(ref) {
+				t.Fatalf("seed %d comp %d: semi-naive %s != naive %s", seed, ci, semi, ref)
 			}
 			if stats.Derived != semi.Len() {
 				t.Fatalf("seed %d comp %d: Derived=%d, model size=%d",
@@ -120,4 +123,21 @@ func TestDifferentialLeastModelFullGrounding(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fixpointStats holds the work counters one semi-naive run flushes.
+type fixpointStats struct{ Fired, Derived, BlockEvents int }
+
+// leastModelStats computes lfp(V) with LeastModelCtx and reads the work it
+// flushed to the eval.fired, eval.derived and eval.block_events counters.
+// It skips the test when the metrics registry is disabled.
+func leastModelStats(t *testing.T, v *eval.View) (*interp.Interp, fixpointStats, error) {
+	t.Helper()
+	if !obs.On() {
+		t.Skip("metrics registry disabled")
+	}
+	before := obs.Default().Snap()
+	m, err := v.LeastModelCtx(context.Background())
+	d := obs.Default().Snap().Diff(before)
+	return m, fixpointStats{int(d["eval.fired"]), int(d["eval.derived"]), int(d["eval.block_events"])}, err
 }

@@ -11,11 +11,9 @@ import (
 )
 
 // checkStride is the cooperative-cancellation polling interval of the
-// fixpoint loops: one context poll per this many worklist pops (or naive
-// rounds the naive engine does per poll — every round, since rounds are
-// O(rules) each). Small enough that a cancelled context is observed well
-// within milliseconds on any real program, large enough to keep the poll
-// off the profile.
+// fixpoint loop: one context poll per this many worklist pops. Small
+// enough that a cancelled context is observed well within milliseconds on
+// any real program, large enough to keep the poll off the profile.
 const checkStride = 256
 
 // kindScratch recycles the per-kind competitor-count scratch the fixpoint
@@ -39,57 +37,6 @@ func (v *View) VOnce(in *interp.Interp) (*interp.Interp, error) {
 		}
 	}
 	return out, nil
-}
-
-// LeastModelNaiveCtx computes lfp(V) by iterating VOnce from the empty
-// interpretation, with a cancellation checkpoint per naive round. It is
-// the reference implementation used to cross-check the semi-naive engine.
-func (v *View) LeastModelNaiveCtx(ctx context.Context) (*interp.Interp, error) {
-	in := v.NewInterp()
-	rounds := int64(0)
-	for {
-		if err := interrupt.Check(ctx, "eval: naive fixpoint round"); err != nil {
-			return nil, err
-		}
-		rounds++
-		next, err := v.VOnce(in)
-		if err != nil {
-			return nil, err
-		}
-		// V is monotone (Lemma 1), so iterating from ∅ the stages grow;
-		// union keeps the code robust even on a non-inflationary step.
-		if next.SubsetOf(in) {
-			if obs.On() {
-				mNaiveFixpoints.Inc()
-				mNaiveRounds.Add(rounds)
-				v.countStatuses(in)
-			}
-			return in, nil
-		}
-		if !next.UnionWith(in) {
-			return nil, fmt.Errorf("eval: inconsistent V stage")
-		}
-		in = next
-	}
-}
-
-// FixpointStats reports work done by one semi-naive least-model run.
-type FixpointStats struct {
-	// Fired is the number of rules that fired (including duplicates
-	// deriving an already-present literal).
-	Fired int
-	// Derived is the number of distinct literals derived.
-	Derived int
-	// BlockEvents is the number of rules that became blocked.
-	BlockEvents int
-}
-
-// LeastModelStats computes lfp(V) like LeastModelCtx and also reports
-// counters describing the run.
-func (v *View) LeastModelStats() (*interp.Interp, FixpointStats, error) {
-	var st FixpointStats
-	in, err := v.leastModel(context.Background(), nil, &st)
-	return in, st, err
 }
 
 // LeastModelCtx computes lfp(V) — the least model of the program in the
@@ -119,10 +66,6 @@ func (v *View) LeastModelCtx(ctx context.Context) (*interp.Interp, error) {
 // splitting set evaluated elsewhere. The result holds seed. With a nil
 // seed it is lfp(V) itself.
 func (v *View) LeastModelFromCtx(ctx context.Context, seed []interp.Lit) (*interp.Interp, error) {
-	return v.leastModel(ctx, seed, nil)
-}
-
-func (v *View) leastModel(ctx context.Context, seed []interp.Lit, stats *FixpointStats) (*interp.Interp, error) {
 	const stage = "eval: semi-naive fixpoint"
 	if err := interrupt.Check(ctx, stage); err != nil {
 		return nil, err
@@ -145,20 +88,19 @@ func (v *View) leastModel(ctx context.Context, seed []interp.Lit, stats *Fixpoin
 	}
 
 	// track latches the metrics registry's enabled state for the whole run
-	// so bookkeeping and flush agree even if it is toggled mid-run; keep
-	// adds the caller's explicit stats request. All Definition 2 status
-	// bookkeeping hides inside branches the loop takes at most once per
-	// rule (body became satisfied, rule became blocked), so a disabled
-	// registry costs the per-edge hot paths nothing: nbOver/nbDef are the
-	// per-kind non-blocked competitor counts (maintained only when a rule
-	// blocks, off the combined unblocked counter the fire test uses),
+	// so bookkeeping and flush agree even if it is toggled mid-run. All
+	// Definition 2 status bookkeeping hides inside branches the loop takes
+	// at most once per rule (body became satisfied, rule became blocked),
+	// so a disabled registry costs the per-edge hot paths nothing:
+	// nbOver/nbDef are the per-kind non-blocked competitor counts
+	// (maintained only when a rule blocks, off the combined unblocked
+	// counter the fire test uses),
 	// liveOver/liveDef count the rules still holding a non-blocked
 	// overruler resp. defeater, and satBlocked lists the rules whose body
 	// was satisfied while some competitor was live — the only candidates
 	// for applied-without-firing.
-	var st FixpointStats
+	var nFired, nDerived, nBlocked int
 	track := obs.On()
-	keep := track || stats != nil
 	var nbOver, nbDef, satBlocked []int32
 	liveOver, liveDef := 0, 0
 	if track && v.liveOverInit+v.liveDefInit > 0 {
@@ -187,9 +129,7 @@ func (v *View) leastModel(ctx context.Context, seed []interp.Lit, stats *Fixpoin
 			return nil
 		}
 		fired[r] = true
-		if keep {
-			st.Fired++
-		}
+		nFired++
 		h := v.heads[r]
 		if in.HasLit(h) {
 			return nil
@@ -197,9 +137,7 @@ func (v *View) leastModel(ctx context.Context, seed []interp.Lit, stats *Fixpoin
 		if !in.AddLit(h) {
 			return fmt.Errorf("eval: least-model fixpoint derived inconsistent pair on %s", v.G.Tab.LitString(h))
 		}
-		if keep {
-			st.Derived++
-		}
+		nDerived++
 		queue = append(queue, h)
 		return nil
 	}
@@ -246,9 +184,7 @@ func (v *View) leastModel(ctx context.Context, seed []interp.Lit, stats *Fixpoin
 				continue
 			}
 			blocked[r] = true
-			if keep {
-				st.BlockEvents++
-			}
+			nBlocked++
 			if track {
 				// Per-kind live-competitor maintenance, once per rule
 				// that blocks: each edge decrement reaches zero at most
@@ -275,23 +211,20 @@ func (v *View) leastModel(ctx context.Context, seed []interp.Lit, stats *Fixpoin
 			}
 		}
 	}
-	if stats != nil {
-		*stats = st
-	}
 	if track {
 		// Definition 2 status counts w.r.t. the final model, assembled
 		// from the run's own transition bookkeeping with no per-rule
 		// postpass. A fired rule is applied (fire implies unsat == 0 and
-		// puts the head in the model) and fires at most once, so st.Fired
+		// puts the head in the model) and fires at most once, so nFired
 		// counts those; a non-fired applied rule must have had its body
 		// satisfied while a competitor was still live — with all of them
 		// blocked it would have fired — so satBlocked holds every other
 		// candidate and only the head-membership check remains. The
 		// blocked flag flips exactly once per blocked rule, making
-		// st.BlockEvents the blocked count, and liveOver/liveDef are the
+		// nBlocked the blocked count, and liveOver/liveDef are the
 		// rules still holding a non-blocked overruler resp. defeater —
 		// Definition 2's overruled and defeated, exactly.
-		applied := int64(st.Fired)
+		applied := int64(nFired)
 		for _, r := range satBlocked {
 			if !fired[r] && in.HasLit(v.heads[r]) {
 				applied++
@@ -299,11 +232,11 @@ func (v *View) leastModel(ctx context.Context, seed []interp.Lit, stats *Fixpoin
 		}
 		mFixpoints.Inc()
 		mFixpointOps.Add(int64(pops))
-		mFired.Add(int64(st.Fired))
-		mDerived.Add(int64(st.Derived))
-		mBlockEvents.Add(int64(st.BlockEvents))
+		mFired.Add(int64(nFired))
+		mDerived.Add(int64(nDerived))
+		mBlockEvents.Add(int64(nBlocked))
 		mRulesApplied.Add(applied)
-		mRulesBlocked.Add(int64(st.BlockEvents))
+		mRulesBlocked.Add(int64(nBlocked))
 		mRulesOverruled.Add(int64(liveOver))
 		mRulesDefeated.Add(int64(liveDef))
 	}

@@ -52,71 +52,9 @@ func (v *View) ModelViolation(m *interp.Interp) (bool, string) {
 	return false, ""
 }
 
-// FindAssumptionSet returns a non-empty assumption set X ⊆ m w.r.t. m
-// (Definition 6), or nil if none exists. X is an assumption set when for
-// each literal A in X every rule with head A is non-applicable, overruled,
-// defeated, or depends on X through its body.
-//
-// The largest candidate is computed as a greatest fixpoint: start from all
-// of m and repeatedly discard literals that have a *supporting* rule — one
-// that is applicable, neither overruled nor defeated, and whose body avoids
-// the remaining candidate set. Any non-empty remainder is the largest
-// assumption set; if the remainder is empty no subset of m is one.
-func (v *View) FindAssumptionSet(m *interp.Interp) []interp.Lit {
-	x := make(map[interp.Lit]bool)
-	for _, l := range m.Lits() {
-		x[l] = true
-	}
-	// Precompute per-rule firing eligibility (independent of X).
-	eligible := make([]bool, len(v.heads))
-	for r := range v.heads {
-		eligible[r] = v.Applicable(r, m) && !v.Overruled(r, m) && !v.Defeated(r, m)
-	}
-	for changed := true; changed; {
-		changed = false
-		for l := range x {
-			supported := false
-			for _, r := range v.headOf[l] {
-				if !eligible[r] {
-					continue
-				}
-				dep := false
-				for _, b := range v.bodies[r] {
-					if x[b] {
-						dep = true
-						break
-					}
-				}
-				if !dep {
-					supported = true
-					break
-				}
-			}
-			if supported {
-				delete(x, l)
-				changed = true
-			}
-		}
-	}
-	if len(x) == 0 {
-		return nil
-	}
-	out := make([]interp.Lit, 0, len(x))
-	for l := range x {
-		out = append(out, l)
-	}
-	return out
-}
-
-// IsAssumptionFreeDirect checks Definition 7 directly: m is a model and no
-// subset of m is an assumption set w.r.t. m.
-func (v *View) IsAssumptionFreeDirect(m *interp.Interp) bool {
-	return v.IsModel(m) && v.FindAssumptionSet(m) == nil
-}
-
 // IsAssumptionFree checks Theorem 1(a): m is an assumption-free model iff
 // m is a model and lfp(T) over its enabled version equals m. This is the
-// efficient check; it agrees with IsAssumptionFreeDirect.
+// efficient check; the tests pin it to Definition 7 checked directly.
 func (v *View) IsAssumptionFree(m *interp.Interp) bool {
 	return v.IsModel(m) && v.TEnabled(m).Equal(m)
 }

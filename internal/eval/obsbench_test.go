@@ -4,9 +4,9 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/obs"
+	"repro/internal/oracle/naive"
 	"repro/internal/transform"
 	"repro/internal/workload"
 )
@@ -20,7 +20,7 @@ func benchLeast(b *testing.B, on bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := eval.NewViewByName(g, "c")
+	v, err := naive.NewViewByName(g, "c")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,15 +16,16 @@ import (
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
+	"repro/internal/oracle/gen"
+	"repro/internal/oracle/naive"
 	"repro/internal/stable"
 	"repro/internal/transform"
-	"repro/internal/workload"
 )
 
 func randomOrdered(seed int64) *ast.OrderedProgram {
 	rng := rand.New(rand.NewSource(seed))
 	comps := 1 + rng.Intn(3)
-	return workload.RandomOrdered(rng, comps, workload.RandomConfig{
+	return gen.RandomOrdered(rng, comps, gen.RandomConfig{
 		Atoms: 3 + rng.Intn(3), Rules: 6 + rng.Intn(6), MaxBody: 2,
 		NegHeads: true, NegBody: true,
 	})
@@ -108,32 +109,32 @@ func TestTheorem1(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d comp %d: least: %v", seed, ci, err)
 			}
-			naive, err := v.LeastModelNaiveCtx(context.Background())
+			ref, err := naive.LeastModelNaiveCtx(context.Background(), v)
 			if err != nil {
 				t.Fatalf("seed %d comp %d: naive least: %v", seed, ci, err)
 			}
-			if !least.Equal(naive) {
-				t.Fatalf("seed %d comp %d: semi-naive %s != naive %s", seed, ci, least, naive)
+			if !least.Equal(ref) {
+				t.Fatalf("seed %d comp %d: semi-naive %s != naive %s", seed, ci, least, ref)
 			}
 			if !v.IsModel(least) {
 				_, why := v.ModelViolation(least)
 				t.Fatalf("seed %d comp %d: least model %s is not a model: %s", seed, ci, least, why)
 			}
-			if !v.IsAssumptionFree(least) || !v.IsAssumptionFreeDirect(least) {
+			if !v.IsAssumptionFree(least) || !naive.IsAssumptionFreeDirect(v, least) {
 				t.Fatalf("seed %d comp %d: least model %s not assumption free", seed, ci, least)
 			}
 			// Theorem 1(a): the two assumption-freedom characterisations
 			// agree on arbitrary interpretations.
 			for trial := 0; trial < 20; trial++ {
 				m := randomInterp(rng, g.Tab)
-				if got, want := v.IsAssumptionFree(m), v.IsAssumptionFreeDirect(m); got != want {
+				if got, want := v.IsAssumptionFree(m), naive.IsAssumptionFreeDirect(v, m); got != want {
 					t.Fatalf("seed %d comp %d: Thm 1(a) mismatch on %s: fixpoint=%v direct=%v",
 						seed, ci, m, got, want)
 				}
 			}
 			// Theorem 1(b): least = intersection of all models.
 			if g.Tab.Len() <= 8 {
-				all, err := stable.AllModels(v, 0)
+				all, err := naive.AllModels(v, 0)
 				if err != nil {
 					t.Fatalf("seed %d comp %d: all models: %v", seed, ci, err)
 				}
@@ -165,14 +166,14 @@ func TestProposition2(t *testing.T) {
 				t.Fatalf("seed %d comp %d: af: %v", seed, ci, err)
 			}
 			for _, m := range af {
-				ex, err := stable.ExtendToExhaustive(v, m, 0)
+				ex, err := naive.ExtendToExhaustive(v, m, 0)
 				if err != nil {
 					t.Fatalf("seed %d comp %d: extend: %v", seed, ci, err)
 				}
 				if !m.SubsetOf(ex) {
 					t.Fatalf("seed %d comp %d: %s ⊄ %s", seed, ci, m, ex)
 				}
-				ok, err := stable.IsExhaustive(v, ex, 0)
+				ok, err := naive.IsExhaustive(v, ex, 0)
 				if err != nil {
 					t.Fatalf("seed %d comp %d: isExhaustive: %v", seed, ci, err)
 				}
@@ -258,7 +259,7 @@ func sameModelStrings(a, b []*interp.Interp) bool {
 func TestSmartVsFullDatalogOV(t *testing.T) {
 	for seed := int64(0); seed < 36; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rules := workload.RandomDatalog(rng, 3, 3, 4)
+		rules := gen.RandomDatalog(rng, 3, 3, 4)
 		for _, translate := range []string{"ov", "ev"} {
 			var prog *ast.OrderedProgram
 			var err error
@@ -272,11 +273,11 @@ func TestSmartVsFullDatalogOV(t *testing.T) {
 			}
 			gf := groundMode(t, prog, ground.ModeFull)
 			gs := groundMode(t, prog, ground.ModeSmart)
-			vf, err := eval.NewViewByName(gf, "c")
+			vf, err := naive.NewViewByName(gf, "c")
 			if err != nil {
 				t.Fatal(err)
 			}
-			vs, err := eval.NewViewByName(gs, "c")
+			vs, err := naive.NewViewByName(gs, "c")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,7 +316,7 @@ func TestSmartVsFullDatalogOV(t *testing.T) {
 func TestSmartVsFullOrderedDatalog(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomOrderedDatalog(rng, 1+rng.Intn(3), 3)
+		p := gen.RandomOrderedDatalog(rng, 1+rng.Intn(3), 3)
 		gf := groundMode(t, p, ground.ModeFull)
 		gs := groundMode(t, p, ground.ModeSmart)
 		for ci := range p.Components {

@@ -2,7 +2,7 @@
 // programs on ground instances: the rule statuses of Definition 2
 // (applicable, applied, blocked, overruled, defeated), the model conditions
 // of Definition 3, the ordered immediate transformation V of Definition 4
-// with naive and semi-naive least-fixpoint evaluation, the enabled-version
+// with semi-naive least-fixpoint evaluation, the enabled-version
 // T operator of Definition 8, and the assumption-set machinery of
 // Definitions 6–7 (Laenens, Saccà, Vermeir, SIGMOD 1990).
 package eval
@@ -187,15 +187,6 @@ func NewViewAt(g *ground.Program, comp int, rules []ground.Rule, dead map[int32]
 		mViewsBuilt.Inc()
 	}
 	return v
-}
-
-// NewViewByName builds the view from the named component.
-func NewViewByName(g *ground.Program, name string) (*View, error) {
-	i, ok := g.Src.ComponentIndex(name)
-	if !ok {
-		return nil, fmt.Errorf("eval: unknown component %q", name)
-	}
-	return NewView(g, i), nil
 }
 
 // NumRules returns the number of visible ground rules.

@@ -6,12 +6,12 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
+	"repro/internal/oracle/gen"
+	"repro/internal/oracle/naive"
 	"repro/internal/stable"
 	"repro/internal/transform"
-	"repro/internal/workload"
 )
 
 // TestEDBSimplificationIsPureOptimisation: disabling the EDB/CWA
@@ -20,7 +20,7 @@ import (
 func TestEDBSimplificationIsPureOptimisation(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rules := workload.RandomDatalog(rng, 3, 4, 5)
+		rules := gen.RandomDatalog(rng, 3, 4, 5)
 		for _, tr := range []string{"ov", "ev"} {
 			p, err := transform.OV("c", rules)
 			if tr == "ev" {
@@ -44,11 +44,11 @@ func TestEDBSimplificationIsPureOptimisation(t *testing.T) {
 				t.Errorf("seed %d %s: simplification increased instances (%d > %d)",
 					seed, tr, len(gOn.Rules), len(gOff.Rules))
 			}
-			vOn, err := eval.NewViewByName(gOn, "c")
+			vOn, err := naive.NewViewByName(gOn, "c")
 			if err != nil {
 				t.Fatal(err)
 			}
-			vOff, err := eval.NewViewByName(gOff, "c")
+			vOff, err := naive.NewViewByName(gOff, "c")
 			if err != nil {
 				t.Fatal(err)
 			}

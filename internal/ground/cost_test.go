@@ -84,7 +84,7 @@ func counterDelta(t *testing.T, fn func()) obs.Snap {
 func wantCounters(t *testing.T, what string, d obs.Snap, want map[string]int64) {
 	t.Helper()
 	for name, n := range want {
-		if got := d.Get(name); got != n {
+		if got := d[name]; got != n {
 			t.Errorf("%s: %s = %d, want %d", what, name, got, n)
 		}
 	}

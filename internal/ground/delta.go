@@ -79,10 +79,6 @@ type Delta struct {
 	Existing []int32
 }
 
-// Incremental reports whether the program retains usable smart-grounding
-// state for in-place fact maintenance.
-func (gp *Program) Incremental() bool { return gp.inc != nil && !gp.inc.poisoned }
-
 // AssertFacts adds ground positive facts to the component at position comp,
 // extending the possible-atom store, the rule instances and the competitor
 // closure in place by a delta-driven semi-naive pass. On success Rules has

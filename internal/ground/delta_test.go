@@ -532,9 +532,6 @@ module exc extends base { -q(X) :- e(X, Y). }
 		if text == "" {
 			text = src
 		}
-		if opts.IsZero() {
-			opts = ground.DefaultOptions()
-		}
 		gp, comp := fresh(t, text, opts)
 		if tc.prep != nil {
 			tc.prep(gp, comp)

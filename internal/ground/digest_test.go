@@ -21,8 +21,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/interp"
+	"repro/internal/oracle/gen"
 	"repro/internal/parser"
-	"repro/internal/workload"
 )
 
 // wantDigests are the digests of every grounding TestGroundDigests takes,
@@ -133,13 +133,13 @@ func gotDigests(t *testing.T) map[string]string {
 	corpus := map[string]func(seed int64) *ast.OrderedProgram{
 		"ordered": func(seed int64) *ast.OrderedProgram {
 			rng := rand.New(rand.NewSource(seed))
-			return workload.RandomOrdered(rng, 1+rng.Intn(4), workload.RandomConfig{
+			return gen.RandomOrdered(rng, 1+rng.Intn(4), gen.RandomConfig{
 				Atoms: 3 + rng.Intn(5), Rules: 5 + rng.Intn(10), MaxBody: 3, NegHeads: true, NegBody: true,
 			})
 		},
 		"datalog": func(seed int64) *ast.OrderedProgram {
 			rng := rand.New(rand.NewSource(seed + 1_000))
-			return workload.RandomOrderedDatalog(rng, 1+rng.Intn(3), 2+rng.Intn(3))
+			return gen.RandomOrderedDatalog(rng, 1+rng.Intn(3), 2+rng.Intn(3))
 		},
 	}
 	for name, gen := range corpus {

@@ -33,8 +33,8 @@ const (
 // Options configures grounding.
 type Options struct {
 	Mode Mode
-	// MaxDepth bounds functor nesting in the Herbrand universe; -1 (the
-	// default through DefaultOptions) uses the deepest term in the program.
+	// MaxDepth bounds functor nesting in the Herbrand universe; 0 or -1
+	// (the default) uses the deepest term in the program.
 	MaxDepth int
 	// MaxUniverse, MaxAtoms and MaxInstances are size budgets (0 = default).
 	MaxUniverse  int
@@ -67,16 +67,11 @@ func DefaultOptions() Options {
 	return Options{Mode: ModeSmart, MaxDepth: -1, MaxUniverse: 1 << 20, MaxAtoms: 1 << 21, MaxInstances: 1 << 22}
 }
 
-// IsZero reports whether o is the zero configuration. Callers treating a
-// zero Options as "use DefaultOptions" need this spelled out because the
-// Goal slice makes Options non-comparable.
-func (o Options) IsZero() bool {
-	return o.Mode == ModeSmart && o.MaxDepth == 0 && o.MaxUniverse == 0 &&
-		o.MaxAtoms == 0 && o.MaxInstances == 0 && !o.NoEDBSimplify &&
-		!o.NoJoinPlanner && o.Goal == nil
-}
-
+// fill supplies the default of every zero field.
 func (o *Options) fill() {
+	if o.MaxDepth == 0 {
+		o.MaxDepth = -1
+	}
 	if o.MaxUniverse == 0 {
 		o.MaxUniverse = 1 << 20
 	}

@@ -15,10 +15,10 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/oracle/gen"
 	"repro/internal/parser"
 	"repro/internal/storage"
 	"repro/internal/term"
-	"repro/internal/workload"
 )
 
 // emitFn receives each fully bound instance the scan oracle enumerates:
@@ -180,18 +180,18 @@ func oracleCorpus(t *testing.T) (names []string, progs []*ast.OrderedProgram) {
 	add := func(n string, p *ast.OrderedProgram) { names, progs = append(names, n), append(progs, p) }
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		add(fmt.Sprintf("ordered-%d", seed), workload.RandomOrdered(rng, 1+rng.Intn(4), workload.RandomConfig{
+		add(fmt.Sprintf("ordered-%d", seed), gen.RandomOrdered(rng, 1+rng.Intn(4), gen.RandomConfig{
 			Atoms: 3 + rng.Intn(5), Rules: 5 + rng.Intn(10), MaxBody: 3, NegHeads: true, NegBody: true,
 		}))
 	}
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed + 1_000))
-		add(fmt.Sprintf("datalog-%d", seed), workload.RandomOrderedDatalog(rng, 1+rng.Intn(3), 2+rng.Intn(3)))
+		add(fmt.Sprintf("datalog-%d", seed), gen.RandomOrderedDatalog(rng, 1+rng.Intn(3), 2+rng.Intn(3)))
 	}
 	for depth := 1; depth <= 4; depth++ {
 		for props := 1; props <= 4; props++ {
 			for members := 1; members <= 3; members++ {
-				add(fmt.Sprintf("inheritance-%d-%d-%d", depth, props, members), workload.Inheritance(depth, props, members))
+				add(fmt.Sprintf("inheritance-%d-%d-%d", depth, props, members), gen.Inheritance(depth, props, members))
 			}
 		}
 	}

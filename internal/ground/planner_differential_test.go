@@ -16,7 +16,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/ground"
-	"repro/internal/workload"
+	"repro/internal/oracle/gen"
 )
 
 // plannerPrograms yields ≥200 seeded programs mixing every random workload
@@ -27,7 +27,7 @@ func plannerPrograms(t *testing.T) []*ast.OrderedProgram {
 	// 80 random propositional ordered programs.
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		progs = append(progs, workload.RandomOrdered(rng, 1+rng.Intn(4), workload.RandomConfig{
+		progs = append(progs, gen.RandomOrdered(rng, 1+rng.Intn(4), gen.RandomConfig{
 			Atoms: 3 + rng.Intn(5), Rules: 5 + rng.Intn(10), MaxBody: 3,
 			NegHeads: true, NegBody: true,
 		}))
@@ -35,13 +35,13 @@ func plannerPrograms(t *testing.T) []*ast.OrderedProgram {
 	// 80 random non-ground ordered Datalog programs.
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed + 1_000))
-		progs = append(progs, workload.RandomOrderedDatalog(rng, 1+rng.Intn(3), 2+rng.Intn(3)))
+		progs = append(progs, gen.RandomOrderedDatalog(rng, 1+rng.Intn(3), 2+rng.Intn(3)))
 	}
 	// 48 inheritance hierarchies sweeping depth, properties and members.
 	for depth := 1; depth <= 4; depth++ {
 		for props := 1; props <= 4; props++ {
 			for members := 1; members <= 3; members++ {
-				progs = append(progs, workload.Inheritance(depth, props, members))
+				progs = append(progs, gen.Inheritance(depth, props, members))
 			}
 		}
 	}

@@ -32,18 +32,6 @@ func (e *ErrBudget) Error() string {
 	return fmt.Sprintf("ground: %s budget exceeded (limit %d); raise the budget or simplify the program", e.What, e.Limit)
 }
 
-// Universe computes the Herbrand universe of the program: all constants
-// plus compound terms nested up to maxDepth. If maxDepth < 0 it defaults to
-// the maximum term depth occurring in the program, so every term written in
-// the program is constructible but no deeper ones. If the program uses
-// variables but has no constants, the conventional fresh constant "u0" is
-// added to keep the universe non-empty. A positive budget caps the universe
-// size.
-func Universe(p *ast.OrderedProgram, maxDepth int, budget int) ([]ast.Term, error) {
-	all, _, err := universe(p, maxDepth, budget)
-	return all, err
-}
-
 // universe is Universe that also reports whether the program has no
 // constants of its own (the universe is then empty or the u0 fallback), so
 // the grounder need not collect the constants a second time to find out.

@@ -9,7 +9,6 @@ package interp
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/ast"
@@ -337,24 +336,6 @@ func (t *Table) OfPred(k ast.PredKey) []AtomID {
 	}
 	t.mu.RUnlock()
 	return ids
-}
-
-// Preds returns all predicate keys with at least one interned atom,
-// sorted by name then arity.
-func (t *Table) Preds() []ast.PredKey {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	keys := make([]ast.PredKey, 0, len(t.preds))
-	for k := range t.preds {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Name != keys[j].Name {
-			return keys[i].Name < keys[j].Name
-		}
-		return keys[i].Arity < keys[j].Arity
-	})
-	return keys
 }
 
 // LitString renders an interned literal using the table.

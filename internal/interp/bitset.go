@@ -102,13 +102,6 @@ func (b *Bitset) IntersectWith(o *Bitset) {
 	}
 }
 
-// DifferenceWith clears every bit of b that is set in o.
-func (b *Bitset) DifferenceWith(o *Bitset) {
-	for i := range b.words {
-		b.words[i] &^= o.words[i]
-	}
-}
-
 // Intersects reports whether b and o share a set bit.
 func (b *Bitset) Intersects(o *Bitset) bool {
 	for i, w := range b.words {
@@ -117,16 +110,6 @@ func (b *Bitset) Intersects(o *Bitset) bool {
 		}
 	}
 	return false
-}
-
-// Empty reports whether no bit is set.
-func (b *Bitset) Empty() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Range calls f for every set bit in ascending order; f returning false

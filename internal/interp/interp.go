@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -49,9 +48,6 @@ func New(tab *Table) *Interp { return NewSized(tab, tab.Len()) }
 func NewSized(tab *Table, n int) *Interp {
 	return &Interp{tab: tab, pos: NewBitset(n), neg: NewBitset(n)}
 }
-
-// Table returns the underlying atom table.
-func (in *Interp) Table() *Table { return in.tab }
 
 // Value returns the truth value of atom id.
 func (in *Interp) Value(id AtomID) Value {
@@ -224,20 +220,4 @@ func (in *Interp) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// FromLiterals builds an interpretation from AST literals; every atom must
-// already be interned. It fails on inconsistent or unknown literals.
-func FromLiterals(tab *Table, lits []ast.Literal) (*Interp, error) {
-	in := New(tab)
-	for _, l := range lits {
-		id, ok := tab.Lookup(l.Atom)
-		if !ok {
-			return nil, fmt.Errorf("literal %s: atom not in Herbrand base", l)
-		}
-		if !in.AddLit(MkLit(id, l.Neg)) {
-			return nil, fmt.Errorf("literal %s makes the interpretation inconsistent", l)
-		}
-	}
-	return in, nil
 }

@@ -214,21 +214,6 @@ func TestInterpStringSorted(t *testing.T) {
 	}
 }
 
-func TestFromLiterals(t *testing.T) {
-	tab := NewTable()
-	tab.Intern(atomOf("a"))
-	in, err := FromLiterals(tab, []ast.Literal{ast.Pos(atomOf("a"))})
-	if err != nil || !in.HasLit(MkLit(0, false)) {
-		t.Errorf("FromLiterals: %v %v", in, err)
-	}
-	if _, err := FromLiterals(tab, []ast.Literal{ast.Pos(atomOf("zzz"))}); err == nil {
-		t.Error("unknown atom accepted")
-	}
-	if _, err := FromLiterals(tab, []ast.Literal{ast.Pos(atomOf("a")), ast.Neg(atomOf("a"))}); err == nil {
-		t.Error("inconsistent literal set accepted")
-	}
-}
-
 func TestBitset(t *testing.T) {
 	b := NewBitset(130) // cross word boundaries
 	for _, i := range []int{0, 63, 64, 129} {

@@ -45,13 +45,3 @@ func (e Event) String() string {
 	}
 	return b.String()
 }
-
-// Get returns the value of the first field with the given key, or nil.
-func (e Event) Get(key string) any {
-	for _, f := range e.Fields {
-		if f.Key == key {
-			return f.Val
-		}
-	}
-	return nil
-}

@@ -58,11 +58,11 @@ func TestSnapDiff(t *testing.T) {
 	r.Counter("eval.rounds").Add(2)
 	after := r.Snap()
 	d := after.Diff(before)
-	if d.Get("ground.instances") != 5 {
-		t.Fatalf("diff ground.instances = %d, want 5", d.Get("ground.instances"))
+	if d["ground.instances"] != 5 {
+		t.Fatalf("diff ground.instances = %d, want 5", d["ground.instances"])
 	}
-	if d.Get("eval.rounds") != 2 {
-		t.Fatalf("diff eval.rounds = %d, want 2", d.Get("eval.rounds"))
+	if d["eval.rounds"] != 2 {
+		t.Fatalf("diff eval.rounds = %d, want 2", d["eval.rounds"])
 	}
 	if _, ok := d["core.version"]; ok {
 		t.Fatal("unchanged gauge should be dropped from the diff")
@@ -72,7 +72,7 @@ func TestSnapDiff(t *testing.T) {
 func TestSnapIncludesHistogramCount(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("batch.latency").Observe(time.Millisecond)
-	if got := r.Snap().Get("batch.latency.count"); got != 1 {
+	if got := r.Snap()["batch.latency.count"]; got != 1 {
 		t.Fatalf("snap histogram count = %d, want 1", got)
 	}
 }

@@ -66,16 +66,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores the gauge value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Max raises the gauge to n if n is larger.
-func (g *Gauge) Max(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -251,9 +241,6 @@ func (s Snap) Diff(prev Snap) Snap {
 	}
 	return out
 }
-
-// Get returns the value under name (0 when absent).
-func (s Snap) Get(name string) int64 { return s[name] }
 
 // histJSON is the JSON shape of one histogram in the export.
 type histJSON struct {

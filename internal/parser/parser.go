@@ -65,15 +65,6 @@ func ParseProgram(src string) (*ast.OrderedProgram, error) {
 	return res.Program, nil
 }
 
-// MustParseProgram parses src and panics on error. For tests and examples.
-func MustParseProgram(src string) *ast.OrderedProgram {
-	p, err := ParseProgram(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // ParseRule parses a single clause such as "fly(X) :- bird(X)." and
 // returns it.
 func ParseRule(src string) (*ast.Rule, error) {
@@ -92,15 +83,6 @@ func ParseRule(src string) (*ast.Rule, error) {
 	return r, nil
 }
 
-// MustParseRule parses a single clause and panics on error.
-func MustParseRule(src string) *ast.Rule {
-	r, err := ParseRule(src)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // ParseLiteral parses a single literal such as "-fly(penguin)".
 func ParseLiteral(src string) (ast.Literal, error) {
 	toks, err := lexer.Tokens(src)
@@ -116,15 +98,6 @@ func ParseLiteral(src string) (ast.Literal, error) {
 		return ast.Literal{}, p.errf("trailing input after literal")
 	}
 	return l, nil
-}
-
-// MustParseLiteral parses a literal and panics on error.
-func MustParseLiteral(src string) ast.Literal {
-	l, err := ParseLiteral(src)
-	if err != nil {
-		panic(err)
-	}
-	return l
 }
 
 // ParseFacts parses module-free source text (typically a bulk fact base)

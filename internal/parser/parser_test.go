@@ -258,12 +258,3 @@ func TestUnaryMinusInComparisons(t *testing.T) {
 		t.Fatalf("rule = %v", r2)
 	}
 }
-
-func TestMustHelpersPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParseRule did not panic on bad input")
-		}
-	}()
-	MustParseRule("p :-")
-}

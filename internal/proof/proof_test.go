@@ -8,6 +8,9 @@ import (
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
+	"repro/internal/oracle/gen"
+	"repro/internal/oracle/naive"
+	"repro/internal/oracle/parsetest"
 	"repro/internal/parser"
 	"repro/internal/proof"
 	"repro/internal/transform"
@@ -24,7 +27,7 @@ func viewOf(t *testing.T, src, comp string) *eval.View {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := eval.NewViewByName(g, comp)
+	v, err := naive.NewViewByName(g, comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ module c1 extends c2 {
 func TestProveMatchesLeastModel(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomOrdered(rng, 1+rng.Intn(3), workload.RandomConfig{
+		p := gen.RandomOrdered(rng, 1+rng.Intn(3), gen.RandomConfig{
 			Atoms: 4 + rng.Intn(3), Rules: 8 + rng.Intn(6), MaxBody: 2,
 			NegHeads: true, NegBody: true,
 		})
@@ -120,7 +123,7 @@ func TestProveOnDatalogOV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := eval.NewViewByName(g, "c")
+	v, err := naive.NewViewByName(g, "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func TestProveOnDatalogOV(t *testing.T) {
 func TestProverMemoisation(t *testing.T) {
 	v := viewOf(t, "a.\nb :- a.\nc :- b.\n", "main")
 	pr := proof.New(v, 0)
-	id, _ := v.G.Tab.Lookup(parser.MustParseLiteral("c").Atom)
+	id, _ := v.G.Tab.Lookup(parsetest.MustParseLiteral("c").Atom)
 	for i := 0; i < 3; i++ {
 		ok, err := pr.ProveCtx(context.Background(), interp.MkLit(id, false))
 		if err != nil || !ok {
@@ -160,7 +163,7 @@ func TestProverCycleTermination(t *testing.T) {
 	v := viewOf(t, "p :- p.\nq :- r.\nr :- q.\n", "main")
 	pr := proof.New(v, 0)
 	for _, name := range []string{"p", "q", "r"} {
-		id, ok := v.G.Tab.Lookup(parser.MustParseLiteral(name).Atom)
+		id, ok := v.G.Tab.Lookup(parsetest.MustParseLiteral(name).Atom)
 		if !ok {
 			continue
 		}

@@ -9,9 +9,9 @@ import (
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
+	"repro/internal/oracle/gen"
 	"repro/internal/parser"
 	"repro/internal/proof"
-	"repro/internal/workload"
 )
 
 func litOf(t *testing.T, v *eval.View, s string) interp.Lit {
@@ -88,7 +88,7 @@ p.
 func TestExplainConsistentWithProve(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomOrdered(rng, 1+rng.Intn(2), workload.RandomConfig{
+		p := gen.RandomOrdered(rng, 1+rng.Intn(2), gen.RandomConfig{
 			Atoms: 4, Rules: 8, MaxBody: 2, NegHeads: true, NegBody: true,
 		})
 		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())

@@ -93,9 +93,9 @@ func TestDaemonAsOfAdmission(t *testing.T) {
 	}
 	runs := obs.Default().Counter("ground.runs")
 
-	release, ok := tn.TryAcquire()
-	if !ok {
-		t.Fatal("could not take the only admission slot")
+	release, err := tn.Acquire(context.Background())
+	if err != nil {
+		t.Fatalf("could not take the only admission slot: %v", err)
 	}
 	before := runs.Value()
 	w := doReq(h, "GET", "/v1/tenants/pin/query?q=seen(X)&as_of=1&timeout=30ms", "", "")

@@ -59,7 +59,7 @@ func TestDaemonGoalDirected(t *testing.T) {
 		t.Fatalf("renamed-variable answers = %q, want c1,c2,c3", got)
 	}
 	diff := obs.Default().Snap().Diff(before)
-	if diff.Get("relevance.cache.misses") < 1 || diff.Get("relevance.cache.hits") < 1 {
+	if diff["relevance.cache.misses"] < 1 || diff["relevance.cache.hits"] < 1 {
 		t.Fatalf("slice cache counters = %v, want >=1 miss (first query) and >=1 hit (renamed repeat)", diff)
 	}
 

@@ -437,9 +437,9 @@ func TestDaemonAdmission(t *testing.T) {
 	if !ok {
 		t.Fatal("tenant not registered")
 	}
-	release, ok := tn.TryAcquire()
-	if !ok {
-		t.Fatal("could not take the only admission slot")
+	release, err := tn.Acquire(context.Background())
+	if err != nil {
+		t.Fatalf("could not take the only admission slot: %v", err)
 	}
 
 	w := doReq(h, "GET", "/v1/tenants/busy/query?q=owner(X)&timeout=30ms", "", "")

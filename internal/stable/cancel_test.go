@@ -17,6 +17,7 @@ import (
 	"repro/internal/ground"
 	"repro/internal/interp"
 	"repro/internal/interrupt"
+	"repro/internal/oracle/naive"
 	"repro/internal/stable"
 	"repro/internal/transform"
 	"repro/internal/workload"
@@ -36,7 +37,7 @@ func winMoveView(t testing.TB, n int) *eval.View {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := eval.NewViewByName(g, "c")
+	v, err := naive.NewViewByName(g, "c")
 	if err != nil {
 		t.Fatal(err)
 	}

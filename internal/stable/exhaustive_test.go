@@ -8,8 +8,8 @@ import (
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
-	"repro/internal/stable"
-	"repro/internal/workload"
+	"repro/internal/oracle/gen"
+	"repro/internal/oracle/naive"
 )
 
 // TestDefinition5Properties checks, on random small programs:
@@ -19,7 +19,7 @@ import (
 func TestDefinition5Properties(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomOrdered(rng, 1+rng.Intn(2), workload.RandomConfig{
+		p := gen.RandomOrdered(rng, 1+rng.Intn(2), gen.RandomConfig{
 			Atoms: 3, Rules: 5, MaxBody: 2, NegHeads: true, NegBody: true,
 		})
 		opts := ground.DefaultOptions()
@@ -33,7 +33,7 @@ func TestDefinition5Properties(t *testing.T) {
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			all, err := stable.AllModels(v, 0)
+			all, err := naive.AllModels(v, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func TestDefinition5Properties(t *testing.T) {
 						break
 					}
 				}
-				isEx, err := stable.IsExhaustive(v, m, 0)
+				isEx, err := naive.IsExhaustive(v, m, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -57,7 +57,7 @@ func TestDefinition5Properties(t *testing.T) {
 				if m.Total() && !isEx {
 					t.Fatalf("seed %d comp %d: total model %s not exhaustive", seed, ci, m)
 				}
-				ex, err := stable.ExtendToExhaustive(v, m, 0)
+				ex, err := naive.ExtendToExhaustive(v, m, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +79,7 @@ func TestNonTotalExhaustiveWitness(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 400 && !found; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomOrdered(rng, 1+rng.Intn(2), workload.RandomConfig{
+		p := gen.RandomOrdered(rng, 1+rng.Intn(2), gen.RandomConfig{
 			Atoms: 3, Rules: 5, MaxBody: 2, NegHeads: true, NegBody: true,
 		})
 		opts := ground.DefaultOptions()
@@ -93,7 +93,7 @@ func TestNonTotalExhaustiveWitness(t *testing.T) {
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			all, err := stable.AllModels(v, 0)
+			all, err := naive.AllModels(v, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,9 +20,9 @@ import (
 	"repro/internal/ground"
 	"repro/internal/interp"
 	"repro/internal/obs"
+	"repro/internal/oracle/gen"
 	"repro/internal/parser"
 	"repro/internal/stable"
-	"repro/internal/workload"
 )
 
 // enumRun is one enumeration's outcome: the models in the order returned,
@@ -120,7 +120,7 @@ func checkOrderedIdentity(t *testing.T, name string, v *eval.View) {
 func TestParallelMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomOrdered(rng, 1+rng.Intn(3), workload.RandomConfig{
+		p := gen.RandomOrdered(rng, 1+rng.Intn(3), gen.RandomConfig{
 			Atoms: 4 + rng.Intn(3), Rules: 8 + rng.Intn(5), MaxBody: 2, NegHeads: true, NegBody: true,
 		})
 		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())

@@ -68,3 +68,13 @@ func (r *Reasoning) HoldsBravely(l interp.Lit) bool {
 	}
 	return false
 }
+
+// Intersection returns the intersection of a non-empty family of
+// interpretations.
+func Intersection(ms []*interp.Interp) *interp.Interp {
+	out := ms[0].Clone()
+	for _, m := range ms[1:] {
+		out.IntersectWith(m)
+	}
+	return out
+}

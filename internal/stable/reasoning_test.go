@@ -8,9 +8,9 @@ import (
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
-	"repro/internal/parser"
+	"repro/internal/oracle/gen"
+	"repro/internal/oracle/parsetest"
 	"repro/internal/stable"
-	"repro/internal/workload"
 )
 
 func TestReasonExample5(t *testing.T) {
@@ -26,7 +26,7 @@ module c1 extends c2 { -a :- b, c. -b :- a. -b :- -b. }
 		t.Fatalf("models = %d", r.NumModels)
 	}
 	lit := func(name string, neg bool) interp.Lit {
-		l := parser.MustParseLiteral(name)
+		l := parsetest.MustParseLiteral(name)
 		id, ok := v.G.Tab.Lookup(l.Atom)
 		if !ok {
 			t.Fatalf("atom %s missing", name)
@@ -54,7 +54,7 @@ module c1 extends c2 { -a :- b, c. -b :- a. -b :- -b. }
 func TestPruneIsPureOptimisation(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomOrdered(rng, 1+rng.Intn(3), workload.RandomConfig{
+		p := gen.RandomOrdered(rng, 1+rng.Intn(3), gen.RandomConfig{
 			Atoms: 4 + rng.Intn(2), Rules: 8, MaxBody: 2, NegHeads: true, NegBody: true,
 		})
 		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())
@@ -91,7 +91,7 @@ func TestPruneIsPureOptimisation(t *testing.T) {
 func TestReasonProperties(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomOrdered(rng, 1+rng.Intn(2), workload.RandomConfig{
+		p := gen.RandomOrdered(rng, 1+rng.Intn(2), gen.RandomConfig{
 			Atoms: 4, Rules: 7, MaxBody: 2, NegHeads: true, NegBody: true,
 		})
 		g, err := ground.GroundCtx(context.Background(), p, ground.DefaultOptions())

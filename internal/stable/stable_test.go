@@ -9,6 +9,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
+	"repro/internal/oracle/naive"
 	"repro/internal/parser"
 	"repro/internal/stable"
 )
@@ -23,7 +24,7 @@ func view(t *testing.T, src, comp string) *eval.View {
 	if err != nil {
 		t.Fatalf("ground: %v", err)
 	}
-	v, err := eval.NewViewByName(g, comp)
+	v, err := naive.NewViewByName(g, comp)
 	if err != nil {
 		t.Fatalf("view: %v", err)
 	}
@@ -118,7 +119,7 @@ func TestLeastIsIntersectionOfAllModels(t *testing.T) {
 	if err != nil {
 		t.Fatalf("least: %v", err)
 	}
-	all, err := stable.AllModels(v, 0)
+	all, err := naive.AllModels(v, 0)
 	if err != nil {
 		t.Fatalf("all models: %v", err)
 	}
@@ -151,14 +152,14 @@ module c1 extends c2 {
 	if err != nil {
 		t.Fatalf("least: %v", err)
 	}
-	ex, err := stable.ExtendToExhaustive(v, least, 0)
+	ex, err := naive.ExtendToExhaustive(v, least, 0)
 	if err != nil {
 		t.Fatalf("extend: %v", err)
 	}
 	if !least.SubsetOf(ex) {
 		t.Errorf("extension %s does not contain %s", ex, least)
 	}
-	isEx, err := stable.IsExhaustive(v, ex, 0)
+	isEx, err := naive.IsExhaustive(v, ex, 0)
 	if err != nil {
 		t.Fatalf("isExhaustive: %v", err)
 	}

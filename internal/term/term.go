@@ -53,14 +53,6 @@ func NewTable() *Table {
 	}
 }
 
-// Len returns the number of interned terms.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	n := len(t.terms)
-	t.mu.RUnlock()
-	return n
-}
-
 // Term returns the term for an id. The result shares structure with the
 // interned term; ground terms are immutable by convention.
 func (t *Table) Term(id ID) ast.Term {

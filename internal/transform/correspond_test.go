@@ -3,7 +3,7 @@
 // programs by exhaustive model enumeration, comparing the ordered engine
 // (via the OV/EV/3V translations) against the independently implemented
 // classical semantics (internal/classical) and the direct Definition 11
-// semantics (internal/negsem).
+// semantics (internal/oracle/negsem).
 package transform_test
 
 import (
@@ -17,10 +17,13 @@ import (
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
-	"repro/internal/negsem"
+	"repro/internal/oracle/gen"
+	"repro/internal/oracle/nafmodels"
+	"repro/internal/oracle/naive"
+	"repro/internal/oracle/negsem"
+	"repro/internal/oracle/parsetest"
 	"repro/internal/stable"
 	"repro/internal/transform"
-	"repro/internal/workload"
 )
 
 // groundFull grounds an ordered program in full mode.
@@ -37,7 +40,7 @@ func groundFull(t *testing.T, p *ast.OrderedProgram) *ground.Program {
 
 func viewOf(t *testing.T, g *ground.Program, comp string) *eval.View {
 	t.Helper()
-	v, err := eval.NewViewByName(g, comp)
+	v, err := naive.NewViewByName(g, comp)
 	if err != nil {
 		t.Fatalf("view: %v", err)
 	}
@@ -78,7 +81,7 @@ func equalSets(a, b []string) bool {
 // matched structurally).
 func convert(t *testing.T, m *interp.Interp, tab *interp.Table) *interp.Interp {
 	t.Helper()
-	out, err := interp.FromLiterals(tab, m.Literals())
+	out, err := parsetest.FromLiterals(tab, m.Literals())
 	if err != nil {
 		t.Fatalf("convert: %v", err)
 	}
@@ -109,7 +112,7 @@ func enumerate3(tab *interp.Table, fn func(m *interp.Interp)) {
 
 func randomSeminegative(seed int64) []*ast.Rule {
 	rng := rand.New(rand.NewSource(seed))
-	return workload.RandomPropositional(rng, workload.RandomConfig{
+	return gen.RandomPropositional(rng, gen.RandomConfig{
 		Atoms: 4 + rng.Intn(2), Rules: 4 + rng.Intn(4), MaxBody: 2,
 		NegHeads: false, NegBody: true,
 	})
@@ -117,7 +120,7 @@ func randomSeminegative(seed int64) []*ast.Rule {
 
 func randomNegative(seed int64) []*ast.Rule {
 	rng := rand.New(rand.NewSource(seed))
-	return workload.RandomPropositional(rng, workload.RandomConfig{
+	return gen.RandomPropositional(rng, gen.RandomConfig{
 		Atoms: 4 + rng.Intn(2), Rules: 4 + rng.Intn(4), MaxBody: 2,
 		NegHeads: true, NegBody: true,
 	})
@@ -140,13 +143,13 @@ func TestProp3(t *testing.T) {
 		}
 		g := groundFull(t, ov)
 		v := viewOf(t, g, "c")
-		models, err := stable.AllModels(v, 0)
+		models, err := naive.AllModels(v, 0)
 		if err != nil {
 			t.Fatalf("seed %d: enumerate: %v", seed, err)
 		}
 		for _, m := range models {
 			cm := convert(t, m, cp.Tab)
-			if !cp.IsThreeValuedModel(cm) {
+			if !nafmodels.IsThreeValuedModel(cp, cm) {
 				t.Fatalf("seed %d: OV model %s is not a 3-valued model of C", seed, m)
 			}
 		}
@@ -166,7 +169,7 @@ func TestExample7(t *testing.T) {
 	m := interp.New(cp.Tab)
 	id, _ := cp.Tab.Lookup(p)
 	m.AddLit(interp.MkLit(id, false))
-	if !cp.IsThreeValuedModel(m) {
+	if !nafmodels.IsThreeValuedModel(cp, m) {
 		t.Fatal("{p} should be a 3-valued model of {p :- -p}")
 	}
 	ov, err := transform.OV("c", rules)
@@ -218,7 +221,7 @@ func TestProp4AndCor1(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: classical ground: %v", seed, err)
 		}
-		founded, err := cp.FoundedModels(0)
+		founded, err := nafmodels.FoundedModels(cp, 0)
 		if err != nil {
 			t.Fatalf("seed %d: founded: %v", seed, err)
 		}
@@ -264,7 +267,7 @@ func TestProp4AndCor1(t *testing.T) {
 			}
 		}
 		// (iii) Corollary 1: stable models coincide.
-		szStable, err := cp.StableThreeValued(0)
+		szStable, err := nafmodels.StableThreeValued(cp, 0)
 		if err != nil {
 			t.Fatalf("seed %d: sz stable: %v", seed, err)
 		}
@@ -299,7 +302,7 @@ func TestProp5(t *testing.T) {
 		// (a) by exhaustive enumeration over the classical table.
 		enumerate3(cp.Tab, func(m *interp.Interp) {
 			em := convert(t, m, ge.Tab)
-			if got, want := ve.IsModel(em), cp.IsThreeValuedModel(m); got != want {
+			if got, want := ve.IsModel(em), nafmodels.IsThreeValuedModel(cp, m); got != want {
 				t.Fatalf("seed %d: EV-model=%v but 3-valued-model=%v for %s\nprogram: %v",
 					seed, got, want, m, rules)
 			}

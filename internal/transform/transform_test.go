@@ -4,12 +4,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/parser"
+	"repro/internal/oracle/parsetest"
 	"repro/internal/transform"
 )
 
 func TestOVStructure(t *testing.T) {
-	rules := parser.MustParseProgram("anc(X, Y) :- parent(X, Y).\nparent(a, b).\n").Components[0].Rules
+	rules := parsetest.MustParseProgram("anc(X, Y) :- parent(X, Y).\nparent(a, b).\n").Components[0].Rules
 	ov, err := transform.OV("c", rules)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestOVStructure(t *testing.T) {
 }
 
 func TestOVRejectsNegativeHeads(t *testing.T) {
-	rules := parser.MustParseProgram("-p(a).\n").Components[0].Rules
+	rules := parsetest.MustParseProgram("-p(a).\n").Components[0].Rules
 	if _, err := transform.OV("c", rules); err == nil {
 		t.Error("OV accepted a negative program")
 	}
@@ -51,7 +51,7 @@ func TestOVRejectsNegativeHeads(t *testing.T) {
 }
 
 func TestEVAddsReflexiveRules(t *testing.T) {
-	rules := parser.MustParseProgram("p(a).\nq(X) :- p(X).\n").Components[0].Rules
+	rules := parsetest.MustParseProgram("p(a).\nq(X) :- p(X).\n").Components[0].Rules
 	ev, err := transform.EV("c", rules)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestEVAddsReflexiveRules(t *testing.T) {
 }
 
 func TestThreeVStructure(t *testing.T) {
-	rules := parser.MustParseProgram(`
+	rules := parsetest.MustParseProgram(`
 colored(X) :- color(X).
 -colored(X) :- ugly(X).
 color(red).
@@ -113,7 +113,7 @@ ugly(red).
 }
 
 func TestOVNameCollision(t *testing.T) {
-	rules := parser.MustParseProgram("p(a).\n").Components[0].Rules
+	rules := parsetest.MustParseProgram("p(a).\n").Components[0].Rules
 	ov, err := transform.OV("cwa", rules) // user component already named cwa
 	if err != nil {
 		t.Fatal(err)
@@ -129,12 +129,12 @@ func TestOVNameCollision(t *testing.T) {
 }
 
 func TestFlattenSingle(t *testing.T) {
-	p := parser.MustParseProgram("a.\nb.\n")
+	p := parsetest.MustParseProgram("a.\nb.\n")
 	rules, err := transform.FlattenSingle(p)
 	if err != nil || len(rules) != 2 {
 		t.Errorf("FlattenSingle = %v, %v", rules, err)
 	}
-	multi := parser.MustParseProgram("module a { x. }\nmodule b { y. }\n")
+	multi := parsetest.MustParseProgram("module a { x. }\nmodule b { y. }\n")
 	if _, err := transform.FlattenSingle(multi); err == nil {
 		t.Error("FlattenSingle accepted a multi-component program")
 	}
@@ -152,7 +152,7 @@ func TestOVSizePolynomial(t *testing.T) {
 		sb.WriteByte(byte('0' + i/10))
 		sb.WriteString(").\n")
 	}
-	rules := parser.MustParseProgram(sb.String()).Components[0].Rules
+	rules := parsetest.MustParseProgram(sb.String()).Components[0].Rules
 	ov, err := transform.OV("c", rules)
 	if err != nil {
 		t.Fatal(err)

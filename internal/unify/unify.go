@@ -22,16 +22,6 @@ type Subst struct {
 // NewSubst returns an empty substitution.
 func NewSubst() *Subst { return &Subst{m: make(map[string]ast.Term)} }
 
-// Clone returns an independent copy of the substitution (without trail
-// history).
-func (s *Subst) Clone() *Subst {
-	c := &Subst{m: make(map[string]ast.Term, len(s.m))}
-	for k, v := range s.m {
-		c.m[k] = v
-	}
-	return c
-}
-
 // Mark returns an undo point for Undo. Bindings made after a Mark are
 // removed by Undo(mark).
 func (s *Subst) Mark() int { return len(s.trail) }
@@ -52,12 +42,6 @@ func (s *Subst) Bind(v ast.Var, t ast.Term) {
 	s.m[v.Name] = t
 	s.trail = append(s.trail, v.Name)
 }
-
-// Lookup returns the binding of v, or nil if unbound.
-func (s *Subst) Lookup(v ast.Var) ast.Term { return s.m[v.Name] }
-
-// Len returns the number of bound variables.
-func (s *Subst) Len() int { return len(s.m) }
 
 // Walk resolves t one level: if t is a variable bound in s, follow the
 // chain of bindings until an unbound variable or a non-variable term.
@@ -88,18 +72,6 @@ func (s *Subst) Apply(t ast.Term) ast.Term {
 	return t
 }
 
-// ApplyAtom applies the substitution to every argument of an atom.
-func (s *Subst) ApplyAtom(a ast.Atom) ast.Atom {
-	if len(a.Args) == 0 {
-		return a
-	}
-	args := make([]ast.Term, len(a.Args))
-	for i, t := range a.Args {
-		args[i] = s.Apply(t)
-	}
-	return ast.Atom{Pred: a.Pred, Args: args}
-}
-
 // Resolve returns v's binding applied deeply, or nil when v is unbound: the
 // binding function ast's Substitute helpers take.
 func (s *Subst) Resolve(v ast.Var) ast.Term {
@@ -109,9 +81,6 @@ func (s *Subst) Resolve(v ast.Var) ast.Term {
 	}
 	return t
 }
-
-// ApplyRule applies the substitution to a whole rule.
-func (s *Subst) ApplyRule(r *ast.Rule) *ast.Rule { return r.Substitute(s.Resolve) }
 
 // String renders the substitution as {X->a, Y->f(b)} with sorted keys.
 func (s *Subst) String() string {
@@ -236,12 +205,4 @@ func MatchAtoms(s *Subst, pattern, g ast.Atom) bool {
 		}
 	}
 	return true
-}
-
-// RenameRule returns a copy of r with every variable renamed using the
-// given suffix (X becomes X#suffix). Used to keep rule instances apart.
-func RenameRule(r *ast.Rule, suffix string) *ast.Rule {
-	return r.Substitute(func(v ast.Var) ast.Term {
-		return ast.Var{Name: v.Name + "#" + suffix}
-	})
 }

@@ -277,7 +277,7 @@ func TestSyncDirErrorSurfaced(t *testing.T) {
 
 func TestFlushErrorFailStopsAppends(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, Genesis("tn"), 0, SyncInterval)
+	l, err := OpenLogWith(dir, Genesis("tn"), 0, LogOptions{Policy: SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestFlushErrorFailStopsAppends(t *testing.T) {
 }
 
 func TestLegacySingleFileStillReadable(t *testing.T) {
-	// A directory written entirely through the unrotated OpenLog path is
+	// A directory written entirely with no rotation caps is
 	// the pre-segment layout; ReadAll must read it as a one-segment chain.
 	dir, recs, _ := writeLog(t, "tn", 5, SyncAlways)
 	res, err := ReadAll(dir, Genesis("tn"), true)

@@ -177,15 +177,6 @@ type DecodeResult struct {
 	Torn bool
 }
 
-// Decode parses a log image, verifying per-record CRCs and the full hash
-// chain from the genesis seed. In strict mode every failure is an
-// ErrCorrupt; in tolerant mode a failure confined to the final frame is
-// reported as a torn tail instead (any damage with intact data after it
-// cannot be a crash artifact and stays hard corruption either way).
-func Decode(b []byte, genesis string, strict bool) (*DecodeResult, error) {
-	return decodeFrom(b, 1, genesis, strict)
-}
-
 // decodeFrom parses one segment image whose first record is expected at
 // sequence firstSeq. prev is the chain hash preceding that record —
 // Genesis(name) when firstSeq is 1, the previous segment's tip hash
@@ -260,19 +251,6 @@ func decodeFrom(b []byte, firstSeq uint64, prev string, strict bool) (*DecodeRes
 	return res, nil
 }
 
-// ReadLog decodes dir's log file from the genesis seed. A missing file is
-// an empty log, not an error.
-func ReadLog(dir, genesis string, strict bool) (*DecodeResult, error) {
-	b, err := os.ReadFile(filepath.Join(dir, LogName))
-	if errors.Is(err, os.ErrNotExist) {
-		return &DecodeResult{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return Decode(b, genesis, strict)
-}
-
 // LogOptions configures the append side of one durability directory.
 type LogOptions struct {
 	// Policy is the fsync policy (see SyncPolicy).
@@ -309,14 +287,6 @@ type Log struct {
 
 	stop chan struct{}
 	done chan struct{}
-}
-
-// OpenLog opens (creating if absent) dir's log for appending with no
-// rotation caps — the single-file layout. head and seq are the chain
-// state of the existing content — Genesis(name) and 0 for a fresh log,
-// the tail of ReadAll's records after recovery.
-func OpenLog(dir, head string, seq uint64, policy SyncPolicy) (*Log, error) {
-	return OpenLogWith(dir, head, seq, LogOptions{Policy: policy})
 }
 
 // OpenLogWith opens dir's log for appending with explicit options.

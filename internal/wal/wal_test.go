@@ -15,7 +15,7 @@ import (
 func writeLog(t *testing.T, name string, n int, policy SyncPolicy) (dir string, recs []Record, raw []byte) {
 	t.Helper()
 	dir = t.TempDir()
-	l, err := OpenLog(dir, Genesis(name), 0, policy)
+	l, err := OpenLogWith(dir, Genesis(name), 0, LogOptions{Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestLogRoundtrip(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncInterval, SyncAlways} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir, recs, _ := writeLog(t, "tn", 7, policy)
-			res, err := ReadLog(dir, Genesis("tn"), true)
+			res, err := ReadAll(dir, Genesis("tn"), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestGenesisSeparatesTenants(t *testing.T) {
 	// A chain mismatch is hard corruption in both modes: a crash cannot
 	// reseed the chain, only tampering or a swapped directory can.
 	for _, strict := range []bool{true, false} {
-		if _, err := ReadLog(dir, Genesis("b"), strict); !errors.Is(err, ErrCorrupt) {
+		if _, err := ReadAll(dir, Genesis("b"), strict); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("wrong-genesis decode (strict=%v): got %v, want ErrCorrupt", strict, err)
 		}
 	}
@@ -140,7 +140,7 @@ func TestTruncationTolerantPrefix(t *testing.T) {
 
 func TestAppendAfterCloseFails(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir, Genesis("tn"), 0, SyncInterval)
+	l, err := OpenLogWith(dir, Genesis("tn"), 0, LogOptions{Policy: SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestReset(t *testing.T) {
 	if IsDurabilityDir(dir) {
 		t.Fatal("reset directory still recognised as durability dir")
 	}
-	res, err := ReadLog(dir, Genesis("tn"), true)
+	res, err := ReadAll(dir, Genesis("tn"), true)
 	if err != nil || len(res.Records) != 0 {
 		t.Fatalf("reset log: %d records, err %v", len(res.Records), err)
 	}
@@ -320,7 +320,7 @@ func TestParseSyncPolicy(t *testing.T) {
 // or returns an intact chain prefix of the original.
 func FuzzWALDecode(f *testing.F) {
 	dir := f.TempDir()
-	l, err := OpenLog(dir, Genesis("fz"), 0, SyncAlways)
+	l, err := OpenLogWith(dir, Genesis("fz"), 0, LogOptions{Policy: SyncAlways})
 	if err != nil {
 		f.Fatal(err)
 	}

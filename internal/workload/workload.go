@@ -1,14 +1,12 @@
-// Package workload generates the programs used by the test suite and the
-// benchmark harness: classical Datalog workloads (ancestor chains, trees
-// and grids, win–move games), ordered knowledge bases (inheritance
-// hierarchies with default properties and exceptions), and seeded random
-// propositional programs for property-based testing of the paper's
-// theorems.
+// Package workload generates the programs and request streams the
+// benchmark harness, the examples and cmd/olpload run: ancestor chains,
+// win–move games over chains and cycles, and a Zipf sampler. The test
+// suite's own generators (random programs, trees, inheritance hierarchies)
+// live in internal/oracle/gen.
 package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/ast"
 )
@@ -26,28 +24,6 @@ func AncestorChain(n int) []*ast.Rule {
 	for i := 0; i+1 < n; i++ {
 		rules = append(rules, ast.Fact(ast.Pos(atom("parent", sym(constName(i)), sym(constName(i+1))))))
 	}
-	return rules
-}
-
-// AncestorTree returns the ancestor program over a complete tree of the
-// given fanout and depth (depth 0 is a single node).
-func AncestorTree(fanout, depth int) []*ast.Rule {
-	rules := ancestorRules()
-	id := 0
-	next := func() string { id++; return constName(id - 1) }
-	var grow func(parent string, d int)
-	root := next()
-	grow = func(parent string, d int) {
-		if d == 0 {
-			return
-		}
-		for i := 0; i < fanout; i++ {
-			child := next()
-			rules = append(rules, ast.Fact(ast.Pos(atom("parent", sym(parent), sym(child)))))
-			grow(child, d-1)
-		}
-	}
-	grow(root, depth)
 	return rules
 }
 
@@ -97,63 +73,4 @@ func CycleEdges(n int) [][2]int {
 		out = append(out, [2]int{n - 1, 0})
 	}
 	return out
-}
-
-// RandomEdges returns e distinct random directed edges (no self loops)
-// over n nodes.
-func RandomEdges(rng *rand.Rand, n, e int) [][2]int {
-	seen := make(map[[2]int]bool)
-	var out [][2]int
-	for len(out) < e && len(out) < n*(n-1) {
-		a, b := rng.Intn(n), rng.Intn(n)
-		if a == b || seen[[2]int{a, b}] {
-			continue
-		}
-		seen[[2]int{a, b}] = true
-		out = append(out, [2]int{a, b})
-	}
-	return out
-}
-
-// Inheritance builds an ordered knowledge base shaped like the paper's
-// motivating examples: a linear isa-hierarchy of depth levels (level 0 the
-// most specific), each level defining nprops default properties
-//
-//	level k:  p_i(X) :- member(X).     (for even i)
-//	          -p_i(X) :- member(X).    (for odd i)
-//
-// with each level inverting the sign of property k mod nprops — an
-// exception to the level above. Each level holds nmembers member facts.
-// The program's least model in the bottom component exercises long
-// overruling chains.
-func Inheritance(depth, nprops, nmembers int) *ast.OrderedProgram {
-	p := ast.NewOrderedProgram()
-	x := ast.Var{Name: "X"}
-	memberOffset := 0
-	for lvl := depth - 1; lvl >= 0; lvl-- {
-		c := &ast.Component{Name: fmt.Sprintf("lvl%d", lvl)}
-		for i := 0; i < nprops; i++ {
-			neg := (i+lvl)%2 == 1
-			c.AddRule(&ast.Rule{
-				Head: ast.Literal{Neg: neg, Atom: atom(fmt.Sprintf("p%d", i), x)},
-				Body: []ast.Literal{ast.Pos(atom("member", x))},
-			})
-		}
-		for m := 0; m < nmembers; m++ {
-			c.AddRule(ast.Fact(ast.Pos(atom("member", sym(constName(memberOffset))))))
-			memberOffset++
-		}
-		if err := p.AddComponent(c); err != nil {
-			panic(err)
-		}
-	}
-	for lvl := 0; lvl+1 < depth; lvl++ {
-		if err := p.AddEdge(fmt.Sprintf("lvl%d", lvl), fmt.Sprintf("lvl%d", lvl+1)); err != nil {
-			panic(err)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	return p
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/oracle/gen"
 	"repro/internal/workload"
 )
 
@@ -29,7 +30,7 @@ func TestAncestorChain(t *testing.T) {
 }
 
 func TestAncestorTree(t *testing.T) {
-	rules := workload.AncestorTree(2, 3) // binary tree of depth 3
+	rules := gen.AncestorTree(2, 3) // binary tree of depth 3
 	facts := 0
 	for _, r := range rules {
 		if r.IsFact() {
@@ -53,7 +54,7 @@ func TestWinMoveEdges(t *testing.T) {
 		t.Errorf("singleton cycle edges = %d", got)
 	}
 	rng := rand.New(rand.NewSource(1))
-	edges := workload.RandomEdges(rng, 5, 10)
+	edges := gen.RandomEdges(rng, 5, 10)
 	if len(edges) != 10 {
 		t.Errorf("random edges = %d", len(edges))
 	}
@@ -68,7 +69,7 @@ func TestWinMoveEdges(t *testing.T) {
 		seen[e] = true
 	}
 	// Requesting more edges than exist caps at n(n-1).
-	if got := len(workload.RandomEdges(rng, 3, 100)); got != 6 {
+	if got := len(gen.RandomEdges(rng, 3, 100)); got != 6 {
 		t.Errorf("capped random edges = %d, want 6", got)
 	}
 }
@@ -84,7 +85,7 @@ func TestWinMoveProgram(t *testing.T) {
 }
 
 func TestInheritance(t *testing.T) {
-	p := workload.Inheritance(3, 2, 4)
+	p := gen.Inheritance(3, 2, 4)
 	if len(p.Components) != 3 {
 		t.Fatalf("components = %d", len(p.Components))
 	}
@@ -103,7 +104,7 @@ func TestInheritance(t *testing.T) {
 
 func TestRandomPropositionalShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	rules := workload.RandomPropositional(rng, workload.RandomConfig{
+	rules := gen.RandomPropositional(rng, gen.RandomConfig{
 		Atoms: 4, Rules: 20, MaxBody: 3, NegHeads: false, NegBody: true,
 	})
 	if len(rules) != 20 {
@@ -129,7 +130,7 @@ func TestRandomPropositionalShape(t *testing.T) {
 func TestRandomOrderedIsValidPartialOrder(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomOrdered(rng, 4, workload.RandomConfig{
+		p := gen.RandomOrdered(rng, 4, gen.RandomConfig{
 			Atoms: 4, Rules: 8, MaxBody: 2, NegHeads: true, NegBody: true,
 		})
 		if err := p.Validate(); err != nil {
@@ -143,7 +144,7 @@ func TestRandomOrderedIsValidPartialOrder(t *testing.T) {
 
 func TestRandomDatalogSafeEDB(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	rules := workload.RandomDatalog(rng, 4, 5, 6)
+	rules := gen.RandomDatalog(rng, 4, 5, 6)
 	facts, nonFacts := 0, 0
 	for _, r := range rules {
 		if r.IsFact() {
@@ -164,10 +165,10 @@ func TestRandomDatalogSafeEDB(t *testing.T) {
 }
 
 func TestDeterministicGenerators(t *testing.T) {
-	a := workload.RandomPropositional(rand.New(rand.NewSource(42)), workload.RandomConfig{
+	a := gen.RandomPropositional(rand.New(rand.NewSource(42)), gen.RandomConfig{
 		Atoms: 5, Rules: 10, MaxBody: 2, NegHeads: true, NegBody: true,
 	})
-	b := workload.RandomPropositional(rand.New(rand.NewSource(42)), workload.RandomConfig{
+	b := gen.RandomPropositional(rand.New(rand.NewSource(42)), gen.RandomConfig{
 		Atoms: 5, Rules: 10, MaxBody: 2, NegHeads: true, NegBody: true,
 	})
 	for i := range a {

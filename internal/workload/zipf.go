@@ -61,12 +61,6 @@ func (z *Zipf) Next() int {
 	return sort.SearchFloat64s(z.cdf, z.rng.Float64())
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Skew returns the generator's s parameter.
-func (z *Zipf) Skew() float64 { return z.s }
-
 // Prob returns the exact probability of rank k, for chi-square checks and
 // reporting.
 func (z *Zipf) Prob(k int) float64 {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
+	"repro/internal/oracle/naive"
 	"repro/internal/parser"
 	"repro/internal/proof"
 	"repro/internal/transform"
@@ -27,7 +28,7 @@ func ancestorView(tb testing.TB, n int) *eval.View {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	v, err := eval.NewViewByName(g, "c")
+	v, err := naive.NewViewByName(g, "c")
 	if err != nil {
 		tb.Fatal(err)
 	}
