@@ -138,10 +138,9 @@ func buildProgIndex(gp *ground.Program, rules []ground.Rule) *progIndex {
 		}
 	}
 	keys := make([]keyed, 0, nHeads)
-	tt := tab.TermTable()
 	for a := 0; a < nAtoms; a++ {
 		if idx.head.off[a+1] > idx.head.off[a] {
-			sym, first := headKey(tab, tt, interp.AtomID(a))
+			sym, first := headKey(tab.Key(interp.AtomID(a)))
 			keys = append(keys, keyed{sym, first, interp.AtomID(a)})
 		}
 	}
@@ -173,16 +172,14 @@ func (idx *progIndex) bodies() *csr {
 	return &idx.body
 }
 
-// headKey is an atom's position in progIndex.heads: its predicate symbol id
-// and its first argument's id (term.None for a nullary atom).
-func headKey(tab *interp.Table, tt *term.Table, id interp.AtomID) (sym, first term.ID) {
-	a := tab.Atom(id)
-	sym, _ = tt.LookupSym(a.Pred)
-	first = term.None
-	if len(a.Args) > 0 {
-		first, _ = tt.Lookup(a.Args[0])
+// headKey is an atom's position in progIndex.heads, read from its stored
+// key: its predicate symbol id and its first argument's id (term.None for
+// a nullary atom).
+func headKey(key []term.ID) (sym, first term.ID) {
+	if len(key) > 1 {
+		return key[0], key[1]
 	}
-	return sym, first
+	return key[0], term.None
 }
 
 // snapCut is what one snapshot cuts with: the shared index, how much of it
@@ -271,49 +268,65 @@ func (c *snapCut) seed(tab *interp.Table, l ast.Literal, visit func(interp.AtomI
 		}
 		return
 	}
-	tt := tab.TermTable()
-	sym, ok := tt.LookupSym(l.Atom.Pred)
+	pat, ok := keyPattern(tab.TermTable(), l.Atom)
 	if !ok {
 		return
 	}
 	lo, hi := term.ID(math.MinInt32), term.ID(math.MaxInt32)
-	if len(l.Atom.Args) > 0 && l.Atom.Args[0].Ground() {
-		first, ok := tt.Lookup(l.Atom.Args[0])
-		if !ok {
-			return
-		}
-		lo, hi = first, first
+	if len(pat) > 1 && pat[1] != term.None {
+		lo, hi = pat[1], pat[1]
 	}
 	heads := c.idx.heads
 	compare := func(i int, first term.ID) int {
-		hs, hf := headKey(tab, tt, heads[i])
-		if hs != sym {
-			return cmp.Compare(hs, sym)
+		hs, hf := headKey(tab.Key(heads[i]))
+		if hs != pat[0] {
+			return cmp.Compare(hs, pat[0])
 		}
 		return cmp.Compare(hf, first)
 	}
 	from := sort.Search(len(heads), func(i int) bool { return compare(i, lo) >= 0 })
 	to := sort.Search(len(heads), func(i int) bool { return compare(i, hi) > 0 })
 	for _, id := range heads[from:to] {
-		if matches(l.Atom, tab.Atom(id)) {
+		if matches(pat, tab.Key(id)) {
 			visit(id)
 		}
 	}
 	for j, id := range c.tail.atoms {
-		if (j == 0 || id != c.tail.atoms[j-1]) && matches(l.Atom, tab.Atom(id)) {
+		if (j == 0 || id != c.tail.atoms[j-1]) && matches(pat, tab.Key(id)) {
 			visit(id)
 		}
 	}
 }
 
-// matches reports whether the ground atom a agrees with the pattern p on
-// predicate, arity and every ground argument of p.
-func matches(p, a ast.Atom) bool {
-	if a.Pred != p.Pred || len(a.Args) != len(p.Args) {
-		return false
+// keyPattern returns the stored key a ground atom matching p would have,
+// with term.None at p's non-ground arguments. It reports false when p's
+// predicate or one of its ground arguments was never interned: then no
+// atom matches p.
+func keyPattern(tt *term.Table, p ast.Atom) ([]term.ID, bool) {
+	pat := make([]term.ID, 1+len(p.Args))
+	var ok bool
+	if pat[0], ok = tt.LookupSym(p.Pred); !ok {
+		return nil, false
 	}
 	for j, t := range p.Args {
-		if t.Ground() && !t.Equal(a.Args[j]) {
+		pat[1+j] = term.None
+		if t.Ground() {
+			if pat[1+j], ok = tt.Lookup(t); !ok {
+				return nil, false
+			}
+		}
+	}
+	return pat, true
+}
+
+// matches reports whether an atom's stored key agrees with the pattern
+// keyPattern built on predicate, arity and every ground argument.
+func matches(pat, key []term.ID) bool {
+	if len(key) != len(pat) || key[0] != pat[0] {
+		return false
+	}
+	for j := 1; j < len(pat); j++ {
+		if pat[j] != term.None && pat[j] != key[j] {
 			return false
 		}
 	}

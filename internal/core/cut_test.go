@@ -132,7 +132,7 @@ func closureOracle(s *Snapshot, goal []ast.Literal) map[string]bool {
 	for id := 0; id < tab.Len(); id++ {
 		a := tab.Atom(interp.AtomID(id))
 		for _, l := range goal {
-			if matches(l.Atom, a) {
+			if atomMatches(l.Atom, a) {
 				reached[interp.AtomID(id)] = true
 			}
 		}
@@ -152,6 +152,21 @@ func closureOracle(s *Snapshot, goal []ast.Literal) map[string]bool {
 		}
 	}
 	return renderRules(s.gp, s.rules, func(i int) bool { return live(i) && reached[s.rules[i].Head.Atom()] })
+}
+
+// atomMatches reports whether the ground atom a agrees with the pattern p
+// on predicate, arity and every ground argument of p, comparing terms
+// rather than the stored keys the cut compares.
+func atomMatches(p, a ast.Atom) bool {
+	if a.Pred != p.Pred || len(a.Args) != len(p.Args) {
+		return false
+	}
+	for j, t := range p.Args {
+		if t.Ground() && !t.Equal(a.Args[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 func sameSet(a, b map[string]bool) (string, bool) {
@@ -283,6 +298,44 @@ func TestSliceIndexBuildsOncePerProgram(t *testing.T) {
 	}
 	if n := obs.Default().Snap().Diff(before)["core.slice.index_builds"]; n != 2 {
 		t.Errorf("core.slice.index_builds = %d after a compaction, want 2", n)
+	}
+}
+
+// TestColdGoalAllocs pins the allocations of a cold goal on the read
+// tenant — its cut, the slice's view and fixpoint, and the buckets its
+// answers are read from — with every run asking a goal no slice cache
+// holds. Answers stay interned, so the count does not grow with the
+// number of answers. The bounds are 1.25 times the counts measured when
+// the view's indexes and the buckets' sort became flat arrays (before:
+// 1 169 and 3 955 allocations).
+func TestColdGoalAllocs(t *testing.T) {
+	eng, err := NewEngineCtx(context.Background(), mustProgram(t, readsSource(400, 100)), Config{GoalDirected: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name, goal string
+		anchors    int
+		max        float64
+	}{
+		{"point", "path(c%[1]d, c3%[1]d)", 60, 90}, // measured 72
+		{"reach", "reach(h%d, X)", 96, 147},        // measured 117
+	} {
+		qs := make([]ast.Query, c.anchors) // more goals than a slice cache keeps
+		for i := range qs {
+			qs[i] = parseGoal(t, fmt.Sprintf(c.goal, i))
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(2*c.anchors, func() {
+			next++
+			if _, err := eng.Current().AnswersCtx(ctx, "exc", qs[next%len(qs)]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("%s: %.0f allocs per cold goal, want <= %.0f", c.name, allocs, c.max)
+		}
 	}
 }
 

@@ -174,19 +174,30 @@ func TestQueryDifferentialCorpus(t *testing.T) {
 }
 
 // shapesSrc has what the corpus lacks: compound and integer first
-// arguments, nested terms, zero-arity predicates of both signs.
+// arguments, nested terms, zero-arity predicates of both signs, and
+// arity-3 and arity-4 predicates whose leading columns tie, listed out of
+// canonical order and mixing integers, symbols and compounds in every
+// column, so every column of a bucket's sort decides some order.
 const shapesSrc = `
 module base {
   n(1, 2). n(2, 3). n(3, 4). n(3, 1). n(10, 2).
   t(f(a), a). t(f(b), a). t(f(a), b). t(g(a, b), a). t(g(b, b), b). t(a, f(a)). t(b, b). t(7, 7).
   w(f(g(a, 1)), 1). w(f(g(b, 2)), 2). w(f(h), 3).
+  r3(a, 1, f(a)). r3(b, a, a). r3(a, 1, b). r3(2, b, f(1)). r3(a, f(b), c). r3(a, 1, 2).
+  r3(f(a), 1, a). r3(a, 0, c). r3(2, b, a). r3(a, f(a), c). r3(2, 10, a). r3(a, 1, f(1)).
+  r4(a, b, 1, x). r4(1, b, 1, x). r4(a, b, f(1), 2). r4(a, b, 1, f(x)). r4(a, c, 1, x).
+  r4(g(a, 1), b, c, d). r4(a, b, 0, y). r4(1, b, 1, 3). r4(a, b, 1, 7). r4(a, b, 1, g(x, 1)).
+  r4(1, a, 1, x). r4(a, b, c, x). r4(a, 2, 1, x).
   flag.
   twice(X, Y) :- n(X, Y), n(Y, Z).
+  span(X, Y, Z, W) :- r3(X, Y, Z), r3(Z, W, V).
 }
 module exc extends base {
   -n(3, 1).
   -flag2.
   -t(f(X), b) :- t(f(X), a).
+  -r3(a, 1, b).
+  -r4(X, b, 1, Y) :- r4(X, b, 1, Y), r3(X, 1, Z).
 }
 `
 
@@ -209,6 +220,11 @@ func TestQueryDifferentialShapes(t *testing.T) {
 		"t(X, Y), n(X, Y)", "t(7, X), n(X, Y)", // no common answers
 		"twice(X, Y)", "twice(3, Y)",
 		"1 < 2", "2 < 1", "X < 3", "n(X, Y), Z < 3", // builtin-only, unbound builtin variable
+		"r3(X, Y, Z)", "r3(a, Y, Z)", "r3(X, 1, Z)", "r3(X, Y, a)", "-r3(X, Y, Z)", // arity 3: no, first, middle, last argument bound
+		"r4(X, Y, Z, W)", "r4(a, Y, Z, W)", "r4(X, b, Z, W)", "r4(X, Y, 1, W)", "-r4(X, Y, Z, W)", // arity 4
+		"r4(a, b, 1, W)", "r4(X, b, 1, x)", "r4(a, b, 1, x)", // bound prefixes, bound ends, ground
+		"r3(X, Y, Z), r4(X, Y, Z, W)", "r3(X, 1, Z), r4(Z, b, V, W)", // joins binding later columns
+		"span(X, Y, Z, W)", "span(a, Y, Z, W)", "span(X, 1, Z, W)", // derived arity 4
 	})
 }
 

@@ -70,15 +70,11 @@ func (m *Model) buildBucket(k litKey, b *litBucket) {
 		mIndexBuilds.Inc()
 	}
 	tab := m.gp.Tab
-	terms := tab.TermTable()
 	arity := k.pred.Arity
 	var args []term.ID
 	for _, id := range tab.OfPred(k.pred) {
 		if m.in.HasLit(interp.MkLit(id, k.neg)) {
-			for _, t := range tab.Atom(id).Args {
-				tid, _ := terms.Lookup(t) // interned together with the atom
-				args = append(args, tid)
-			}
+			args = append(args, tab.Key(id)[1:]...)
 		}
 	}
 	b.n = len(args) / arity
@@ -91,37 +87,42 @@ func (m *Model) buildBucket(k litKey, b *litBucket) {
 	// so CLI and HTTP output) a function of the model alone, byte-identical
 	// across those paths. Within one predicate that order compares
 	// arguments left to right with ast.CompareTerms, so each distinct term
-	// is ranked once and the rows sort by their rank tuples.
-	distinct := slices.Clone(args)
-	slices.Sort(distinct)
-	distinct = slices.Compact(distinct)
-	vals := terms.AppendTerms(make([]ast.Term, 0, len(distinct)), distinct)
-	order := make([]int32, len(distinct))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(x, y int32) int { return ast.CompareTerms(vals[x], vals[y]) })
-	rankOf := make([]int32, len(distinct))
-	for r, i := range order {
-		rankOf[i] = int32(r)
-	}
-	ranked := make([]int32, len(args))
-	for i, id := range args {
-		j, _ := slices.BinarySearch(distinct, id)
-		ranked[i] = rankOf[j]
-	}
-	rows := make([]int32, b.n)
+	// is ranked once and the rows sort by their rank columns.
+	ranked, nRanks := rankTerms(tab.TermTable(), args)
+	// LSD counting sort: one stable pass per column, last column first,
+	// leaves the rows in lexicographic order of their rank tuples. Rows
+	// are distinct atoms, so that order is total.
+	perm := make([]int32, 2*b.n+nRanks+1)
+	rows, next, count := perm[:b.n], perm[b.n:2*b.n], perm[2*b.n:]
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	slices.SortFunc(rows, func(x, y int32) int {
-		return slices.Compare(ranked[int(x)*arity:int(x+1)*arity], ranked[int(y)*arity:int(y+1)*arity])
-	})
+	for c := arity - 1; c >= 0; c-- {
+		clear(count)
+		for _, r := range rows {
+			count[ranked[int(r)*arity+c]+1]++
+		}
+		for i := 1; i < len(count); i++ {
+			count[i] += count[i-1]
+		}
+		for _, r := range rows {
+			rk := ranked[int(r)*arity+c]
+			next[count[rk]] = r
+			count[rk]++
+		}
+		rows, next = next, rows
+	}
 	b.args = make([]term.ID, 0, len(args))
 	for _, r := range rows {
 		b.args = append(b.args, args[int(r)*arity:int(r+1)*arity]...)
 	}
-	b.first = make(map[term.ID]span)
+	runs := 0
+	for i := 0; i < b.n; i++ {
+		if i == 0 || b.args[i*arity] != b.args[(i-1)*arity] {
+			runs++
+		}
+	}
+	b.first = make(map[term.ID]span, runs)
 	lo := 0
 	for i := 1; i <= b.n; i++ {
 		if i == b.n || b.args[i*arity] != b.args[lo*arity] {
@@ -129,6 +130,56 @@ func (m *Model) buildBucket(k litKey, b *litBucket) {
 			lo = i
 		}
 	}
+}
+
+// rankScratch recycles the term-id-indexed slots rankTerms numbers
+// distinct ids with: 4 bytes per term up to the largest id a bucket
+// holds. A slot holds 1 + the id's distinct index while in use and is
+// zeroed again before the slots go back to the pool.
+var rankScratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// rankTerms replaces each interned id of ids by its term's rank among the
+// distinct terms of ids in ast.CompareTerms order, and returns the ranks
+// and how many distinct terms there are. Distinct ids are numbered by a
+// dense id-indexed lookup, so each distinct term is decoded and compared
+// once and no pass over ids compares or searches.
+func rankTerms(terms *term.Table, ids []term.ID) ([]int32, int) {
+	top := term.ID(0)
+	for _, id := range ids {
+		top = max(top, id)
+	}
+	sp := rankScratch.Get().(*[]int32)
+	defer rankScratch.Put(sp)
+	if len(*sp) <= int(top) {
+		*sp = make([]int32, int(top)+1+int(top)/4)
+	}
+	slot := *sp
+	ranked := make([]int32, len(ids))
+	var distinct []term.ID
+	for i, id := range ids {
+		if slot[id] == 0 {
+			distinct = append(distinct, id)
+			slot[id] = int32(len(distinct))
+		}
+		ranked[i] = slot[id] - 1
+	}
+	for _, id := range distinct {
+		slot[id] = 0
+	}
+	vals := terms.AppendTerms(make([]ast.Term, 0, len(distinct)), distinct)
+	order := make([]int32, 2*len(distinct))
+	byTerm, rankOf := order[:len(distinct)], order[len(distinct):]
+	for i := range byTerm {
+		byTerm[i] = int32(i)
+	}
+	slices.SortFunc(byTerm, func(x, y int32) int { return ast.CompareTerms(vals[x], vals[y]) })
+	for r, i := range byTerm {
+		rankOf[i] = int32(r)
+	}
+	for i, d := range ranked {
+		ranked[i] = rankOf[d]
+	}
+	return ranked, len(distinct)
 }
 
 // argPat is one compiled argument position of a query literal.

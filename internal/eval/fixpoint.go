@@ -104,9 +104,8 @@ func (v *View) LeastModelFromCtx(ctx context.Context, seed []interp.Lit) (*inter
 	var nbOver, nbDef, satBlocked []int32
 	liveOver, liveDef := 0, 0
 	if track && v.liveOverInit+v.liveDefInit > 0 {
-		// Pooled scratch: the copies overwrite whatever a previous run
-		// left, and a kind the view has no edges of keeps its stale half —
-		// the matching threat lists are all empty, so it is never read.
+		// Pooled scratch: the initial counts overwrite whatever a
+		// previous run left.
 		scratch := kindScratch.Get().(*[]int32)
 		defer kindScratch.Put(scratch)
 		if cap(*scratch) < 2*n {
@@ -114,14 +113,11 @@ func (v *View) LeastModelFromCtx(ctx context.Context, seed []interp.Lit) (*inter
 		}
 		kind := (*scratch)[:2*n]
 		nbOver, nbDef = kind[:n], kind[n:]
-		if v.liveOverInit > 0 {
-			copy(nbOver, v.overInit)
-			liveOver = v.liveOverInit
+		for r := 0; r < n; r++ {
+			nbOver[r] = v.compMid[r] - v.compOff[r]
+			nbDef[r] = v.compOff[r+1] - v.compMid[r]
 		}
-		if v.liveDefInit > 0 {
-			copy(nbDef, v.defInit)
-			liveDef = v.liveDefInit
-		}
+		liveOver, liveDef = v.liveOverInit, v.liveDefInit
 	}
 
 	fire := func(r int) error {
@@ -143,8 +139,8 @@ func (v *View) LeastModelFromCtx(ctx context.Context, seed []interp.Lit) (*inter
 	}
 
 	for r := 0; r < n; r++ {
-		unsat[r] = int32(len(v.bodies[r]))
-		unblocked[r] = int32(len(v.overrulers[r]) + len(v.defeaters[r]))
+		unsat[r] = v.bodyOff[r+1] - v.bodyOff[r]
+		unblocked[r] = v.compOff[r+1] - v.compOff[r]
 	}
 	for r := 0; r < n; r++ {
 		if unsat[r] == 0 && unblocked[r] == 0 {
@@ -190,18 +186,18 @@ func (v *View) LeastModelFromCtx(ctx context.Context, seed []interp.Lit) (*inter
 				// that blocks: each edge decrement reaches zero at most
 				// once, which is exactly when its target stops being
 				// overruled resp. defeated.
-				for _, s := range v.threatOver[r] {
+				for _, s := range v.threat[v.threatOff[r]:v.threatMid[r]] {
 					if nbOver[s]--; nbOver[s] == 0 {
 						liveOver--
 					}
 				}
-				for _, s := range v.threatDef[r] {
+				for _, s := range v.threat[v.threatMid[r]:v.threatOff[r+1]] {
 					if nbDef[s]--; nbDef[s] == 0 {
 						liveDef--
 					}
 				}
 			}
-			for _, s := range v.threatened[r] {
+			for _, s := range v.threat[v.threatOff[r]:v.threatOff[r+1]] {
 				unblocked[s]--
 				if unsat[s] == 0 && unblocked[s] == 0 {
 					if err := fire(int(s)); err != nil {
@@ -256,7 +252,7 @@ func (v *View) TEnabled(m *interp.Interp) *interp.Interp {
 	var applied []arule
 	for r := 0; r < len(v.heads); r++ {
 		if v.Applied(r, m) {
-			applied = append(applied, arule{v.heads[r], v.bodies[r]})
+			applied = append(applied, arule{v.heads[r], v.Body(r)})
 		}
 	}
 	out := v.NewInterp()

@@ -24,15 +24,20 @@ import (
 // C(r') = C(r) or the components are incomparable. Rules in strictly more
 // general components can do neither.
 //
-// Concurrency invariant: every index a View holds — heads, bodies, comps,
-// srcs, overrulers, defeaters, occOff/occ, headOf, headAtom, threatened,
-// threatOver/threatDef, overInit/defInit — is built once inside NewView and
-// never mutated afterwards (construct-once/
-// read-many). A *View is therefore safe for unsynchronised sharing across
-// goroutines; all evaluation methods (VOnce, LeastModelCtx, TEnabled,
-// IsModel, the Definition 2 status checks) allocate their mutable state
-// per call. Any future lazily built index must either move into NewView or
-// be guarded, or it breaks core.Engine's concurrency contract.
+// Every index is a flat array sized by the view: per-rule arrays and CSR
+// (offset, entry) pairs of int32, with no map and no per-rule slice, so a
+// view costs a handful of allocations and the garbage collector has no
+// pointers to scan in it.
+//
+// Concurrency invariant: every index a View holds — heads, bodyOff/lits,
+// comps, srcs, headOff/headRules, occOff/occ, compOff/compMid/comp and
+// threatOff/threatMid/threat — is built once inside NewViewAt and never
+// mutated afterwards (construct-once/read-many). A *View is therefore safe
+// for unsynchronised sharing across goroutines; all evaluation methods
+// (VOnce, LeastModelCtx, TEnabled, IsModel, the Definition 2 status checks)
+// allocate their mutable state per call. Any future lazily built index must
+// either move into NewViewAt or be guarded, or it breaks core.Engine's
+// concurrency contract.
 type View struct {
 	G    *ground.Program
 	Comp int // target component position
@@ -42,36 +47,38 @@ type View struct {
 	// atoms a later version interns into a shared table are not in it.
 	nAtoms int
 
-	// Per visible rule (dense local indexes).
-	heads  []interp.Lit
-	bodies [][]interp.Lit
-	comps  []int32
-	srcs   []*ground.Rule
+	// Per visible rule (dense local indexes). Rule r's body is
+	// lits[bodyOff[r]:bodyOff[r+1]].
+	heads   []interp.Lit
+	bodyOff []int32
+	lits    []interp.Lit
+	comps   []int32
+	srcs    []*ground.Rule
 
-	overrulers [][]int32 // local rule indexes that can overrule r
-	defeaters  [][]int32 // local rule indexes that can defeat r
+	// Literal-indexed CSRs over int(Lit): the rules headed by l are
+	// headRules[headOff[l]:headOff[l+1]], and the rules with l in their
+	// body are occ[occOff[l]:occOff[l+1]] — a dense array probe in the
+	// fixpoint worklist loop instead of a map lookup per pop.
+	headOff   []int32
+	headRules []int32
+	occOff    []int32
+	occ       []int32
 
-	// Body occurrences in CSR layout, indexed by int(Lit): rules with lit l
-	// in their body are occ[occOff[l]:occOff[l+1]]. A dense array probe in
-	// the fixpoint worklist loop instead of a map lookup per pop.
-	occOff   []int32
-	occ      []int32
-	headOf   map[interp.Lit][]int32
-	headAtom map[interp.AtomID][]int32
-	// threatened[r] lists the rules that have r among their competitors
-	// (the reverse of overrulers/defeaters), so blocking r can decrement
-	// their unblocked-competitor counters.
-	threatened [][]int32
-	// threatOver and threatDef split threatened by competitor kind. The
-	// fixpoint worklist only walks the combined index; the split ones feed
-	// the metrics bookkeeping that maintains per-kind non-blocked counts,
-	// seeded from overInit/defInit (initial per-rule overruler/defeater
-	// counts) and liveOverInit/liveDefInit (how many rules start with at
-	// least one overruler resp. defeater).
-	threatOver   [][]int32
-	threatDef    [][]int32
-	overInit     []int32
-	defInit      []int32
+	// comp[compOff[r]:compOff[r+1]] are the rules that can overrule or
+	// defeat r: its overrulers up to compMid[r], then its defeaters.
+	compOff []int32
+	compMid []int32
+	comp    []int32
+	// threat is the reverse CSR: threat[threatOff[r]:threatOff[r+1]] are the
+	// rules with r among their competitors — those r can overrule up to
+	// threatMid[r], then those r can defeat — so blocking r can decrement
+	// their unblocked-competitor counters. The fixpoint walks the whole
+	// range; the split feeds the metrics bookkeeping that maintains
+	// per-kind non-blocked counts. liveOverInit/liveDefInit count the rules
+	// that start with at least one overruler resp. defeater.
+	threatOff    []int32
+	threatMid    []int32
+	threat       []int32
 	liveOverInit int
 	liveDefInit  int
 }
@@ -100,87 +107,130 @@ func NewViewAt(g *ground.Program, comp int, rules []ground.Rule, dead map[int32]
 	if comp < 0 || comp >= g.NumComponents() {
 		panic(fmt.Sprintf("eval: component index %d out of range", comp))
 	}
-	v := &View{
-		G:        g,
-		Comp:     comp,
-		nAtoms:   nAtoms,
-		headOf:   make(map[interp.Lit][]int32),
-		headAtom: make(map[interp.AtomID][]int32),
+	v := &View{G: g, Comp: comp, nAtoms: nAtoms}
+	visible := make([]bool, g.NumComponents()) // ground(C*): C and every component above it
+	for j := range visible {
+		visible[j] = j == comp || g.Src.Less(comp, j)
 	}
-	visible := make(map[int]bool)
-	for _, j := range g.Src.Above(comp) {
-		visible[j] = true
-	}
+	n, total := 0, 0
 	for i := range rules {
 		r := &rules[i]
-		if !visible[int(r.Comp)] {
+		if !visible[r.Comp] {
 			continue
 		}
 		if _, gone := dead[int32(i)]; gone {
 			continue
 		}
-		li := int32(len(v.heads))
-		v.heads = append(v.heads, r.Head)
-		v.bodies = append(v.bodies, r.Body)
-		v.comps = append(v.comps, r.Comp)
-		v.srcs = append(v.srcs, r)
-		v.headOf[r.Head] = append(v.headOf[r.Head], li)
-		v.headAtom[r.Head.Atom()] = append(v.headAtom[r.Head.Atom()], li)
+		n++
+		total += len(r.Body)
 	}
-	// CSR body-occurrence index: count per literal, prefix-sum, fill.
 	nLits := 2 * nAtoms
-	v.occOff = make([]int32, nLits+1)
-	total := 0
-	for _, body := range v.bodies {
-		total += len(body)
-		for _, l := range body {
+	// Every int32 index the counts above size, in one allocation: seven
+	// per-rule arrays, the two literal-indexed offset arrays and the body
+	// occurrences.
+	ints := make([]int32, 7*n+3+2*(nLits+1)+total)
+	carve := func(k int) []int32 {
+		s := ints[:k:k]
+		ints = ints[k:]
+		return s
+	}
+	v.comps = carve(n)
+	v.bodyOff = carve(n + 1)
+	v.compOff, v.compMid = carve(n+1), carve(n)
+	v.threatOff, v.threatMid = carve(n+1), carve(n)
+	v.headOff, v.occOff = carve(nLits+1), carve(nLits+1)
+	v.occ, v.headRules = carve(total), carve(n)
+	v.heads = make([]interp.Lit, n)
+	v.lits = make([]interp.Lit, 0, total)
+	v.srcs = make([]*ground.Rule, 0, n)
+	for i := range rules {
+		r := &rules[i]
+		if !visible[r.Comp] {
+			continue
+		}
+		if _, gone := dead[int32(i)]; gone {
+			continue
+		}
+		li := len(v.srcs)
+		v.heads[li] = r.Head
+		v.comps[li] = r.Comp
+		v.srcs = append(v.srcs, r)
+		v.lits = append(v.lits, r.Body...)
+		v.bodyOff[li+1] = int32(len(v.lits))
+		v.headOff[int(r.Head)+1]++
+		for _, l := range r.Body {
 			v.occOff[int(l)+1]++
 		}
 	}
+	// Both literal CSRs: prefix-sum the counts, fill by advancing each
+	// literal's start, then shift the starts back.
 	for i := 0; i < nLits; i++ {
+		v.headOff[i+1] += v.headOff[i]
 		v.occOff[i+1] += v.occOff[i]
 	}
-	v.occ = make([]int32, total)
-	next := make([]int32, nLits)
-	copy(next, v.occOff[:nLits])
-	for li, body := range v.bodies {
-		for _, l := range body {
-			v.occ[next[int(l)]] = int32(li)
-			next[int(l)]++
+	for r := 0; r < n; r++ {
+		h := int(v.heads[r])
+		v.headRules[v.headOff[h]] = int32(r)
+		v.headOff[h]++
+		for _, l := range v.Body(r) {
+			v.occ[v.occOff[int(l)]] = int32(r)
+			v.occOff[int(l)]++
 		}
 	}
-	n := len(v.heads)
-	v.overrulers = make([][]int32, n)
-	v.defeaters = make([][]int32, n)
-	v.threatened = make([][]int32, n)
-	v.threatOver = make([][]int32, n)
-	v.threatDef = make([][]int32, n)
+	copy(v.headOff[1:], v.headOff[:nLits])
+	copy(v.occOff[1:], v.occOff[:nLits])
+	v.headOff[0], v.occOff[0] = 0, 0
+
+	// Competitors: every rule with the complementary head, less those in a
+	// strictly more general component. The rules of r's own component are
+	// defeaters without an order lookup.
+	bound := 0
 	for r := 0; r < n; r++ {
-		for _, o := range v.headOf[v.heads[r].Complement()] {
-			cr, co := int(v.comps[r]), int(v.comps[o])
-			switch {
-			case v.G.Src.Less(co, cr):
-				v.overrulers[r] = append(v.overrulers[r], o)
-				v.threatened[o] = append(v.threatened[o], int32(r))
-				v.threatOver[o] = append(v.threatOver[o], int32(r))
-			case !v.G.Src.Less(cr, co):
-				// Same component or incomparable: defeater.
-				v.defeaters[r] = append(v.defeaters[r], o)
-				v.threatened[o] = append(v.threatened[o], int32(r))
-				v.threatDef[o] = append(v.threatDef[o], int32(r))
+		bound += len(v.HeadRules(v.heads[r].Complement()))
+	}
+	v.comp = make([]int32, 0, bound)
+	threats := make([]int32, 2*n) // per rule: how many rules it can overrule, then defeat
+	canOverrule, canDefeat := threats[:n], threats[n:]
+	for r := 0; r < n; r++ {
+		cr := int(v.comps[r])
+		rivals := v.HeadRules(v.heads[r].Complement())
+		for _, o := range rivals {
+			if co := int(v.comps[o]); co != cr && g.Src.Less(co, cr) {
+				v.comp = append(v.comp, o)
+				canOverrule[o]++
 			}
 		}
-	}
-	v.overInit = make([]int32, n)
-	v.defInit = make([]int32, n)
-	for r := 0; r < n; r++ {
-		v.overInit[r] = int32(len(v.overrulers[r]))
-		v.defInit[r] = int32(len(v.defeaters[r]))
-		if v.overInit[r] > 0 {
+		v.compMid[r] = int32(len(v.comp))
+		for _, o := range rivals {
+			if co := int(v.comps[o]); co == cr || !g.Src.Less(co, cr) && !g.Src.Less(cr, co) {
+				v.comp = append(v.comp, o)
+				canDefeat[o]++
+			}
+		}
+		v.compOff[r+1] = int32(len(v.comp))
+		if v.compMid[r] > v.compOff[r] {
 			v.liveOverInit++
 		}
-		if v.defInit[r] > 0 {
+		if v.compOff[r+1] > v.compMid[r] {
 			v.liveDefInit++
+		}
+	}
+	// The threat CSR: canOverrule and canDefeat become each rule's fill
+	// cursors for its two kinds, so both parts come out ascending.
+	v.threat = make([]int32, len(v.comp))
+	for o := 0; o < n; o++ {
+		v.threatMid[o] = v.threatOff[o] + canOverrule[o]
+		v.threatOff[o+1] = v.threatMid[o] + canDefeat[o]
+		canOverrule[o], canDefeat[o] = v.threatOff[o], v.threatMid[o]
+	}
+	for r := 0; r < n; r++ {
+		for j := v.compOff[r]; j < v.compOff[r+1]; j++ {
+			cursor := &canDefeat[v.comp[j]]
+			if j < v.compMid[r] {
+				cursor = &canOverrule[v.comp[j]]
+			}
+			v.threat[*cursor] = int32(r)
+			*cursor++
 		}
 	}
 	if obs.On() {
@@ -196,7 +246,7 @@ func (v *View) NumRules() int { return len(v.heads) }
 func (v *View) Head(r int) interp.Lit { return v.heads[r] }
 
 // Body returns the body literals of visible rule r (shared slice).
-func (v *View) Body(r int) []interp.Lit { return v.bodies[r] }
+func (v *View) Body(r int) []interp.Lit { return v.lits[v.bodyOff[r]:v.bodyOff[r+1]:v.bodyOff[r+1]] }
 
 // RuleComp returns the owning component position of visible rule r.
 func (v *View) RuleComp(r int) int { return int(v.comps[r]) }
@@ -212,11 +262,25 @@ func (v *View) NewInterp() *interp.Interp { return interp.NewSized(v.G.Tab, v.nA
 
 // Overrulers returns the local indexes of the rules that can overrule r
 // (complementary head in a strictly more specific component). Shared slice.
-func (v *View) Overrulers(r int) []int32 { return v.overrulers[r] }
+func (v *View) Overrulers(r int) []int32 { return v.comp[v.compOff[r]:v.compMid[r]:v.compMid[r]] }
+
+// defeaters returns the local indexes of the rules that can defeat r
+// (complementary head in the same or an incomparable component).
+func (v *View) defeaters(r int) []int32 { return v.comp[v.compMid[r]:v.compOff[r+1]] }
+
+// Competitors returns the local indexes of every rule that can overrule or
+// defeat r: its overrulers, then its defeaters. Shared slice.
+func (v *View) Competitors(r int) []int32 { return v.comp[v.compOff[r]:v.compOff[r+1]:v.compOff[r+1]] }
 
 // HeadRules returns the local indexes of the visible rules with the given
-// head literal. Shared slice.
-func (v *View) HeadRules(l interp.Lit) []int32 { return v.headOf[l] }
+// head literal, ascending; none for a literal outside the view's Herbrand
+// base. Shared slice.
+func (v *View) HeadRules(l interp.Lit) []int32 {
+	if l < 0 || int(l) >= 2*v.nAtoms {
+		return nil
+	}
+	return v.headRules[v.headOff[l]:v.headOff[l+1]:v.headOff[l+1]]
+}
 
 // bodyOcc returns the local indexes of the rules with l among their body
 // literals (CSR slice; shared, do not modify).
@@ -224,17 +288,9 @@ func (v *View) bodyOcc(l interp.Lit) []int32 {
 	return v.occ[v.occOff[int(l)]:v.occOff[int(l)+1]]
 }
 
-// Competitors returns the local indexes of every rule that can overrule or
-// defeat r. The slice is freshly allocated.
-func (v *View) Competitors(r int) []int32 {
-	out := make([]int32, 0, len(v.overrulers[r])+len(v.defeaters[r]))
-	out = append(out, v.overrulers[r]...)
-	return append(out, v.defeaters[r]...)
-}
-
 // Applicable reports B(r) ⊆ I (Definition 2).
 func (v *View) Applicable(r int, in *interp.Interp) bool {
-	for _, l := range v.bodies[r] {
+	for _, l := range v.Body(r) {
 		if !in.HasLit(l) {
 			return false
 		}
@@ -250,7 +306,7 @@ func (v *View) Applied(r int, in *interp.Interp) bool {
 // Blocked reports that some body literal's complement is in I
 // (Definition 2).
 func (v *View) Blocked(r int, in *interp.Interp) bool {
-	for _, l := range v.bodies[r] {
+	for _, l := range v.Body(r) {
 		if in.HasLit(l.Complement()) {
 			return true
 		}
@@ -261,7 +317,7 @@ func (v *View) Blocked(r int, in *interp.Interp) bool {
 // Overruled reports that a non-blocked rule with complementary head exists
 // in a strictly more specific component (Definition 2).
 func (v *View) Overruled(r int, in *interp.Interp) bool {
-	for _, o := range v.overrulers[r] {
+	for _, o := range v.Overrulers(r) {
 		if !v.Blocked(int(o), in) {
 			return true
 		}
@@ -273,7 +329,7 @@ func (v *View) Overruled(r int, in *interp.Interp) bool {
 // exists in a strictly more specific component (the stronger overruling
 // demanded by Definition 3, condition (a)).
 func (v *View) OverruledByApplied(r int, in *interp.Interp) bool {
-	for _, o := range v.overrulers[r] {
+	for _, o := range v.Overrulers(r) {
 		if v.Applied(int(o), in) {
 			return true
 		}
@@ -284,7 +340,7 @@ func (v *View) OverruledByApplied(r int, in *interp.Interp) bool {
 // Defeated reports that a non-blocked rule with complementary head exists
 // in the same or an incomparable component (Definition 2).
 func (v *View) Defeated(r int, in *interp.Interp) bool {
-	for _, d := range v.defeaters[r] {
+	for _, d := range v.defeaters(r) {
 		if !v.Blocked(int(d), in) {
 			return true
 		}

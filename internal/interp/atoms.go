@@ -48,7 +48,7 @@ func (l Lit) Complement() Lit { return l ^ 1 }
 //
 // Like term.Table, an atom table is safe for concurrent use: Intern and
 // InternAtoms take the write lock (so concurrent writers serialise on the
-// mutex), and Lookup/LookupIDs/Atom/Len/OfPred/Preds take the read lock.
+// mutex), and Lookup/LookupIDs/Atom/Key/Len/OfPred/Preds take the read lock.
 // The engine relies on this: snapshot readers — queries, and the cone and
 // goal-slice sub-tables that answer through their parent — read the table a
 // version shares with its successors while the single writer interns an
@@ -311,6 +311,19 @@ func (t *Table) Atom(id AtomID) ast.Atom {
 	a := t.atoms[id]
 	t.mu.RUnlock()
 	return a
+}
+
+// Key returns an atom's stored key: its predicate symbol id, then one id
+// per argument, as interned into the term table. The slice is shared; do
+// not modify.
+func (t *Table) Key(id AtomID) []term.ID {
+	if t.parent != nil {
+		return t.parent.Key(t.ids[id])
+	}
+	t.mu.RLock()
+	k := t.keys[t.keyOff[id]:t.keyOff[id+1]:t.keyOff[id+1]]
+	t.mu.RUnlock()
+	return k
 }
 
 // Len returns the number of interned atoms.
