@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/parser"
@@ -62,16 +63,13 @@ func (e *Engine) AsOfCtx(ctx context.Context, version uint64) (*Snapshot, error)
 }
 
 // asOfFromMemory rebuilds a version from the in-memory update history:
-// the prefix of the current snapshot's log up to the requested version,
-// replayed over the engine's source program.
+// the prefix of the current snapshot's log up to the requested version
+// (events are in version order), replayed over the engine's source
+// program. The prefix is capped at its length, so a write through the
+// reconstruction's engine appends to a copy, never into this history.
 func (e *Engine) asOfFromMemory(ctx context.Context, cur *Snapshot, version uint64) (*Snapshot, error) {
-	var events []factEvent
-	for _, ev := range cur.log {
-		if ev.ver <= version {
-			events = append(events, ev)
-		}
-	}
-	return e.materializeAsOf(ctx, e.src, events, version)
+	n := sort.Search(len(cur.log), func(i int) bool { return cur.log[i].ver > version })
+	return e.materializeAsOf(ctx, e.src, cur.log[:n:n], version)
 }
 
 // asOfFromDisk rebuilds a version older than the engine's in-memory
@@ -127,18 +125,16 @@ func (e *Engine) asOfFromDisk(ctx context.Context, version uint64) (*Snapshot, e
 // The engine copies this engine's evaluation config but drops durability
 // (a reconstruction must never write to the WAL) and tracing.
 func (e *Engine) materializeAsOf(ctx context.Context, src *ast.OrderedProgram, events []factEvent, version uint64) (*Snapshot, error) {
-	eff, err := effectiveProgram(src, events)
-	if err != nil {
-		return nil, err
-	}
 	cfg := e.cfg
 	cfg.Durability = Durability{}
 	cfg.Trace = nil
-	sub, err := newEngineAt(ctx, eff, cfg, version)
+	sub := newEngine(src, cfg, version)
+	snap, err := sub.reground(ctx, version, events)
 	if err != nil {
 		return nil, fmt.Errorf("core: as-of v%d: %w", version, err)
 	}
-	return sub.Current(), nil
+	sub.current.Store(snap)
+	return snap, nil
 }
 
 func (e *Engine) asOfCached(version uint64) *Snapshot {

@@ -23,39 +23,36 @@ import (
 // to the WAL (or ErrVersionEvicted on a memory-only engine). See DESIGN
 // §14 for the full story.
 
-// needsCompact reports whether publishing child would cross a compaction
-// threshold. Called under writeMu on the not-yet-published incremental
-// child.
-func (e *Engine) needsCompact(child *Snapshot) bool {
+// needsCompact reports whether publishing a version with dead of its rules
+// instances retracted would cross a compaction threshold. Called under
+// writeMu before the version is published.
+func (e *Engine) needsCompact(dead, rules int) bool {
 	if e.cfg.CompactEvery > 0 && e.sinceCompact+1 >= e.cfg.CompactEvery {
 		return true
 	}
-	if e.cfg.CompactRatio > 0 && len(child.rules) > 0 {
-		if float64(len(child.dead))/float64(len(child.rules)) >= e.cfg.CompactRatio {
-			return true
-		}
-	}
-	return false
+	return e.cfg.CompactRatio > 0 && rules > 0 && float64(dead)/float64(rules) >= e.cfg.CompactRatio
 }
 
-// compactChild rebuilds the incremental child as a compact snapshot at
-// the same version: fresh grounding of the effective program, empty dead
-// set, collapsed history. Called under writeMu before the child is
-// published. On error the caller publishes the incremental child instead
-// — compaction is an optimisation and must never fail an update that
-// already succeeded.
-func (e *Engine) compactChild(ctx context.Context, child *Snapshot) (*Snapshot, error) {
-	collapsed := collapseLog(child.log)
-	compacted, err := e.reground(ctx, child.version, collapsed, child.factLive)
-	if err != nil {
-		return nil, err
+// rebuild grounds the effective program of log into a fresh snapshot at
+// version: the one rebuild behind the reground fallback, threshold
+// compaction and Engine.Compact. With compact it first collapses the
+// history to its net effect, and on success counts the run, with the dead
+// instances of the version it replaces as drained.
+func (e *Engine) rebuild(ctx context.Context, version uint64, log []factEvent, dead int, compact bool) (*Snapshot, error) {
+	collapsed := log
+	if compact {
+		collapsed = collapseLog(log)
+	}
+	s, err := e.reground(ctx, version, collapsed)
+	if err != nil || !compact {
+		return s, err
 	}
 	if obs.On() {
 		mCompactRuns.Inc()
-		mCompactDead.Add(int64(len(child.dead)))
-		mCompactCollapsed.Add(int64(len(child.log) - len(collapsed)))
+		mCompactDead.Add(int64(dead))
+		mCompactCollapsed.Add(int64(len(log) - len(collapsed)))
 	}
-	return compacted, nil
+	return s, nil
 }
 
 // finishCompact records the bookkeeping of a successful compaction:
@@ -71,15 +68,15 @@ func (e *Engine) finishCompact(version uint64) {
 // same rule set as the full history — per fact only the final
 // assert/retract decides presence, and rule order within a component
 // does not affect the semantics — so a compacted snapshot answers every
-// query identically.
+// query identically. The result is always a fresh slice.
 func collapseLog(log []factEvent) []factEvent {
 	last := make(map[factKey]int, len(log))
 	for i, ev := range log {
-		last[factKey{comp: ev.comp, lit: ev.lit.String()}] = i
+		last[ev.key()] = i
 	}
 	out := make([]factEvent, 0, len(last))
 	for i, ev := range log {
-		if last[factKey{comp: ev.comp, lit: ev.lit.String()}] == i {
+		if last[ev.key()] == i {
 			out = append(out, ev)
 		}
 	}
@@ -98,23 +95,17 @@ func (e *Engine) Compact(ctx context.Context) (*Snapshot, error) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	parent := e.Current()
-	collapsed := collapseLog(parent.log)
-	child, err := e.reground(ctx, parent.version, collapsed, parent.factLive)
+	child, err := e.rebuild(ctx, parent.version, parent.log, len(parent.dead), true)
 	if err != nil {
 		return nil, fmt.Errorf("core: compact v%d: %w", parent.version, err)
 	}
 	e.current.Store(child)
-	if obs.On() {
-		mCompactRuns.Inc()
-		mCompactDead.Add(int64(len(parent.dead)))
-		mCompactCollapsed.Add(int64(len(parent.log) - len(collapsed)))
-	}
 	e.finishCompact(child.version)
 	if e.trace.Enabled() {
 		e.trace.Emit(obs.E("compact",
 			obs.F("version", child.version),
 			obs.F("dead_dropped", len(parent.dead)),
-			obs.F("events_collapsed", len(parent.log)-len(collapsed))))
+			obs.F("events_collapsed", len(parent.log)-len(child.log))))
 	}
 	return child, nil
 }

@@ -89,22 +89,17 @@ func (e *Engine) Close() error {
 	return e.dur.log.Close()
 }
 
-// walAppend logs the batch producing child. Called under writeMu before
-// the child snapshot is published — the write-ahead half of the contract:
-// a version an observer can see is always on disk (fsynced per policy)
-// first. An append failure fails the update; the snapshot is discarded
-// unpublished.
-func (e *Engine) walAppend(child *Snapshot, ci int, verb string, ops []ast.Literal) error {
+// walAppend logs the batch of rendered facts producing version. Called
+// under writeMu before the version is published — the write-ahead half of
+// the contract: a version an observer can see is always on disk (fsynced
+// per policy) first. An append failure fails the update; the snapshot is
+// discarded unpublished.
+func (e *Engine) walAppend(version uint64, ci int, verb string, facts []string) error {
 	if e.dur == nil {
 		return nil
 	}
-	facts := make([]string, len(ops))
-	for i, f := range ops {
-		facts[i] = f.String()
-	}
-	_, err := e.dur.log.Append(child.version, verb, e.src.Components[ci].Name, facts)
-	if err != nil {
-		return fmt.Errorf("core: update v%d not logged: %w", child.version, err)
+	if _, err := e.dur.log.Append(version, verb, e.src.Components[ci].Name, facts); err != nil {
+		return fmt.Errorf("core: update v%d not logged: %w", version, err)
 	}
 	return nil
 }
@@ -185,33 +180,28 @@ func decodeRecords(prog *ast.OrderedProgram, from uint64, recs []wal.Record) ([]
 	return events, nil
 }
 
-// foldRecords walks the decoded history of recs over the checkpoint's
-// fact liveness base and returns the per-fact overlay it leaves — the
-// factLive the same updates would have produced one by one. walAppend logs
-// only deduplicated facts that changed the state, so a record without
-// facts, or any fact that is a no-op at its position (asserting a live
-// fact, retracting a dead one, or repeating one within its record), means
-// the log and the checkpoint disagree: wal.ErrCorrupt.
-func foldRecords(base map[factKey]bool, recs []wal.Record, events []factEvent) (map[factKey]bool, error) {
-	overlay := make(map[factKey]bool)
+// foldRecords checks the decoded history of recs against the fact
+// liveness it folds them into, starting from live (the checkpoint's, which
+// it advances). walAppend logs only deduplicated facts that changed the
+// state, so a record without facts, or any fact that is a no-op at its
+// position (asserting a live fact, retracting a dead one, or repeating one
+// within its record), means the log and the checkpoint disagree:
+// wal.ErrCorrupt.
+func foldRecords(live map[factKey]bool, recs []wal.Record, events []factEvent) error {
 	for _, rec := range recs {
 		if len(rec.Facts) == 0 {
-			return nil, fmt.Errorf("%w: replay diverged at record %d: it changes nothing", wal.ErrCorrupt, rec.Seq)
+			return fmt.Errorf("%w: replay diverged at record %d: it changes nothing", wal.ErrCorrupt, rec.Seq)
 		}
 		for _, ev := range events[:len(rec.Facts)] {
-			k := factKey{comp: ev.comp, lit: ev.lit.String()}
-			live, ok := overlay[k]
-			if !ok {
-				live = base[k]
+			k := ev.key()
+			if live[k] != ev.retract {
+				return fmt.Errorf("%w: replay diverged at record %d: %s %s changes nothing", wal.ErrCorrupt, rec.Seq, rec.Op, k.lit)
 			}
-			if live != ev.retract {
-				return nil, fmt.Errorf("%w: replay diverged at record %d: %s %s changes nothing", wal.ErrCorrupt, rec.Seq, rec.Op, k.lit)
-			}
-			overlay[k] = !ev.retract
+			live[k] = !ev.retract
 		}
 		events = events[len(rec.Facts):]
 	}
-	return overlay, nil
+	return nil
 }
 
 // Recover rebuilds a durable engine from dir: load the newest checkpoint
@@ -343,21 +333,18 @@ func Recover(ctx context.Context, dir string, cfg Config, opts ...Option) (*Engi
 	if err != nil {
 		return nil, fmt.Errorf("core: recover %s: %w", dir, err)
 	}
-	base := groundFacts(prog)
-	overlay, err := foldRecords(base, suffix, events)
-	if err != nil {
+	if err := foldRecords(groundFacts(prog), suffix, events); err != nil {
 		return nil, fmt.Errorf("core: recover %s: %w", dir, err)
 	}
 	// The tip is published with e.dur still nil: the records are already
 	// on disk and nothing here may re-log them.
 	e := newEngine(prog, cfg, cp.Version)
-	e.baseFacts = base
 	tip := cp.Version + uint64(len(suffix))
 	collapse := cfg.CompactEvery > 0 && len(suffix) >= cfg.CompactEvery
 	if collapse {
 		events = collapseLog(events)
 	}
-	snap, err := e.reground(ctx, tip, events, overlay)
+	snap, err := e.reground(ctx, tip, events)
 	if err != nil {
 		return nil, fmt.Errorf("core: recover %s: ground v%d: %w", dir, tip, err)
 	}

@@ -76,12 +76,14 @@ type Engine struct {
 	// construction/Close.
 	dur *durable
 
-	// writeMu serialises updates; baseFacts (the source program's ground
-	// fact rules, built lazily) is only touched under it. current is the
-	// published tip, advanced by updates and read lock-free by queries.
-	writeMu   sync.Mutex
-	baseFacts map[factKey]bool
-	current   atomic.Pointer[Snapshot]
+	// writeMu serialises updates. live is the tip's fact liveness (true =
+	// in effect), built lazily (see liveness); it is touched only under
+	// writeMu and written only after the version it describes is stored in
+	// current. current is the published tip, advanced by updates and read
+	// lock-free by queries.
+	writeMu sync.Mutex
+	live    map[factKey]bool
+	current atomic.Pointer[Snapshot]
 
 	// asOfMu guards the small FIFO cache of AsOf-materialised snapshots.
 	asOfMu    sync.Mutex
@@ -102,9 +104,14 @@ func NewEngineCtx(ctx context.Context, p *ast.OrderedProgram, cfg Config, opts .
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e, err := newEngineAt(ctx, p, cfg, 0)
+	e := newEngine(p, cfg, 0)
+	snap, err := e.reground(ctx, 0, nil)
 	if err != nil {
 		return nil, err
+	}
+	e.current.Store(snap)
+	if e.trace.Enabled() {
+		e.trace.Emit(obs.E("ground", obs.F("rules", len(snap.rules)), obs.F("atoms", snap.nAtoms)))
 	}
 	if cfg.Durability.Dir != "" {
 		if err := e.initDurability(); err != nil {
@@ -119,30 +126,13 @@ func NewEngineCtx(ctx context.Context, p *ast.OrderedProgram, cfg Config, opts .
 
 // newEngine builds an engine over source p whose in-memory history starts
 // at version base, with no snapshot yet: the caller publishes the first
-// one. cfg must already be validated, and the caller owns the version
-// gauge and durability attachment — throwaway AsOf engines must touch
-// neither.
+// one, grounded by reground. cfg must already be validated, and the
+// caller owns the version gauge and durability attachment — throwaway
+// AsOf engines must touch neither.
 func newEngine(p *ast.OrderedProgram, cfg Config, base uint64) *Engine {
 	e := &Engine{src: p, cfg: cfg, base: base, trace: newTracer(cfg.Trace)}
 	e.memBase.Store(base)
 	return e
-}
-
-// newEngineAt grounds p into an engine whose initial snapshot carries
-// version base: the constructor core of NewEngineCtx (base 0) and AsOf
-// materialisation (base = requested version). Recover publishes its first
-// snapshot through the reground path instead (durable.go).
-func newEngineAt(ctx context.Context, p *ast.OrderedProgram, cfg Config, base uint64) (*Engine, error) {
-	e := newEngine(p, cfg, base)
-	gp, err := ground.GroundCtx(ctx, p, e.cfg.Ground)
-	if err != nil {
-		return nil, err
-	}
-	e.current.Store(&Snapshot{eng: e, version: base, gp: gp, nAtoms: gp.Tab.Len(), rules: gp.Rules, index: &progIndexCell{}, comps: make(map[int]*compState)})
-	if e.trace.Enabled() {
-		e.trace.Emit(obs.E("ground", obs.F("rules", len(gp.Rules)), obs.F("atoms", gp.Tab.Len())))
-	}
-	return e, nil
 }
 
 // fillStable applies Config.EnumBudget as the default leaf budget.

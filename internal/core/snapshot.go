@@ -25,10 +25,10 @@ import (
 // version it pinned, unaffected by concurrent writers.
 //
 // Snapshots are cheap: an incremental update shares the interned-term
-// storage, the append-only ground rule list, and — for every component
-// whose visible rules did not change — the parent's memoised views, least
-// models and provers. Only components that can see a touched component are
-// recomputed, lazily, on first use.
+// storage, the append-only ground rule list and update history, and — for
+// every component whose visible rules did not change — the parent's
+// memoised views, least models and provers. Only components that can see
+// a touched component are recomputed, lazily, on first use.
 type Snapshot struct {
 	eng     *Engine
 	version uint64
@@ -49,13 +49,12 @@ type Snapshot struct {
 	rules []ground.Rule
 	dead  map[int32]struct{}
 
-	// factLive overlays per-(component, fact) liveness on top of the
-	// original source program's fact rules: true = asserted, false =
-	// retracted, absent = as in the source. log is the full update history
-	// that produced this version, replayed to rebuild from source when an
-	// update cannot be applied incrementally. Both are immutable.
-	factLive map[factKey]bool
-	log      []factEvent
+	// log is the update history that produced this version, replayed over
+	// the source to rebuild it (see Engine.rebuild). Like rules, it is a
+	// prefix of an append-only slice: a child extends its parent's log in
+	// place, so an entry below a published length is never rewritten, and
+	// a compaction starts a fresh slice.
+	log []factEvent
 
 	mu    sync.Mutex
 	comps map[int]*compState
@@ -90,6 +89,8 @@ type factEvent struct {
 	retract bool
 	ver     uint64
 }
+
+func (ev factEvent) key() factKey { return factKey{comp: ev.comp, lit: ev.lit.String()} }
 
 // compState holds the lazily built per-component artifacts. The view is
 // construct-once/read-many under a sync.Once; the least model uses the
@@ -375,16 +376,6 @@ func (s *Snapshot) InterpFromLiterals(comp string, lits []ast.Literal) (*Model, 
 	return newModel(v, in), nil
 }
 
-// liveFact reports whether the (component, fact) pair is in effect at this
-// version: the overlay decides when it has an entry, otherwise the original
-// source program does.
-func (s *Snapshot) liveFact(k factKey, base map[factKey]bool) bool {
-	if v, ok := s.factLive[k]; ok {
-		return v
-	}
-	return base[k]
-}
-
 // Update publishes a new snapshot with the given ground facts asserted in
 // the component ("" = DefaultComponent) and returns it. Facts already in
 // effect are no-ops; if every fact is, the current snapshot is returned
@@ -431,129 +422,101 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 	if err != nil {
 		return nil, err
 	}
-	if e.baseFacts == nil {
-		e.baseFacts = groundFacts(e.src)
-	}
 	// Drop no-ops: asserting a fact already in effect or retracting one that
 	// is not changes nothing, and the ground layer relies on the caller
 	// filtering them (re-asserting a live fact must not double-count its
-	// constants).
+	// constants). keys holds the rendered facts kept, for liveness and WAL.
+	live := e.liveness(parent)
 	ops := make([]ast.Literal, 0, len(facts))
-	dedup := make(map[factKey]bool, len(facts))
+	keys := make([]string, 0, len(facts))
+	seen := make(map[string]bool, len(facts))
 	for _, f := range facts {
-		k := factKey{comp: ci, lit: f.String()}
-		if dedup[k] {
+		k := f.String()
+		if seen[k] {
 			continue
 		}
-		dedup[k] = true
-		if parent.liveFact(k, e.baseFacts) != retract {
-			continue
+		seen[k] = true
+		if live[factKey{comp: ci, lit: k}] == retract {
+			ops = append(ops, f)
+			keys = append(keys, k)
 		}
-		ops = append(ops, f)
 	}
 	if len(ops) == 0 {
 		return parent, nil
 	}
-
-	newLog := make([]factEvent, 0, len(parent.log)+len(ops))
-	newLog = append(newLog, parent.log...)
+	version := parent.version + 1
+	log := parent.log
 	for _, f := range ops {
-		newLog = append(newLog, factEvent{comp: ci, lit: f, retract: retract, ver: parent.version + 1})
-	}
-	overlay := make(map[factKey]bool, len(parent.factLive)+len(ops))
-	for k, v := range parent.factLive {
-		overlay[k] = v
-	}
-	for _, f := range ops {
-		overlay[factKey{comp: ci, lit: f.String()}] = !retract
+		log = append(log, factEvent{comp: ci, lit: f, retract: retract, ver: version})
 	}
 
 	// Always try the incremental path: when the ground program lacks usable
 	// incremental state the delta layer refuses immediately with a typed
 	// *ground.RegroundError ("full-mode", "poisoned"), so every fallback —
 	// inherent or tuning — carries its reason into the trace and counters.
-	child, err := e.applyIncremental(ctx, parent, ci, ops, retract, overlay, newLog)
-	if err == nil {
-		mode := "incremental"
-		compacted := false
-		if e.needsCompact(child) {
-			// Replace the incremental child with a compacted rebuild at the
-			// same version. A failed compaction (e.g. cancellation mid-
-			// reground) publishes the incremental child instead: the update
-			// itself succeeded, and the thresholds re-trigger next time.
-			if c, cerr := e.compactChild(ctx, child); cerr == nil {
-				child, mode, compacted = c, "compact", true
+	mode, reason := "incremental", ""
+	child, err := e.applyIncremental(ctx, parent, ci, ops, retract, log)
+	switch {
+	case err == nil:
+		// Replace the incremental child with a compacted rebuild at the
+		// same version when it crosses a threshold. A failed compaction
+		// (e.g. cancellation mid-reground) publishes the incremental child
+		// instead: the update itself succeeded, and the thresholds
+		// re-trigger next time.
+		if e.needsCompact(len(child.dead), len(child.rules)) {
+			if c, cerr := e.rebuild(ctx, version, log, len(child.dead), true); cerr == nil {
+				child, mode = c, "compact"
 			}
 		}
-		// Write-ahead: the batch reaches the log (fsynced per policy) before
-		// the snapshot becomes visible, so every observable version is
-		// recoverable. An append failure discards the unpublished child.
-		if err := e.walAppend(child, ci, verb, ops); err != nil {
+	case errors.Is(err, ground.ErrNeedsReground):
+		// A fallback reground drains the dead set (so only the cadence can
+		// ask for compaction) but would carry the full history forward.
+		// When the cadence is due, collapse the history as part of the
+		// rebuild: the compaction is free and the log stays bounded by
+		// distinct facts, not update count.
+		reason = ground.RegroundReason(err)
+		compact := e.needsCompact(0, 0)
+		if child, err = e.rebuild(ctx, version, log, len(parent.dead), compact); err != nil {
 			return nil, err
 		}
-		e.current.Store(child)
-		if compacted {
-			e.finishCompact(child.version)
-		} else {
-			e.sinceCompact++
+		mode = "reground"
+		if compact {
+			mode = "compact"
 		}
-		if obs.On() {
-			mUpdates.Inc()
-			mUpdatesIncr.Inc()
-			mVersion.Set(int64(child.version))
-		}
-		if e.trace.Enabled() {
-			e.trace.Emit(e.updateEvent(parent, child, ci, verb, len(ops), mode, ""))
-		}
-		if err := e.walCheckpoint(child); err != nil {
-			return nil, fmt.Errorf("core: update v%d applied and logged, checkpoint failed: %w", child.version, err)
-		}
-		return child, nil
-	}
-	if !errors.Is(err, ground.ErrNeedsReground) {
+	default:
 		return nil, err
 	}
-	reason := ground.RegroundReason(err)
-	// A fallback reground already rebuilds the prefix and drains the dead
-	// set, but it carries the full history forward — under churn that is
-	// the part that leaks. When the rebuild would cross the compaction
-	// cadence anyway, collapse the history as part of it: the compaction
-	// is free (the reground runs regardless) and the log stays bounded by
-	// distinct facts, not update count.
-	regroundLog, compacted := newLog, false
-	if e.cfg.CompactEvery > 0 && e.sinceCompact+1 >= e.cfg.CompactEvery {
-		regroundLog, compacted = collapseLog(newLog), true
-	}
-	child, err = e.reground(ctx, parent.version+1, regroundLog, overlay)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.walAppend(child, ci, verb, ops); err != nil {
+
+	// Write-ahead: the batch reaches the log (fsynced per policy) before
+	// the snapshot becomes visible, so every observable version is
+	// recoverable. An append failure discards the unpublished child.
+	if err := e.walAppend(version, ci, verb, keys); err != nil {
 		return nil, err
 	}
 	e.current.Store(child)
-	mode := "reground"
-	if compacted {
-		mode = "compact"
-		e.finishCompact(child.version)
-		if obs.On() {
-			mCompactRuns.Inc()
-			mCompactDead.Add(int64(len(parent.dead)))
-			mCompactCollapsed.Add(int64(len(newLog) - len(regroundLog)))
-		}
+	for _, k := range keys {
+		live[factKey{comp: ci, lit: k}] = !retract
+	}
+	if mode == "compact" {
+		e.finishCompact(version)
 	} else {
 		e.sinceCompact++
 	}
 	if obs.On() {
 		mUpdates.Inc()
-		mVersion.Set(int64(child.version))
+		if reason == "" {
+			mUpdatesIncr.Inc()
+		}
+		mVersion.Set(int64(version))
 	}
-	countFallback(reason)
+	if reason != "" {
+		countFallback(reason)
+	}
 	if e.trace.Enabled() {
 		e.trace.Emit(e.updateEvent(parent, child, ci, verb, len(ops), mode, reason))
 	}
 	if err := e.walCheckpoint(child); err != nil {
-		return nil, fmt.Errorf("core: update v%d applied and logged, checkpoint failed: %w", child.version, err)
+		return nil, fmt.Errorf("core: update v%d applied and logged, checkpoint failed: %w", version, err)
 	}
 	return child, nil
 }
@@ -577,7 +540,7 @@ func (e *Engine) updateEvent(parent, child *Snapshot, ci int, verb string, n int
 // applyIncremental applies the update through the grounder's in-place
 // delta machinery and builds the child snapshot, sharing the parent's
 // per-component state for every component that cannot see a touched one.
-func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int, ops []ast.Literal, retract bool, overlay map[factKey]bool, newLog []factEvent) (*Snapshot, error) {
+func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int, ops []ast.Literal, retract bool, log []factEvent) (*Snapshot, error) {
 	touched := make(map[int]bool)
 	dead := make(map[int32]struct{}, len(parent.dead)+len(ops))
 	for i := range parent.dead {
@@ -617,17 +580,16 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 		touched[int(rules[idx].Comp)] = true
 	}
 	child := &Snapshot{
-		eng:      e,
-		version:  parent.version + 1,
-		gp:       parent.gp,
-		nAtoms:   parent.gp.Tab.Len(),
-		written:  true,
-		rules:    rules,
-		dead:     dead,
-		index:    parent.index,
-		factLive: overlay,
-		log:      newLog,
-		comps:    make(map[int]*compState),
+		eng:     e,
+		version: parent.version + 1,
+		gp:      parent.gp,
+		nAtoms:  parent.gp.Tab.Len(),
+		written: true,
+		rules:   rules,
+		dead:    dead,
+		index:   parent.index,
+		log:     log,
+		comps:   make(map[int]*compState),
 	}
 	// A component's visible rules changed only if it can see a touched
 	// component; everything else shares the parent's state pointer, so
@@ -653,34 +615,35 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 	return child, nil
 }
 
-// reground rebuilds the ground program from the effective source (original
-// program plus replayed update history) and wraps it in a fresh snapshot
-// at the given version with no carried-over state.
-func (e *Engine) reground(ctx context.Context, version uint64, newLog []factEvent, overlay map[factKey]bool) (*Snapshot, error) {
-	eff, err := effectiveProgram(e.src, newLog)
-	if err != nil {
-		return nil, err
+// reground grounds the effective program of log (the source plus the
+// replayed history) into a fresh snapshot at version with no carried-over
+// state. An empty history grounds the source itself.
+func (e *Engine) reground(ctx context.Context, version uint64, log []factEvent) (*Snapshot, error) {
+	eff := e.src
+	if len(log) > 0 {
+		var err error
+		if eff, err = effectiveProgram(e.src, log); err != nil {
+			return nil, err
+		}
 	}
 	gp, err := ground.GroundCtx(ctx, eff, e.cfg.Ground)
 	if err != nil {
 		return nil, err
 	}
 	return &Snapshot{
-		eng:      e,
-		version:  version,
-		gp:       gp,
-		nAtoms:   gp.Tab.Len(),
-		rules:    gp.Rules,
-		index:    &progIndexCell{},
-		factLive: overlay,
-		log:      newLog,
-		comps:    make(map[int]*compState),
+		eng:     e,
+		version: version,
+		gp:      gp,
+		nAtoms:  gp.Tab.Len(),
+		rules:   gp.Rules,
+		index:   &progIndexCell{},
+		log:     log,
+		comps:   make(map[int]*compState),
 	}, nil
 }
 
 // groundFacts indexes the ground fact rules of a source program: the
-// liveness every fact has before any update, which liveFact consults
-// beneath the per-snapshot overlay.
+// liveness every fact has before any update.
 func groundFacts(src *ast.OrderedProgram) map[factKey]bool {
 	facts := make(map[factKey]bool)
 	for ci, c := range src.Components {
@@ -691,6 +654,20 @@ func groundFacts(src *ast.OrderedProgram) map[factKey]bool {
 		}
 	}
 	return facts
+}
+
+// liveness returns the tip's fact liveness (Engine.live), building it on
+// first use from the source's ground facts folded with the tip's history:
+// a recovered engine and an AsOf reconstruction's engine start with one.
+// Called under writeMu.
+func (e *Engine) liveness(tip *Snapshot) map[factKey]bool {
+	if e.live == nil {
+		e.live = groundFacts(e.src)
+		for _, ev := range tip.log {
+			e.live[ev.key()] = !ev.retract
+		}
+	}
+	return e.live
 }
 
 // factRules is one component's rule list under edit by effectiveProgram:
