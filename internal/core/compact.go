@@ -57,6 +57,9 @@ func (e *Engine) rebuild(ctx context.Context, version uint64, log []factEvent, d
 
 // finishCompact records the bookkeeping of a successful compaction:
 // the in-memory history now reconstructs nothing older than version.
+// Callers run it before publishing the compacted snapshot: AsOf loads the
+// current snapshot, then memBase, so a reader that sees the collapsed
+// history also sees the raised floor.
 func (e *Engine) finishCompact(version uint64) {
 	e.sinceCompact = 0
 	e.memBase.Store(version)
@@ -99,8 +102,8 @@ func (e *Engine) Compact(ctx context.Context) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: compact v%d: %w", parent.version, err)
 	}
-	e.current.Store(child)
 	e.finishCompact(child.version)
+	e.current.Store(child)
 	if e.trace.Enabled() {
 		e.trace.Emit(obs.E("compact",
 			obs.F("version", child.version),

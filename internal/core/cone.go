@@ -88,14 +88,14 @@ func visibleFrom(gp *ground.Program, i int) []bool {
 // number of cone atoms, or a nil model and no error when the cone is too
 // large to pay off; on an error no partial model is returned.
 func (s *Snapshot) coneModel(ctx context.Context, i int, st *compState, c *carry) (*Model, int, error) {
-	cut := s.cutter()
-	vis := visibleFrom(s.gp, i)
+	live, vis := s.liveComps(), visibleFrom(s.gp, i)
 	visible := 0
 	for j, ok := range vis {
 		if ok {
-			visible += int(cut.live[j])
+			visible += int(live[j])
 		}
 	}
+	x := s.occ()
 	n := s.nAtoms
 	lits := interp.NewBitset(2 * n) // the cone, as literals of both signs
 	picked := interp.NewBitset(len(s.rules))
@@ -123,7 +123,7 @@ func (s *Snapshot) coneModel(ctx context.Context, i int, st *compState, c *carry
 		l := work[len(work)-1]
 		work = work[:len(work)-1]
 		add(l.Complement())
-		cut.each(s, l.Atom(), func(r int32) {
+		x.each(s, l.Atom(), func(r int32) {
 			if rule := &s.rules[r]; rule.Head == l && vis[rule.Comp] {
 				picked.Set(int(r))
 				nRules, nBody = nRules+1, nBody+len(rule.Body)
@@ -132,7 +132,7 @@ func (s *Snapshot) coneModel(ctx context.Context, i int, st *compState, c *carry
 		if nRules*coneShare > visible {
 			return nil, 0, nil
 		}
-		cut.eachBody(s, l.Atom(), func(r int32) {
+		x.eachBody(s, l.Atom(), func(r int32) {
 			if rule := &s.rules[r]; vis[rule.Comp] {
 				add(rule.Head)
 			}

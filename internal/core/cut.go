@@ -1,13 +1,11 @@
 package core
 
 import (
-	"cmp"
 	"context"
-	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/ground"
@@ -29,239 +27,212 @@ import (
 // sub-table of the snapshot's, so everything built over the slice is sized
 // by the slice.
 
-// progIndex indexes the first n instances of one ground program by head
-// atom and by body atom. It never looks at a dead set, so every snapshot
-// over the program can share it: a snapshot filters its own dead instances
-// at use and indexes its own instances past n (its tail) separately. Goal
-// cuts walk it from heads to bodies; a write's cone (cone.go) walks it
-// from bodies to heads.
-type progIndex struct {
-	rules []ground.Rule // the indexed instances: the program's Rules[:n]
-	n     int
-	// head is a CSR over head atom ids: the instances headed by atom a, of
-	// either sign, ascending.
-	head csr
-	// body is a CSR over body atom ids: the instances with a or ¬a in their
-	// body, ascending, an instance once per occurrence. Only cones read it,
-	// so it is built on the first one: goal cuts never hold it.
-	bodyOnce sync.Once
-	body     csr
-	// heads lists the atoms heading at least one indexed instance, ordered
-	// by (predicate symbol id, first-argument id), so the atoms matching a
-	// goal literal's predicate and bound first argument are one range.
-	heads []interp.AtomID
-	// comps counts the indexed instances of each component.
-	comps []int32
+// occIndex indexes the instances of one ground program by the atoms they
+// mention. Every snapshot over the program shares it. Instances are only
+// ever appended to a program, so the index is only ever extended: the
+// first reader whose pinned prefix is longer than the index covers
+// indexes the difference under mu, and every reader walks the index
+// without a lock, skipping the instances at or past its own prefix and
+// those its dead set kills. Goal cuts walk it from heads to bodies; a
+// write's cone (cone.go) walks it from bodies to heads.
+//
+// Postings are chains, newest first: headLast[a] is the last instance
+// headed by atom a (either sign) and headPrev[i] the previous instance
+// with instance i's head atom. The body side does the same per
+// occurrence, and bodyInst maps an occurrence to its instance.
+type occIndex struct {
+	tab *interp.Table
+
+	mu sync.Mutex
+	// heads counts the instances whose head postings are written; it is
+	// published after them. rules is that prefix and comps counts its
+	// instances per component; both are read and written under mu.
+	heads              atomic.Int32
+	rules              []ground.Rule
+	comps              []int32
+	headLast, headPrev column
+	// bySym and byFirst map a term id to the newest atom heading an
+	// instance whose predicate symbol, or first argument, it is; symPrev
+	// and firstPrev link each such atom to the previous one. A goal
+	// literal's candidate atoms are one of these chains.
+	bySym, symPrev, byFirst, firstPrev column
+
+	// bodies counts the instances whose body postings are written, and occs
+	// (under mu) their occurrences. Only cones read body postings, so only
+	// eachBody writes them: goal cuts never hold them.
+	bodies                       atomic.Int32
+	occs                         int32
+	bodyLast, bodyPrev, bodyInst column
 }
 
-// csr maps atom ids to instance indexes: those of atom a are
-// at[off[a]:off[a+1]].
-type csr struct{ off, at []int32 }
+func newOccIndex(gp *ground.Program) *occIndex {
+	return &occIndex{tab: gp.Tab, comps: make([]int32, gp.NumComponents())}
+}
 
-// newCSR builds a CSR over nAtoms atom ids from the (atom, instance) pairs
-// visit reports in ascending instance order. It calls visit twice, to
-// count and to fill.
-func newCSR(nAtoms int, visit func(pair func(a interp.AtomID, i int32))) csr {
-	c := csr{off: make([]int32, nAtoms+1)}
-	visit(func(a interp.AtomID, _ int32) { c.off[a+1]++ })
-	for a := 0; a < nAtoms; a++ {
-		c.off[a+1] += c.off[a]
+// chunkBits sizes a column's chunks: 1 << chunkBits entries each.
+const chunkBits = 10
+
+type chunk [1 << chunkBits]atomic.Int32
+
+// column is a growable array of int32 links, -1 where unset, that one
+// writer under occIndex.mu extends while readers read it without a lock.
+// It grows by whole chunks behind an atomically swapped directory, so no
+// entry moves once published.
+type column struct{ dir atomic.Pointer[[]*chunk] }
+
+func (c *column) get(i int32) int32 {
+	d := c.dir.Load()
+	if d == nil || int(i>>chunkBits) >= len(*d) {
+		return -1
 	}
-	// Fill by advancing each atom's start, then shift the starts back.
-	c.at = make([]int32, c.off[nAtoms])
-	visit(func(a interp.AtomID, i int32) {
-		c.at[c.off[a]] = i
-		c.off[a]++
-	})
-	copy(c.off[1:], c.off[:nAtoms])
-	c.off[0] = 0
-	return c
+	return (*d)[i>>chunkBits][i&(1<<chunkBits-1)].Load() - 1
 }
 
-// of returns the instances of atom a; none for an atom interned after the
-// index was built.
-func (c *csr) of(a interp.AtomID) []int32 {
-	if int(a)+1 >= len(c.off) {
-		return nil
+func (c *column) set(i, v int32) {
+	d := c.dir.Load()
+	if d == nil || int(i>>chunkBits) >= len(*d) {
+		d = c.grow(int(i >> chunkBits))
 	}
-	return c.at[c.off[a]:c.off[a+1]]
+	(*d)[i>>chunkBits][i&(1<<chunkBits-1)].Store(v + 1)
 }
 
-// progIndexCell holds the index of one ground program. Every snapshot over
-// the program shares the cell; the index is built on the first read that
-// needs it — a cold goal or a read after a write — never when the program
-// is grounded or written.
-type progIndexCell struct {
-	mu  sync.Mutex
-	idx *progIndex
-}
-
-// forRules returns an index usable for a snapshot pinning rules, building
-// one when there is none yet or when the instances past the indexed
-// prefix have grown as long as the prefix itself — so rebuilds cost O(1)
-// amortised per appended instance.
-func (c *progIndexCell) forRules(gp *ground.Program, rules []ground.Rule) *progIndex {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.idx == nil {
-		c.idx = buildProgIndex(gp, rules)
-	} else if tail := len(rules) - c.idx.n; tail > 0 && tail >= c.idx.n {
-		c.idx = buildProgIndex(gp, rules)
+// grow publishes a directory reaching chunk k. Only growth takes a
+// directory's address: a set that did would allocate on every call.
+func (c *column) grow(k int) *[]*chunk {
+	var dir []*chunk
+	if d := c.dir.Load(); d != nil {
+		dir = *d
 	}
-	return c.idx
+	for len(dir) <= k {
+		dir = append(dir, new(chunk))
+	}
+	c.dir.Store(&dir)
+	return &dir
 }
 
-func buildProgIndex(gp *ground.Program, rules []ground.Rule) *progIndex {
-	if obs.On() {
+// occ returns the snapshot's index with the head postings of every
+// instance it pins written.
+func (s *Snapshot) occ() *occIndex {
+	x := s.index
+	if int(x.heads.Load()) < len(s.rules) {
+		x.mu.Lock()
+		x.extendHeads(s.rules)
+		x.mu.Unlock()
+	}
+	return x
+}
+
+// extendHeads writes the head postings of the instances of rules the
+// index does not cover yet. Called under mu.
+func (x *occIndex) extendHeads(rules []ground.Rule) {
+	from := int(x.heads.Load())
+	if len(rules) <= from {
+		return
+	}
+	if from == 0 && obs.On() {
 		mSliceIndexBuilds.Inc()
 	}
-	tab := gp.Tab
-	nAtoms := tab.Len() // every atom of rules was interned before they were published
-	idx := &progIndex{rules: rules, n: len(rules), comps: make([]int32, gp.NumComponents())}
-	idx.head = newCSR(nAtoms, func(pair func(interp.AtomID, int32)) {
-		for i := range rules {
-			pair(rules[i].Head.Atom(), int32(i))
-		}
-	})
-	for i := range rules {
-		idx.comps[rules[i].Comp]++
-	}
-
-	type keyed struct {
-		sym, first term.ID
-		id         interp.AtomID
-	}
-	nHeads := 0
-	for a := 0; a < nAtoms; a++ {
-		if idx.head.off[a+1] > idx.head.off[a] {
-			nHeads++
-		}
-	}
-	keys := make([]keyed, 0, nHeads)
-	for a := 0; a < nAtoms; a++ {
-		if idx.head.off[a+1] > idx.head.off[a] {
-			sym, first := headKey(tab.Key(interp.AtomID(a)))
-			keys = append(keys, keyed{sym, first, interp.AtomID(a)})
-		}
-	}
-	slices.SortFunc(keys, func(x, y keyed) int {
-		if x.sym != y.sym {
-			return cmp.Compare(x.sym, y.sym)
-		}
-		return cmp.Compare(x.first, y.first)
-	})
-	idx.heads = make([]interp.AtomID, len(keys))
-	for i, k := range keys {
-		idx.heads[i] = k.id
-	}
-	return idx
-}
-
-// bodies returns the body CSR, building it on first use over the atoms the
-// head CSR covers.
-func (idx *progIndex) bodies() *csr {
-	idx.bodyOnce.Do(func() {
-		idx.body = newCSR(len(idx.head.off)-1, func(pair func(interp.AtomID, int32)) {
-			for i := range idx.rules {
-				for _, l := range idx.rules[i].Body {
-					pair(l.Atom(), int32(i))
-				}
+	for i := from; i < len(rules); i++ {
+		r := &rules[i]
+		a := int32(r.Head.Atom())
+		last := x.headLast.get(a)
+		if last < 0 { // a heads its first instance: chain it for seeding
+			key := x.tab.Key(interp.AtomID(a))
+			x.symPrev.set(a, x.bySym.get(int32(key[0])))
+			x.bySym.set(int32(key[0]), a)
+			if len(key) > 1 {
+				x.firstPrev.set(a, x.byFirst.get(int32(key[1])))
+				x.byFirst.set(int32(key[1]), a)
 			}
-		})
-	})
-	return &idx.body
-}
-
-// headKey is an atom's position in progIndex.heads, read from its stored
-// key: its predicate symbol id and its first argument's id (term.None for
-// a nullary atom).
-func headKey(key []term.ID) (sym, first term.ID) {
-	if len(key) > 1 {
-		return key[0], key[1]
-	}
-	return key[0], term.None
-}
-
-// snapCut is what one snapshot cuts with: the shared index, how much of it
-// the snapshot pins, the snapshot's own live tail instances by head atom
-// and by body atom, and its live instances per component.
-type snapCut struct {
-	idx         *progIndex
-	limit       int32 // indexed instances below this index are in the snapshot
-	tail, btail tailIndex
-	live        []int32
-}
-
-// tailIndex maps atoms to a snapshot's live tail instances: (atom,
-// instance) pairs sorted by atom, then instance. Every version a write
-// publishes resolves its own, so it is one sort of the tail rather than a
-// map of slices: no allocation per atom.
-type tailIndex struct {
-	atoms []interp.AtomID
-	inst  []int32
-}
-
-// newTailIndex builds the index of pairs packed as atom<<32 | instance.
-func newTailIndex(pairs []uint64) tailIndex {
-	slices.Sort(pairs)
-	t := tailIndex{atoms: make([]interp.AtomID, len(pairs)), inst: make([]int32, len(pairs))}
-	for j, p := range pairs {
-		t.atoms[j], t.inst[j] = interp.AtomID(p>>32), int32(uint32(p))
-	}
-	return t
-}
-
-// of returns the tail instances of atom a, ascending.
-func (t *tailIndex) of(a interp.AtomID) []int32 {
-	lo, found := slices.BinarySearch(t.atoms, a)
-	if !found {
-		return nil
-	}
-	hi := lo + 1
-	for hi < len(t.atoms) && t.atoms[hi] == a {
-		hi++
-	}
-	return t.inst[lo:hi]
-}
-
-// cutter returns the snapshot's cut state, resolving it on first use.
-func (s *Snapshot) cutter() *snapCut {
-	s.cutOnce.Do(func() {
-		idx := s.index.forRules(s.gp, s.rules)
-		c := &snapCut{idx: idx, limit: int32(min(idx.n, len(s.rules))), live: slices.Clone(idx.comps)}
-		for _, r := range idx.rules[c.limit:] {
-			c.live[r.Comp]--
 		}
+		x.headPrev.set(int32(i), last)
+		x.headLast.set(a, int32(i))
+		x.comps[r.Comp]++
+	}
+	x.rules = rules
+	x.heads.Store(int32(len(rules)))
+}
+
+// extendBodies writes the body postings of the instances of rules the
+// index does not cover yet. Called under mu.
+func (x *occIndex) extendBodies(rules []ground.Rule) {
+	from := int(x.bodies.Load())
+	if len(rules) <= from {
+		return
+	}
+	for i := from; i < len(rules); i++ {
+		for _, l := range rules[i].Body {
+			a := int32(l.Atom())
+			x.bodyInst.set(x.occs, int32(i))
+			x.bodyPrev.set(x.occs, x.bodyLast.get(a))
+			x.bodyLast.set(a, x.occs)
+			x.occs++
+		}
+	}
+	x.bodies.Store(int32(len(rules)))
+}
+
+// liveComps returns the snapshot's live instances per component, resolved
+// once. The index's counts and the prefix they count are read together
+// under mu, so a concurrent extension cannot skew them.
+func (s *Snapshot) liveComps() []int32 {
+	s.liveOnce.Do(func() {
+		x := s.index
+		x.mu.Lock()
+		x.extendHeads(s.rules)
+		live := slices.Clone(x.comps)
+		for i := len(s.rules); i < len(x.rules); i++ {
+			live[x.rules[i].Comp]--
+		}
+		x.mu.Unlock()
 		for i := range s.dead {
-			if i < c.limit {
-				c.live[s.rules[i].Comp]--
-			}
+			live[s.rules[i].Comp]--
 		}
-		var heads, bodies []uint64
-		pair := func(a interp.AtomID, i int) uint64 { return uint64(a)<<32 | uint64(i) }
-		for i := idx.n; i < len(s.rules); i++ {
-			if _, gone := s.dead[int32(i)]; gone {
-				continue
-			}
-			r := &s.rules[i]
-			c.live[r.Comp]++
-			heads = append(heads, pair(r.Head.Atom(), i))
-			for _, l := range r.Body {
-				bodies = append(bodies, pair(l.Atom(), i))
-			}
-		}
-		c.tail, c.btail = newTailIndex(heads), newTailIndex(bodies)
-		s.cut = c
+		s.live = live
 	})
-	return s.cut
+	return s.live
+}
+
+// pins reports whether instance i is a live instance of the snapshot.
+func (s *Snapshot) pins(i int32) bool {
+	_, gone := s.dead[i]
+	return int(i) < len(s.rules) && !gone
+}
+
+// each calls f for every live instance of s headed by atom a, newest
+// first.
+func (x *occIndex) each(s *Snapshot, a interp.AtomID, f func(int32)) {
+	for i := x.headLast.get(int32(a)); i >= 0; i = x.headPrev.get(i) {
+		if s.pins(i) {
+			f(i)
+		}
+	}
+}
+
+// eachBody calls f for every live instance of s with atom a in its body,
+// once per occurrence, newest first.
+func (x *occIndex) eachBody(s *Snapshot, a interp.AtomID, f func(int32)) {
+	if int(x.bodies.Load()) < len(s.rules) {
+		x.mu.Lock()
+		x.extendBodies(s.rules)
+		x.mu.Unlock()
+	}
+	for o := x.bodyLast.get(int32(a)); o >= 0; o = x.bodyPrev.get(o) {
+		if i := x.bodyInst.get(o); s.pins(i) {
+			f(i)
+		}
+	}
 }
 
 // seed reports, through visit, every atom that can match the goal literal
-// l: the atom itself when l is ground, otherwise every head atom of l's
-// predicate and arity agreeing with each of l's ground arguments. A goal
-// atom no instance heads has no member literal in any model, so skipping
-// such atoms (when l is not ground) loses no answer.
-func (c *snapCut) seed(tab *interp.Table, l ast.Literal, visit func(interp.AtomID)) {
+// l: the atom itself when l is ground, otherwise every atom heading a live
+// instance of s that agrees with l's predicate, arity and ground
+// arguments. It walks the atoms sharing l's first argument when that is
+// ground, those of l's predicate otherwise. A goal atom no live instance
+// heads has no member literal in any model, so skipping such atoms (when
+// l is not ground) loses no answer.
+func (x *occIndex) seed(s *Snapshot, l ast.Literal, visit func(interp.AtomID)) {
+	tab := x.tab
 	if l.Atom.Ground() {
 		if id, ok := tab.Lookup(l.Atom); ok {
 			visit(id)
@@ -272,28 +243,18 @@ func (c *snapCut) seed(tab *interp.Table, l ast.Literal, visit func(interp.AtomI
 	if !ok {
 		return
 	}
-	lo, hi := term.ID(math.MinInt32), term.ID(math.MaxInt32)
+	a, next := x.bySym.get(int32(pat[0])), &x.symPrev
 	if len(pat) > 1 && pat[1] != term.None {
-		lo, hi = pat[1], pat[1]
+		a, next = x.byFirst.get(int32(pat[1])), &x.firstPrev
 	}
-	heads := c.idx.heads
-	compare := func(i int, first term.ID) int {
-		hs, hf := headKey(tab.Key(heads[i]))
-		if hs != pat[0] {
-			return cmp.Compare(hs, pat[0])
+	for ; a >= 0; a = next.get(a) {
+		if !matches(pat, tab.Key(interp.AtomID(a))) {
+			continue
 		}
-		return cmp.Compare(hf, first)
-	}
-	from := sort.Search(len(heads), func(i int) bool { return compare(i, lo) >= 0 })
-	to := sort.Search(len(heads), func(i int) bool { return compare(i, hi) > 0 })
-	for _, id := range heads[from:to] {
-		if matches(pat, tab.Key(id)) {
-			visit(id)
-		}
-	}
-	for j, id := range c.tail.atoms {
-		if (j == 0 || id != c.tail.atoms[j-1]) && matches(pat, tab.Key(id)) {
-			visit(id)
+		live := false
+		x.each(s, interp.AtomID(a), func(int32) { live = true })
+		if live {
+			visit(interp.AtomID(a))
 		}
 	}
 }
@@ -333,43 +294,12 @@ func matches(pat, key []term.ID) bool {
 	return true
 }
 
-// each calls f for every live instance of the snapshot headed by atom a.
-func (c *snapCut) each(s *Snapshot, a interp.AtomID, f func(int32)) {
-	c.pinned(s, c.idx.head.of(a), c.tail.of(a), f)
-}
-
-// eachBody calls f for every live instance of the snapshot with atom a in
-// its body, once per occurrence.
-func (c *snapCut) eachBody(s *Snapshot, a interp.AtomID, f func(int32)) {
-	c.pinned(s, c.idx.bodies().of(a), c.btail.of(a), f)
-}
-
-// pinned calls f for the indexed instances the snapshot pins and has not
-// killed, then for its tail instances.
-func (c *snapCut) pinned(s *Snapshot, indexed, tail []int32, f func(int32)) {
-	for _, i := range indexed {
-		if i >= c.limit {
-			break
-		}
-		if len(s.dead) > 0 {
-			if _, gone := s.dead[i]; gone {
-				continue
-			}
-		}
-		f(i)
-	}
-	for _, i := range tail {
-		f(i)
-	}
-}
-
 // cutSlice cuts the goal's slice from the snapshot's ground program: the
 // closure of the goal's atoms under head (either sign) → body over the live
 // instances, emitted in Rules order over a sub-table of the snapshot's atom
 // table.
 func (s *Snapshot) cutSlice(ctx context.Context, goal []ast.Literal) (*ground.Program, error) {
-	c := s.cutter()
-	tab := s.gp.Tab
+	x := s.occ()
 	nAtoms := s.nAtoms
 	atoms := newRankSet(nAtoms)
 	picked := interp.NewBitset(len(s.rules))
@@ -382,7 +312,7 @@ func (s *Snapshot) cutSlice(ctx context.Context, goal []ast.Literal) (*ground.Pr
 		}
 	}
 	for _, l := range goal {
-		c.seed(tab, l, visit)
+		x.seed(s, l, visit)
 	}
 	nRules, nBody := 0, 0
 	pick := func(i int32) {
@@ -401,7 +331,7 @@ func (s *Snapshot) cutSlice(ctx context.Context, goal []ast.Literal) (*ground.Pr
 		}
 		a := work[len(work)-1]
 		work = work[:len(work)-1]
-		c.each(s, a, pick)
+		x.each(s, a, pick)
 	}
 	gp, _ := s.emitSlice(picked, atoms, nRules, nBody)
 	return gp, nil

@@ -187,10 +187,10 @@ func sameSet(a, b map[string]bool) (string, bool) {
 
 // After asserts and retracts the cut is exactly the closure over the
 // snapshot's live instances: retracted instances (the dead set) are never
-// cut, appended ones always are. Run twice: with the head index built on
-// the first version, so later versions cut their appended instances from
-// their own tail, and built on the last, so earlier versions cut from an
-// index that covers instances they do not pin.
+// cut, appended ones always are. Run twice: with the occurrence index
+// started on the first version, so later versions extend it, and started
+// on the last, so earlier versions cut from an index covering instances
+// they do not pin.
 func TestCutMatchesClosureAfterWrites(t *testing.T) {
 	for _, indexFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("indexFirst=%v", indexFirst), func(t *testing.T) {
@@ -215,9 +215,14 @@ func cutAfterWrites(t *testing.T, indexFirst bool) {
 		}
 		snaps = append(snaps, s)
 	}
+	first := snaps[0]
+	x := first.index
 	if indexFirst {
-		if _, err := e.Current().cutSlice(ctx, parseGoal(t, goals[0]).Body); err != nil {
+		if _, err := first.cutSlice(ctx, parseGoal(t, goals[0]).Body); err != nil {
 			t.Fatal(err)
+		}
+		if n := int(x.heads.Load()); n != len(first.rules) {
+			t.Fatalf("the first cut indexed %d instances, want the %d its version pins", n, len(first.rules))
 		}
 	}
 	step(e.Update(ctx, "base", facts("edge(c12, c13)")))
@@ -226,8 +231,18 @@ func cutAfterWrites(t *testing.T, indexFirst bool) {
 	step(e.Retract(ctx, "base", facts("edge(c12, c13)")))
 	step(e.Update(ctx, "base", facts("edge(c12, c13)")))
 	step(e.Update(ctx, "base", facts("hop(h6, c1)")))
+	last := snaps[len(snaps)-1]
+	if len(last.rules) <= len(first.rules) {
+		t.Fatal("the writes appended no instance: the extension path went untested")
+	}
 	for i := range snaps {
-		s := snaps[len(snaps)-1-i] // newest first: without indexFirst it builds the index
+		s := snaps[len(snaps)-1-i] // newest first: without indexFirst it starts the index
+		if s.index != x {
+			t.Fatalf("v%d cuts with its own index, not its ground program's", s.version)
+		}
+		if s == first && !indexFirst && int(x.heads.Load()) <= len(first.rules) {
+			t.Error("the first version's index covers no instance past its prefix: the skip path went untested")
+		}
 		for _, g := range goals {
 			goal := parseGoal(t, g).Body
 			cut, err := s.cutSlice(ctx, goal)
@@ -239,22 +254,35 @@ func cutAfterWrites(t *testing.T, indexFirst bool) {
 			}
 		}
 	}
-	first, last := snaps[0].cutter(), snaps[len(snaps)-1].cutter()
-	if first.idx != last.idx {
-		t.Fatal("the versions of one ground program cut with different head indexes")
-	}
-	if indexFirst && len(last.tail.atoms) == 0 {
-		t.Error("the last version cut with no tail: the appended-instance path went untested")
-	}
-	if !indexFirst && int(first.limit) == first.idx.n {
-		t.Error("the first version pins the whole index: the limit path went untested")
+	if n := int(x.heads.Load()); n != len(last.rules) {
+		t.Errorf("the index covers %d instances after every version cut, want the newest version's %d", n, len(last.rules))
 	}
 }
 
-// The head index belongs to the ground program, not to the version: 50
-// incremental updates, each followed by a cold goal on the version it
-// published, build it once. A compaction regrounds and builds it again.
+// The occurrence index belongs to the ground program, not to the version:
+// however many incremental writes follow, each followed by a read of the
+// version it published, the program is indexed once and then only
+// extended. Two cases: 50 toggles, each followed by a cold goal; and 200
+// asserts over fresh constants, which grow Rules elevenfold, each followed
+// by a cold goal on a goal-directed engine or by a cone-derived model on a
+// full-model one. A compaction regrounds and indexes the new program once.
 func TestSliceIndexBuildsOncePerProgram(t *testing.T) {
+	t.Run("toggles", indexToggles)
+	for _, gd := range []bool{true, false} {
+		t.Run(fmt.Sprintf("growth/goalDirected=%v", gd), func(t *testing.T) { indexGrowth(t, gd) })
+	}
+}
+
+// wantIndexBuilds fails t unless core.slice.index_builds rose by want
+// since before.
+func wantIndexBuilds(t *testing.T, before obs.Snap, want int64, after string) {
+	t.Helper()
+	if n := obs.Default().Snap().Diff(before)["core.slice.index_builds"]; n != want {
+		t.Errorf("core.slice.index_builds = %d after %s, want %d", n, after, want)
+	}
+}
+
+func indexToggles(t *testing.T) {
 	ctx := context.Background()
 	e, err := NewEngineCtx(ctx, mustProgram(t, policySource(200)), Config{GoalDirected: true})
 	if err != nil {
@@ -286,9 +314,7 @@ func TestSliceIndexBuildsOncePerProgram(t *testing.T) {
 	if n := d["core.updates.reground"]; n != 0 {
 		t.Fatalf("%d updates regrounded; the case needs incremental ones", n)
 	}
-	if n := d["core.slice.index_builds"]; n != 1 {
-		t.Errorf("core.slice.index_builds = %d over 50 incremental updates, want 1", n)
-	}
+	wantIndexBuilds(t, before, 1, "50 incremental updates")
 	s, err := e.Compact(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -296,9 +322,58 @@ func TestSliceIndexBuildsOncePerProgram(t *testing.T) {
 	if _, err := s.QueryCtx(ctx, "exc", parseGoal(t, "-ok(c1)")); err != nil {
 		t.Fatal(err)
 	}
-	if n := obs.Default().Snap().Diff(before)["core.slice.index_builds"]; n != 2 {
-		t.Errorf("core.slice.index_builds = %d after a compaction, want 2", n)
+	wantIndexBuilds(t, before, 2, "a compaction")
+}
+
+func indexGrowth(t *testing.T, goalDirected bool) {
+	ctx := context.Background()
+	e, err := NewEngineCtx(ctx, mustProgram(t, policySource(20)), Config{GoalDirected: goalDirected})
+	if err != nil {
+		t.Fatal(err)
 	}
+	read := func(s *Snapshot, goal string) {
+		t.Helper()
+		got, err := s.QueryCtx(ctx, "policy", parseGoal(t, goal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 {
+			t.Fatalf("v%d %s: %d answers, want 1", s.version, goal, len(got))
+		}
+	}
+	before := obs.Default().Snap()
+	start := len(e.Current().rules)
+	read(e.Current(), "ok(c0)") // the full-model engine's cones start from this model
+	for i := 0; i < 200; i++ {
+		s, err := e.Update(ctx, "kb", []ast.Literal{lit(t, fmt.Sprintf("p(d%d)", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		read(s, fmt.Sprintf("ok(d%d)", i))
+	}
+	d := obs.Default().Snap().Diff(before)
+	if n := d["core.updates.reground"]; n != 0 {
+		t.Fatalf("%d updates regrounded; the case needs incremental ones", n)
+	}
+	if !goalDirected && d["core.least.cone"] == 0 {
+		t.Fatal("no read derived its model from a cone: the cone's walk of the index went untested")
+	}
+	grown := len(e.Current().rules)
+	t.Logf("Rules grew from %d to %d instances", start, grown)
+	if grown < 8*start {
+		t.Fatalf("Rules grew from %d to %d instances; the case needs them to outgrow the first index many times over", start, grown)
+	}
+	wantIndexBuilds(t, before, 1, "200 fresh-constant asserts")
+	s, err := e.Compact(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read(s, "ok(d7)")
+	if s, err = e.Update(ctx, "kb", []ast.Literal{lit(t, "p(e0)")}); err != nil {
+		t.Fatal(err)
+	}
+	read(s, "ok(e0)")
+	wantIndexBuilds(t, before, 2, "a compaction and one more write")
 }
 
 // TestColdGoalAllocs pins the allocations of a cold goal on the read
@@ -362,7 +437,7 @@ func BenchmarkGoalDirectedCold(b *testing.B) {
 			for i := range qs {
 				qs[i] = parseGoal(b, fmt.Sprintf(c.goal, i))
 			}
-			if _, err := eng.Current().QueryCtx(ctx, "exc", qs[0]); err != nil { // build the head index
+			if _, err := eng.Current().QueryCtx(ctx, "exc", qs[0]); err != nil { // start the occurrence index
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

@@ -445,8 +445,8 @@ func TestGoalDirectedConfigValidation(t *testing.T) {
 // are dead, appended ones live, resurrected ones live again — and every
 // pinned version, asked goals it has never seen only after later writes
 // exist, still answers as of its own version. The first goal is asked
-// after two writes, so the oldest versions cut from a head index covering
-// instances they do not pin, and the later ones cut their own tails.
+// after two writes, so the oldest versions cut from an occurrence index
+// covering instances they do not pin, and the later ones extend it.
 func TestGoalDirectedAfterWritesAndPinned(t *testing.T) {
 	ctx := context.Background()
 	gd, err := core.NewEngineCtx(ctx, chainSource(t, 6, 3), core.Config{GoalDirected: true})
@@ -534,9 +534,10 @@ func TestGoalDirectedAfterWritesAndPinned(t *testing.T) {
 // Concurrent cold goals on whatever version is current while a writer
 // publishes: every answer equals the full least model of the version the
 // reader pinned, including ground goals over atoms a later write interns.
-// Under -race this also checks that the shared head index, each snapshot's
-// cut state and the atom table's sub-tables are read safely while the
-// writer appends to the ground program.
+// Under -race this also checks that the shared occurrence index, which
+// readers extend, each snapshot's live counts and the atom table's
+// sub-tables are read safely while the writer appends to the ground
+// program.
 func TestGoalDirectedColdGoalsRaceWriter(t *testing.T) {
 	ctx := context.Background()
 	eng, err := core.NewEngineCtx(ctx, chainSource(t, 12, 6), core.Config{GoalDirected: true})

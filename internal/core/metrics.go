@@ -43,17 +43,19 @@ var (
 	// the first query that scans the predicate (query.go).
 	mIndexBuilds = obs.Default().Counter("core.index.builds")
 
-	// Goal-directed slice cache (per-snapshot LRU of adorned slices, keyed
-	// by the goal's binding pattern): a hit reuses a cached slice of the
-	// pinned snapshot, a miss grounds one, an eviction drops the least
-	// recently used slice when the cache is full.
+	// Goal-directed slice cache (per-snapshot LRU of goal slices, keyed by
+	// the goal's binding pattern): a hit reuses a cached slice of the
+	// pinned snapshot, a miss cuts one from the snapshot's ground program
+	// (cut.go), an eviction drops the least recently used slice when the
+	// cache is full. The names predate the cut and stay for the serving
+	// benchmark's trace.
 	mSliceHits      = obs.Default().Counter("relevance.cache.hits")
 	mSliceMisses    = obs.Default().Counter("relevance.cache.misses")
 	mSliceEvictions = obs.Default().Counter("relevance.cache.evictions")
 
-	// One per head index built for cutting goal slices (cut.go): once per
-	// ground program, again only when its appended tail outgrows the
-	// indexed prefix.
+	// One per ground program whose occurrence index (cut.go) a goal cut or
+	// a write's cone first indexes; later readers only extend it, and are
+	// not counted. A reground or compaction makes a new program.
 	mSliceIndexBuilds = obs.Default().Counter("core.slice.index_builds")
 )
 

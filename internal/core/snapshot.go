@@ -65,12 +65,15 @@ type Snapshot struct {
 	// keep serving their own version's slices.
 	slices sliceCache
 
-	// index is gp's index cell, shared by every snapshot over gp; cut,
-	// resolved once under cutOnce, is what this snapshot cuts goal slices
-	// and write cones with (see cut.go).
-	index   *progIndexCell
-	cutOnce sync.Once
-	cut     *snapCut
+	// index is gp's occurrence index, shared by every snapshot over gp and
+	// extended by the first reader pinning instances it does not cover
+	// yet; this snapshot cuts goal slices and write cones with it, and
+	// skips the instances past its prefix or in its dead set (see cut.go).
+	// live, resolved once under liveOnce, counts the snapshot's live
+	// instances per component for the cone's size bound.
+	index    *occIndex
+	liveOnce sync.Once
+	live     []int32
 }
 
 // factKey identifies a ground fact rule by component position and rendered
@@ -493,14 +496,14 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 	if err := e.walAppend(version, ci, verb, keys); err != nil {
 		return nil, err
 	}
-	e.current.Store(child)
-	for _, k := range keys {
-		live[factKey{comp: ci, lit: k}] = !retract
-	}
 	if mode == "compact" {
 		e.finishCompact(version)
 	} else {
 		e.sinceCompact++
+	}
+	e.current.Store(child)
+	for _, k := range keys {
+		live[factKey{comp: ci, lit: k}] = !retract
 	}
 	if obs.On() {
 		mUpdates.Inc()
@@ -636,7 +639,7 @@ func (e *Engine) reground(ctx context.Context, version uint64, log []factEvent) 
 		gp:      gp,
 		nAtoms:  gp.Tab.Len(),
 		rules:   gp.Rules,
-		index:   &progIndexCell{},
+		index:   newOccIndex(gp),
 		log:     log,
 		comps:   make(map[int]*compState),
 	}, nil
