@@ -54,6 +54,16 @@ var wantDigests = map[string]string{
 	"updates/3-retract-kb":            "6049a3d602f69b700391d9688f396d36fbe42de1993d2403914584326dd84e3f",
 	"updates/4-reassert-kb":           "534ae62503c7a4995815154fb24084c14b97a04404f8394cfd20c0f1d9fd9a74",
 	"updates/5-retract-last-constant": "b14268a5ff516696951f11f666cb8bd968bc0d4ca37a38d0d80d7bc5c8619624",
+
+	// Facts of one predicate before and after a rule deriving it, in two
+	// components, through the update script and a reground.
+	"interleaved/0-ground":                "a538930550e19d67e9a1a2bd9e0f4963086cb5d6835ab4bc5a91d5ba0e86702e",
+	"interleaved/1-assert-fresh":          "79674adbe5f2f579640d0d3f72785b2b1d1d947ac7bfc5830e57adc5f9baeb89",
+	"interleaved/2-assert-kb":             "e27d5db22cd42384d701447823955e9846de85ab330dc71d1266dd6e69476b21",
+	"interleaved/3-retract-kb":            "10a3a75d8dbb3bdeaa40a26936019f5309e619e52ac09bdb96b492013091c7a6",
+	"interleaved/4-reassert-kb":           "6ee7ed2372365cdd540c01fbef9115c902d8b76719a3c67312fb0898d5efcb3a",
+	"interleaved/5-retract-last-constant": "9df8210a0fd7bcf0c6441cc5bad5034061073d5d34325ee8cc00b381526c1fa8",
+	"interleaved/6-reground":              "f1590fdcfa635b2766e93ece55dedebceced02c03ff9cfc2c7a2baa8b2c1e78a",
 }
 
 // writeGroundDigest folds the grounding into h: universe, atom table in id
@@ -163,49 +173,116 @@ func gotDigests(t *testing.T) map[string]string {
 	// A scripted update sequence on the policy program: a fresh-constant
 	// assert, a kb-constant toggle (assert, retract, re-assert) and the
 	// last-constant retract that must fall back.
-	p := policyProgram(t, 1000)
+	updateScript(t, got, "updates/", policyProgram(t, 1000), "exc", []scriptStep{
+		{"1-assert-fresh", "bad(k0)", false},
+		{"2-assert-kb", "bad(c7)", false},
+		{"3-retract-kb", "bad(c7)", true},
+		{"4-reassert-kb", "bad(c7)", false},
+	}, "bad(k0)", "5-retract-last-constant")
+
+	// Facts of one predicate written both before and after a rule deriving
+	// it, in two components: round 0 of the possible-atom fixpoint and the
+	// fireable pass must interleave them with the rule exactly as written.
+	// The same update script runs on it, and the program the asserts leave
+	// is then grounded from scratch, with the asserted facts at the end of
+	// their component as the engine's rebuild writes them.
+	p := parse(t, interleavedSource)
+	updateScript(t, got, "interleaved/", p, "exc", []scriptStep{
+		{"1-assert-fresh", "p(k1)", false},
+		{"2-assert-kb", "bad(c1)", false},
+		{"3-retract-kb", "bad(c1)", true},
+		{"4-reassert-kb", "bad(c1)", false},
+	}, "p(k1)", "5-retract-last-constant")
+	exc, _ := p.ComponentIndex("exc")
+	re := ast.NewOrderedProgram()
+	for i, c := range p.Components {
+		rules := append([]*ast.Rule(nil), c.Rules...)
+		if i == exc {
+			for _, l := range goalLits(t, "p(k1)", "bad(c1)") {
+				rules = append(rules, ast.Fact(l))
+			}
+		}
+		if err := re.AddComponent(&ast.Component{Name: c.Name, Rules: rules}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range p.Edges {
+		if err := re.AddEdge(e.Child, e.Parent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := re.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got["interleaved/6-reground"] = digestOf(re, DefaultOptions())
+	return got
+}
+
+// interleavedSource has facts of p before and after the rule deriving p in
+// both of its components, with the facts that rule reads written before it:
+// round 0 derives p tuples between the written ones.
+const interleavedSource = `
+module kb {
+  p(c1). q(c4). q(c1).
+  p(X) :- q(X).
+  p(c3). p(c2).
+  r(X) :- p(X).
+}
+module exc extends kb {
+  s(c7). p(c5).
+  p(X) :- s(X).
+  p(c6). s(c2).
+  -r(X) :- bad(X).
+  bad(c3).
+}
+`
+
+// scriptStep is one update of an update script: a fact asserted into, or
+// retracted from, the script's component.
+type scriptStep struct {
+	name, fact string
+	retract    bool
+}
+
+// updateScript grounds p, runs the steps against component comp, digesting
+// the program under prefix after the grounding and after every step, then
+// retracts lastFact, which must take the last-constant fallback, and
+// digests that as lastName.
+func updateScript(t *testing.T, got map[string]string, prefix string, p *ast.OrderedProgram, comp string, steps []scriptStep, lastFact, lastName string) {
+	t.Helper()
 	gp, err := GroundCtx(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	exc, _ := p.ComponentIndex("exc")
+	ci, _ := p.ComponentIndex(comp)
 	ctx := context.Background()
 	step := func(name string, detail any) {
 		h := sha256.New()
 		fmt.Fprintf(h, "%+v\n", detail)
 		writeGroundDigest(h, gp)
-		got["updates/"+name] = hex.EncodeToString(h.Sum(nil))
+		got[prefix+name] = hex.EncodeToString(h.Sum(nil))
 	}
 	step("0-ground", nil)
-	for _, s := range []struct {
-		name, fact string
-		retract    bool
-	}{
-		{"1-assert-fresh", "bad(k0)", false},
-		{"2-assert-kb", "bad(c7)", false},
-		{"3-retract-kb", "bad(c7)", true},
-		{"4-reassert-kb", "bad(c7)", false},
-	} {
+	for _, s := range steps {
 		if s.retract {
-			gone, err := gp.RetractFacts(exc, goalLits(t, s.fact))
+			gone, err := gp.RetractFacts(ci, goalLits(t, s.fact))
 			if err != nil {
-				t.Fatalf("%s: %v", s.name, err)
+				t.Fatalf("%s%s: %v", prefix, s.name, err)
 			}
 			step(s.name, gone)
 			continue
 		}
-		d, err := gp.AssertFacts(ctx, exc, goalLits(t, s.fact))
+		d, err := gp.AssertFacts(ctx, ci, goalLits(t, s.fact))
 		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
+			t.Fatalf("%s%s: %v", prefix, s.name, err)
 		}
 		step(s.name, *d)
 	}
-	_, err = gp.RetractFacts(exc, goalLits(t, "bad(k0)"))
+	_, err = gp.RetractFacts(ci, goalLits(t, lastFact))
 	if !errors.Is(err, ErrNeedsReground) || RegroundReason(err) != "last-constant" {
-		t.Fatalf("retract of k0's last fact: err = %v, want the last-constant fallback", err)
+		t.Fatalf("%sretract of %s: err = %v, want the last-constant fallback", prefix, lastFact, err)
 	}
-	step("5-retract-last-constant", RegroundReason(err))
-	return got
+	step(lastName, RegroundReason(err))
 }
 
 // TestGroundDigests: every grounding hashes to the digest recorded before
