@@ -2,6 +2,7 @@ package ast
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -230,21 +231,38 @@ func (p *OrderedProgram) Predicates() []PredKey {
 }
 
 // Constants returns all constants (symbols and integers) occurring in the
-// program, sorted canonically.
+// program, sorted canonically: integers by value, then symbols by name.
+// Two constants are the same only when kind and value agree, so the symbol
+// "1" and the integer 1 are both returned.
 func (p *OrderedProgram) Constants() []Term {
-	seen := make(map[string]bool)
-	var out []Term
+	n := 0 // argument positions bound the distinct constants of atoms
+	for _, c := range p.Components {
+		for _, r := range c.Rules {
+			n += len(r.Head.Atom.Args)
+			for _, l := range r.Body {
+				n += len(l.Atom.Args)
+			}
+		}
+	}
+	syms := make(map[Sym]Term, n)
+	ints := make(map[Int]Term)
+	var symOrder []Sym
+	var intOrder []Int
 	var walk func(t Term)
 	walk = func(t Term) {
-		switch t := t.(type) {
-		case Sym, Int:
-			k := t.String()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, t)
+		switch c := t.(type) {
+		case Sym:
+			if _, ok := syms[c]; !ok {
+				syms[c] = t
+				symOrder = append(symOrder, c)
+			}
+		case Int:
+			if _, ok := ints[c]; !ok {
+				ints[c] = t
+				intOrder = append(intOrder, c)
 			}
 		case Compound:
-			for _, a := range t.Args {
+			for _, a := range c.Args {
 				walk(a)
 			}
 		}
@@ -278,7 +296,18 @@ func (p *OrderedProgram) Constants() []Term {
 			}
 		}
 	}
-	SortTerms(out)
+	// The CompareTerms order — integers, then symbols — sorted per kind on
+	// the values; the result holds the program's own interface values, not
+	// re-boxed copies.
+	slices.Sort(intOrder)
+	slices.Sort(symOrder)
+	out := make([]Term, 0, len(intOrder)+len(symOrder))
+	for _, i := range intOrder {
+		out = append(out, ints[i])
+	}
+	for _, s := range symOrder {
+		out = append(out, syms[s])
+	}
 	return out
 }
 

@@ -157,7 +157,7 @@ func GroundRules(rules []*ast.Rule, opts Options) (*Program, error) {
 			}
 			return true
 		}
-		if _, err := datalog.Eval(st, dl, datalog.Options{MaxDerived: opts.MaxDerived, AtomFilter: filter}); err != nil {
+		if _, err := datalog.Eval(st, dl, nil, datalog.Options{MaxDerived: opts.MaxDerived, AtomFilter: filter}); err != nil {
 			return nil, err
 		}
 	}

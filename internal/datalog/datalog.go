@@ -148,40 +148,46 @@ func compile(tab *term.Table, r *Rule, slab *[]storage.Pat) compiled {
 	return c
 }
 
+// Fact is a ground tuple of ids that Eval seeds into Rel in round 0, just
+// before rules[At] runs (At == len(rules): after the last rule), so facts
+// written between rules interleave with them as written. Facts pass the
+// atom filter and count towards MaxDerived like derived tuples.
+type Fact struct {
+	Rel  *storage.Relation
+	Args []term.ID
+	At   int
+}
+
 // Eval runs the rules to fixpoint over st (which already holds the EDB),
-// inserting derived tuples in place. It returns the number of new tuples.
+// seeding facts in round 0 and inserting derived tuples in place. It
+// returns the number of new tuples. A rule without body or builtins is a
+// fact written as a rule: its head must be ground, and it derives itself
+// once, in round 0.
 //
 // Negative (NAF) literals are tested against the store as it stands when
 // the enclosing substitution is complete; this is only sound when the
 // negated predicates are never derived by the rules being evaluated
 // (stratification), which callers must guarantee.
-func Eval(st *storage.Store, rules []*Rule, opts Options) (int, error) {
+func Eval(st *storage.Store, rules []*Rule, facts []Fact, opts Options) (int, error) {
 	for _, r := range rules {
 		if err := r.CheckSafety(); err != nil {
 			return 0, err
 		}
 	}
 	e := evaluator{st: st, tab: st.Table(), opts: opts, f: &storage.Frame{}}
-	// Facts insert their head as written; every other rule is compiled,
-	// its patterns carved from one slab.
-	nargs, nrules := 0, 0
+	// Every rule is compiled, its patterns carved from one slab.
+	nargs := 0
 	for _, r := range rules {
-		if r.isFact() {
-			continue
-		}
-		nrules++
 		nargs += len(r.Head.Args)
 		for _, l := range r.Body {
 			nargs += len(l.Args)
 		}
 	}
 	slab := make([]storage.Pat, 0, nargs)
-	comps := make([]compiled, 0, nrules)
-	for _, r := range rules {
-		if !r.isFact() {
-			comps = append(comps, compile(e.tab, r, &slab))
-			e.f.Reserve(len(comps[len(comps)-1].vars))
-		}
+	comps := make([]compiled, len(rules))
+	for i, r := range rules {
+		comps[i] = compile(e.tab, r, &slab)
+		e.f.Reserve(len(comps[i].vars))
 	}
 	// marks[k] is the tuple count of relation k at the start of the
 	// previous round; tuples at index >= mark are that round's delta.
@@ -195,20 +201,15 @@ func Eval(st *storage.Store, rules []*Rule, opts Options) (int, error) {
 			startSizes[k] = st.Peek(k).Len()
 		}
 		e.newThisRound = 0
-		next := 0 // comps index of the next non-fact rule
-		for _, r := range rules {
-			if r.isFact() {
-				// A fact is its own only derivation, in round 0.
-				if round == 0 {
-					if err := e.emitFact(r); err != nil {
+		next := 0 // facts index of the next fact to seed
+		for i := range comps {
+			c := &comps[i]
+			if round == 0 {
+				for ; next < len(facts) && facts[next].At <= i; next++ {
+					if err := e.seed(&facts[next]); err != nil {
 						return e.derived, err
 					}
 				}
-				continue
-			}
-			c := &comps[next]
-			next++
-			if round == 0 {
 				if err := e.evalRule(c, -1); err != nil {
 					return e.derived, err
 				}
@@ -216,11 +217,18 @@ func Eval(st *storage.Store, rules []*Rule, opts Options) (int, error) {
 			}
 			// Semi-naive: require at least one positive literal to bind in
 			// the previous round's delta.
-			for i, l := range r.Body {
+			for i, l := range c.r.Body {
 				if l.Neg {
 					continue
 				}
 				if err := e.evalRule(c, i); err != nil {
+					return e.derived, err
+				}
+			}
+		}
+		if round == 0 {
+			for ; next < len(facts); next++ {
+				if err := e.seed(&facts[next]); err != nil {
 					return e.derived, err
 				}
 			}
@@ -247,13 +255,11 @@ type evaluator struct {
 	ids                   []term.ID
 	marks                 map[ast.PredKey]int
 	derived, newThisRound int
-	// rel is the relation the last insert went to, relKey its key:
+	// rel is the relation the last derivation went to, relKey its key:
 	// derivations come in runs of one head.
 	rel    *storage.Relation
 	relKey ast.PredKey
 }
-
-func (r *Rule) isFact() bool { return len(r.Body) == 0 && len(r.Builtins) == 0 }
 
 // emit inserts the head instance the frame binds.
 func (e *evaluator) emit(c *compiled) error {
@@ -262,31 +268,31 @@ func (e *evaluator) emit(c *compiled) error {
 	if !ok {
 		return fmt.Errorf("datalog: derived non-ground atom of %s", c.r)
 	}
-	return e.insert(c.r.Head.Key, args)
-}
-
-// emitFact inserts a fact's head, which must be ground.
-func (e *evaluator) emitFact(r *Rule) error {
-	args := e.ids[:0]
-	for _, t := range r.Head.Args {
-		if !t.Ground() {
-			return fmt.Errorf("datalog: derived non-ground atom %s", r.Head)
-		}
-		args = append(args, e.tab.Intern(t))
-	}
-	e.ids = args
-	return e.insert(r.Head.Key, args)
-}
-
-// insert adds a derived tuple the atom filter admits.
-func (e *evaluator) insert(k ast.PredKey, args []term.ID) error {
-	if e.opts.AtomFilter != nil && !e.opts.AtomFilter(args) {
+	if !e.admits(args) {
 		return nil
 	}
-	if e.rel == nil || k != e.relKey {
-		e.rel, e.relKey = e.st.Rel(k), k
+	if e.rel == nil || c.r.Head.Key != e.relKey {
+		e.rel, e.relKey = e.st.Rel(c.r.Head.Key), c.r.Head.Key
 	}
-	if e.rel.InsertIDs(args) {
+	return e.add(e.rel, args)
+}
+
+// seed inserts a fact the atom filter admits.
+func (e *evaluator) seed(f *Fact) error {
+	if !e.admits(f.Args) {
+		return nil
+	}
+	return e.add(f.Rel, f.Args)
+}
+
+// admits reports whether the atom filter keeps a tuple.
+func (e *evaluator) admits(args []term.ID) bool {
+	return e.opts.AtomFilter == nil || e.opts.AtomFilter(args)
+}
+
+// add inserts a tuple into rel, counting it when new.
+func (e *evaluator) add(rel *storage.Relation, args []term.ID) error {
+	if rel.InsertIDs(args) {
 		e.newThisRound++
 		e.derived++
 		if e.opts.MaxDerived > 0 && e.derived > e.opts.MaxDerived {

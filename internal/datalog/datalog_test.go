@@ -43,7 +43,7 @@ func TestTransitiveClosureChain(t *testing.T) {
 	for i := 0; i+1 < n; i++ {
 		edge(st, i, i+1)
 	}
-	derived, err := Eval(st, tcRules(), Options{})
+	derived, err := Eval(st, tcRules(), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestTransitiveClosureCycle(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		edge(st, i, (i+1)%5)
 	}
-	if _, err := Eval(st, tcRules(), Options{}); err != nil {
+	if _, err := Eval(st, tcRules(), nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// On a cycle every pair (including self-loops) is reachable.
@@ -81,7 +81,7 @@ func TestSemiNaiveMatchesNaive(t *testing.T) {
 		nn := 4 + rng.Intn(5)
 		st := storage.NewStore()
 		expect := naiveTC(rng, st, nn)
-		if _, err := Eval(st, tcRules(), Options{}); err != nil {
+		if _, err := Eval(st, tcRules(), nil, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		rel := st.Peek(ast.PredKey{Name: "tc", Arity: 2})
@@ -143,7 +143,7 @@ func TestBuiltinFilter(t *testing.T) {
 		Body:     []Lit{lit("n", vx)},
 		Builtins: []ast.Builtin{{Op: ast.GT, L: ast.TermExpr{Term: vx}, R: ast.TermExpr{Term: ast.Int(2)}}},
 	}}
-	if _, err := Eval(st, rules, Options{}); err != nil {
+	if _, err := Eval(st, rules, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Peek(ast.PredKey{Name: "big", Arity: 1}).Len(); got != 2 {
@@ -160,7 +160,7 @@ func TestNAFFilterStratifiedUse(t *testing.T) {
 		Head: lit("unmarked", vx),
 		Body: []Lit{lit("node", vx), nlit("mark", vx)},
 	}}
-	if _, err := Eval(st, rules, Options{}); err != nil {
+	if _, err := Eval(st, rules, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !containsAtom(st, ast.Atom{Pred: "unmarked", Args: []ast.Term{ast.Sym("b")}}) {
@@ -181,7 +181,7 @@ func TestSafetyErrors(t *testing.T) {
 		if err := r.CheckSafety(); err == nil {
 			t.Errorf("rule %s passed safety", r)
 		}
-		if _, err := Eval(storage.NewStore(), []*Rule{r}, Options{}); err == nil {
+		if _, err := Eval(storage.NewStore(), []*Rule{r}, nil, Options{}); err == nil {
 			t.Errorf("Eval accepted unsafe rule %s", r)
 		}
 	}
@@ -196,7 +196,7 @@ func TestBudget(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		edge(st, i, i+1)
 	}
-	_, err := Eval(st, tcRules(), Options{MaxDerived: 10})
+	_, err := Eval(st, tcRules(), nil, Options{MaxDerived: 10})
 	if err != ErrBudget {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
@@ -216,7 +216,7 @@ func TestRuleString(t *testing.T) {
 func TestFactsDeriveOnce(t *testing.T) {
 	st := storage.NewStore()
 	rules := []*Rule{{Head: lit("p", ast.TermExpr{Term: ast.Sym("a")}.Term)}}
-	n, err := Eval(st, rules, Options{})
+	n, err := Eval(st, rules, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestLargeChainDepth(t *testing.T) {
 		{Head: lit("r", ast.Int(0))},
 		{Head: lit("r", vy), Body: []Lit{lit("r", vx), lit("e", vx, vy)}},
 	}
-	if _, err := Eval(st, rules, Options{}); err != nil {
+	if _, err := Eval(st, rules, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Peek(ast.PredKey{Name: "r", Arity: 1}).Len(); got != n {
@@ -264,4 +264,32 @@ func containsAtom(st *storage.Store, a ast.Atom) bool {
 		ids[i] = id
 	}
 	return r.ContainsIDs(ids)
+}
+
+// TestFactsSeedInPlace: a fact is seeded in round 0 just before the rule
+// at its At, so the relation holds facts and the round-0 derivations of a
+// rule written between them in written order; seeded facts pass the atom
+// filter and count as derived tuples.
+func TestFactsSeedInPlace(t *testing.T) {
+	st := storage.NewStore()
+	insertAtom(st, ast.Atom{Pred: "r", Args: []ast.Term{ast.Sym("c")}})
+	tab := st.Table()
+	p := st.Rel(ast.PredKey{Name: "p", Arity: 1})
+	a, b, skip := tab.Intern(ast.Sym("a")), tab.Intern(ast.Sym("b")), tab.Intern(ast.Sym("skip"))
+	rules := []*Rule{{Head: lit("p", vx), Body: []Lit{lit("r", vx)}}}
+	facts := []Fact{{Rel: p, Args: []term.ID{a}, At: 0}, {Rel: p, Args: []term.ID{skip}, At: 1}, {Rel: p, Args: []term.ID{b}, At: 1}}
+	n, err := Eval(st, rules, facts, Options{AtomFilter: func(args []term.ID) bool { return args[0] != skip }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 {
+		t.Errorf("derived %d, want 3 (two seeded facts and p(c))", n)
+	}
+	var got []string
+	for i := 0; i < p.Len(); i++ {
+		got = append(got, tab.Term(p.TupleIDs(i)[0]).String())
+	}
+	if fmt.Sprint(got) != "[a c b]" {
+		t.Errorf("p holds %v, want [a c b]", got)
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/ast"
@@ -31,14 +32,10 @@ type emitFn func(comp int, c *crule) error
 // predicate and sign, compiled, head-matched, and instantiated by
 // scanEmitCompetitors.
 func competitorsScanOracle(g *grounder, tg *target, emit emitFn) error {
-	wantKey := tg.atom.Key()
+	wantKey := g.preds[tg.pid].key
 	wantNeg := !tg.neg
 	tt := g.tab.TermTable()
-	var tgArgs []term.ID
-	for _, a := range tg.atom.Args {
-		id, _ := tt.Lookup(a)
-		tgArgs = append(tgArgs, id)
-	}
+	tgArgs := g.tab.Key(tg.atom)[1:]
 	for ci := range g.src.Components {
 		relevant := false
 		for _, cs := range tg.comps {
@@ -50,12 +47,15 @@ func competitorsScanOracle(g *grounder, tg *target, emit emitFn) error {
 		if !relevant {
 			continue
 		}
-		rules := append(append([]*ast.Rule(nil), g.src.Components[ci].Rules...), g.extra[ci]...)
+		rules := append(append([]*ast.Rule(nil), g.src.Components[ci].Rules...), assertedFacts(g, ci)...)
 		for _, r := range rules {
 			if r.Head.Neg != wantNeg || r.Head.Atom.Key() != wantKey {
 				continue
 			}
-			c := g.compile(r)
+			c := &crule{}
+			var atoms []catom
+			var pats []storage.Pat
+			g.compileRule(tt, r, ci, c, &atoms, &pats)
 			mark := g.f.Mark()
 			var err error
 			if g.f.Match(tt, c.atoms[0].args, tgArgs) {
@@ -70,6 +70,30 @@ func competitorsScanOracle(g *grounder, tg *target, emit emitFn) error {
 	return nil
 }
 
+// assertedFacts lists the asserted facts in effect in component ci, in
+// assertion order.
+func assertedFacts(g *grounder, ci int) []*ast.Rule {
+	var idx []int
+	for pid := range g.preds {
+		for _, sd := range g.preds[pid].sides {
+			if sd.cands == nil {
+				continue
+			}
+			for _, ref := range sd.cands[ci] {
+				if ref < 0 && int(^ref) >= len(g.facts) {
+					idx = append(idx, int(^ref))
+				}
+			}
+		}
+	}
+	sort.Ints(idx)
+	rules := make([]*ast.Rule, len(idx))
+	for i, fi := range idx {
+		rules[i] = g.fact(int32(fi)).r
+	}
+	return rules
+}
+
 // scanEmitCompetitors joins the rule's positive EDB-with-CWA literals
 // against the facts, then binds whatever slots the frame still leaves
 // free over the whole universe, dropping instances a visible fact blocks
@@ -77,7 +101,7 @@ func competitorsScanOracle(g *grounder, tg *target, emit emitFn) error {
 func scanEmitCompetitors(g *grounder, comp int, c *crule, emit emitFn) error {
 	var joinLits []storage.JoinLit
 	for i, l := range c.r.Body {
-		if !l.Neg && g.edbShape(l.Atom.Key()) != nil {
+		if !l.Neg && g.edbShape(c.atoms[i+1].pid) != nil {
 			joinLits = append(joinLits, storage.JoinLit{Rel: g.st.Peek(encKey(l.Atom.Key(), false)), Args: c.atoms[i+1].args})
 		}
 	}
@@ -94,8 +118,8 @@ func scanEmitCompetitors(g *grounder, comp int, c *crule, emit emitFn) error {
 				if !l.Neg || g.opts.NoEDBSimplify {
 					continue
 				}
-				sh := g.shapes[l.Atom.Key()]
-				if sh == nil || !sh.onlyFactPos || !sh.topCWA || !sh.noOtherNeg {
+				sh := &g.preds[c.atoms[i+1].pid].shape
+				if !sh.onlyFactPos || !sh.topCWA || !sh.noOtherNeg {
 					continue
 				}
 				a := &c.atoms[i+1]
@@ -137,13 +161,11 @@ func groundScanOracle(t *testing.T, p *ast.OrderedProgram, opts Options) *Progra
 	if err := g.smartPrep(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range g.dlSrc {
-		if err := g.joinInstantiate(&g.dlSrc[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
 	g.prepCompetitors()
-	for _, tg := range g.registerTargets(0) {
+	if err := g.fireable(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tg := range g.takeGrown() {
 		if err := competitorsScanOracle(g, tg, g.instantiate); err != nil {
 			t.Fatal(err)
 		}
@@ -309,21 +331,23 @@ func TestGrowthUpdatesFindWhatTheScanFinds(t *testing.T) {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 			g := gp.inc
-			for _, tgs := range g.targetsByPred {
-				for _, tg := range tgs {
-					err := competitorsScanOracle(g, tg, func(comp int, c *crule) error {
-						head, body, keep, err := g.buildInstance(c, nil)
-						if err != nil || !keep {
-							return err
+			for pid := range g.preds {
+				for _, sd := range g.preds[pid].sides {
+					for _, tg := range sd.tgts {
+						err := competitorsScanOracle(g, tg, func(comp int, c *crule) error {
+							head, body, keep, err := g.buildInstance(c, nil)
+							if err != nil || !keep {
+								return err
+							}
+							if _, ok := g.findInstance(instanceHash(comp, head, body), comp, head, body); !ok {
+								rule := Rule{Head: head, Body: body, Comp: int32(comp), Src: c.r}
+								return fmt.Errorf("target %s: scan finds m%d %s, missing from the maintained program", g.tab.Atom(tg.atom), comp, gp.RuleString(&rule))
+							}
+							return nil
+						})
+						if err != nil {
+							t.Fatalf("seed %d step %d (batch %v): %v", seed, step, batch, err)
 						}
-						if _, ok := g.findInstance(instanceHash(comp, head, body), comp, head, body); !ok {
-							rule := Rule{Head: head, Body: body, Comp: int32(comp), Src: c.r}
-							return fmt.Errorf("target %v: scan finds m%d %s, missing from the maintained program", tg.atom, comp, gp.RuleString(&rule))
-						}
-						return nil
-					})
-					if err != nil {
-						t.Fatalf("seed %d step %d (batch %v): %v", seed, step, batch, err)
 					}
 				}
 			}

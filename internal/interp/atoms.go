@@ -240,6 +240,8 @@ func (t *Table) Reserve(n int) {
 	if len(t.atoms) == 0 {
 		t.seen = make(map[uint64]AtomID, n)
 		t.atoms = make([]ast.Atom, 0, n)
+		t.chain = make([]AtomID, 0, n)
+		t.keyOff = append(make([]int32, 0, n+1), 0)
 	}
 	t.mu.Unlock()
 }

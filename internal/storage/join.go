@@ -39,7 +39,7 @@ type CompPat struct {
 // Compile compiles t over tab, interning its ground subterms and numbering
 // its variables by their position in *vars (new ones are appended, so one
 // vars list across a rule's atoms gives the rule its slots).
-func Compile(tab *term.Table, t ast.Term, vars *[]ast.Var) Pat {
+func Compile(tab term.Interner, t ast.Term, vars *[]ast.Var) Pat {
 	if t.Ground() {
 		return Pat{ID: tab.Intern(t), Slot: -1}
 	}
@@ -59,7 +59,7 @@ func Compile(tab *term.Table, t ast.Term, vars *[]ast.Var) Pat {
 }
 
 // CompileArgs compiles an atom's arguments (see Compile).
-func CompileArgs(tab *term.Table, args []ast.Term, vars *[]ast.Var) []Pat {
+func CompileArgs(tab term.Interner, args []ast.Term, vars *[]ast.Var) []Pat {
 	return AppendPats(make([]Pat, 0, len(args)), tab, args, vars)
 }
 
@@ -67,7 +67,7 @@ func CompileArgs(tab *term.Table, args []ast.Term, vars *[]ast.Var) []Pat {
 // many atoms can carve their patterns from one slab. Patterns are never
 // written after compilation, so a slab that grows leaves earlier sub-slices
 // valid.
-func AppendPats(dst []Pat, tab *term.Table, args []ast.Term, vars *[]ast.Var) []Pat {
+func AppendPats(dst []Pat, tab term.Interner, args []ast.Term, vars *[]ast.Var) []Pat {
 	for _, a := range args {
 		dst = append(dst, Compile(tab, a, vars))
 	}

@@ -53,6 +53,18 @@ func NewTable() *Table {
 	}
 }
 
+// Reserve presizes an empty table for n terms, most of them symbols, so a
+// caller that knows how many it is about to intern — the grounder, its
+// universe — interns without rehashing or regrowing.
+func (t *Table) Reserve(n int) {
+	t.mu.Lock()
+	if len(t.terms) == 0 {
+		t.syms = make(map[string]ID, n)
+		t.terms = make([]ast.Term, 0, n)
+	}
+	t.mu.Unlock()
+}
+
 // Term returns the term for an id. The result shares structure with the
 // interned term; ground terms are immutable by convention.
 func (t *Table) Term(id ID) ast.Term {
@@ -100,6 +112,34 @@ func compoundKey(b []byte, functor string, args []ID) []byte {
 	}
 	return b
 }
+
+// Interner interns terms: a *Table, which takes its lock per call, or a
+// Batch, which holds it across many calls.
+type Interner interface {
+	Intern(x ast.Term) ID
+	InternSym(s string) ID
+}
+
+// Batch interns into a table under one write lock, taken by Table.Batch
+// and released by Done: a caller interning a whole program's terms pays
+// for the lock once, not per term. Nothing else may use the table until
+// Done.
+type Batch struct{ t *Table }
+
+// Batch takes the table's write lock for a run of interns.
+func (t *Table) Batch() Batch {
+	t.mu.Lock()
+	return Batch{t}
+}
+
+// Intern is Table.Intern under the batch's lock.
+func (b Batch) Intern(x ast.Term) ID { return b.t.internLocked(x) }
+
+// InternSym is Table.InternSym under the batch's lock.
+func (b Batch) InternSym(s string) ID { return b.t.internSymLocked(s) }
+
+// Done releases the lock.
+func (b Batch) Done() { b.t.mu.Unlock() }
 
 // InternSym returns the id for the symbol s, interning it if needed. It is
 // Intern(ast.Sym(s)) without boxing the symbol into an interface on the
