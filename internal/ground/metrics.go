@@ -1,6 +1,10 @@
 package ground
 
-import "repro/internal/obs"
+import (
+	"time"
+
+	"repro/internal/obs"
+)
 
 // Grounding metrics, resolved once from the process-global registry. Hot
 // paths never touch these: counts accumulate in the grounder (or in
@@ -34,4 +38,58 @@ var (
 	mMagicDemanded   = obs.Default().Counter("ground.magic.demanded_preds")
 	mMagicRestricted = obs.Default().Counter("ground.magic.restricted_preds")
 	mMagicSkipped    = obs.Default().Counter("ground.magic.skipped_rules")
+
+	// Where a grounding run's wall time goes, in microseconds summed over
+	// runs: the universe and the source compiled to ids (every run), then,
+	// in smart mode, the prologue (possible-atom fixpoint and competitor
+	// side tables), the fireable pass and the competitor pass.
+	mPhaseUS = [numPhases]*obs.Counter{
+		obs.Default().Counter("ground.phase_us.universe"),
+		obs.Default().Counter("ground.phase_us.prep"),
+		obs.Default().Counter("ground.phase_us.fireable"),
+		obs.Default().Counter("ground.phase_us.competitor"),
+	}
 )
+
+// A grounding run's phases, in order.
+const (
+	phaseUniverse = iota
+	phasePrep
+	phaseFireable
+	phaseCompetitor
+	numPhases
+)
+
+// phaseClock times a run's phases when metrics are on; the zero value
+// (metrics off) reads no clock.
+type phaseClock struct {
+	on   bool
+	last time.Time
+	d    [numPhases]time.Duration
+}
+
+// startPhases starts the clock when metrics are on.
+func startPhases() phaseClock {
+	if !obs.On() {
+		return phaseClock{}
+	}
+	return phaseClock{on: true, last: time.Now()}
+}
+
+// done charges the time since the previous mark to phase p.
+func (c *phaseClock) done(p int) {
+	if c.on {
+		now := time.Now()
+		c.d[p] += now.Sub(c.last)
+		c.last = now
+	}
+}
+
+// flush adds the phase times to the counters.
+func (c *phaseClock) flush() {
+	if c.on {
+		for p, d := range c.d {
+			mPhaseUS[p].Add(d.Microseconds())
+		}
+	}
+}
