@@ -268,3 +268,17 @@ func TestQueryStringAndVars(t *testing.T) {
 		t.Errorf("Query.Vars = %v", vs)
 	}
 }
+
+// TestConstantsKeepKinds: the symbol "1" and the integer 1 print alike but
+// are two constants, and Constants returns both, the integer first.
+func TestConstantsKeepKinds(t *testing.T) {
+	p := SingleComponent("m", []*Rule{
+		Fact(Pos(atomOf("p", Int(1)))),
+		Fact(Pos(atomOf("p", Sym("1")))),
+		Fact(Pos(atomOf("p", Int(1)))),
+	})
+	got := p.Constants()
+	if len(got) != 2 || !got[0].Equal(Int(1)) || !got[1].Equal(Sym("1")) {
+		t.Fatalf("Constants = %#v, want [Int(1) Sym(\"1\")]", got)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/interrupt"
 	"repro/internal/obs"
@@ -20,9 +21,10 @@ import (
 // at every size — grounding is linear in the program. (Before the fact
 // path, the scratch substitutions and the arenas it was 15.6 per instance;
 // before the join kernel bound term ids in frames and the atom table keyed
-// atoms by ids, 2.7. The bound is the kb=500 measurement, 0.32, plus 10 %.)
+// atoms by ids, 2.7; before facts were seeded as tuples, 0.32. The bound is
+// the kb=500 measurement, 0.209, plus 10 %.)
 func TestGroundAllocsPerInstance(t *testing.T) {
-	const maxPerInstance = 0.36
+	const maxPerInstance = 0.23
 	for _, kb := range []int{500, 1000, 2000} {
 		p := policyProgram(t, kb)
 		var instances int
@@ -44,12 +46,13 @@ func TestGroundAllocsPerInstance(t *testing.T) {
 
 // TestGroundBytesPerInstance: grounding the policy program at kb = 1 000
 // allocates a bounded number of bytes per emitted instance. (Before the
-// join kernel it was 1 145; the bound is the measured 830 plus 10 %.)
+// join kernel it was 1 145, before facts were seeded as tuples 830; the
+// bound is the measured 635 plus 10 %.)
 func TestGroundBytesPerInstance(t *testing.T) {
 	const (
 		kb             = 1000
 		runs           = 5
-		maxPerInstance = 915.0
+		maxPerInstance = 699.0
 	)
 	p := policyProgram(t, kb)
 	gp, err := GroundCtx(context.Background(), p, DefaultOptions()) // warm: first-use allocations stay out
@@ -87,6 +90,31 @@ func wantCounters(t *testing.T, what string, d obs.Snap, want map[string]int64) 
 		if got := d[name]; got != n {
 			t.Errorf("%s: %s = %d, want %d", what, name, got, n)
 		}
+	}
+}
+
+// TestPhaseCountersWithinWall: a grounding run charges each of its four
+// phases, and the phase times add up to no more than the run's wall time.
+func TestPhaseCountersWithinWall(t *testing.T) {
+	p := policyProgram(t, 1000)
+	var wall time.Duration
+	d := counterDelta(t, func() {
+		start := time.Now()
+		if _, err := GroundCtx(context.Background(), p, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		wall = time.Since(start)
+	})
+	var sum int64
+	for _, phase := range []string{"universe", "prep", "fireable", "competitor"} {
+		us := d["ground.phase_us."+phase]
+		if us <= 0 {
+			t.Errorf("ground.phase_us.%s = %d, want the phase charged", phase, us)
+		}
+		sum += us
+	}
+	if sum > wall.Microseconds() {
+		t.Errorf("phase times sum to %d us, more than the run's wall time of %d us", sum, wall.Microseconds())
 	}
 }
 

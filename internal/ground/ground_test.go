@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/classical"
 	"repro/internal/parser"
 )
 
@@ -401,5 +402,31 @@ func TestIsUniversalNegFact(t *testing.T) {
 		if got := isUniversalNegFact(r); got != c.want {
 			t.Errorf("isUniversalNegFact(%s) = %v, want %v", c.src, got, c.want)
 		}
+	}
+}
+
+// TestUniverseKeepsKinds: a program built through the Go API holding both
+// the integer 1 and the symbol "1" grounds over a universe of two, and a
+// head-only variable ranges over both — as the classical grounder's does.
+func TestUniverseKeepsKinds(t *testing.T) {
+	rules := []*ast.Rule{
+		ast.Fact(ast.Literal{Atom: ast.Atom{Pred: "p", Args: []ast.Term{ast.Int(1)}}}),
+		ast.Fact(ast.Literal{Atom: ast.Atom{Pred: "p", Args: []ast.Term{ast.Sym("1")}}}),
+		ast.Fact(ast.Literal{Atom: ast.Atom{Pred: "q", Args: []ast.Term{ast.Var{Name: "X"}}}}),
+	}
+	p := ast.SingleComponent("m", rules)
+	gp, err := GroundCtx(context.Background(), p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gp.Universe) != 2 {
+		t.Fatalf("universe = %v, want the integer 1 and the symbol \"1\"", gp.Universe)
+	}
+	cp, err := classical.GroundRules(rules, classical.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(cp.Rules), len(gp.Rules); got != want || want != 4 {
+		t.Fatalf("classical grounds %d instances, smart %d; want 4 each (two p facts, q over both constants)", got, want)
 	}
 }

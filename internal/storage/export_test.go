@@ -105,3 +105,12 @@ func (r *Relation) EachCandidate(pattern []term.ID, lo int, fn func(i int) error
 	}
 	return nil
 }
+
+// Size returns the total number of tuples across relations.
+func (s *Store) Size() int {
+	n := 0
+	for _, r := range s.rels {
+		n += r.Len()
+	}
+	return n
+}
