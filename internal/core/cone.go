@@ -88,13 +88,7 @@ func visibleFrom(gp *ground.Program, i int) []bool {
 // number of cone atoms, or a nil model and no error when the cone is too
 // large to pay off; on an error no partial model is returned.
 func (s *Snapshot) coneModel(ctx context.Context, i int, st *compState, c *carry) (*Model, int, error) {
-	live, vis := s.liveComps(), visibleFrom(s.gp, i)
-	visible := 0
-	for j, ok := range vis {
-		if ok {
-			visible += int(live[j])
-		}
-	}
+	vis, visible := visibleFrom(s.gp, i), s.visibleLive(i)
 	x := s.occ()
 	n := s.nAtoms
 	lits := interp.NewBitset(2 * n) // the cone, as literals of both signs
@@ -188,8 +182,7 @@ func (s *Snapshot) coneModel(ctx context.Context, i int, st *compState, c *carry
 			in.AddLit(interp.MkLit(a, true))
 		}
 	}
-	gp, rules, dead := s.gp, s.rules, s.dead
-	m := &Model{gp: gp, comp: i, in: in, viewFn: func() *eval.View { return st.viewOf(gp, i, rules, dead, n) }}
+	m := s.modelOf(i, st, in)
 	m.shareBuckets(c.base, lits)
 	return m, nCone, nil
 }

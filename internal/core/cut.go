@@ -172,10 +172,18 @@ func (x *occIndex) extendBodies(rules []ground.Rule) {
 	x.bodies.Store(int32(len(rules)))
 }
 
-// liveComps returns the snapshot's live instances per component, resolved
-// once. The index's counts and the prefix they count are read together
-// under mu, so a concurrent extension cannot skew them.
-func (s *Snapshot) liveComps() []int32 {
+// visibleLive returns the live instances component i sees as of s: its
+// own and those of every component above it.
+func (s *Snapshot) visibleLive(i int) int {
+	s.resolveLive()
+	return s.visible[i]
+}
+
+// resolveLive counts the snapshot's live instances per component, and
+// those each component sees, once. The index's counts and the prefix they
+// count are read together under mu, so a concurrent extension cannot skew
+// them.
+func (s *Snapshot) resolveLive() {
 	s.liveOnce.Do(func() {
 		x := s.index
 		x.mu.Lock()
@@ -188,9 +196,16 @@ func (s *Snapshot) liveComps() []int32 {
 		for i := range s.dead {
 			live[s.rules[i].Comp]--
 		}
-		s.live = live
+		visible := make([]int, len(live))
+		for i := range visible {
+			for j, n := range live {
+				if j == i || s.gp.Src.Less(i, j) { // j is in Above(i)
+					visible[i] += int(n)
+				}
+			}
+		}
+		s.live, s.visible = live, visible
 	})
-	return s.live
 }
 
 // pins reports whether instance i is a live instance of the snapshot.

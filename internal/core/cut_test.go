@@ -379,8 +379,10 @@ func indexGrowth(t *testing.T, goalDirected bool) {
 // TestColdGoalAllocs pins the allocations of a cold goal on the read
 // tenant — its cut, the slice's view and fixpoint, and the buckets its
 // answers are read from — with every run asking a goal no slice cache
-// holds. Answers stay interned, so the count does not grow with the
-// number of answers. The bounds are 1.25 times the counts measured when
+// holds. The runs take the cut path directly: through the engine, the
+// reach window's misses would cross the route's line and read the
+// component's model instead (TestRoutedGoalAllocs pins those). Answers
+// stay interned, so the count does not grow with the number of answers. The bounds are 1.25 times the counts measured when
 // the view's indexes and the buckets' sort became flat arrays (before:
 // 1 169 and 3 955 allocations).
 func TestColdGoalAllocs(t *testing.T) {
@@ -404,7 +406,7 @@ func TestColdGoalAllocs(t *testing.T) {
 		next := 0
 		allocs := testing.AllocsPerRun(2*c.anchors, func() {
 			next++
-			if _, err := eng.Current().AnswersCtx(ctx, "exc", qs[next%len(qs)]); err != nil {
+			if _, err := eng.Current().cutAnswers(ctx, "exc", qs[next%len(qs)]); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -416,7 +418,9 @@ func TestColdGoalAllocs(t *testing.T) {
 
 // BenchmarkGoalDirectedCold answers goals no slice cache holds on the read
 // tenant: the anchors cycle through more distinct goals than the cache
-// keeps, so every query cuts (and evaluates) its slice.
+// keeps, and every query takes the cut path directly, so it cuts (and
+// evaluates) its slice however far the snapshot's tally has crossed the
+// route's line (BenchmarkGoalDirectedSweep measures the route).
 func BenchmarkGoalDirectedCold(b *testing.B) {
 	for _, c := range []struct {
 		name, goal string
@@ -437,15 +441,17 @@ func BenchmarkGoalDirectedCold(b *testing.B) {
 			for i := range qs {
 				qs[i] = parseGoal(b, fmt.Sprintf(c.goal, i))
 			}
-			if _, err := eng.Current().QueryCtx(ctx, "exc", qs[0]); err != nil { // start the occurrence index
+			if _, err := eng.Current().cutAnswers(ctx, "exc", qs[0]); err != nil { // start the occurrence index
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Current().QueryCtx(ctx, "exc", qs[(i+1)%len(qs)]); err != nil {
+				a, err := eng.Current().cutAnswers(ctx, "exc", qs[(i+1)%len(qs)])
+				if err != nil {
 					b.Fatal(err)
 				}
+				a.Bindings() // as QueryCtx returns them
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 
+	"repro/internal/ast"
 	"repro/internal/eval"
 )
 
@@ -22,4 +23,33 @@ func (s *Snapshot) SameAsRebuild(comp string, m *Model) (bool, string, error) {
 		return false, "", err
 	}
 	return slices.Equal(m.in.Lits(), want.Lits()), want.String(), nil
+}
+
+// sliceModel returns the least model of the goal's slice in component i
+// through the snapshot's slice cache, never routed to the component's
+// model and never counted toward the route's line: the cut path called
+// directly.
+func (s *Snapshot) sliceModel(ctx context.Context, i int, goal []ast.Literal) (*Model, error) {
+	gs, _ := s.goalSliceFor(goal, -1)
+	return s.sliceLeast(ctx, i, gs)
+}
+
+// cutAnswers answers q in comp from the goal's slice, as an answer miss
+// below the route's line does, whatever the snapshot's tally.
+func (s *Snapshot) cutAnswers(ctx context.Context, comp string, q ast.Query) (*Answers, error) {
+	i, err := s.resolve(comp)
+	if err != nil {
+		return nil, err
+	}
+	m, err := s.sliceModel(ctx, i, q.Body)
+	if err != nil {
+		return nil, err
+	}
+	return m.Answers(q), nil
+}
+
+// liveComps returns the snapshot's live instances per component.
+func (s *Snapshot) liveComps() []int32 {
+	s.resolveLive()
+	return s.live
 }

@@ -21,6 +21,13 @@ import (
 // variable names or literal order share a slice, every snapshot starts
 // with an empty cache — so updates invalidate automatically — and pinned
 // snapshots keep answering from their own version's slices.
+//
+// The route: a query that misses the cache answers from the component's
+// least model instead of a new slice once the model is computed for the
+// snapshot, or once the snapshot's answer misses have cut as many
+// instances as the component sees (routes). The component is itself a
+// cut-closed atom set, so its model answers every goal exactly as a slice
+// does (DESIGN §12). Proofs always cut.
 
 // sliceCacheSize bounds the number of per-goal slices one snapshot keeps.
 const sliceCacheSize = 32
@@ -38,23 +45,33 @@ type sliceEntry struct {
 	used  uint64
 }
 
-// goalSlice holds one goal's slice and its lazily built per-component
-// artifacts, one compState per component as for the full grounding. The
-// slice itself is a singleflight cell so concurrent queries with the same
-// binding pattern cut it exactly once.
+// goalSlice holds one goal's cache entry: where it answers from, its slice
+// and the slice's lazily built per-component artifacts, one compState per
+// component as for the full grounding. The slice itself is a singleflight
+// cell so concurrent queries with the same binding pattern cut it exactly
+// once.
 type goalSlice struct {
 	goal []ast.Literal
-	gp   lazyCell[*ground.Program]
+	// routed is the component whose least model answers the goal, or -1;
+	// tally marks a slice cut for an answer miss, which counts toward the
+	// snapshot's line. The answer miss that creates the entry sets both,
+	// and a hit answers from what it set.
+	routed int
+	tally  bool
+	gp     lazyCell[*ground.Program]
 
 	mu    sync.Mutex
 	comps map[int]*compState
 }
 
-// goalSliceFor returns the snapshot's cached slice state for the goal,
-// creating (and, at capacity, evicting the least recently used) entry
-// under the cache lock. Only bookkeeping happens here — the cut runs
-// outside the lock, in the slice's own singleflight cell.
-func (s *Snapshot) goalSliceFor(goal []ast.Literal) *goalSlice {
+// goalSliceFor returns the snapshot's cached entry for the goal, creating
+// (and, at capacity, evicting the least recently used) entry under the
+// cache lock, and reports whether it was a miss. ask is the component an
+// answer asks in, whose route a miss decides; a proof passes -1, and its
+// entry cuts without counting toward the line. Only bookkeeping happens
+// here — the cut runs outside the lock, in the slice's own singleflight
+// cell.
+func (s *Snapshot) goalSliceFor(goal []ast.Literal, ask int) (*goalSlice, bool) {
 	key := relevance.GoalKey(goal)
 	c := &s.slices
 	c.mu.Lock()
@@ -65,7 +82,7 @@ func (s *Snapshot) goalSliceFor(goal []ast.Literal) *goalSlice {
 		if obs.On() {
 			mSliceHits.Inc()
 		}
-		return e.slice
+		return e.slice, false
 	}
 	if c.entries == nil {
 		c.entries = make(map[string]*sliceEntry, sliceCacheSize)
@@ -82,12 +99,76 @@ func (s *Snapshot) goalSliceFor(goal []ast.Literal) *goalSlice {
 			mSliceEvictions.Inc()
 		}
 	}
-	gs := &goalSlice{goal: goal, comps: make(map[int]*compState)}
+	gs := &goalSlice{goal: goal, routed: -1, comps: make(map[int]*compState)}
+	if ask >= 0 {
+		if s.routes(ask) {
+			gs.routed = ask
+		} else {
+			gs.tally = true
+		}
+	}
 	c.entries[key] = &sliceEntry{slice: gs, used: c.tick}
 	if obs.On() {
 		mSliceMisses.Inc()
 	}
-	return gs
+	return gs, true
+}
+
+// routes reports whether an answer miss in component i answers from the
+// component's least model: when the model is already computed for this
+// snapshot, or when the snapshot's answer misses have cut at least as many
+// instances as the component sees (the line; a version that has cut
+// nothing has not reached it). A write's carry alone does not route: the
+// child cuts, and tallies, from zero.
+//
+// The line is a ski-rental break-even. A cut costs about the instances it
+// cuts; the model costs about the instances the component sees, its view
+// and fixpoint being linear in them, and then answers every later goal by
+// lookup. Cutting until the cuts have paid one model, then building it,
+// never does more than twice the work of the better choice made in
+// hindsight — always cut, or build the model at the first miss: a version
+// whose misses stay below the line cuts exactly as "always cut" does, and
+// one that crosses paid at most the model's price in cuts before paying
+// the model itself.
+func (s *Snapshot) routes(i int) bool {
+	if n := s.answerCuts.Load(); n > 0 && n >= int64(s.visibleLive(i)) {
+		return true
+	}
+	s.mu.Lock()
+	st := s.comps[i]
+	s.mu.Unlock()
+	if st == nil {
+		return false
+	}
+	_, ok := st.least.peek()
+	return ok
+}
+
+// countRoute counts one answer miss in component i by where it answers
+// from, and the snapshot's switch to the model on its first routed miss.
+func (s *Snapshot) countRoute(i int, routed bool) {
+	if !routed {
+		if obs.On() {
+			mRouteCut.Inc()
+		}
+		return
+	}
+	if obs.On() {
+		mRouteModel.Inc()
+	}
+	if !s.switched.CompareAndSwap(false, true) {
+		return
+	}
+	if obs.On() {
+		mRouteSwitches.Inc()
+	}
+	if s.eng.trace.Enabled() {
+		s.eng.trace.Emit(obs.E("route",
+			obs.F("version", s.version),
+			obs.F("comp", s.gp.Src.Components[i].Name),
+			obs.F("cut", s.answerCuts.Load()),
+			obs.F("instances", s.visibleLive(i))))
+	}
 }
 
 // sliceProgram cuts (or returns the memoised) slice of this snapshot's
@@ -99,6 +180,9 @@ func (s *Snapshot) sliceProgram(ctx context.Context, gs *goalSlice) (*ground.Pro
 		gp, err := s.cutSlice(runCtx, gs.goal)
 		if err != nil {
 			return nil, err
+		}
+		if gs.tally {
+			s.answerCuts.Add(int64(len(gp.Rules)))
 		}
 		if s.eng.trace.Enabled() {
 			s.eng.trace.Emit(obs.E("slice",
@@ -129,28 +213,37 @@ func sliceView(st *compState, gp *ground.Program, i int) *eval.View {
 }
 
 // answersGoalDirected answers a conjunctive least-model query from the
-// goal's slice: the query body is the goal, the slice is cut (once,
-// cached) from this snapshot's ground program, and the query evaluates
-// against the slice's least model in the component. Answers are identical
-// to those of the full least model. The caller routes only queries with
-// a non-empty body here — with no literals there is nothing to slice by.
+// goal's cache entry: from the slice cut (once, cached) from this
+// snapshot's ground program, evaluated in the component, or — when the
+// miss that created the entry was routed — from the component's least
+// model. Answers are identical to those of the full least model. The
+// caller routes only queries with a non-empty body here — with no
+// literals there is nothing to slice by.
 func (s *Snapshot) answersGoalDirected(ctx context.Context, comp string, q ast.Query) (*Answers, error) {
 	i, err := s.resolve(comp)
 	if err != nil {
 		return nil, err
 	}
-	m, err := s.sliceModel(ctx, i, q.Body)
+	gs, miss := s.goalSliceFor(q.Body, i)
+	if miss {
+		s.countRoute(i, gs.routed == i)
+	}
+	var m *Model
+	if gs.routed == i {
+		m, err = s.leastModel(ctx, i)
+	} else {
+		m, err = s.sliceLeast(ctx, i, gs)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return m.Answers(q), nil
 }
 
-// sliceModel returns the least model of the goal's slice in component i,
+// sliceLeast returns the least model of the entry's slice in component i,
 // computing and memoising it with the same singleflight/cancellation
 // contract as Snapshot.LeastModelCtx.
-func (s *Snapshot) sliceModel(ctx context.Context, i int, goal []ast.Literal) (*Model, error) {
-	gs := s.goalSliceFor(goal)
+func (s *Snapshot) sliceLeast(ctx context.Context, i int, gs *goalSlice) (*Model, error) {
 	gp, err := s.sliceProgram(ctx, gs)
 	if err != nil {
 		return nil, err
@@ -173,7 +266,7 @@ func (s *Snapshot) sliceModel(ctx context.Context, i int, goal []ast.Literal) (*
 // the full grounding's — an atom outside the slice heads no live instance
 // and is unprovable either way.
 func (s *Snapshot) proveGoalDirected(ctx context.Context, i int, l ast.Literal) (bool, error) {
-	gs := s.goalSliceFor([]ast.Literal{l})
+	gs, _ := s.goalSliceFor([]ast.Literal{l}, -1)
 	gp, err := s.sliceProgram(ctx, gs)
 	if err != nil {
 		return false, err

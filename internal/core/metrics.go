@@ -53,6 +53,14 @@ var (
 	mSliceMisses    = obs.Default().Counter("relevance.cache.misses")
 	mSliceEvictions = obs.Default().Counter("relevance.cache.evictions")
 
+	// One per goal-directed answer miss, by where it answers from: a
+	// slice cut for it (route.cut) or the component's least model
+	// (route.model); and one per snapshot whose misses begin routing to
+	// the model (route.switches). See goal.go's routes.
+	mRouteCut      = obs.Default().Counter("core.route.cut")
+	mRouteModel    = obs.Default().Counter("core.route.model")
+	mRouteSwitches = obs.Default().Counter("core.route.switches")
+
 	// One per ground program whose occurrence index (cut.go) a goal cut or
 	// a write's cone first indexes; later readers only extend it, and are
 	// not counted. A reground or compaction makes a new program.

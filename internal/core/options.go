@@ -42,10 +42,14 @@ type Config struct {
 	// instead of the component's full least model. Answers are identical
 	// to the full path's (see DESIGN §12); slices are cached per snapshot
 	// in a small LRU keyed by the goal's binding pattern, so repeated goals
-	// reuse their slice and every update invalidates automatically.
-	// Enumeration entry points (stable/AF models, ReasonCtx) and
-	// ProveExplainCtx always use the full grounding. Incompatible with a
-	// fixed Ground.Goal.
+	// reuse their slice and every update invalidates automatically. A
+	// query that misses the cache answers from the component's least model
+	// instead once that model is computed for the version, or once the
+	// version's misses have cut as many instances as the component sees:
+	// past that break-even a model costs less than further cuts (goal.go).
+	// Proofs always cut. Enumeration entry points (stable/AF models,
+	// ReasonCtx) and ProveExplainCtx always use the full grounding.
+	// Incompatible with a fixed Ground.Goal.
 	GoalDirected bool
 
 	// CompactEvery, when > 0, compacts the snapshot after this many

@@ -64,16 +64,24 @@ type Snapshot struct {
 	// invalidates all cached slices automatically, while pinned snapshots
 	// keep serving their own version's slices.
 	slices sliceCache
+	// answerCuts sums the instances of the slices this snapshot cut for
+	// answer misses, and switched is set by its first miss routed to a
+	// component's least model (goal.go). A child starts both from zero.
+	answerCuts atomic.Int64
+	switched   atomic.Bool
 
 	// index is gp's occurrence index, shared by every snapshot over gp and
 	// extended by the first reader pinning instances it does not cover
 	// yet; this snapshot cuts goal slices and write cones with it, and
 	// skips the instances past its prefix or in its dead set (see cut.go).
 	// live, resolved once under liveOnce, counts the snapshot's live
-	// instances per component for the cone's size bound.
+	// instances per component, and visible those a component sees: its
+	// own and those of the components above it. They bound the cone
+	// (cone.go) and place the route's line (goal.go).
 	index    *occIndex
 	liveOnce sync.Once
 	live     []int32
+	visible  []int
 }
 
 // factKey identifies a ground fact rule by component position and rendered
@@ -104,7 +112,7 @@ func (ev factEvent) key() factKey { return factKey{comp: ev.comp, lit: ev.lit.St
 // carries the unaffected memos over to the new version.
 type compState struct {
 	viewOnce sync.Once
-	view     *eval.View
+	view     atomic.Pointer[eval.View]
 
 	least lazyCell[*Model]
 	// carry is what the writes since the nearest computed model of the
@@ -213,11 +221,22 @@ func (s *Snapshot) viewAt(i int) *eval.View {
 func (st *compState) viewOf(gp *ground.Program, i int, rules []ground.Rule, dead map[int32]struct{}, nAtoms int) *eval.View {
 	built := false
 	st.viewOnce.Do(func() {
-		st.view = eval.NewViewAt(gp, i, rules, dead, nAtoms)
+		st.view.Store(eval.NewViewAt(gp, i, rules, dead, nAtoms))
 		built = true
 	})
 	countView(built)
-	return st.view
+	return st.view.Load()
+}
+
+// modelOf wraps component i's least model as of s. The model keeps no
+// view: the fixpoint's view is garbage once the model is cached, and a
+// caller that needs one (Explain, the model checks) builds the state's
+// view on demand, which is then cached for the provers and enumeration.
+// It captures the version's pinned instances, not s, so a model carried
+// to later versions does not keep s's slice cache alive.
+func (s *Snapshot) modelOf(i int, st *compState, in *interp.Interp) *Model {
+	gp, rules, dead, n := s.gp, s.rules, s.dead, s.nAtoms
+	return &Model{gp: gp, comp: i, in: in, viewFn: func() *eval.View { return st.viewOf(gp, i, rules, dead, n) }}
 }
 
 // LeastModelCtx computes the least model of the program in the component
@@ -228,6 +247,12 @@ func (s *Snapshot) LeastModelCtx(ctx context.Context, comp string) (*Model, erro
 	if err != nil {
 		return nil, err
 	}
+	return s.leastModel(ctx, i)
+}
+
+// leastModel is LeastModelCtx for component i. Goal-directed answer
+// misses routed to the component's model (goal.go) read it through here.
+func (s *Snapshot) leastModel(ctx context.Context, i int) (*Model, error) {
 	st := s.comp(i)
 	// Singleflight accounting: the goroutine that runs the fixpoint counts
 	// one computation — under core.least.cone when the model came from a
@@ -250,12 +275,18 @@ func (s *Snapshot) LeastModelCtx(ctx context.Context, comp string) (*Model, erro
 		} else if st.afterWrite {
 			countConeFallback("no-base")
 		}
-		v := s.viewAt(i)
+		// Evaluate over the state's view when a caller has built it, and
+		// otherwise over one the model does not keep (modelOf).
+		v := st.view.Load()
+		if v == nil {
+			v = eval.NewViewAt(s.gp, i, s.rules, s.dead, s.nAtoms)
+			countView(true)
+		}
 		in, err := v.LeastModelCtx(runCtx)
 		if err != nil {
 			return nil, err
 		}
-		return newModel(v, in), nil
+		return s.modelOf(i, st, in), nil
 	}, func(kind string) {
 		if kind == "computed" {
 			st.carry.Store(nil) // the model no longer needs its base

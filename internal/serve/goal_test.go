@@ -62,6 +62,18 @@ func TestDaemonGoalDirected(t *testing.T) {
 	if diff["relevance.cache.misses"] < 1 || diff["relevance.cache.hits"] < 1 {
 		t.Fatalf("slice cache counters = %v, want >=1 miss (first query) and >=1 hit (renamed repeat)", diff)
 	}
+	// The first miss was cut: nothing had been cut yet on v0, and no model
+	// computed. /debug/metrics serves the route counters beside the cache's.
+	if diff["core.route.cut"] < 1 {
+		t.Fatalf("core.route.cut moved by %d, want >= 1 for the first miss", diff["core.route.cut"])
+	}
+	var served map[string]any
+	decodeJSON(t, doReq(h, "GET", "/debug/metrics", "", ""), &served)
+	for _, name := range []string{"core.route.cut", "core.route.model", "core.route.switches"} {
+		if _, ok := served[name]; !ok {
+			t.Errorf("/debug/metrics lacks %s", name)
+		}
+	}
 
 	// Prove goes through the slice too.
 	w := doReq(h, "GET", "/v1/tenants/gd/prove?lit=path(c0,c3)", "", "")
