@@ -53,3 +53,6 @@ func (s *Snapshot) liveComps() []int32 {
 	s.resolveLive()
 	return s.live
 }
+
+// AppendJSON appends the answers' encoding (Answers.JSON) to buf.
+func (a *Answers) AppendJSON(buf []byte) []byte { return append(buf, a.JSON()...) }

@@ -232,13 +232,13 @@ func TestQueryDifferentialShapes(t *testing.T) {
 // can: every string must come out as encoding/json writes it.
 func TestAppendJSONString(t *testing.T) {
 	for _, s := range []string{"", "c3", "f(a, 1)", `q"uote`, `back\slash`, "<x&y>", "tab\t", "nl\n", "\x01", "é", " ", "bad\xffutf8", "\x7f"} {
-		got := appendJSONString(nil, s)
+		got := AppendJSONString(nil, s)
 		ref, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, ref) {
-			t.Errorf("appendJSONString(%q) = %s, encoding/json gives %s", s, got, ref)
+			t.Errorf("AppendJSONString(%q) = %s, encoding/json gives %s", s, got, ref)
 		}
 	}
 }

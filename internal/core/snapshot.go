@@ -347,7 +347,7 @@ func (s *Snapshot) QueryCtx(ctx context.Context, comp string, q ast.Query) ([]Bi
 }
 
 // AnswersCtx is QueryCtx returning the answer set in its interned form,
-// for callers that encode rows (Answers.AppendJSON) rather than read them.
+// for callers that encode rows (Answers.JSON) rather than read them.
 func (s *Snapshot) AnswersCtx(ctx context.Context, comp string, q ast.Query) (*Answers, error) {
 	if s.eng.cfg.GoalDirected && len(q.Body) > 0 {
 		return s.answersGoalDirected(ctx, comp, q)

@@ -569,29 +569,46 @@ func (d *Daemon) handleWrite(w http.ResponseWriter, r *http.Request, retract boo
 // --- reads ----------------------------------------------------------------
 
 // queryHeadJSON is a query response without its answers: writeQueryResp
-// appends those as the object's last member, "answers".
+// lays out its members in this order, as "tenant", "component",
+// "version", "query" and "truncated", and the answers as the object's last
+// member, "answers".
 type queryHeadJSON struct {
-	Tenant    string `json:"tenant"`
-	Component string `json:"component"`
-	Version   uint64 `json:"version"`
-	Query     string `json:"query"`
-	Truncated bool   `json:"truncated"`
+	Tenant    string
+	Component string
+	Version   uint64
+	Query     string
+	Truncated bool
 }
 
-// writeQueryResp writes a query response: the head through encoding/json,
-// the answer rows through core's row encoder straight into the same
-// buffer — no map per row and no reflection over the rows, the bulk of a
-// response. The bytes are those writeJSON would produce for the head with
-// an "answers" array of name->term objects after it.
+// writeQueryResp writes a query response: the head laid out by hand, then
+// the answer rows as core encodes them — for a memoised answer set, the
+// bytes it keeps, written as they are — then the closing brace. No
+// reflection and no map per row. The bytes are those writeJSON would
+// produce for the head with an "answers" array of name->term objects after
+// it.
 func writeQueryResp(w http.ResponseWriter, code int, head queryHeadJSON, answers *core.Answers) {
-	buf, _ := json.MarshalIndent(head, "", "  ") // strings, an integer and a bool always marshal
-	buf = append(buf[:len(buf)-len("\n}")], ",\n  \"answers\": "...)
-	buf = answers.AppendJSON(buf)
-	buf = append(buf, "\n}\n"...)
+	buf := make([]byte, 0, 160+len(head.Tenant)+len(head.Component)+len(head.Query))
+	buf = append(buf, "{\n  \"tenant\": "...)
+	buf = core.AppendJSONString(buf, head.Tenant)
+	buf = append(buf, ",\n  \"component\": "...)
+	buf = core.AppendJSONString(buf, head.Component)
+	buf = append(buf, ",\n  \"version\": "...)
+	buf = strconv.AppendUint(buf, head.Version, 10)
+	buf = append(buf, ",\n  \"query\": "...)
+	buf = core.AppendJSONString(buf, head.Query)
+	buf = append(buf, ",\n  \"truncated\": "...)
+	buf = strconv.AppendBool(buf, head.Truncated)
+	buf = append(buf, ",\n  \"answers\": "...)
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
-	_, _ = w.Write(buf) // a failed write is a gone client
+	// A failed write is a gone client.
+	_, _ = w.Write(buf)
+	_, _ = w.Write(answers.JSON())
+	_, _ = w.Write(respTail)
 }
+
+// respTail closes a query response.
+var respTail = []byte("\n}\n")
 
 // parseQuery parses the ?q= conjunctive goal ("anc(c0, X), p(X)").
 func parseQuery(q string) (ast.Query, error) {
@@ -641,7 +658,7 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenantCounter(t.Name(), "reads").Inc()
-	head := queryHeadJSON{Tenant: t.Name(), Component: comp, Version: snap.Version(), Query: q.String()}
+	head := queryHeadJSON{Tenant: t.Name(), Component: comp, Version: snap.Version()}
 	answers, err := snap.AnswersCtx(ctx, comp, q)
 	setVersion(w, snap.Version())
 	if err != nil {
@@ -649,7 +666,7 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// The least model did not converge inside the deadline: no
 			// bindings exist yet. The truncation marker tells the client
 			// this is a deadline artifact, not an empty answer set.
-			head.Truncated = true
+			head.Query, head.Truncated = q.String(), true
 			markTruncated(w)
 			writeQueryResp(w, http.StatusPartialContent, head, nil)
 			return
@@ -657,6 +674,7 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	head.Query = answers.Query() // rendered once, by core when it keys the answer memo
 	writeQueryResp(w, http.StatusOK, head, answers)
 }
 

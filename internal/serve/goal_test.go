@@ -22,9 +22,10 @@ module main {
 
 // TestDaemonGoalDirected drives a goal-directed daemon end to end: ?q=
 // answers come from per-goal slices, repeated queries with the same
-// binding pattern hit the per-snapshot slice cache, an update invalidates
-// the cache (answers reflect the new fact base), and ?version= pinning
-// keeps answering from the pinned snapshot's own slices.
+// binding pattern hit the per-snapshot slice cache, an identical repeat
+// answers from the entry's memoised answers and a renamed one does not,
+// an update invalidates the cache (answers reflect the new fact base), and
+// ?version= pinning keeps answering from the pinned snapshot's own slices.
 func TestDaemonGoalDirected(t *testing.T) {
 	d := New(Config{Retain: 3, Engine: core.Config{GoalDirected: true}})
 	h := d.Handler()
@@ -67,9 +68,27 @@ func TestDaemonGoalDirected(t *testing.T) {
 	if diff["core.route.cut"] < 1 {
 		t.Fatalf("core.route.cut moved by %d, want >= 1 for the first miss", diff["core.route.cut"])
 	}
+	// The renamed repeat's answers now sit in the goal's cache entry: the
+	// identical request answers from them, one answer-memo hit; the first
+	// spelling, a different query on the same entry, is a memo miss.
+	memo := func(q, varName string) (hits, misses int64) {
+		t.Helper()
+		before := obs.Default().Snap()
+		if got := reached(answers("/v1/tenants/gd/query?q="+q, http.StatusOK), varName); got != "c1,c2,c3" {
+			t.Fatalf("%s answers = %q, want c1,c2,c3", q, got)
+		}
+		d := obs.Default().Snap().Diff(before)
+		return d["core.answers.memo.hits"], d["core.answers.memo.misses"]
+	}
+	if hits, misses := memo("path(c0,Y)", "Y"); hits != 1 || misses != 0 {
+		t.Errorf("identical repeat: core.answers.memo.{hits,misses} moved by %d, %d; want 1, 0", hits, misses)
+	}
+	if hits, misses := memo("path(c0,X)", "X"); hits != 0 || misses != 1 {
+		t.Errorf("renamed repeat: core.answers.memo.{hits,misses} moved by %d, %d; want 0, 1", hits, misses)
+	}
 	var served map[string]any
 	decodeJSON(t, doReq(h, "GET", "/debug/metrics", "", ""), &served)
-	for _, name := range []string{"core.route.cut", "core.route.model", "core.route.switches"} {
+	for _, name := range []string{"core.route.cut", "core.route.model", "core.route.switches", "core.answers.memo.hits", "core.answers.memo.misses"} {
 		if _, ok := served[name]; !ok {
 			t.Errorf("/debug/metrics lacks %s", name)
 		}
