@@ -15,16 +15,37 @@ func (a Atom) String() string {
 		return a.Pred
 	}
 	var b strings.Builder
+	b.Grow(a.len())
+	a.write(&b)
+	return b.String()
+}
+
+// len returns the length in bytes of the atom's rendering.
+func (a Atom) len() int {
+	if len(a.Args) == 0 {
+		return len(a.Pred)
+	}
+	n := len(a.Pred) + 2*len(a.Args) // the parentheses and the ", "s
+	for _, t := range a.Args {
+		n += TermLen(t)
+	}
+	return n
+}
+
+// write writes the atom's rendering to b.
+func (a Atom) write(b *strings.Builder) {
 	b.WriteString(a.Pred)
+	if len(a.Args) == 0 {
+		return
+	}
 	b.WriteByte('(')
 	for i, t := range a.Args {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(t.String())
+		WriteTerm(b, t)
 	}
 	b.WriteByte(')')
-	return b.String()
 }
 
 // Equal reports structural equality of atoms.
@@ -98,10 +119,29 @@ func Neg(a Atom) Literal { return Literal{Neg: true, Atom: a} }
 
 // String renders the literal in the surface syntax.
 func (l Literal) String() string {
-	if l.Neg {
-		return "-" + l.Atom.String()
+	if !l.Neg {
+		return l.Atom.String()
 	}
-	return l.Atom.String()
+	var b strings.Builder
+	b.Grow(l.len())
+	l.write(&b)
+	return b.String()
+}
+
+// len returns the length in bytes of the literal's rendering.
+func (l Literal) len() int {
+	if l.Neg {
+		return 1 + l.Atom.len()
+	}
+	return l.Atom.len()
+}
+
+// write writes the literal's rendering to b.
+func (l Literal) write(b *strings.Builder) {
+	if l.Neg {
+		b.WriteByte('-')
+	}
+	l.Atom.write(b)
 }
 
 // Equal reports structural equality of literals.

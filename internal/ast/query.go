@@ -24,9 +24,22 @@ func (q Query) Vars() []Var {
 
 // String renders the query in the surface syntax.
 func (q Query) String() string {
+	n := len("?- .") // builtins, rare in queries, grow the builder
+	for i, l := range q.Body {
+		if i > 0 {
+			n += len(", ")
+		}
+		n += l.len()
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString("?- ")
-	writeList(&b, q.Body, ", ")
+	for i, l := range q.Body {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		l.write(&b)
+	}
 	if len(q.Body) > 0 && len(q.Builtins) > 0 {
 		b.WriteString(", ")
 	}

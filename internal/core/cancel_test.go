@@ -251,9 +251,9 @@ func TestQueryBatchCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestProveCtxCancelled: goal-directed proving under a dead context fails
-// with the sentinel both while queueing for the prover slot and inside the
-// goal recursion.
+// TestProveCtxCancelled: a proof under a dead context fails with the
+// sentinel up front, before any model is looked up or computed, and leaves
+// nothing behind that a later proof could trip on.
 func TestProveCtxCancelled(t *testing.T) {
 	eng := engineOf(t, fig1)
 	lit, err := parser.ParseLiteral("fly(pigeon)")
@@ -265,8 +265,7 @@ func TestProveCtxCancelled(t *testing.T) {
 	if _, err := eng.ProveCtx(ctx, "arctic", lit); !errors.Is(err, interrupt.ErrInterrupted) {
 		t.Fatalf("ProveCtx: err = %v, want ErrInterrupted", err)
 	}
-	// The prover slot must have been released (or never taken): a live
-	// context proves normally afterwards.
+	// A live context proves normally afterwards.
 	ok, err := eng.ProveCtx(context.Background(), "arctic", lit)
 	if err != nil || !ok {
 		t.Fatalf("Prove after cancelled attempt = %v, %v; want true", ok, err)

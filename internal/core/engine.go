@@ -35,10 +35,9 @@ import (
 // whose visible rules agree on a component share the memo across versions.
 // The returned *Model values (and the interp.Interp they expose) are
 // shared and must be treated as read-only; callers that need a private
-// copy clone the interpretation. Goal-directed proofs (ProveCtx,
-// ProveExplainCtx) share a memoising prover per component and are
-// serialised per component; queries against different components proceed
-// in parallel.
+// copy clone the interpretation. Proofs (ProveCtx) are membership tests
+// in those memoised models, so nothing serialises readers of one
+// component; ProveExplainCtx reads the component's memoised view.
 //
 // Cancellation contract: every evaluation entry point has a ...Ctx variant
 // that stops at the engine's cooperative checkpoints once the context is

@@ -27,10 +27,10 @@ func (s *Snapshot) SameAsRebuild(comp string, m *Model) (bool, string, error) {
 
 // sliceModel returns the least model of the goal's slice in component i
 // through the snapshot's slice cache, never routed to the component's
-// model and never counted toward the route's line: the cut path called
-// directly.
+// model: the cut path called directly. A miss the route would have cut
+// counts toward the line as it does in production.
 func (s *Snapshot) sliceModel(ctx context.Context, i int, goal []ast.Literal) (*Model, error) {
-	gs, _ := s.goalSliceFor(goal, -1)
+	gs, _ := s.goalSliceFor(goal, i)
 	return s.sliceLeast(ctx, i, gs)
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/ground"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/relevance"
 )
@@ -23,12 +22,13 @@ import (
 // with an empty cache — so updates invalidate automatically — and pinned
 // snapshots keep answering from their own version's slices.
 //
-// The route: a query that misses the cache answers from the component's
+// The route: a goal that misses the cache answers from the component's
 // least model instead of a new slice once the model is computed for the
-// snapshot, or once the snapshot's answer misses have cut as many
+// snapshot, or once the snapshot's misses have cut as many
 // instances as the component sees (routes). The component is itself a
 // cut-closed atom set, so its model answers every goal exactly as a slice
-// does (DESIGN §12). Proofs always cut.
+// does (DESIGN §12). A proof of a ground literal is the one-literal goal's
+// lookup: it routes, tallies and shares entries as that query does.
 //
 // The answer memo: an entry keeps the answer set it last produced, keyed
 // by the component and the rendered query text — not the binding pattern,
@@ -65,12 +65,10 @@ type sliceEntry struct {
 // once.
 type goalSlice struct {
 	goal []ast.Literal
-	// routed is the component whose least model answers the goal, or -1;
-	// tally marks a slice cut for an answer miss, which counts toward the
-	// snapshot's line. The answer miss that creates the entry sets both,
-	// and a hit answers from what it set.
+	// routed is the component whose least model answers the goal, or -1
+	// when the miss that created the entry cut its slice, which then counts
+	// toward the snapshot's line. A hit answers from what the miss set.
 	routed int
-	tally  bool
 	gp     lazyCell[*ground.Program]
 
 	// answers is the answer set the entry last kept, keyed by its
@@ -85,9 +83,8 @@ type goalSlice struct {
 
 // goalSliceFor returns the snapshot's cached entry for the goal, creating
 // (and, at capacity, evicting the least recently used) entry under the
-// cache lock, and reports whether it was a miss. ask is the component an
-// answer asks in, whose route a miss decides; a proof passes -1, and its
-// entry cuts without counting toward the line. Only bookkeeping happens
+// cache lock, and reports whether it was a miss. ask is the component the
+// goal is asked in, whose route a miss decides. Only bookkeeping happens
 // here — the cut runs outside the lock, in the slice's own singleflight
 // cell.
 func (s *Snapshot) goalSliceFor(goal []ast.Literal, ask int) (*goalSlice, bool) {
@@ -119,12 +116,8 @@ func (s *Snapshot) goalSliceFor(goal []ast.Literal, ask int) (*goalSlice, bool) 
 		}
 	}
 	gs := &goalSlice{goal: goal, routed: -1}
-	if ask >= 0 {
-		if s.routes(ask) {
-			gs.routed = ask
-		} else {
-			gs.tally = true
-		}
+	if s.routes(ask) {
+		gs.routed = ask
 	}
 	c.entries[key] = &sliceEntry{slice: gs, used: c.tick}
 	if obs.On() {
@@ -133,9 +126,9 @@ func (s *Snapshot) goalSliceFor(goal []ast.Literal, ask int) (*goalSlice, bool) 
 	return gs, true
 }
 
-// routes reports whether an answer miss in component i answers from the
+// routes reports whether a miss in component i answers from the
 // component's least model: when the model is already computed for this
-// snapshot, or when the snapshot's answer misses have cut at least as many
+// snapshot, or when the snapshot's misses have cut at least as many
 // instances as the component sees (the line; a version that has cut
 // nothing has not reached it). A write's carry alone does not route: the
 // child cuts, and tallies, from zero.
@@ -163,7 +156,7 @@ func (s *Snapshot) routes(i int) bool {
 	return ok
 }
 
-// countRoute counts one answer miss in component i by where it answers
+// countRoute counts one miss in component i by where it answers
 // from, and the snapshot's switch to the model on its first routed miss.
 func (s *Snapshot) countRoute(i int, routed bool) {
 	if !routed {
@@ -200,7 +193,7 @@ func (s *Snapshot) sliceProgram(ctx context.Context, gs *goalSlice) (*ground.Pro
 		if err != nil {
 			return nil, err
 		}
-		if gs.tally {
+		if gs.routed < 0 {
 			s.answerCuts.Add(int64(len(gp.Rules)))
 		}
 		if s.eng.trace.Enabled() {
@@ -223,7 +216,7 @@ func (gs *goalSlice) comp(i int) *compState {
 		if gs.comps == nil {
 			gs.comps = make(map[int]*compState)
 		}
-		st = newCompState(false)
+		st = new(compState)
 		gs.comps[i] = st
 	}
 	return st
@@ -260,16 +253,7 @@ func (s *Snapshot) answersGoalDirected(ctx context.Context, comp string, q ast.Q
 		return nil, err
 	}
 	text := q.String()
-	gs, miss := s.goalSliceFor(q.Body, i)
-	if miss {
-		s.countRoute(i, gs.routed == i)
-	}
-	var m *Model
-	if gs.routed == i {
-		m, err = s.leastModel(ctx, i)
-	} else {
-		m, err = s.sliceLeast(ctx, i, gs)
-	}
+	m, gs, err := s.goalModel(ctx, i, q.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -290,15 +274,37 @@ func (s *Snapshot) answersGoalDirected(ctx context.Context, comp string, q ast.Q
 	return a, nil
 }
 
+// goalModel resolves the model the goal's cache entry answers from in
+// component i: the component's least model when the miss that created the
+// entry was routed there, and otherwise the least model of the entry's
+// slice. A miss is counted by its route here, so queries and proofs
+// count alike.
+func (s *Snapshot) goalModel(ctx context.Context, i int, goal []ast.Literal) (*Model, *goalSlice, error) {
+	gs, miss := s.goalSliceFor(goal, i)
+	if miss {
+		s.countRoute(i, gs.routed == i)
+	}
+	if gs.routed == i {
+		m, err := s.leastModel(ctx, i)
+		return m, gs, err
+	}
+	m, err := s.sliceLeast(ctx, i, gs)
+	return m, gs, err
+}
+
 // sliceLeast returns the least model of the entry's slice in component i,
 // computing and memoising it with the same singleflight/cancellation
 // contract as Snapshot.LeastModelCtx.
 func (s *Snapshot) sliceLeast(ctx context.Context, i int, gs *goalSlice) (*Model, error) {
+	st := gs.comp(i)
+	if m, ok := st.least.peek(); ok { // as leastModel's warm path
+		countLeast("hit")
+		return m, nil
+	}
 	gp, err := s.sliceProgram(ctx, gs)
 	if err != nil {
 		return nil, err
 	}
-	st := gs.comp(i)
 	return st.least.get(ctx, "core: goal-slice least-model wait", func(runCtx context.Context) (*Model, error) {
 		v := sliceView(st, gp, i)
 		in, err := v.LeastModelCtx(runCtx)
@@ -307,29 +313,4 @@ func (s *Snapshot) sliceLeast(ctx context.Context, i int, gs *goalSlice) (*Model
 		}
 		return newModel(v, in), nil
 	}, countLeast)
-}
-
-// proveGoalDirected answers a least-model membership query for one
-// ground literal in component i from the slice cut for that one atom: the
-// slice is cut (once, cached) from this snapshot's ground program and the
-// memoising prover runs over the slice's view. The answer is identical to
-// the full grounding's — an atom outside the slice heads no live instance
-// and is unprovable either way.
-func (s *Snapshot) proveGoalDirected(ctx context.Context, i int, l ast.Literal) (bool, error) {
-	gs, _ := s.goalSliceFor([]ast.Literal{l}, -1)
-	gp, err := s.sliceProgram(ctx, gs)
-	if err != nil {
-		return false, err
-	}
-	id, ok := gp.Tab.Lookup(l.Atom)
-	if !ok {
-		return false, nil
-	}
-	st := gs.comp(i)
-	pr, release, err := st.acquireProver(ctx, func() *eval.View { return sliceView(st, gp, i) })
-	if err != nil {
-		return false, err
-	}
-	defer release()
-	return pr.ProveCtx(ctx, interp.MkLit(id, l.Neg))
 }

@@ -53,8 +53,8 @@ var (
 	mSliceMisses    = obs.Default().Counter("relevance.cache.misses")
 	mSliceEvictions = obs.Default().Counter("relevance.cache.evictions")
 
-	// One per goal-directed answer miss, by where it answers from: a
-	// slice cut for it (route.cut) or the component's least model
+	// One per goal-directed miss (query or proof), by where it answers
+	// from: a slice cut for it (route.cut) or the component's least model
 	// (route.model); and one per snapshot whose misses begin routing to
 	// the model (route.switches). See goal.go's routes.
 	mRouteCut      = obs.Default().Counter("core.route.cut")

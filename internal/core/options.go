@@ -36,19 +36,19 @@ type Config struct {
 
 	// GoalDirected routes least-model queries and proofs through per-goal
 	// slices of the snapshot's ground program: QueryCtx (and the batch
-	// entry point) with a non-empty body, and ProveCtx,
-	// evaluate only the instances the goal's atoms reach — cut from the
-	// grounding the snapshot already holds, nothing is grounded again —
-	// instead of the component's full least model. Answers are identical
+	// entry point) with a non-empty body, and ProveCtx (the one-literal
+	// goal), evaluate only the instances the goal's atoms reach — cut from
+	// the grounding the snapshot already holds, nothing is grounded again
+	// — instead of the component's full least model. Answers are identical
 	// to the full path's (see DESIGN §12); slices are cached per snapshot
 	// in a small LRU keyed by the goal's binding pattern, so repeated goals
-	// reuse their slice and every update invalidates automatically. A
-	// query that misses the cache answers from the component's least model
+	// reuse their slice and every update invalidates automatically. A goal
+	// that misses the cache answers from the component's least model
 	// instead once that model is computed for the version, or once the
 	// version's misses have cut as many instances as the component sees:
 	// past that break-even a model costs less than further cuts (goal.go).
-	// Proofs always cut. Enumeration entry points (stable/AF models,
-	// ReasonCtx) and ProveExplainCtx always use the full grounding.
+	// Proofs route as queries do. Enumeration entry points (stable/AF
+	// models, ReasonCtx) and ProveExplainCtx always use the full grounding.
 	// Incompatible with a fixed Ground.Goal.
 	GoalDirected bool
 

@@ -5,35 +5,18 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
-	"repro/internal/eval"
 	"repro/internal/interp"
 	"repro/internal/interrupt"
 	"repro/internal/proof"
 	"repro/internal/stable"
 )
 
-// acquireProver takes the state's 1-slot prover semaphore — honouring the
-// caller's context while queueing — and returns the memoising prover,
-// built over view() on first use, plus the release function. The prover
-// is non-reentrant, so callers hold the slot across every Prover method
-// call.
-func (st *compState) acquireProver(ctx context.Context, view func() *eval.View) (*proof.Prover, func(), error) {
-	select {
-	case st.proverSem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, nil, &interrupt.Error{Stage: "core: prover queue", Cause: ctx.Err()}
-	}
-	if st.prover == nil {
-		st.prover = proof.New(view(), 0)
-	}
-	return st.prover, func() { <-st.proverSem }, nil
-}
-
 // ProveCtx answers a least-model membership query for one ground literal
-// in the component as of this snapshot (see Engine.ProveCtx). On a
-// goal-directed engine (Config.GoalDirected) the proof runs over the
-// literal's slice of the ground program; the answer is identical either
-// way.
+// in the component as of this snapshot (see Engine.ProveCtx): the literal
+// holds iff it is in the model the snapshot keeps for the component. On a
+// goal-directed engine (Config.GoalDirected) the model is the one the
+// literal's goal-cache entry answers from, routed and tallied as a query
+// of the literal would be; the answer is identical either way.
 func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bool, error) {
 	i, err := s.resolve(comp)
 	if err != nil {
@@ -42,24 +25,25 @@ func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bo
 	if !l.Atom.Ground() {
 		return false, fmt.Errorf("core: Prove needs a ground literal, got %s", l)
 	}
+	if err := interrupt.Check(ctx, "core: prove"); err != nil {
+		return false, err
+	}
+	var m *Model
 	if s.eng.cfg.GoalDirected {
-		return s.proveGoalDirected(ctx, i, l)
+		m, _, err = s.goalModel(ctx, i, []ast.Literal{l})
+	} else {
+		m, err = s.leastModel(ctx, i)
 	}
-	id, ok := s.gp.Tab.Lookup(l.Atom)
-	if !ok {
-		return false, nil
-	}
-	pr, release, err := s.comp(i).acquireProver(ctx, func() *eval.View { return s.viewAt(i) })
 	if err != nil {
 		return false, err
 	}
-	defer release()
-	return pr.ProveCtx(ctx, interp.MkLit(id, l.Neg))
+	return m.Holds(l), nil
 }
 
-// ProveExplainCtx proves the literal goal-directedly and, on success,
-// returns the rendered derivation tree as of this snapshot (see
-// Engine.ProveExplainCtx).
+// ProveExplainCtx returns the rendered derivation tree of the literal as
+// of this snapshot, or ok=false when it is not in the least model (see
+// Engine.ProveExplainCtx). The tree is read off the V stages of the
+// component's full view.
 func (s *Snapshot) ProveExplainCtx(ctx context.Context, comp string, l ast.Literal) (string, bool, error) {
 	i, err := s.resolve(comp)
 	if err != nil {
@@ -72,16 +56,12 @@ func (s *Snapshot) ProveExplainCtx(ctx context.Context, comp string, l ast.Liter
 	if !ok {
 		return "", false, nil
 	}
-	pr, release, err := s.comp(i).acquireProver(ctx, func() *eval.View { return s.viewAt(i) })
-	if err != nil {
-		return "", false, err
-	}
-	defer release()
-	tree, ok, err := pr.ExplainCtx(ctx, interp.MkLit(id, l.Neg))
+	v := s.viewAt(i)
+	tree, ok, err := proof.ExplainCtx(ctx, v, interp.MkLit(id, l.Neg))
 	if err != nil || !ok {
 		return "", false, err
 	}
-	return tree.Render(pr), true, nil
+	return tree.Render(v), true, nil
 }
 
 // ReasonCtx enumerates the stable models of the component as of this
@@ -101,19 +81,20 @@ func (s *Snapshot) ReasonCtx(ctx context.Context, comp string, opts stable.Optio
 }
 
 // ProveCtx answers a least-model membership query for one ground literal
-// in the component with the goal-directed proof procedure (no full model
-// is materialised), as of the current snapshot. Literals over atoms
-// outside the relevant Herbrand base are unprovable. Both the wait for the
-// per-component prover slot and the goal recursion itself honour the
-// context (see proof.Prover.ProveCtx for the checkpoints).
+// in the component as of the current snapshot: membership in the least
+// model the snapshot keeps (on a goal-directed engine, the model the
+// literal's goal answers from). Literals over atoms outside the relevant
+// Herbrand base are unprovable. A dead context fails the call up front,
+// and the model computation, if one runs, honours it as LeastModelCtx
+// does.
 func (e *Engine) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bool, error) {
 	return e.Current().ProveCtx(ctx, comp, l)
 }
 
-// ProveExplainCtx proves the literal goal-directedly and, on success,
-// returns the rendered derivation tree: the firing rule, its body
-// subproofs, and one blocking proof per competitor. The context is
-// honoured as in ProveCtx.
+// ProveExplainCtx returns, for a literal of the least model, the rendered
+// derivation tree: the firing rule, its body subproofs, and one blocking
+// proof per competitor. The stage computation the tree is read from polls
+// the context once per round.
 func (e *Engine) ProveExplainCtx(ctx context.Context, comp string, l ast.Literal) (string, bool, error) {
 	return e.Current().ProveExplainCtx(ctx, comp, l)
 }

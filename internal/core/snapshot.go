@@ -13,7 +13,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/interrupt"
 	"repro/internal/obs"
-	"repro/internal/proof"
 	"repro/internal/stable"
 )
 
@@ -27,7 +26,7 @@ import (
 // Snapshots are cheap: an incremental update shares the interned-term
 // storage, the append-only ground rule list and update history, and — for
 // every component whose visible rules did not change — the parent's
-// memoised views, least models and provers. Only components that can see
+// memoised views and least models. Only components that can see
 // a touched component are recomputed, lazily, on first use.
 type Snapshot struct {
 	eng     *Engine
@@ -65,8 +64,9 @@ type Snapshot struct {
 	// keep serving their own version's slices.
 	slices sliceCache
 	// answerCuts sums the instances of the slices this snapshot cut for
-	// answer misses, and switched is set by its first miss routed to a
-	// component's least model (goal.go). A child starts both from zero.
+	// goal misses (queries and proofs), and switched is set by its first
+	// miss routed to a component's least model (goal.go). A child starts
+	// both from zero.
 	answerCuts atomic.Int64
 	switched   atomic.Bool
 
@@ -106,10 +106,10 @@ func (ev factEvent) key() factKey { return factKey{comp: ev.comp, lit: ev.lit.St
 // compState holds the lazily built per-component artifacts. The view is
 // construct-once/read-many under a sync.Once; the least model uses the
 // channel-based singleflight of lazyCell so waiters can honour their own
-// contexts; proverSem (a 1-slot semaphore acquired with context) serialises
-// the memoising, non-reentrant goal-directed prover. Snapshots whose
-// visible rules agree for a component share one compState, so an update
-// carries the unaffected memos over to the new version.
+// contexts. Once built, both are read-only; a proof is a lookup in the
+// model. Snapshots whose visible rules agree for a component share one
+// compState, so an update carries the unaffected memos over to the new
+// version.
 type compState struct {
 	viewOnce sync.Once
 	view     atomic.Pointer[eval.View]
@@ -122,15 +122,6 @@ type compState struct {
 	// afterWrite marks a state an incremental write created: the write
 	// affected the component.
 	afterWrite bool
-
-	proverSem chan struct{}
-	prover    *proof.Prover
-}
-
-// newCompState returns an empty per-component state; afterWrite marks one
-// an incremental write created.
-func newCompState(afterWrite bool) *compState {
-	return &compState{proverSem: make(chan struct{}, 1), afterWrite: afterWrite}
 }
 
 // Version returns the snapshot's version number: 0 for the engine's
@@ -179,7 +170,7 @@ func (s *Snapshot) comp(i int) *compState {
 	defer s.mu.Unlock()
 	st, ok := s.comps[i]
 	if !ok {
-		st = newCompState(s.written)
+		st = &compState{afterWrite: s.written}
 		s.comps[i] = st
 	}
 	return st
@@ -231,7 +222,7 @@ func (st *compState) viewOf(gp *ground.Program, i int, rules []ground.Rule, dead
 // modelOf wraps component i's least model as of s. The model keeps no
 // view: the fixpoint's view is garbage once the model is cached, and a
 // caller that needs one (Explain, the model checks) builds the state's
-// view on demand, which is then cached for the provers and enumeration.
+// view on demand, which is then cached for Explain and enumeration.
 // It captures the version's pinned instances, not s, so a model carried
 // to later versions does not keep s's slice cache alive.
 func (s *Snapshot) modelOf(i int, st *compState, in *interp.Interp) *Model {
@@ -254,6 +245,10 @@ func (s *Snapshot) LeastModelCtx(ctx context.Context, comp string) (*Model, erro
 // misses routed to the component's model (goal.go) read it through here.
 func (s *Snapshot) leastModel(ctx context.Context, i int) (*Model, error) {
 	st := s.comp(i)
+	if m, ok := st.least.peek(); ok { // a warm model: a hit, with no closures built
+		countLeast("hit")
+		return m, nil
+	}
 	// Singleflight accounting: the goroutine that runs the fixpoint counts
 	// one computation — under core.least.cone when the model came from a
 	// write's cone — a caller that parks on someone else's run counts one
@@ -627,7 +622,7 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 	}
 	// A component's visible rules changed only if it can see a touched
 	// component; everything else shares the parent's state pointer, so
-	// views, least models and provers memoised on either version serve
+	// views and least models memoised on either version serve
 	// both. An affected component gets the seeds to derive its model from
 	// the nearest computed one (cone.go).
 	for i := range parent.gp.Src.Components {
@@ -641,7 +636,7 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 		if !affected {
 			child.comps[i] = parent.comp(i)
 		} else if c := parent.carryFor(i, rules, changed); c != nil {
-			st := newCompState(true)
+			st := &compState{afterWrite: true}
 			st.carry.Store(c)
 			child.comps[i] = st
 		}

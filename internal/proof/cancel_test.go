@@ -42,7 +42,7 @@ module c1 extends c2 {
 	if _, err := pr.ProveCtx(ctx, goal); !errors.Is(err, interrupt.ErrInterrupted) {
 		t.Fatalf("ProveCtx: err = %v, want ErrInterrupted", err)
 	}
-	if _, _, err := pr.ExplainCtx(ctx, goal); !errors.Is(err, interrupt.ErrInterrupted) {
+	if _, _, err := proof.ExplainCtx(ctx, v, goal); !errors.Is(err, interrupt.ErrInterrupted) {
 		t.Fatalf("ExplainCtx: err = %v, want ErrInterrupted", err)
 	}
 	// The prover survives an interrupted call: a live context proves the

@@ -1,3 +1,11 @@
+// Package proof builds derivation trees witnessing least-model membership
+// for ordered logic programs: why a ground literal is in lfp(V) of a
+// component, as the rule instance that derives it, the trees of its body
+// literals, and one refuted body literal per competitor. The tree is read
+// off the naive V stages of the component's view, so every subtree's goal
+// enters the fixpoint strictly before its parent's. Membership itself is
+// decided by the least model; the [LV] top-down proof procedure lives in
+// this package's tests as an oracle checked against it.
 package proof
 
 import (
@@ -5,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/eval"
 	"repro/internal/interp"
 	"repro/internal/interrupt"
 )
@@ -31,21 +40,20 @@ type Refutation struct {
 	Blocker    *Tree
 }
 
-// ExplainCtx proves the literal and returns its derivation tree, or ok=false
-// when the literal is not in the least model. The witness is
-// stage-respecting: every subtree's goal enters the fixpoint at a strictly
-// earlier V stage than its parent, so the justification is well-founded
-// (never circular) regardless of rule ordering. Shared subproofs make the
-// tree a DAG; rendering elides repeats. Both the proof search and the
-// stage computation poll the context.
-func (p *Prover) ExplainCtx(ctx context.Context, l interp.Lit) (*Tree, bool, error) {
-	ok, err := p.ProveCtx(ctx, l)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	stages, err := p.stages()
+// ExplainCtx returns the derivation tree of the literal in the view's
+// component, or ok=false when the literal is not in the least model. The
+// witness is stage-respecting: every subtree's goal enters the fixpoint at
+// a strictly earlier V stage than its parent, so the justification is
+// well-founded (never circular) regardless of rule ordering. Shared
+// subproofs make the tree a DAG; rendering elides repeats. The stage
+// computation polls the context once per round.
+func ExplainCtx(ctx context.Context, v *eval.View, l interp.Lit) (*Tree, bool, error) {
+	stages, err := stagesOf(ctx, v)
 	if err != nil {
 		return nil, false, err
+	}
+	if _, ok := stages[l]; !ok {
+		return nil, false, nil
 	}
 	memo := make(map[interp.Lit]*Tree)
 	var build func(l interp.Lit) (*Tree, error)
@@ -53,40 +61,36 @@ func (p *Prover) ExplainCtx(ctx context.Context, l interp.Lit) (*Tree, bool, err
 		if t, ok := memo[l]; ok {
 			return t, nil
 		}
-		goalStage, ok := stages[l]
-		if !ok {
-			return nil, fmt.Errorf("proof: internal error: proven literal %s outside lfp(V)",
-				p.v.G.Tab.LitString(l))
-		}
+		goalStage := stages[l] // build only descends to staged literals
 		t := &Tree{Goal: l, Rule: -1}
 		memo[l] = t
 	rules:
-		for _, ri := range p.v.HeadRules(l) {
+		for _, ri := range v.HeadRules(l) {
 			r := int(ri)
 			// The rule must fire strictly below the goal's stage: body
 			// literals and one blocker per competitor all at < goalStage.
-			for _, b := range p.v.Body(r) {
+			for _, b := range v.Body(r) {
 				if s, ok := stages[b]; !ok || s >= goalStage {
 					continue rules
 				}
 			}
-			blockers := make([]interp.Lit, 0, len(p.v.Competitors(r)))
-			for _, c := range p.v.Competitors(r) {
-				blocker, ok := p.earlyBlocker(int(c), stages, goalStage)
+			blockers := make([]interp.Lit, 0, len(v.Competitors(r)))
+			for _, c := range v.Competitors(r) {
+				blocker, ok := earlyBlocker(v, int(c), stages, goalStage)
 				if !ok {
 					continue rules
 				}
 				blockers = append(blockers, blocker)
 			}
 			t.Rule = r
-			for _, b := range p.v.Body(r) {
+			for _, b := range v.Body(r) {
 				sub, err := build(b)
 				if err != nil {
 					return nil, err
 				}
 				t.Body = append(t.Body, sub)
 			}
-			for i, c := range p.v.Competitors(r) {
+			for i, c := range v.Competitors(r) {
 				sub, err := build(blockers[i])
 				if err != nil {
 					return nil, err
@@ -96,25 +100,22 @@ func (p *Prover) ExplainCtx(ctx context.Context, l interp.Lit) (*Tree, bool, err
 			return t, nil
 		}
 		return nil, fmt.Errorf("proof: internal error: no stage-respecting rule for %s",
-			p.v.G.Tab.LitString(l))
+			v.G.Tab.LitString(l))
 	}
 	t, err := build(l)
 	return t, err == nil, err
 }
 
-// stages computes, for every literal of lfp(V), the V iteration at which
-// it first appears (1-based). Memoised per prover.
-func (p *Prover) stages() (map[interp.Lit]int, error) {
-	if p.stageMap != nil {
-		return p.stageMap, nil
-	}
+// stagesOf computes, for every literal of lfp(V), the V iteration at
+// which it first appears (1-based).
+func stagesOf(ctx context.Context, v *eval.View) (map[interp.Lit]int, error) {
 	stages := make(map[interp.Lit]int)
-	cur := p.v.NewInterp()
+	cur := v.NewInterp()
 	for round := 1; ; round++ {
-		if err := interrupt.Check(p.ctx, "proof: stage computation"); err != nil {
+		if err := interrupt.Check(ctx, "proof: stage computation"); err != nil {
 			return nil, err
 		}
-		next, err := p.v.VOnce(cur)
+		next, err := v.VOnce(cur)
 		if err != nil {
 			return nil, err
 		}
@@ -126,19 +127,17 @@ func (p *Prover) stages() (map[interp.Lit]int, error) {
 			}
 		}
 		if !changed {
-			break
+			return stages, nil
 		}
 		next.UnionWith(cur)
 		cur = next
 	}
-	p.stageMap = stages
-	return stages, nil
 }
 
 // earlyBlocker finds a body literal of competitor c whose complement
 // enters the fixpoint strictly before the given stage.
-func (p *Prover) earlyBlocker(c int, stages map[interp.Lit]int, before int) (interp.Lit, bool) {
-	for _, b := range p.v.Body(c) {
+func earlyBlocker(v *eval.View, c int, stages map[interp.Lit]int, before int) (interp.Lit, bool) {
+	for _, b := range v.Body(c) {
 		if s, ok := stages[b.Complement()]; ok && s < before {
 			return b.Complement(), true
 		}
@@ -146,16 +145,16 @@ func (p *Prover) earlyBlocker(c int, stages map[interp.Lit]int, before int) (int
 	return 0, false
 }
 
-// Render prints the tree as indented text. Shared subtrees deeper than
-// the first occurrence are elided with "(see above)".
-func (t *Tree) Render(p *Prover) string {
+// Render prints the tree, built over v, as indented text. Shared subtrees
+// deeper than the first occurrence are elided with "(see above)".
+func (t *Tree) Render(v *eval.View) string {
 	var b strings.Builder
 	seen := make(map[*Tree]bool)
 	var rec func(t *Tree, prefix string, label string)
 	rec = func(t *Tree, prefix, label string) {
 		b.WriteString(prefix)
 		b.WriteString(label)
-		b.WriteString(p.v.G.Tab.LitString(t.Goal))
+		b.WriteString(v.G.Tab.LitString(t.Goal))
 		if seen[t] && (len(t.Body) > 0 || len(t.Refutations) > 0) {
 			b.WriteString("  (see above)\n")
 			return
@@ -163,7 +162,7 @@ func (t *Tree) Render(p *Prover) string {
 		seen[t] = true
 		if t.Rule >= 0 {
 			b.WriteString("  by  ")
-			b.WriteString(p.v.G.RuleString(p.v.GroundRule(t.Rule)))
+			b.WriteString(v.G.RuleString(v.GroundRule(t.Rule)))
 		}
 		b.WriteByte('\n')
 		for _, sub := range t.Body {
@@ -171,7 +170,7 @@ func (t *Tree) Render(p *Prover) string {
 		}
 		for _, ref := range t.Refutations {
 			b.WriteString(prefix + "  blocks competitor ")
-			b.WriteString(p.v.G.RuleString(p.v.GroundRule(ref.Competitor)))
+			b.WriteString(v.G.RuleString(v.GroundRule(ref.Competitor)))
 			b.WriteByte('\n')
 			rec(ref.Blocker, prefix+"    ", "via ")
 		}

@@ -38,12 +38,11 @@ module c1 extends c2 {
   -fly(X) :- ground_animal(X).
 }
 `, "c1")
-	pr := proof.New(v, 0)
-	tree, ok, err := pr.ExplainCtx(context.Background(), litOf(t, v, "-fly(penguin)"))
+	tree, ok, err := proof.ExplainCtx(context.Background(), v, litOf(t, v, "-fly(penguin)"))
 	if err != nil || !ok {
 		t.Fatalf("Explain: %v %v", ok, err)
 	}
-	out := tree.Render(pr)
+	out := tree.Render(v)
 	for _, want := range []string{
 		"proved -fly(penguin)",
 		"-fly(penguin) :- ground_animal(penguin).",
@@ -54,7 +53,7 @@ module c1 extends c2 {
 		}
 	}
 	// The unprovable direction returns ok=false without a tree.
-	tree2, ok2, err := pr.ExplainCtx(context.Background(), litOf(t, v, "fly(penguin)"))
+	tree2, ok2, err := proof.ExplainCtx(context.Background(), v, litOf(t, v, "fly(penguin)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +71,11 @@ p.
 -p :- q.
 -q.
 `, "main")
-	pr := proof.New(v, 0)
-	tree, ok, err := pr.ExplainCtx(context.Background(), litOf(t, v, "p"))
+	tree, ok, err := proof.ExplainCtx(context.Background(), v, litOf(t, v, "p"))
 	if err != nil || !ok {
 		t.Fatalf("Explain(p): %v %v", ok, err)
 	}
-	out := tree.Render(pr)
+	out := tree.Render(v)
 	if !strings.Contains(out, "blocks competitor -p :- q.") || !strings.Contains(out, "via -q") {
 		t.Errorf("refutation missing:\n%s", out)
 	}
@@ -97,13 +95,12 @@ func TestExplainConsistentWithProve(t *testing.T) {
 		}
 		for ci := range p.Components {
 			v := eval.NewView(g, ci)
-			pr := proof.New(v, 0)
 			least, err := v.LeastModelCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, l := range least.Lits() {
-				tree, ok, err := pr.ExplainCtx(context.Background(), l)
+				tree, ok, err := proof.ExplainCtx(context.Background(), v, l)
 				if err != nil || !ok {
 					t.Fatalf("seed %d: Explain(%s) failed: %v %v", seed, g.Tab.LitString(l), ok, err)
 				}

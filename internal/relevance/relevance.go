@@ -31,6 +31,7 @@
 package relevance
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -412,33 +413,92 @@ func (a *Analysis) AdornString(k ast.PredKey) string {
 // sign plus predicate plus each argument rendered as its ground term or
 // "_" — exactly the information the slice depends on (non-ground
 // arguments force their position free regardless of structure) — sorted
-// so literal order does not split the cache.
+// so literal order does not split the cache, joined by "&". The entries
+// are written in goal order into one builder sized for them; only a goal
+// whose entries come out of order is joined again, sorted.
 func GoalKey(goal []ast.Literal) string {
-	parts := make([]string, len(goal))
-	for i, l := range goal {
-		var b strings.Builder
-		if l.Neg {
-			b.WriteByte('-')
-		}
-		b.WriteString(l.Atom.Pred)
-		b.WriteByte('/')
-		b.WriteString(strconv.Itoa(len(l.Atom.Args)))
-		b.WriteByte('(')
-		for j, t := range l.Atom.Args {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			if t.Ground() {
-				b.WriteString(t.String())
-			} else {
-				b.WriteByte('_')
-			}
-		}
-		b.WriteByte(')')
-		parts[i] = b.String()
+	if len(goal) == 0 {
+		return ""
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, "&")
+	n := len(goal) - 1 // the "&"s
+	for _, l := range goal {
+		n += keyLen(l)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	var endsBuf [8]int
+	ends := endsBuf[:0]
+	for i, l := range goal {
+		if i > 0 {
+			b.WriteByte('&')
+		}
+		writeKey(&b, l)
+		ends = append(ends, b.Len())
+	}
+	key := b.String()
+	var partsBuf [8]string
+	parts := partsBuf[:0]
+	for i, end := range ends {
+		start := 0
+		if i > 0 {
+			start = ends[i-1] + 1
+		}
+		parts = append(parts, key[start:end])
+	}
+	if slices.IsSorted(parts) {
+		return key
+	}
+	slices.Sort(parts)
+	var sorted strings.Builder
+	sorted.Grow(n)
+	for i, p := range parts {
+		if i > 0 {
+			sorted.WriteByte('&')
+		}
+		sorted.WriteString(p)
+	}
+	return sorted.String()
+}
+
+// keyLen returns the length in bytes of the literal's GoalKey entry.
+func keyLen(l ast.Literal) int {
+	n := len(l.Atom.Pred) + len("/()") + len(strconv.Itoa(len(l.Atom.Args)))
+	if l.Neg {
+		n++
+	}
+	for j, t := range l.Atom.Args {
+		if j > 0 {
+			n++ // the ","
+		}
+		if t.Ground() {
+			n += ast.TermLen(t)
+		} else {
+			n++ // the "_"
+		}
+	}
+	return n
+}
+
+// writeKey writes the literal's GoalKey entry to b.
+func writeKey(b *strings.Builder, l ast.Literal) {
+	if l.Neg {
+		b.WriteByte('-')
+	}
+	b.WriteString(l.Atom.Pred)
+	b.WriteByte('/')
+	b.WriteString(strconv.Itoa(len(l.Atom.Args)))
+	b.WriteByte('(')
+	for j, t := range l.Atom.Args {
+		if j > 0 {
+			b.WriteByte(',')
+		}
+		if t.Ground() {
+			ast.WriteTerm(b, t)
+		} else {
+			b.WriteByte('_')
+		}
+	}
+	b.WriteByte(')')
 }
 
 // argBound reports whether a call-site argument is bound under the given

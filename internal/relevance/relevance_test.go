@@ -1,6 +1,10 @@
 package relevance_test
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -230,5 +234,66 @@ func TestGoalKey(t *testing.T) {
 	}
 	if !strings.Contains(neg, "-edge/2") {
 		t.Errorf("negative GoalKey = %q", neg)
+	}
+}
+
+// goalKeyOracle is GoalKey as it was before entries were written into one
+// presized builder: a string per entry, sorted, joined.
+func goalKeyOracle(goal []ast.Literal) string {
+	parts := make([]string, len(goal))
+	for i, l := range goal {
+		var b strings.Builder
+		if l.Neg {
+			b.WriteByte('-')
+		}
+		b.WriteString(l.Atom.Pred + "/" + strconv.Itoa(len(l.Atom.Args)) + "(")
+		for j, t := range l.Atom.Args {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			if t.Ground() {
+				b.WriteString(t.String())
+			} else {
+				b.WriteByte('_')
+			}
+		}
+		b.WriteByte(')')
+		parts[i] = b.String()
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, "&")
+}
+
+// TestGoalKeyMatchesOracle: GoalKey is byte for byte the sorted join of
+// its entries, on goals of up to 12 literals (past the key's in-place
+// entry buffers) in and out of order, with integer, compound, ground and
+// non-ground arguments.
+func TestGoalKeyMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	term := func() ast.Term {
+		switch rng.Intn(5) {
+		case 0:
+			return ast.Var{Name: "X"}
+		case 1:
+			return ast.Int(rng.Int63n(200) - 100)
+		case 2:
+			return ast.Compound{Functor: "f", Args: []ast.Term{ast.Sym("a"), ast.Var{Name: "Y"}}}
+		case 3:
+			return ast.Compound{Functor: "g", Args: []ast.Term{ast.Int(7), ast.Sym("b")}}
+		}
+		return ast.Sym(fmt.Sprintf("c%d", rng.Intn(20)))
+	}
+	for n := 0; n < 3000; n++ {
+		goal := make([]ast.Literal, rng.Intn(13))
+		for i := range goal {
+			a := ast.Atom{Pred: fmt.Sprintf("p%d", rng.Intn(4)), Args: make([]ast.Term, rng.Intn(4))}
+			for j := range a.Args {
+				a.Args[j] = term()
+			}
+			goal[i] = ast.Literal{Neg: rng.Intn(3) == 0, Atom: a}
+		}
+		if got, want := relevance.GoalKey(goal), goalKeyOracle(goal); got != want {
+			t.Fatalf("GoalKey = %q, want %q", got, want)
+		}
 	}
 }
