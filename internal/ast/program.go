@@ -67,8 +67,12 @@ type OrderedProgram struct {
 	Components []*Component
 	Edges      []Edge
 
-	index map[string]int  // component name -> position in Components
-	less  map[[2]int]bool // transitive closure of strict order, by position
+	index map[string]int // component name -> position in Components
+	// less is the transitive closure of the strict order as an n×n bit
+	// matrix by position: row i, stride uint64 words long, holds bit j
+	// when i < j. It is nil until Validate succeeds.
+	less   []uint64
+	stride int
 }
 
 // NewOrderedProgram returns an empty ordered program.
@@ -126,42 +130,41 @@ func (p *OrderedProgram) AddEdge(child, parent string) error {
 // (acyclic) and computes its transitive closure.
 func (p *OrderedProgram) Validate() error {
 	n := len(p.Components)
-	less := make(map[[2]int]bool, len(p.Edges)*2)
+	stride := (n + 63) / 64
+	less := make([]uint64, n*stride)
 	adj := make([][]int, n)
 	for _, e := range p.Edges {
 		ci, pi := p.index[e.Child], p.index[e.Parent]
 		adj[ci] = append(adj[ci], pi)
 	}
-	// Transitive closure by DFS from each node; cycle detection via the
-	// closure itself (x < x is a cycle).
+	// Transitive closure by DFS from each node, the row doubling as the
+	// visited set; cycle detection via the closure itself (x < x is a
+	// cycle).
 	var stack []int
 	for s := 0; s < n; s++ {
-		seen := make([]bool, n)
+		row := less[s*stride : (s+1)*stride]
 		stack = append(stack[:0], adj[s]...)
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if seen[v] {
+			if row[v>>6]&(1<<(v&63)) != 0 {
 				continue
 			}
-			seen[v] = true
-			less[[2]int{s, v}] = true
+			row[v>>6] |= 1 << (v & 63)
 			stack = append(stack, adj[v]...)
 		}
-	}
-	for i := 0; i < n; i++ {
-		if less[[2]int{i, i}] {
-			return fmt.Errorf("component order contains a cycle through %q", p.Components[i].Name)
+		if row[s>>6]&(1<<(s&63)) != 0 {
+			return fmt.Errorf("component order contains a cycle through %q", p.Components[s].Name)
 		}
 	}
-	p.less = less
+	p.less, p.stride = less, stride
 	return nil
 }
 
 // Less reports whether component i is strictly below component j (i < j,
 // i.e. i is more specific). Validate must have succeeded.
 func (p *OrderedProgram) Less(i, j int) bool {
-	return p.less != nil && p.less[[2]int{i, j}]
+	return p.less != nil && p.less[i*p.stride+j>>6]&(1<<(j&63)) != 0
 }
 
 // Incomparable reports whether distinct components i and j are unrelated

@@ -1,6 +1,8 @@
 package ast
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -280,5 +282,87 @@ func TestConstantsKeepKinds(t *testing.T) {
 	got := p.Constants()
 	if len(got) != 2 || !got[0].Equal(Int(1)) || !got[1].Equal(Sym("1")) {
 		t.Fatalf("Constants = %#v, want [Int(1) Sym(\"1\")]", got)
+	}
+}
+
+// Less and Incomparable equal a reachability closure computed by a
+// separate DFS over random DAGs, across the 64-component word boundary,
+// and Validate rejects every order that gains a cycle.
+func TestOrderMatchesDFSClosure(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(140)
+		p := NewOrderedProgram()
+		for i := 0; i < n; i++ {
+			if err := p.AddComponent(&Component{Name: fmt.Sprintf("c%d", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Edges point from a lower to a higher position under a random
+		// relabelling, so the order is acyclic by construction.
+		perm := rng.Perm(n)
+		adj := make([][]int, n)
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a == b {
+				continue
+			}
+			if a > b {
+				a, b = b, a
+			}
+			child, parent := perm[a], perm[b]
+			adj[child] = append(adj[child], parent)
+			if err := p.AddEdge(fmt.Sprintf("c%d", child), fmt.Sprintf("c%d", parent)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("trial %d: acyclic order rejected: %v", trial, err)
+		}
+		below := make([][]bool, n) // below[i][j]: j is reachable from i
+		for i := range below {
+			below[i] = make([]bool, n)
+			stack := append([]int(nil), adj[i]...)
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if !below[i][v] {
+					below[i][v] = true
+					stack = append(stack, adj[v]...)
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if got := p.Less(i, j); got != below[i][j] {
+					t.Fatalf("trial %d (n=%d): Less(%d, %d) = %v, DFS says %v", trial, n, i, j, got, below[i][j])
+				}
+				if got, want := p.Incomparable(i, j), i != j && !below[i][j] && !below[j][i]; got != want {
+					t.Fatalf("trial %d (n=%d): Incomparable(%d, %d) = %v, want %v", trial, n, i, j, got, want)
+				}
+			}
+		}
+		// Any edge from a component to one below it closes a cycle.
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if !p.Less(i, j) || rng.Intn(8) != 0 {
+					continue
+				}
+				q := NewOrderedProgram()
+				for _, c := range p.Components {
+					if err := q.AddComponent(&Component{Name: c.Name}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, e := range append(append([]Edge(nil), p.Edges...), Edge{Child: p.Components[j].Name, Parent: p.Components[i].Name}) {
+					if err := q.AddEdge(e.Child, e.Parent); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := q.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
+					t.Fatalf("trial %d: the edge %d < %d closes a cycle, Validate said %v", trial, j, i, err)
+				}
+			}
+		}
 	}
 }

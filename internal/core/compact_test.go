@@ -4,130 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/oracle/gen"
-	"repro/internal/stable"
 	"repro/internal/wal"
 )
-
-// The churn-oracle differential: compaction must be invisible to every
-// query surface. Engines configured to compact aggressively (by cadence,
-// by dead ratio, and by explicit Compact calls interleaved at random)
-// must answer exactly like a fresh engine built from the equivalently
-// edited source, after every single operation — and each explicit
-// compaction must actually drain the dead set.
-func TestChurnCompactDifferential(t *testing.T) {
-	const comps, nconst = 3, 3
-	programs := 200
-	if testing.Short() {
-		programs = 40
-	}
-	ctx := context.Background()
-	for seed := 0; seed < programs; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(1000 + seed)))
-			prog := gen.RandomOrderedDatalog(rng, comps, nconst)
-			shadow := cloneShadow(t, prog)
-			// Alternate the trigger per seed: count-driven, ratio-driven,
-			// or explicit-only, so all three compaction paths see churn.
-			cfg := core.Config{}
-			switch seed % 3 {
-			case 0:
-				cfg.CompactEvery = 2 + rng.Intn(3)
-			case 1:
-				cfg.CompactRatio = 0.01
-			}
-			eng, err := core.NewEngineCtx(context.Background(), prog, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			names := make([]string, len(prog.Components))
-			for i, c := range prog.Components {
-				names[i] = c.Name
-			}
-			var history []string
-			var snap *core.Snapshot
-			var fresh *core.Engine
-			nops := 4 + rng.Intn(4)
-			for op := 0; op < nops; op++ {
-				o := randomOp(rng, comps, nconst)
-				history = append(history, o.String())
-				if o.retract {
-					snap, err = eng.Retract(ctx, names[o.comp], []ast.Literal{o.lit})
-				} else {
-					snap, err = eng.Update(ctx, names[o.comp], []ast.Literal{o.lit})
-				}
-				if err != nil {
-					t.Fatalf("after %v: %v", history, err)
-				}
-				if rng.Intn(3) == 0 {
-					history = append(history, "compact")
-					snap, err = eng.Compact(ctx)
-					if err != nil {
-						t.Fatalf("after %v: %v", history, err)
-					}
-					if n := snap.NumDeadRules(); n != 0 {
-						t.Fatalf("after %v: %d dead rules survived compaction", history, n)
-					}
-				}
-				applyShadowOp(shadow, o)
-				fresh, err = core.NewEngineCtx(context.Background(), cloneShadow(t, shadow), core.Config{})
-				if err != nil {
-					t.Fatalf("shadow rebuild after %v: %v", history, err)
-				}
-				for _, name := range names {
-					got, err := snap.LeastModelCtx(context.Background(), name)
-					if err != nil {
-						t.Fatalf("after %v, comp %s: %v", history, name, err)
-					}
-					if same, rebuilt, err := snap.SameAsRebuild(name, got); err != nil || !same {
-						t.Fatalf("after %v in %s: memoised model %s, rebuilt over the snapshot %s (err %v)",
-							history, name, got, rebuilt, err)
-					}
-					want, err := fresh.LeastModelCtx(context.Background(), name)
-					if err != nil {
-						t.Fatalf("after %v, comp %s (fresh): %v", history, name, err)
-					}
-					if got.String() != want.String() {
-						t.Fatalf("least model diverged after %v in %s:\ncompacting: %s\nrebuild:    %s",
-							history, name, got, want)
-					}
-				}
-			}
-			if snap == nil {
-				return
-			}
-			// A final compaction, then the enumeration semantics too.
-			snap, err = eng.Compact(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := snap.NumDeadRules(); n != 0 {
-				t.Fatalf("final compaction left %d dead rules", n)
-			}
-			for _, name := range names {
-				gotAF, errG := snap.AssumptionFreeModelsCtx(context.Background(), name, stable.Options{})
-				wantAF, errW := fresh.AssumptionFreeModelsCtx(context.Background(), name, stable.Options{})
-				if g, w := diffModelSet(t, gotAF, errG), diffModelSet(t, wantAF, errW); g != w {
-					t.Fatalf("AF models diverged after %v in %s:\ncompacting: %s\nrebuild:    %s",
-						history, name, g, w)
-				}
-				gotSt, errG := snap.StableModelsCtx(context.Background(), name, stable.Options{})
-				wantSt, errW := fresh.StableModelsCtx(context.Background(), name, stable.Options{})
-				if g, w := diffModelSet(t, gotSt, errG), diffModelSet(t, wantSt, errW); g != w {
-					t.Fatalf("stable models diverged after %v in %s:\ncompacting: %s\nrebuild:    %s",
-						history, name, g, w)
-				}
-			}
-		})
-	}
-}
 
 // Count-driven compaction must bound the carried history under toggle
 // churn: asserting and retracting the same fact forever collapses to at
@@ -241,40 +123,6 @@ func TestCompactSameVersionAndMemoryFloor(t *testing.T) {
 	}
 	if next.Version() != snap.Version()+1 {
 		t.Fatalf("post-compact update published v%d, want v%d", next.Version(), snap.Version()+1)
-	}
-}
-
-// On a durable engine the compaction floor is not an eviction horizon:
-// versions below memBase fall through to the WAL and reconstruct from
-// checkpoint + replay.
-func TestCompactAsOfFallsThroughToWAL(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	eng, err := core.NewEngineCtx(ctx, tenantProgram(t, "a"), core.Config{CompactEvery: 2},
-		core.WithDurability(dir), core.WithDurableName("tn"),
-		core.WithCheckpointEvery(1), core.WithSync(wal.SyncAlways))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	want := []string{leastStr(t, eng.Current())}
-	for i := 0; i < 6; i++ {
-		snap, err := eng.Update(ctx, "main", []ast.Literal{lit(t, fmt.Sprintf("p(x%d)", i))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, leastStr(t, snap))
-	}
-	// CompactEvery=2 has advanced the floor past the early versions; every
-	// one of them must still read identically through the disk path.
-	for v := uint64(0); v <= 6; v++ {
-		snap, err := eng.AsOfCtx(ctx, v)
-		if err != nil {
-			t.Fatalf("AsOf(%d) on compacting durable engine: %v", v, err)
-		}
-		if got := leastStr(t, snap); got != want[v] {
-			t.Fatalf("AsOf(%d) diverged:\n%s\nwant:\n%s", v, got, want[v])
-		}
 	}
 }
 

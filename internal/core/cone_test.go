@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -205,57 +204,6 @@ func TestPinnedSnapshotKeepsItsHerbrandBase(t *testing.T) {
 			check()
 		})
 	}
-}
-
-// Readers deriving models from cones race a writer that carries them
-// forward: whichever of them computes a version's model first, every
-// version's model equals its rebuild.
-func TestConeConcurrentReadersAndWriter(t *testing.T) {
-	e, err := NewEngineCtx(context.Background(), mustProgram(t, policySource(40)), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s := e.Current()
-				m, err := s.LeastModelCtx(context.Background(), "exc")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if same, rebuilt, err := s.SameAsRebuild("exc", m); err != nil || !same {
-					t.Errorf("v%d: model %s, rebuilt %s (err %v)", s.Version(), m, rebuilt, err)
-					return
-				}
-			}
-		}()
-	}
-	ctx := context.Background()
-	live := make([]bool, 8)
-	for i := 0; i < 200; i++ {
-		k := (i * 5) % len(live)
-		write := e.Update
-		if live[k] {
-			write = e.Retract
-		}
-		live[k] = !live[k]
-		if _, err := write(ctx, "exc", []ast.Literal{lit(t, fmt.Sprintf("bad(c%d)", k))}); err != nil {
-			t.Error(err)
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // BenchmarkWriteThenRead is a read after a write on the policy tenant, with

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/ground"
 	"repro/internal/interp"
 	"repro/internal/obs"
-	"repro/internal/oracle/gen"
 	"repro/internal/parser"
 )
 
@@ -70,56 +68,6 @@ func mustProgram(tb testing.TB, src string) *ast.OrderedProgram {
 		tb.Fatal(err)
 	}
 	return p
-}
-
-// The cut keeps only instances the magic-set slice of the same goal keeps:
-// both close the goal's demand under bodies, complements and competitors,
-// and the cut does so on instances, which is never coarser than the
-// predicate-level adornment. Checked over the seeded corpus and the read
-// tenant, whose reach goals are the degraded-SIP shape the magic slice
-// grounds unrestricted.
-func TestCutWithinMagicSlice(t *testing.T) {
-	ctx := context.Background()
-	check := func(t *testing.T, prog *ast.OrderedProgram, goals []string) {
-		t.Helper()
-		e, err := NewEngineCtx(ctx, prog, Config{GoalDirected: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := e.Current()
-		for _, g := range goals {
-			goal := parseGoal(t, g).Body
-			cut, err := s.cutSlice(ctx, goal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := ground.DefaultOptions()
-			opts.Goal = goal
-			magic, err := ground.GroundCtx(ctx, prog, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := renderRules(magic, magic.Rules, nil)
-			for r := range renderRules(cut, cut.Rules, nil) {
-				if !want[r] {
-					t.Errorf("goal %s: cut instance %q is not in the magic slice", g, r)
-				}
-			}
-		}
-	}
-	programs := 200
-	if testing.Short() {
-		programs = 40
-	}
-	for seed := 0; seed < programs; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		check(t, gen.RandomOrderedDatalog(rng, 3, 3), []string{
-			"p0(c0)", "p1(X)", "-p1(c1)", "e(c0, X)", "p0(X), e(X, Y)", "e(X, c1)", "-p2(X)",
-		})
-	}
-	check(t, mustProgram(t, readsSource(40, 16)), []string{
-		"path(c3, X)", "path(c3, c9)", "path(c3, X), edge(X, Y)", "reach(h2, X)", "reach(h2, h9)", "-path(c3, c20)",
-	})
 }
 
 // closureOracle is the cut's definition computed the slow way: repeat
@@ -183,80 +131,6 @@ func sameSet(a, b map[string]bool) (string, bool) {
 	}
 	sort.Strings(diff)
 	return strings.Join(diff, "\n"), len(diff) == 0
-}
-
-// After asserts and retracts the cut is exactly the closure over the
-// snapshot's live instances: retracted instances (the dead set) are never
-// cut, appended ones always are. Run twice: with the occurrence index
-// started on the first version, so later versions extend it, and started
-// on the last, so earlier versions cut from an index covering instances
-// they do not pin.
-func TestCutMatchesClosureAfterWrites(t *testing.T) {
-	for _, indexFirst := range []bool{true, false} {
-		t.Run(fmt.Sprintf("indexFirst=%v", indexFirst), func(t *testing.T) {
-			cutAfterWrites(t, indexFirst)
-		})
-	}
-}
-
-func cutAfterWrites(t *testing.T, indexFirst bool) {
-	ctx := context.Background()
-	e, err := NewEngineCtx(ctx, mustProgram(t, readsSource(12, 6)), Config{GoalDirected: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	goals := []string{"path(c2, X)", "path(X, c13)", "path(c2, c13)", "-path(X, Y)", "reach(h1, X)", "path(c0, X), hop(X, Y)", "nosuch(X)"}
-	facts := func(s string) []ast.Literal { return []ast.Literal{lit(t, s)} }
-	snaps := []*Snapshot{e.Current()}
-	step := func(s *Snapshot, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, s)
-	}
-	first := snaps[0]
-	x := first.index
-	if indexFirst {
-		if _, err := first.cutSlice(ctx, parseGoal(t, goals[0]).Body); err != nil {
-			t.Fatal(err)
-		}
-		if n := int(x.heads.Load()); n != len(first.rules) {
-			t.Fatalf("the first cut indexed %d instances, want the %d its version pins", n, len(first.rules))
-		}
-	}
-	step(e.Update(ctx, "base", facts("edge(c12, c13)")))
-	step(e.Update(ctx, "exc", facts("edge(c4, c13)")))
-	step(e.Retract(ctx, "base", facts("edge(c5, c6)")))
-	step(e.Retract(ctx, "base", facts("edge(c12, c13)")))
-	step(e.Update(ctx, "base", facts("edge(c12, c13)")))
-	step(e.Update(ctx, "base", facts("hop(h6, c1)")))
-	last := snaps[len(snaps)-1]
-	if len(last.rules) <= len(first.rules) {
-		t.Fatal("the writes appended no instance: the extension path went untested")
-	}
-	for i := range snaps {
-		s := snaps[len(snaps)-1-i] // newest first: without indexFirst it starts the index
-		if s.index != x {
-			t.Fatalf("v%d cuts with its own index, not its ground program's", s.version)
-		}
-		if s == first && !indexFirst && int(x.heads.Load()) <= len(first.rules) {
-			t.Error("the first version's index covers no instance past its prefix: the skip path went untested")
-		}
-		for _, g := range goals {
-			goal := parseGoal(t, g).Body
-			cut, err := s.cutSlice(ctx, goal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff, ok := sameSet(renderRules(cut, cut.Rules, nil), closureOracle(s, goal)); !ok {
-				t.Errorf("v%d goal %s: cut differs from the closure oracle (+ cut only, - oracle only):\n%s", s.version, g, diff)
-			}
-		}
-	}
-	if n := int(x.heads.Load()); n != len(last.rules) {
-		t.Errorf("the index covers %d instances after every version cut, want the newest version's %d", n, len(last.rules))
-	}
 }
 
 // The occurrence index belongs to the ground program, not to the version:

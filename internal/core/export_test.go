@@ -56,3 +56,6 @@ func (s *Snapshot) liveComps() []int32 {
 
 // AppendJSON appends the answers' encoding (Answers.JSON) to buf.
 func (a *Answers) AppendJSON(buf []byte) []byte { return append(buf, a.JSON()...) }
+
+// CopyDirTo copies the files of a durability directory.
+func CopyDirTo(src, dst string) error { return copyDirTo(src, dst) }

@@ -241,12 +241,13 @@ func sliceView(st *compState, gp *ground.Program, i int) *eval.View {
 // it. Then the entry's answer set answers when it was produced for the
 // same component and query text; otherwise the query runs on the model and
 // its answers replace the entry's, unless they have more rows than the
-// model's ground program has rules. A query that one body literal
-// determines has no more rows than that literal has true instances, each
-// the head of a rule, so what is left unkept is a cross product or a join
-// as wide. The cache key ignores variable names and literal order and the
-// answers do not, hence the text. Nothing that fails reaches the slot: a
-// model that did not resolve returns above, and Model.Answers cannot fail.
+// model's ground program has rules at this version (ruleBound). A query
+// that one body literal determines has no more rows than that literal has
+// true instances, each the head of a rule, so what is left unkept is a
+// cross product or a join as wide. The cache key ignores variable names
+// and literal order and the answers do not, hence the text. Nothing that
+// fails reaches the slot: a model that did not resolve returns above, and
+// Model.Answers cannot fail.
 func (s *Snapshot) answersGoalDirected(ctx context.Context, comp string, q ast.Query) (*Answers, error) {
 	i, err := s.resolve(comp)
 	if err != nil {
@@ -265,13 +266,24 @@ func (s *Snapshot) answersGoalDirected(ctx context.Context, comp string, q ast.Q
 	}
 	a := m.Answers(q)
 	a.text, a.comp = text, i
-	if a.n <= len(m.gp.Rules) {
+	if a.n <= s.ruleBound(m, gs, i) {
 		gs.answers.Store(a)
 	}
 	if obs.On() {
 		mAnswerMemoMisses.Inc()
 	}
 	return a, nil
+}
+
+// ruleBound is the rule count an answer set kept for the entry is bounded
+// by, fixed at this version: a slice's own rules, or, for the component's
+// model, the prefix of the shared ground program this snapshot pins — the
+// program's Rules header is republished by every later write.
+func (s *Snapshot) ruleBound(m *Model, gs *goalSlice, i int) int {
+	if gs.routed == i {
+		return len(s.rules)
+	}
+	return len(m.gp.Rules)
 }
 
 // goalModel resolves the model the goal's cache entry answers from in

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -49,151 +48,6 @@ func reordered(q ast.Query) ast.Query {
 		out.Body[len(q.Body)-1-i] = l
 	}
 	return out
-}
-
-// TestAnswerMemoDifferential: a goal-directed engine, whose cache entries
-// keep the answer set they produced and its encoding, answers every
-// request byte for byte as a non-goal-directed engine does — the rendered
-// query and the encoded rows. Each seeded run asks a small hot set of
-// goals over and over, in every component, under variable renamings and
-// literal reorderings (one cache entry, different answers), on the tip and
-// on pinned versions, between asserts and retracts that add fresh
-// constants and reground; four concurrent readers share each version's
-// memo, so the first encoding races later hits under -race.
-func TestAnswerMemoDifferential(t *testing.T) {
-	seeds := []int64{0, 25, 50, 75, 100, 125, 150, 175}
-	if testing.Short() {
-		seeds = seeds[:3]
-	}
-	before := obs.Default().Snap()
-	for _, seed := range []int64{1, 2} {
-		t.Run(fmt.Sprintf("reads/seed%d", seed), func(t *testing.T) { memoDifferential(t, readsRouteCase(t), seed) })
-		t.Run(fmt.Sprintf("policy/seed%d", seed), func(t *testing.T) { memoDifferential(t, policyRouteCase(t), seed) })
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("corpus/seed%03d", seed), func(t *testing.T) { memoDifferential(t, corpusRouteCase(t, seed), seed) })
-	}
-	d := obs.Default().Snap().Diff(before)
-	if d["core.answers.memo.hits"] == 0 || d["core.answers.memo.misses"] == 0 {
-		t.Errorf("core.answers.memo.{hits,misses} moved by %d, %d: the memo went untested",
-			d["core.answers.memo.hits"], d["core.answers.memo.misses"])
-	}
-}
-
-func memoDifferential(t *testing.T, c routeCase, seed int64) {
-	const readers, phases, hot, reads = 4, 6, 6, 48
-	ctx := context.Background()
-	gd, err := NewEngineCtx(ctx, c.prog, Config{GoalDirected: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := NewEngineCtx(ctx, c.prog, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	type pair struct{ gd, full *Snapshot }
-	pairs := []pair{{gd.Current(), full.Current()}}
-	var history []string
-
-	response := func(s *Snapshot, comp string, q ast.Query) (string, error) {
-		a, err := s.AnswersCtx(ctx, comp, q)
-		if err != nil {
-			return "", err
-		}
-		return a.Query() + " " + string(a.AppendJSON(nil)), nil
-	}
-	type read struct {
-		at   int
-		comp string
-		q    ast.Query
-	}
-	check := func(r read) error {
-		p := pairs[r.at]
-		got, err := response(p.gd, r.comp, r.q)
-		if err != nil {
-			return err
-		}
-		want, err := response(p.full, r.comp, r.q)
-		if err != nil {
-			return err
-		}
-		if got != want {
-			return fmt.Errorf("after %v, v%d in %s: goal-directed %s, full model %s", history, p.gd.Version(), r.comp, got, want)
-		}
-		return nil
-	}
-	run := func(rs []read) {
-		t.Helper()
-		var wg sync.WaitGroup
-		errs := make(chan error, readers)
-		for w := 0; w < readers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(rs); i += readers {
-					if err := check(rs[i]); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
-	}
-	// Each phase draws a hot set from the pool and asks it reads times: a
-	// goal as written most often, renamed or reordered otherwise, in any
-	// component, on the tip three times in four.
-	phase := func() []read {
-		set := rng.Perm(len(c.goals))[:min(hot, len(c.goals))]
-		rs := make([]read, reads)
-		for i := range rs {
-			q := c.goals[set[rng.Intn(len(set))]]
-			switch rng.Intn(6) {
-			case 0:
-				q = renamed(q)
-			case 1:
-				q = reordered(q)
-			case 2:
-				q = reordered(renamed(q))
-			}
-			at := len(pairs) - 1
-			if rng.Intn(4) == 0 {
-				at = rng.Intn(len(pairs))
-			}
-			rs[i] = read{at, c.comps[rng.Intn(len(c.comps))], q}
-		}
-		return rs
-	}
-
-	run(phase())
-	for p := 0; p < phases; p++ {
-		w := c.writes[rng.Intn(len(c.writes))]
-		write, verb := (*Engine).Update, "assert"
-		if rng.Intn(3) == 0 {
-			write, verb = (*Engine).Retract, "retract"
-		}
-		history = append(history, verb+" "+w.comp+" "+w.fact.String())
-		sf, err := write(full, ctx, w.comp, []ast.Literal{w.fact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sg, err := write(gd, ctx, w.comp, []ast.Literal{w.fact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sg.Version() != sf.Version() {
-			t.Fatalf("after %v: versions diverged, v%d and v%d", history, sg.Version(), sf.Version())
-		}
-		if sg.Version() != pairs[len(pairs)-1].gd.Version() {
-			pairs = append(pairs, pair{sg, sf})
-		}
-		run(phase())
-	}
 }
 
 // TestHotGoalAllocs pins the allocations of an answer-memo hit on the read

@@ -7,244 +7,13 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/interrupt"
 	"repro/internal/obs"
-	"repro/internal/oracle/gen"
 )
-
-// routeWrite is one fact a route differential may assert or retract.
-type routeWrite struct {
-	comp string
-	fact ast.Literal
-}
-
-// routeCase is one program of the route differential: the components its
-// goals are asked in, a pool of goals larger than a slice cache, and the
-// facts its writes draw from, fresh constants among them.
-type routeCase struct {
-	prog   *ast.OrderedProgram
-	comps  []string
-	goals  []ast.Query
-	writes []routeWrite
-}
-
-func readsRouteCase(t *testing.T) routeCase {
-	c := routeCase{prog: mustProgram(t, readsSource(40, 20)), comps: []string{"exc", "base"}}
-	for a := 0; a < 40; a += 2 {
-		for _, g := range []string{"path(c%[1]d, X)", "path(c%[1]d, c%[2]d)", "path(c%[1]d, X), edge(X, Y)", "reach(h%[3]d, X)"} {
-			c.goals = append(c.goals, parseGoal(t, fmt.Sprintf(g, a, a+1+a%7, a/2)))
-		}
-	}
-	c.goals = append(c.goals, parseGoal(t, "-path(X, c20)"), parseGoal(t, "path(X, c9)"), parseGoal(t, "-reach(X, h10)"))
-	for i := 0; i < 12; i++ {
-		// c41 and h21 are fresh: asserting over them grows the universe,
-		// retracting the last fact over them regrounds.
-		c.writes = append(c.writes,
-			routeWrite{"base", lit(t, fmt.Sprintf("edge(c%d, c%d)", 3*i, 41-i%3))},
-			routeWrite{"base", lit(t, fmt.Sprintf("hop(h%d, h%d)", i, 21-i%2))},
-			routeWrite{"exc", lit(t, fmt.Sprintf("edge(c%d, c20)", 2*i))})
-	}
-	return c
-}
-
-func policyRouteCase(t *testing.T) routeCase {
-	const kb = 30
-	c := routeCase{prog: mustProgram(t, policySource(kb)), comps: []string{"exc", "policy"}}
-	for k := 0; k < kb+2; k++ {
-		for _, g := range []string{"ok(c%d)", "-ok(c%d)"} {
-			c.goals = append(c.goals, parseGoal(t, fmt.Sprintf(g, k)))
-		}
-		c.writes = append(c.writes, routeWrite{"exc", lit(t, fmt.Sprintf("bad(c%d)", k))})
-	}
-	c.goals = append(c.goals, parseGoal(t, "ok(X)"), parseGoal(t, "-ok(X)"), parseGoal(t, "bad(X)"), parseGoal(t, "p(X)"))
-	for k := kb; k < kb+2; k++ { // fresh constants
-		c.writes = append(c.writes, routeWrite{"kb", lit(t, fmt.Sprintf("p(c%d)", k))})
-	}
-	return c
-}
-
-// corpusRouteCase covers every instance of a generated program with its
-// unbound goals, so a sweep of the pool always reaches the line.
-func corpusRouteCase(t *testing.T, seed int64) routeCase {
-	const comps, nconst = 3, 3
-	c := routeCase{prog: gen.RandomOrderedDatalog(rand.New(rand.NewSource(seed)), comps, nconst)}
-	for _, comp := range c.prog.Components {
-		c.comps = append(c.comps, comp.Name)
-	}
-	add := func(format string, args ...any) {
-		c.goals = append(c.goals, parseGoal(t, fmt.Sprintf(format, args...)))
-	}
-	add("e(X, Y)")
-	for k := 0; k < 4; k++ {
-		add("p%d(X)", k)
-		add("-p%d(X)", k)
-		add("p%d(X), e(X, Y)", k)
-		for i := 0; i < nconst+2; i++ {
-			add("p%d(c%d)", k, i)
-			add("-p%d(c%d)", k, i)
-		}
-	}
-	for i := 0; i < nconst+2; i++ {
-		add("e(c%d, X)", i)
-		add("e(X, c%d)", i)
-		for _, comp := range c.comps {
-			c.writes = append(c.writes,
-				routeWrite{comp, lit(t, fmt.Sprintf("e(c%d, c%d)", i, (i+1)%(nconst+2)))},
-				routeWrite{comp, lit(t, fmt.Sprintf("p%d(c%d)", i%4, i))},
-				routeWrite{comp, lit(t, fmt.Sprintf("-p%d(c%d)", (i+1)%4, i))}) // a negative fact regrounds
-		}
-	}
-	return c
-}
-
-// A goal-directed engine answers every goal exactly as a full-model engine
-// does and exactly as the goal's cut does, on every version, whether its
-// misses cut or route to the component's model. Each seeded run sweeps
-// the goal pool over the first version, then alternates writes —
-// asserts, retracts, fresh constants, reground fallbacks — with a sweep of
-// the new version and reads of versions pinned earlier, from four
-// concurrent readers. A sweep cuts past the line, so every version it
-// reads switches to the model, and after each write the child cuts again
-// until it crosses and derives its model from the write's carry. The
-// oracles are a non-goal-directed engine taking the same writes and the
-// cut path called directly on that engine's snapshots.
-func TestGoalRouteDifferential(t *testing.T) {
-	seeds := []int64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150, 160, 170, 180, 190}
-	if testing.Short() {
-		seeds = seeds[:5]
-	}
-	for _, seed := range []int64{1, 2, 3} {
-		t.Run(fmt.Sprintf("reads/seed%d", seed), func(t *testing.T) { routeDifferential(t, readsRouteCase(t), seed) })
-		t.Run(fmt.Sprintf("policy/seed%d", seed), func(t *testing.T) { routeDifferential(t, policyRouteCase(t), seed) })
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("corpus/seed%03d", seed), func(t *testing.T) { routeDifferential(t, corpusRouteCase(t, seed), seed) })
-	}
-}
-
-// routeRead is one read of a differential phase: a goal in a component on
-// the version at position at of the published pairs.
-type routeRead struct {
-	at   int
-	comp string
-	q    ast.Query
-}
-
-func routeDifferential(t *testing.T, c routeCase, seed int64) {
-	const readers, phases, pinnedReads = 4, 6, 12
-	ctx := context.Background()
-	gd, err := NewEngineCtx(ctx, c.prog, Config{GoalDirected: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := NewEngineCtx(ctx, c.prog, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	type pair struct{ gd, full *Snapshot }
-	pairs := []pair{{gd.Current(), full.Current()}}
-	var history []string
-
-	answer := func(s *Snapshot, r routeRead, cut bool) (string, error) {
-		var a *Answers
-		var err error
-		if cut {
-			a, err = s.cutAnswers(ctx, r.comp, r.q)
-		} else {
-			a, err = s.AnswersCtx(ctx, r.comp, r.q)
-		}
-		return string(a.AppendJSON(nil)), err
-	}
-	check := func(r routeRead) error {
-		p := pairs[r.at]
-		got, err := answer(p.gd, r, false)
-		if err != nil {
-			return err
-		}
-		want, err := answer(p.full, r, false)
-		if err != nil {
-			return err
-		}
-		cut, err := answer(p.full, r, true)
-		if err != nil {
-			return err
-		}
-		if got != want || cut != want {
-			return fmt.Errorf("after %v, v%d %s in %s: goal-directed %s, full model %s, cut %s",
-				history, p.gd.Version(), r.q, r.comp, got, want, cut)
-		}
-		return nil
-	}
-	// run splits the reads over the concurrent readers.
-	run := func(reads []routeRead) {
-		t.Helper()
-		var wg sync.WaitGroup
-		errs := make(chan error, readers)
-		for w := 0; w < readers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(reads); i += readers {
-					if err := check(reads[i]); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
-	}
-	sweep := func() []routeRead {
-		comp := c.comps[rng.Intn(len(c.comps))]
-		reads := make([]routeRead, 0, len(c.goals)+pinnedReads)
-		for _, g := range rng.Perm(len(c.goals)) {
-			reads = append(reads, routeRead{len(pairs) - 1, comp, c.goals[g]})
-		}
-		for i := 0; i < pinnedReads; i++ {
-			reads = append(reads, routeRead{rng.Intn(len(pairs)), c.comps[rng.Intn(len(c.comps))], c.goals[rng.Intn(len(c.goals))]})
-		}
-		return reads
-	}
-
-	before := obs.Default().Snap()
-	run(sweep())
-	for phase := 0; phase < phases; phase++ {
-		w := c.writes[rng.Intn(len(c.writes))]
-		write, verb := (*Engine).Update, "assert"
-		if rng.Intn(3) == 0 {
-			write, verb = (*Engine).Retract, "retract"
-		}
-		history = append(history, verb+" "+w.comp+" "+w.fact.String())
-		sf, err := write(full, ctx, w.comp, []ast.Literal{w.fact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sg, err := write(gd, ctx, w.comp, []ast.Literal{w.fact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sg.Version() != sf.Version() {
-			t.Fatalf("after %v: versions diverged, v%d and v%d", history, sg.Version(), sf.Version())
-		}
-		if sg.Version() != pairs[len(pairs)-1].gd.Version() {
-			pairs = append(pairs, pair{sg, sf})
-		}
-		run(sweep())
-	}
-	if n := obs.Default().Snap().Diff(before)["core.route.switches"]; n < 1 {
-		t.Errorf("no version crossed the line (core.route.switches = %d): the route went untested", n)
-	}
-}
 
 // coldSweep is the serving benchmark's query-cold sweep on the read tenant
 // readsSource(n, m): n goals, one in five reach-anchored, four in five

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -154,69 +153,6 @@ func TestFailedUpdateLeavesHistory(t *testing.T) {
 	if holdsIn(t, v3, "policy", "ok(a)") || !holdsIn(t, v3, "policy", "ok(c)") {
 		t.Fatal("the retried retract did not take effect")
 	}
-}
-
-// Readers reconstructing past versions race a writer that crosses the
-// compaction cadence several times. Run under -race: the history a
-// reader cuts a prefix of is one the writer only ever extends past it.
-func TestAsOfRacesWriter(t *testing.T) {
-	const writes, readers = 24, 4
-	e := writePathEngine(t, Config{CompactEvery: 4})
-	ctx := context.Background()
-	x := []ast.Literal{lit(t, "p(x)")}
-	okX := lit(t, "ok(x)")
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				cur := e.Current()
-				_ = cur.NumLogEvents()
-				for v := uint64(1); v <= cur.Version(); v++ {
-					s, err := e.AsOfCtx(ctx, v)
-					if errors.Is(err, ErrVersionEvicted) {
-						continue
-					}
-					if err != nil {
-						t.Errorf("AsOf(%d): %v", v, err)
-						return
-					}
-					_ = s.NumLogEvents()
-					m, err := s.LeastModelCtx(ctx, "policy")
-					if err != nil {
-						t.Errorf("AsOf(%d) least model: %v", v, err)
-						return
-					}
-					// Odd versions assert p(x), even ones retract it.
-					if got, want := m.Holds(okX), v%2 == 1; got != want {
-						t.Errorf("AsOf(%d): ok(x) = %v, want %v", v, got, want)
-						return
-					}
-				}
-			}
-		}()
-	}
-	for i := 1; i <= writes; i++ {
-		var err error
-		if i%2 == 1 {
-			_, err = e.Update(ctx, "kb", x)
-		} else {
-			_, err = e.Retract(ctx, "kb", x)
-		}
-		if err != nil {
-			t.Errorf("write %d: %v", i, err)
-			break
-		}
-	}
-	close(done)
-	wg.Wait()
 }
 
 // A cheap write allocates the same whatever the length of the history

@@ -552,3 +552,35 @@ module exc extends base { -q(X) :- e(X, Y). }
 		}
 	}
 }
+
+// An assert can make fireable an instance that an earlier competitor pass
+// emitted and no pass registered as a target: p1(c1) in m0 fires
+// -p3(c0) :- e(c0, c1), p1(c1), a competitor of m1's target p3(c0) until
+// then. A rebuild's fireable pass registers it, so its own competitors —
+// p3(c0)'s instances in m0, which defeat it — must be emitted too.
+func TestDeltaRegistersCompetitorInstances(t *testing.T) {
+	const src = `
+module m0 { e(c1, c2). p1(c0). e(c2, c0). p0(c1).
+  p3(X) :- e(X, Y), -p1(Y). p3(X) :- e(X, Y), p2(Y). -p3(X) :- e(X, Y), p1(Y). }
+module m1 { e(c2, c1). p3(c2). e(c2, c2).
+  -p1(X) :- e(X, Y), p1(Y). p3(X) :- e(X, Y), -p3(Y). -p3(X) :- e(X, Y), -p2(Y). }
+module m2 { e(c0, c1). -p3(c1). e(c2, c0). p0(c0).
+  -p3(X) :- e(X, Y), p2(Y). p1(X) :- e(X, Y), -p0(Y). p1(X) :- e(X, Y), -p2(Y). }
+order m0 < m2.
+order m1 < m2.
+`
+	gp, err := ground.GroundCtx(context.Background(), mustProgram(t, src), ground.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gp.AssertFacts(context.Background(), 0, mustLits(t, "p1(c1)")); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := ground.GroundCtx(context.Background(), mustProgram(t, strings.Replace(src, "p0(c1).", "p0(c1). p1(c1).", 1)), ground.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffSets(instanceSet(gp, nil), instanceSet(fresh, nil)); d != "" {
+		t.Fatalf("after assert p1(c1) the maintained program differs from a rebuild:\n%s", d)
+	}
+}

@@ -688,12 +688,18 @@ func (g *grounder) poll() error {
 
 // record retains the instance head <- body of component comp, from source
 // rule src whose head predicate is pid, unless a duplicate was seen, and
-// registers its head as a competitor-pass target while registering. top is
-// the instance's largest atom id: atom ids are dense, so the atom table
-// outgrew its budget exactly when some instance holds an id past it.
+// registers its head as a competitor-pass target while registering — a
+// duplicate too: a delta pass can find fireable an instance an earlier
+// competitor pass emitted, which no pass registered, and a rebuild's
+// fireable pass would register it. top is the instance's largest atom id:
+// atom ids are dense, so the atom table outgrew its budget exactly when
+// some instance holds an id past it.
 func (g *grounder) record(comp int, head interp.Lit, body []interp.Lit, src *ast.Rule, pid int32, top interp.AtomID) error {
 	h := instanceHash(comp, head, body)
 	if _, dup := g.findInstance(h, comp, head, body); dup {
+		if g.registering {
+			g.register(head, int32(comp), pid)
+		}
 		return nil
 	}
 	g.appendInstance(h, Rule{Head: head, Body: g.keepBody(body), Comp: int32(comp), Src: src})

@@ -48,10 +48,18 @@ type Refutation struct {
 // subproofs make the tree a DAG; rendering elides repeats. The stage
 // computation polls the context once per round.
 func ExplainCtx(ctx context.Context, v *eval.View, l interp.Lit) (*Tree, bool, error) {
-	stages, err := stagesOf(ctx, v)
+	stages, err := stagesOf(ctx, v, l)
 	if err != nil {
 		return nil, false, err
 	}
+	return explainFrom(v, l, stages)
+}
+
+// explainFrom builds the tree of l from stages that hold every literal
+// entering the fixpoint up to l's stage. build and earlyBlocker read only
+// literals staged strictly below their goal's, so stages past l's change
+// nothing.
+func explainFrom(v *eval.View, l interp.Lit, stages map[interp.Lit]int) (*Tree, bool, error) {
 	if _, ok := stages[l]; !ok {
 		return nil, false, nil
 	}
@@ -106,9 +114,10 @@ func ExplainCtx(ctx context.Context, v *eval.View, l interp.Lit) (*Tree, bool, e
 	return t, err == nil, err
 }
 
-// stagesOf computes, for every literal of lfp(V), the V iteration at
-// which it first appears (1-based).
-func stagesOf(ctx context.Context, v *eval.View) (map[interp.Lit]int, error) {
+// stagesOf computes, for every literal of lfp(V) up to the goal's stage,
+// the V iteration at which it first appears (1-based): it stops after the
+// round the goal enters, or at the fixpoint when the goal never does.
+func stagesOf(ctx context.Context, v *eval.View, goal interp.Lit) (map[interp.Lit]int, error) {
 	stages := make(map[interp.Lit]int)
 	cur := v.NewInterp()
 	for round := 1; ; round++ {
@@ -126,7 +135,7 @@ func stagesOf(ctx context.Context, v *eval.View) (map[interp.Lit]int, error) {
 				changed = true
 			}
 		}
-		if !changed {
+		if _, done := stages[goal]; done || !changed {
 			return stages, nil
 		}
 		next.UnionWith(cur)
