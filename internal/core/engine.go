@@ -249,10 +249,10 @@ func partialEnumErr(err error) bool {
 	return errors.Is(err, stable.ErrBudget) || errors.Is(err, interrupt.ErrInterrupted)
 }
 
-func wrapModels(v *eval.View, ms []*interp.Interp) []*Model {
+func wrapModels(v *eval.View, ms []*interp.Interp, rules int) []*Model {
 	out := make([]*Model, len(ms))
 	for i, m := range ms {
-		out[i] = newModel(v, m)
+		out[i] = newModel(v, m, rules)
 	}
 	return out
 }

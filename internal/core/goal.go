@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/eval"
@@ -30,19 +30,14 @@ import (
 // does (DESIGN §12). A proof of a ground literal is the one-literal goal's
 // lookup: it routes, tallies and shares entries as that query does.
 //
-// The answer memo: an entry keeps the answer set it last produced, keyed
-// by the component and the rendered query text — not the binding pattern,
-// which ignores the variable names and literal order the answers depend
-// on — and the answer set keeps its JSON encoding once built. A snapshot's
-// models never change, so a kept answer set stays exact for as long as its
-// entry lives, and a write's fresh snapshot starts with no entries. An
-// entry keeps only an answer set with no more rows than the ground program
-// it was read from has rules, so the memo holds no more than a share of
-// what its model already holds: a cross product over large relations is
-// answered and dropped. A repeated goal resolves its model as before, which
-// keeps every counter's meaning, and then answers from the kept bytes.
+// goalModel is the one place a read chooses its model: the entry's model
+// here, the component's least model on the default engine. Either model
+// keeps the answer sets it produced (query.go), so a repeated goal resolves
+// its model as before, which keeps every counter's meaning, and then
+// answers from the model's kept bytes.
 
-// sliceCacheSize bounds the number of per-goal slices one snapshot keeps.
+// sliceCacheSize bounds the number of per-goal slices one snapshot keeps,
+// and the number of answer sets one model keeps.
 const sliceCacheSize = 32
 
 // sliceCache is the per-snapshot LRU of goal slices. The zero value is
@@ -70,12 +65,6 @@ type goalSlice struct {
 	// toward the snapshot's line. A hit answers from what the miss set.
 	routed int
 	gp     lazyCell[*ground.Program]
-
-	// answers is the answer set the entry last kept, keyed by its
-	// component and rendered query text (Answers.comp, Answers.text): one
-	// slot, replaced by the next answer miss on the entry that is small
-	// enough to keep.
-	answers atomic.Pointer[Answers]
 
 	mu    sync.Mutex
 	comps map[int]*compState
@@ -115,7 +104,9 @@ func (s *Snapshot) goalSliceFor(goal []ast.Literal, ask int) (*goalSlice, bool) 
 			mSliceEvictions.Inc()
 		}
 	}
-	gs := &goalSlice{goal: goal, routed: -1}
+	// The entry keeps its own copy of the goal, so that a caller's goal
+	// does not escape: a proof's one-literal goal stays on its stack.
+	gs := &goalSlice{goal: slices.Clone(goal), routed: -1}
 	if s.routes(ask) {
 		gs.routed = ask
 	}
@@ -228,80 +219,25 @@ func sliceView(st *compState, gp *ground.Program, i int) *eval.View {
 	return st.viewOf(gp, i, gp.Rules, nil, gp.Tab.Len())
 }
 
-// answersGoalDirected answers a conjunctive least-model query from the
-// goal's cache entry: from the slice cut (once, cached) from this
-// snapshot's ground program, evaluated in the component, or — when the
-// miss that created the entry was routed — from the component's least
-// model. Answers are identical to those of the full least model. The
-// caller routes only queries with a non-empty body here — with no
-// literals there is nothing to slice by.
-//
-// The model is resolved first, on an answer-memo hit too, so the model
-// memo's and the route's counters count exactly what they would without
-// it. Then the entry's answer set answers when it was produced for the
-// same component and query text; otherwise the query runs on the model and
-// its answers replace the entry's, unless they have more rows than the
-// model's ground program has rules at this version (ruleBound). A query
-// that one body literal determines has no more rows than that literal has
-// true instances, each the head of a rule, so what is left unkept is a
-// cross product or a join as wide. The cache key ignores variable names
-// and literal order and the answers do not, hence the text. Nothing that
-// fails reaches the slot: a model that did not resolve returns above, and
-// Model.Answers cannot fail.
-func (s *Snapshot) answersGoalDirected(ctx context.Context, comp string, q ast.Query) (*Answers, error) {
-	i, err := s.resolve(comp)
-	if err != nil {
-		return nil, err
+// goalModel resolves the model a goal is answered from in component i.
+// On a goal-directed engine with a non-empty goal that is the model its
+// cache entry answers from: the component's least model when the miss
+// that created the entry was routed there, and otherwise the least model
+// of the entry's slice; a miss is counted by its route here, so queries
+// and proofs count alike. Otherwise it is the component's least model:
+// with no literals there is nothing to slice by.
+func (s *Snapshot) goalModel(ctx context.Context, i int, goal []ast.Literal) (*Model, error) {
+	if !s.eng.cfg.GoalDirected || len(goal) == 0 {
+		return s.leastModel(ctx, i)
 	}
-	text := q.String()
-	m, gs, err := s.goalModel(ctx, i, q.Body)
-	if err != nil {
-		return nil, err
-	}
-	if a := gs.answers.Load(); a != nil && a.comp == i && a.text == text {
-		if obs.On() {
-			mAnswerMemoHits.Inc()
-		}
-		return a, nil
-	}
-	a := m.Answers(q)
-	a.text, a.comp = text, i
-	if a.n <= s.ruleBound(m, gs, i) {
-		gs.answers.Store(a)
-	}
-	if obs.On() {
-		mAnswerMemoMisses.Inc()
-	}
-	return a, nil
-}
-
-// ruleBound is the rule count an answer set kept for the entry is bounded
-// by, fixed at this version: a slice's own rules, or, for the component's
-// model, the prefix of the shared ground program this snapshot pins — the
-// program's Rules header is republished by every later write.
-func (s *Snapshot) ruleBound(m *Model, gs *goalSlice, i int) int {
-	if gs.routed == i {
-		return len(s.rules)
-	}
-	return len(m.gp.Rules)
-}
-
-// goalModel resolves the model the goal's cache entry answers from in
-// component i: the component's least model when the miss that created the
-// entry was routed there, and otherwise the least model of the entry's
-// slice. A miss is counted by its route here, so queries and proofs
-// count alike.
-func (s *Snapshot) goalModel(ctx context.Context, i int, goal []ast.Literal) (*Model, *goalSlice, error) {
 	gs, miss := s.goalSliceFor(goal, i)
 	if miss {
 		s.countRoute(i, gs.routed == i)
 	}
 	if gs.routed == i {
-		m, err := s.leastModel(ctx, i)
-		return m, gs, err
+		return s.leastModel(ctx, i)
 	}
-	m, err := s.sliceLeast(ctx, i, gs)
-	return m, gs, err
+	return s.sliceLeast(ctx, i, gs)
 }
 
 // sliceLeast returns the least model of the entry's slice in component i,
@@ -323,6 +259,6 @@ func (s *Snapshot) sliceLeast(ctx context.Context, i int, gs *goalSlice) (*Model
 		if err != nil {
 			return nil, err
 		}
-		return newModel(v, in), nil
+		return newModel(v, in, len(gp.Rules)), nil
 	}, countLeast)
 }

@@ -38,7 +38,8 @@ import (
 // run every record is compared with the oracle at that version. One script
 // runs on each engine configuration of its row. A row names the program
 // family, the script shape, the configurations, the seeds and the counters
-// that must move, so a row cannot pass by never taking its path.
+// that must move, over the row or on each configuration, so a row cannot
+// pass by never taking its path.
 
 // family is a program with the pools its scripts draw from: the components
 // goals are asked in, goals, ground atoms to prove, and writes.
@@ -310,12 +311,14 @@ const (
 	sRecover
 	sDrain
 	sRead
+	sCarry // ask, write where the asked component does not see, ask the child
 )
 
 // step is one step of a script. A write carries comp, lit and retract; a
 // read its kind, target, comp and query or literal, and back picks a
 // pinned version (back from the newest) or an AsOf version (modulo the
-// tip). A batch carries its requests as query reads.
+// tip). A batch carries its requests as query reads, and a carry its
+// asked comp and query and its write as its one slot.
 type step struct {
 	kind    stepKind
 	read    readKind
@@ -340,6 +343,8 @@ func (s step) String() string {
 		return "compact"
 	case sRecover:
 		return "close and recover"
+	case sCarry:
+		return fmt.Sprintf("carry %s past %s in %d", s.q, s.slots[0], s.comp)
 	}
 	what := s.q.String()
 	if s.read == rProve || s.read == rExplain {
@@ -393,6 +398,29 @@ func (b *builder) literal() ast.Literal {
 func (b *builder) write() {
 	c, l, retract := b.f.write(b.rng)
 	b.steps = append(b.steps, step{kind: sWrite, comp: c, lit: l, retract: retract})
+}
+
+// carry adds a write between two asks of a goal, on the tip and on the
+// child, in a component that does not see the written one; when sixteen
+// draws find no such write, a plain write. The write asserts: a retract
+// of an absent fact, which publishes nothing, is the draw's common case.
+func (b *builder) carry() {
+	p := b.f.prog
+	for try := 0; try < 16; try++ {
+		c, l, _ := b.f.write(b.rng)
+		var blind []int
+		for _, name := range b.f.comps {
+			if i, _ := p.ComponentIndex(name); i != c && !p.Less(i, c) {
+				blind = append(blind, i)
+			}
+		}
+		if len(blind) > 0 {
+			w := step{kind: sWrite, comp: c, lit: l}
+			b.steps = append(b.steps, step{kind: sCarry, comp: blind[b.rng.Intn(len(blind))], q: b.goal(), slots: []step{w}})
+			return
+		}
+	}
+	b.write()
 }
 
 func (b *builder) compact() { b.steps = append(b.steps, step{kind: sCompact}) }
@@ -487,30 +515,43 @@ type scriptCase struct {
 // configurations each script runs on (rotate: one per case, in turn), the
 // readers racing the writer, and the obs counters that must have moved
 // over the row — the engine's, or the harness's own (tally) — each by at
-// least one, or by exactly N when written "name=N".
+// least one, or by exactly N when written "name=N". With perConfig they
+// must move so on each configuration: the cases then run one at a time,
+// so that the counters a configuration moves are its own.
 type row struct {
-	group   string // a subtest the cases run under
-	cases   func(short bool) []scriptCase
-	configs []engineConfig
-	rotate  bool
-	readers int
-	script  func(b *builder)
-	want    []string
+	group     string // a subtest the cases run under
+	cases     func(short bool) []scriptCase
+	configs   []engineConfig
+	rotate    bool
+	readers   int
+	script    func(b *builder)
+	want      []string
+	perConfig bool
 }
 
 // runRow runs every case of the row on its configurations, each case in a
-// parallel subtest, and checks the row's counters once they all finish.
+// subtest, parallel unless the row counts per configuration, and checks
+// the row's counters once they all finish.
 func runRow(t *testing.T, r *row) {
 	before := obs.Default().Snap()
+	byConfig := map[string]obs.Snap{}
 	t.Cleanup(func() {
-		d := obs.Default().Snap().Diff(before)
-		for _, w := range r.want {
-			name, exact, isExact := strings.Cut(w, "=")
-			if isExact && fmt.Sprint(d[name]) != exact && !t.Failed() {
-				t.Errorf("%s moved by %d, want %s", name, d[name], exact)
-			} else if !isExact && d[name] == 0 && !t.Failed() {
-				t.Errorf("%s did not move: the path went untested", name)
+		check := func(label string, d obs.Snap) {
+			for _, w := range r.want {
+				name, exact, isExact := strings.Cut(w, "=")
+				if isExact && fmt.Sprint(d[name]) != exact && !t.Failed() {
+					t.Errorf("%s%s moved by %d, want %s", label, name, d[name], exact)
+				} else if !isExact && d[name] == 0 && !t.Failed() {
+					t.Errorf("%s%s did not move: the path went untested", label, name)
+				}
 			}
+		}
+		if !r.perConfig {
+			check("", obs.Default().Snap().Diff(before))
+			return
+		}
+		for _, c := range r.configs {
+			check(c.name+": ", byConfig[c.name])
 		}
 	})
 	// The cases over one program share its oracle while the row runs: the
@@ -533,7 +574,18 @@ func runRow(t *testing.T, r *row) {
 			configs = configs[i%len(configs) : i%len(configs)+1]
 		}
 		for _, c := range configs {
+			at := obs.Default().Snap()
 			(&harness{t: t, f: f, c: c, readers: r.readers, oc: oc, seed: sc.seed}).run(b.steps, nil)
+			if r.perConfig {
+				acc := byConfig[c.name]
+				if acc == nil {
+					acc = obs.Snap{}
+					byConfig[c.name] = acc
+				}
+				for k, v := range obs.Default().Snap().Diff(at) {
+					acc[k] += v
+				}
+			}
 		}
 	}
 	cases := r.cases(testing.Short())
@@ -544,7 +596,9 @@ func runRow(t *testing.T, r *row) {
 				continue
 			}
 			t.Run(sc.name, func(t *testing.T) {
-				t.Parallel()
+				if !r.perConfig {
+					t.Parallel()
+				}
 				runCase(t, i, sc)
 			})
 		}
@@ -640,8 +694,22 @@ func (h *harness) run(steps []step, start *generation) *generation {
 	}
 	stop := sync.OnceFunc(func() { close(jobs); readers.Wait() })
 	defer stop()
+	var carried []record // the writer's own reads, in carry steps
 	for i, st := range steps {
 		fail := func(err error) { stop(); h.fatalf("step %d (%s): %v", i, st, err) }
+		write := func(w step) *Snapshot {
+			apply := g.eng.Update
+			if w.retract {
+				apply = g.eng.Retract
+			}
+			s, err := apply(ctx, h.f.prog.Components[w.comp].Name, []ast.Literal{w.lit})
+			if err != nil {
+				fail(err)
+			}
+			log = append(log, factEvent{comp: w.comp, lit: w.lit, retract: w.retract})
+			publish(s)
+			return s
+		}
 		switch st.kind {
 		case sRead:
 			j := job{s: st, idx: i, gen: g}
@@ -654,16 +722,36 @@ func (h *harness) run(steps []step, start *generation) *generation {
 		case sDrain:
 			pending.Wait()
 		case sWrite:
-			write := g.eng.Update
-			if st.retract {
-				write = g.eng.Retract
-			}
-			s, err := write(ctx, h.f.prog.Components[st.comp].Name, []ast.Literal{st.lit})
+			write(st)
+		case sCarry:
+			// The goal is asked of the component's model on the tip, then
+			// through AnswersCtx on the child. When the write left the
+			// component's state shared, the child reads the same model,
+			// which must answer with the very answer set it kept. No reader
+			// runs meanwhile, so none refills the model's memo in between.
+			pending.Wait()
+			comp, read := h.f.prog.Components[st.comp].Name, step{kind: sRead, read: rAnswers, comp: st.comp, q: st.q}
+			parent := g.eng.Current()
+			m, err := parent.LeastModelCtx(ctx, comp)
 			if err != nil {
 				fail(err)
 			}
-			log = append(log, factEvent{comp: st.comp, lit: st.lit, retract: st.retract})
-			publish(s)
+			was := m.Answers(st.q)
+			child := write(st.slots[0])
+			a, err := child.AnswersCtx(ctx, comp, st.q)
+			if err != nil {
+				fail(err)
+			}
+			if child != parent && child.comp(st.comp) == parent.comp(st.comp) {
+				if a != was {
+					fail(errors.New("the child shares the component's model but answered afresh"))
+				}
+				tally("harness.carry.same")
+			}
+			got := func(s *Snapshot, a *Answers) record {
+				return record{job: job{s: read, idx: i, gen: g}, version: s.Version(), got: responseJSON(a.Query(), a.JSON())}
+			}
+			carried = append(carried, got(parent, was), got(child, a))
 		case sCompact:
 			dead := g.eng.Current().NumDeadRules()
 			s, err := g.eng.Compact(ctx)
@@ -702,7 +790,7 @@ func (h *harness) run(steps []step, start *generation) *generation {
 			h.fatalf("verify after the run: %v", err)
 		}
 	}
-	var recs []record
+	recs := carried
 	for _, rs := range out {
 		recs = append(recs, rs...)
 	}

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ast"
 	"repro/internal/obs"
@@ -50,17 +52,29 @@ func reordered(q ast.Query) ast.Query {
 	return out
 }
 
+// memoConfigs are the engines the answer memo serves: the default one,
+// whose goals answer from the component's least model, and the
+// goal-directed one, whose goals answer from their slices' models.
+var memoConfigs = []engineConfig{cfgFull, cfgGoal}
+
 // TestHotGoalAllocs pins the allocations of an answer-memo hit on the read
-// tenant: a repeated goal through AnswersCtx — its rendered text, the
-// slice-cache key and lookup, the model's memo hit — and AppendJSON of
-// the kept encoding into a buffer with room. A 1-row and a 200-row answer
-// allocate the same count: nothing is per row. The bound is 1.25 times the
+// tenant, on each engine: a repeated goal through AnswersCtx — its
+// rendered text, on the goal-directed engine the slice-cache key and
+// lookup, the model's memo hit — and AppendJSON of the kept encoding into
+// a buffer with room. A 1-row and a 200-row answer allocate the same
+// count: nothing is per row. The bound is 1.25 times the goal-directed
 // count measured, rounded up, once the query text and the slice-cache key
 // each render into one presized builder and a warm model is read without
 // building the lazy cells' closures (10 before).
 func TestHotGoalAllocs(t *testing.T) {
+	for _, c := range memoConfigs {
+		t.Run(c.name, func(t *testing.T) { hotGoalAllocs(t, c.cfg) })
+	}
+}
+
+func hotGoalAllocs(t *testing.T, cfg Config) {
 	ctx := context.Background()
-	eng, err := NewEngineCtx(ctx, mustProgram(t, readsSource(400, 100)), Config{GoalDirected: true})
+	eng, err := NewEngineCtx(ctx, mustProgram(t, readsSource(400, 100)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +105,11 @@ func TestHotGoalAllocs(t *testing.T) {
 			}
 			buf = a.AppendJSON(buf[:0])
 		})
-		if d := obs.Default().Snap().Diff(before); obs.On() && d["core.answers.memo.misses"] != 0 {
-			t.Fatalf("%s: %d memo misses in the window, want hits only", c.goal, d["core.answers.memo.misses"])
+		if d := obs.Default().Snap().Diff(before); obs.On() && (d["core.answers.memo.misses"] != 0 || d["core.answers.memo.hits"] == 0) {
+			t.Fatalf("%s: %d memo misses and %d hits in the window, want hits only", c.goal, d["core.answers.memo.misses"], d["core.answers.memo.hits"])
 		}
 	}
-	const max = 3 // measured 2: the query text and the slice-cache key
+	const max = 3 // measured 2 goal-directed (the query text and the slice-cache key), 1 on the default engine
 	for goal, n := range counts {
 		if n > max {
 			t.Errorf("%s: %.0f allocs per memo hit, want <= %d", goal, n, max)
@@ -107,13 +121,22 @@ func TestHotGoalAllocs(t *testing.T) {
 }
 
 // TestGoalMemoHeapBounded: the answer memo keeps no answer set larger than
-// the ground program it was read from, so cross-product goals, asked over
-// and over, leave the heap where it was. Eight relations of 60 facts give
-// 28 distinct pairwise cross products of 3 600 rows each — more rows than
-// any model has rules, and few enough goals that every cache entry stays
-// resident. Each repeat is answered afresh; a single relation's goal, as
-// small as its model, is still kept.
+// the ground program it was read from, and no more than sliceCacheSize
+// sets per model, on each engine.
 func TestGoalMemoHeapBounded(t *testing.T) {
+	for _, c := range memoConfigs {
+		t.Run(c.name+"/rows", func(t *testing.T) { memoRowsBounded(t, c.cfg) })
+		t.Run(c.name+"/count", func(t *testing.T) { memoCountBounded(t, c.cfg) })
+	}
+}
+
+// memoRowsBounded: cross-product goals, asked over and over, leave the
+// heap where it was. Eight relations of 60 facts give 28 distinct pairwise
+// cross products of 3 600 rows each — more rows than any model has rules,
+// and few enough goals that every cache entry stays resident. Each repeat
+// is answered afresh; a single relation's goal, as small as its model, is
+// still kept.
+func memoRowsBounded(t *testing.T, cfg Config) {
 	const rels, facts = 8, 60
 	var sb strings.Builder
 	sb.WriteString("module base {\n")
@@ -124,7 +147,7 @@ func TestGoalMemoHeapBounded(t *testing.T) {
 	}
 	sb.WriteString("}\n")
 	ctx := context.Background()
-	eng, err := NewEngineCtx(ctx, mustProgram(t, sb.String()), Config{GoalDirected: true})
+	eng, err := NewEngineCtx(ctx, mustProgram(t, sb.String()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +195,60 @@ func TestGoalMemoHeapBounded(t *testing.T) {
 	}
 }
 
+// memoCountBounded: 80 distinct small goals asked of one component model
+// — computed first, so that a goal-directed engine routes every miss to
+// it — each a miss; after a GC the heap holds at most sliceCacheSize of
+// their answer sets. Each set is watched by a finalizer, and the runtime
+// finalizes a set only once nothing can reach it.
+func memoCountBounded(t *testing.T, cfg Config) {
+	const goals = 80
+	ctx := context.Background()
+	eng, err := NewEngineCtx(ctx, mustProgram(t, readsSource(120, 10)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := eng.Current()
+	if _, err := s.LeastModelCtx(ctx, "exc"); err != nil {
+		t.Fatal(err)
+	}
+	var freed atomic.Int64
+	before := obs.Default().Snap()
+	for i := 0; i < goals; i++ {
+		a, err := s.AnswersCtx(ctx, "exc", parseGoal(t, fmt.Sprintf("edge(c%d, X)", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.n == 0 {
+			t.Fatalf("edge(c%d, X) has no answers: the goal keeps nothing", i)
+		}
+		a.JSON()
+		runtime.SetFinalizer(a, func(*Answers) { freed.Add(1) })
+	}
+	if d := obs.Default().Snap().Diff(before); obs.On() && d["core.answers.memo.misses"] != goals {
+		t.Errorf("%d memo misses counted for %d distinct goals", d["core.answers.memo.misses"], goals)
+	}
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < goals-sliceCacheSize && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	runtime.KeepAlive(s)
+	if kept := goals - freed.Load(); kept > sliceCacheSize {
+		t.Errorf("%d of %d answer sets still reachable after GC, want <= %d", kept, goals, sliceCacheSize)
+	}
+}
+
 // BenchmarkGoalDirectedHot is query-hot's shape on the read tenant: the
 // sixteen hot goals, warmed once, then asked in Zipf(1.2) proportions and
 // encoded — every request an answer-memo hit.
-func BenchmarkGoalDirectedHot(b *testing.B) {
+func BenchmarkGoalDirectedHot(b *testing.B) { benchHot(b, Config{GoalDirected: true}) }
+
+// BenchmarkLeastModelHot is BenchmarkGoalDirectedHot on the default
+// engine, every goal answered from the component's least model.
+func BenchmarkLeastModelHot(b *testing.B) { benchHot(b, Config{}) }
+
+func benchHot(b *testing.B, cfg Config) {
 	ctx := context.Background()
-	eng, err := NewEngineCtx(ctx, mustProgram(b, readsSource(400, 100)), Config{GoalDirected: true})
+	eng, err := NewEngineCtx(ctx, mustProgram(b, readsSource(400, 100)), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,6 +15,11 @@ type Model struct {
 	gp   *ground.Program // atom table and source program
 	comp int
 	in   *interp.Interp
+	// rules is the number of ground rules the model was evaluated over,
+	// fixed when it is built: the version's pinned prefix of the shared
+	// program, or a slice's own rules. It bounds the answer sets the
+	// model keeps (query.go).
+	rules int
 
 	// v is the view the model was evaluated over. A model derived from a
 	// write's cone (cone.go) was evaluated over no view of the component;
@@ -22,14 +27,17 @@ type Model struct {
 	v      *eval.View
 	viewFn func() *eval.View
 
-	// idx is the lazily built literal index queries answer from (query.go).
-	idxMu sync.Mutex
-	idx   map[litKey]*litBucket
+	// idx is the lazily built literal index queries answer from, and
+	// answers the answer sets kept by rendered query text (query.go).
+	idxMu   sync.Mutex
+	idx     map[litKey]*litBucket
+	answers map[string]*Answers
 }
 
-// newModel wraps an interpretation evaluated over v.
-func newModel(v *eval.View, in *interp.Interp) *Model {
-	return &Model{gp: v.G, comp: v.Comp, in: in, v: v}
+// newModel wraps an interpretation evaluated over v, whose program has the
+// given number of rules.
+func newModel(v *eval.View, in *interp.Interp, rules int) *Model {
+	return &Model{gp: v.G, comp: v.Comp, in: in, rules: rules, v: v}
 }
 
 // view returns the component's evaluation view, building it if the model

@@ -47,9 +47,11 @@ type Config struct {
 	// instead once that model is computed for the version, or once the
 	// version's misses have cut as many instances as the component sees:
 	// past that break-even a model costs less than further cuts (goal.go).
-	// Proofs route as queries do. Enumeration entry points (stable/AF
-	// models, ReasonCtx) and ProveExplainCtx always use the full grounding.
-	// Incompatible with a fixed Ground.Goal.
+	// Proofs route as queries do. Which model a goal reads is the only
+	// difference: on either engine the model keeps the answer sets it
+	// produced, so a repeated query is a lookup (query.go). Enumeration
+	// entry points (stable/AF models, ReasonCtx) and ProveExplainCtx
+	// always use the full grounding. Incompatible with a fixed Ground.Goal.
 	GoalDirected bool
 
 	// CompactEvery, when > 0, compacts the snapshot after this many

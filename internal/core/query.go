@@ -17,6 +17,18 @@ import (
 // lazily, one per predicate a query actually scans, so a model that is
 // only ever asked ground questions — or is rebuilt after every write —
 // never pays for an index, and nothing ever invalidates one.
+//
+// The answer memo: for the same reason a query's answer set, and its JSON
+// encoding once built, is a function of the model and the query's
+// rendered text alone, so the model keeps the sets it produced, keyed by
+// that text (a model belongs to one component). Every engine and entry
+// point shares it: a repeated query is one map lookup. Two bounds keep the
+// memo a share of what the model already holds. A set with more rows than
+// the model has rules is answered and dropped: a goal whose rows one body
+// literal determines has no more rows than that literal has true
+// instances, each the head of a rule, so what goes unkept is a cross
+// product or a join as wide. And a model keeps at most sliceCacheSize
+// sets; a new one replaces any kept one.
 
 // litKey names one bucket of a model's literal index.
 type litKey struct {
@@ -229,13 +241,56 @@ type queryRun struct {
 // Rows are never duplicates of one another, so there is no dedup pass:
 // every variable of the body is an answer variable, hence a row determines
 // the ground instance of every body literal, and the enumeration visits
-// each combination of (distinct) member literals at most once.
+// each combination of (distinct) member literals at most once. A repeated
+// query text is answered from the model's memo (above).
 func (m *Model) Answers(q ast.Query) *Answers {
+	text := q.String()
+	m.idxMu.Lock()
+	a := m.answers[text]
+	m.idxMu.Unlock()
+	if a != nil {
+		if obs.On() {
+			mAnswerMemoHits.Inc()
+		}
+		return a
+	}
+	a = m.evalQuery(q, text)
+	if a.n <= m.rules {
+		m.keep(a)
+	}
+	if obs.On() {
+		mAnswerMemoMisses.Inc()
+	}
+	return a
+}
+
+// keep adds the answer set to the model's memo, replacing any kept set
+// when the memo is full. Two first askers of one query may both evaluate;
+// the first set kept stays, and either is exact.
+func (m *Model) keep(a *Answers) {
+	m.idxMu.Lock()
+	defer m.idxMu.Unlock()
+	if _, ok := m.answers[a.query]; ok {
+		return
+	}
+	if m.answers == nil {
+		m.answers = make(map[string]*Answers)
+	} else if len(m.answers) >= sliceCacheSize {
+		for k := range m.answers {
+			delete(m.answers, k)
+			break
+		}
+	}
+	m.answers[a.query] = a
+}
+
+// evalQuery runs the query on the model's literal index.
+func (m *Model) evalQuery(q ast.Query, text string) *Answers {
 	terms := m.gp.Tab.TermTable()
 	vars := q.Vars()
 	r := &queryRun{
 		m: m, builtins: q.Builtins,
-		ans:  &Answers{terms: terms, vars: vars, q: q},
+		ans:  &Answers{terms: terms, query: text, vars: vars},
 		lits: make([]litPat, len(q.Body)),
 		env:  make([]term.ID, len(vars)),
 	}
@@ -419,33 +474,23 @@ func (r *queryRun) binding(v ast.Var) ast.Term {
 // builtin, and a builtin over an unbound variable does not hold.
 //
 // An answer set is immutable once returned, and its JSON encoding is
-// built once, by the first call of JSON, and kept. A goal-directed one may
-// be kept in its goal's cache entry and shared by every later caller
-// asking the same query in the same component on the same snapshot
-// (goal.go): it carries its component and rendered query text.
+// built once, by the first call of JSON, and kept. The model it was read
+// from may keep it and hand it to every later caller asking the same
+// query text (the answer memo), so it carries that text.
 type Answers struct {
 	terms *term.Table
+	query string // the rendered query, the memo's key
 	vars  []ast.Var
 	rows  []term.ID // len(vars) ids per row
 	n     int
-
-	q    ast.Query // the query, rendered by Query unless text is set
-	comp int       // goal-directed: the component the rows were read in
-	text string    // goal-directed: the rendered query, the memo's key
 
 	once sync.Once
 	enc  []byte
 }
 
 // Query returns the query the answers answer, rendered as ast.Query.String
-// renders it. A goal-directed answer set returns the text its memo is
-// keyed by, so a request renders its query once.
-func (a *Answers) Query() string {
-	if a.text != "" {
-		return a.text
-	}
-	return a.q.String()
-}
+// renders it: the text the model rendered once, to key its memo.
+func (a *Answers) Query() string { return a.query }
 
 // row returns the ids of the i-th solution, in Query.Vars order.
 func (a *Answers) row(i int) []term.ID { return a.rows[i*len(a.vars) : (i+1)*len(a.vars)] }

@@ -28,12 +28,7 @@ func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bo
 	if err := interrupt.Check(ctx, "core: prove"); err != nil {
 		return false, err
 	}
-	var m *Model
-	if s.eng.cfg.GoalDirected {
-		m, _, err = s.goalModel(ctx, i, []ast.Literal{l})
-	} else {
-		m, err = s.leastModel(ctx, i)
-	}
+	m, err := s.goalModel(ctx, i, []ast.Literal{l})
 	if err != nil {
 		return false, err
 	}

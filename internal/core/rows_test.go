@@ -249,21 +249,25 @@ func TestGoalRouteDifferential(t *testing.T) {
 // The answer memo: a small hot set asked over and over under variable
 // renamings and literal reorderings (one cache entry, different answers),
 // on the tip and on pinned versions, between writes; the readers share
-// each version's memo, so a first encoding races later hits.
+// each version's models, so a first encoding races later hits. Every
+// other write is a carry: a model the write leaves unaffected keeps its
+// memo on the child. The memo must serve on each engine.
 func TestAnswerMemoDifferential(t *testing.T) {
 	runRow(t, &row{cases: servedCases("/seed%d", []int64{1, 2}, corpusCases("corpus/seed%03d", seedRange(0, 8, 25), 3)),
-		configs: []engineConfig{cfgGoal, cfgFull}, readers: 4,
+		configs: []engineConfig{cfgGoal, cfgFull}, readers: 4, perConfig: true,
 		script: func(b *builder) {
 			b.variants = true
 			for phase := 0; phase <= 6; phase++ {
-				if phase > 0 {
+				if phase%2 == 1 {
+					b.carry()
+				} else if phase > 0 {
 					b.write()
 				}
 				b.hot = b.rng.Perm(len(b.f.goals))[:min(6, len(b.f.goals))]
 				b.mixed(48, 4, rAnswers)
 			}
 		},
-		want: []string{"core.answers.memo.hits", "core.answers.memo.misses"}})
+		want: []string{"core.answers.memo.hits", "core.answers.memo.misses", "harness.carry.same"}})
 }
 
 // Proofs are membership in the model on every version: literals of both

@@ -227,7 +227,7 @@ func (st *compState) viewOf(gp *ground.Program, i int, rules []ground.Rule, dead
 // to later versions does not keep s's slice cache alive.
 func (s *Snapshot) modelOf(i int, st *compState, in *interp.Interp) *Model {
 	gp, rules, dead, n := s.gp, s.rules, s.dead, s.nAtoms
-	return &Model{gp: gp, comp: i, in: in, viewFn: func() *eval.View { return st.viewOf(gp, i, rules, dead, n) }}
+	return &Model{gp: gp, comp: i, in: in, rules: len(rules), viewFn: func() *eval.View { return st.viewOf(gp, i, rules, dead, n) }}
 }
 
 // LeastModelCtx computes the least model of the program in the component
@@ -332,7 +332,8 @@ func countView(built bool) {
 // cancellation of the underlying least-model computation. On a
 // goal-directed engine (Config.GoalDirected) queries with a non-empty body
 // evaluate against the goal's slice of the ground program instead of the
-// component's full least model; answers are identical either way.
+// component's full least model; answers are identical either way, and
+// either model answers a repeated query from its answer memo.
 func (s *Snapshot) QueryCtx(ctx context.Context, comp string, q ast.Query) ([]Binding, error) {
 	a, err := s.AnswersCtx(ctx, comp, q)
 	if err != nil {
@@ -344,10 +345,11 @@ func (s *Snapshot) QueryCtx(ctx context.Context, comp string, q ast.Query) ([]Bi
 // AnswersCtx is QueryCtx returning the answer set in its interned form,
 // for callers that encode rows (Answers.JSON) rather than read them.
 func (s *Snapshot) AnswersCtx(ctx context.Context, comp string, q ast.Query) (*Answers, error) {
-	if s.eng.cfg.GoalDirected && len(q.Body) > 0 {
-		return s.answersGoalDirected(ctx, comp, q)
+	i, err := s.resolve(comp)
+	if err != nil {
+		return nil, err
 	}
-	m, err := s.LeastModelCtx(ctx, comp)
+	m, err := s.goalModel(ctx, i, q.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +368,7 @@ func (s *Snapshot) AssumptionFreeModelsCtx(ctx context.Context, comp string, opt
 	if enumErr != nil && !partialEnumErr(enumErr) {
 		return nil, enumErr
 	}
-	return wrapModels(v, ms), enumErr
+	return wrapModels(v, ms, len(s.rules)), enumErr
 }
 
 // StableModelsCtx enumerates the stable models in the component as of this
@@ -381,7 +383,7 @@ func (s *Snapshot) StableModelsCtx(ctx context.Context, comp string, opts stable
 	if enumErr != nil && !partialEnumErr(enumErr) {
 		return nil, enumErr
 	}
-	return wrapModels(v, ms), enumErr
+	return wrapModels(v, ms, len(s.rules)), enumErr
 }
 
 // InterpFromLiterals builds a Model-shaped interpretation from AST
@@ -402,7 +404,7 @@ func (s *Snapshot) InterpFromLiterals(comp string, lits []ast.Literal) (*Model, 
 			return nil, fmt.Errorf("literal %s makes the interpretation inconsistent", l)
 		}
 	}
-	return newModel(v, in), nil
+	return newModel(v, in, len(s.rules)), nil
 }
 
 // Update publishes a new snapshot with the given ground facts asserted in

@@ -23,7 +23,7 @@ module main {
 // TestDaemonGoalDirected drives a goal-directed daemon end to end: ?q=
 // answers come from per-goal slices, repeated queries with the same
 // binding pattern hit the per-snapshot slice cache, an identical repeat
-// answers from the entry's memoised answers and a renamed one does not,
+// answers from the model's memoised answers and a renamed one does not,
 // an update invalidates the cache (answers reflect the new fact base), and
 // ?version= pinning keeps answering from the pinned snapshot's own slices.
 func TestDaemonGoalDirected(t *testing.T) {
@@ -68,9 +68,10 @@ func TestDaemonGoalDirected(t *testing.T) {
 	if diff["core.route.cut"] < 1 {
 		t.Fatalf("core.route.cut moved by %d, want >= 1 for the first miss", diff["core.route.cut"])
 	}
-	// The renamed repeat's answers now sit in the goal's cache entry: the
-	// identical request answers from them, one answer-memo hit; the first
-	// spelling, a different query on the same entry, is a memo miss.
+	// Both spellings' answers now sit on the model the goal's cache entry
+	// answers from: an identical request answers from them, one
+	// answer-memo hit; a third spelling, a different query on the same
+	// model, is a memo miss.
 	memo := func(q, varName string) (hits, misses int64) {
 		t.Helper()
 		before := obs.Default().Snap()
@@ -83,8 +84,11 @@ func TestDaemonGoalDirected(t *testing.T) {
 	if hits, misses := memo("path(c0,Y)", "Y"); hits != 1 || misses != 0 {
 		t.Errorf("identical repeat: core.answers.memo.{hits,misses} moved by %d, %d; want 1, 0", hits, misses)
 	}
-	if hits, misses := memo("path(c0,X)", "X"); hits != 0 || misses != 1 {
-		t.Errorf("renamed repeat: core.answers.memo.{hits,misses} moved by %d, %d; want 0, 1", hits, misses)
+	if hits, misses := memo("path(c0,X)", "X"); hits != 1 || misses != 0 {
+		t.Errorf("first spelling's repeat: core.answers.memo.{hits,misses} moved by %d, %d; want 1, 0", hits, misses)
+	}
+	if hits, misses := memo("path(c0,Z)", "Z"); hits != 0 || misses != 1 {
+		t.Errorf("renamed query: core.answers.memo.{hits,misses} moved by %d, %d; want 0, 1", hits, misses)
 	}
 	var served map[string]any
 	decodeJSON(t, doReq(h, "GET", "/debug/metrics", "", ""), &served)
