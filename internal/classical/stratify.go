@@ -84,7 +84,7 @@ func (p *Program) StratifiedModel(strat *Stratification) *interp.Bitset {
 	// Group ground rules by the stratum of their head predicate.
 	byLevel := make([][]int32, strat.NumLevels)
 	for i := range p.Rules {
-		lvl := strat.Level[p.Tab.Atom(p.Rules[i].Head).Key()]
+		lvl := strat.Level[p.Tab.Pred(p.Rules[i].Head)]
 		byLevel[lvl] = append(byLevel[lvl], int32(i))
 	}
 	for _, ruleIdx := range byLevel {

@@ -4,11 +4,11 @@ import (
 	"context"
 	"slices"
 
-	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/ground"
 	"repro/internal/interp"
 	"repro/internal/interrupt"
+	"repro/internal/term"
 )
 
 // Deriving a component's least model after a write from the nearest
@@ -42,7 +42,7 @@ type carry struct {
 // state carries from has computed the component's model. Called under
 // writeMu. The chain is never longer than one: a carry names a computed
 // model, never a state still waiting for one.
-func (s *Snapshot) carryFor(i int, rules []ground.Rule, changed []int32) *carry {
+func (s *Snapshot) carryFor(i int, rules ground.Instances, changed []int32) *carry {
 	s.mu.Lock()
 	st := s.comps[i]
 	s.mu.Unlock()
@@ -64,8 +64,8 @@ func (s *Snapshot) carryFor(i int, rules []ground.Rule, changed []int32) *carry 
 	}
 	vis := visibleFrom(s.gp, i)
 	for _, idx := range changed {
-		if r := &rules[idx]; vis[r.Comp] {
-			c.seeds = append(c.seeds, r.Head)
+		if vis[rules.Comp(int(idx))] {
+			c.seeds = append(c.seeds, rules.Head(int(idx)))
 		}
 	}
 	slices.Sort(c.seeds)
@@ -92,7 +92,7 @@ func (s *Snapshot) coneModel(ctx context.Context, i int, st *compState, c *carry
 	x := s.occ()
 	n := s.nAtoms
 	lits := interp.NewBitset(2 * n) // the cone, as literals of both signs
-	picked := interp.NewBitset(len(s.rules))
+	picked := interp.NewBitset(s.rules.Len())
 	nRules, nBody, nCone := 0, 0, 0
 	var work []interp.Lit
 	add := func(l interp.Lit) {
@@ -118,17 +118,17 @@ func (s *Snapshot) coneModel(ctx context.Context, i int, st *compState, c *carry
 		work = work[:len(work)-1]
 		add(l.Complement())
 		x.each(s, l.Atom(), func(r int32) {
-			if rule := &s.rules[r]; rule.Head == l && vis[rule.Comp] {
+			if h, c, body := s.rules.At(int(r)); h == l && vis[c] {
 				picked.Set(int(r))
-				nRules, nBody = nRules+1, nBody+len(rule.Body)
+				nRules, nBody = nRules+1, nBody+len(body)
 			}
 		})
 		if nRules*coneShare > visible {
 			return nil, 0, nil
 		}
 		x.eachBody(s, l.Atom(), func(r int32) {
-			if rule := &s.rules[r]; vis[rule.Comp] {
-				add(rule.Head)
+			if h, c, _ := s.rules.At(int(r)); vis[c] {
+				add(h)
 			}
 		})
 	}
@@ -141,8 +141,9 @@ func (s *Snapshot) coneModel(ctx context.Context, i int, st *compState, c *carry
 	// atoms and the boundary they read, fixed to the base's values.
 	atoms := newRankSet(n)
 	picked.Range(func(r int) bool {
-		atoms.add(int(s.rules[r].Head.Atom()))
-		for _, b := range s.rules[r].Body {
+		h, _, body := s.rules.At(r)
+		atoms.add(int(h.Atom()))
+		for _, b := range body {
 			atoms.add(int(b.Atom()))
 		}
 		return true
@@ -189,20 +190,28 @@ func (s *Snapshot) coneModel(ctx context.Context, i int, st *compState, c *carry
 
 // shareBuckets gives m the literal-index buckets base has built or begun
 // for every (predicate, sign) with no atom in the cone: on those m and base
-// hold the same literals.
+// hold the same literals. The cone's predicates are read off the atoms'
+// stored keys, as symbol id and arity; no atom is decoded.
 func (m *Model) shareBuckets(base *Model, cone *interp.Bitset) {
 	base.idxMu.Lock()
 	defer base.idxMu.Unlock()
 	if len(base.idx) == 0 {
 		return
 	}
-	touched := make(map[ast.PredKey]bool)
+	type symArity struct {
+		sym   term.ID
+		arity int
+	}
+	tab := m.gp.Tab
+	touched := make(map[symArity]bool)
 	cone.Range(func(l int) bool {
-		touched[m.gp.Tab.Atom(interp.Lit(l).Atom()).Key()] = true
+		k := tab.Key(interp.Lit(l).Atom())
+		touched[symArity{k[0], len(k) - 1}] = true
 		return true
 	})
 	for k, b := range base.idx {
-		if !touched[k.pred] {
+		// A predicate whose name was never interned has no atom at all.
+		if sym, ok := tab.TermTable().LookupSym(k.pred.Name); !ok || !touched[symArity{sym, k.pred.Arity}] {
 			if m.idx == nil {
 				m.idx = make(map[litKey]*litBucket, len(base.idx))
 			}

@@ -48,7 +48,7 @@ type occIndex struct {
 	// published after them. rules is that prefix and comps counts its
 	// instances per component; both are read and written under mu.
 	heads              atomic.Int32
-	rules              []ground.Rule
+	rules              ground.Instances
 	comps              []int32
 	headLast, headPrev column
 	// bySym and byFirst map a term id to the newest atom heading an
@@ -114,7 +114,7 @@ func (c *column) grow(k int) *[]*chunk {
 // instance it pins written.
 func (s *Snapshot) occ() *occIndex {
 	x := s.index
-	if int(x.heads.Load()) < len(s.rules) {
+	if int(x.heads.Load()) < s.rules.Len() {
 		x.mu.Lock()
 		x.extendHeads(s.rules)
 		x.mu.Unlock()
@@ -124,17 +124,16 @@ func (s *Snapshot) occ() *occIndex {
 
 // extendHeads writes the head postings of the instances of rules the
 // index does not cover yet. Called under mu.
-func (x *occIndex) extendHeads(rules []ground.Rule) {
+func (x *occIndex) extendHeads(rules ground.Instances) {
 	from := int(x.heads.Load())
-	if len(rules) <= from {
+	if rules.Len() <= from {
 		return
 	}
 	if from == 0 && obs.On() {
 		mSliceIndexBuilds.Inc()
 	}
-	for i := from; i < len(rules); i++ {
-		r := &rules[i]
-		a := int32(r.Head.Atom())
+	for i := from; i < rules.Len(); i++ {
+		a := int32(rules.Head(i).Atom())
 		last := x.headLast.get(a)
 		if last < 0 { // a heads its first instance: chain it for seeding
 			key := x.tab.Key(interp.AtomID(a))
@@ -147,21 +146,21 @@ func (x *occIndex) extendHeads(rules []ground.Rule) {
 		}
 		x.headPrev.set(int32(i), last)
 		x.headLast.set(a, int32(i))
-		x.comps[r.Comp]++
+		x.comps[rules.Comp(i)]++
 	}
 	x.rules = rules
-	x.heads.Store(int32(len(rules)))
+	x.heads.Store(int32(rules.Len()))
 }
 
 // extendBodies writes the body postings of the instances of rules the
 // index does not cover yet. Called under mu.
-func (x *occIndex) extendBodies(rules []ground.Rule) {
+func (x *occIndex) extendBodies(rules ground.Instances) {
 	from := int(x.bodies.Load())
-	if len(rules) <= from {
+	if rules.Len() <= from {
 		return
 	}
-	for i := from; i < len(rules); i++ {
-		for _, l := range rules[i].Body {
+	for i := from; i < rules.Len(); i++ {
+		for _, l := range rules.Body(i) {
 			a := int32(l.Atom())
 			x.bodyInst.set(x.occs, int32(i))
 			x.bodyPrev.set(x.occs, x.bodyLast.get(a))
@@ -169,7 +168,7 @@ func (x *occIndex) extendBodies(rules []ground.Rule) {
 			x.occs++
 		}
 	}
-	x.bodies.Store(int32(len(rules)))
+	x.bodies.Store(int32(rules.Len()))
 }
 
 // visibleLive returns the live instances component i sees as of s: its
@@ -189,12 +188,12 @@ func (s *Snapshot) resolveLive() {
 		x.mu.Lock()
 		x.extendHeads(s.rules)
 		live := slices.Clone(x.comps)
-		for i := len(s.rules); i < len(x.rules); i++ {
-			live[x.rules[i].Comp]--
+		for i := s.rules.Len(); i < x.rules.Len(); i++ {
+			live[x.rules.Comp(i)]--
 		}
 		x.mu.Unlock()
 		for i := range s.dead {
-			live[s.rules[i].Comp]--
+			live[s.rules.Comp(int(i))]--
 		}
 		visible := make([]int, len(live))
 		for i := range visible {
@@ -211,7 +210,7 @@ func (s *Snapshot) resolveLive() {
 // pins reports whether instance i is a live instance of the snapshot.
 func (s *Snapshot) pins(i int32) bool {
 	_, gone := s.dead[i]
-	return int(i) < len(s.rules) && !gone
+	return int(i) < s.rules.Len() && !gone
 }
 
 // each calls f for every live instance of s headed by atom a, newest
@@ -227,7 +226,7 @@ func (x *occIndex) each(s *Snapshot, a interp.AtomID, f func(int32)) {
 // eachBody calls f for every live instance of s with atom a in its body,
 // once per occurrence, newest first.
 func (x *occIndex) eachBody(s *Snapshot, a interp.AtomID, f func(int32)) {
-	if int(x.bodies.Load()) < len(s.rules) {
+	if int(x.bodies.Load()) < s.rules.Len() {
 		x.mu.Lock()
 		x.extendBodies(s.rules)
 		x.mu.Unlock()
@@ -311,13 +310,13 @@ func matches(pat, key []term.ID) bool {
 
 // cutSlice cuts the goal's slice from the snapshot's ground program: the
 // closure of the goal's atoms under head (either sign) → body over the live
-// instances, emitted in Rules order over a sub-table of the snapshot's atom
-// table.
+// instances, emitted in instance order over a sub-table of the snapshot's
+// atom table.
 func (s *Snapshot) cutSlice(ctx context.Context, goal []ast.Literal) (*ground.Program, error) {
 	x := s.occ()
 	nAtoms := s.nAtoms
 	atoms := newRankSet(nAtoms)
-	picked := interp.NewBitset(len(s.rules))
+	picked := interp.NewBitset(s.rules.Len())
 	var work []interp.AtomID
 	visit := func(a interp.AtomID) {
 		// A ground goal atom can be interned by a later write; it heads no
@@ -332,7 +331,7 @@ func (s *Snapshot) cutSlice(ctx context.Context, goal []ast.Literal) (*ground.Pr
 	nRules, nBody := 0, 0
 	pick := func(i int32) {
 		picked.Set(int(i))
-		body := s.rules[i].Body
+		body := s.rules.Body(int(i))
 		nRules, nBody = nRules+1, nBody+len(body)
 		for _, l := range body {
 			visit(l.Atom())
@@ -352,29 +351,15 @@ func (s *Snapshot) cutSlice(ctx context.Context, goal []ast.Literal) (*ground.Pr
 	return gp, nil
 }
 
-// emitSlice emits the picked instances in Rules order as a program over a
-// sub-table of the snapshot's atom table holding the atoms of atoms, which
-// must include every atom the picked instances mention; nRules and nBody
-// size it. It also returns the sub-table's atoms: local atom j is the
-// snapshot's ids[j].
+// emitSlice emits the picked instances in instance order as a program over
+// a sub-table of the snapshot's atom table holding the atoms of atoms,
+// which must include every atom the picked instances mention; nRules and
+// nBody size it exactly. It also returns the sub-table's atoms: local atom
+// j is the snapshot's ids[j].
 func (s *Snapshot) emitSlice(picked *interp.Bitset, atoms *rankSet, nRules, nBody int) (*ground.Program, []interp.AtomID) {
 	ids := atoms.freeze()
 	remap := func(l interp.Lit) interp.Lit { return interp.MkLit(atoms.rank(l.Atom()), l.Neg()) }
-	rules := make([]ground.Rule, 0, nRules)
-	arena := make([]interp.Lit, nBody)
-	picked.Range(func(i int) bool {
-		r := &s.rules[i]
-		var body []interp.Lit
-		if n := len(r.Body); n > 0 {
-			body, arena = arena[:n:n], arena[n:]
-			for j, l := range r.Body {
-				body[j] = remap(l)
-			}
-		}
-		rules = append(rules, ground.Rule{Head: remap(r.Head), Body: body, Comp: r.Comp, Src: r.Src})
-		return true
-	})
-	return &ground.Program{Src: s.gp.Src, Tab: s.gp.Tab.Sub(ids), Rules: rules}, ids
+	return s.rules.Cut(s.gp.Tab.Sub(ids), picked, nRules, nBody, remap), ids
 }
 
 // rankSet is a set of atom ids over a dense range that, once frozen,

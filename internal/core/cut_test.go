@@ -16,11 +16,11 @@ import (
 
 // renderRules renders instances as "comp: head :- body." lines, so
 // programs over different atom tables compare as sets.
-func renderRules(gp *ground.Program, rules []ground.Rule, keep func(i int) bool) map[string]bool {
-	out := make(map[string]bool, len(rules))
-	for i := range rules {
+func renderRules(gp *ground.Program, rules ground.Instances, keep func(i int) bool) map[string]bool {
+	out := make(map[string]bool, rules.Len())
+	for i := 0; i < rules.Len(); i++ {
 		if keep == nil || keep(i) {
-			out[gp.Src.Components[rules[i].Comp].Name+": "+gp.RuleString(&rules[i])] = true
+			out[gp.Src.Components[rules.Comp(i)].Name+": "+rules.RuleString(i)] = true
 		}
 	}
 	return out
@@ -88,18 +88,18 @@ func closureOracle(s *Snapshot, goal []ast.Literal) map[string]bool {
 	live := func(i int) bool { _, gone := s.dead[int32(i)]; return !gone }
 	for changed := true; changed; {
 		changed = false
-		for i := range s.rules {
-			if !live(i) || !reached[s.rules[i].Head.Atom()] {
+		for i := 0; i < s.rules.Len(); i++ {
+			if !live(i) || !reached[s.rules.Head(i).Atom()] {
 				continue
 			}
-			for _, l := range s.rules[i].Body {
+			for _, l := range s.rules.Body(i) {
 				if !reached[l.Atom()] {
 					reached[l.Atom()], changed = true, true
 				}
 			}
 		}
 	}
-	return renderRules(s.gp, s.rules, func(i int) bool { return live(i) && reached[s.rules[i].Head.Atom()] })
+	return renderRules(s.gp, s.rules, func(i int) bool { return live(i) && reached[s.rules.Head(i).Atom()] })
 }
 
 // atomMatches reports whether the ground atom a agrees with the pattern p
@@ -216,7 +216,7 @@ func indexGrowth(t *testing.T, goalDirected bool) {
 		}
 	}
 	before := obs.Default().Snap()
-	start := len(e.Current().rules)
+	start := e.Current().rules.Len()
 	read(e.Current(), "ok(c0)") // the full-model engine's cones start from this model
 	for i := 0; i < 200; i++ {
 		s, err := e.Update(ctx, "kb", []ast.Literal{lit(t, fmt.Sprintf("p(d%d)", i))})
@@ -232,7 +232,7 @@ func indexGrowth(t *testing.T, goalDirected bool) {
 	if !goalDirected && d["core.least.cone"] == 0 {
 		t.Fatal("no read derived its model from a cone: the cone's walk of the index went untested")
 	}
-	grown := len(e.Current().rules)
+	grown := e.Current().rules.Len()
 	t.Logf("Rules grew from %d to %d instances", start, grown)
 	if grown < 8*start {
 		t.Fatalf("Rules grew from %d to %d instances; the case needs them to outgrow the first index many times over", start, grown)

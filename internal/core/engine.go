@@ -110,7 +110,7 @@ func NewEngineCtx(ctx context.Context, p *ast.OrderedProgram, cfg Config, opts .
 	}
 	e.current.Store(snap)
 	if e.trace.Enabled() {
-		e.trace.Emit(obs.E("ground", obs.F("rules", len(snap.rules)), obs.F("atoms", snap.nAtoms)))
+		e.trace.Emit(obs.E("ground", obs.F("rules", snap.rules.Len()), obs.F("atoms", snap.nAtoms)))
 	}
 	if cfg.Durability.Dir != "" {
 		if err := e.initDurability(); err != nil {

@@ -185,12 +185,12 @@ func (s *Snapshot) sliceProgram(ctx context.Context, gs *goalSlice) (*ground.Pro
 			return nil, err
 		}
 		if gs.routed < 0 {
-			s.answerCuts.Add(int64(len(gp.Rules)))
+			s.answerCuts.Add(int64(gp.Rules.Len()))
 		}
 		if s.eng.trace.Enabled() {
 			s.eng.trace.Emit(obs.E("slice",
 				obs.F("goal", relevance.GoalKey(gs.goal)),
-				obs.F("rules", len(gp.Rules)),
+				obs.F("rules", gp.Rules.Len()),
 				obs.F("version", s.version)))
 		}
 		return gp, nil
@@ -259,6 +259,6 @@ func (s *Snapshot) sliceLeast(ctx context.Context, i int, gs *goalSlice) (*Model
 		if err != nil {
 			return nil, err
 		}
-		return newModel(v, in, len(gp.Rules)), nil
+		return newModel(v, in, gp.Rules.Len()), nil
 	}, countLeast)
 }

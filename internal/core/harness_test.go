@@ -252,6 +252,44 @@ func occFamily(t *testing.T) *family {
 	return f
 }
 
+// columnsSrc is a one-edge chain whose paths base may block and exc may
+// link; its first grounding interns six atoms.
+const columnsSrc = `module base {
+  edge(c0, c1).
+  block(c0, c2).
+  path(X, Y) :- edge(X, Y).
+  path(X, Z) :- path(X, Y), edge(Y, Z).
+  -path(X, Y) :- block(X, Y).
+}
+module exc extends base {
+  link(c0, c1).
+  path(X, Y) :- link(X, Y).
+}
+`
+
+// columnsFamily is columnsSrc with n rounds of three asserts over fresh
+// constants: an edge extending the chain, a link in exc to a path base
+// derived (its head gains exc as a second owner after later heads were
+// registered), and a block of a path. The grounding grows quadratically
+// in n while its first version is tiny, so the resident program's columns
+// cross many chunk boundaries.
+func columnsFamily(n int) func(*testing.T) *family {
+	return func(t *testing.T) *family {
+		f := &family{prog: mustProgram(t, columnsSrc), comps: []string{"base", "exc"}, small: true}
+		f.addGoals(t, "path(c0, X)", "path(X, Y)", "-path(X, Y)", "path(c1, X), edge(X, Y)", "link(X, Y)", "path(X, c3)", "nosuch(X)")
+		for k := 1; k <= n; k++ {
+			f.addWrites(t, fmt.Sprintf("base edge(c%d, c%d)", k, k+1), fmt.Sprintf("exc link(c0, c%d)", k+1), fmt.Sprintf("base block(c1, c%d)", k+2))
+		}
+		next := 0
+		f.write = func(*rand.Rand) (int, ast.Literal, bool) {
+			w := f.pool[next%len(f.pool)]
+			next++
+			return w.comp, w.lit, false
+		}
+		return f
+	}
+}
+
 // srcFamily is a family over a source text: its components, goals, and
 // writes ("assert comp fact" or "retract comp fact") taken in order,
 // cycling.
@@ -986,7 +1024,7 @@ func readOn(ctx context.Context, s *Snapshot, comp string, st step) string {
 		if err != nil {
 			return fail(err)
 		}
-		if int(s.index.heads.Load()) > len(s.rules) {
+		if int(s.index.heads.Load()) > s.rules.Len() {
 			tally("harness.closure.past-prefix")
 		}
 		if err := occMismatch(s, st.q.Body); err != nil {

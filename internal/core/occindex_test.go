@@ -20,11 +20,11 @@ func occMismatch(s *Snapshot, goals []ast.Literal) error {
 	heads := make([][]int32, nTab)
 	bodies := make([][]int32, nTab)
 	live := make([]int32, s.gp.NumComponents())
-	for i := range s.rules {
+	for i := 0; i < s.rules.Len(); i++ {
 		if _, gone := s.dead[int32(i)]; gone {
 			continue
 		}
-		r := &s.rules[i]
+		r := s.rules.Rule(i)
 		live[r.Comp]++
 		heads[r.Head.Atom()] = append(heads[r.Head.Atom()], int32(i))
 		for _, l := range r.Body {

@@ -86,7 +86,7 @@ func cutsToLine(t *testing.T, s *Snapshot, comp int, goals []ast.Query) (k int, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		tally += int64(len(gp.Rules))
+		tally += int64(gp.Rules.Len())
 		k++
 	}
 	return k, tally

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/oracle/gen"
 	"repro/internal/wal"
@@ -199,6 +200,66 @@ func TestGoalDirectedDifferentialChain(t *testing.T) {
 		configs: []engineConfig{cfgFull, cfgGoal}, readers: 3,
 		script: writesAndReads(8, 10, 12, rAnswers, rQuery, rCut, rProve),
 		want:   []string{"core.route.cut", "core.updates.reground"}})
+}
+
+// The resident program's columns under concurrency: the writer's asserts
+// push the instance rows, body literals and competitor targets across at
+// least three chunk boundaries each — checked first on a lone engine —
+// while readers pinned at the first two versions keep asking, and every
+// read, of a model, a cut or a proof, matches the oracle at its version.
+func TestColumnChunksRaceWriter(t *testing.T) {
+	const rounds = 15
+	checkChunkCrossing(t, columnsFamily(rounds)(t), 3*rounds)
+	runRow(t, &row{cases: one(columnsFamily(rounds)), configs: []engineConfig{cfgFull, cfgGoal}, readers: 4,
+		script: func(b *builder) {
+			kinds := []readKind{rAnswers, rLeast, rCut, rProve, rClosure}
+			for w := 0; w < 3*rounds; w++ {
+				b.write()
+				b.mixed(2, 0, kinds...)
+				for back := w; back <= w+1; back++ { // versions 1 and 0
+					b.add(kinds[b.rng.Intn(len(kinds))], tPin, b.comp(), back)
+				}
+			}
+		},
+		want: []string{"core.updates.incremental", "harness.read.cut"}})
+}
+
+// checkChunkCrossing applies the family's first n writes to a fresh engine
+// and fails unless the instances, body literals and distinct heads (the
+// competitor targets) the writes added exceed three chunks of each column.
+// A grounding chunks its columns by its possible atoms, at most twice its
+// atoms A: at most max(16, 4A) rows or targets and twice that many body
+// literals a chunk.
+func checkChunkCrossing(t *testing.T, f *family, n int) {
+	t.Helper()
+	ctx := context.Background()
+	e, err := NewEngineCtx(ctx, f.prog, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(s *Snapshot) (rows, lits, heads int) {
+		seen := map[interp.Lit]bool{}
+		for i := 0; i < s.rules.Len(); i++ {
+			h, _, body := s.rules.At(i)
+			lits += len(body)
+			seen[h] = true
+		}
+		return s.rules.Len(), lits, len(seen)
+	}
+	s0 := e.Current()
+	chunk := max(16, 4*s0.NumAtoms())
+	rows0, lits0, heads0 := count(s0)
+	for i := 0; i < n; i++ {
+		c, l, _ := f.write(nil)
+		if _, err := e.Update(ctx, f.prog.Components[c].Name, []ast.Literal{l}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, lits, heads := count(e.Current())
+	if rows-rows0 < 3*chunk || lits-lits0 < 6*chunk || heads-heads0 < 3*chunk {
+		t.Fatalf("%d writes added %d rows, %d body literals and %d heads; chunks hold up to %d rows and heads, %d body literals: fewer than three boundaries crossed",
+			n, rows-rows0, lits-lits0, heads-heads0, chunk, 2*chunk)
+	}
 }
 
 // Pinned versions asked goals they never saw only after later writes

@@ -42,10 +42,11 @@ type Snapshot struct {
 	// component states it creates are those the write affected.
 	written bool
 
-	// rules pins this version's prefix of gp.Rules; later updates append to
-	// gp.Rules without invalidating the prefix. dead lists instance indexes
-	// (< len(rules)) retracted as of this version. Both are immutable.
-	rules []ground.Rule
+	// rules pins this version's prefix of gp's instances; later updates
+	// append to gp without invalidating the prefix. dead lists instance
+	// indexes (< rules.Len()) retracted as of this version. Both are
+	// immutable.
+	rules ground.Instances
 	dead  map[int32]struct{}
 
 	// log is the update history that produced this version, replayed over
@@ -138,7 +139,7 @@ func (s *Snapshot) Source() *ast.OrderedProgram { return s.eng.src }
 // Grounded returns the underlying ground program. Treat it as read-only.
 //
 // The program is shared across snapshots: incremental updates republish its
-// Rules and Universe slice headers (under the engine's write lock, which
+// Rules and Universe headers (under the engine's write lock, which
 // readers do not take), so reading those fields races with a concurrent
 // Update/Retract. Use Grounded only when no update can be in flight —
 // e.g. for diagnostics and dumps — and prefer the snapshot's own accessors
@@ -148,7 +149,7 @@ func (s *Snapshot) Grounded() *ground.Program { return s.gp }
 
 // NumGroundRules returns the number of live ground rule instances in this
 // version (retracted instances excluded).
-func (s *Snapshot) NumGroundRules() int { return len(s.rules) - len(s.dead) }
+func (s *Snapshot) NumGroundRules() int { return s.rules.Len() - len(s.dead) }
 
 // NumAtoms returns the size of the (relevant) Herbrand base of this
 // version.
@@ -209,7 +210,7 @@ func (s *Snapshot) viewAt(i int) *eval.View {
 
 // viewOf returns the state's view, building it from the pinned instances
 // of a version that shares the state on first use.
-func (st *compState) viewOf(gp *ground.Program, i int, rules []ground.Rule, dead map[int32]struct{}, nAtoms int) *eval.View {
+func (st *compState) viewOf(gp *ground.Program, i int, rules ground.Instances, dead map[int32]struct{}, nAtoms int) *eval.View {
 	built := false
 	st.viewOnce.Do(func() {
 		st.view.Store(eval.NewViewAt(gp, i, rules, dead, nAtoms))
@@ -227,7 +228,7 @@ func (st *compState) viewOf(gp *ground.Program, i int, rules []ground.Rule, dead
 // to later versions does not keep s's slice cache alive.
 func (s *Snapshot) modelOf(i int, st *compState, in *interp.Interp) *Model {
 	gp, rules, dead, n := s.gp, s.rules, s.dead, s.nAtoms
-	return &Model{gp: gp, comp: i, in: in, rules: len(rules), viewFn: func() *eval.View { return st.viewOf(gp, i, rules, dead, n) }}
+	return &Model{gp: gp, comp: i, in: in, rules: rules.Len(), viewFn: func() *eval.View { return st.viewOf(gp, i, rules, dead, n) }}
 }
 
 // LeastModelCtx computes the least model of the program in the component
@@ -368,7 +369,7 @@ func (s *Snapshot) AssumptionFreeModelsCtx(ctx context.Context, comp string, opt
 	if enumErr != nil && !partialEnumErr(enumErr) {
 		return nil, enumErr
 	}
-	return wrapModels(v, ms, len(s.rules)), enumErr
+	return wrapModels(v, ms, s.rules.Len()), enumErr
 }
 
 // StableModelsCtx enumerates the stable models in the component as of this
@@ -383,7 +384,7 @@ func (s *Snapshot) StableModelsCtx(ctx context.Context, comp string, opts stable
 	if enumErr != nil && !partialEnumErr(enumErr) {
 		return nil, enumErr
 	}
-	return wrapModels(v, ms, len(s.rules)), enumErr
+	return wrapModels(v, ms, s.rules.Len()), enumErr
 }
 
 // InterpFromLiterals builds a Model-shaped interpretation from AST
@@ -404,7 +405,7 @@ func (s *Snapshot) InterpFromLiterals(comp string, lits []ast.Literal) (*Model, 
 			return nil, fmt.Errorf("literal %s makes the interpretation inconsistent", l)
 		}
 	}
-	return newModel(v, in, len(s.rules)), nil
+	return newModel(v, in, s.rules.Len()), nil
 }
 
 // Update publishes a new snapshot with the given ground facts asserted in
@@ -494,7 +495,7 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 		// (e.g. cancellation mid-reground) publishes the incremental child
 		// instead: the update itself succeeded, and the thresholds
 		// re-trigger next time.
-		if e.needsCompact(len(child.dead), len(child.rules)) {
+		if e.needsCompact(len(child.dead), child.rules.Len()) {
 			if c, cerr := e.rebuild(ctx, version, log, len(child.dead), true); cerr == nil {
 				child, mode = c, "compact"
 			}
@@ -608,7 +609,7 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 	}
 	rules := parent.gp.Rules
 	for _, idx := range changed {
-		touched[int(rules[idx].Comp)] = true
+		touched[int(rules.Comp(int(idx)))] = true
 	}
 	child := &Snapshot{
 		eng:     e,

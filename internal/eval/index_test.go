@@ -41,8 +41,8 @@ module bottom extends left, right {
 // TestViewIndexesMatchScan pins every index a View builds to a quadratic
 // scan of the rules it sees, by Definition 2: over the seeded corpus and
 // the shapes program, from every component, over the whole program and
-// over random pinned prefixes with random dead sets and tight or full
-// Herbrand bases.
+// over random prefixes (the instances past one dead) with random dead sets
+// and tight or full Herbrand bases.
 func TestViewIndexesMatchScan(t *testing.T) {
 	progs := differentialPrograms(t)
 	shapes, err := parser.ParseProgram(viewShapesSrc)
@@ -60,19 +60,20 @@ func TestViewIndexesMatchScan(t *testing.T) {
 		for ci := range p.Components {
 			checkViewIndexes(t, g, ci, g.Rules, nil, g.Tab.Len(), &edges)
 			for trial := 0; trial < 3; trial++ {
-				rules := g.Rules[:rng.Intn(len(g.Rules)+1)]
+				rules := g.Rules
+				n := rng.Intn(rules.Len() + 1)
 				dead := make(map[int32]struct{})
-				for i := range rules {
-					if rng.Intn(4) == 0 {
+				for i := 0; i < rules.Len(); i++ {
+					if i >= n || rng.Intn(4) == 0 {
 						dead[int32(i)] = struct{}{}
 					}
 				}
 				nAtoms := g.Tab.Len()
 				if rng.Intn(2) == 0 {
 					nAtoms = 0 // the tightest base the prefix allows
-					for i := range rules {
-						nAtoms = max(nAtoms, int(rules[i].Head.Atom())+1)
-						for _, l := range rules[i].Body {
+					for i := 0; i < n; i++ {
+						nAtoms = max(nAtoms, int(rules.Head(i).Atom())+1)
+						for _, l := range rules.Body(i) {
 							nAtoms = max(nAtoms, int(l.Atom())+1)
 						}
 					}
@@ -89,13 +90,13 @@ func TestViewIndexesMatchScan(t *testing.T) {
 	}
 }
 
-func checkViewIndexes(t *testing.T, g *ground.Program, ci int, rules []ground.Rule, dead map[int32]struct{}, nAtoms int, edges *[2]int) {
+func checkViewIndexes(t *testing.T, g *ground.Program, ci int, rules ground.Instances, dead map[int32]struct{}, nAtoms int, edges *[2]int) {
 	t.Helper()
 	v := eval.NewViewAt(g, ci, rules, dead, nAtoms)
 	src := g.Src
-	var seen []int // the visible rules, in Rules order: local index → instance
-	for i := range rules {
-		if _, gone := dead[int32(i)]; gone || !slices.Contains(src.Above(ci), int(rules[i].Comp)) {
+	var seen []int // the visible rules, in instance order: local index → instance
+	for i := 0; i < rules.Len(); i++ {
+		if _, gone := dead[int32(i)]; gone || !slices.Contains(src.Above(ci), int(rules.Comp(i))) {
 			continue
 		}
 		seen = append(seen, i)
@@ -103,9 +104,9 @@ func checkViewIndexes(t *testing.T, g *ground.Program, ci int, rules []ground.Ru
 	if v.NumRules() != len(seen) {
 		t.Fatalf("NumRules = %d, scan finds %d", v.NumRules(), len(seen))
 	}
-	rule := func(r int) *ground.Rule { return &rules[seen[r]] }
+	rule := func(r int) ground.Rule { return rules.Rule(seen[r]) }
 	for r := range seen {
-		if v.GroundRule(r) != rule(r) || v.Head(r) != rule(r).Head || v.RuleComp(r) != int(rule(r).Comp) || !slices.Equal(v.Body(r), rule(r).Body) {
+		if g.RuleString(v.GroundRule(r)) != rules.RuleString(seen[r]) || v.GroundRule(r).Src != rule(r).Src || v.Head(r) != rule(r).Head || v.RuleComp(r) != int(rule(r).Comp) || !slices.Equal(v.Body(r), rule(r).Body) {
 			t.Fatalf("local rule %d is not instance %d", r, seen[r])
 		}
 	}

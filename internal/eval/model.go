@@ -30,7 +30,7 @@ func (v *View) ModelViolation(m *interp.Interp) (bool, string) {
 		if v.Blocked(r, m) || v.OverruledByApplied(r, m) {
 			continue
 		}
-		return true, "condition (a): rule " + v.G.RuleString(v.srcs[r]) +
+		return true, "condition (a): rule " + v.G.RuleString(v.GroundRule(r)) +
 			" contradicts " + v.G.Tab.LitString(v.heads[r].Complement()) +
 			" but is neither blocked nor overruled by an applied rule"
 	}
@@ -45,7 +45,7 @@ func (v *View) ModelViolation(m *interp.Interp) (bool, string) {
 		if v.Overruled(r, m) || v.Defeated(r, m) {
 			continue
 		}
-		return true, "condition (b): applicable rule " + v.G.RuleString(v.srcs[r]) +
+		return true, "condition (b): applicable rule " + v.G.RuleString(v.GroundRule(r)) +
 			" would define " + v.G.Tab.LitString(v.heads[r]) +
 			" but is neither overruled nor defeated"
 	}

@@ -30,7 +30,7 @@ import (
 // pointers to scan in it.
 //
 // Concurrency invariant: every index a View holds — heads, bodyOff/lits,
-// comps, srcs, headOff/headRules, occOff/occ, compOff/compMid/comp and
+// comps, insts, headOff/headRules, occOff/occ, compOff/compMid/comp and
 // threatOff/threatMid/threat — is built once inside NewViewAt and never
 // mutated afterwards (construct-once/read-many). A *View is therefore safe
 // for unsynchronised sharing across goroutines; all evaluation methods
@@ -48,12 +48,14 @@ type View struct {
 	nAtoms int
 
 	// Per visible rule (dense local indexes). Rule r's body is
-	// lits[bodyOff[r]:bodyOff[r+1]].
+	// lits[bodyOff[r]:bodyOff[r+1]], and it is instance insts[r] of rules,
+	// the prefix the view was built over.
 	heads   []interp.Lit
 	bodyOff []int32
 	lits    []interp.Lit
 	comps   []int32
-	srcs    []*ground.Rule
+	insts   []int32
+	rules   ground.Instances
 
 	// Literal-indexed CSRs over int(Lit): the rules headed by l are
 	// headRules[headOff[l]:headOff[l+1]], and the rules with l in their
@@ -90,51 +92,51 @@ func NewView(g *ground.Program, comp int) *View {
 }
 
 // NewViewOf builds the view of g from the component at position comp over
-// an explicit rule slice — typically a pinned prefix of g.Rules captured by
-// a versioned snapshot — excluding the instance indexes in dead (retracted
-// facts). rules must alias a prefix of g.Rules so indexes agree with the
-// dead set; the caller guarantees both stay immutable for the life of the
-// view, which is what makes a built view safe for unsynchronised sharing
-// even while later snapshot updates append further instances to g.Rules.
-func NewViewOf(g *ground.Program, comp int, rules []ground.Rule, dead map[int32]struct{}) *View {
+// a prefix of g's instances — typically the one a versioned snapshot
+// pinned — excluding the instance indexes in dead (retracted facts). The
+// caller guarantees the dead set stays immutable for the life of the view;
+// the prefix is, even while later snapshot updates append further
+// instances to g, which is what makes a built view safe for unsynchronised
+// sharing.
+func NewViewOf(g *ground.Program, comp int, rules ground.Instances, dead map[int32]struct{}) *View {
 	return NewViewAt(g, comp, rules, dead, g.Tab.Len())
 }
 
 // NewViewAt is NewViewOf over the first nAtoms atoms of g's table — the
 // Herbrand base of the version that pinned rules, which must mention no
 // atom at or past nAtoms.
-func NewViewAt(g *ground.Program, comp int, rules []ground.Rule, dead map[int32]struct{}, nAtoms int) *View {
+func NewViewAt(g *ground.Program, comp int, rules ground.Instances, dead map[int32]struct{}, nAtoms int) *View {
 	if comp < 0 || comp >= g.NumComponents() {
 		panic(fmt.Sprintf("eval: component index %d out of range", comp))
 	}
-	v := &View{G: g, Comp: comp, nAtoms: nAtoms}
+	v := &View{G: g, Comp: comp, nAtoms: nAtoms, rules: rules}
 	visible := make([]bool, g.NumComponents()) // ground(C*): C and every component above it
 	for j := range visible {
 		visible[j] = j == comp || g.Src.Less(comp, j)
 	}
 	n, total := 0, 0
-	for i := range rules {
-		r := &rules[i]
-		if !visible[r.Comp] {
+	for i := 0; i < rules.Len(); i++ {
+		_, c, body := rules.At(i)
+		if !visible[c] {
 			continue
 		}
 		if _, gone := dead[int32(i)]; gone {
 			continue
 		}
 		n++
-		total += len(r.Body)
+		total += len(body)
 	}
 	nLits := 2 * nAtoms
-	// Every int32 index the counts above size, in one allocation: seven
+	// Every int32 index the counts above size, in one allocation: eight
 	// per-rule arrays, the two literal-indexed offset arrays and the body
 	// occurrences.
-	ints := make([]int32, 7*n+3+2*(nLits+1)+total)
+	ints := make([]int32, 8*n+3+2*(nLits+1)+total)
 	carve := func(k int) []int32 {
 		s := ints[:k:k]
 		ints = ints[k:]
 		return s
 	}
-	v.comps = carve(n)
+	v.comps, v.insts = carve(n), carve(n)
 	v.bodyOff = carve(n + 1)
 	v.compOff, v.compMid = carve(n+1), carve(n)
 	v.threatOff, v.threatMid = carve(n+1), carve(n)
@@ -142,25 +144,25 @@ func NewViewAt(g *ground.Program, comp int, rules []ground.Rule, dead map[int32]
 	v.occ, v.headRules = carve(total), carve(n)
 	v.heads = make([]interp.Lit, n)
 	v.lits = make([]interp.Lit, 0, total)
-	v.srcs = make([]*ground.Rule, 0, n)
-	for i := range rules {
-		r := &rules[i]
-		if !visible[r.Comp] {
+	li := 0
+	for i := 0; i < rules.Len(); i++ {
+		h, c, body := rules.At(i)
+		if !visible[c] {
 			continue
 		}
 		if _, gone := dead[int32(i)]; gone {
 			continue
 		}
-		li := len(v.srcs)
-		v.heads[li] = r.Head
-		v.comps[li] = r.Comp
-		v.srcs = append(v.srcs, r)
-		v.lits = append(v.lits, r.Body...)
+		v.heads[li] = h
+		v.comps[li] = c
+		v.insts[li] = int32(i)
+		v.lits = append(v.lits, body...)
 		v.bodyOff[li+1] = int32(len(v.lits))
-		v.headOff[int(r.Head)+1]++
-		for _, l := range r.Body {
+		v.headOff[int(h)+1]++
+		for _, l := range body {
 			v.occOff[int(l)+1]++
 		}
+		li++
 	}
 	// Both literal CSRs: prefix-sum the counts, fill by advancing each
 	// literal's start, then shift the starts back.
@@ -251,8 +253,8 @@ func (v *View) Body(r int) []interp.Lit { return v.lits[v.bodyOff[r]:v.bodyOff[r
 // RuleComp returns the owning component position of visible rule r.
 func (v *View) RuleComp(r int) int { return int(v.comps[r]) }
 
-// GroundRule returns the underlying ground rule of visible rule r.
-func (v *View) GroundRule(r int) *ground.Rule { return v.srcs[r] }
+// GroundRule returns the underlying ground rule of visible rule r, decoded.
+func (v *View) GroundRule(r int) ground.Rule { return v.rules.Rule(int(v.insts[r])) }
 
 // NumAtoms returns the size of the Herbrand base the view evaluates over.
 func (v *View) NumAtoms() int { return v.nAtoms }

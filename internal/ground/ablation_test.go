@@ -40,9 +40,9 @@ func TestEDBSimplificationIsPureOptimisation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(gOn.Rules) > len(gOff.Rules) {
+			if gOn.Rules.Len() > gOff.Rules.Len() {
 				t.Errorf("seed %d %s: simplification increased instances (%d > %d)",
-					seed, tr, len(gOn.Rules), len(gOff.Rules))
+					seed, tr, gOn.Rules.Len(), gOff.Rules.Len())
 			}
 			vOn, err := naive.NewViewByName(gOn, "c")
 			if err != nil {

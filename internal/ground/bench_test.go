@@ -8,6 +8,7 @@ package ground
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -110,5 +111,33 @@ func BenchmarkAssertFreshConstant(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = gp
+	}
+}
+
+// BenchmarkResidentGC times a forced collection, in ms per GC, with the
+// reads tenant's full grounding (reads-full) live, beside a control with
+// nothing live: what a resident program adds to every collection cycle.
+func BenchmarkResidentGC(b *testing.B) {
+	for _, live := range []bool{false, true} {
+		name := "control"
+		if live {
+			name = "reads-full"
+		}
+		b.Run(name, func(b *testing.B) {
+			if live {
+				gp, err := GroundCtx(context.Background(), readsProgram(b, 400, 100), DefaultOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = gp
+			}
+			runtime.GC()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/gc")
+			benchSink = nil
+		})
 	}
 }

@@ -178,7 +178,7 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 		}
 	}
 
-	d := &Delta{OldLen: len(g.rules)}
+	d := &Delta{OldLen: g.cols.len}
 	var freshEDB []int32 // predicates of genuinely new facts on EDB/CWA shapes
 	done := make(map[interp.Lit]bool, len(facts))
 	g.registering = true
@@ -190,16 +190,11 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 		}
 		done[head] = true
 		// The fact re-enters the effective program either way, listed on its
-		// head's side after the source's, with its own rule (detached from
-		// the caller) as the instance source; its constants count again
-		// towards the rebuild universe.
-		key := g.tab.Key(head.Atom())
+		// head's side after the source's, as the source of its own instance;
+		// its constants count again towards the rebuild universe.
 		fi := int32(len(g.facts) + len(g.asserted))
 		pid := g.predID(f.Atom.Key())
-		g.asserted = append(g.asserted, fact{
-			r: ast.Fact(ast.Literal{Atom: g.tab.Atom(head.Atom())}), args: slices.Clone(key[1:]),
-			comp: int32(comp), pid: pid, sym: key[0], at: -1,
-		})
+		g.asserted = append(g.asserted, assertedFact{atom: head.Atom(), comp: int32(comp), pid: pid})
 		nf := g.fact(fi)
 		for _, id := range nf.args {
 			g.addRef(id, 1)
@@ -239,7 +234,7 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 	// universe grew — through a candidate's open variables taking a new
 	// constant, covered by revisiting the targets such candidates compete
 	// against for exactly those bindings.
-	preComp := len(g.rules)
+	preComp := g.cols.len
 	preTargets, preCandidates := g.compTargets, g.compCandidates
 	if err := g.competitorsOf(g.takeGrown()); err != nil {
 		return fail(err)
@@ -250,7 +245,8 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 	revisited := 0
 	if len(newConsts) > 0 {
 		for _, ps := range g.openSigns {
-			for _, tg := range g.side(ps.pid, ps.neg).tgts {
+			for _, ti := range g.side(ps.pid, ps.neg).tgts {
+				tg := g.tgt(ti)
 				if tg.grownAt == g.pass {
 					continue // reran in full above, over the grown universe
 				}
@@ -274,13 +270,13 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 	// change any model), and an incremental update must produce exactly the
 	// instance set a rebuild would.
 	g.recordMarks()
-	gp.Rules = g.rules
+	gp.publish()
 	gp.Universe = g.uni
-	d.NewLen = len(g.rules)
+	d.NewLen = g.cols.len
 	if obs.On() {
 		mDeltaAsserts.Inc()
 		mDeltaAssertInst.Add(int64(d.NewLen - d.OldLen))
-		mCompetitorClosure.Add(int64(len(g.rules) - preComp))
+		mCompetitorClosure.Add(int64(g.cols.len - preComp))
 		mCompetitorTargets.Add(int64(g.compTargets - preTargets))
 		mCompetitorCandidates.Add(int64(g.compCandidates - preCandidates))
 		if len(newConsts) > 0 {
@@ -468,7 +464,8 @@ func (g *grounder) deltaCompetitors(freshEDB []int32, preMarks map[ast.PredKey]i
 				}
 			}
 			head := &cc.c.c.atoms[0]
-			for _, tg := range g.side(head.pid, !head.neg).tgts {
+			for _, ti := range g.side(head.pid, !head.neg).tgts {
+				tg := g.tgt(ti)
 				if !g.canCompete(tg, cc.comp) {
 					continue
 				}

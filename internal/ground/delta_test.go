@@ -203,11 +203,12 @@ func (tn *tenant) effective(t *testing.T) *ast.OrderedProgram {
 // {(comp, head, body)} set, skipping the indexes in dead.
 func instanceSet(gp *ground.Program, dead map[int32]struct{}) []string {
 	var out []string
-	for i := range gp.Rules {
+	ins := gp.Rules
+	for i := 0; i < ins.Len(); i++ {
 		if _, gone := dead[int32(i)]; gone {
 			continue
 		}
-		out = append(out, fmt.Sprintf("m%d: %s", gp.Rules[i].Comp, gp.RuleString(&gp.Rules[i])))
+		out = append(out, fmt.Sprintf("m%d: %s", ins.Comp(i), ins.RuleString(i)))
 	}
 	sort.Strings(out)
 	return out

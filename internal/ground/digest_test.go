@@ -81,8 +81,7 @@ func writeGroundDigest(h hash.Hash, gp *Program) {
 	for id, n := 0, gp.Tab.Len(); id < n; id++ {
 		fmt.Fprintf(h, "a%d %s\n", id, gp.Tab.Atom(interp.AtomID(id)))
 	}
-	for i := range gp.Rules {
-		r := &gp.Rules[i]
+	for _, r := range gp.rules() {
 		fmt.Fprintf(h, "r m%d %d <-", r.Comp, r.Head)
 		for _, l := range r.Body {
 			fmt.Fprintf(h, " %d", l)

@@ -20,3 +20,13 @@ func Universe(p *ast.OrderedProgram, maxDepth int, budget int) ([]ast.Term, erro
 	all, _, err := universe(p, maxDepth, budget)
 	return all, err
 }
+
+// rules decodes every published instance, in order.
+func (g *Program) rules() []Rule {
+	ins := g.Rules
+	out := make([]Rule, ins.Len())
+	for i := range out {
+		out[i] = ins.Rule(i)
+	}
+	return out
+}

@@ -54,9 +54,10 @@ func goalLits(t testing.TB, lits ...string) []ast.Literal {
 }
 
 func ruleStringSet(gp *Program) map[string]bool {
-	set := make(map[string]bool, len(gp.Rules))
-	for i := range gp.Rules {
-		set[fmt.Sprintf("m%d: %s", gp.Rules[i].Comp, gp.RuleString(&gp.Rules[i]))] = true
+	rs := gp.rules()
+	set := make(map[string]bool, len(rs))
+	for _, r := range rs {
+		set[fmt.Sprintf("m%d: %s", r.Comp, gp.RuleString(r))] = true
 	}
 	return set
 }
@@ -89,11 +90,11 @@ func TestGoalSliceSubset(t *testing.T) {
 					t.Errorf("sliced instance %s not in the full grounding", r)
 				}
 			}
-			if len(sliced.Rules) >= len(full.Rules) {
-				t.Errorf("sliced %d instances, full %d: no reduction", len(sliced.Rules), len(full.Rules))
+			if sliced.Rules.Len() >= full.Rules.Len() {
+				t.Errorf("sliced %d instances, full %d: no reduction", sliced.Rules.Len(), full.Rules.Len())
 			}
-			if len(sliced.Rules)*c.minRatio > len(full.Rules) {
-				t.Errorf("sliced %d instances, full %d: want at least %d× fewer", len(sliced.Rules), len(full.Rules), c.minRatio)
+			if sliced.Rules.Len()*c.minRatio > full.Rules.Len() {
+				t.Errorf("sliced %d instances, full %d: want at least %d× fewer", sliced.Rules.Len(), full.Rules.Len(), c.minRatio)
 			}
 			for r := range slicedSet {
 				if strings.Contains(r, "jpath") || strings.Contains(r, "jedge") {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/interp"
@@ -84,28 +83,22 @@ func (o *Options) fill() {
 	}
 }
 
-// Rule is a ground rule instance over interned literals. Comp is the
-// position of the owning component in the source program; Src points to the
-// rule it instantiates.
-type Rule struct {
-	Head interp.Lit
-	Comp int32 // next to Head: the struct packs into 40 bytes
-	Body []interp.Lit
-	Src  *ast.Rule
-}
-
 // Program is a grounded ordered program.
 //
-// Rules is append-only: incremental updates (AssertFacts, RetractFacts)
-// add instances at the end and never reorder or remove existing ones, so a
-// prefix of Rules captured at one version stays valid forever. Retraction
-// is expressed as per-snapshot dead sets maintained by the caller, not as
-// mutation of Rules.
+// Rules are its instances as of the last grounding or update. They are
+// append-only: incremental updates (AssertFacts, RetractFacts) add
+// instances at the end and never reorder or remove existing ones, so a
+// prefix captured at one version stays valid forever. Retraction is
+// expressed as per-snapshot dead sets maintained by the caller, not as
+// mutation of the instances.
 type Program struct {
 	Src      *ast.OrderedProgram
 	Tab      *interp.Table
-	Rules    []Rule
+	Rules    Instances
 	Universe []ast.Term
+
+	// cols holds the instances Rules is a prefix of (instances.go).
+	cols columns
 
 	// inc retains the smart-grounding working state (possible-atom store,
 	// encoded rules, competitor targets, semi-naive watermarks) so facts can
@@ -119,29 +112,13 @@ type Program struct {
 // NumComponents returns the number of components of the source program.
 func (g *Program) NumComponents() int { return len(g.Src.Components) }
 
-// RuleString renders a ground rule instance for diagnostics.
-func (g *Program) RuleString(r *Rule) string {
-	var b strings.Builder
-	b.WriteString(g.Tab.LitString(r.Head))
-	if len(r.Body) > 0 {
-		b.WriteString(" :- ")
-		for i, l := range r.Body {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(g.Tab.LitString(l))
-		}
-	}
-	b.WriteByte('.')
-	return b.String()
-}
-
 // Dump writes the ground program in a readable form: instances grouped by
 // component in source order, one rule per line, followed by a summary.
 func (g *Program) Dump(w io.Writer) error {
+	ins := g.Rules
 	byComp := make([][]int, len(g.Src.Components))
-	for i := range g.Rules {
-		c := int(g.Rules[i].Comp)
+	for i := 0; i < ins.Len(); i++ {
+		c := int(ins.Comp(i))
 		byComp[c] = append(byComp[c], i)
 	}
 	for ci, c := range g.Src.Components {
@@ -150,7 +127,7 @@ func (g *Program) Dump(w io.Writer) error {
 		}
 		lines := make([]string, 0, len(byComp[ci]))
 		for _, i := range byComp[ci] {
-			lines = append(lines, g.RuleString(&g.Rules[i]))
+			lines = append(lines, ins.RuleString(i))
 		}
 		sort.Strings(lines)
 		for _, l := range lines {
@@ -159,7 +136,7 @@ func (g *Program) Dump(w io.Writer) error {
 			}
 		}
 	}
-	_, err := fmt.Fprintf(w, "%% %d instances over %d atoms\n", len(g.Rules), g.Tab.Len())
+	_, err := fmt.Fprintf(w, "%% %d instances over %d atoms\n", ins.Len(), g.Tab.Len())
 	return err
 }
 
@@ -192,7 +169,9 @@ func GroundCtx(ctx context.Context, p *ast.OrderedProgram, opts Options) (*Progr
 	if err != nil {
 		return nil, err
 	}
-	gp := &Program{Src: p, Tab: g.tab, Rules: g.rules, Universe: g.uni, sliced: g.rel != nil}
+	gp := g.gp
+	gp.Universe, gp.sliced = g.uni, g.rel != nil
+	gp.publish()
 	if opts.Mode == ModeSmart && g.rel == nil {
 		// Sliced programs keep inc nil: their instance set is a function of
 		// the goal, so in-place deltas would desynchronise them from the
@@ -203,7 +182,7 @@ func GroundCtx(ctx context.Context, p *ast.OrderedProgram, opts Options) (*Progr
 	if obs.On() {
 		clock.flush()
 		mGroundRuns.Inc()
-		mGroundInstances.Add(int64(len(gp.Rules)))
+		mGroundInstances.Add(int64(gp.cols.len))
 		mCompetitorClosure.Add(int64(g.compInstances))
 		mCompetitorTargets.Add(int64(g.compTargets))
 		mCompetitorCandidates.Add(int64(g.compCandidates))
@@ -235,6 +214,9 @@ func newGrounder(ctx context.Context, p *ast.OrderedProgram, opts Options) (*gro
 		seen:        make(map[uint64]int32),
 		f:           &storage.Frame{},
 	}
+	g.gp = &Program{Src: p, Tab: g.tab}
+	g.cols = &g.gp.cols
+	g.cols.init(newRuleTable(p), 1<<10) // smart grounding resizes by its estimate
 	// Universe members get the first term ids, in universe order; joins and
 	// open-variable enumeration bind these ids. The source is then compiled
 	// against them, all under one term-table lock.
@@ -253,13 +235,16 @@ func newGrounder(ctx context.Context, p *ast.OrderedProgram, opts Options) (*gro
 }
 
 type grounder struct {
-	src   *ast.OrderedProgram
-	ctx   context.Context
-	opts  Options
-	uni   []ast.Term
-	tab   *interp.Table
-	rules []Rule
-	// seen dedups instances and finds each one's index in rules, which is
+	src  *ast.OrderedProgram
+	ctx  context.Context
+	opts Options
+	uni  []ast.Term
+	tab  *interp.Table
+	// gp is the program being grounded, and cols its instance columns,
+	// which the grounder appends to.
+	gp   *Program
+	cols *columns
+	// seen dedups instances and finds each one's index in cols, which is
 	// how retraction finds the instance of a fact and re-assertion resurrects
 	// it: it maps an instance hash (component, head, body) to the newest
 	// instance with that hash, and seenPrev[i] links instance i to the
@@ -282,12 +267,8 @@ type grounder struct {
 	// term ids (predicate symbol id then argument ids) — to the components
 	// asserting them; built by predShapes for the competitor pass.
 	factComps map[string][]int
-	// bodyBuf is the scratch an instance's body is built in before dedup,
-	// and bodyArena the chunk retained bodies are carved from (arenaChunk
-	// its doubling size).
-	bodyBuf    []interp.Lit
-	bodyArena  []interp.Lit
-	arenaChunk int
+	// bodyBuf is the scratch an instance's body is built in before dedup.
+	bodyBuf []interp.Lit
 	// f is the frame every join and head match binds (all slots unbound
 	// between uses), sized for the widest compiled rule. uniIDs are the
 	// universe's term ids, in g.uni order. argBuf, atomBuf and idBuf are the
@@ -312,7 +293,7 @@ type grounder struct {
 	predIDs  map[ast.PredKey]int32
 	crules   []crule
 	facts    []fact
-	asserted []fact
+	asserted []assertedFact
 	seq      []int32
 
 	// Smart-mode state retained for incremental updates (delta.go). All of
@@ -328,16 +309,22 @@ type grounder struct {
 	// against — the only targets universe growth has to revisit.
 	cands     []candidate
 	openSigns []predSide
-	// tgtOf is the competitor-pass target of each head literal emitted so
-	// far, indexed by the literal. While registering is set, every new
-	// instance registers its head; grown collects, in registration order,
-	// the targets the current pass created or gave a new owning component.
+	// targets are the competitor-pass targets, numbered in creation order,
+	// and pool holds their owning components: target t's are the nComps
+	// entries from t.comps on, in one chunk; nPool counts the pool's
+	// entries, spent or not. tgtOf is the target of each head literal
+	// emitted so far, indexed by the literal. While registering is set,
+	// every new instance registers its head; grown collects, in
+	// registration order, the targets the current pass created or gave a
+	// new owning component.
+	targets     column[target]
+	nTargets    int
+	pool        column[int32]
+	nPool       int
 	tgtOf       litTargets
 	registering bool
-	grown       []*target
-	pass        int      // registration passes so far (target.grownAt stamp)
-	targetSlab  []target // unused tail of the current target chunk (slabChunk its size)
-	slabChunk   int
+	grown       []int32
+	pass        int32               // registration passes so far (target.grownAt stamp)
 	marks       map[ast.PredKey]int // relation sizes at the end of the last (delta) pass
 	// constRefs counts, per constant (indexed by interned term id), its
 	// occurrences in the effective program (source rules plus asserted facts
@@ -375,7 +362,7 @@ type pred struct {
 // targets with that sign, in registration order.
 type side struct {
 	cands [][]int32
-	tgts  []*target
+	tgts  []int32
 }
 
 // predSide names one sign of one predicate.
@@ -398,7 +385,9 @@ func b2i(b bool) int {
 // to ids: its component, head sign, predicate and argument ids. at is the
 // dlSrc index the fact is seeded and instantiated just before (-1 when
 // smart grounding does not take it as a fact: a slice skips it, or it
-// joins its demand guard as a rule).
+// joins its demand guard as a rule). A source fact keeps its rule r and
+// its number in the rule table, ord; a fact asserted since grounding has
+// neither (nil, -1), and is kept as an assertedFact.
 type fact struct {
 	r    *ast.Rule
 	args []term.ID
@@ -406,15 +395,26 @@ type fact struct {
 	pid  int32
 	sym  term.ID
 	at   int32
+	ord  int32
 	neg  bool
 }
 
+// assertedFact is a positive fact asserted since grounding: its atom,
+// whose stored key holds its predicate symbol and arguments, its
+// component and its predicate. Nothing in it is a pointer.
+type assertedFact struct {
+	atom      interp.AtomID
+	comp, pid int32
+}
+
 // fact returns fact number i: a source fact, or past them an asserted one.
-func (g *grounder) fact(i int32) *fact {
+func (g *grounder) fact(i int32) fact {
 	if int(i) < len(g.facts) {
-		return &g.facts[i]
+		return g.facts[i]
 	}
-	return &g.asserted[int(i)-len(g.facts)]
+	a := g.asserted[int(i)-len(g.facts)]
+	key := g.tab.Key(a.atom)
+	return fact{args: key[1:], comp: a.comp, pid: a.pid, sym: key[0], at: -1, ord: -1}
 }
 
 // isGroundFact reports whether r is a ground fact.
@@ -439,22 +439,22 @@ type encLit struct {
 }
 
 // catom is a compiled rule atom: predicate name, symbol id and dense id,
-// sign, and argument patterns; ground is the atom itself when it is ground
-// as written (the atom table then stores it rather than a decoded copy).
+// sign, and argument patterns.
 type catom struct {
-	pred   string
-	sym    term.ID
-	pid    int32
-	neg    bool
-	args   []storage.Pat
-	ground ast.Atom
+	pred string
+	sym  term.ID
+	pid  int32
+	neg  bool
+	args []storage.Pat
 }
 
 // crule is a source rule compiled for the join kernel: frame slot i holds
 // vars[i] (r.Vars() order), atoms[0] is the head and atoms[1:] the body.
+// ord is r's number in the rule table.
 type crule struct {
 	r     *ast.Rule
 	comp  int32
+	ord   int32
 	vars  []ast.Var
 	atoms []catom
 }
@@ -488,12 +488,14 @@ func (g *grounder) compileSource(b term.Batch) {
 	ids := make([]term.ID, 0, nArgs)
 	atoms := make([]catom, 0, nAtoms)
 	pats := make([]storage.Pat, 0, nPats)
+	ord := int32(-1) // the rule's number in the rule table
 	for ci, c := range g.src.Components {
 		for _, r := range c.Rules {
+			ord++
 			if !isGroundFact(r) {
 				g.seq = append(g.seq, int32(len(g.crules)))
 				g.crules = append(g.crules, crule{})
-				g.compileRule(b, r, ci, &g.crules[len(g.crules)-1], &atoms, &pats)
+				g.compileRule(b, r, ci, ord, &g.crules[len(g.crules)-1], &atoms, &pats)
 				g.addRuleRefs(b, r)
 				continue
 			}
@@ -507,27 +509,24 @@ func (g *grounder) compileSource(b term.Batch) {
 			g.seq = append(g.seq, ^int32(len(g.facts)))
 			g.facts = append(g.facts, fact{
 				r: r, args: ids[start:len(ids):len(ids)], comp: int32(ci),
-				pid: g.predID(r.Head.Atom.Key()), sym: sym, at: -1, neg: r.Head.Neg,
+				pid: g.predID(r.Head.Atom.Key()), sym: sym, at: -1, ord: ord, neg: r.Head.Neg,
 			})
 		}
 	}
 }
 
-// compileRule compiles r, of component ci, into c, carving its atoms and
-// patterns from the slabs (appends that outgrow a slab leave earlier
-// rules' sub-slices valid), and makes room for its slots in the frame.
-func (g *grounder) compileRule(in term.Interner, r *ast.Rule, ci int, c *crule, atoms *[]catom, pats *[]storage.Pat) {
-	c.r, c.comp, c.vars = r, int32(ci), r.Vars()
+// compileRule compiles r, of component ci and numbered ord in the rule
+// table, into c, carving its atoms and patterns from the slabs (appends
+// that outgrow a slab leave earlier rules' sub-slices valid), and makes
+// room for its slots in the frame.
+func (g *grounder) compileRule(in term.Interner, r *ast.Rule, ci int, ord int32, c *crule, atoms *[]catom, pats *[]storage.Pat) {
+	c.r, c.comp, c.ord, c.vars = r, int32(ci), ord, r.Vars()
 	start := len(*atoms)
 	add := func(l ast.Literal) {
 		ps := len(*pats)
 		*pats = storage.AppendPats(*pats, in, l.Atom.Args, &c.vars)
 		sym := in.InternSym(l.Atom.Pred)
-		a := catom{pred: l.Atom.Pred, sym: sym, pid: g.predID(l.Atom.Key()), neg: l.Neg, args: (*pats)[ps:len(*pats):len(*pats)]}
-		if len(l.Atom.Args) > 0 && l.Atom.Ground() {
-			a.ground = l.Atom
-		}
-		*atoms = append(*atoms, a)
+		*atoms = append(*atoms, catom{pred: l.Atom.Pred, sym: sym, pid: g.predID(l.Atom.Key()), neg: l.Neg, args: (*pats)[ps:len(*pats):len(*pats)]})
 	}
 	add(r.Head)
 	for _, l := range r.Body {
@@ -572,49 +571,53 @@ func (g *grounder) relOf(pid int32, neg, create bool) *storage.Relation {
 
 // target is one competitor-pass target: a retained head literal — its
 // atom, predicate and sign — and the components owning instances with that
-// head (a handful at most, so a slice scanned linearly). grownAt is the
-// registration pass that last returned it as grown.
+// head, a run of the grounder's pool (a handful at most, so scanned
+// linearly). grownAt is the registration pass that last returned it as
+// grown. Nothing in it is a pointer.
 type target struct {
-	atom    interp.AtomID
-	pid     int32
-	neg     bool
-	comps   []int32
-	own     [2]int32 // comps' initial backing
-	grownAt int
+	atom          interp.AtomID
+	pid           int32
+	comps, nComps int32
+	grownAt       int32
+	neg           bool
 }
 
-// litTargets maps head literals to their targets, in fixed chunks of
-// litChunk entries indexed by the literal: literals are dense, a chunk is
-// allocated on its first target, and adding one never copies the others.
-type litTargets [][]*target
+// tgt returns target t.
+func (g *grounder) tgt(t int32) *target { return g.targets.ref(int(t)) }
+
+// compsOf returns the components owning target tg's head.
+func (g *grounder) compsOf(tg *target) []int32 {
+	if tg.nComps == 0 {
+		return nil
+	}
+	return g.pool.run(int(tg.comps), int(tg.nComps))
+}
+
+// litTargets maps head literals to their targets (numbered from 1, 0 for
+// none), in fixed chunks of litChunk entries indexed by the literal:
+// literals are dense, a chunk is allocated on its first target, and
+// adding one never copies the others.
+type litTargets [][]int32
 
 const litChunk = 256
 
-func (m litTargets) get(l interp.Lit) *target {
+// get returns the target of l, or -1.
+func (m litTargets) get(l interp.Lit) int32 {
 	if c := int(l) / litChunk; c < len(m) && m[c] != nil {
-		return m[c][int(l)%litChunk]
+		return m[c][int(l)%litChunk] - 1
 	}
-	return nil
+	return -1
 }
 
-func (m *litTargets) set(l interp.Lit, t *target) {
+func (m *litTargets) set(l interp.Lit, t int32) {
 	c := int(l) / litChunk
 	for c >= len(*m) {
 		*m = append(*m, nil)
 	}
 	if (*m)[c] == nil {
-		(*m)[c] = make([]*target, litChunk)
+		(*m)[c] = make([]int32, litChunk)
 	}
-	(*m)[c][int(l)%litChunk] = t
-}
-
-func (t *target) ownedBy(comp int32) bool {
-	for _, c := range t.comps {
-		if c == comp {
-			return true
-		}
-	}
-	return false
+	(*m)[c][int(l)%litChunk] = t + 1
 }
 
 // idSet is a set of term ids, dense by id: ids are small and dense, so
@@ -644,7 +647,7 @@ func (g *grounder) instantiate(comp int, c *crule) error {
 	if err != nil || !keep {
 		return err
 	}
-	return g.record(comp, head, body, c.r, c.atoms[0].pid, slices.Max(g.idBuf))
+	return g.record(comp, head, body, c.ord, c.atoms[0].pid, slices.Max(g.idBuf))
 }
 
 // factBatch is how many facts the fireable pass hands instantiateFacts at
@@ -658,7 +661,7 @@ func (g *grounder) instantiateFacts(fs []int32) error {
 	atoms := g.atomBuf[:0]
 	for _, i := range fs {
 		f := g.fact(i)
-		atoms = append(atoms, interp.IDAtom{Pred: f.r.Head.Atom.Pred, Sym: f.sym, Args: f.args, Atom: f.r.Head.Atom})
+		atoms = append(atoms, interp.IDAtom{Pred: g.preds[f.pid].key.Name, Sym: f.sym, Args: f.args})
 	}
 	g.atomBuf = atoms
 	ids := g.tab.InternAtoms(g.idBuf[:0], atoms)
@@ -668,7 +671,7 @@ func (g *grounder) instantiateFacts(fs []int32) error {
 			return err
 		}
 		f := g.fact(i)
-		if err := g.record(int(f.comp), interp.MkLit(ids[k], f.neg), nil, f.r, f.pid, ids[k]); err != nil {
+		if err := g.record(int(f.comp), interp.MkLit(ids[k], f.neg), nil, f.ord, f.pid, ids[k]); err != nil {
 			return err
 		}
 	}
@@ -687,14 +690,15 @@ func (g *grounder) poll() error {
 }
 
 // record retains the instance head <- body of component comp, from source
-// rule src whose head predicate is pid, unless a duplicate was seen, and
+// rule src (its rule-table number) whose head predicate is pid, unless a
+// duplicate was seen, and
 // registers its head as a competitor-pass target while registering — a
 // duplicate too: a delta pass can find fireable an instance an earlier
 // competitor pass emitted, which no pass registered, and a rebuild's
 // fireable pass would register it. top is the instance's largest atom id:
 // atom ids are dense, so the atom table outgrew its budget exactly when
 // some instance holds an id past it.
-func (g *grounder) record(comp int, head interp.Lit, body []interp.Lit, src *ast.Rule, pid int32, top interp.AtomID) error {
+func (g *grounder) record(comp int, head interp.Lit, body []interp.Lit, src, pid int32, top interp.AtomID) error {
 	h := instanceHash(comp, head, body)
 	if _, dup := g.findInstance(h, comp, head, body); dup {
 		if g.registering {
@@ -702,14 +706,14 @@ func (g *grounder) record(comp int, head interp.Lit, body []interp.Lit, src *ast
 		}
 		return nil
 	}
-	g.appendInstance(h, Rule{Head: head, Body: g.keepBody(body), Comp: int32(comp), Src: src})
+	g.appendInstance(h, head, int32(comp), body, src)
 	if g.registering {
 		g.register(head, int32(comp), pid)
 	}
 	if int(top) >= g.opts.MaxAtoms {
 		return &ErrBudget{"atom", g.opts.MaxAtoms}
 	}
-	if len(g.rules) > g.opts.MaxInstances {
+	if g.cols.len > g.opts.MaxInstances {
 		return &ErrBudget{"instance", g.opts.MaxInstances}
 	}
 	return nil
@@ -734,12 +738,13 @@ func fnvMix(h uint64, v uint32) uint64 {
 	return (h ^ uint64(v>>24)) * prime64
 }
 
-// findInstance returns the index in rules of the instance with hash h and
-// the given identity, walking the chain of instances sharing the hash.
+// findInstance returns the index of the instance with hash h and the
+// given identity, walking the chain of instances sharing the hash.
 func (g *grounder) findInstance(h uint64, comp int, head interp.Lit, body []interp.Lit) (int32, bool) {
+	c := g.cols
 	i, ok := g.seen[h]
 	for ok && i >= 0 {
-		if r := &g.rules[i]; r.Head == head && int(r.Comp) == comp && litsEqual(r.Body, body) {
+		if r := c.rows.at(int(i)); r.head == head && int(r.comp) == comp && slices.Equal(c.bodyOf(r), body) {
 			return i, true
 		}
 		i = g.seenPrev[i]
@@ -747,27 +752,16 @@ func (g *grounder) findInstance(h uint64, comp int, head interp.Lit, body []inte
 	return 0, false
 }
 
-func litsEqual(a, b []interp.Lit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// appendInstance retains a new instance (findInstance missed it) with hash h.
-func (g *grounder) appendInstance(h uint64, r Rule) {
+// appendInstance retains a new instance (findInstance missed it) with hash
+// h, copying its body out of the scratch it was built in.
+func (g *grounder) appendInstance(h uint64, head interp.Lit, comp int32, body []interp.Lit, src int32) {
 	prev, ok := g.seen[h]
 	if !ok {
 		prev = -1
 	}
-	g.seen[h] = int32(len(g.rules))
+	g.seen[h] = int32(g.cols.len)
 	g.seenPrev = append(g.seenPrev, prev)
-	g.rules = append(g.rules, r)
+	copy(g.cols.add(head, comp, len(body), src), body)
 }
 
 // builtinsHold reports whether every builtin of c holds under the frame.
@@ -805,7 +799,7 @@ func (g *grounder) buildInstance(c *crule, buf []interp.Lit) (head interp.Lit, b
 	atoms := g.atomBuf[:0]
 	for i := range c.atoms {
 		n := len(c.atoms[i].args)
-		atoms = append(atoms, interp.IDAtom{Pred: c.atoms[i].pred, Sym: c.atoms[i].sym, Args: args[:n:n], Atom: c.atoms[i].ground})
+		atoms = append(atoms, interp.IDAtom{Pred: c.atoms[i].pred, Sym: c.atoms[i].sym, Args: args[:n:n]})
 		args = args[n:]
 	}
 	g.atomBuf = atoms
@@ -816,24 +810,6 @@ func (g *grounder) buildInstance(c *crule, buf []interp.Lit) (head interp.Lit, b
 		buf = append(buf, interp.MkLit(id, c.atoms[i+1].neg))
 	}
 	return head, buf, true, nil
-}
-
-// keepBody copies a retained instance's body out of the scratch buffer
-// into the body arena: Rules is append-only and bodies are never written
-// again, so instances share chunks instead of owning one allocation each.
-func (g *grounder) keepBody(body []interp.Lit) []interp.Lit {
-	n := len(body)
-	if n == 0 {
-		return nil
-	}
-	if len(g.bodyArena) < n {
-		g.arenaChunk = min(max(2*g.arenaChunk, 64), 4096)
-		g.bodyArena = make([]interp.Lit, max(g.arenaChunk, n))
-	}
-	kept := g.bodyArena[:n:n]
-	g.bodyArena = g.bodyArena[n:]
-	copy(kept, body)
-	return kept
 }
 
 // check is the grounder's cooperative checkpoint. Callers pass the full

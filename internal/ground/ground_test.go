@@ -3,6 +3,8 @@ package ground
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -130,8 +132,8 @@ func TestGroundPropositional(t *testing.T) {
 		} else if g.Tab.Len() != 3 {
 			t.Errorf("full mode interned %d atoms, want 3", g.Tab.Len())
 		}
-		if len(g.Rules) != want {
-			t.Errorf("mode %v: %d rules, want %d", mode, len(g.Rules), want)
+		if g.Rules.Len() != want {
+			t.Errorf("mode %v: %d rules, want %d", mode, g.Rules.Len(), want)
 		}
 	}
 }
@@ -145,8 +147,8 @@ func TestGroundInstantiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2 facts + 2 instances of the rule.
-	if len(g.Rules) != 4 {
-		t.Errorf("%d ground rules, want 4", len(g.Rules))
+	if g.Rules.Len() != 4 {
+		t.Errorf("%d ground rules, want 4", g.Rules.Len())
 	}
 	// Full Herbrand base: bird and fly over 2 constants.
 	if g.Tab.Len() != 4 {
@@ -161,13 +163,39 @@ func TestGroundBuiltinsFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	for i := range g.Rules {
-		if g.Tab.Atom(g.Rules[i].Head.Atom()).Pred == "big" {
+	for _, r := range g.rules() {
+		if g.Tab.Atom(r.Head.Atom()).Pred == "big" {
 			count++
 		}
 	}
 	if count != 2 {
 		t.Errorf("big instances = %d, want 2", count)
+	}
+}
+
+// TestTargetOwnedByManyComponents: a head derived in more components than
+// a chunk of the target pool holds — forty modules asserting p, and a
+// competitor -p :- q beside them — keeps every owner, so the smart
+// grounding still equals the full one.
+func TestTargetOwnedByManyComponents(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&b, "module m%d { p. }\n", i)
+	}
+	b.WriteString("module top { -p :- q. }\n")
+	p := parse(t, b.String())
+	smart, err := GroundCtx(context.Background(), p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Mode = ModeFull
+	full, err := GroundCtx(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ruleStringSet(smart), ruleStringSet(full); !maps.Equal(got, want) {
+		t.Fatalf("smart grounding %v, full %v", got, want)
 	}
 }
 
@@ -184,8 +212,8 @@ order a < b.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rules) != 2 {
-		t.Errorf("%d instances, want 2 (one per component)", len(g.Rules))
+	if g.Rules.Len() != 2 {
+		t.Errorf("%d instances, want 2 (one per component)", g.Rules.Len())
 	}
 }
 
@@ -213,9 +241,9 @@ module c {
 		if err != nil {
 			t.Fatalf("mode %v: %v", tc.mode, err)
 		}
-		if len(g.Rules) != tc.instances || g.Tab.Len() != tc.atoms {
+		if g.Rules.Len() != tc.instances || g.Tab.Len() != tc.atoms {
 			t.Fatalf("mode %v: %d instances over %d atoms, want %d over %d",
-				tc.mode, len(g.Rules), g.Tab.Len(), tc.instances, tc.atoms)
+				tc.mode, g.Rules.Len(), g.Tab.Len(), tc.instances, tc.atoms)
 		}
 		for _, b := range []struct {
 			name string
@@ -255,7 +283,7 @@ module c {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(seq.Rules)
+	n := seq.Rules.Len()
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for i := range errs {
@@ -286,15 +314,15 @@ func TestRuleString(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rule *Rule
-	for i := range g.Rules {
-		if len(g.Rules[i].Body) > 0 {
-			rule = &g.Rules[i]
+	for _, r := range g.rules() {
+		if len(r.Body) > 0 {
+			rule = &r
 		}
 	}
 	if rule == nil {
 		t.Fatal("rule instance missing")
 	}
-	if got := g.RuleString(rule); got != "fly(tweety) :- bird(tweety)." {
+	if got := g.RuleString(*rule); got != "fly(tweety) :- bird(tweety)." {
 		t.Errorf("RuleString = %q", got)
 	}
 }
@@ -308,8 +336,8 @@ func TestSmartKeepsNeverFireableCompetitors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rules) != 2 {
-		t.Fatalf("smart grounding kept %d rules, want 2", len(g.Rules))
+	if g.Rules.Len() != 2 {
+		t.Fatalf("smart grounding kept %d rules, want 2", g.Rules.Len())
 	}
 }
 
@@ -335,8 +363,8 @@ order c < cwa.
 	// Without the simplification the recursive rule alone would have
 	// n^3 = 27 instances; with it, only parent-fact-supported ones.
 	recursive := 0
-	for i := range g.Rules {
-		if len(g.Rules[i].Body) == 2 {
+	for _, r := range g.rules() {
+		if len(r.Body) == 2 {
 			recursive++
 		}
 	}
@@ -345,8 +373,8 @@ order c < cwa.
 	}
 	// And the CWA facts still cover the full base of both predicates.
 	cwaFacts := 0
-	for i := range g.Rules {
-		if g.Rules[i].Head.Neg() && len(g.Rules[i].Body) == 0 {
+	for _, r := range g.rules() {
+		if r.Head.Neg() && len(r.Body) == 0 {
 			cwaFacts++
 		}
 	}
@@ -426,7 +454,7 @@ func TestUniverseKeepsKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(cp.Rules), len(gp.Rules); got != want || want != 4 {
+	if got, want := len(cp.Rules), gp.Rules.Len(); got != want || want != 4 {
 		t.Fatalf("classical grounds %d instances, smart %d; want 4 each (two p facts, q over both constants)", got, want)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -38,7 +39,7 @@ func competitorsScanOracle(g *grounder, tg *target, emit emitFn) error {
 	tgArgs := g.tab.Key(tg.atom)[1:]
 	for ci := range g.src.Components {
 		relevant := false
-		for _, cs := range tg.comps {
+		for _, cs := range g.compsOf(tg) {
 			if !g.src.Less(int(cs), ci) {
 				relevant = true
 				break
@@ -48,14 +49,18 @@ func competitorsScanOracle(g *grounder, tg *target, emit emitFn) error {
 			continue
 		}
 		rules := append(append([]*ast.Rule(nil), g.src.Components[ci].Rules...), assertedFacts(g, ci)...)
-		for _, r := range rules {
+		for k, r := range rules {
 			if r.Head.Neg != wantNeg || r.Head.Atom.Key() != wantKey {
 				continue
 			}
 			c := &crule{}
 			var atoms []catom
 			var pats []storage.Pat
-			g.compileRule(tt, r, ci, c, &atoms, &pats)
+			ord := int32(-1) // an asserted fact
+			if k < len(g.src.Components[ci].Rules) {
+				ord = g.cols.rt.start[ci] + int32(k)
+			}
+			g.compileRule(tt, r, ci, ord, c, &atoms, &pats)
 			mark := g.f.Mark()
 			var err error
 			if g.f.Match(tt, c.atoms[0].args, tgArgs) {
@@ -89,7 +94,8 @@ func assertedFacts(g *grounder, ci int) []*ast.Rule {
 	sort.Ints(idx)
 	rules := make([]*ast.Rule, len(idx))
 	for i, fi := range idx {
-		rules[i] = g.fact(int32(fi)).r
+		f := g.fact(int32(fi))
+		rules[i] = ast.Fact(ast.Literal{Atom: ast.Atom{Pred: g.preds[f.pid].key.Name, Args: g.tab.TermTable().AppendTerms(nil, f.args)}})
 	}
 	return rules
 }
@@ -165,12 +171,14 @@ func groundScanOracle(t *testing.T, p *ast.OrderedProgram, opts Options) *Progra
 	if err := g.fireable(); err != nil {
 		t.Fatal(err)
 	}
-	for _, tg := range g.takeGrown() {
-		if err := competitorsScanOracle(g, tg, g.instantiate); err != nil {
+	for _, ti := range g.takeGrown() {
+		if err := competitorsScanOracle(g, g.tgt(ti), g.instantiate); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return &Program{Src: p, Tab: g.tab, Rules: g.rules, Universe: g.uni}
+	g.gp.Universe = g.uni
+	g.gp.publish()
+	return g.gp
 }
 
 // sameRuleSequence asserts two groundings agree instance by instance:
@@ -179,12 +187,13 @@ func groundScanOracle(t *testing.T, p *ast.OrderedProgram, opts Options) *Progra
 // same parse (sameSrc), the source rule pointer.
 func sameRuleSequence(t *testing.T, name string, got, want *Program, sameSrc bool) {
 	t.Helper()
-	if len(got.Rules) != len(want.Rules) {
-		t.Fatalf("%s: %d instances, want %d", name, len(got.Rules), len(want.Rules))
+	gotRules, wantRules := got.rules(), want.rules()
+	if len(gotRules) != len(wantRules) {
+		t.Fatalf("%s: %d instances, want %d", name, len(gotRules), len(wantRules))
 	}
-	for i := range want.Rules {
-		a, b := &got.Rules[i], &want.Rules[i]
-		if a.Comp != b.Comp || a.Head != b.Head || !litsEqual(a.Body, b.Body) || (sameSrc && a.Src != b.Src) ||
+	for i := range wantRules {
+		a, b := gotRules[i], wantRules[i]
+		if a.Comp != b.Comp || a.Head != b.Head || !slices.Equal(a.Body, b.Body) || (sameSrc && a.Src != b.Src) ||
 			got.RuleString(a) != want.RuleString(b) {
 			t.Fatalf("%s: Rules[%d] = m%d %s (src %q), want m%d %s (src %q)", name, i,
 				a.Comp, got.RuleString(a), a.Src, b.Comp, want.RuleString(b), b.Src)
@@ -333,7 +342,8 @@ func TestGrowthUpdatesFindWhatTheScanFinds(t *testing.T) {
 			g := gp.inc
 			for pid := range g.preds {
 				for _, sd := range g.preds[pid].sides {
-					for _, tg := range sd.tgts {
+					for _, ti := range sd.tgts {
+						tg := g.tgt(ti)
 						err := competitorsScanOracle(g, tg, func(comp int, c *crule) error {
 							head, body, keep, err := g.buildInstance(c, nil)
 							if err != nil || !keep {
@@ -341,7 +351,7 @@ func TestGrowthUpdatesFindWhatTheScanFinds(t *testing.T) {
 							}
 							if _, ok := g.findInstance(instanceHash(comp, head, body), comp, head, body); !ok {
 								rule := Rule{Head: head, Body: body, Comp: int32(comp), Src: c.r}
-								return fmt.Errorf("target %s: scan finds m%d %s, missing from the maintained program", g.tab.Atom(tg.atom), comp, gp.RuleString(&rule))
+								return fmt.Errorf("target %s: scan finds m%d %s, missing from the maintained program", g.tab.Atom(tg.atom), comp, gp.RuleString(rule))
 							}
 							return nil
 						})

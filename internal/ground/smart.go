@@ -1,6 +1,7 @@
 package ground
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/ast"
@@ -58,11 +59,11 @@ func (g *grounder) smart(clock *phaseClock) error {
 
 	// Competitor pass: instantiate the potential competitors of every
 	// target.
-	preComp := len(g.rules)
+	preComp := g.cols.len
 	if err := g.competitorsOf(g.takeGrown()); err != nil {
 		return err
 	}
-	g.compInstances += len(g.rules) - preComp
+	g.compInstances += g.cols.len - preComp
 	g.recordMarks()
 	clock.done(phaseCompetitor)
 	return nil
@@ -119,7 +120,7 @@ func (g *grounder) factsBefore(next, i int) (int, error) {
 
 // takeGrown returns the targets the registration pass grew and clears the
 // list.
-func (g *grounder) takeGrown() []*target {
+func (g *grounder) takeGrown() []int32 {
 	grown := g.grown
 	g.grown = nil
 	return grown
@@ -161,7 +162,7 @@ func (g *grounder) smartPrep() error {
 			var atoms []catom
 			var pats []storage.Pat
 			c = &crule{}
-			g.compileRule(g.tab.TermTable(), f.r, int(f.comp), c, &atoms, &pats)
+			g.compileRule(g.tab.TermTable(), f.r, int(f.comp), f.ord, c, &atoms, &pats)
 			dl = append(dl, &datalog.Rule{Head: datalog.Lit{Key: g.preds[f.pid].enc[b2i(f.neg)], Args: f.r.Head.Atom.Args}, Body: []datalog.Lit{guard}})
 			g.dlSrc = append(g.dlSrc, g.encodeSrc(c, dl[len(dl)-1].Body))
 			continue
@@ -245,10 +246,12 @@ func (g *grounder) smartPrep() error {
 	}
 	g.tab.Reserve(n)
 	g.seen = make(map[uint64]int32, n)
-	g.rules = make([]Rule, 0, n)
+	g.cols.init(g.cols.rt, n)
 	g.seenPrev = make([]int32, 0, n)
-	g.targetSlab = make([]target, n)
-	g.grown = make([]*target, 0, n)
+	// A pool chunk holds the longest run: a target owned by every component.
+	g.targets.shift = chunkShift(n)
+	g.pool.shift = max(chunkShift(n), uint8(bits.Len(uint(len(g.src.Components)))))
+	g.grown = make([]int32, 0, n)
 	return nil
 }
 
@@ -442,47 +445,56 @@ func (g *grounder) atomFilter(args []term.ID) bool {
 // competitor instantiation must (re)run. Each is stamped with the current
 // pass so the universe-growth revisit can tell it already ran.
 func (g *grounder) register(head interp.Lit, comp, pid int32) {
-	t := g.tgtOf.get(head)
-	if t == nil {
-		t = g.newTarget(head, pid)
-		g.tgtOf.set(head, t)
-		sd := g.side(pid, t.neg)
-		sd.tgts = append(sd.tgts, t)
+	ti := g.tgtOf.get(head)
+	if ti < 0 {
+		ti = g.newTarget(head, pid)
+		g.tgtOf.set(head, ti)
+		sd := g.side(pid, head.Neg())
+		sd.tgts = append(sd.tgts, ti)
 	}
-	if !t.ownedBy(comp) {
-		t.comps = append(t.comps, comp)
+	t := g.tgt(ti)
+	if !slices.Contains(g.compsOf(t), comp) {
+		g.addComp(t, comp)
 		if t.grownAt != g.pass {
 			t.grownAt = g.pass
-			g.grown = append(g.grown, t)
+			g.grown = append(g.grown, ti)
 		}
 	}
 }
 
-// newTarget takes the next target of the slab (targets live as long as the
-// grounder, so they are allocated a chunk at a time: the first sized by
-// smartPrep, later ones doubling from 16). Its comps start in the target's
-// own two-slot array; only a head owned by more components than that
-// spills to the heap.
-func (g *grounder) newTarget(head interp.Lit, pid int32) *target {
-	if len(g.targetSlab) == 0 {
-		g.targetSlab = make([]target, min(max(2*g.slabChunk, 16), 1024))
-		g.slabChunk = len(g.targetSlab)
+// newTarget appends a target for head, owned by no component yet, and
+// returns its number.
+func (g *grounder) newTarget(head interp.Lit, pid int32) int32 {
+	ti := g.nTargets
+	g.nTargets++
+	g.targets.put(ti, target{atom: head.Atom(), pid: pid, comps: int32(g.nPool), neg: head.Neg()})
+	return int32(ti)
+}
+
+// addComp appends comp to t's owning components. A target's run grows in
+// place only while it ends the pool and stays in one chunk; otherwise it
+// moves to the end first, so no two targets ever share a run (the run it
+// leaves stays unused).
+func (g *grounder) addComp(t *target, comp int32) {
+	start, n := int(t.comps), int(t.nComps)
+	if start+n != g.nPool || g.pool.reserve(start, n+1) != start {
+		start = g.pool.reserve(g.nPool, n+1)
+		copy(g.pool.run(start, n), g.compsOf(t))
+		t.comps = int32(start)
 	}
-	t := &g.targetSlab[0]
-	g.targetSlab = g.targetSlab[1:]
-	t.atom, t.pid, t.neg = head.Atom(), pid, head.Neg()
-	t.comps = t.own[:0]
-	return t
+	g.pool.put(start+n, comp)
+	t.nComps++
+	g.nPool = start + n + 1
 }
 
 // competitorsOf runs the full competitor instantiation for each target,
 // polling the context per target.
-func (g *grounder) competitorsOf(tgs []*target) error {
-	for _, tg := range tgs {
+func (g *grounder) competitorsOf(tgs []int32) error {
+	for _, ti := range tgs {
 		if err := g.check("ground: competitor pass"); err != nil {
 			return err
 		}
-		if err := g.competitorsFor(tg, 0); err != nil {
+		if err := g.competitorsFor(g.tgt(ti), 0); err != nil {
 			return err
 		}
 	}
@@ -492,7 +504,7 @@ func (g *grounder) competitorsOf(tgs []*target) error {
 // canCompete reports whether a rule in component ci can overrule or defeat
 // an owner of the target: some owning component is not strictly below ci.
 func (g *grounder) canCompete(tg *target, ci int) bool {
-	for _, cs := range tg.comps {
+	for _, cs := range g.compsOf(tg) {
 		if !g.src.Less(int(cs), ci) {
 			return true
 		}

@@ -61,20 +61,18 @@ type Table struct {
 	// atom i to the previous one (-1: none). Atom i's key is
 	// keys[keyOff[i]:keyOff[i+1]], so collisions resolve by comparing ids
 	// and a new atom allocates no key of its own.
+	// No ast.Atom is kept: Atom decodes one from its key through the term
+	// table, so nothing the table holds per atom is a pointer the garbage
+	// collector has to trace.
 	seen   map[uint64]AtomID
 	chain  []AtomID
 	keys   []term.ID
 	keyOff []int32
-	atoms  []ast.Atom
 	preds  map[ast.PredKey]*[]AtomID
 	// lastPred and lastList cache the predicate list the last new atom
 	// went to: atoms are interned in runs of one predicate.
 	lastPred ast.PredKey
 	lastList *[]AtomID
-	// argArena is the chunk InternAtoms carves new atoms' arguments from
-	// (argChunk its doubling size); atoms are never rewritten.
-	argArena []ast.Term
-	argChunk int
 
 	// parent and ids make a sub-table (see Sub): atom i is parent's atom
 	// ids[i]. A sub-table keeps no keys or atoms of its own, only preds.
@@ -100,13 +98,23 @@ func NewTableWith(tab *term.Table) *Table {
 // len(ids), not by t. Interning into a sub-table panics.
 func (t *Table) Sub(ids []AtomID) *Table {
 	s := &Table{tab: t.tab, parent: t, ids: ids, preds: make(map[ast.PredKey]*[]AtomID)}
+	sym, k := term.None, ast.PredKey{}
 	t.mu.RLock()
 	for i, id := range ids {
-		s.addPred(t.atoms[id].Key(), AtomID(i))
+		// Atoms come in runs of one predicate: its name is looked up once
+		// per run, by the key's symbol id and arity.
+		key := t.keys[t.keyOff[id]:t.keyOff[id+1]]
+		if key[0] != sym || len(key)-1 != k.Arity {
+			sym, k = key[0], ast.PredKey{Name: t.symName(key[0]), Arity: len(key) - 1}
+		}
+		s.addPred(k, AtomID(i))
 	}
 	t.mu.RUnlock()
 	return s
 }
+
+// symName returns the name of a predicate symbol id.
+func (t *Table) symName(sym term.ID) string { return string(t.tab.Term(sym).(ast.Sym)) }
 
 // addPred appends id to its predicate's list.
 func (t *Table) addPred(k ast.PredKey, id AtomID) {
@@ -185,25 +193,20 @@ func (t *Table) Intern(a ast.Atom) AtomID {
 	if ok {
 		return id
 	}
-	return t.add(h, newest, pred, args, a)
+	return t.add(h, newest, pred, args, a.Key())
 }
 
 // IDAtom is a ground atom given by interned ids: its predicate's name and
-// symbol id, and its argument ids. Atom, when set (Pred non-empty), is the
-// same atom as written — a ground atom of a rule — and is stored as is if
-// the atom is new, instead of decoding Args.
+// symbol id, and its argument ids.
 type IDAtom struct {
 	Pred string
 	Sym  term.ID
 	Args []term.ID
-	Atom ast.Atom
 }
 
 // InternAtoms interns every atom under one write lock — a ground
-// instance's head and body together — and appends their ids to dst. An
-// atom is decoded from the term table only when it is new, so re-interning
-// known atoms builds no ast.Atom at all; new atoms' arguments are carved
-// from a shared arena rather than allocated one slice each.
+// instance's head and body together — and appends their ids to dst. Only
+// the ids are stored, so interning builds no ast.Atom, new or known.
 func (t *Table) InternAtoms(dst []AtomID, atoms []IDAtom) []AtomID {
 	t.mustOwn()
 	t.mu.Lock()
@@ -213,18 +216,7 @@ func (t *Table) InternAtoms(dst []AtomID, atoms []IDAtom) []AtomID {
 		h := keyHash(a.Sym, a.Args)
 		id, newest, ok := t.find(h, a.Sym, a.Args)
 		if !ok {
-			at := ast.Atom{Pred: a.Pred}
-			if a.Atom.Pred != "" {
-				at = a.Atom
-			} else if n := len(a.Args); n > 0 {
-				if len(t.argArena) < n {
-					t.argChunk = min(max(2*t.argChunk, 16), 256)
-					t.argArena = make([]ast.Term, max(t.argChunk, n))
-				}
-				at.Args = t.tab.AppendTerms(t.argArena[:0:n], a.Args)
-				t.argArena = t.argArena[n:]
-			}
-			id = t.add(h, newest, a.Sym, a.Args, at)
+			id = t.add(h, newest, a.Sym, a.Args, ast.PredKey{Name: a.Pred, Arity: len(a.Args)})
 		}
 		dst = append(dst, id)
 	}
@@ -237,9 +229,8 @@ func (t *Table) InternAtoms(dst []AtomID, atoms []IDAtom) []AtomID {
 func (t *Table) Reserve(n int) {
 	t.mustOwn()
 	t.mu.Lock()
-	if len(t.atoms) == 0 {
+	if len(t.chain) == 0 {
 		t.seen = make(map[uint64]AtomID, n)
-		t.atoms = make([]ast.Atom, 0, n)
 		t.chain = make([]AtomID, 0, n)
 		t.keyOff = append(make([]int32, 0, n+1), 0)
 	}
@@ -252,16 +243,15 @@ func (t *Table) mustOwn() {
 	}
 }
 
-// add records a new atom with key hash h, linked to newest (find's). Callers
-// hold the write lock.
-func (t *Table) add(h uint64, newest AtomID, pred term.ID, args []term.ID, a ast.Atom) AtomID {
-	id := AtomID(len(t.atoms))
+// add records a new atom of predicate k with key hash h, linked to newest
+// (find's). Callers hold the write lock.
+func (t *Table) add(h uint64, newest AtomID, pred term.ID, args []term.ID, k ast.PredKey) AtomID {
+	id := AtomID(len(t.chain))
 	t.seen[h] = id
 	t.chain = append(t.chain, newest)
 	t.keys = append(append(t.keys, pred), args...)
 	t.keyOff = append(t.keyOff, int32(len(t.keys)))
-	t.atoms = append(t.atoms, a)
-	t.addPred(a.Key(), id)
+	t.addPred(k, id)
 	return id
 }
 
@@ -304,15 +294,25 @@ func (t *Table) LookupIDs(pred term.ID, args []term.ID) (AtomID, bool) {
 	return id, ok
 }
 
-// Atom returns the atom for an id.
+// Atom returns the atom for an id, decoded from its stored key through the
+// term table: the predicate is the key's symbol, each argument the term of
+// its id, so a symbol "1" and the integer 1 stay distinct. Each call builds
+// a fresh atom; it is for rendering and diagnostics, not for hot paths,
+// which read Key.
 func (t *Table) Atom(id AtomID) ast.Atom {
-	if t.parent != nil {
-		return t.parent.Atom(t.ids[id])
+	k := t.Key(id)
+	a := ast.Atom{Pred: t.symName(k[0])}
+	if len(k) > 1 {
+		a.Args = t.tab.AppendTerms(make([]ast.Term, 0, len(k)-1), k[1:])
 	}
-	t.mu.RLock()
-	a := t.atoms[id]
-	t.mu.RUnlock()
 	return a
+}
+
+// Pred returns an atom's predicate, read off its stored key: the key's
+// symbol names it and its length gives the arity. Nothing is decoded.
+func (t *Table) Pred(id AtomID) ast.PredKey {
+	k := t.Key(id)
+	return ast.PredKey{Name: t.symName(k[0]), Arity: len(k) - 1}
 }
 
 // Key returns an atom's stored key: its predicate symbol id, then one id
@@ -334,7 +334,7 @@ func (t *Table) Len() int {
 		return len(t.ids)
 	}
 	t.mu.RLock()
-	n := len(t.atoms)
+	n := len(t.chain)
 	t.mu.RUnlock()
 	return n
 }

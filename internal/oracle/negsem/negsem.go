@@ -33,8 +33,8 @@ func New(g *ground.Program) *Semantics {
 		negHeads: make(map[interp.AtomID][]int),
 		headOf:   make(map[interp.Lit][]int),
 	}
-	for i := range g.Rules {
-		h := g.Rules[i].Head
+	for i := 0; i < g.Rules.Len(); i++ {
+		h := g.Rules.Head(i)
 		s.headOf[h] = append(s.headOf[h], i)
 		if h.Neg() {
 			s.negHeads[h.Atom()] = append(s.negHeads[h.Atom()], i)
@@ -81,8 +81,8 @@ func (s *Semantics) IsModel(m *interp.Interp) bool {
 	if !m.Consistent() {
 		return false
 	}
-	for i := range s.G.Rules {
-		r := &s.G.Rules[i]
+	for i := 0; i < s.G.Rules.Len(); i++ {
+		r := s.G.Rules.Rule(i)
 		if litValue(m, r.Head) >= s.bodyValue(m, r.Body) {
 			continue
 		}
@@ -95,7 +95,7 @@ func (s *Semantics) IsModel(m *interp.Interp) bool {
 
 // excused reports the reconstructed Definition 11(a)(ii) for rule r; see
 // IsModel.
-func (s *Semantics) excused(m *interp.Interp, r *ground.Rule) bool {
+func (s *Semantics) excused(m *interp.Interp, r ground.Rule) bool {
 	if r.Head.Neg() {
 		return false
 	}
@@ -110,7 +110,7 @@ func (s *Semantics) excused(m *interp.Interp, r *ground.Rule) bool {
 		return false // true heads satisfy value(H) >= value(B) trivially
 	}
 	for _, i := range s.negHeads[comp.Atom()] {
-		e := &s.G.Rules[i]
+		e := s.G.Rules.Rule(i)
 		if e.Head == comp && s.bodyValue(m, e.Body) >= need {
 			return true
 		}
@@ -131,7 +131,7 @@ func (s *Semantics) FindAssumptionSet(m *interp.Interp) []interp.AtomID {
 		for a := range x {
 			supported := false
 			for _, i := range s.headOf[interp.MkLit(a, false)] {
-				r := &s.G.Rules[i]
+				r := s.G.Rules.Rule(i)
 				if s.bodyValue(m, r.Body) != interp.True {
 					continue
 				}
