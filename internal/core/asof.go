@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/ast"
-	"repro/internal/parser"
 	"repro/internal/wal"
 )
 
@@ -69,7 +67,7 @@ func (e *Engine) AsOfCtx(ctx context.Context, version uint64) (*Snapshot, error)
 // reconstruction's engine appends to a copy, never into this history.
 func (e *Engine) asOfFromMemory(ctx context.Context, cur *Snapshot, version uint64) (*Snapshot, error) {
 	n := sort.Search(len(cur.log), func(i int) bool { return cur.log[i].ver > version })
-	return e.materializeAsOf(ctx, e.src, cur.log[:n:n], version)
+	return e.materializeAsOf(ctx, replay(e.src, cur.log[:n:n]), version)
 }
 
 // asOfFromDisk rebuilds a version older than the engine's in-memory
@@ -105,31 +103,27 @@ func (e *Engine) asOfFromDisk(ctx context.Context, version uint64) (*Snapshot, e
 		// checkpoint at or above the horizon, so this guards stray files.)
 		return nil, fmt.Errorf("%w: v%d needs log records pruned by retention", ErrVersionEvicted, version)
 	}
-	prog, err := parser.ParseProgram(cp.Program)
-	if err != nil {
-		return nil, fmt.Errorf("%w: as-of v%d: checkpoint program: %v", wal.ErrCorrupt, version, err)
-	}
 	recs := res.Records[cp.Seq-(res.First-1):]
 	if n := version - cp.Version; uint64(len(recs)) > n {
 		recs = recs[:n]
 	}
-	events, err := decodeRecords(prog, cp.Version, recs)
+	h, err := replayWAL(cp, recs)
 	if err != nil {
 		return nil, fmt.Errorf("core: as-of v%d: %w", version, err)
 	}
-	return e.materializeAsOf(ctx, prog, events, version)
+	return e.materializeAsOf(ctx, h, version)
 }
 
-// materializeAsOf grounds the effective program (src plus events) in a
-// private throwaway engine whose snapshot carries the requested version.
-// The engine copies this engine's evaluation config but drops durability
-// (a reconstruction must never write to the WAL) and tracing.
-func (e *Engine) materializeAsOf(ctx context.Context, src *ast.OrderedProgram, events []factEvent, version uint64) (*Snapshot, error) {
+// materializeAsOf grounds the effective program of h in a private
+// throwaway engine whose snapshot carries the requested version. The
+// engine copies this engine's evaluation config but drops durability (a
+// reconstruction must never write to the WAL) and tracing.
+func (e *Engine) materializeAsOf(ctx context.Context, h *history, version uint64) (*Snapshot, error) {
 	cfg := e.cfg
 	cfg.Durability = Durability{}
 	cfg.Trace = nil
-	sub := newEngine(src, cfg, version)
-	snap, err := sub.reground(ctx, version, events)
+	sub := newEngine(h, cfg, version)
+	snap, err := sub.reground(ctx, version, h)
 	if err != nil {
 		return nil, fmt.Errorf("core: as-of v%d: %w", version, err)
 	}

@@ -13,9 +13,9 @@ import (
 // changed fact forever. A compaction re-grounds the effective program —
 // the same rebuild the reground fallback performs — so the new snapshot
 // starts with an empty dead set and a fresh prefix, and collapses the
-// carried history to its net effect (the last event per fact), which is
-// what lets the history stay bounded by the number of distinct facts
-// ever touched rather than by the number of updates.
+// carried history to its net effect (history.collapsed: the last event
+// per fact), which is what lets the history stay bounded by the number of
+// distinct facts ever touched rather than by the number of updates.
 //
 // The price is time travel: intermediate versions that only the full
 // history could reconstruct are forgotten, so the engine's memBase
@@ -33,26 +33,27 @@ func (e *Engine) needsCompact(dead, rules int) bool {
 	return e.cfg.CompactRatio > 0 && rules > 0 && float64(dead)/float64(rules) >= e.cfg.CompactRatio
 }
 
-// rebuild grounds the effective program of log into a fresh snapshot at
+// rebuild grounds the effective program of h into a fresh snapshot at
 // version: the one rebuild behind the reground fallback, threshold
 // compaction and Engine.Compact. With compact it first collapses the
 // history to its net effect, and on success counts the run, with the dead
-// instances of the version it replaces as drained.
-func (e *Engine) rebuild(ctx context.Context, version uint64, log []factEvent, dead int, compact bool) (*Snapshot, error) {
-	collapsed := log
+// instances of the version it replaces as drained. It returns the history
+// the snapshot carries, which the caller installs when it publishes.
+func (e *Engine) rebuild(ctx context.Context, version uint64, h *history, dead int, compact bool) (*Snapshot, *history, error) {
+	full := len(h.log)
 	if compact {
-		collapsed = collapseLog(log)
+		h = h.collapsed()
 	}
-	s, err := e.reground(ctx, version, collapsed)
+	s, err := e.reground(ctx, version, h)
 	if err != nil || !compact {
-		return s, err
+		return s, h, err
 	}
 	if obs.On() {
 		mCompactRuns.Inc()
 		mCompactDead.Add(int64(dead))
-		mCompactCollapsed.Add(int64(len(log) - len(collapsed)))
+		mCompactCollapsed.Add(int64(full - len(h.log)))
 	}
-	return s, nil
+	return s, h, nil
 }
 
 // finishCompact records the bookkeeping of a successful compaction:
@@ -63,27 +64,6 @@ func (e *Engine) rebuild(ctx context.Context, version uint64, log []factEvent, d
 func (e *Engine) finishCompact(version uint64) {
 	e.sinceCompact = 0
 	e.memBase.Store(version)
-}
-
-// collapseLog reduces an update history to the last event per
-// (component, fact), preserving the order of those surviving events.
-// Replaying the collapsed history through effectiveProgram yields the
-// same rule set as the full history — per fact only the final
-// assert/retract decides presence, and rule order within a component
-// does not affect the semantics — so a compacted snapshot answers every
-// query identically. The result is always a fresh slice.
-func collapseLog(log []factEvent) []factEvent {
-	last := make(map[factKey]int, len(log))
-	for i, ev := range log {
-		last[ev.key()] = i
-	}
-	out := make([]factEvent, 0, len(last))
-	for i, ev := range log {
-		if last[ev.key()] == i {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // Compact forces a compaction of the current snapshot without publishing
@@ -98,11 +78,12 @@ func (e *Engine) Compact(ctx context.Context) (*Snapshot, error) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	parent := e.Current()
-	child, err := e.rebuild(ctx, parent.version, parent.log, len(parent.dead), true)
+	child, h, err := e.rebuild(ctx, parent.version, e.hist, len(parent.dead), true)
 	if err != nil {
 		return nil, fmt.Errorf("core: compact v%d: %w", parent.version, err)
 	}
 	e.finishCompact(child.version)
+	e.hist = h
 	e.current.Store(child)
 	if e.trace.Enabled() {
 		e.trace.Emit(obs.E("compact",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/ast"
@@ -121,7 +122,7 @@ func (e *Engine) walCheckpoint(child *Snapshot) error {
 	if err := d.log.Sync(); err != nil {
 		return err
 	}
-	eff, err := effectiveProgram(e.src, child.log)
+	eff, err := e.hist.program() // the tip's, which child is
 	if err != nil {
 		return err
 	}
@@ -147,17 +148,27 @@ func (e *Engine) walCheckpoint(child *Snapshot) error {
 	return nil
 }
 
-// decodeRecords turns the WAL records that follow a checkpoint at version
-// from into the update history they log: one factEvent per fact, stamped
-// with its record's version. Anything the engine could not have written
-// fails with wal.ErrCorrupt naming the record: an unknown component or
-// op, a fact that does not parse or is not ground, or a version that
-// breaks the sequence from+1, from+2, ….
-func decodeRecords(prog *ast.OrderedProgram, from uint64, recs []wal.Record) ([]factEvent, error) {
-	var events []factEvent
+// replayWAL reads the history a checkpoint and the WAL records after it
+// log: the checkpoint's program, with one event per logged fact folded
+// into its index, stamped with its record's version. It is the one reader
+// of the WAL behind Recover and AsOf-from-disk. Anything the engine could
+// not have written fails with wal.ErrCorrupt naming the record: a program
+// that does not parse, an unknown component or op, a fact that does not
+// parse or is not ground, a version that breaks the sequence from the
+// checkpoint's, and — since walAppend logs only deduplicated facts that
+// change the state — a record without facts or any fact that is a no-op
+// at its position (asserting a live fact, retracting a dead one, or
+// repeating one within its record): then the log and the checkpoint
+// disagree.
+func replayWAL(cp *wal.Checkpoint, recs []wal.Record) (*history, error) {
+	prog, err := parser.ParseProgram(cp.Program)
+	if err != nil {
+		return nil, fmt.Errorf("%w: checkpoint v%d program: %v", wal.ErrCorrupt, cp.Version, err)
+	}
+	h := replay(prog, nil)
 	for i, rec := range recs {
-		if want := from + uint64(i) + 1; rec.Version != want {
-			return nil, fmt.Errorf("%w: record %d is v%d, the sequence from checkpoint v%d says v%d", wal.ErrCorrupt, rec.Seq, rec.Version, from, want)
+		if want := cp.Version + uint64(i) + 1; rec.Version != want {
+			return nil, fmt.Errorf("%w: record %d is v%d, the sequence from checkpoint v%d says v%d", wal.ErrCorrupt, rec.Seq, rec.Version, cp.Version, want)
 		}
 		ci, ok := prog.ComponentIndex(rec.Comp)
 		if !ok {
@@ -165,6 +176,9 @@ func decodeRecords(prog *ast.OrderedProgram, from uint64, recs []wal.Record) ([]
 		}
 		if rec.Op != "assert" && rec.Op != "retract" {
 			return nil, fmt.Errorf("%w: record %d has unknown op %q", wal.ErrCorrupt, rec.Seq, rec.Op)
+		}
+		if len(rec.Facts) == 0 {
+			return nil, fmt.Errorf("%w: replay diverged at record %d: it changes nothing", wal.ErrCorrupt, rec.Seq)
 		}
 		for _, fs := range rec.Facts {
 			lit, err := parser.ParseLiteral(fs)
@@ -174,32 +188,42 @@ func decodeRecords(prog *ast.OrderedProgram, from uint64, recs []wal.Record) ([]
 			if !lit.Ground() {
 				return nil, fmt.Errorf("%w: record %d fact %q is not ground", wal.ErrCorrupt, rec.Seq, fs)
 			}
-			events = append(events, factEvent{comp: ci, lit: lit, retract: rec.Op == "retract", ver: rec.Version})
+			if !h.apply(factEvent{comp: ci, lit: lit, retract: rec.Op == "retract", ver: rec.Version}, exactKey(lit)) {
+				return nil, fmt.Errorf("%w: replay diverged at record %d: %s %s changes nothing", wal.ErrCorrupt, rec.Seq, rec.Op, fs)
+			}
 		}
 	}
-	return events, nil
+	return h, nil
 }
 
-// foldRecords checks the decoded history of recs against the fact
-// liveness it folds them into, starting from live (the checkpoint's, which
-// it advances). walAppend logs only deduplicated facts that changed the
-// state, so a record without facts, or any fact that is a no-op at its
-// position (asserting a live fact, retracting a dead one, or repeating one
-// within its record), means the log and the checkpoint disagree:
-// wal.ErrCorrupt.
-func foldRecords(live map[factKey]bool, recs []wal.Record, events []factEvent) error {
-	for _, rec := range recs {
-		if len(rec.Facts) == 0 {
-			return fmt.Errorf("%w: replay diverged at record %d: it changes nothing", wal.ErrCorrupt, rec.Seq)
+// UnwritableError is a durable engine's refusal of a name or term its
+// write-ahead log could not write back. The log and its checkpoints are
+// text, so a symbol whose rendering the parser does not read back as
+// itself would fail recovery (Sym "a b") or change kind in it (Sym "1"
+// reads back as Int 1). Update and Retract return it for such a fact, and
+// NewEngineCtx for such a source program, and log nothing.
+type UnwritableError struct {
+	In   string // the fact or rule holding it, rendered
+	What string // the name or constant, e.g. `symbol "a b"`
+}
+
+func (e *UnwritableError) Error() string {
+	return fmt.Sprintf("core: a durable engine cannot log %s: its %s does not read back from the log's text", e.In, e.What)
+}
+
+// checkWritable returns an *UnwritableError for the first component of p
+// whose name, or rule of p that holds a name or term, the log could not
+// write back.
+func checkWritable(p *ast.OrderedProgram) error {
+	for _, c := range p.Components {
+		if !readsBack(c.Name, identLower) {
+			return &UnwritableError{In: "module " + c.Name, What: "name " + strconv.Quote(c.Name)}
 		}
-		for _, ev := range events[:len(rec.Facts)] {
-			k := ev.key()
-			if live[k] != ev.retract {
-				return fmt.Errorf("%w: replay diverged at record %d: %s %s changes nothing", wal.ErrCorrupt, rec.Seq, rec.Op, k.lit)
+		for _, r := range c.Rules {
+			if what, bad := unreadable(append([]ast.Literal{r.Head}, r.Body...), r.Builtins); bad {
+				return &UnwritableError{In: r.String(), What: what}
 			}
-			live[k] = !ev.retract
 		}
-		events = events[len(rec.Facts):]
 	}
 	return nil
 }
@@ -322,29 +346,22 @@ func Recover(ctx context.Context, dir string, cfg Config, opts ...Option) (*Engi
 			return nil, fmt.Errorf("core: recover %s: prune stale checkpoint v%d: %w", dir, cps[i].Version, err)
 		}
 	}
-	prog, err := parser.ParseProgram(cp.Program)
-	if err != nil {
-		return nil, fmt.Errorf("%w: recover %s: checkpoint v%d program: %v", wal.ErrCorrupt, dir, cp.Version, err)
-	}
 	// Indexing is relative to the pruned horizon — cp.Seq records precede
 	// the checkpoint, of which first-1 are no longer on disk.
 	suffix := res.Records[cp.Seq-(first-1):]
-	events, err := decodeRecords(prog, cp.Version, suffix)
+	h, err := replayWAL(cp, suffix)
 	if err != nil {
 		return nil, fmt.Errorf("core: recover %s: %w", dir, err)
 	}
-	if err := foldRecords(groundFacts(prog), suffix, events); err != nil {
-		return nil, fmt.Errorf("core: recover %s: %w", dir, err)
-	}
-	// The tip is published with e.dur still nil: the records are already
-	// on disk and nothing here may re-log them.
-	e := newEngine(prog, cfg, cp.Version)
 	tip := cp.Version + uint64(len(suffix))
 	collapse := cfg.CompactEvery > 0 && len(suffix) >= cfg.CompactEvery
 	if collapse {
-		events = collapseLog(events)
+		h = h.collapsed()
 	}
-	snap, err := e.reground(ctx, tip, events)
+	// The tip is published with e.dur still nil: the records are already
+	// on disk and nothing here may re-log them.
+	e := newEngine(h, cfg, cp.Version)
+	snap, err := e.reground(ctx, tip, h)
 	if err != nil {
 		return nil, fmt.Errorf("core: recover %s: ground v%d: %w", dir, tip, err)
 	}

@@ -325,3 +325,108 @@ func TestRecoverRejectsDivergentRecords(t *testing.T) {
 	}
 	rec.Close()
 }
+
+// The log and its checkpoints are text, so a durable engine refuses a
+// constant whose rendering does not read back as itself, and logs nothing:
+// Sym "a b" would make recovery fail to parse its record, and Sym "1"
+// would come back as Int 1. A source program holding one is refused
+// before the directory is touched. Afterwards the engine recovers and
+// answers as before.
+func TestDurableRefusesUnwritableConstants(t *testing.T) {
+	ctx := context.Background()
+	eng, dir := durableEngine(t, 100)
+	p := func(c ast.Term) []ast.Literal {
+		return []ast.Literal{ast.Pos(ast.Atom{Pred: "p", Args: []ast.Term{c}})}
+	}
+	if _, err := eng.Update(ctx, "main", p(ast.Int(1))); err != nil {
+		t.Fatal(err)
+	}
+	want := leastStr(t, eng.Current())
+	for _, c := range []ast.Term{ast.Sym("a b"), ast.Sym("1"), ast.Compound{Functor: "f", Args: []ast.Term{ast.Sym("X")}}} {
+		for verb, write := range map[string]func(context.Context, string, []ast.Literal) (*core.Snapshot, error){"assert": eng.Update, "retract": eng.Retract} {
+			_, err := write(ctx, "main", p(c))
+			var ue *core.UnwritableError
+			if !errors.As(err, &ue) {
+				t.Fatalf("%s p(%s) on a durable engine: got %v, want *UnwritableError", verb, c, err)
+			}
+		}
+	}
+	if v := eng.Current().Version(); v != 1 {
+		t.Fatalf("refused writes published v%d, want v1", v)
+	}
+	bad := tenantProgram(t, "a")
+	bad.Components[0].Rules[1].Head.Atom.Args[0] = ast.Sym("a b")
+	var ue *core.UnwritableError
+	if _, err := core.NewEngineCtx(ctx, bad, core.Config{}, core.WithDurability(dir)); !errors.As(err, &ue) {
+		t.Fatalf("a durable engine over a program holding Sym \"a b\": got %v, want *UnwritableError", err)
+	}
+	badName := tenantProgram(t, "a")
+	badName.Components[0].Name = "main module"
+	if _, err := core.NewEngineCtx(ctx, badName, core.Config{}, core.WithDurability(dir)); !errors.As(err, &ue) {
+		t.Fatalf("a durable engine over a module named %q: got %v, want *UnwritableError", "main module", err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := core.Recover(ctx, dir, core.Config{})
+	if err != nil {
+		t.Fatalf("recover after refused writes: %v", err)
+	}
+	defer rec.Close()
+	if got := leastStr(t, rec.Current()); rec.Current().Version() != 1 || got != want {
+		t.Fatalf("recovered v%d answers %s, want v1 answering %s", rec.Current().Version(), got, want)
+	}
+	// A memory-only engine takes them: nothing is written back.
+	mem, err := core.NewEngineCtx(ctx, bad, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := mem.Update(ctx, "main", p(ast.Sym("1"))); err != nil || s.Version() != 1 {
+		t.Fatalf("memory engine assert of Sym \"1\": %v", err)
+	}
+}
+
+// AsOf below the in-memory floor reads the WAL with recovery's reader, so
+// it refuses what recovery refuses: here the genesis checkpoint is
+// rewritten to hold p(x0) already, so the first record, which asserts
+// p(x0), changes nothing at its position.
+func TestAsOfFromDiskChecksDivergence(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	eng, err := core.NewEngineCtx(ctx, tenantProgram(t, "a"), core.Config{CompactEvery: 2},
+		core.WithDurability(dir), core.WithDurableName("tn"), core.WithCheckpointEvery(100), core.WithSync(wal.SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, f := range []string{"x0", "x1", "x2"} {
+		if _, err := eng.Update(ctx, "main", []ast.Literal{ast.Pos(ast.Atom{Pred: "p", Args: []ast.Term{ast.Sym(f)}})}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.AsOfCtx(ctx, 0); err != nil {
+		t.Fatalf("AsOf(0) from disk: %v", err)
+	}
+	cps, err := wal.Checkpoints(dir)
+	if err != nil || len(cps) != 1 || cps[0].Version != 0 {
+		t.Fatalf("want the genesis checkpoint alone: %v %v", cps, err)
+	}
+	cp := cps[0]
+	cp.Program = tenantProgram(t, "a", "x0").String()
+	if err := wal.WriteCheckpoint(dir, &cp); err != nil {
+		t.Fatal(err)
+	}
+	bad := t.TempDir()
+	if err := core.CopyDirTo(dir, bad); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := core.Recover(ctx, bad, core.Config{}); !errors.Is(err, wal.ErrCorrupt) {
+		if rec != nil {
+			rec.Close()
+		}
+		t.Fatalf("Recover: got %v, want wal.ErrCorrupt", err)
+	}
+	if _, err := eng.AsOfCtx(ctx, 1); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("AsOf(1) below the in-memory floor: got %v, want wal.ErrCorrupt", err)
+	}
+}

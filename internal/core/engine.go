@@ -75,13 +75,13 @@ type Engine struct {
 	// construction/Close.
 	dur *durable
 
-	// writeMu serialises updates. live is the tip's fact liveness (true =
-	// in effect), built lazily (see liveness); it is touched only under
-	// writeMu and written only after the version it describes is stored in
-	// current. current is the published tip, advanced by updates and read
-	// lock-free by queries.
+	// writeMu serialises updates. hist is the tip's update history and
+	// fact index (history.go), touched only under writeMu; a write that
+	// fails rolls it back, and one that publishes a compacted rebuild
+	// replaces it. current is the published tip, advanced by updates and
+	// read lock-free by queries.
 	writeMu sync.Mutex
-	live    map[factKey]bool
+	hist    *history
 	current atomic.Pointer[Snapshot]
 
 	// asOfMu guards the small FIFO cache of AsOf-materialised snapshots.
@@ -103,8 +103,13 @@ func NewEngineCtx(ctx context.Context, p *ast.OrderedProgram, cfg Config, opts .
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEngine(p, cfg, 0)
-	snap, err := e.reground(ctx, 0, nil)
+	if cfg.Durability.Dir != "" {
+		if err := checkWritable(p); err != nil {
+			return nil, err
+		}
+	}
+	e := newEngine(replay(p, nil), cfg, 0)
+	snap, err := e.reground(ctx, 0, e.hist)
 	if err != nil {
 		return nil, err
 	}
@@ -123,13 +128,13 @@ func NewEngineCtx(ctx context.Context, p *ast.OrderedProgram, cfg Config, opts .
 	return e, nil
 }
 
-// newEngine builds an engine over source p whose in-memory history starts
-// at version base, with no snapshot yet: the caller publishes the first
-// one, grounded by reground. cfg must already be validated, and the
+// newEngine builds an engine over the source of h, whose log starts at
+// version base, with no snapshot yet: the caller publishes the first one,
+// grounded from h by reground. cfg must already be validated, and the
 // caller owns the version gauge and durability attachment — throwaway
 // AsOf engines must touch neither.
-func newEngine(p *ast.OrderedProgram, cfg Config, base uint64) *Engine {
-	e := &Engine{src: p, cfg: cfg, base: base, trace: newTracer(cfg.Trace)}
+func newEngine(h *history, cfg Config, base uint64) *Engine {
+	e := &Engine{src: h.src, cfg: cfg, base: base, hist: h, trace: newTracer(cfg.Trace)}
 	e.memBase.Store(base)
 	return e
 }

@@ -76,8 +76,8 @@ type goalSlice struct {
 // goal is asked in, whose route a miss decides. Only bookkeeping happens
 // here — the cut runs outside the lock, in the slice's own singleflight
 // cell.
-func (s *Snapshot) goalSliceFor(goal []ast.Literal, ask int) (*goalSlice, bool) {
-	key := relevance.GoalKey(goal)
+func (s *Snapshot) goalSliceFor(goal []ast.Literal, tag string, ask int) (*goalSlice, bool) {
+	key := relevance.GoalKey(goal) + tag
 	c := &s.slices
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -226,11 +226,11 @@ func sliceView(st *compState, gp *ground.Program, i int) *eval.View {
 // of the entry's slice; a miss is counted by its route here, so queries
 // and proofs count alike. Otherwise it is the component's least model:
 // with no literals there is nothing to slice by.
-func (s *Snapshot) goalModel(ctx context.Context, i int, goal []ast.Literal) (*Model, error) {
+func (s *Snapshot) goalModel(ctx context.Context, i int, goal []ast.Literal, tag string) (*Model, error) {
 	if !s.eng.cfg.GoalDirected || len(goal) == 0 {
 		return s.leastModel(ctx, i)
 	}
-	gs, miss := s.goalSliceFor(goal, i)
+	gs, miss := s.goalSliceFor(goal, tag, i)
 	if miss {
 		s.countRoute(i, gs.routed == i)
 	}

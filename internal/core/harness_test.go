@@ -715,6 +715,7 @@ func (h *harness) run(steps []step, start *generation) *generation {
 			published, pubGen = append(published, s), append(pubGen, g)
 		}
 		g.logs[s.Version()] = log[:len(log):len(log)]
+		h.checkIndex(g.eng)
 	}
 
 	jobs := make(chan job, h.readers)
@@ -855,6 +856,24 @@ func (h *harness) run(steps []step, start *generation) *generation {
 		}
 	}
 	return g
+}
+
+// checkIndex fails unless the engine's fact index renders the tip's
+// effective program byte for byte as a fresh replay of the tip's log does.
+func (h *harness) checkIndex(e *Engine) {
+	h.t.Helper()
+	e.writeMu.Lock()
+	got, err := e.hist.program()
+	tip := e.Current()
+	e.writeMu.Unlock()
+	want, werr := effectiveProgramOracle(e.src, tip.log)
+	if err = errors.Join(err, werr); err != nil {
+		h.fatalf("v%d: effective program: %v", tip.Version(), err)
+	}
+	if g, w := got.String(), want.String(); g != w {
+		h.fatalf("v%d: the index renders\n%s\na replay of the %d-event log renders\n%s", tip.Version(), g, len(tip.log), w)
+	}
+	tally("harness.index.checked")
 }
 
 // crashAt truncates a copy of the closed generation's log at cut (-1:
@@ -1080,7 +1099,7 @@ func readOn(ctx context.Context, s *Snapshot, comp string, st step) string {
 func magicOf(s *Snapshot, q ast.Query) (*ast.OrderedProgram, ground.Options, error) {
 	opts := ground.DefaultOptions()
 	opts.Goal = q.Body
-	eff, err := effectiveProgram(s.eng.src, s.log)
+	eff, err := s.EffectiveProgram()
 	return eff, opts, err
 }
 
@@ -1111,26 +1130,39 @@ func modelSet(ms []*Model) string {
 type oracleVersion struct {
 	eff   *ast.OrderedProgram
 	g     *ground.Program
+	full  bool // g, and the fresh engine's grounding, are exhaustive
 	mu    sync.Mutex
 	least map[int]*oracleModel
 	fresh *Engine
 	want  sync.Map // a read's rendering -> the oracle's answer
 }
 
-// oracleCache holds a program's oracle per effective fact log.
+// oracleCache holds a program's oracle per effective fact log. smart is
+// set once a version's exhaustive grounding exceeds oracleFullCap.
 type oracleCache struct {
 	prog  *ast.OrderedProgram
 	mu    sync.Mutex
 	byLog map[string]*oracleVersion
+	smart bool
 }
 
+// logKey keys a log by its events' Go syntax, which shows each term's
+// kind: Sym "1" and Int 1, or Sym "g(x)" and the compound g(x), render
+// alike but key apart.
 func logKey(evs []factEvent) string {
 	var b strings.Builder
 	for _, e := range evs {
-		fmt.Fprintf(&b, "%d %v %s;", e.comp, e.retract, e.lit)
+		fmt.Fprintf(&b, "%d %v %#v;", e.comp, e.retract, e.lit)
 	}
 	return b.String()
 }
+
+// oracleFullCap is the most instances the oracle grounds a family's
+// versions exhaustively (ground.ModeFull) with: the smart grounder is the
+// one under test, and the exhaustive one shares none of its competitor
+// pass. A family whose version exceeds the cap is grounded smart from then
+// on (smart ≡ full is pinned in internal/ground).
+const oracleFullCap = 1 << 14
 
 // version returns the oracle of the log's effective program: the source
 // with the log's facts asserted and retracted (the one shadow-program
@@ -1146,11 +1178,20 @@ func (oc *oracleCache) version(ctx context.Context, evs []factEvent) (*oracleVer
 	if err != nil {
 		return nil, err
 	}
-	g, err := ground.GroundCtx(ctx, eff, ground.DefaultOptions())
+	opts := ground.DefaultOptions()
+	if !oc.smart {
+		opts.Mode, opts.MaxInstances = ground.ModeFull, oracleFullCap
+	}
+	g, err := ground.GroundCtx(ctx, eff, opts)
+	if budget := (*ground.ErrBudget)(nil); errors.As(err, &budget) && !oc.smart {
+		oc.smart = true
+		g, err = ground.GroundCtx(ctx, eff, ground.DefaultOptions())
+	}
 	if err != nil {
 		return nil, err
 	}
-	o := &oracleVersion{eff: eff, g: g, least: map[int]*oracleModel{}}
+	tally(map[bool]string{false: "harness.oracle.full", true: "harness.oracle.smart"}[oc.smart])
+	o := &oracleVersion{eff: eff, g: g, full: !oc.smart, least: map[int]*oracleModel{}}
 	oc.byLog[key] = o
 	return o, nil
 }
@@ -1183,7 +1224,7 @@ func (oc *oracleCache) expect(ctx context.Context, evs []factEvent, st step) (st
 	if err != nil {
 		return "", err
 	}
-	key := fmt.Sprint(st.read, st.comp, st.q.String(), st.lit, st.slots)
+	key := fmt.Sprintf("%d %d %#v %#v %#v", st.read, st.comp, st.q, st.lit, st.slots) // kind-exact, as logKey
 	if w, ok := o.want.Load(key); ok {
 		return w.(string), nil
 	}
@@ -1202,7 +1243,11 @@ func (o *oracleVersion) expect(ctx context.Context, st step) (string, error) {
 	if st.read == rModels || st.read == rMagic {
 		o.mu.Lock()
 		if o.fresh == nil {
-			o.fresh, err = NewEngineCtx(ctx, o.eff, Config{})
+			cfg := Config{}
+			if o.full {
+				cfg.Ground.Mode = ground.ModeFull
+			}
+			o.fresh, err = NewEngineCtx(ctx, o.eff, cfg)
 		}
 		fresh := o.fresh
 		o.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -48,7 +49,7 @@ func queryScanOracle(lits []ast.Literal, q ast.Query) []Binding {
 			for _, v := range vars {
 				t := s.Apply(v)
 				bind[v.Name] = t
-				sig += "\x00" + t.String()
+				sig += fmt.Sprintf("\x00%#v", t) // kind-exact: Sym "1" is not Int 1
 			}
 			if !seen[sig] {
 				seen[sig] = true

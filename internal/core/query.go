@@ -243,10 +243,14 @@ type queryRun struct {
 // the ground instance of every body literal, and the enumeration visits
 // each combination of (distinct) member literals at most once. A repeated
 // query text is answered from the model's memo (above).
-func (m *Model) Answers(q ast.Query) *Answers {
+func (m *Model) Answers(q ast.Query) *Answers { return m.answersTagged(q, kindTag(q.Body, q.Builtins)) }
+
+// answersTagged is Answers for a query whose kindTag the caller has.
+func (m *Model) answersTagged(q ast.Query, tag string) *Answers {
 	text := q.String()
+	key := text + tag
 	m.idxMu.Lock()
-	a := m.answers[text]
+	a := m.answers[key]
 	m.idxMu.Unlock()
 	if a != nil {
 		if obs.On() {
@@ -256,7 +260,7 @@ func (m *Model) Answers(q ast.Query) *Answers {
 	}
 	a = m.evalQuery(q, text)
 	if a.n <= m.rules {
-		m.keep(a)
+		m.keep(key, a)
 	}
 	if obs.On() {
 		mAnswerMemoMisses.Inc()
@@ -267,10 +271,10 @@ func (m *Model) Answers(q ast.Query) *Answers {
 // keep adds the answer set to the model's memo, replacing any kept set
 // when the memo is full. Two first askers of one query may both evaluate;
 // the first set kept stays, and either is exact.
-func (m *Model) keep(a *Answers) {
+func (m *Model) keep(key string, a *Answers) {
 	m.idxMu.Lock()
 	defer m.idxMu.Unlock()
-	if _, ok := m.answers[a.query]; ok {
+	if _, ok := m.answers[key]; ok {
 		return
 	}
 	if m.answers == nil {
@@ -281,7 +285,7 @@ func (m *Model) keep(a *Answers) {
 			break
 		}
 	}
-	m.answers[a.query] = a
+	m.answers[key] = a
 }
 
 // evalQuery runs the query on the model's literal index.

@@ -28,7 +28,8 @@ func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bo
 	if err := interrupt.Check(ctx, "core: prove"); err != nil {
 		return false, err
 	}
-	m, err := s.goalModel(ctx, i, []ast.Literal{l})
+	goal := []ast.Literal{l}
+	m, err := s.goalModel(ctx, i, goal, kindTag(goal, nil))
 	if err != nil {
 		return false, err
 	}

@@ -14,9 +14,10 @@ import (
 	"repro/internal/workload"
 )
 
-// effectiveProgramOracle is the rule-scanning fold effectiveProgram
-// replaced: every event scans its component's rules. It is quadratic in
-// the history and kept only to pin the indexed fold byte for byte.
+// effectiveProgramOracle is the rule-scanning fold the history's index
+// replaced: every event scans its component's rules for Equal facts. It is
+// quadratic in the history and kept only to pin the indexed fold byte for
+// byte.
 func effectiveProgramOracle(src *ast.OrderedProgram, log []factEvent) (*ast.OrderedProgram, error) {
 	comps := make([]*ast.Component, len(src.Components))
 	for i, c := range src.Components {
@@ -88,7 +89,7 @@ func randomFactLog(rng *rand.Rand, comps, n int) []factEvent {
 	return log
 }
 
-// The indexed effectiveProgram renders byte-identically to the rule-scan
+// The history's program renders byte-identically to the rule-scan
 // oracle on random histories over the 200-seed corpus. Half the programs
 // carry duplicated fact rules, so a retract must remove every
 // ground-equal copy, not just the indexed first one.
@@ -107,7 +108,7 @@ func TestEffectiveProgramMatchesOracle(t *testing.T) {
 			}
 		}
 		log := randomFactLog(rng, comps, 5+rng.Intn(60))
-		got, err1 := effectiveProgram(prog, log)
+		got, err1 := replay(prog, log).program()
 		want, err2 := effectiveProgramOracle(prog, log)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("seed %d: errors differ: %v vs oracle %v", seed, err1, err2)
@@ -342,6 +343,54 @@ func BenchmarkRecover(b *testing.B) {
 	}
 	perRecord := float64(time.Since(start).Microseconds()) / 1e3 / float64(b.N) / float64(toggles-every)
 	b.ReportMetric(perRecord, "ms/record")
+}
+
+// BenchmarkCheckpoint is the cost of one checkpoint of the durable
+// policy tenant (kb = 1000) after H logged events since the last
+// compaction: toggles of bad(cK) in exc over a 128-key window, with no
+// compaction, so the tip's history holds H events. A checkpoint syncs the
+// log, renders the tip's effective program and writes it atomically.
+func BenchmarkCheckpoint(b *testing.B) {
+	const kb, window = 1000, 128
+	for _, events := range []int{0, 1000, 10000} {
+		b.Run(fmt.Sprintf("H=%d", events), func(b *testing.B) {
+			ctx := context.Background()
+			eng, err := NewEngineCtx(ctx, mustProgram(b, policySource(kb)), Config{},
+				WithDurability(b.TempDir()), WithSync(wal.SyncInterval), WithCheckpointEvery(1<<30))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			live := make([]bool, window)
+			for i := 0; i < events; i++ {
+				k := i % window
+				f := []ast.Literal{ast.Pos(ast.Atom{Pred: "bad", Args: []ast.Term{ast.Sym(fmt.Sprintf("c%d", k))}})}
+				if live[k] {
+					_, err = eng.Retract(ctx, "exc", f)
+				} else {
+					_, err = eng.Update(ctx, "exc", f)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				live[k] = !live[k]
+			}
+			tip := eng.Current()
+			if n := tip.NumLogEvents(); n != events {
+				b.Fatalf("the tip's history holds %d events, want %d", n, events)
+			}
+			eng.writeMu.Lock()
+			defer eng.writeMu.Unlock()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.dur.sinceCP = eng.dur.every - 1 // due now
+				if err := eng.walCheckpoint(tip); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkUpdateDurable is the cost of one update and its requery under

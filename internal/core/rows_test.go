@@ -651,3 +651,83 @@ func TestCompactAsOfFallsThroughToWAL(t *testing.T) {
 	asOfRow(t, []string{"assert main p(x0)", "assert main p(x1)", "assert main p(x2)", "assert main p(x3)", "assert main p(x4)", "assert main p(x5)"},
 		false, []engineConfig{cfgDurableCompact}, "harness.read.asof=7", "update.compact.runs")
 }
+
+// kindsSrc derives from p/1 and q/1 in both components; kindsFamily adds
+// the facts whose constants render like the source's but differ in kind.
+const kindsSrc = `module base {
+  p(1). p(a). q(g(x)).
+  r(X) :- p(X).
+  s(X) :- q(X).
+}
+module top extends base {
+  -r(X) :- q(X).
+  t(X) :- p(X), q(X).
+}
+`
+
+// kindsFamily mixes Int 1 with Sym "1", the compound g(x) with Sym
+// "g(x)", and Sym "a b", which renders like no term the parser reads. Its
+// writes, cycled in order, retract and assert each of a pair while the
+// other is live, in base and in top.
+func kindsFamily(t *testing.T) *family {
+	f := &family{prog: mustProgram(t, kindsSrc), comps: []string{"base", "top"}, small: true}
+	one, gx := ast.Sym("1"), ast.Sym("g(x)")
+	fact := func(pred string, c ast.Term) ast.Literal {
+		return ast.Pos(ast.Atom{Pred: pred, Args: []ast.Term{c}})
+	}
+	base := f.prog.Components[compIndex(t, f.prog, "base")]
+	base.AddRule(ast.Fact(fact("p", one)))
+	base.AddRule(ast.Fact(fact("q", gx)))
+	if err := f.prog.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	f.addGoals(t, "p(X)", "q(X)", "r(X)", "-r(X)", "s(X)", "t(X)", "p(1)", "r(1)", "q(g(x))", "-r(g(x))")
+	for _, l := range []ast.Literal{fact("p", one), fact("r", one), fact("q", gx), fact("s", gx), fact("t", one), fact("r", gx).Complement()} {
+		f.goals = append(f.goals, ast.Query{Body: []ast.Literal{l}})
+		f.atoms = append(f.atoms, l.Atom)
+	}
+	int1, cgx, ab := ast.Int(1), ast.Compound{Functor: "g", Args: []ast.Term{ast.Sym("x")}}, ast.Sym("a b")
+	var pool []step
+	for _, w := range []struct {
+		comp    string
+		l       ast.Literal
+		retract bool
+	}{
+		{"base", fact("p", one), true}, {"base", fact("p", one), false},
+		{"base", fact("p", int1), true}, {"base", fact("p", int1), false},
+		{"base", fact("q", gx), true}, {"base", fact("q", gx), false},
+		{"base", fact("q", cgx), true}, {"base", fact("q", cgx), false},
+		{"top", fact("q", one), false}, {"top", fact("q", int1), false},
+		{"top", fact("q", one), true}, {"top", fact("p", ab), false},
+		{"top", fact("q", int1), true}, {"top", fact("q", ab), false},
+		{"base", fact("p", one), true}, {"top", fact("p", ab), true},
+	} {
+		pool = append(pool, step{comp: compIndex(t, f.prog, w.comp), lit: w.l, retract: w.retract})
+		f.atoms = append(f.atoms, w.l.Atom)
+	}
+	next := 0
+	f.write = func(*rand.Rand) (int, ast.Literal, bool) {
+		w := pool[next%len(pool)]
+		next++
+		return w.comp, w.lit, w.retract
+	}
+	return f
+}
+
+// Facts equal in rendering but not in kind are distinct facts: each is
+// asserted and retracted while the other is live, and every version — on
+// an engine that compacts every three writes too, collapsing the history
+// by fact — answers as the oracle, whose log key tells the kinds apart.
+func TestKindsDifferential(t *testing.T) {
+	runRow(t, &row{cases: one(kindsFamily), configs: []engineConfig{cfgFull, cfgGoal, cfgEvery}, readers: 2,
+		script: func(b *builder) {
+			for w := 0; w < 32; w++ {
+				b.write()
+				b.every(rLeast, tTip, 0)
+				b.mixed(4, 3, rAnswers, rProve)
+				b.read(rLeast, tAsOf)
+			}
+			b.every(rModels, tTip, 0)
+		},
+		want: []string{"core.updates.incremental", "update.compact.runs", "harness.index.checked"}})
+}

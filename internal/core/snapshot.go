@@ -50,7 +50,7 @@ type Snapshot struct {
 	dead  map[int32]struct{}
 
 	// log is the update history that produced this version, replayed over
-	// the source to rebuild it (see Engine.rebuild). Like rules, it is a
+	// the source to rebuild it (see history). Like rules, it is a
 	// prefix of an append-only slice: a child extends its parent's log in
 	// place, so an entry below a published length is never rewritten, and
 	// a compaction starts a fresh slice.
@@ -84,25 +84,6 @@ type Snapshot struct {
 	live     []int32
 	visible  []int
 }
-
-// factKey identifies a ground fact rule by component position and rendered
-// literal (the sign is part of the rendering).
-type factKey struct {
-	comp int
-	lit  string
-}
-
-// factEvent is one entry of a snapshot's update history. ver is the
-// version the event's batch published, so AsOf can cut the history at any
-// past version by prefix.
-type factEvent struct {
-	comp    int
-	lit     ast.Literal
-	retract bool
-	ver     uint64
-}
-
-func (ev factEvent) key() factKey { return factKey{comp: ev.comp, lit: ev.lit.String()} }
 
 // compState holds the lazily built per-component artifacts. The view is
 // construct-once/read-many under a sync.Once; the least model uses the
@@ -350,11 +331,12 @@ func (s *Snapshot) AnswersCtx(ctx context.Context, comp string, q ast.Query) (*A
 	if err != nil {
 		return nil, err
 	}
-	m, err := s.goalModel(ctx, i, q.Body)
+	tag := kindTag(q.Body, q.Builtins)
+	m, err := s.goalModel(ctx, i, q.Body, tag)
 	if err != nil {
 		return nil, err
 	}
-	return m.Answers(q), nil
+	return m.answersTagged(q, tag), nil
 }
 
 // AssumptionFreeModelsCtx enumerates the assumption-free models in the
@@ -446,6 +428,9 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 		if !f.Atom.Ground() {
 			return nil, fmt.Errorf("core: %s needs ground facts, got %s", verb, f)
 		}
+		if what, bad := unreadable([]ast.Literal{f}, nil); bad && e.cfg.Durability.Dir != "" {
+			return nil, &UnwritableError{In: f.String(), What: what}
+		}
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -457,18 +442,19 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 	// Drop no-ops: asserting a fact already in effect or retracting one that
 	// is not changes nothing, and the ground layer relies on the caller
 	// filtering them (re-asserting a live fact must not double-count its
-	// constants). keys holds the rendered facts kept, for liveness and WAL.
-	live := e.liveness(parent)
+	// constants). The history logs the facts kept; keys holds their exact
+	// keys, which are their text on a durable engine, for the WAL.
+	h, mark := e.hist, len(e.hist.log)
+	fail := func(err error) (*Snapshot, error) {
+		h.truncate(mark)
+		return nil, err
+	}
+	version := parent.version + 1
 	ops := make([]ast.Literal, 0, len(facts))
 	keys := make([]string, 0, len(facts))
-	seen := make(map[string]bool, len(facts))
 	for _, f := range facts {
-		k := f.String()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if live[factKey{comp: ci, lit: k}] == retract {
+		k := exactKey(f)
+		if h.apply(factEvent{comp: ci, lit: f, retract: retract, ver: version}, k) {
 			ops = append(ops, f)
 			keys = append(keys, k)
 		}
@@ -476,18 +462,14 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 	if len(ops) == 0 {
 		return parent, nil
 	}
-	version := parent.version + 1
-	log := parent.log
-	for _, f := range ops {
-		log = append(log, factEvent{comp: ci, lit: f, retract: retract, ver: version})
-	}
 
 	// Always try the incremental path: when the ground program lacks usable
 	// incremental state the delta layer refuses immediately with a typed
 	// *ground.RegroundError ("full-mode", "poisoned"), so every fallback —
 	// inherent or tuning — carries its reason into the trace and counters.
 	mode, reason := "incremental", ""
-	child, err := e.applyIncremental(ctx, parent, ci, ops, retract, log)
+	child, err := e.applyIncremental(ctx, parent, ci, ops, retract, h.log)
+	next := h // the history the published version carries
 	switch {
 	case err == nil:
 		// Replace the incremental child with a compacted rebuild at the
@@ -496,8 +478,8 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 		// instead: the update itself succeeded, and the thresholds
 		// re-trigger next time.
 		if e.needsCompact(len(child.dead), child.rules.Len()) {
-			if c, cerr := e.rebuild(ctx, version, log, len(child.dead), true); cerr == nil {
-				child, mode = c, "compact"
+			if c, ch, cerr := e.rebuild(ctx, version, h, len(child.dead), true); cerr == nil {
+				child, next, mode = c, ch, "compact"
 			}
 		}
 	case errors.Is(err, ground.ErrNeedsReground):
@@ -508,32 +490,30 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 		// distinct facts, not update count.
 		reason = ground.RegroundReason(err)
 		compact := e.needsCompact(0, 0)
-		if child, err = e.rebuild(ctx, version, log, len(parent.dead), compact); err != nil {
-			return nil, err
+		if child, next, err = e.rebuild(ctx, version, h, len(parent.dead), compact); err != nil {
+			return fail(err)
 		}
 		mode = "reground"
 		if compact {
 			mode = "compact"
 		}
 	default:
-		return nil, err
+		return fail(err)
 	}
 
 	// Write-ahead: the batch reaches the log (fsynced per policy) before
 	// the snapshot becomes visible, so every observable version is
 	// recoverable. An append failure discards the unpublished child.
 	if err := e.walAppend(version, ci, verb, keys); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	if mode == "compact" {
 		e.finishCompact(version)
 	} else {
 		e.sinceCompact++
 	}
+	e.hist = next
 	e.current.Store(child)
-	for _, k := range keys {
-		live[factKey{comp: ci, lit: k}] = !retract
-	}
 	if obs.On() {
 		mUpdates.Inc()
 		if reason == "" {
@@ -647,16 +627,12 @@ func (e *Engine) applyIncremental(ctx context.Context, parent *Snapshot, ci int,
 	return child, nil
 }
 
-// reground grounds the effective program of log (the source plus the
-// replayed history) into a fresh snapshot at version with no carried-over
-// state. An empty history grounds the source itself.
-func (e *Engine) reground(ctx context.Context, version uint64, log []factEvent) (*Snapshot, error) {
-	eff := e.src
-	if len(log) > 0 {
-		var err error
-		if eff, err = effectiveProgram(e.src, log); err != nil {
-			return nil, err
-		}
+// reground grounds the effective program of h into a fresh snapshot at
+// version, carrying h's log, with no carried-over state.
+func (e *Engine) reground(ctx context.Context, version uint64, h *history) (*Snapshot, error) {
+	eff, err := h.program()
+	if err != nil {
+		return nil, err
 	}
 	gp, err := ground.GroundCtx(ctx, eff, e.cfg.Ground)
 	if err != nil {
@@ -669,131 +645,16 @@ func (e *Engine) reground(ctx context.Context, version uint64, log []factEvent) 
 		nAtoms:  gp.Tab.Len(),
 		rules:   gp.Rules,
 		index:   newOccIndex(gp),
-		log:     log,
+		log:     h.log,
 		comps:   make(map[int]*compState),
 	}, nil
 }
 
-// groundFacts indexes the ground fact rules of a source program: the
-// liveness every fact has before any update.
-func groundFacts(src *ast.OrderedProgram) map[factKey]bool {
-	facts := make(map[factKey]bool)
-	for ci, c := range src.Components {
-		for _, r := range c.Rules {
-			if r.IsFact() && r.Head.Atom.Ground() {
-				facts[factKey{comp: ci, lit: r.Head.String()}] = true
-			}
-		}
-	}
-	return facts
-}
-
-// liveness returns the tip's fact liveness (Engine.live), building it on
-// first use from the source's ground facts folded with the tip's history:
-// a recovered engine and an AsOf reconstruction's engine start with one.
-// Called under writeMu.
-func (e *Engine) liveness(tip *Snapshot) map[factKey]bool {
-	if e.live == nil {
-		e.live = groundFacts(e.src)
-		for _, ev := range tip.log {
-			e.live[ev.key()] = !ev.retract
-		}
-	}
-	return e.live
-}
-
-// factRules is one component's rule list under edit by effectiveProgram:
-// gone marks retracted positions, and byHead lists the live ground fact
-// rules per rendered head, so an event costs its bucket, not a rule scan.
-// Distinct atoms can render alike (Sym "1" and Int 1), so a bucket is
-// filtered by Literal.Equal, never trusted by key alone.
-type factRules struct {
-	rules  []*ast.Rule
-	gone   []bool
-	byHead map[string][]int
-}
-
-func newFactRules(rules []*ast.Rule) *factRules {
-	f := &factRules{rules: append([]*ast.Rule(nil), rules...), gone: make([]bool, len(rules)), byHead: make(map[string][]int)}
-	for i, r := range rules {
-		if r.IsFact() && r.Head.Atom.Ground() {
-			k := r.Head.String()
-			f.byHead[k] = append(f.byHead[k], i)
-		}
-	}
-	return f
-}
-
-// apply replays one event: a retract removes every ground-equal fact
-// rule, an assert appends the fact rule unless a ground-equal one is live.
-func (f *factRules) apply(ev factEvent) {
-	k := ev.lit.String()
-	idx := f.byHead[k]
-	if ev.retract {
-		kept := idx[:0]
-		for _, i := range idx {
-			if f.rules[i].Head.Equal(ev.lit) {
-				f.gone[i] = true
-			} else {
-				kept = append(kept, i)
-			}
-		}
-		f.byHead[k] = kept
-		return
-	}
-	for _, i := range idx {
-		if f.rules[i].Head.Equal(ev.lit) {
-			return
-		}
-	}
-	f.byHead[k] = append(idx, len(f.rules)) // events are ground: update and decodeRecords reject others
-	f.rules = append(f.rules, ast.Fact(ev.lit))
-	f.gone = append(f.gone, false)
-}
-
-// live returns the surviving rules in order.
-func (f *factRules) live() []*ast.Rule {
-	out := make([]*ast.Rule, 0, len(f.rules))
-	for i, r := range f.rules {
-		if !f.gone[i] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// effectiveProgram clones the source program and replays the update
-// history: an assert appends the fact rule unless a ground-equal one is
-// present, a retract removes every ground-equal fact rule. The result is
-// the program a caller maintaining the source by hand would have built, so
-// regrounding it yields exactly the semantics the snapshot must expose.
-// The cost is linear in the program plus the history: each touched
-// component's fact rules are indexed once by head.
-func effectiveProgram(src *ast.OrderedProgram, log []factEvent) (*ast.OrderedProgram, error) {
-	edits := make([]*factRules, len(src.Components))
-	for _, ev := range log {
-		if edits[ev.comp] == nil {
-			edits[ev.comp] = newFactRules(src.Components[ev.comp].Rules)
-		}
-		edits[ev.comp].apply(ev)
-	}
-	p := ast.NewOrderedProgram()
-	for i, c := range src.Components {
-		rules := append([]*ast.Rule(nil), c.Rules...)
-		if edits[i] != nil {
-			rules = edits[i].live()
-		}
-		if err := p.AddComponent(&ast.Component{Name: c.Name, Rules: rules}); err != nil {
-			return nil, err
-		}
-	}
-	for _, ed := range src.Edges {
-		if err := p.AddEdge(ed.Child, ed.Parent); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+// EffectiveProgram returns the program this version answers for: the
+// source with the update history replayed over it (see history.program).
+// An engine built from it answers as the snapshot does. With no history
+// it is the source itself; otherwise a new program sharing the source's
+// rules.
+func (s *Snapshot) EffectiveProgram() (*ast.OrderedProgram, error) {
+	return replay(s.eng.src, s.log).program()
 }

@@ -41,20 +41,11 @@ import (
 	"repro/internal/stable"
 )
 
-// factEvent records one incremental assert/retract applied to the live
-// engine but not yet folded into the source program.
-type factEvent struct {
-	comp    string
-	lit     ast.Literal
-	retract bool
-}
-
 // REPL is an interactive session over one ordered program.
 type REPL struct {
-	prog   *ast.OrderedProgram
-	eng    *core.Engine // nil when dirty
-	events []factEvent  // fact updates applied to eng, pending in prog
-	comp   string       // default component ("" = engine default)
+	prog   *ast.OrderedProgram // facts written to a live eng are in its snapshot until flush
+	eng    *core.Engine        // nil when dirty
+	comp   string              // default component ("" = engine default)
 	out    io.Writer
 	cfg    core.Config
 	prompt string
@@ -104,14 +95,11 @@ func (r *REPL) Exec(ctx context.Context, line string) bool {
 	case line == "stats":
 		r.stats(ctx)
 	case line == "list":
-		fmt.Fprint(r.out, r.prog.String())
-		for _, ev := range r.events {
-			if ev.retract {
-				fmt.Fprintf(r.out, "%% retracted from %s: %s\n", ev.comp, ev.lit)
-			} else {
-				fmt.Fprintf(r.out, "%% asserted in %s: %s.\n", ev.comp, ev.lit)
-			}
+		if err := r.flush(); err != nil {
+			fmt.Fprintf(r.out, "error: %v\n", err)
+			return false
 		}
+		fmt.Fprint(r.out, r.prog.String())
 	case line == "analyze":
 		for _, d := range analyze.Program(r.prog) {
 			fmt.Fprintln(r.out, d)
@@ -249,11 +237,13 @@ func (r *REPL) assert(ctx context.Context, rest string) {
 			fmt.Fprintf(r.out, "error: %v\n", err)
 			return
 		}
-		r.events = append(r.events, factEvent{comp: comp, lit: rule.Head})
 		fmt.Fprintf(r.out, "asserted in %s: %s (version %d)\n", comp, rule, snap.Version())
 		return
 	}
-	r.flush()
+	if err := r.flush(); err != nil {
+		fmt.Fprintf(r.out, "error: %v\n", err)
+		return
+	}
 	r.prog.Component(comp).AddRule(rule)
 	r.eng = nil // re-ground lazily
 	fmt.Fprintf(r.out, "added to %s: %s\n", comp, rule)
@@ -289,42 +279,21 @@ func (r *REPL) retract(ctx context.Context, rest string) {
 		fmt.Fprintf(r.out, "error: %v\n", err)
 		return
 	}
-	r.events = append(r.events, factEvent{comp: comp, lit: lit, retract: true})
 	fmt.Fprintf(r.out, "retracted from %s: %s (version %d)\n", comp, lit, snap.Version())
 }
 
-// flush folds the incremental fact updates into the source program — the
-// same replay Engine.Update uses when it must reground — so a rebuild from
-// r.prog starts from the state the retiring engine ended at.
-func (r *REPL) flush() {
-	for _, ev := range r.events {
-		c := r.prog.Component(ev.comp)
-		if c == nil {
-			continue
-		}
-		if ev.retract {
-			kept := c.Rules[:0]
-			for _, rule := range c.Rules {
-				if rule.IsFact() && rule.Head.Neg == ev.lit.Neg && rule.Head.Atom.Ground() && rule.Head.Atom.Equal(ev.lit.Atom) {
-					continue
-				}
-				kept = append(kept, rule)
-			}
-			c.Rules = kept
-			continue
-		}
-		present := false
-		for _, rule := range c.Rules {
-			if rule.IsFact() && rule.Head.Neg == ev.lit.Neg && rule.Head.Atom.Ground() && rule.Head.Atom.Equal(ev.lit.Atom) {
-				present = true
-				break
-			}
-		}
-		if !present {
-			c.AddRule(ast.Fact(ev.lit))
-		}
+// flush makes the program the live engine's effective program (its
+// source with the facts written since replayed), so a rebuild from r.prog
+// starts from the state the retiring engine ended at.
+func (r *REPL) flush() error {
+	if r.eng == nil {
+		return nil
 	}
-	r.events = nil
+	p, err := r.eng.Current().EffectiveProgram()
+	if err == nil {
+		r.prog = p
+	}
+	return err
 }
 
 func (r *REPL) least(ctx context.Context, comp string) {

@@ -154,3 +154,22 @@ module c1 extends c2, c3 { free_ticket(X) :- poor(X). }
 		t.Errorf("ground dump missing instance:\n%s", out)
 	}
 }
+
+// Facts written to a live engine are part of the program a rebuild starts
+// from, and of what list prints: the engine's effective program.
+func TestWritesSurviveRebuild(t *testing.T) {
+	out := session(t, penguinSrc,
+		"stats", // builds the engine: the writes below are incremental
+		"assert birds bird(tweety).",
+		"retract birds bird(pigeon).",
+		"assert birds sings(X) :- bird(X).",
+		"?- sings(X).",
+		"list",
+		"quit")
+	if !strings.Contains(out, "X = penguin") || !strings.Contains(out, "X = tweety") || strings.Contains(out, "X = pigeon") {
+		t.Errorf("the rebuild lost a write:\n%s", out)
+	}
+	if !strings.Contains(out, "bird(tweety).") || strings.Contains(out, "bird(pigeon).") {
+		t.Errorf("list does not print the effective program:\n%s", out)
+	}
+}
