@@ -70,14 +70,13 @@ type goalSlice struct {
 	comps map[int]*compState
 }
 
-// goalSliceFor returns the snapshot's cached entry for the goal, creating
-// (and, at capacity, evicting the least recently used) entry under the
-// cache lock, and reports whether it was a miss. ask is the component the
-// goal is asked in, whose route a miss decides. Only bookkeeping happens
-// here — the cut runs outside the lock, in the slice's own singleflight
-// cell.
-func (s *Snapshot) goalSliceFor(goal []ast.Literal, tag string, ask int) (*goalSlice, bool) {
-	key := relevance.GoalKey(goal) + tag
+// goalSliceFor returns the snapshot's cached entry for the goal under its
+// key (sliceKey), creating (and, at capacity, evicting the least recently
+// used) entry under the cache lock, and reports whether it was a miss. ask
+// is the component the goal is asked in, whose route a miss decides. Only
+// bookkeeping happens here — the cut runs outside the lock, in the slice's
+// own singleflight cell.
+func (s *Snapshot) goalSliceFor(goal []ast.Literal, key string, ask int) (*goalSlice, bool) {
 	c := &s.slices
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -221,16 +220,17 @@ func sliceView(st *compState, gp *ground.Program, i int) *eval.View {
 
 // goalModel resolves the model a goal is answered from in component i.
 // On a goal-directed engine with a non-empty goal that is the model its
-// cache entry answers from: the component's least model when the miss
-// that created the entry was routed there, and otherwise the least model
-// of the entry's slice; a miss is counted by its route here, so queries
-// and proofs count alike. Otherwise it is the component's least model:
-// with no literals there is nothing to slice by.
-func (s *Snapshot) goalModel(ctx context.Context, i int, goal []ast.Literal, tag string) (*Model, error) {
+// cache entry, under key (sliceKey), answers from: the component's least
+// model when the miss that created the entry was routed there, and
+// otherwise the least model of the entry's slice; a miss is counted by its
+// route here, so queries and proofs count alike. Otherwise it is the
+// component's least model: with no literals there is nothing to slice by,
+// and key is not read.
+func (s *Snapshot) goalModel(ctx context.Context, i int, goal []ast.Literal, key string) (*Model, error) {
 	if !s.eng.cfg.GoalDirected || len(goal) == 0 {
 		return s.leastModel(ctx, i)
 	}
-	gs, miss := s.goalSliceFor(goal, tag, i)
+	gs, miss := s.goalSliceFor(goal, key, i)
 	if miss {
 		s.countRoute(i, gs.routed == i)
 	}

@@ -47,6 +47,7 @@ type family struct {
 	prog  *ast.OrderedProgram
 	comps []string
 	goals []ast.Query
+	texts []string // the text each goal was parsed from; "" for one built by hand
 	atoms []ast.Atom
 	pool  []factEvent // the writes write draws from, when it draws from a pool
 	// write draws one write: a component, a fact, and whether it retracts.
@@ -58,9 +59,12 @@ type family struct {
 // addGoals parses goals into the family; a ground one-literal goal's atom
 // is one to prove too.
 func (f *family) addGoals(t *testing.T, goals ...string) {
+	for len(f.texts) < len(f.goals) {
+		f.texts = append(f.texts, "")
+	}
 	for _, g := range goals {
 		q := parseGoal(t, g)
-		f.goals = append(f.goals, q)
+		f.goals, f.texts = append(f.goals, q), append(f.texts, g)
 		if len(q.Body) == 1 && q.Body[0].Atom.Ground() {
 			f.atoms = append(f.atoms, q.Body[0].Atom)
 		}
@@ -328,9 +332,10 @@ const (
 	rMagic                   // a Ground.Goal engine's AF and stable answer projections
 	rBatch                   // QueryBatchCtx of query reads across the components
 	rWithin                  // the goal's cut against its magic-set slice
+	rPrep                    // AnswersGoalCtx of the run's one Goal for the goal text, as rAnswers
 )
 
-var readNames = [...]string{"answers", "query", "cut", "prove", "explain", "least", "models", "closure", "magic", "batch", "within"}
+var readNames = [...]string{"answers", "query", "cut", "prove", "explain", "least", "models", "closure", "magic", "batch", "within", "prepared"}
 
 // target is which version a read reads.
 type target uint8
@@ -355,8 +360,9 @@ const (
 // step is one step of a script. A write carries comp, lit and retract; a
 // read its kind, target, comp and query or literal, and back picks a
 // pinned version (back from the newest) or an AsOf version (modulo the
-// tip). A batch carries its requests as query reads, and a carry its
-// asked comp and query and its write as its one slot.
+// tip). A prepared read carries its goal's text too. A batch carries its
+// requests as query reads, and a carry its asked comp and query and its
+// write as its one slot.
 type step struct {
 	kind    stepKind
 	read    readKind
@@ -365,6 +371,7 @@ type step struct {
 	lit     ast.Literal
 	retract bool
 	q       ast.Query
+	text    string
 	back    int
 	slots   []step
 }
@@ -385,7 +392,9 @@ func (s step) String() string {
 		return fmt.Sprintf("carry %s past %s in %d", s.q, s.slots[0], s.comp)
 	}
 	what := s.q.String()
-	if s.read == rProve || s.read == rExplain {
+	if s.read == rPrep {
+		what = fmt.Sprintf("%q %#v", s.text, s.q)
+	} else if s.read == rProve || s.read == rExplain {
 		what = s.lit.String()
 	} else if s.read == rBatch {
 		what = fmt.Sprint(s.slots)
@@ -487,6 +496,12 @@ func (b *builder) add(k readKind, at target, comp, back int) {
 	switch {
 	case k == rProve || k == rExplain:
 		s.lit = b.literal()
+	case k == rPrep:
+		i := b.rng.Intn(len(b.f.goals))
+		s.q = b.f.goals[i]
+		if i < len(b.f.texts) {
+			s.text = b.f.texts[i]
+		}
 	case k == rBatch:
 		// Every component at least twice, in a random order, each slot
 		// drawing its own goal: a slot answered for another shows.
@@ -650,12 +665,41 @@ func runRow(t *testing.T, r *row) {
 
 // generation is one engine of a run: the first, or one recovered after a
 // crash. logs holds, per version it published, the fact log whose
-// effective program that version answers for.
+// effective program that version answers for; prep the run's prepared
+// goals, which every generation shares.
 type generation struct {
 	id   int
 	eng  *Engine
 	dir  string // a durable engine's log directory
 	logs map[uint64][]factEvent
+	prep *goalTable
+}
+
+// goalTable holds a run's prepared goals: one Goal per distinct goal
+// text, prepared by a tenant's map (Tenant.Goal) when a reader first asks
+// it, and one per goal built by hand, which has no text, by its Go syntax.
+// Every version and every reader of the run reads the same Goal, a
+// recovered generation's too.
+type goalTable struct {
+	t     *Tenant
+	mu    sync.Mutex
+	built map[string]*Goal
+}
+
+func (gt *goalTable) goal(st step) (*Goal, error) {
+	if st.text != "" {
+		return gt.t.Goal(st.text)
+	}
+	key := fmt.Sprintf("%#v", st.q)
+	gt.mu.Lock()
+	defer gt.mu.Unlock()
+	g := gt.built[key]
+	if g == nil {
+		g = new(Goal)
+		*g = newGoal(st.q, gt.t.eng.cfg.GoalDirected)
+		gt.built[key] = g
+	}
+	return g, nil
 }
 
 // job is a read handed to a reader, with the snapshot of a pinned read.
@@ -706,7 +750,8 @@ func (h *harness) run(steps []step, start *generation) *generation {
 		if err != nil {
 			h.fatalf("%v", err)
 		}
-		g = &generation{eng: eng, dir: dir, logs: map[uint64][]factEvent{0: nil}}
+		g = &generation{eng: eng, dir: dir, logs: map[uint64][]factEvent{0: nil},
+			prep: &goalTable{t: &Tenant{name: "harness", eng: eng}, built: map[string]*Goal{}}}
 	}
 	log := g.logs[g.eng.Current().Version()]
 	published, pubGen := []*Snapshot{g.eng.Current()}, []*generation{g}
@@ -906,7 +951,7 @@ func crashAt(ctx context.Context, g *generation, c engineConfig, cut int64) (*ge
 	if tip != uint64(len(dec.Records)) {
 		return nil, fmt.Errorf("recovered v%d after a cut at %d, but %d records survive", tip, cut, len(dec.Records))
 	}
-	ng := &generation{id: g.id + 1, eng: eng, dir: dir, logs: map[uint64][]factEvent{}}
+	ng := &generation{id: g.id + 1, eng: eng, dir: dir, logs: map[uint64][]factEvent{}, prep: g.prep}
 	for v, l := range g.logs {
 		if v <= tip {
 			ng.logs[v] = l
@@ -964,6 +1009,20 @@ func doRead(ctx context.Context, j job) record {
 		return rec
 	}
 	comp := s.gp.Src.Components[j.s.comp].Name
+	if j.s.read == rPrep {
+		g, err := j.gen.prep.goal(j.s)
+		var a *Answers
+		if err == nil {
+			a, err = s.AnswersGoalCtx(ctx, comp, g)
+		}
+		if err != nil {
+			rec.got = "error: " + err.Error()
+			return rec
+		}
+		tally("harness.read.prepared")
+		rec.got = responseJSON(a.Query(), a.JSON())
+		return rec
+	}
 	rec.got = readOn(ctx, s, comp, j.s)
 	return rec
 }
@@ -1280,7 +1339,7 @@ func (o *oracleVersion) expect(ctx context.Context, st step) (string, error) {
 		return ok && m.in.HasLit(interp.MkLit(id, l.Neg))
 	}
 	switch st.read {
-	case rAnswers, rQuery, rCut:
+	case rAnswers, rQuery, rCut, rPrep:
 		b, err := BindingsJSON(st.q, queryScanOracle(m.lits, st.q))
 		return string(b), err
 	case rProve, rExplain:

@@ -61,13 +61,20 @@ var (
 	mRouteModel    = obs.Default().Counter("core.route.model")
 	mRouteSwitches = obs.Default().Counter("core.route.switches")
 
-	// One per goal-directed answer, by whether its goal's cache entry
-	// already held the answer set for the same component and query text
-	// (goal.go): a hit returns it, encoding included; a miss runs the
-	// query on the resolved model and keeps the result in the entry, if it
-	// has no more rows than the model's ground program has rules.
+	// One per answer, by whether the model it is read from already kept
+	// the answer set for the same query text (query.go): a hit returns it,
+	// encoding included; a miss runs the query on the model and keeps the
+	// result, if it has no more rows than the model has rules.
 	mAnswerMemoHits   = obs.Default().Counter("core.answers.memo.hits")
 	mAnswerMemoMisses = obs.Default().Counter("core.answers.memo.misses")
+
+	// One per Tenant.Goal (prepared.go): a hit returns the goal the tenant
+	// prepared for the same text, a miss parses and keeps a new one, an
+	// eviction drops one kept goal to make room. A text that fails to
+	// parse counts in none.
+	mGoalHits      = obs.Default().Counter("core.goals.hits")
+	mGoalMisses    = obs.Default().Counter("core.goals.misses")
+	mGoalEvictions = obs.Default().Counter("core.goals.evictions")
 
 	// One per ground program whose occurrence index (cut.go) a goal cut or
 	// a write's cone first indexes; later readers only extend it, and are

@@ -243,14 +243,16 @@ type queryRun struct {
 // the ground instance of every body literal, and the enumeration visits
 // each combination of (distinct) member literals at most once. A repeated
 // query text is answered from the model's memo (above).
-func (m *Model) Answers(q ast.Query) *Answers { return m.answersTagged(q, kindTag(q.Body, q.Builtins)) }
+func (m *Model) Answers(q ast.Query) *Answers {
+	g := newGoal(q, false)
+	return m.answer(&g)
+}
 
-// answersTagged is Answers for a query whose kindTag the caller has.
-func (m *Model) answersTagged(q ast.Query, tag string) *Answers {
-	text := q.String()
-	key := text + tag
+// answer is Answers of a prepared goal, looked up by the memo key it
+// carries.
+func (m *Model) answer(g *Goal) *Answers {
 	m.idxMu.Lock()
-	a := m.answers[key]
+	a := m.answers[g.memo]
 	m.idxMu.Unlock()
 	if a != nil {
 		if obs.On() {
@@ -258,9 +260,9 @@ func (m *Model) answersTagged(q ast.Query, tag string) *Answers {
 		}
 		return a
 	}
-	a = m.evalQuery(q, text)
+	a = m.evalQuery(g.q, g.text)
 	if a.n <= m.rules {
-		m.keep(key, a)
+		m.keep(g.memo, a)
 	}
 	if obs.On() {
 		mAnswerMemoMisses.Inc()

@@ -29,7 +29,11 @@ func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bo
 		return false, err
 	}
 	goal := []ast.Literal{l}
-	m, err := s.goalModel(ctx, i, goal, kindTag(goal, nil))
+	var key string
+	if s.eng.cfg.GoalDirected {
+		key = sliceKey(goal, kindTag(goal, nil))
+	}
+	m, err := s.goalModel(ctx, i, goal, key)
 	if err != nil {
 		return false, err
 	}

@@ -714,6 +714,38 @@ func kindsFamily(t *testing.T) *family {
 	return f
 }
 
+// preparedFamily is a family with two spellings of one goal added to its
+// pool, each its own text and so its own prepared Goal.
+func preparedFamily(base func(*testing.T) *family, spellings ...string) func(*testing.T) *family {
+	return func(t *testing.T) *family {
+		f := base(t)
+		f.addGoals(t, spellings...)
+		return f
+	}
+}
+
+// Prepared goals: every read asks through the run's one Goal for its goal
+// text, prepared when a reader first asks it and then shared by every
+// version — the tip, pinned and AsOf ones — and by the racing readers.
+// The pools hold two spellings of one goal, and on the kinds family goals
+// over Int 1 and over Sym "1", which render alike.
+func TestPreparedGoalDifferential(t *testing.T) {
+	runRow(t, &row{cases: func(bool) []scriptCase {
+		return []scriptCase{
+			{name: "kinds", family: preparedFamily(kindsFamily, "t(X),p(X)", "t(X), p(X)")},
+			{name: "reads", family: preparedFamily(readsFamily, "path(c2,X)", "path(c2, X)"), seed: 1},
+		}
+	}, configs: []engineConfig{cfgFull, cfgGoal, cfgEvery}, readers: 4,
+		script: func(b *builder) {
+			for w := 0; w < 24; w++ {
+				b.write()
+				b.mixed(10, 3, rPrep)
+				b.read(rPrep, tAsOf)
+			}
+		},
+		want: []string{"core.goals.hits", "core.goals.misses", "harness.read.prepared"}})
+}
+
 // Facts equal in rendering but not in kind are distinct facts: each is
 // asserted and retracted while the other is live, and every version — on
 // an engine that compacts every three writes too, collapsing the history

@@ -325,18 +325,27 @@ func (s *Snapshot) QueryCtx(ctx context.Context, comp string, q ast.Query) ([]Bi
 }
 
 // AnswersCtx is QueryCtx returning the answer set in its interned form,
-// for callers that encode rows (Answers.JSON) rather than read them.
+// for callers that encode rows (Answers.JSON) rather than read them. It
+// prepares q and answers it as AnswersGoalCtx does.
 func (s *Snapshot) AnswersCtx(ctx context.Context, comp string, q ast.Query) (*Answers, error) {
+	g := newGoal(q, s.eng.cfg.GoalDirected)
+	return s.AnswersGoalCtx(ctx, comp, &g)
+}
+
+// AnswersGoalCtx answers a prepared goal (Tenant.Goal) in the component
+// as of this snapshot: the one path every query is answered by. It
+// resolves the goal's model (goalModel) and reads the answer set from the
+// model's memo, evaluating it on a miss, by the keys the goal carries.
+func (s *Snapshot) AnswersGoalCtx(ctx context.Context, comp string, g *Goal) (*Answers, error) {
 	i, err := s.resolve(comp)
 	if err != nil {
 		return nil, err
 	}
-	tag := kindTag(q.Body, q.Builtins)
-	m, err := s.goalModel(ctx, i, q.Body, tag)
+	m, err := s.goalModel(ctx, i, g.q.Body, g.slice)
 	if err != nil {
 		return nil, err
 	}
-	return m.answersTagged(q, tag), nil
+	return m.answer(g), nil
 }
 
 // AssumptionFreeModelsCtx enumerates the assumption-free models in the

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/batch"
+	"repro/internal/obs"
 )
 
 // Version-pinning errors of Tenant.At. Both are plain sentinels so a
@@ -23,19 +24,27 @@ var (
 )
 
 // Tenant couples one named Engine with its serving state: a bounded
-// admission semaphore and a ring of recently published snapshots, so a
+// admission semaphore, a ring of recently published snapshots, so a
 // network client can pin several requests to one version even though other
-// clients keep writing. Writes through Tenant.Update/Retract retain the
-// snapshot they publish; reads resolve a version with At or take the tip
-// with Current.
+// clients keep writing, the goals it has prepared (Goal), and its traffic
+// counters. Writes through Tenant.Update/Retract retain the snapshot they
+// publish; reads resolve a version with At or take the tip with Current.
 type Tenant struct {
 	name string
 	eng  *Engine
 	sem  *batch.Semaphore
 
+	// The serving layer's per-tenant counters,
+	// serve.tenant.<name>.{reads,writes,loads} with the name sanitised to
+	// one path segment, resolved when the tenant is published.
+	reads, writes, loads *obs.Counter
+
 	mu       sync.Mutex
 	retained []*Snapshot // ascending version order, bounded by retain
 	retain   int
+
+	goalMu sync.Mutex
+	goals  map[string]*Goal // by goal text, at most goalCacheSize (prepared.go)
 }
 
 // Name returns the tenant's registry name.
@@ -43,6 +52,16 @@ func (t *Tenant) Name() string { return t.name }
 
 // Engine returns the tenant's engine.
 func (t *Tenant) Engine() *Engine { return t.eng }
+
+// Reads counts the tenant's served reads (serve.tenant.<name>.reads).
+func (t *Tenant) Reads() *obs.Counter { return t.reads }
+
+// Writes counts the tenant's served writes (serve.tenant.<name>.writes).
+func (t *Tenant) Writes() *obs.Counter { return t.writes }
+
+// Loads counts the programs loaded under the tenant's name
+// (serve.tenant.<name>.loads).
+func (t *Tenant) Loads() *obs.Counter { return t.loads }
 
 // Acquire takes an admission slot, waiting until one frees or ctx dies,
 // and returns the release function. The error contract is that of
@@ -209,10 +228,14 @@ func (r *Registry) Put(ctx context.Context, name string, p *ast.OrderedProgram, 
 // with wal.ErrClosed instead. In-flight reads against the old engine are
 // unaffected.
 func (r *Registry) publish(name string, eng *Engine) (*Tenant, bool) {
+	counter := "serve.tenant." + obs.SanitizeSegment(name) + "."
 	t := &Tenant{
 		name:     name,
 		eng:      eng,
 		sem:      batch.NewSemaphore(r.inflight),
+		reads:    obs.Default().Counter(counter + "reads"),
+		writes:   obs.Default().Counter(counter + "writes"),
+		loads:    obs.Default().Counter(counter + "loads"),
 		retain:   r.retain,
 		retained: []*Snapshot{eng.Current()},
 	}

@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/interrupt"
 	"repro/internal/obs"
@@ -203,12 +201,14 @@ func (d *Daemon) Handler() http.Handler {
 }
 
 // instrument wraps a handler with the serve.* request accounting: total
-// requests, per-op counts and the latency histogram.
+// requests, per-op counts and the latency histogram. The op's counter is
+// resolved once, here.
 func (d *Daemon) instrument(op string, h http.HandlerFunc) http.HandlerFunc {
+	ops := opCounter(op)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		mRequests.Inc()
-		opCounter(op).Inc()
+		ops.Inc()
 		h(w, r)
 		hLatency.Observe(time.Since(start))
 	}
@@ -232,13 +232,13 @@ func failf(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorJSON{Error: fmt.Sprintf(format, args...)})
 }
 
-// reqCtx derives the request's evaluation context from ?timeout=, clamped
-// to MaxTimeout, falling back to the daemon default. The base is the
-// request context, so a client disconnect cancels evaluation either way.
-// params is the request's query string, parsed once by the handler.
-func (d *Daemon) reqCtx(r *http.Request, params url.Values) (context.Context, context.CancelFunc, error) {
+// reqCtx derives the request's evaluation context from ?timeout= (s),
+// clamped to MaxTimeout, falling back to the daemon default. The base is
+// the request context, so a client disconnect cancels evaluation either
+// way.
+func (d *Daemon) reqCtx(r *http.Request, s string) (context.Context, context.CancelFunc, error) {
 	timeout := d.cfg.DefaultTimeout
-	if s := params.Get("timeout"); s != "" {
+	if s != "" {
 		dur, err := time.ParseDuration(s)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bad timeout %q: %v", s, err)
@@ -297,9 +297,8 @@ func admit(ctx context.Context, w http.ResponseWriter, t *core.Tenant) (release 
 // ?as_of= version the retention ring no longer holds is left open: pin
 // returns a nil snapshot, and the handler reconstructs it with
 // reconstruct once admitted.
-func pin(w http.ResponseWriter, params url.Values, t *core.Tenant) (snap *core.Snapshot, asOf uint64, ok bool) {
-	vs := params.Get("version")
-	as := params.Get("as_of")
+func pin(w http.ResponseWriter, p params, t *core.Tenant) (snap *core.Snapshot, asOf uint64, ok bool) {
+	vs, as := p.version, p.asOf
 	if vs != "" && as != "" {
 		failf(w, http.StatusBadRequest, "at most one of ?version= and ?as_of=")
 		return nil, 0, false
@@ -452,7 +451,7 @@ func (d *Daemon) handleLoad(w http.ResponseWriter, r *http.Request) {
 		failf(w, http.StatusBadRequest, "parse program: %v", err)
 		return
 	}
-	ctx, cancel, err := d.reqCtx(r, r.URL.Query())
+	ctx, cancel, err := d.reqCtx(r, readParams(r.URL.RawQuery).timeout)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
@@ -468,7 +467,7 @@ func (d *Daemon) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mTenants.Set(int64(d.reg.Len()))
-	tenantCounter(name, "loads").Inc()
+	t.Loads().Inc()
 	code := http.StatusCreated
 	if replaced {
 		code = http.StatusOK
@@ -532,7 +531,7 @@ func (d *Daemon) handleWrite(w http.ResponseWriter, r *http.Request, retract boo
 		failf(w, http.StatusBadRequest, "parse facts: %v", err)
 		return
 	}
-	ctx, cancel, err := d.reqCtx(r, r.URL.Query())
+	ctx, cancel, err := d.reqCtx(r, readParams(r.URL.RawQuery).timeout)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
@@ -558,7 +557,7 @@ func (d *Daemon) handleWrite(w http.ResponseWriter, r *http.Request, retract boo
 		failf(w, code, "%v", err)
 		return
 	}
-	tenantCounter(t.Name(), "writes").Inc()
+	t.Writes().Inc()
 	setVersion(w, snap.Version())
 	writeJSON(w, http.StatusOK, writeRespJSON{
 		Tenant: t.Name(), Component: req.Component,
@@ -610,40 +609,30 @@ func writeQueryResp(w http.ResponseWriter, code int, head queryHeadJSON, answers
 // respTail closes a query response.
 var respTail = []byte("\n}\n")
 
-// parseQuery parses the ?q= conjunctive goal ("anc(c0, X), p(X)").
-func parseQuery(q string) (ast.Query, error) {
-	res, err := parser.Parse("?- " + q + ".")
-	if err != nil {
-		return ast.Query{}, err
-	}
-	if len(res.Queries) != 1 {
-		return ast.Query{}, fmt.Errorf("want exactly one goal, got %d", len(res.Queries))
-	}
-	return res.Queries[0], nil
-}
-
+// handleQuery answers the ?q= conjunctive goal ("anc(c0, X), p(X)"),
+// prepared once per tenant (core.Tenant.Goal): a repeated goal is not
+// parsed again, and a memo hit writes the bytes its model kept.
 func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t, ok := d.tenant(w, r)
 	if !ok {
 		return
 	}
-	params := r.URL.Query()
-	qtext := params.Get("q")
-	if qtext == "" {
+	p := readParams(r.URL.RawQuery)
+	if p.q == "" {
 		failf(w, http.StatusBadRequest, "missing ?q= goal")
 		return
 	}
-	q, err := parseQuery(qtext)
+	g, err := t.Goal(p.q)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "parse query: %v", err)
 		return
 	}
-	comp := params.Get("component")
-	snap, asOf, ok := pin(w, params, t)
+	comp := p.component
+	snap, asOf, ok := pin(w, p, t)
 	if !ok {
 		return
 	}
-	ctx, cancel, err := d.reqCtx(r, params)
+	ctx, cancel, err := d.reqCtx(r, p.timeout)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
@@ -657,16 +646,16 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if snap, ok = reconstruct(ctx, w, t, snap, asOf); !ok {
 		return
 	}
-	tenantCounter(t.Name(), "reads").Inc()
+	t.Reads().Inc()
 	head := queryHeadJSON{Tenant: t.Name(), Component: comp, Version: snap.Version()}
-	answers, err := snap.AnswersCtx(ctx, comp, q)
+	answers, err := snap.AnswersGoalCtx(ctx, comp, g)
 	setVersion(w, snap.Version())
 	if err != nil {
 		if partialErr(err) {
 			// The least model did not converge inside the deadline: no
 			// bindings exist yet. The truncation marker tells the client
 			// this is a deadline artifact, not an empty answer set.
-			head.Query, head.Truncated = q.String(), true
+			head.Query, head.Truncated = g.String(), true
 			markTruncated(w)
 			writeQueryResp(w, http.StatusPartialContent, head, nil)
 			return
@@ -674,7 +663,7 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	head.Query = answers.Query() // rendered once, by core when it keys the answer memo
+	head.Query = answers.Query() // the goal's text, rendered once when it was prepared
 	writeQueryResp(w, http.StatusOK, head, answers)
 }
 
@@ -692,8 +681,8 @@ func (d *Daemon) handleProve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	params := r.URL.Query()
-	ltext := params.Get("lit")
+	p := readParams(r.URL.RawQuery)
+	ltext := p.lit
 	if ltext == "" {
 		failf(w, http.StatusBadRequest, "missing ?lit= literal")
 		return
@@ -703,12 +692,12 @@ func (d *Daemon) handleProve(w http.ResponseWriter, r *http.Request) {
 		failf(w, http.StatusBadRequest, "parse literal: %v", err)
 		return
 	}
-	comp := params.Get("component")
-	snap, asOf, ok := pin(w, params, t)
+	comp := p.component
+	snap, asOf, ok := pin(w, p, t)
 	if !ok {
 		return
 	}
-	ctx, cancel, err := d.reqCtx(r, params)
+	ctx, cancel, err := d.reqCtx(r, p.timeout)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
@@ -722,7 +711,7 @@ func (d *Daemon) handleProve(w http.ResponseWriter, r *http.Request) {
 	if snap, ok = reconstruct(ctx, w, t, snap, asOf); !ok {
 		return
 	}
-	tenantCounter(t.Name(), "reads").Inc()
+	t.Reads().Inc()
 	resp := proveRespJSON{
 		Tenant: t.Name(), Component: comp, Version: snap.Version(), Literal: l.String(),
 	}
@@ -756,10 +745,10 @@ func (d *Daemon) handleStable(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	params := r.URL.Query()
-	comp := params.Get("component")
+	p := readParams(r.URL.RawQuery)
+	comp := p.component
 	var maxModels int
-	if s := params.Get("max"); s != "" {
+	if s := p.max; s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
 			failf(w, http.StatusBadRequest, "bad max %q", s)
@@ -767,11 +756,11 @@ func (d *Daemon) handleStable(w http.ResponseWriter, r *http.Request) {
 		}
 		maxModels = n
 	}
-	snap, asOf, ok := pin(w, params, t)
+	snap, asOf, ok := pin(w, p, t)
 	if !ok {
 		return
 	}
-	ctx, cancel, err := d.reqCtx(r, params)
+	ctx, cancel, err := d.reqCtx(r, p.timeout)
 	if err != nil {
 		failf(w, http.StatusBadRequest, "%v", err)
 		return
@@ -785,7 +774,7 @@ func (d *Daemon) handleStable(w http.ResponseWriter, r *http.Request) {
 	if snap, ok = reconstruct(ctx, w, t, snap, asOf); !ok {
 		return
 	}
-	tenantCounter(t.Name(), "reads").Inc()
+	t.Reads().Inc()
 	models, err := snap.StableModelsCtx(ctx, comp, stable.Options{MaxModels: maxModels})
 	setVersion(w, snap.Version())
 	if err != nil && !partialErr(err) {

@@ -5,10 +5,9 @@ import (
 )
 
 // Serving-layer metrics, resolved once from the process-global registry
-// (the serve.* family of /debug/metrics). Per-tenant counters are looked
-// up dynamically under serve.tenant.<name>.<op> with the name sanitised to
-// one path segment — tenant churn is not a hot path, and the flat export
-// stays intact whatever callers name their tenants.
+// (the serve.* family of /debug/metrics). The per-tenant counters,
+// serve.tenant.<name>.{reads,writes,loads}, are held by each tenant
+// (core.Tenant.Reads, Writes, Loads).
 var (
 	mRequests  = obs.Default().Counter("serve.requests")
 	mErrors    = obs.Default().Counter("serve.errors")
@@ -22,10 +21,4 @@ var (
 // serve.ops.update, ...
 func opCounter(op string) *obs.Counter {
 	return obs.Default().Counter("serve.ops." + op)
-}
-
-// tenantCounter counts reads/writes per tenant:
-// serve.tenant.<sanitised-name>.<op>.
-func tenantCounter(tenant, op string) *obs.Counter {
-	return obs.Default().Counter("serve.tenant." + obs.SanitizeSegment(tenant) + "." + op)
 }
