@@ -12,7 +12,7 @@ type Atom struct {
 // String renders the atom in the surface syntax.
 func (a Atom) String() string {
 	if len(a.Args) == 0 {
-		return a.Pred
+		return Name(a.Pred)
 	}
 	var b strings.Builder
 	b.Grow(a.len())
@@ -22,10 +22,11 @@ func (a Atom) String() string {
 
 // len returns the length in bytes of the atom's rendering.
 func (a Atom) len() int {
+	n := NameLen(a.Pred)
 	if len(a.Args) == 0 {
-		return len(a.Pred)
+		return n
 	}
-	n := len(a.Pred) + 2*len(a.Args) // the parentheses and the ", "s
+	n += 2 * len(a.Args) // the parentheses and the ", "s
 	for _, t := range a.Args {
 		n += TermLen(t)
 	}
@@ -34,7 +35,7 @@ func (a Atom) len() int {
 
 // write writes the atom's rendering to b.
 func (a Atom) write(b *strings.Builder) {
-	b.WriteString(a.Pred)
+	WriteName(b, a.Pred)
 	if len(a.Args) == 0 {
 		return
 	}

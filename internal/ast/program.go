@@ -43,7 +43,7 @@ func (c *Component) IsPositive() bool {
 func (c *Component) String() string {
 	var b strings.Builder
 	b.WriteString("module ")
-	b.WriteString(c.Name)
+	WriteName(&b, c.Name)
 	b.WriteString(" {\n")
 	for _, r := range c.Rules {
 		b.WriteString("  ")
@@ -373,7 +373,11 @@ func (p *OrderedProgram) String() string {
 		b.WriteString(c.String())
 	}
 	for _, e := range p.Edges {
-		fmt.Fprintf(&b, "order %s < %s.\n", e.Child, e.Parent)
+		b.WriteString("order ")
+		WriteName(&b, e.Child)
+		b.WriteString(" < ")
+		WriteName(&b, e.Parent)
+		b.WriteString(".\n")
 	}
 	return b.String()
 }

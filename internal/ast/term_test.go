@@ -16,6 +16,17 @@ func TestTermString(t *testing.T) {
 		{Compound{Functor: "f", Args: []Term{Sym("a")}}, "f(a)"},
 		{Compound{Functor: "f", Args: []Term{Sym("a"), Var{Name: "X"}}}, "f(a, X)"},
 		{Compound{Functor: "f", Args: []Term{Compound{Functor: "g", Args: []Term{Int(1)}}}}, "f(g(1))"},
+		// Names the lexer would not read back as themselves are quoted.
+		{Sym("a b"), "'a b'"},
+		{Sym("1"), "'1'"},
+		{Sym("X"), "'X'"},
+		{Sym(""), "''"},
+		{Sym("not"), "'not'"},
+		{Sym(`it's \`), `'it\'s \\'`},
+		{Sym("é\xff\n"), `'é\xff\x0a'`},
+		{Var{Name: "x"}, "_'x'"},
+		{Var{Name: ""}, "_''"},
+		{Compound{Functor: "g(x)", Args: []Term{Var{Name: "_"}}}, "'g(x)'(_)"},
 	}
 	for _, c := range cases {
 		if got := c.term.String(); got != c.want {

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strconv"
 	"time"
 
-	"repro/internal/ast"
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/wal"
@@ -188,44 +186,12 @@ func replayWAL(cp *wal.Checkpoint, recs []wal.Record) (*history, error) {
 			if !lit.Ground() {
 				return nil, fmt.Errorf("%w: record %d fact %q is not ground", wal.ErrCorrupt, rec.Seq, fs)
 			}
-			if !h.apply(factEvent{comp: ci, lit: lit, retract: rec.Op == "retract", ver: rec.Version}, exactKey(lit)) {
+			if !h.apply(factEvent{comp: ci, lit: lit, retract: rec.Op == "retract", ver: rec.Version}, lit.String()) {
 				return nil, fmt.Errorf("%w: replay diverged at record %d: %s %s changes nothing", wal.ErrCorrupt, rec.Seq, rec.Op, fs)
 			}
 		}
 	}
 	return h, nil
-}
-
-// UnwritableError is a durable engine's refusal of a name or term its
-// write-ahead log could not write back. The log and its checkpoints are
-// text, so a symbol whose rendering the parser does not read back as
-// itself would fail recovery (Sym "a b") or change kind in it (Sym "1"
-// reads back as Int 1). Update and Retract return it for such a fact, and
-// NewEngineCtx for such a source program, and log nothing.
-type UnwritableError struct {
-	In   string // the fact or rule holding it, rendered
-	What string // the name or constant, e.g. `symbol "a b"`
-}
-
-func (e *UnwritableError) Error() string {
-	return fmt.Sprintf("core: a durable engine cannot log %s: its %s does not read back from the log's text", e.In, e.What)
-}
-
-// checkWritable returns an *UnwritableError for the first component of p
-// whose name, or rule of p that holds a name or term, the log could not
-// write back.
-func checkWritable(p *ast.OrderedProgram) error {
-	for _, c := range p.Components {
-		if !readsBack(c.Name, identLower) {
-			return &UnwritableError{In: "module " + c.Name, What: "name " + strconv.Quote(c.Name)}
-		}
-		for _, r := range c.Rules {
-			if what, bad := unreadable(append([]ast.Literal{r.Head}, r.Body...), r.Builtins); bad {
-				return &UnwritableError{In: r.String(), What: what}
-			}
-		}
-	}
-	return nil
 }
 
 // Recover rebuilds a durable engine from dir: load the newest checkpoint

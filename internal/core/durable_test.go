@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/ast"
@@ -326,63 +327,92 @@ func TestRecoverRejectsDivergentRecords(t *testing.T) {
 	rec.Close()
 }
 
-// The log and its checkpoints are text, so a durable engine refuses a
-// constant whose rendering does not read back as itself, and logs nothing:
-// Sym "a b" would make recovery fail to parse its record, and Sym "1"
-// would come back as Int 1. A source program holding one is refused
-// before the directory is touched. Afterwards the engine recovers and
-// answers as before.
-func TestDurableRefusesUnwritableConstants(t *testing.T) {
+// The log and its checkpoints are text, and every term renders as text
+// that reads back as itself, so a durable engine logs any fact and any
+// source program: here a program over a module named "main module" whose
+// source holds s(c) for constants only a quoted name spells, the empty
+// name, an invalid byte and the least integer, with each p(c) asserted
+// and then retracted beside the source's p(1). Every version, read back
+// through AsOf from disk (the engine compacts every two writes) and
+// through Recover, answers kind-exactly as the engine did.
+func TestDurableRoundTripsEveryTerm(t *testing.T) {
 	ctx := context.Background()
-	eng, dir := durableEngine(t, 100)
-	p := func(c ast.Term) []ast.Literal {
-		return []ast.Literal{ast.Pos(ast.Atom{Pred: "p", Args: []ast.Term{c}})}
+	dir := t.TempDir()
+	const comp = "main module"
+	terms := []ast.Term{ast.Sym("a b"), ast.Sym("1"), ast.Compound{Functor: "f", Args: []ast.Term{ast.Sym("X")}},
+		ast.Sym(""), ast.Sym("\xff"), ast.Int(math.MinInt64)}
+	fact := func(pred string, c ast.Term) ast.Literal { return ast.Pos(ast.Atom{Pred: pred, Args: []ast.Term{c}}) }
+	rules := tenantProgram(t, "1").Components[0].Rules
+	for _, c := range terms {
+		rules = append(rules, ast.Fact(fact("s", c)))
 	}
-	if _, err := eng.Update(ctx, "main", p(ast.Int(1))); err != nil {
-		t.Fatal(err)
+	src := ast.SingleComponent(comp, rules)
+	eng, err := core.NewEngineCtx(ctx, src, core.Config{CompactEvery: 2},
+		core.WithDurability(dir), core.WithDurableName("tn"), core.WithCheckpointEvery(3), core.WithSync(wal.SyncAlways))
+	if err != nil {
+		t.Fatalf("a durable engine over %s: %v", src, err)
 	}
-	want := leastStr(t, eng.Current())
-	for _, c := range []ast.Term{ast.Sym("a b"), ast.Sym("1"), ast.Compound{Functor: "f", Args: []ast.Term{ast.Sym("X")}}} {
-		for verb, write := range map[string]func(context.Context, string, []ast.Literal) (*core.Snapshot, error){"assert": eng.Update, "retract": eng.Retract} {
-			_, err := write(ctx, "main", p(c))
-			var ue *core.UnwritableError
-			if !errors.As(err, &ue) {
-				t.Fatalf("%s p(%s) on a durable engine: got %v, want *UnwritableError", verb, c, err)
+	least := func(s *core.Snapshot) *core.Model {
+		t.Helper()
+		m, err := s.LeastModelCtx(ctx, comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want := []string{least(eng.Current()).String()}
+	for _, retract := range []bool{false, true} {
+		for _, c := range terms {
+			write := eng.Update
+			if retract {
+				write = eng.Retract
 			}
+			s, err := write(ctx, comp, []ast.Literal{fact("p", c)})
+			if err != nil {
+				t.Fatalf("write p(%s) on a durable engine: %v", c, err)
+			}
+			want = append(want, least(s).String())
 		}
 	}
-	if v := eng.Current().Version(); v != 1 {
-		t.Fatalf("refused writes published v%d, want v1", v)
+	check := func(how string, s *core.Snapshot, v int) {
+		t.Helper()
+		m := least(s)
+		if got := m.String(); got != want[v] {
+			t.Fatalf("%s v%d answers\n%s\nwant\n%s", how, v, got, want[v])
+		}
+		for i, c := range terms {
+			if live := v > i && v <= len(terms)+i; m.Holds(fact("p", c)) != live || !m.Holds(fact("s", c)) {
+				t.Fatalf("%s v%d: p(%#v) holds %v, want %v, or s(%#v) is lost", how, v, c, !live, live, c)
+			}
+		}
+		if !m.Holds(fact("p", ast.Int(1))) || m.Holds(fact("p", ast.Sym("c"))) {
+			t.Fatalf("%s v%d: p(1) lost or p(c) made up", how, v)
+		}
 	}
-	bad := tenantProgram(t, "a")
-	bad.Components[0].Rules[1].Head.Atom.Args[0] = ast.Sym("a b")
-	var ue *core.UnwritableError
-	if _, err := core.NewEngineCtx(ctx, bad, core.Config{}, core.WithDurability(dir)); !errors.As(err, &ue) {
-		t.Fatalf("a durable engine over a program holding Sym \"a b\": got %v, want *UnwritableError", err)
-	}
-	badName := tenantProgram(t, "a")
-	badName.Components[0].Name = "main module"
-	if _, err := core.NewEngineCtx(ctx, badName, core.Config{}, core.WithDurability(dir)); !errors.As(err, &ue) {
-		t.Fatalf("a durable engine over a module named %q: got %v, want *UnwritableError", "main module", err)
+	for v := range want {
+		s, err := eng.AsOfCtx(ctx, uint64(v))
+		if err != nil {
+			t.Fatalf("AsOf(%d): %v", v, err)
+		}
+		check("AsOf", s, v)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := core.Recover(ctx, dir, core.Config{})
 	if err != nil {
-		t.Fatalf("recover after refused writes: %v", err)
+		t.Fatalf("recover: %v", err)
 	}
 	defer rec.Close()
-	if got := leastStr(t, rec.Current()); rec.Current().Version() != 1 || got != want {
-		t.Fatalf("recovered v%d answers %s, want v1 answering %s", rec.Current().Version(), got, want)
+	if v := rec.Current().Version(); v != uint64(len(want)-1) {
+		t.Fatalf("recovered v%d, want v%d", v, len(want)-1)
 	}
-	// A memory-only engine takes them: nothing is written back.
-	mem, err := core.NewEngineCtx(ctx, bad, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, err := mem.Update(ctx, "main", p(ast.Sym("1"))); err != nil || s.Version() != 1 {
-		t.Fatalf("memory engine assert of Sym \"1\": %v", err)
+	for v := range want {
+		s, err := rec.AsOfCtx(ctx, uint64(v))
+		if err != nil {
+			t.Fatalf("recovered AsOf(%d): %v", v, err)
+		}
+		check("recovered", s, v)
 	}
 }
 

@@ -103,11 +103,6 @@ func NewEngineCtx(ctx context.Context, p *ast.OrderedProgram, cfg Config, opts .
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Durability.Dir != "" {
-		if err := checkWritable(p); err != nil {
-			return nil, err
-		}
-	}
 	e := newEngine(replay(p, nil), cfg, 0)
 	snap, err := e.reground(ctx, 0, e.hist)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/relevance"
 )
 
 // SameAsRebuild reports whether m, the snapshot's memoised least model of
@@ -30,7 +31,7 @@ func (s *Snapshot) SameAsRebuild(comp string, m *Model) (bool, string, error) {
 // model: the cut path called directly. A miss the route would have cut
 // counts toward the line as it does in production.
 func (s *Snapshot) sliceModel(ctx context.Context, i int, goal []ast.Literal) (*Model, error) {
-	gs, _ := s.goalSliceFor(goal, sliceKey(goal, kindTag(goal, nil)), i)
+	gs, _ := s.goalSliceFor(goal, relevance.GoalKey(goal), i)
 	return s.sliceLeast(ctx, i, gs)
 }
 

@@ -1,22 +1,19 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"slices"
-	"strconv"
 
 	"repro/internal/ast"
-	"repro/internal/lexer"
 )
 
 // history is an update history: the append-only log of fact events over
 // a source program, and the index of the ground facts in effect at the
 // log's end per component (built when an event first touches it), keyed
-// by exactKey. Every fold of the history goes through it: the write path's
-// no-op filter (apply), the WAL's divergence check (replayWAL), compaction
-// (collapsed) and the program behind every reground, AsOf and checkpoint
-// (program). The engine's history is its tip's, touched only under the
+// by the fact's text: every rendering reads back as what it renders, so
+// two facts share a key exactly when they are equal. Every fold of the
+// history goes through it: the write path's no-op filter (apply), the
+// WAL's divergence check (replayWAL), compaction (collapsed) and the
+// program behind every reground, AsOf and checkpoint (program). The engine's history is its tip's, touched only under the
 // write lock; a past version's is a fresh fold of its prefix (replay).
 type history struct {
 	src   *ast.OrderedProgram
@@ -50,7 +47,7 @@ const (
 func replay(src *ast.OrderedProgram, log []factEvent) *history {
 	h := &history{src: src, log: log, facts: make([]map[string]fact, len(src.Components))}
 	for i, ev := range log {
-		h.fold(ev, exactKey(ev.lit), int32(i))
+		h.fold(ev, ev.lit.String(), int32(i))
 	}
 	return h
 }
@@ -62,7 +59,7 @@ func (h *history) index(ci int) map[string]fact {
 		idx = make(map[string]fact)
 		for _, r := range h.src.Components[ci].Rules {
 			if isGroundFact(r) {
-				idx[exactKey(r.Head)] = fact{at: inSource, last: -1}
+				idx[r.Head.String()] = fact{at: inSource, last: -1}
 			}
 		}
 		h.facts[ci] = idx
@@ -174,7 +171,7 @@ func (h *history) rules(ci int) []*ast.Rule {
 	}
 	out := make([]*ast.Rule, 0, len(src))
 	for _, r := range src {
-		if !isGroundFact(r) || idx[exactKey(r.Head)].at == inSource {
+		if !isGroundFact(r) || idx[r.Head.String()].at == inSource {
 			out = append(out, r)
 		}
 	}
@@ -189,139 +186,4 @@ func (h *history) rules(ci int) []*ast.Rule {
 		out = append(out, ast.Fact(h.log[i].lit))
 	}
 	return out
-}
-
-// exactKey identifies a ground literal exactly: two literals share a key
-// if and only if they are Equal. It is the literal's text, which the
-// parser reads back as the literal, unless the literal holds a name or
-// term the parser would not read back; then it is the literal's Go syntax,
-// which shows each term's kind and never reads as text: Sym "1", Sym
-// "g(x)" and Sym "a b" key apart from Int 1, the compound g(x) and
-// anything else.
-func exactKey(l ast.Literal) string {
-	if _, bad := unreadable([]ast.Literal{l}, nil); bad {
-		return fmt.Sprintf("%#v", l)
-	}
-	return l.String()
-}
-
-// kindTag is "" for a goal the parser could have read, and otherwise the
-// goal's Go syntax: a cache keyed by the goal's text appends it, so that
-// Sym "1" and Int 1 key apart there too. It formats copies, so a caller's
-// goal does not escape.
-func kindTag(body []ast.Literal, builtins []ast.Builtin) string {
-	if _, bad := unreadable(body, builtins); bad {
-		return fmt.Sprintf("\x00%#v %#v", slices.Clone(body), slices.Clone(builtins))
-	}
-	return ""
-}
-
-// unreadable returns, described, the first name or term of the literals
-// and builtins that the parser would not read back as itself from its
-// rendering, and whether there is one: a predicate, functor, symbol or
-// variable that is not one identifier of its kind, or the integer whose
-// magnitude overflows. The parser's own output has none.
-func unreadable(lits []ast.Literal, builtins []ast.Builtin) (string, bool) {
-	for _, l := range lits {
-		if !readsBack(l.Atom.Pred, identLower) {
-			return "predicate " + strconv.Quote(l.Atom.Pred), true
-		}
-		for _, t := range l.Atom.Args {
-			if what, bad := unreadableTerm(t); bad {
-				return what, true
-			}
-		}
-	}
-	for _, b := range builtins {
-		for _, e := range [...]ast.Expr{b.L, b.R} {
-			if what, bad := unreadableExpr(e); bad {
-				return what, true
-			}
-		}
-	}
-	return "", false
-}
-
-func unreadableTerm(t ast.Term) (string, bool) {
-	switch t := t.(type) {
-	case ast.Sym:
-		if !readsBack(string(t), identLower) {
-			return "symbol " + strconv.Quote(string(t)), true
-		}
-	case ast.Var:
-		if !readsBack(t.Name, identUpper) {
-			return "variable " + strconv.Quote(t.Name), true
-		}
-	case ast.Int:
-		if t == math.MinInt64 {
-			return "integer " + t.String(), true
-		}
-	case ast.Compound:
-		if !readsBack(t.Functor, identLower) {
-			return "functor " + strconv.Quote(t.Functor), true
-		}
-		for _, a := range t.Args {
-			if what, bad := unreadableTerm(a); bad {
-				return what, true
-			}
-		}
-	}
-	return "", false
-}
-
-func unreadableExpr(e ast.Expr) (string, bool) {
-	if b, ok := e.(ast.BinExpr); ok {
-		if what, bad := unreadableExpr(b.L); bad {
-			return what, true
-		}
-		return unreadableExpr(b.R)
-	}
-	return unreadableTerm(e.(ast.TermExpr).Term)
-}
-
-// readsBack reports whether the lexer reads name back as one identifier
-// whose first byte is of class first: identLower for a name, a letter that
-// is not upper case; identUpper for a variable, an upper-case letter or
-// '_'. Letters, digits and underscores follow. A name the ASCII table does
-// not accept is left to the lexer itself.
-func readsBack(name string, first uint8) bool {
-	want := first
-	for i := 0; i < len(name); i++ {
-		if identByte[name[i]]&want == 0 {
-			return readsBackRunes(name, first)
-		}
-		want = identRest
-	}
-	return name != ""
-}
-
-const (
-	identLower uint8 = 1 << iota // may start a name
-	identUpper                   // may start a variable
-	identRest                    // may follow either
-)
-
-// identByte classes the bytes for readsBack; 0 for all but ASCII letters,
-// digits and '_'.
-var identByte = func() (t [256]uint8) {
-	for c := range t {
-		switch {
-		case 'a' <= c && c <= 'z':
-			t[c] = identLower | identRest
-		case 'A' <= c && c <= 'Z' || c == '_':
-			t[c] = identUpper | identRest
-		case '0' <= c && c <= '9':
-			t[c] = identRest
-		}
-	}
-	return t
-}()
-
-func readsBackRunes(name string, first uint8) bool {
-	kind := lexer.Ident
-	if first == identUpper {
-		kind = lexer.Variable
-	}
-	toks, err := lexer.Tokens(name)
-	return err == nil && len(toks) == 1 && toks[0].Kind == kind && toks[0].Text == name
 }

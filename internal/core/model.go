@@ -28,8 +28,7 @@ type Model struct {
 	viewFn func() *eval.View
 
 	// idx is the lazily built literal index queries answer from, and
-	// answers the answer sets kept by rendered query text, kind-tagged
-	// (kindTag) for a query the parser could not have read (query.go).
+	// answers the answer sets kept by rendered query text (query.go).
 	idxMu   sync.Mutex
 	idx     map[litKey]*litBucket
 	answers map[string]*Answers

@@ -11,12 +11,12 @@ import (
 )
 
 // Prepared goals. What a read looks a query up by — its parse, its
-// rendered text and kind tag (the answer memo's key) and, on a
-// goal-directed engine, its binding pattern (the slice cache's key) — is a
-// function of the query's text alone, not of the version or the program.
-// So a tenant prepares each goal text it is asked once, and every version
-// it serves answers the same Goal: a repeated read skips the parser and
-// every rendering, and a memo hit is map lookups (DESIGN §15).
+// rendered text (the answer memo's key) and, on a goal-directed engine,
+// its binding pattern (the slice cache's key) — is a function of the
+// query's text alone, not of the version or the program. So a tenant
+// prepares each goal text it is asked once, and every version it serves
+// answers the same Goal: a repeated read skips the parser and every
+// rendering, and a memo hit is map lookups (DESIGN §15).
 
 // goalCacheSize bounds the prepared goals a tenant keeps. A client's
 // working set of goals is tens to hundreds of texts, so 256 keeps all of
@@ -32,27 +32,21 @@ const goalCacheSize = 256
 // its query.
 type Goal struct {
 	q     ast.Query
-	text  string // q.String(): what its answers report as their query
-	memo  string // text plus kindTag: the answer memo's key
-	slice string // sliceKey on a goal-directed engine, else ""
+	text  string // q.String(): the answer memo's key and its answers' query
+	slice string // relevance.GoalKey on a goal-directed engine, else ""
 }
 
 // newGoal prepares q; sliced asks for the slice cache's key too, which
-// only a goal-directed engine reads.
+// only a goal-directed engine reads: the goal's binding pattern
+// (relevance.GoalKey), so that goals differing only in variable names or
+// literal order share a slice.
 func newGoal(q ast.Query, sliced bool) Goal {
 	g := Goal{q: q, text: q.String()}
-	tag := kindTag(q.Body, q.Builtins)
-	g.memo = g.text + tag
 	if sliced && len(q.Body) > 0 {
-		g.slice = sliceKey(q.Body, tag)
+		g.slice = relevance.GoalKey(q.Body)
 	}
 	return g
 }
-
-// sliceKey is the slice cache's key of a goal with the given kind tag: its
-// binding pattern (relevance.GoalKey), so that goals differing only in
-// variable names or literal order share a slice.
-func sliceKey(goal []ast.Literal, tag string) string { return relevance.GoalKey(goal) + tag }
 
 // String returns the goal rendered as ast.Query.String renders it.
 func (g *Goal) String() string { return g.text }
@@ -103,14 +97,16 @@ func (t *Tenant) Goal(text string) (*Goal, error) {
 	return g, nil
 }
 
-// readGoal parses a conjunctive goal text as written after ?-.
+// readGoal parses a conjunctive goal text as written after ?-: one goal
+// and nothing else, so that clauses after a full stop are refused, not
+// dropped.
 func readGoal(text string) (ast.Query, error) {
 	res, err := parser.Parse("?- " + text + ".")
 	if err != nil {
 		return ast.Query{}, err
 	}
-	if len(res.Queries) != 1 {
-		return ast.Query{}, fmt.Errorf("want exactly one goal, got %d", len(res.Queries))
+	if len(res.Queries) != 1 || len(res.Program.Components) > 0 {
+		return ast.Query{}, fmt.Errorf("want exactly one goal, got %d goals and %d clauses", len(res.Queries), res.Program.NumRules())
 	}
 	return res.Queries[0], nil
 }

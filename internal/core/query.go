@@ -252,7 +252,7 @@ func (m *Model) Answers(q ast.Query) *Answers {
 // carries.
 func (m *Model) answer(g *Goal) *Answers {
 	m.idxMu.Lock()
-	a := m.answers[g.memo]
+	a := m.answers[g.text]
 	m.idxMu.Unlock()
 	if a != nil {
 		if obs.On() {
@@ -262,7 +262,7 @@ func (m *Model) answer(g *Goal) *Answers {
 	}
 	a = m.evalQuery(g.q, g.text)
 	if a.n <= m.rules {
-		m.keep(g.memo, a)
+		m.keep(g.text, a)
 	}
 	if obs.On() {
 		mAnswerMemoMisses.Inc()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/interrupt"
 	"repro/internal/proof"
+	"repro/internal/relevance"
 	"repro/internal/stable"
 )
 
@@ -31,7 +32,7 @@ func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bo
 	goal := []ast.Literal{l}
 	var key string
 	if s.eng.cfg.GoalDirected {
-		key = sliceKey(goal, kindTag(goal, nil))
+		key = relevance.GoalKey(goal)
 	}
 	m, err := s.goalModel(ctx, i, goal, key)
 	if err != nil {

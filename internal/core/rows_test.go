@@ -665,10 +665,18 @@ module top extends base {
 }
 `
 
+// kindsVarGoal and kindsSymGoal ask p over a hand-built variable named x
+// and over the symbol x: two goals, which render apart.
+var (
+	kindsVarGoal = ast.Query{Body: []ast.Literal{ast.Pos(ast.Atom{Pred: "p", Args: []ast.Term{ast.Var{Name: "x"}}})}}
+	kindsSymGoal = ast.Query{Body: []ast.Literal{ast.Pos(ast.Atom{Pred: "p", Args: []ast.Term{ast.Sym("x")}})}}
+)
+
 // kindsFamily mixes Int 1 with Sym "1", the compound g(x) with Sym
-// "g(x)", and Sym "a b", which renders like no term the parser reads. Its
-// writes, cycled in order, retract and assert each of a pair while the
-// other is live, in base and in top.
+// "g(x)", and Sym "a b", which renders as a quoted name. Its writes,
+// cycled in order, retract and assert each of a pair while the other is
+// live, in base and in top. Its goals include kindsVarGoal and
+// kindsSymGoal.
 func kindsFamily(t *testing.T) *family {
 	f := &family{prog: mustProgram(t, kindsSrc), comps: []string{"base", "top"}, small: true}
 	one, gx := ast.Sym("1"), ast.Sym("g(x)")
@@ -686,6 +694,7 @@ func kindsFamily(t *testing.T) *family {
 		f.goals = append(f.goals, ast.Query{Body: []ast.Literal{l}})
 		f.atoms = append(f.atoms, l.Atom)
 	}
+	f.goals = append(f.goals, kindsVarGoal, kindsSymGoal)
 	int1, cgx, ab := ast.Int(1), ast.Compound{Functor: "g", Args: []ast.Term{ast.Sym("x")}}, ast.Sym("a b")
 	var pool []step
 	for _, w := range []struct {
@@ -762,4 +771,25 @@ func TestKindsDifferential(t *testing.T) {
 			b.every(rModels, tTip, 0)
 		},
 		want: []string{"core.updates.incremental", "update.compact.runs", "harness.index.checked"}})
+	// The goals over the variable x and the symbol x are two memo entries
+	// with two answer sets, on each engine.
+	ctx := context.Background()
+	for _, c := range memoConfigs {
+		eng, err := NewEngineCtx(ctx, kindsFamily(t).prog, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := eng.Current()
+		ask := func(q ast.Query) *Answers {
+			a, err := s.AnswersCtx(ctx, "base", q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		v, sym := ask(kindsVarGoal), ask(kindsSymGoal)
+		if v.n == sym.n || ask(kindsVarGoal) != v || ask(kindsSymGoal) != sym {
+			t.Errorf("%s: %s and %s answer %d and %d rows, want two sets kept apart", c.name, kindsVarGoal, kindsSymGoal, v.n, sym.n)
+		}
+	}
 }

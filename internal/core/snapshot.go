@@ -437,9 +437,6 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 		if !f.Atom.Ground() {
 			return nil, fmt.Errorf("core: %s needs ground facts, got %s", verb, f)
 		}
-		if what, bad := unreadable([]ast.Literal{f}, nil); bad && e.cfg.Durability.Dir != "" {
-			return nil, &UnwritableError{In: f.String(), What: what}
-		}
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -451,8 +448,8 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 	// Drop no-ops: asserting a fact already in effect or retracting one that
 	// is not changes nothing, and the ground layer relies on the caller
 	// filtering them (re-asserting a live fact must not double-count its
-	// constants). The history logs the facts kept; keys holds their exact
-	// keys, which are their text on a durable engine, for the WAL.
+	// constants). The history logs the facts kept; keys holds their keys,
+	// their text, which the WAL logs.
 	h, mark := e.hist, len(e.hist.log)
 	fail := func(err error) (*Snapshot, error) {
 		h.truncate(mark)
@@ -462,7 +459,7 @@ func (e *Engine) update(ctx context.Context, comp string, facts []ast.Literal, r
 	ops := make([]ast.Literal, 0, len(facts))
 	keys := make([]string, 0, len(facts))
 	for _, f := range facts {
-		k := exactKey(f)
+		k := f.String()
 		if h.apply(factEvent{comp: ci, lit: f, retract: retract, ver: version}, k) {
 			ops = append(ops, f)
 			keys = append(keys, k)

@@ -63,16 +63,14 @@ func (t *Tenant) Writes() *obs.Counter { return t.writes }
 // (serve.tenant.<name>.loads).
 func (t *Tenant) Loads() *obs.Counter { return t.loads }
 
-// Acquire takes an admission slot, waiting until one frees or ctx dies,
-// and returns the release function. The error contract is that of
+// Acquire takes an admission slot, waiting until one frees or ctx dies;
+// Release gives it back. The error contract is that of
 // batch.Semaphore.Acquire: an interrupt.Error once ctx is cancelled or
 // past its deadline, so a queued request never outlives its own budget.
-func (t *Tenant) Acquire(ctx context.Context) (release func(), err error) {
-	if err := t.sem.Acquire(ctx); err != nil {
-		return nil, err
-	}
-	return t.sem.Release, nil
-}
+func (t *Tenant) Acquire(ctx context.Context) error { return t.sem.Acquire(ctx) }
+
+// Release frees an admission slot taken by Acquire.
+func (t *Tenant) Release() { t.sem.Release() }
 
 // InFlight returns the number of admission slots currently held.
 func (t *Tenant) InFlight() int { return t.sem.InFlight() }

@@ -139,8 +139,7 @@ func TestTenantAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release, err := tn.Acquire(context.Background())
-	if err != nil {
+	if err := tn.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if tn.InFlight() != 1 {
@@ -149,20 +148,22 @@ func TestTenantAdmission(t *testing.T) {
 	// Under an already-cancelled context Acquire is a non-blocking try.
 	done, stop := context.WithCancel(context.Background())
 	stop()
-	if _, err := tn.Acquire(done); err == nil {
+	if err := tn.Acquire(done); err == nil {
 		t.Fatal("second non-blocking Acquire succeeded at bound 1")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := tn.Acquire(ctx); !errors.Is(err, interrupt.ErrInterrupted) {
+	if err := tn.Acquire(ctx); !errors.Is(err, interrupt.ErrInterrupted) {
 		t.Fatalf("blocked Acquire err = %v, want ErrInterrupted", err)
 	}
-	release()
-	rel2, err := tn.Acquire(done)
-	if err != nil {
+	tn.Release()
+	if err := tn.Acquire(done); err != nil {
 		t.Fatalf("non-blocking Acquire after release: %v", err)
 	}
-	rel2()
+	tn.Release()
+	if tn.InFlight() != 0 {
+		t.Fatalf("InFlight = %d after every release, want 0", tn.InFlight())
+	}
 }
 
 // Concurrent writers against one tenant: versions stay monotonic, the

@@ -12,14 +12,24 @@
 //	  -fly(X) :- ground_animal(X).
 //	}
 //
-// Identifiers starting with a lower-case letter are predicate/constant
-// symbols; identifiers starting with an upper-case letter or '_' are
-// variables. Keywords (module, extends, order, not, mod) are contextual and
-// resolved by the parser.
+// Identifiers starting with a letter that is not upper case are names:
+// predicates, functors, constants and modules. Identifiers starting with
+// an upper-case letter or '_' are variables. Keywords (module, extends,
+// order, not, mod) are contextual and resolved by the parser.
+//
+// Any other name is written quoted, Prolog-style: 'a b', '1', 'g(x)',
+// 'X', and a pair of quotes for the empty name. A quoted name is never a
+// keyword. Inside the quotes Go's escapes hold (strconv.UnquoteChar): \\
+// is a backslash, \' a quote and \xHH the byte with hex value HH. A
+// variable whose name is not a variable token is written _'name'. IsName
+// and IsVariable say which names need no quotes: they are the identifier
+// grammar the printer (package ast) writes by.
 package lexer
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -104,12 +114,14 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Token is one lexical token with its source position (1-based).
+// Token is one lexical token with its source position (1-based). A
+// quoted name's Text is the name it spells, with Quoted set.
 type Token struct {
-	Kind Kind
-	Text string
-	Line int
-	Col  int
+	Kind   Kind
+	Text   string
+	Quoted bool
+	Line   int
+	Col    int
 }
 
 // String renders the token for error messages.
@@ -196,8 +208,58 @@ func (l *Lexer) skipSpaceAndComments() {
 	}
 }
 
-func isIdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }
-func isIdentRest(r rune) bool  { return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' }
+// IsName reports whether the lexer reads s, unquoted, as the name s
+// wherever a name stands: one identifier whose first letter is not upper
+// case, and not "not", which the parser reads as negation before a body
+// item.
+func IsName(s string) bool {
+	if s == "" || s == "not" {
+		return false
+	}
+	i := 0
+	if 'a' <= s[0] && s[0] <= 'z' { // ASCII fast path
+		for i = 1; i < len(s) && asciiIdent[s[i]]; i++ {
+		}
+	}
+	if i == len(s) {
+		return true
+	}
+	n, k := ident(s)
+	return n == len(s) && k == Ident
+}
+
+// asciiIdent holds the ASCII bytes ident lets follow an identifier's
+// first rune: letters, digits and '_'.
+var asciiIdent = func() (t [256]bool) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		n, _ := ident("a" + string(rune(c)))
+		t[c] = n == 2
+	}
+	return t
+}()
+
+// IsVariable reports whether the lexer reads s, unquoted, as the variable
+// s: one identifier starting with an upper-case letter or '_'.
+func IsVariable(s string) bool {
+	n, k := ident(s)
+	return n == len(s) && k == Variable
+}
+
+// ident returns the length of the identifier s starts with (0: none) —
+// a letter or '_', then letters, digits and '_' — and its kind: Variable
+// if it starts with an upper-case letter or '_', else Ident.
+func ident(s string) (int, Kind) {
+	k := Ident
+	for i, r := range s {
+		if !(unicode.IsLetter(r) || r == '_' || i > 0 && unicode.IsDigit(r)) {
+			return i, k
+		}
+		if i == 0 && (r == '_' || unicode.IsUpper(r)) {
+			k = Variable
+		}
+	}
+	return len(s), k
+}
 
 // Next returns the next token, or an EOF token at end of input.
 func (l *Lexer) Next() (Token, error) {
@@ -218,21 +280,17 @@ func (l *Lexer) Next() (Token, error) {
 			l.advance()
 		}
 		return mk(Integer, l.src[start:l.pos]), nil
-	case isIdentStart(r):
-		start := l.pos
-		for {
-			r, _ := l.peek()
-			if !isIdentRest(r) {
-				break
-			}
-			l.advance()
-		}
-		text := l.src[start:l.pos]
-		first, _ := utf8.DecodeRuneInString(text)
-		if first == '_' || unicode.IsUpper(first) {
-			return mk(Variable, text), nil
-		}
-		return mk(Ident, text), nil
+	case r == '\'':
+		return l.quoted(Ident, line, col)
+	case strings.HasPrefix(l.src[l.pos:], "_'"):
+		l.advance()
+		return l.quoted(Variable, line, col)
+	}
+	if n, k := ident(l.src[l.pos:]); n > 0 {
+		text := l.src[l.pos : l.pos+n]
+		l.pos += n
+		l.col += utf8.RuneCountInString(text)
+		return mk(k, text), nil
 	}
 	l.advance()
 	switch r {
@@ -292,4 +350,30 @@ func (l *Lexer) Next() (Token, error) {
 		return Token{}, &Error{line, col, "unexpected '?' (did you mean '?-')"}
 	}
 	return Token{}, &Error{line, col, fmt.Sprintf("unexpected character %q", r)}
+}
+
+// quoted scans a quoted name from its opening quote into a token of kind
+// k.
+func (l *Lexer) quoted(k Kind, line, col int) (Token, error) {
+	l.advance() // the opening quote
+	var name []byte
+	for rest := l.src[l.pos:]; !strings.HasPrefix(rest, "'"); rest = l.src[l.pos:] {
+		if rest == "" {
+			return Token{}, &Error{line, col, "unterminated quoted name"}
+		}
+		r, multibyte, tail, err := strconv.UnquoteChar(rest, '\'')
+		if err != nil {
+			return Token{}, &Error{l.line, l.col, "bad escape in quoted name"}
+		}
+		if multibyte {
+			name = utf8.AppendRune(name, r)
+		} else {
+			name = append(name, byte(r))
+		}
+		for end := len(l.src) - len(tail); l.pos < end; {
+			l.advance()
+		}
+	}
+	l.advance() // the closing quote
+	return Token{Kind: k, Text: string(name), Quoted: true, Line: line, Col: col}, nil
 }

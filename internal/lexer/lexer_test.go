@@ -146,3 +146,53 @@ func TestTokenString(t *testing.T) {
 		t.Errorf("Token.String = %q", got)
 	}
 }
+
+// Quoted names: a quoted name is a name token with Quoted set, whatever
+// it spells (a keyword, a variable, digits, nothing), _'...' is a
+// variable, Go's escapes are read, and a bad or unterminated quote is a
+// positioned error.
+func TestQuotedNames(t *testing.T) {
+	toks, err := Tokens(`'a b'('1', _'x', 'not', '', 'it\'s \\ \xff', 'é')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Token{{Kind: Ident, Text: "a b"}, {Kind: LParen}, {Kind: Ident, Text: "1"}, {Kind: Comma},
+		{Kind: Variable, Text: "x"}, {Kind: Comma}, {Kind: Ident, Text: "not"}, {Kind: Comma}, {Kind: Ident, Text: ""}, {Kind: Comma},
+		{Kind: Ident, Text: "it's \\ \xff"}, {Kind: Comma}, {Kind: Ident, Text: "é"}, {Kind: RParen}}
+	if len(toks) != len(want) {
+		t.Fatalf("%d tokens, want %d: %v", len(toks), len(want), toks)
+	}
+	for i, w := range want {
+		got := toks[i]
+		quoted := w.Kind == Ident || w.Kind == Variable
+		if got.Kind != w.Kind || quoted && (got.Text != w.Text || !got.Quoted) {
+			t.Errorf("token %d = %v %q (quoted %v), want %v %q", i, got.Kind, got.Text, got.Quoted, w.Kind, w.Text)
+		}
+	}
+	if toks[13].Col != 49 {
+		t.Errorf("')' after the quoted names at column %d, want 49", toks[13].Col)
+	}
+	for _, src := range []string{"'a", `'a\q'`, `'\x4'`, "_'x"} {
+		if _, err := Tokens(src); err == nil {
+			t.Errorf("no error for %q", src)
+		} else if _, ok := err.(*Error); !ok {
+			t.Errorf("error for %q is %T, want *Error", src, err)
+		}
+	}
+}
+
+// IsName and IsVariable agree with the lexer: a name needs no quotes
+// exactly when it lexes as one identifier of its kind (and, for a name,
+// is not the keyword not).
+func TestIsNameMatchesLexer(t *testing.T) {
+	for _, s := range []string{"a", "c0", "aB_9", "é", "père", "X", "_", "_x", "Ça", "1", "1a", "", "a b", "a-b", "not", "mod", "\xff", "a\xff", "g(x)", "日本"} {
+		toks, err := Tokens(s)
+		one := err == nil && len(toks) == 1 && toks[0].Text == s
+		if got, want := IsName(s), one && toks[0].Kind == Ident && s != "not"; got != want {
+			t.Errorf("IsName(%q) = %v, want %v", s, got, want)
+		}
+		if got, want := IsVariable(s), one && toks[0].Kind == Variable; got != want {
+			t.Errorf("IsVariable(%q) = %v, want %v", s, got, want)
+		}
+	}
+}

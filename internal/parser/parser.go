@@ -11,6 +11,10 @@
 //	bodyitem   = literal | expr cmp expr .
 //	atom       = IDENT [ "(" term { "," term } ")" ] .
 //
+// IDENT is a name: an identifier or a quoted name such as 'a b' (package
+// lexer), which is never a keyword. Every name, variable and integer the
+// printer (package ast) writes reads back as itself.
+//
 // Clauses outside a module block belong to the implicit component "main".
 // "extends" and "order" both declare child < parent edges of the component
 // order (the child is the more specific component).
@@ -18,6 +22,7 @@ package parser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/ast"
@@ -166,9 +171,11 @@ func (p *parser) expect(k lexer.Kind) (lexer.Token, error) {
 	return p.next(), nil
 }
 
+// atKeyword reports whether the next token is the keyword kw: an
+// unquoted identifier spelling it.
 func (p *parser) atKeyword(kw string) bool {
 	t := p.peek()
-	return t.Kind == lexer.Ident && t.Text == kw
+	return t.Kind == lexer.Ident && !t.Quoted && t.Text == kw
 }
 
 func (p *parser) parseProgram() (*Result, error) {
@@ -464,11 +471,12 @@ func (p *parser) parseTerm() (ast.Term, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, err := strconv.ParseInt(it.Text, 10, 64)
+		// Parsed with its sign, so that the least integer reads.
+		n, err := strconv.ParseInt("-"+it.Text, 10, 64)
 		if err != nil {
-			return nil, p.errf("invalid integer %q", it.Text)
+			return nil, p.errf("invalid integer %q", "-"+it.Text)
 		}
-		return ast.Int(-n), nil
+		return ast.Int(n), nil
 	case lexer.Ident:
 		p.next()
 		if p.peek().Kind != lexer.LParen {
@@ -560,14 +568,14 @@ func (p *parser) parseMul() (ast.Expr, error) {
 }
 
 func (p *parser) parseUnary() (ast.Expr, error) {
-	if p.peek().Kind == lexer.Minus {
+	if p.peek().Kind == lexer.Minus && p.peek2().Kind != lexer.Integer {
 		p.next()
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		if te, ok := e.(ast.TermExpr); ok {
-			if n, ok := te.Term.(ast.Int); ok {
+			if n, ok := te.Term.(ast.Int); ok && n != math.MinInt64 { // whose negation overflows
 				return ast.TermExpr{Term: ast.Int(-n)}, nil
 			}
 		}

@@ -234,6 +234,21 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// The least integer reads as a term and as an operand, and negating it
+// again is arithmetic, not a literal that would overflow.
+func TestLeastInteger(t *testing.T) {
+	r, err := ParseRule("p(-9223372036854775808) :- q(X), X = -9223372036854775808, X != - -9223372036854775808.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.String(), "p(-9223372036854775808) :- q(X), X = -9223372036854775808, X != (0 - -9223372036854775808)."; got != want {
+		t.Errorf("rule = %q, want %q", got, want)
+	}
+	if _, err := ParseLiteral("p(9223372036854775808)"); err == nil {
+		t.Error("2^63 read as an integer")
+	}
+}
+
 func TestUnaryMinusInComparisons(t *testing.T) {
 	r, err := ParseRule("p :- a(X), -X > 3.")
 	if err != nil {

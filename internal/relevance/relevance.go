@@ -412,7 +412,9 @@ func (a *Analysis) AdornString(k ast.PredKey) string {
 // GoalKey canonicalises a goal for slice caching: one entry per literal,
 // sign plus predicate plus each argument rendered as its ground term or
 // "_" — exactly the information the slice depends on (non-ground
-// arguments force their position free regardless of structure) — sorted
+// arguments force their position free regardless of structure), with
+// names written as package ast writes them, so that two goals share a
+// key only if they have one binding pattern — sorted
 // so literal order does not split the cache, joined by "&". The entries
 // are written in goal order into one builder sized for them; only a goal
 // whose entries come out of order is joined again, sorted.
@@ -462,7 +464,7 @@ func GoalKey(goal []ast.Literal) string {
 
 // keyLen returns the length in bytes of the literal's GoalKey entry.
 func keyLen(l ast.Literal) int {
-	n := len(l.Atom.Pred) + len("/()") + len(strconv.Itoa(len(l.Atom.Args)))
+	n := ast.NameLen(l.Atom.Pred) + len("/()") + len(strconv.Itoa(len(l.Atom.Args)))
 	if l.Neg {
 		n++
 	}
@@ -484,7 +486,7 @@ func writeKey(b *strings.Builder, l ast.Literal) {
 	if l.Neg {
 		b.WriteByte('-')
 	}
-	b.WriteString(l.Atom.Pred)
+	ast.WriteName(b, l.Atom.Pred)
 	b.WriteByte('/')
 	b.WriteString(strconv.Itoa(len(l.Atom.Args)))
 	b.WriteByte('(')

@@ -97,7 +97,7 @@ func TestChainRightRecursive(t *testing.T) {
 			t.Errorf("magic rule unsafe: %v", err)
 		}
 	}
-	if got, want := a.Magic[0].String(), "m:path/2(X) :- m:path/2(X)."; got != want {
+	if got, want := a.Magic[0].String(), "'m:path/2'(X) :- 'm:path/2'(X)."; got != want {
 		t.Errorf("magic rule = %q, want %q", got, want)
 	}
 }

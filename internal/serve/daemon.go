@@ -269,19 +269,19 @@ func (d *Daemon) tenant(w http.ResponseWriter, r *http.Request) (*core.Tenant, b
 	return t, true
 }
 
-// admit acquires the tenant's admission slot under ctx. On failure it
-// writes the 429 rejection and reports false; the caller must return.
-func admit(ctx context.Context, w http.ResponseWriter, t *core.Tenant) (release func(), ok bool) {
-	release, err := t.Acquire(ctx)
-	if err != nil {
+// admit acquires the tenant's admission slot under ctx; the caller
+// releases it with t.Release. On failure it writes the 429 rejection and
+// reports false; the caller must return.
+func admit(ctx context.Context, w http.ResponseWriter, t *core.Tenant) bool {
+	if err := t.Acquire(ctx); err != nil {
 		mRejected.Inc()
 		mErrors.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, errorJSON{
 			Error: fmt.Sprintf("tenant %q admission queue full: %v", t.Name(), err)})
-		return nil, false
+		return false
 	}
-	return release, true
+	return true
 }
 
 // pin resolves the snapshot a read runs against. ?version= re-reads a
@@ -537,11 +537,10 @@ func (d *Daemon) handleWrite(w http.ResponseWriter, r *http.Request, retract boo
 		return
 	}
 	defer cancel()
-	release, ok := admit(ctx, w, t)
-	if !ok {
+	if !admit(ctx, w, t) {
 		return
 	}
-	defer release()
+	defer t.Release()
 	op := t.Update
 	if retract {
 		op = t.Retract
@@ -638,11 +637,10 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	release, ok := admit(ctx, w, t)
-	if !ok {
+	if !admit(ctx, w, t) {
 		return
 	}
-	defer release()
+	defer t.Release()
 	if snap, ok = reconstruct(ctx, w, t, snap, asOf); !ok {
 		return
 	}
@@ -703,11 +701,10 @@ func (d *Daemon) handleProve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	release, ok := admit(ctx, w, t)
-	if !ok {
+	if !admit(ctx, w, t) {
 		return
 	}
-	defer release()
+	defer t.Release()
 	if snap, ok = reconstruct(ctx, w, t, snap, asOf); !ok {
 		return
 	}
@@ -766,11 +763,10 @@ func (d *Daemon) handleStable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	release, ok := admit(ctx, w, t)
-	if !ok {
+	if !admit(ctx, w, t) {
 		return
 	}
-	defer release()
+	defer t.Release()
 	if snap, ok = reconstruct(ctx, w, t, snap, asOf); !ok {
 		return
 	}

@@ -93,7 +93,7 @@ func TestDaemonAsOfAdmission(t *testing.T) {
 	}
 	runs := obs.Default().Counter("ground.runs")
 
-	release, err := tn.Acquire(context.Background())
+	err := tn.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("could not take the only admission slot: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestDaemonAsOfAdmission(t *testing.T) {
 	if got := runs.Value() - before; got != 0 {
 		t.Fatalf("rejected ?as_of=1 grounded %d times, want 0", got)
 	}
-	release()
+	tn.Release()
 
 	w = doReq(h, "GET", "/v1/tenants/pin/query?q=seen(X)&as_of=1&timeout=1ns", "", "")
 	if w.Code != http.StatusServiceUnavailable {

@@ -437,7 +437,7 @@ func TestDaemonAdmission(t *testing.T) {
 	if !ok {
 		t.Fatal("tenant not registered")
 	}
-	release, err := tn.Acquire(context.Background())
+	err := tn.Acquire(context.Background())
 	if err != nil {
 		t.Fatalf("could not take the only admission slot: %v", err)
 	}
@@ -458,7 +458,7 @@ func TestDaemonAdmission(t *testing.T) {
 		t.Fatalf("other tenant under alpha saturation: code = %d (body %s)", w.Code, w.Body)
 	}
 
-	release()
+	tn.Release()
 	if w := doReq(h, "GET", "/v1/tenants/busy/query?q=owner(X)&timeout=1s", "", ""); w.Code != http.StatusOK {
 		t.Fatalf("after release: code = %d (body %s)", w.Code, w.Body)
 	}

@@ -185,7 +185,7 @@ func TestRenameRule(t *testing.T) {
 		Body: []ast.Literal{ast.Pos(ast.Atom{Pred: "q", Args: []ast.Term{x}})},
 	}
 	out := RenameRule(r, "7")
-	if got := out.String(); got != "p(X#7) :- q(X#7)." {
+	if got := out.String(); got != "p(_'X#7') :- q(_'X#7')." {
 		t.Errorf("RenameRule = %q", got)
 	}
 }

@@ -135,10 +135,6 @@ type (
 	// ConfigError reports the invalid Config field that made NewEngineCtx
 	// reject a configuration; inspect it with errors.As.
 	ConfigError = core.ConfigError
-	// UnwritableError reports a fact (or source rule) a durable engine
-	// refused because its text would not read back as itself from the
-	// log; inspect it with errors.As.
-	UnwritableError = core.UnwritableError
 	// Model is a (possibly partial) model in one component.
 	Model = core.Model
 	// Binding maps query variables to ground terms.
