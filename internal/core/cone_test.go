@@ -9,6 +9,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/interrupt"
 	"repro/internal/obs"
+	"repro/internal/oracle/gen"
 	"repro/internal/stable"
 )
 
@@ -20,7 +21,7 @@ import (
 // nowhere else, and the p/1 bucket, outside the cone, is the parent's.
 func TestConeCountsOneToggle(t *testing.T) {
 	ctx := context.Background()
-	e, err := NewEngineCtx(ctx, mustProgram(t, policySource(50)), Config{})
+	e, err := NewEngineCtx(ctx, mustProgram(t, gen.PolicySource(50)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestConeFallbacks(t *testing.T) {
 		{kb: 50, readV0: true, counter: "core.least.cone", computed: 0},
 	} {
 		t.Run(fmt.Sprintf("kb%d/readV0=%v", c.kb, c.readV0), func(t *testing.T) {
-			e, err := NewEngineCtx(ctx, mustProgram(t, policySource(c.kb)), Config{})
+			e, err := NewEngineCtx(ctx, mustProgram(t, gen.PolicySource(c.kb)), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +129,7 @@ func TestConeFallbacks(t *testing.T) {
 // A cone interrupted by its context yields an interruption and no model;
 // the carry survives, so the next read derives the model from it.
 func TestConeInterrupted(t *testing.T) {
-	e, err := NewEngineCtx(context.Background(), mustProgram(t, policySource(50)), Config{})
+	e, err := NewEngineCtx(context.Background(), mustProgram(t, gen.PolicySource(50)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func BenchmarkWriteThenRead(b *testing.B) {
 		{"range", func(int) string { return "-ok(X)" }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			eng, err := NewEngineCtx(context.Background(), mustProgram(b, policySource(kb)), Config{CompactEvery: compactEvery})
+			eng, err := NewEngineCtx(context.Background(), mustProgram(b, gen.PolicySource(kb)), Config{CompactEvery: compactEvery})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ground"
 	"repro/internal/interp"
 	"repro/internal/obs"
+	"repro/internal/oracle/gen"
 	"repro/internal/parser"
 )
 
@@ -24,41 +25,6 @@ func renderRules(gp *ground.Program, rules ground.Instances, keep func(i int) bo
 		}
 	}
 	return out
-}
-
-// readsSource is the serving benchmark's read tenant at size (n, m).
-func readsSource(n, m int) string {
-	var sb strings.Builder
-	sb.WriteString("module base {\n")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "  edge(c%d, c%d).\n", i, i+1)
-	}
-	for i := 0; i < m; i++ {
-		fmt.Fprintf(&sb, "  hop(h%d, h%d).\n", i, i+1)
-	}
-	sb.WriteString("  path(X, Y) :- edge(X, Y).\n  path(X, Z) :- path(X, Y), edge(Y, Z).\n")
-	sb.WriteString("  reach(X, Y) :- hop(X, Y).\n  reach(X, Z) :- hop(X, Y), reach(Y, Z).\n}\n")
-	fmt.Fprintf(&sb, "module exc extends base {\n  -path(X, c%d) :- edge(X, c%d).\n  -reach(X, h%d) :- hop(X, h%d).\n}\n",
-		n/2, n/2, m/2, m/2)
-	sb.WriteString("module items {\n")
-	for j := 0; j < n/4; j++ {
-		fmt.Fprintf(&sb, "  item(d%d).\n", j)
-	}
-	sb.WriteString("  ok(X) :- item(X).\n}\n")
-	return sb.String()
-}
-
-// policySource is the serving benchmark's write tenant: kb facts p(cI), a
-// policy deriving ok/1 from each, and the exception component writes land
-// in.
-func policySource(kb int) string {
-	var sb strings.Builder
-	sb.WriteString("module kb {\n")
-	for i := 0; i < kb; i++ {
-		fmt.Fprintf(&sb, "p(c%d).\n", i)
-	}
-	sb.WriteString("}\nmodule policy extends kb { ok(X) :- p(X). }\nmodule exc extends policy {\n-ok(X) :- bad(X).\n}\n")
-	return sb.String()
 }
 
 func mustProgram(tb testing.TB, src string) *ast.OrderedProgram {
@@ -158,7 +124,7 @@ func wantIndexBuilds(t *testing.T, before obs.Snap, want int64, after string) {
 
 func indexToggles(t *testing.T) {
 	ctx := context.Background()
-	e, err := NewEngineCtx(ctx, mustProgram(t, policySource(200)), Config{GoalDirected: true})
+	e, err := NewEngineCtx(ctx, mustProgram(t, gen.PolicySource(200)), Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +167,7 @@ func indexToggles(t *testing.T) {
 
 func indexGrowth(t *testing.T, goalDirected bool) {
 	ctx := context.Background()
-	e, err := NewEngineCtx(ctx, mustProgram(t, policySource(20)), Config{GoalDirected: goalDirected})
+	e, err := NewEngineCtx(ctx, mustProgram(t, gen.PolicySource(20)), Config{GoalDirected: goalDirected})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +226,7 @@ func indexGrowth(t *testing.T, goalDirected bool) {
 // the view's indexes and the buckets' sort became flat arrays (before:
 // 1 169 and 3 955 allocations).
 func TestColdGoalAllocs(t *testing.T) {
-	eng, err := NewEngineCtx(context.Background(), mustProgram(t, readsSource(400, 100)), Config{GoalDirected: true})
+	eng, err := NewEngineCtx(context.Background(), mustProgram(t, gen.ReadsSource(400, 100)), Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +272,7 @@ func BenchmarkGoalDirectedCold(b *testing.B) {
 		{"reach", "reach(h%d, X)", 96},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			eng, err := NewEngineCtx(context.Background(), mustProgram(b, readsSource(400, 100)), Config{GoalDirected: true})
+			eng, err := NewEngineCtx(context.Background(), mustProgram(b, gen.ReadsSource(400, 100)), Config{GoalDirected: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -337,7 +303,7 @@ func BenchmarkGoalDirectedCold(b *testing.B) {
 // it published — always a slice-cache miss.
 func BenchmarkGoalDirectedWriteThenCold(b *testing.B) {
 	const kb, window, compactEvery = 1000, 128, 256
-	eng, err := NewEngineCtx(context.Background(), mustProgram(b, policySource(kb)), Config{GoalDirected: true, CompactEvery: compactEvery})
+	eng, err := NewEngineCtx(context.Background(), mustProgram(b, gen.PolicySource(kb)), Config{GoalDirected: true, CompactEvery: compactEvery})
 	if err != nil {
 		b.Fatal(err)
 	}

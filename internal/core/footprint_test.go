@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/obs"
+	"repro/internal/oracle/gen"
 	"repro/internal/wal"
 )
 
@@ -39,7 +40,7 @@ func TestChurnFootprintBounded(t *testing.T) {
 	)
 	ctx := context.Background()
 	dir := t.TempDir()
-	eng, err := NewEngineCtx(context.Background(), mustProgram(t, policySource(kb)), Config{CompactEvery: compactEvery},
+	eng, err := NewEngineCtx(context.Background(), mustProgram(t, gen.PolicySource(kb)), Config{CompactEvery: compactEvery},
 		WithDurability(dir), WithDurableName("churn"), WithSync(wal.SyncInterval),
 		WithCheckpointEvery(checkpointEvery), WithRotateRecords(rotateRecords),
 		WithKeepCheckpoints(keepCheckpoints))

@@ -145,7 +145,7 @@ func corpusFamily(t *testing.T, rng *rand.Rand) *family {
 // the query-cold templates and fresh constants c41, h21 in its writes,
 // whose last retract regrounds.
 func readsFamily(t *testing.T) *family {
-	f := &family{prog: mustProgram(t, readsSource(40, 20)), comps: []string{"exc", "base"}}
+	f := &family{prog: mustProgram(t, gen.ReadsSource(40, 20)), comps: []string{"exc", "base"}}
 	for a := 0; a < 40; a += 2 {
 		for _, g := range []string{"path(c%[1]d, X)", "path(c%[1]d, c%[2]d)", "path(c%[1]d, X), edge(X, Y)", "reach(h%[3]d, X)"} {
 			f.addGoals(t, fmt.Sprintf(g, a, a+1+a%7, a/2))
@@ -162,7 +162,7 @@ func readsFamily(t *testing.T) *family {
 // toggles in exc, and p(c30), p(c31) over fresh constants.
 func policyFamily(t *testing.T) *family {
 	const kb = 30
-	f := &family{prog: mustProgram(t, policySource(kb)), comps: []string{"exc", "policy"}, small: true}
+	f := &family{prog: mustProgram(t, gen.PolicySource(kb)), comps: []string{"exc", "policy"}, small: true}
 	for k := 0; k < kb+2; k++ {
 		f.addGoals(t, fmt.Sprintf("ok(c%d)", k), fmt.Sprintf("-ok(c%d)", k))
 		f.addWrites(t, fmt.Sprintf("exc bad(c%d)", k))
@@ -211,7 +211,7 @@ func chainFamily(n, excAt int) func(*testing.T) *family {
 // closure oracle, with writes that append over fresh constants, kill and
 // resurrect instances.
 func closureFamily(t *testing.T) *family {
-	f := &family{prog: mustProgram(t, readsSource(12, 6)), comps: []string{"base", "exc"}}
+	f := &family{prog: mustProgram(t, gen.ReadsSource(12, 6)), comps: []string{"base", "exc"}}
 	f.addGoals(t, "path(c2, X)", "path(X, c13)", "path(c2, c13)", "-path(X, Y)", "reach(h1, X)", "path(c0, X), hop(X, Y)", "nosuch(X)")
 	f.addWrites(t, "base edge(c12, c13)", "base edge(c5, c6)", "base hop(h6, c1)", "exc edge(c4, c13)")
 	return f
@@ -248,7 +248,7 @@ func shapesFamily(t *testing.T) *family {
 // occFamily is the read tenant at (12, 6) with writes that append edges
 // over fresh constants n0..n7, retract chain edges and resurrect them.
 func occFamily(t *testing.T) *family {
-	f := &family{prog: mustProgram(t, readsSource(12, 6)), comps: []string{"base", "exc"}}
+	f := &family{prog: mustProgram(t, gen.ReadsSource(12, 6)), comps: []string{"base", "exc"}}
 	f.addGoals(t, "path(c2, X)", "path(X, c5)", "-path(X, Y)", "edge(X, Y)", "reach(h1, X)", "path(n3, X)", "path(c2, c7)", "nosuch(X)")
 	for i := 0; i < 12; i++ {
 		f.addWrites(t, fmt.Sprintf("base edge(c%d, c%d)", i, i+1), fmt.Sprintf("base edge(c%d, n%d)", i, i%8))

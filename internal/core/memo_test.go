@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/obs"
+	"repro/internal/oracle/gen"
 	"repro/internal/workload"
 )
 
@@ -74,7 +75,7 @@ func TestHotGoalAllocs(t *testing.T) {
 
 func hotGoalAllocs(t *testing.T, cfg Config) {
 	ctx := context.Background()
-	eng, err := NewEngineCtx(ctx, mustProgram(t, readsSource(400, 100)), cfg)
+	eng, err := NewEngineCtx(ctx, mustProgram(t, gen.ReadsSource(400, 100)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func memoRowsBounded(t *testing.T, cfg Config) {
 func memoCountBounded(t *testing.T, cfg Config) {
 	const goals = 80
 	ctx := context.Background()
-	eng, err := NewEngineCtx(ctx, mustProgram(t, readsSource(120, 10)), cfg)
+	eng, err := NewEngineCtx(ctx, mustProgram(t, gen.ReadsSource(120, 10)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func BenchmarkLeastModelHot(b *testing.B) { benchHot(b, Config{}) }
 
 func benchHot(b *testing.B, cfg Config) {
 	ctx := context.Background()
-	eng, err := NewEngineCtx(ctx, mustProgram(b, readsSource(400, 100)), cfg)
+	eng, err := NewEngineCtx(ctx, mustProgram(b, gen.ReadsSource(400, 100)), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

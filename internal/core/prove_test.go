@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/obs"
+	"repro/internal/oracle/gen"
 )
 
 // TestProveAfterWriteBuildsNoView: once the component's model exists, a
@@ -17,7 +18,7 @@ import (
 // core.view.builds by exactly 0 and core.least.cone by exactly 50.
 func TestProveAfterWriteBuildsNoView(t *testing.T) {
 	ctx := context.Background()
-	eng, err := NewEngineCtx(ctx, mustProgram(t, policySource(100)), Config{})
+	eng, err := NewEngineCtx(ctx, mustProgram(t, gen.PolicySource(100)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func BenchmarkProveParallel(b *testing.B) {
 		name string
 		cfg  Config
 	}{{"full", Config{}}, {"goal-directed", Config{GoalDirected: true}}} {
-		eng, err := NewEngineCtx(ctx, mustProgram(b, policySource(kb)), mode.cfg)
+		eng, err := NewEngineCtx(ctx, mustProgram(b, gen.PolicySource(kb)), mode.cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -129,7 +129,7 @@ func writePolicyHistory(t *testing.T, kb int, keys []string, opts ...Option) (*E
 	t.Helper()
 	dir := t.TempDir()
 	opts = append([]Option{WithDurability(dir), WithDurableName("policy"), WithSync(wal.SyncAlways)}, opts...)
-	eng, err := NewEngineCtx(context.Background(), mustProgram(t, policySource(kb)), Config{}, opts...)
+	eng, err := NewEngineCtx(context.Background(), mustProgram(t, gen.PolicySource(kb)), Config{}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func leastOf(t *testing.T, s *Snapshot) string {
 func BenchmarkRecover(b *testing.B) {
 	const kb, window, toggles, every = 1000, 128, 450, 250
 	dir := b.TempDir()
-	eng, err := NewEngineCtx(context.Background(), mustProgram(b, policySource(kb)), Config{CompactEvery: 256},
+	eng, err := NewEngineCtx(context.Background(), mustProgram(b, gen.PolicySource(kb)), Config{CompactEvery: 256},
 		WithDurability(dir), WithDurableName("policy"), WithSync(wal.SyncInterval),
 		WithCheckpointEvery(every), WithRotateRecords(500), WithKeepCheckpoints(3))
 	if err != nil {
@@ -355,7 +355,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	for _, events := range []int{0, 1000, 10000} {
 		b.Run(fmt.Sprintf("H=%d", events), func(b *testing.B) {
 			ctx := context.Background()
-			eng, err := NewEngineCtx(ctx, mustProgram(b, policySource(kb)), Config{},
+			eng, err := NewEngineCtx(ctx, mustProgram(b, gen.PolicySource(kb)), Config{},
 				WithDurability(b.TempDir()), WithSync(wal.SyncInterval), WithCheckpointEvery(1<<30))
 			if err != nil {
 				b.Fatal(err)
@@ -415,7 +415,7 @@ func BenchmarkUpdateDurable(b *testing.B) {
 		}},
 	} {
 		b.Run(m.name, func(b *testing.B) {
-			prog := mustProgram(b, policySource(kb))
+			prog := mustProgram(b, gen.PolicySource(kb))
 			dir := b.TempDir()
 			facts := make([][]ast.Literal, episode)
 			goals := make([]ast.Literal, episode)

@@ -13,10 +13,11 @@ import (
 	"repro/internal/eval"
 	"repro/internal/interrupt"
 	"repro/internal/obs"
+	"repro/internal/oracle/gen"
 )
 
 // coldSweep is the serving benchmark's query-cold sweep on the read tenant
-// readsSource(n, m): n goals, one in five reach-anchored, four in five
+// gen.ReadsSource(n, m): n goals, one in five reach-anchored, four in five
 // path-anchored over the whole chain in three templates, in a seeded order
 // with a reach goal in every fifth place.
 func coldSweep(tb testing.TB, size, n, m int, seed int64) []ast.Query {
@@ -51,7 +52,7 @@ func coldSweep(tb testing.TB, size, n, m int, seed int64) []ast.Query {
 	return sweep
 }
 
-// hotGoals is the serving benchmark's query-hot goal set on readsSource(400,
+// hotGoals is the serving benchmark's query-hot goal set on gen.ReadsSource(400,
 // 100): sixteen goals, rank r in template r%4 — scan, point, join, reach.
 func hotGoals(tb testing.TB) []ast.Query {
 	var qs []ast.Query
@@ -102,8 +103,8 @@ func cutsToLine(t *testing.T, s *Snapshot, comp int, goals []ast.Query) (k int, 
 // derives its model from the write's carry.
 func TestGoalRouteBreakEven(t *testing.T) {
 	ctx := context.Background()
-	prog := mustProgram(t, readsSource(400, 100))
-	const exc = 1 // readsSource's components: base, exc, items
+	prog := mustProgram(t, gen.ReadsSource(400, 100))
+	const exc = 1 // gen.ReadsSource's components: base, exc, items
 	ask := func(s *Snapshot, qs []ast.Query) {
 		t.Helper()
 		for _, q := range qs {
@@ -197,11 +198,11 @@ func TestGoalRouteBreakEven(t *testing.T) {
 // miss.
 func TestGoalRouteInterruptedModel(t *testing.T) {
 	ctx := context.Background()
-	eng, err := NewEngineCtx(ctx, mustProgram(t, readsSource(40, 20)), Config{GoalDirected: true})
+	eng, err := NewEngineCtx(ctx, mustProgram(t, gen.ReadsSource(40, 20)), Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := NewEngineCtx(ctx, mustProgram(t, readsSource(40, 20)), Config{})
+	full, err := NewEngineCtx(ctx, mustProgram(t, gen.ReadsSource(40, 20)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestGoalRouteInterruptedModel(t *testing.T) {
 // route was added.
 func TestRoutedGoalAllocs(t *testing.T) {
 	ctx := context.Background()
-	eng, err := NewEngineCtx(ctx, mustProgram(t, readsSource(400, 100)), Config{GoalDirected: true})
+	eng, err := NewEngineCtx(ctx, mustProgram(t, gen.ReadsSource(400, 100)), Config{GoalDirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestRoutedGoalAllocs(t *testing.T) {
 // timed sweeps answer every miss from that model.
 func BenchmarkGoalDirectedSweep(b *testing.B) {
 	ctx := context.Background()
-	eng, err := NewEngineCtx(ctx, mustProgram(b, readsSource(400, 100)), Config{GoalDirected: true})
+	eng, err := NewEngineCtx(ctx, mustProgram(b, gen.ReadsSource(400, 100)), Config{GoalDirected: true})
 	if err != nil {
 		b.Fatal(err)
 	}

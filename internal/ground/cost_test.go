@@ -50,12 +50,13 @@ func TestGroundAllocsPerInstance(t *testing.T) {
 // allocates a bounded number of bytes per emitted instance. (Before the
 // join kernel it was 1 145, before facts were seeded as tuples 830, before
 // instances became chunked id columns and the atom table stopped keeping
-// an ast.Atom per atom 635; the bound is the measured 379 plus 10 %.)
+// an ast.Atom per atom 635, before the dedup sets became term.Index 379;
+// the bound is the measured 282 plus 10 %.)
 func TestGroundBytesPerInstance(t *testing.T) {
 	const (
 		kb             = 1000
 		runs           = 5
-		maxPerInstance = 417.0
+		maxPerInstance = 310.0
 	)
 	p := policyProgram(t, kb)
 	gp, err := GroundCtx(context.Background(), p, DefaultOptions()) // warm: first-use allocations stay out
@@ -97,6 +98,38 @@ func TestGroundScannableBytes(t *testing.T) {
 	if per := float64(after-before) / float64(n); per > maxPerInstance {
 		t.Fatalf("%d instances add %d scannable bytes = %.1f per instance, want <= %.2f", n, after-before, per, maxPerInstance)
 	}
+}
+
+// TestGroundResidentBytes: grounding the reads tenant in full adds a
+// bounded number of live heap bytes per instance (HeapAlloc after a
+// collection, with the program kept live) — the ground program's resident
+// cost: instances, atoms and their keys, the possible-atom relations and
+// the dedup indexes. (While the three dedup sets were Go maps from hash to
+// id with a collision chain it was 202.7; the bound is the measured 123.2
+// plus 10 %.)
+func TestGroundResidentBytes(t *testing.T) {
+	const maxPerInstance = 136.0
+	p := readsProgram(t, 400, 100)
+	before := liveHeap()
+	gp, err := GroundCtx(context.Background(), p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := liveHeap()
+	n := gp.Rules.Len()
+	runtime.KeepAlive(gp)
+	per := float64(after-before) / float64(n)
+	if per > maxPerInstance {
+		t.Fatalf("%d instances add %d live bytes = %.1f per instance, want <= %.0f", n, after-before, per, maxPerInstance)
+	}
+}
+
+// liveHeap collects and returns the bytes of live heap objects.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 // scannableHeap collects and returns the bytes of the heap the collector

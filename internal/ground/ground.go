@@ -211,7 +211,6 @@ func newGrounder(ctx context.Context, p *ast.OrderedProgram, opts Options) (*gro
 		uni:         uni,
 		uniFallback: noConsts && len(uni) > 0,
 		tab:         interp.NewTable(),
-		seen:        make(map[uint64]int32),
 		f:           &storage.Frame{},
 	}
 	g.gp = &Program{Src: p, Tab: g.tab}
@@ -245,12 +244,10 @@ type grounder struct {
 	gp   *Program
 	cols *columns
 	// seen dedups instances and finds each one's index in cols, which is
-	// how retraction finds the instance of a fact and re-assertion resurrects
-	// it: it maps an instance hash (component, head, body) to the newest
-	// instance with that hash, and seenPrev[i] links instance i to the
-	// previous one (-1: none), so dedup costs no allocation per instance.
-	seen     map[uint64]int32
-	seenPrev []int32
+	// how retraction finds the instance of a fact and re-assertion
+	// resurrects it: it indexes instances by the hash of their identity
+	// (component, head, body), so dedup costs no allocation per instance.
+	seen term.Index
 	// emitted counts instantiations for the stride-based context poll.
 	emitted int
 	// compInstances counts the instances the competitor pass appended —
@@ -722,45 +719,38 @@ func (g *grounder) record(comp int, head interp.Lit, body []interp.Lit, src, pid
 // instanceHash is the FNV-1a hash of an instance's identity on the interned
 // encoding: component, head literal, body literals.
 func instanceHash(comp int, head interp.Lit, body []interp.Lit) uint64 {
-	h := fnvMix(fnvMix(14695981039346656037, uint32(comp)), uint32(head))
+	h := term.Mix(term.Mix(term.HashSeed, uint32(comp)), uint32(head))
 	for _, l := range body {
-		h = fnvMix(h, uint32(l))
+		h = term.Mix(h, uint32(l))
 	}
 	return h
 }
 
-// fnvMix folds the four bytes of v into the FNV-1a state h.
-func fnvMix(h uint64, v uint32) uint64 {
-	const prime64 = 1099511628211
-	h = (h ^ uint64(v&0xff)) * prime64
-	h = (h ^ uint64((v>>8)&0xff)) * prime64
-	h = (h ^ uint64((v>>16)&0xff)) * prime64
-	return (h ^ uint64(v>>24)) * prime64
+// hashAt is the instanceHash of instance i, recomputed from its row.
+func (g *grounder) hashAt(i int32) uint64 {
+	r := g.cols.rows.at(int(i))
+	return instanceHash(int(r.comp), r.head, g.cols.bodyOf(r))
 }
 
 // findInstance returns the index of the instance with hash h and the
-// given identity, walking the chain of instances sharing the hash.
+// given identity.
 func (g *grounder) findInstance(h uint64, comp int, head interp.Lit, body []interp.Lit) (int32, bool) {
 	c := g.cols
-	i, ok := g.seen[h]
-	for ok && i >= 0 {
+	for p := g.seen.Probe(h); ; {
+		i, ok := p.Next()
+		if !ok {
+			return 0, false
+		}
 		if r := c.rows.at(int(i)); r.head == head && int(r.comp) == comp && slices.Equal(c.bodyOf(r), body) {
 			return i, true
 		}
-		i = g.seenPrev[i]
 	}
-	return 0, false
 }
 
 // appendInstance retains a new instance (findInstance missed it) with hash
 // h, copying its body out of the scratch it was built in.
 func (g *grounder) appendInstance(h uint64, head interp.Lit, comp int32, body []interp.Lit, src int32) {
-	prev, ok := g.seen[h]
-	if !ok {
-		prev = -1
-	}
-	g.seen[h] = int32(g.cols.len)
-	g.seenPrev = append(g.seenPrev, prev)
+	g.seen.Add(h, g.hashAt)
 	copy(g.cols.add(head, comp, len(body), src), body)
 }
 

@@ -245,9 +245,8 @@ func (g *grounder) smartPrep() error {
 		}
 	}
 	g.tab.Reserve(n)
-	g.seen = make(map[uint64]int32, n)
+	g.seen.Reserve(n)
 	g.cols.init(g.cols.rt, n)
-	g.seenPrev = make([]int32, 0, n)
 	// A pool chunk holds the longest run: a target owned by every component.
 	g.targets.shift = chunkShift(n)
 	g.pool.shift = max(chunkShift(n), uint8(bits.Len(uint(len(g.src.Components)))))

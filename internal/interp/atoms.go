@@ -42,9 +42,9 @@ func (l Lit) Complement() Lit { return l ^ 1 }
 
 // Table interns ground atoms. Atoms are keyed by their predicate symbol id
 // plus the interned ids of their arguments (internal/term), so interning an
-// already-seen atom costs one hash over a few ids and one map probe instead
-// of re-serialising the atom to a string. The zero value is not usable;
-// call NewTable.
+// already-seen atom costs one hash over a few ids and one index probe
+// instead of re-serialising the atom to a string. The zero value is not
+// usable; call NewTable.
 //
 // Like term.Table, an atom table is safe for concurrent use: Intern and
 // InternAtoms take the write lock (so concurrent writers serialise on the
@@ -56,16 +56,13 @@ func (l Lit) Complement() Lit { return l ^ 1 }
 type Table struct {
 	mu  sync.RWMutex
 	tab *term.Table
-	// seen maps the hash of an atom's key — predicate symbol id, then
-	// argument ids — to the newest atom with that hash, and chain[i] links
-	// atom i to the previous one (-1: none). Atom i's key is
-	// keys[keyOff[i]:keyOff[i+1]], so collisions resolve by comparing ids
-	// and a new atom allocates no key of its own.
-	// No ast.Atom is kept: Atom decodes one from its key through the term
-	// table, so nothing the table holds per atom is a pointer the garbage
-	// collector has to trace.
-	seen   map[uint64]AtomID
-	chain  []AtomID
+	// Atom i's key — predicate symbol id, then argument ids — is
+	// keys[keyOff[i]:keyOff[i+1]], and idx finds atoms by the key's hash
+	// (term.HashIDs), resolving collisions by comparing keys, so a new
+	// atom allocates no key of its own. No ast.Atom is kept: Atom decodes
+	// one from its key through the term table, so nothing the table holds
+	// per atom is a pointer the garbage collector has to trace.
+	idx    term.Index
 	keys   []term.ID
 	keyOff []int32
 	preds  map[ast.PredKey]*[]AtomID
@@ -87,7 +84,7 @@ func NewTable() *Table { return NewTableWith(term.NewTable()) }
 // tab, so a caller can share one term table between its atom table and a
 // storage.Store.
 func NewTableWith(tab *term.Table) *Table {
-	return &Table{tab: tab, seen: make(map[uint64]AtomID), keyOff: []int32{0}, preds: make(map[ast.PredKey]*[]AtomID)}
+	return &Table{tab: tab, keyOff: []int32{0}, preds: make(map[ast.PredKey]*[]AtomID)}
 }
 
 // Sub returns a read-only table over some of t's atoms, renumbered densely:
@@ -141,40 +138,30 @@ func (t *Table) local(id AtomID, ok bool) (AtomID, bool) {
 // TermTable returns the term table the atom table interns arguments into.
 func (t *Table) TermTable() *term.Table { return t.tab }
 
-// keyHash is the FNV-1a hash of an atom's key: the predicate symbol id,
-// then one id per argument.
+// keyHash is the hash of an atom's key: the predicate symbol id, then one
+// id per argument.
 func keyHash(pred term.ID, args []term.ID) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(id term.ID) {
-		v := uint32(id)
-		h = (h ^ uint64(v&0xff)) * prime64
-		h = (h ^ uint64((v>>8)&0xff)) * prime64
-		h = (h ^ uint64((v>>16)&0xff)) * prime64
-		h = (h ^ uint64(v>>24)) * prime64
-	}
-	mix(pred)
-	for _, id := range args {
-		mix(id)
-	}
-	return h
+	return term.HashIDs(term.Mix(term.HashSeed, uint32(pred)), args)
 }
 
-// find walks the chain of atoms hashing to h. It returns the atom with the
-// given key (found) and the newest atom of the chain (-1: none), the link a
-// new atom with this hash must point to. Callers hold a lock.
-func (t *Table) find(h uint64, pred term.ID, args []term.ID) (id, newest AtomID, found bool) {
-	newest, ok := t.seen[h]
-	if !ok {
-		return 0, -1, false
-	}
-	for i := newest; i >= 0; i = t.chain[i] {
+// hashAt is the key hash of atom id, recomputed from its stored key.
+func (t *Table) hashAt(id int32) uint64 {
+	return term.HashIDs(term.HashSeed, t.keys[t.keyOff[id]:t.keyOff[id+1]])
+}
+
+// find returns the atom with the given key hashing to h. Callers hold a
+// lock.
+func (t *Table) find(h uint64, pred term.ID, args []term.ID) (AtomID, bool) {
+	for p := t.idx.Probe(h); ; {
+		i, ok := p.Next()
+		if !ok {
+			return 0, false
+		}
 		k := t.keys[t.keyOff[i]:t.keyOff[i+1]]
 		if len(k) == 1+len(args) && k[0] == pred && slices.Equal(k[1:], args) {
-			return i, newest, true
+			return AtomID(i), true
 		}
 	}
-	return 0, newest, false
 }
 
 // Intern returns the id for a ground atom, creating it if needed.
@@ -189,11 +176,10 @@ func (t *Table) Intern(a ast.Atom) AtomID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h := keyHash(pred, args)
-	id, newest, ok := t.find(h, pred, args)
-	if ok {
+	if id, ok := t.find(h, pred, args); ok {
 		return id
 	}
-	return t.add(h, newest, pred, args, a.Key())
+	return t.add(h, pred, args, a.Key())
 }
 
 // IDAtom is a ground atom given by interned ids: its predicate's name and
@@ -214,9 +200,9 @@ func (t *Table) InternAtoms(dst []AtomID, atoms []IDAtom) []AtomID {
 	for i := range atoms {
 		a := &atoms[i]
 		h := keyHash(a.Sym, a.Args)
-		id, newest, ok := t.find(h, a.Sym, a.Args)
+		id, ok := t.find(h, a.Sym, a.Args)
 		if !ok {
-			id = t.add(h, newest, a.Sym, a.Args, ast.PredKey{Name: a.Pred, Arity: len(a.Args)})
+			id = t.add(h, a.Sym, a.Args, ast.PredKey{Name: a.Pred, Arity: len(a.Args)})
 		}
 		dst = append(dst, id)
 	}
@@ -229,9 +215,8 @@ func (t *Table) InternAtoms(dst []AtomID, atoms []IDAtom) []AtomID {
 func (t *Table) Reserve(n int) {
 	t.mustOwn()
 	t.mu.Lock()
-	if len(t.chain) == 0 {
-		t.seen = make(map[uint64]AtomID, n)
-		t.chain = make([]AtomID, 0, n)
+	if t.idx.Len() == 0 {
+		t.idx.Reserve(n)
 		t.keyOff = append(make([]int32, 0, n+1), 0)
 	}
 	t.mu.Unlock()
@@ -243,12 +228,10 @@ func (t *Table) mustOwn() {
 	}
 }
 
-// add records a new atom of predicate k with key hash h, linked to newest
-// (find's). Callers hold the write lock.
-func (t *Table) add(h uint64, newest AtomID, pred term.ID, args []term.ID, k ast.PredKey) AtomID {
-	id := AtomID(len(t.chain))
-	t.seen[h] = id
-	t.chain = append(t.chain, newest)
+// add records a new atom of predicate k with key hash h (find missed it).
+// Callers hold the write lock.
+func (t *Table) add(h uint64, pred term.ID, args []term.ID, k ast.PredKey) AtomID {
+	id := AtomID(t.idx.Add(h, t.hashAt))
 	t.keys = append(append(t.keys, pred), args...)
 	t.keyOff = append(t.keyOff, int32(len(t.keys)))
 	t.addPred(k, id)
@@ -289,7 +272,7 @@ func (t *Table) LookupIDs(pred term.ID, args []term.ID) (AtomID, bool) {
 	}
 	h := keyHash(pred, args)
 	t.mu.RLock()
-	id, _, ok := t.find(h, pred, args)
+	id, ok := t.find(h, pred, args)
 	t.mu.RUnlock()
 	return id, ok
 }
@@ -334,7 +317,7 @@ func (t *Table) Len() int {
 		return len(t.ids)
 	}
 	t.mu.RLock()
-	n := len(t.chain)
+	n := t.idx.Len()
 	t.mu.RUnlock()
 	return n
 }

@@ -193,6 +193,8 @@ func (l *Lexer) skipSpaceAndComments() {
 		r, _ := l.peek()
 		switch {
 		case r == '%':
+			// A comment ends at a newline, at the end of input, and at a
+			// NUL, which Next then reports.
 			for {
 				r, _ = l.peek()
 				if r == 0 || r == '\n' {
@@ -268,7 +270,7 @@ func (l *Lexer) Next() (Token, error) {
 	r, _ := l.peek()
 	mk := func(k Kind, text string) Token { return Token{Kind: k, Text: text, Line: line, Col: col} }
 	switch {
-	case r == 0:
+	case l.pos >= len(l.src): // a NUL is not the end: it falls through to the error below
 		return mk(EOF, ""), nil
 	case unicode.IsDigit(r):
 		start := l.pos

@@ -8,6 +8,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/workload"
@@ -96,4 +97,43 @@ func Inheritance(depth, nprops, nmembers int) *ast.OrderedProgram {
 		panic(err)
 	}
 	return p
+}
+
+// PolicySource is the serving benchmark's write tenant: kb facts p(cI), a
+// policy deriving ok/1 from each, and the exception component the writes
+// land in. It mirrors benchmark/stream.go's policySource (that package is
+// a main package and cannot be imported).
+func PolicySource(kb int) string {
+	var sb strings.Builder
+	sb.WriteString("module kb {\n")
+	for i := 0; i < kb; i++ {
+		fmt.Fprintf(&sb, "p(c%d).\n", i)
+	}
+	sb.WriteString("}\nmodule policy extends kb { ok(X) :- p(X). }\nmodule exc extends policy {\n-ok(X) :- bad(X).\n}\n")
+	return sb.String()
+}
+
+// ReadsSource is the serving benchmark's read tenant: a left-recursive
+// path/2 over an n-edge chain, a right-recursive reach/2 over an m-hop
+// chain, one exception each in the more specific component, and an
+// unrelated module. It mirrors benchmark/stream.go's readsSource.
+func ReadsSource(n, m int) string {
+	var sb strings.Builder
+	sb.WriteString("module base {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "  edge(c%d, c%d).\n", i, i+1)
+	}
+	for i := 0; i < m; i++ {
+		fmt.Fprintf(&sb, "  hop(h%d, h%d).\n", i, i+1)
+	}
+	sb.WriteString("  path(X, Y) :- edge(X, Y).\n  path(X, Z) :- path(X, Y), edge(Y, Z).\n")
+	sb.WriteString("  reach(X, Y) :- hop(X, Y).\n  reach(X, Z) :- hop(X, Y), reach(Y, Z).\n}\n")
+	fmt.Fprintf(&sb, "module exc extends base {\n  -path(X, c%d) :- edge(X, c%d).\n  -reach(X, h%d) :- hop(X, h%d).\n}\n",
+		n/2, n/2, m/2, m/2)
+	sb.WriteString("module items {\n")
+	for j := 0; j < n/4; j++ {
+		fmt.Fprintf(&sb, "  item(d%d).\n", j)
+	}
+	sb.WriteString("  ok(X) :- item(X).\n}\n")
+	return sb.String()
 }

@@ -56,6 +56,9 @@ func FuzzParse(f *testing.F) {
 		"p(",
 		"~x.",
 		"a :- 1 < 2.",
+		"a.\x00 b. c(",
+		"a.\n% note \x00 b.\nc.",
+		"'a\x00b'. c.",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -191,6 +191,25 @@ func TestParseProgramErrors(t *testing.T) {
 			t.Errorf("ParseProgram(%q) succeeded, want error", src)
 		}
 	}
+	// A NUL byte outside a quoted name is an unexpected character at its
+	// position, not the end of input: between clauses, and inside a
+	// comment.
+	for _, c := range []struct{ src, want string }{
+		{"a.\x00 b. c(", "1:3: unexpected character '\\x00'"},
+		{"a.\n% note \x00 b.\nc.", "2:8: unexpected character '\\x00'"},
+	} {
+		if _, err := Parse(c.src); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) = %v, want an error containing %q", c.src, err, c.want)
+		}
+	}
+	// Inside a quoted name a NUL is one more byte of the name.
+	res, err := Parse("'a\x00b'. c.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rules := res.Program.Components[0].Rules; len(rules) != 2 || rules[0].Head.Atom.Pred != "a\x00b" {
+		t.Errorf("Parse of a quoted name holding a NUL = %v, want the facts 'a\\x00b' and c", res.Program)
+	}
 	// A genuine cycle through extends.
 	cyc := `
 module a extends b { x. }

@@ -128,6 +128,14 @@ func TestDaemonTenantLifecycle(t *testing.T) {
 	if w := doReq(h, "PUT", "/v1/tenants/bad", "text/plain", "module main { p(X :- }"); w.Code != http.StatusBadRequest {
 		t.Errorf("load malformed program: code = %d, want 400", w.Code)
 	}
+	// A NUL byte is an error, not the end of the body: the load is
+	// refused whole, and no tenant is created.
+	if w := doReq(h, "PUT", "/v1/tenants/nul", "text/plain", "module main { a. }\x00 module m { b. "); w.Code != http.StatusBadRequest {
+		t.Errorf("load with a NUL byte: code = %d (body %s), want 400", w.Code, w.Body)
+	}
+	if w := doReq(h, "GET", "/v1/tenants/nul", "", ""); w.Code != http.StatusNotFound {
+		t.Errorf("tenant after a refused load: code = %d, want 404", w.Code)
+	}
 
 	// Drop: 204, then everything 404s; dropping again 404s.
 	if w := doReq(h, "DELETE", "/v1/tenants/beta", "", ""); w.Code != http.StatusNoContent {

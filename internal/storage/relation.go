@@ -23,12 +23,10 @@ type Relation struct {
 	tab   *term.Table
 	arity int
 	flat  []term.ID // len = arity * Len()
-	// seen maps the FNV-1a hash of an ID tuple to the newest tuple with that
-	// hash and chain[i] links tuple i to the previous one (-1: none), so the
+	// seen finds tuples by the hash of their ids (term.HashIDs), so the
 	// dedup set costs no allocation per tuple; collisions are resolved by
 	// comparing the stored ids.
-	seen  map[uint64]int32
-	chain []int32
+	seen term.Index
 	// cols[c] indexes column c: term id -> ascending tuple indexes. A
 	// column's index is built on the first probe that binds it (nil until
 	// then) and kept up to date from there, so a relation only ever
@@ -45,7 +43,7 @@ const maxBucketChunk = 1024
 
 // NewRelation returns an empty relation of the given arity over tab.
 func NewRelation(tab *term.Table, arity int) *Relation {
-	return &Relation{tab: tab, arity: arity, seen: make(map[uint64]int32), cols: make([]map[term.ID][]int32, arity)}
+	return &Relation{tab: tab, arity: arity, cols: make([]map[term.ID][]int32, arity)}
 }
 
 // Reserve presizes an empty relation for n tuples, so a caller that knows
@@ -53,9 +51,8 @@ func NewRelation(tab *term.Table, arity int) *Relation {
 // without rehashing or regrowing.
 func (r *Relation) Reserve(n int) {
 	if r.Len() == 0 {
-		r.seen = make(map[uint64]int32, n)
+		r.seen.Reserve(n)
 		r.flat = make([]term.ID, 0, max(r.arity, 1)*n)
-		r.chain = make([]int32, 0, n)
 	}
 }
 
@@ -81,24 +78,25 @@ func (r *Relation) TupleIDs(i int) []term.ID { return r.row(i) }
 
 // lookupIndex returns the insertion index of the ID tuple, or -1.
 func (r *Relation) lookupIndex(ids []term.ID) int {
-	idx, _ := r.find(term.HashIDs(ids), ids)
-	return idx
+	return r.find(term.HashIDs(term.HashSeed, ids), ids)
 }
 
-// find walks the chain of tuples hashing to h. It returns the index of the
-// tuple equal to ids (or -1) and the newest tuple of the chain (or -1), the
-// link a new tuple with this hash must point to.
-func (r *Relation) find(h uint64, ids []term.ID) (idx int, newest int32) {
-	newest, ok := r.seen[h]
-	if !ok {
-		return -1, -1
-	}
-	for i := newest; i >= 0; i = r.chain[i] {
+// find returns the index of the tuple equal to ids, which hash to h, or -1.
+func (r *Relation) find(h uint64, ids []term.ID) int {
+	for p := r.seen.Probe(h); ; {
+		i, ok := p.Next()
+		if !ok {
+			return -1
+		}
 		if idsEqual(r.row(int(i)), ids) {
-			return int(i), newest
+			return int(i)
 		}
 	}
-	return -1, newest
+}
+
+// hashAt is the hash of tuple i, recomputed from its stored ids.
+func (r *Relation) hashAt(i int32) uint64 {
+	return term.HashIDs(term.HashSeed, r.row(int(i)))
 }
 
 func idsEqual(a, b []term.ID) bool {
@@ -116,19 +114,16 @@ func (r *Relation) InsertIDs(ids []term.ID) bool {
 	if len(ids) != r.arity {
 		panic("storage: tuple arity mismatch")
 	}
-	h := term.HashIDs(ids)
-	dup, prev := r.find(h, ids)
-	if dup >= 0 {
+	h := term.HashIDs(term.HashSeed, ids)
+	if r.find(h, ids) >= 0 {
 		return false
 	}
-	idx := int32(r.Len())
+	idx := r.seen.Add(h, r.hashAt)
 	if r.arity == 0 {
 		r.flat = append(r.flat, term.None) // sentinel; only Len matters
 	} else {
 		r.flat = append(r.flat, ids...)
 	}
-	r.seen[h] = idx
-	r.chain = append(r.chain, prev)
 	for c, col := range r.cols {
 		if col != nil {
 			r.index(col, ids[c], idx)

@@ -307,20 +307,25 @@ func (t *Table) lookupLocked(x ast.Term) (ID, bool) {
 	return None, false
 }
 
-// HashIDs returns an FNV-1a hash of an ID tuple, used by the storage layer
-// to key its seen-set without serialising the tuple.
-func HashIDs(ids []ID) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+// HashSeed is the FNV-1a offset basis, the state a fresh hash starts from.
+const HashSeed uint64 = 14695981039346656037
+
+// Mix folds the four bytes of v, low byte first, into the FNV-1a state h.
+// Every key hash in the engine — atoms, tuples, ground instances — is a
+// sequence of Mix steps from HashSeed.
+func Mix(h uint64, v uint32) uint64 {
+	const prime64 = 1099511628211
+	h = (h ^ uint64(v&0xff)) * prime64
+	h = (h ^ uint64((v>>8)&0xff)) * prime64
+	h = (h ^ uint64((v>>16)&0xff)) * prime64
+	return (h ^ uint64(v>>24)) * prime64
+}
+
+// HashIDs continues the FNV-1a state h over an ID tuple; HashIDs(HashSeed,
+// ids) hashes the tuple alone.
+func HashIDs(h uint64, ids []ID) uint64 {
 	for _, id := range ids {
-		v := uint32(id)
-		h = (h ^ uint64(v&0xff)) * prime64
-		h = (h ^ uint64((v>>8)&0xff)) * prime64
-		h = (h ^ uint64((v>>16)&0xff)) * prime64
-		h = (h ^ uint64(v>>24)) * prime64
+		h = Mix(h, uint32(id))
 	}
 	return h
 }

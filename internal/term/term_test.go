@@ -109,12 +109,12 @@ func TestInternEqualIsStructuralEqual(t *testing.T) {
 }
 
 func TestHashIDsOrderSensitive(t *testing.T) {
-	a := HashIDs([]ID{1, 2, 3})
-	b := HashIDs([]ID{3, 2, 1})
+	a := HashIDs(HashSeed, []ID{1, 2, 3})
+	b := HashIDs(HashSeed, []ID{3, 2, 1})
 	if a == b {
 		t.Error("permuted tuples hash equal (weak but suspicious)")
 	}
-	if HashIDs([]ID{1, 2, 3}) != a {
+	if HashIDs(HashSeed, []ID{1, 2, 3}) != a {
 		t.Error("hash not deterministic")
 	}
 }
