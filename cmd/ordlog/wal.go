@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/parser"
+	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -12,10 +12,11 @@ import (
 // tooling over one durability directory, exiting 0 only when the state on
 // disk is sound.
 //
-//	verify  strict end-to-end check: every record's CRC and SHA-256 chain
-//	        hash from the genesis seed (a single flipped byte anywhere
-//	        fails), every checkpoint consistent with the chain and its
-//	        program text parseable
+//	verify  strict end-to-end check (core.Verify): every record's CRC and
+//	        SHA-256 chain hash from the genesis seed (a single flipped byte
+//	        anywhere fails, a torn tail too), every checkpoint consistent
+//	        with the chain, and every checkpoint's program folded with the
+//	        records after it as recovery folds them
 //	dump    print the checkpoints and every record, one line each
 func runWAL(args []string) int {
 	if len(args) != 2 {
@@ -25,64 +26,45 @@ func runWAL(args []string) int {
 	cmd, dir := args[0], args[1]
 	switch cmd {
 	case "verify":
-		res, err := wal.VerifyDir(dir)
+		res, err := core.Verify(dir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ordlog: wal verify:", err)
 			return 1
-		}
-		// The wal layer checks framing and the chain; the checkpoint
-		// programs must additionally parse, or recovery would fail on them.
-		cps, err := wal.Checkpoints(dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ordlog: wal verify:", err)
-			return 1
-		}
-		for _, cp := range cps {
-			if _, err := parser.ParseProgram(cp.Program); err != nil {
-				fmt.Fprintf(os.Stderr, "ordlog: wal verify: checkpoint v%d program does not parse: %v\n", cp.Version, err)
-				return 1
-			}
 		}
 		fmt.Printf("ok: tenant %q, %d records in %d segments (first seq %d), %d checkpoints, version %d, chain head %.12s…\n",
 			res.Name, res.Records, res.Segments, res.FirstSeq, res.Checkpoints, res.Version, res.Head)
 		return 0
 	case "dump":
-		cps, err := wal.Checkpoints(dir)
+		// Tolerant read: a dump of a crashed directory shows the surviving
+		// records and the stale checkpoints, flagging the torn tail instead
+		// of refusing. Rotated layouts dump the same way a single wal.log
+		// does.
+		d, err := wal.Open(dir, false)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ordlog: wal dump:", err)
 			return 1
 		}
-		if len(cps) == 0 {
-			fmt.Fprintf(os.Stderr, "ordlog: wal dump: %s: no checkpoint (not a durability directory)\n", dir)
-			return 1
-		}
-		for _, cp := range cps {
+		for _, cp := range d.Checkpoints {
 			fmt.Printf("checkpoint v%-6d seq=%-6d name=%q chain=%.12s… program=%d bytes\n",
 				cp.Version, cp.Seq, cp.Name, cp.ChainHead, len(cp.Program))
 		}
-		// Tolerant decode: a dump of a crashed directory should show the
-		// surviving records, flagging the torn tail instead of refusing.
-		// ReadAll walks every segment in order, so rotated layouts dump
-		// the same way a single wal.log does.
-		res, err := wal.ReadAll(dir, wal.Genesis(cps[0].Name), false)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ordlog: wal dump:", err)
-			return 1
+		for _, cp := range d.Stale {
+			fmt.Printf("stale checkpoint v%d seq=%d (its records are not in the log; recovery removes it)\n", cp.Version, cp.Seq)
 		}
-		if res.First > 1 {
-			fmt.Printf("retained chain starts at seq %d (%d segments; earlier records pruned by retention)\n", res.First, res.Segments)
-		} else if res.Segments > 1 {
-			fmt.Printf("%d segments\n", res.Segments)
+		if d.First > 1 {
+			fmt.Printf("retained chain starts at seq %d (%d segments; earlier records pruned by retention)\n", d.First, d.Segments)
+		} else if d.Segments > 1 {
+			fmt.Printf("%d segments\n", d.Segments)
 		}
-		for _, r := range res.Records {
+		for _, r := range d.Records {
 			fmt.Printf("record %-6d v%-6d %-7s comp=%-12q facts=%-3d hash=%.12s…\n",
 				r.Seq, r.Version, r.Op, r.Comp, len(r.Facts), r.Hash)
 			for _, f := range r.Facts {
 				fmt.Printf("    %s\n", f)
 			}
 		}
-		if res.Torn {
-			fmt.Printf("torn tail after %d intact records (crash artifact; recovery truncates %s at byte %d)\n", len(res.Records), res.TornPath, res.TornGood)
+		if d.Torn {
+			fmt.Printf("torn tail after %d intact records (crash artifact; recovery truncates %s at byte %d)\n", len(d.Records), d.TornPath, d.TornGood)
 		}
 		return 0
 	default:

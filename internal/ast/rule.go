@@ -28,6 +28,11 @@ func Fact(h Literal) *Rule { return &Rule{Head: h} }
 // IsFact reports whether the rule has an empty body (builtins included).
 func (r *Rule) IsFact() bool { return len(r.Body) == 0 && len(r.Builtins) == 0 }
 
+// IsGroundFact reports whether the rule is a fact with a ground head: the
+// clauses the update history indexes, the grounder seeds as facts and the
+// REPL routes through Engine.Update.
+func (r *Rule) IsGroundFact() bool { return r.IsFact() && r.Head.Atom.Ground() }
+
 // IsSeminegative reports whether the head is positive.
 func (r *Rule) IsSeminegative() bool { return !r.Head.Neg }
 

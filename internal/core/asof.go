@@ -71,39 +71,25 @@ func (e *Engine) asOfFromMemory(ctx context.Context, cur *Snapshot, version uint
 }
 
 // asOfFromDisk rebuilds a version older than the engine's in-memory
-// floor from the WAL: newest on-disk checkpoint at or before it, plus
-// the log records up to it. Only durable engines get here. Two eviction
-// shapes exist: a version below the oldest checkpoint was never
-// reconstructible, and a version whose covering checkpoint survives but
-// whose replay records were pruned with their segments is gone too —
-// both report ErrVersionEvicted rather than replaying a partial suffix.
+// floor from the WAL: the newest consistent checkpoint at or before it
+// (wal.Dir.Newest), plus the log records up to it. Only durable engines
+// get here. A version older than every consistent checkpoint — never
+// checkpointed, or pruned with its records by retention — is
+// ErrVersionEvicted; a directory recovery would refuse is ErrCorrupt here
+// too.
 func (e *Engine) asOfFromDisk(ctx context.Context, version uint64) (*Snapshot, error) {
-	d := e.dur
-	cps, err := wal.Checkpoints(d.dir)
+	d, err := wal.Open(e.dur.dir, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: as-of v%d: %w", version, err)
 	}
-	var cp *wal.Checkpoint
-	for i := range cps {
-		if cps[i].Name == d.name && cps[i].Version <= version {
-			cp = &cps[i] // ascending order: the last match is the newest
-		}
+	if d.Name != e.dur.name {
+		return nil, fmt.Errorf("%w: as-of v%d: %s belongs to %q", wal.ErrCorrupt, version, e.dur.dir, d.Name)
 	}
+	cp := d.Newest(version)
 	if cp == nil {
 		return nil, fmt.Errorf("%w: v%d predates the oldest checkpoint", ErrVersionEvicted, version)
 	}
-	res, err := wal.ReadAll(d.dir, wal.Genesis(d.name), false)
-	if err != nil {
-		return nil, fmt.Errorf("core: as-of v%d: %w", version, err)
-	}
-	if cp.Seq+1 < res.First {
-		// Retention pruned the records between the checkpoint and the
-		// surviving chain; replaying only the survivors would silently
-		// skip updates. (Checkpoint pruning keeps every retained
-		// checkpoint at or above the horizon, so this guards stray files.)
-		return nil, fmt.Errorf("%w: v%d needs log records pruned by retention", ErrVersionEvicted, version)
-	}
-	recs := res.Records[cp.Seq-(res.First-1):]
+	recs := d.After(cp)
 	if n := version - cp.Version; uint64(len(recs)) > n {
 		recs = recs[:n]
 	}

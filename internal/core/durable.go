@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
+	"math"
 	"time"
 
 	"repro/internal/obs"
@@ -36,31 +36,15 @@ func logOptions(d Durability) wal.LogOptions {
 }
 
 // initDurability starts a fresh durable history for a newly constructed
-// engine: the directory is created, any previous WAL state in it is
-// removed (NewEngineCtx means "this program is the new genesis" — Recover is
-// the path that restores a history), a genesis checkpoint of the source
-// program is written, and the log is opened. The checkpoint write doubles
-// as the writability probe the config contract promises: an unusable
-// directory surfaces as a *ConfigError from NewEngineCtx.
+// engine: NewEngineCtx means "this program is the new genesis" (Recover is
+// the path that restores a history), so wal.Create replaces any WAL state
+// in the directory with a genesis checkpoint of the source program. An
+// unusable directory surfaces as a *ConfigError from NewEngineCtx.
 func (e *Engine) initDurability() error {
 	d := e.cfg.Durability
-	fail := func(err error) error {
-		return &ConfigError{Field: "Durability.Dir", Value: d.Dir, Reason: err.Error()}
-	}
-	if err := os.MkdirAll(d.Dir, 0o755); err != nil {
-		return fail(err)
-	}
-	if err := wal.Reset(d.Dir); err != nil {
-		return fail(err)
-	}
-	genesis := wal.Genesis(d.Name)
-	cp := &wal.Checkpoint{Name: d.Name, Version: e.base, Seq: 0, ChainHead: genesis, Program: e.src.String()}
-	if err := wal.WriteCheckpoint(d.Dir, cp); err != nil {
-		return fail(err)
-	}
-	log, err := wal.OpenLogWith(d.Dir, genesis, 0, logOptions(d))
+	log, err := wal.Create(d.Dir, d.Name, e.base, e.src.String(), logOptions(d))
 	if err != nil {
-		return fail(err)
+		return &ConfigError{Field: "Durability.Dir", Value: d.Dir, Reason: err.Error()}
 	}
 	e.dur = &durable{dir: d.Dir, name: d.Name, every: d.CheckpointEvery, keep: d.KeepCheckpoints, log: log}
 	return nil
@@ -103,11 +87,11 @@ func (e *Engine) walAppend(version uint64, ci int, verb string, facts []string) 
 	return nil
 }
 
-// walCheckpoint writes a snapshot checkpoint when the cadence is due.
-// Called under writeMu after the child snapshot is published; the log is
-// synced first so the checkpoint never claims records the log could lose.
-// On error the update itself has been applied and logged — only the
-// checkpoint (a pure replay-length optimisation) is missing.
+// walCheckpoint writes a snapshot checkpoint of the tip, which child is,
+// when the cadence is due, and applies retention (wal.Log.Checkpoint).
+// Called under writeMu after the child snapshot is published. On error the
+// update itself has been applied and logged — only the checkpoint (a pure
+// replay-length optimisation) is missing.
 func (e *Engine) walCheckpoint(child *Snapshot) error {
 	d := e.dur
 	if d == nil {
@@ -117,39 +101,22 @@ func (e *Engine) walCheckpoint(child *Snapshot) error {
 	if d.sinceCP < d.every {
 		return nil
 	}
-	if err := d.log.Sync(); err != nil {
-		return err
-	}
-	eff, err := e.hist.program() // the tip's, which child is
+	eff, err := e.hist.program()
 	if err != nil {
 		return err
 	}
-	seq, head := d.log.Head()
-	cp := &wal.Checkpoint{Name: d.name, Version: child.version, Seq: seq, ChainHead: head, Program: eff.String()}
-	if err := wal.WriteCheckpoint(d.dir, cp); err != nil {
+	if err := d.log.Checkpoint(d.name, child.version, eff.String(), d.keep); err != nil {
 		return err
 	}
 	d.sinceCP = 0
-	// Retention: drop checkpoints past the bound, then every segment the
-	// oldest surviving checkpoint covers. Ordered this way a crash between
-	// the two passes leaves extra segments, never a chain without its
-	// anchor; pruning nothing when keep is 0 is the legacy layout.
-	if d.keep > 0 {
-		_, oldest, err := wal.PruneCheckpoints(d.dir, d.keep)
-		if err != nil {
-			return err
-		}
-		if _, err := wal.PruneSegments(d.dir, oldest); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // replayWAL reads the history a checkpoint and the WAL records after it
 // log: the checkpoint's program, with one event per logged fact folded
-// into its index, stamped with its record's version. It is the one reader
-// of the WAL behind Recover and AsOf-from-disk. Anything the engine could
+// into its index, stamped with its record's version. It is the one fold
+// of a checkpoint and its records behind Recover, AsOf-from-disk and
+// Verify. Anything the engine could
 // not have written fails with wal.ErrCorrupt naming the record: a program
 // that does not parse, an unknown component or op, a fact that does not
 // parse or is not ground, a version that breaks the sequence from the
@@ -194,17 +161,17 @@ func replayWAL(cp *wal.Checkpoint, recs []wal.Record) (*history, error) {
 	return h, nil
 }
 
-// Recover rebuilds a durable engine from dir: load the newest checkpoint
-// consistent with the surviving log, verify the hash chain across every
-// surviving record, and fold the WAL suffix past the checkpoint into its
-// program. A version's models depend only on its effective program, not
-// on the history that built it, so the recovered tip is grounded once —
-// through the same effective-program reground that fallbacks, compaction
-// and AsOf use — whatever the suffix's length and whatever its records
-// would have cost one by one. A torn final record — the artifact of a
-// crash mid-append — is truncated away; any other CRC or chain damage, and
-// any record that does not change the state it is folded into, aborts
-// recovery with an error wrapping wal.ErrCorrupt.
+// Recover rebuilds a durable engine from dir: wal.Open reads it
+// tolerantly, and the newest consistent checkpoint's program is folded
+// with the records after it. A version's models depend only on its
+// effective program, not on the history that built it, so the recovered
+// tip is grounded once — through the same effective-program reground that
+// fallbacks, compaction and AsOf use — whatever the suffix's length and
+// whatever its records would have cost one by one. Only then is the
+// directory repaired (the torn tail of a crash mid-append truncated, stale
+// checkpoints removed) and its log reopened; any other damage, and any
+// record that does not change the state it is folded into, aborts
+// recovery with an error wrapping wal.ErrCorrupt and leaves dir as it was.
 //
 // The recovered engine's in-memory history starts at the checkpoint, so
 // AsOf over [checkpoint, tip] is served from memory; a suffix of at least
@@ -224,97 +191,20 @@ func Recover(ctx context.Context, dir string, cfg Config, opts ...Option) (*Engi
 		cfg.Durability.CheckpointEvery = DefaultCheckpointEvery
 	}
 	start := time.Now()
-	cps, err := wal.Checkpoints(dir)
+	d, err := wal.Open(dir, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: recover %s: %w", dir, err)
 	}
-	if len(cps) == 0 {
-		return nil, fmt.Errorf("core: recover %s: no checkpoint (not a durability directory)", dir)
-	}
-	name := cps[0].Name
-	for _, cp := range cps {
-		if cp.Name != name {
-			return nil, fmt.Errorf("%w: recover %s: checkpoints disagree on tenant name (%q vs %q)", wal.ErrCorrupt, dir, name, cp.Name)
-		}
-	}
 	if cfg.Durability.Name == "" {
-		cfg.Durability.Name = name
-	} else if cfg.Durability.Name != name {
-		return nil, &ConfigError{Field: "Durability.Name", Value: cfg.Durability.Name, Reason: fmt.Sprintf("directory %s belongs to %q", dir, name)}
+		cfg.Durability.Name = d.Name
+	} else if cfg.Durability.Name != d.Name {
+		return nil, &ConfigError{Field: "Durability.Name", Value: cfg.Durability.Name, Reason: fmt.Sprintf("directory %s belongs to %q", dir, d.Name)}
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	genesis := wal.Genesis(name)
-	res, err := wal.ReadAll(dir, genesis, false)
-	if err != nil {
-		return nil, fmt.Errorf("core: recover %s: %w", dir, err)
-	}
-	if res.Torn {
-		if err := os.Truncate(res.TornPath, res.TornGood); err != nil {
-			return nil, fmt.Errorf("core: recover %s: truncate torn tail: %w", dir, err)
-		}
-	}
-	// The chain may start past seq 1 when retention pruned covered
-	// segments; seq positions are relative to res.First, and the hash at
-	// the pruned boundary is adopted from the first surviving record
-	// (authenticated below by requiring a checkpoint that matches it).
-	first := res.First
-	lastSeq := first - 1 + uint64(len(res.Records))
-	anchor := ""
-	switch {
-	case first == 1:
-		anchor = genesis
-	case len(res.Records) > 0:
-		anchor = res.Records[0].Prev
-	}
-	hashAt := func(seq uint64) string {
-		if seq == first-1 {
-			return anchor
-		}
-		return res.Records[seq-first].Hash
-	}
-	// Newest checkpoint consistent with the surviving log. A checkpoint can
-	// outrun the log when the crash lost unsynced records written after it
-	// was taken; falling back to an earlier one re-replays them from the
-	// log... which lost them too, so state and log agree again. A
-	// checkpoint below the pruned horizon is unusable either way: the
-	// records it would replay are gone.
-	var cp *wal.Checkpoint
-	consistent := func(c *wal.Checkpoint) bool {
-		if c.Seq < first-1 || c.Seq > lastSeq {
-			return false
-		}
-		if anchor == "" && c.Seq == first-1 {
-			// Everything but an empty final segment was pruned: the
-			// checkpoint's own head is the only witness of the chain state.
-			return true
-		}
-		return c.ChainHead == hashAt(c.Seq)
-	}
-	for i := len(cps) - 1; i >= 0; i-- {
-		if consistent(&cps[i]) {
-			cp = &cps[i]
-			break
-		}
-	}
-	if cp == nil {
-		return nil, fmt.Errorf("%w: recover %s: no checkpoint is consistent with the log", wal.ErrCorrupt, dir)
-	}
-	// Prune checkpoints describing state the crash destroyed (they claim
-	// records beyond the surviving log): recovery re-takes checkpoints as
-	// updates resume, and a pruned directory passes `wal verify` again.
-	for i := range cps {
-		if consistent(&cps[i]) {
-			continue
-		}
-		if err := wal.RemoveCheckpoint(dir, cps[i].Version); err != nil {
-			return nil, fmt.Errorf("core: recover %s: prune stale checkpoint v%d: %w", dir, cps[i].Version, err)
-		}
-	}
-	// Indexing is relative to the pruned horizon — cp.Seq records precede
-	// the checkpoint, of which first-1 are no longer on disk.
-	suffix := res.Records[cp.Seq-(first-1):]
+	cp := d.Newest(math.MaxUint64)
+	suffix := d.After(cp)
 	h, err := replayWAL(cp, suffix)
 	if err != nil {
 		return nil, fmt.Errorf("core: recover %s: %w", dir, err)
@@ -336,15 +226,11 @@ func Recover(ctx context.Context, dir string, cfg Config, opts ...Option) (*Engi
 	if collapse {
 		e.finishCompact(tip)
 	}
-	head := hashAt(lastSeq)
-	if head == "" {
-		head = cp.ChainHead
-	}
-	log, err := wal.OpenLogWith(dir, head, lastSeq, logOptions(cfg.Durability))
+	log, err := d.Reopen(logOptions(cfg.Durability))
 	if err != nil {
 		return nil, fmt.Errorf("core: recover %s: reopen log: %w", dir, err)
 	}
-	e.dur = &durable{dir: dir, name: name, every: cfg.Durability.CheckpointEvery, keep: cfg.Durability.KeepCheckpoints, log: log, sinceCP: len(suffix)}
+	e.dur = &durable{dir: dir, name: d.Name, every: cfg.Durability.CheckpointEvery, keep: cfg.Durability.KeepCheckpoints, log: log, sinceCP: len(suffix)}
 	if obs.On() {
 		mRecoverRecords.Add(int64(len(suffix)))
 		mRecoverMs.Add(time.Since(start).Milliseconds())
@@ -358,4 +244,22 @@ func Recover(ctx context.Context, dir string, cfg Config, opts ...Option) (*Engi
 			obs.F("version", e.Current().Version())))
 	}
 	return e, nil
+}
+
+// Verify checks dir as strictly as `ordlog wal verify` promises: a strict
+// wal.Open (every frame, the chain, every checkpoint consistent with it,
+// no torn tail), then every checkpoint's program folded with the records
+// after it as Recover folds them. So a directory verifies only if
+// recovery from each of its checkpoints would succeed.
+func Verify(dir string) (*wal.VerifyResult, error) {
+	d, err := wal.Open(dir, true)
+	if err != nil {
+		return nil, err
+	}
+	for i := range d.Checkpoints {
+		if _, err := replayWAL(&d.Checkpoints[i], d.After(&d.Checkpoints[i])); err != nil {
+			return nil, err
+		}
+	}
+	return d.Summary(), nil
 }

@@ -415,48 +415,3 @@ func TestDurableRoundTripsEveryTerm(t *testing.T) {
 		check("recovered", s, v)
 	}
 }
-
-// AsOf below the in-memory floor reads the WAL with recovery's reader, so
-// it refuses what recovery refuses: here the genesis checkpoint is
-// rewritten to hold p(x0) already, so the first record, which asserts
-// p(x0), changes nothing at its position.
-func TestAsOfFromDiskChecksDivergence(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	eng, err := core.NewEngineCtx(ctx, tenantProgram(t, "a"), core.Config{CompactEvery: 2},
-		core.WithDurability(dir), core.WithDurableName("tn"), core.WithCheckpointEvery(100), core.WithSync(wal.SyncAlways))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for _, f := range []string{"x0", "x1", "x2"} {
-		if _, err := eng.Update(ctx, "main", []ast.Literal{ast.Pos(ast.Atom{Pred: "p", Args: []ast.Term{ast.Sym(f)}})}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := eng.AsOfCtx(ctx, 0); err != nil {
-		t.Fatalf("AsOf(0) from disk: %v", err)
-	}
-	cps, err := wal.Checkpoints(dir)
-	if err != nil || len(cps) != 1 || cps[0].Version != 0 {
-		t.Fatalf("want the genesis checkpoint alone: %v %v", cps, err)
-	}
-	cp := cps[0]
-	cp.Program = tenantProgram(t, "a", "x0").String()
-	if err := wal.WriteCheckpoint(dir, &cp); err != nil {
-		t.Fatal(err)
-	}
-	bad := t.TempDir()
-	if err := core.CopyDirTo(dir, bad); err != nil {
-		t.Fatal(err)
-	}
-	if rec, err := core.Recover(ctx, bad, core.Config{}); !errors.Is(err, wal.ErrCorrupt) {
-		if rec != nil {
-			rec.Close()
-		}
-		t.Fatalf("Recover: got %v, want wal.ErrCorrupt", err)
-	}
-	if _, err := eng.AsOfCtx(ctx, 1); !errors.Is(err, wal.ErrCorrupt) {
-		t.Fatalf("AsOf(1) below the in-memory floor: got %v, want wal.ErrCorrupt", err)
-	}
-}

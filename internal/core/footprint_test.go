@@ -90,10 +90,11 @@ func TestChurnFootprintBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cps, err := wal.Checkpoints(dir)
+	wd, err := wal.Open(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cps := wd.Checkpoints
 	incr, reground, compactions := d["core.updates.incremental"], d["core.updates.reground"], d["update.compact.runs"]
 	t.Logf("v%d: dead %d, log events %d (max %d), heap %d KiB, WAL %d KiB in %d segments + %d checkpoints; %d incremental, %d reground, %d compactions",
 		snap.Version(), snap.NumDeadRules(), snap.NumLogEvents(), maxLog, ms.HeapAlloc>>10,

@@ -58,7 +58,7 @@ func (h *history) index(ci int) map[string]fact {
 	if idx == nil {
 		idx = make(map[string]fact)
 		for _, r := range h.src.Components[ci].Rules {
-			if isGroundFact(r) {
+			if r.IsGroundFact() {
 				idx[r.Head.String()] = fact{at: inSource, last: -1}
 			}
 		}
@@ -66,8 +66,6 @@ func (h *history) index(ci int) map[string]fact {
 	}
 	return idx
 }
-
-func isGroundFact(r *ast.Rule) bool { return r.IsFact() && r.Head.Atom.Ground() }
 
 // live reports whether the fact with the key is in effect in component ci.
 func (h *history) live(ci int, key string) bool {
@@ -171,7 +169,7 @@ func (h *history) rules(ci int) []*ast.Rule {
 	}
 	out := make([]*ast.Rule, 0, len(src))
 	for _, r := range src {
-		if !isGroundFact(r) || idx[r.Head.String()].at == inSource {
+		if !r.IsGroundFact() || idx[r.Head.String()].at == inSource {
 			out = append(out, r)
 		}
 	}

@@ -405,10 +405,11 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cps, err := wal.Checkpoints(g.dir)
-			if err != nil || len(cps) == 0 {
-				t.Fatalf("checkpoints after recovery: %v (%d)", err, len(cps))
+			wd, err := wal.Open(g.dir, false)
+			if err != nil {
+				t.Fatalf("checkpoints after recovery: %v", err)
 			}
+			cps := wd.Checkpoints
 			kb := &builder{rng: rand.New(rand.NewSource(int64(cut))), f: f}
 			kb.every(rLeast, tTip, 0)
 			for v := cps[len(cps)-1].Version; v <= g.eng.Current().Version(); v++ {

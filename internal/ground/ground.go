@@ -414,11 +414,6 @@ func (g *grounder) fact(i int32) fact {
 	return fact{args: key[1:], comp: a.comp, pid: a.pid, sym: key[0], at: -1, ord: -1}
 }
 
-// isGroundFact reports whether r is a ground fact.
-func isGroundFact(r *ast.Rule) bool {
-	return len(r.Body) == 0 && len(r.Builtins) == 0 && r.Head.Atom.Ground()
-}
-
 // srcRule pairs a compiled source rule with its owning component and its
 // encoded body (possible-atom literals plus $dom literals for free vars)
 // compiled over the rule's slots.
@@ -464,7 +459,7 @@ func (g *grounder) compileSource(b term.Batch) {
 	nFacts, nArgs, nRules, nAtoms, nPats := 0, 0, 0, 0, 0
 	for _, c := range g.src.Components {
 		for _, r := range c.Rules {
-			if isGroundFact(r) {
+			if r.IsGroundFact() {
 				nFacts++
 				nArgs += len(r.Head.Atom.Args)
 				continue
@@ -489,7 +484,7 @@ func (g *grounder) compileSource(b term.Batch) {
 	for ci, c := range g.src.Components {
 		for _, r := range c.Rules {
 			ord++
-			if !isGroundFact(r) {
+			if !r.IsGroundFact() {
 				g.seq = append(g.seq, int32(len(g.crules)))
 				g.crules = append(g.crules, crule{})
 				g.compileRule(b, r, ci, ord, &g.crules[len(g.crules)-1], &atoms, &pats)

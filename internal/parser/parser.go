@@ -123,7 +123,7 @@ func ParseFacts(src string) ([]ast.Literal, error) {
 	rules := p.Components[0].Rules
 	facts := make([]ast.Literal, 0, len(rules))
 	for _, r := range rules {
-		if !r.IsFact() || !r.Head.Atom.Ground() {
+		if !r.IsGroundFact() {
 			return nil, fmt.Errorf("not a ground fact: %s", r)
 		}
 		facts = append(facts, r.Head)

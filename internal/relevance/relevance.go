@@ -136,7 +136,7 @@ func Analyze(p *ast.OrderedProgram, goal []ast.Literal) *Analysis {
 			if !a.Demanded[k] || r.Head.Neg {
 				continue
 			}
-			if !r.IsFact() || !r.Head.Atom.Ground() {
+			if !r.IsGroundFact() {
 				a.EDB[k] = false
 			}
 		}

@@ -231,7 +231,7 @@ func (r *REPL) assert(ctx context.Context, rest string) {
 	// Ground facts against a live engine go through the incremental
 	// snapshot machinery; the source program catches up lazily (flush) when
 	// a proper rule forces a rebuild.
-	if r.eng != nil && rule.IsFact() && rule.Head.Atom.Ground() {
+	if r.eng != nil && rule.IsGroundFact() {
 		snap, err := r.eng.Update(ctx, comp, []ast.Literal{rule.Head})
 		if err != nil {
 			fmt.Fprintf(r.out, "error: %v\n", err)

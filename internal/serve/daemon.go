@@ -133,9 +133,10 @@ func (d *Daemon) tenantDir(name string) string {
 // (core.Recover: checkpoint + suffix replay + chain verification),
 // publishing each under its recorded name. It returns the recovered
 // names, sorted by the directory scan. A daemon without DataDir recovers
-// nothing. Recovery is all-or-nothing per call: the first corrupt tenant
-// aborts with its error so an operator never silently serves a partial
-// fleet.
+// nothing, and a subdirectory with no checkpoint file is skipped.
+// Recovery is all-or-nothing per call: the first tenant that does not
+// recover, a damaged checkpoint included, aborts with an error naming its
+// directory, so an operator never silently serves a partial fleet.
 func (d *Daemon) RecoverTenants(ctx context.Context) ([]string, error) {
 	if d.cfg.DataDir == "" {
 		return nil, nil
@@ -153,13 +154,13 @@ func (d *Daemon) RecoverTenants(ctx context.Context) ([]string, error) {
 			continue
 		}
 		dir := filepath.Join(d.cfg.DataDir, e.Name())
-		if !wal.IsDurabilityDir(dir) {
-			continue
-		}
 		eng, err := core.Recover(ctx, dir, d.cfg.Engine,
 			core.WithCheckpointEvery(d.cfg.CheckpointEvery), core.WithSync(d.cfg.Sync),
 			core.WithRotateRecords(d.cfg.RotateRecords), core.WithRotateBytes(d.cfg.RotateBytes),
 			core.WithKeepCheckpoints(d.cfg.KeepCheckpoints))
+		if errors.Is(err, wal.ErrNotDurable) {
+			continue
+		}
 		if err != nil {
 			return names, fmt.Errorf("recover tenant dir %s: %w", dir, err)
 		}

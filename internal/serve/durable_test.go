@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -226,4 +231,85 @@ func TestDaemonMemoryOnlyUnchanged(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A damaged checkpoint fails boot: RecoverTenants refuses with an error
+// naming the directory and wrapping wal.ErrCorrupt, attaches nothing and
+// leaves the directory as it found it, so no later load of the name can
+// reset the history it could not read. A subdirectory without any
+// checkpoint file is still skipped.
+func TestDaemonBootRefusesCorruptTenant(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{DataDir: dataDir, CheckpointEvery: 2, Sync: wal.SyncAlways}
+	d := New(cfg)
+	loadAndUpdate(t, d.Handler(), 3)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dataDir, "unrelated"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	dir := d.tenantDir("pin")
+	paths, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.json"))
+	if err != nil || len(paths) < 2 {
+		t.Fatalf("want several checkpoints to damage: %v %v", paths, err)
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[bytes.Index(b, []byte("seen"))] ^= 0x01
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirBytes(t, dir)
+
+	d2 := New(cfg)
+	defer d2.Close()
+	names, err := d2.RecoverTenants(context.Background())
+	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("boot over a damaged tenant: names %v, err %v; want wal.ErrCorrupt naming %s", names, err, dir)
+	}
+	if len(names) != 0 || d2.Registry().Len() != 0 {
+		t.Fatalf("boot attached %v", names)
+	}
+	if after := dirBytes(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Fatal("a refused boot changed the tenant's directory")
+	}
+
+	// The same directory, undamaged, boots; the unrelated one is skipped.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	d3 := New(cfg)
+	defer d3.Close()
+	loadAndUpdate(t, d3.Handler(), 1)
+	if err := d3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d4 := New(cfg)
+	defer d4.Close()
+	if names, err := d4.RecoverTenants(context.Background()); err != nil || len(names) != 1 || names[0] != "pin" {
+		t.Fatalf("boot over a sound tenant and an unrelated directory: %v, %v", names, err)
+	}
+}
+
+// dirBytes reads every file of dir.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
 }

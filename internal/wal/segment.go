@@ -102,8 +102,8 @@ type DirResult struct {
 // earlier segment is still hard corruption. Sequence numbers must be
 // contiguous across segment boundaries (a missing middle segment is a
 // gap, not a tail). A pruned prefix (First > 1) adopts the first
-// surviving record's Prev as the chain anchor; callers authenticate that
-// anchor against a checkpoint (VerifyDir and core recovery both do).
+// surviving record's Prev as the chain anchor, which Open authenticates
+// against a checkpoint.
 func ReadAll(dir, genesis string, strict bool) (*DirResult, error) {
 	segs, err := ListSegments(dir)
 	if err != nil {
@@ -150,14 +150,14 @@ func ReadAll(dir, genesis string, strict bool) (*DirResult, error) {
 	return out, nil
 }
 
-// PruneCheckpoints deletes all but the newest keep checkpoint files.
+// pruneCheckpoints deletes all but the newest keep checkpoint files.
 // keep <= 0 keeps everything (the legacy unbounded layout). It returns
 // the number deleted and the Seq of the oldest retained checkpoint — the
-// cover point PruneSegments needs. On error the returned oldestSeq is 0,
+// cover point pruneSegments needs. On error the returned oldestSeq is 0,
 // which prunes nothing, so a failed checkpoint pass can never strand a
 // segment chain without its anchor.
-func PruneCheckpoints(dir string, keep int) (removed int, oldestSeq uint64, err error) {
-	cps, err := Checkpoints(dir)
+func pruneCheckpoints(dir string, keep int) (removed int, oldestSeq uint64, err error) {
+	cps, err := readCheckpoints(dir)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -169,7 +169,7 @@ func PruneCheckpoints(dir string, keep int) (removed int, oldestSeq uint64, err 
 	}
 	cut := len(cps) - keep
 	for _, cp := range cps[:cut] {
-		if err := RemoveCheckpoint(dir, cp.Version); err != nil {
+		if err := removeCheckpoint(dir, cp.Version); err != nil {
 			return removed, 0, err
 		}
 		removed++
@@ -181,7 +181,7 @@ func PruneCheckpoints(dir string, keep int) (removed int, oldestSeq uint64, err 
 	return removed, cps[cut].Seq, nil
 }
 
-// PruneSegments deletes every segment whose records are all covered by a
+// pruneSegments deletes every segment whose records are all covered by a
 // checkpoint at sequence cpSeq — i.e. whose last record's seq (the next
 // segment's First - 1, derived from file names alone) is <= cpSeq. The
 // final segment is never deleted: it is the writer's open append target
@@ -189,7 +189,7 @@ func PruneCheckpoints(dir string, keep int) (removed int, oldestSeq uint64, err 
 // first and pass the oldest retained checkpoint's Seq, which preserves
 // the invariant that every retained checkpoint anchors the retained
 // chain (its Seq >= new First - 1).
-func PruneSegments(dir string, cpSeq uint64) (removed int, err error) {
+func pruneSegments(dir string, cpSeq uint64) (removed int, err error) {
 	segs, err := ListSegments(dir)
 	if err != nil {
 		return 0, err

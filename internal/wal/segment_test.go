@@ -173,7 +173,7 @@ func TestPruneSegmentsAndCheckpoints(t *testing.T) {
 	}
 	// Keep the newest 2 checkpoints: the genesis checkpoint goes, the
 	// oldest retained sits at seq 6.
-	removed, oldest, err := PruneCheckpoints(dir, 2)
+	removed, oldest, err := pruneCheckpoints(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPruneSegmentsAndCheckpoints(t *testing.T) {
 	}
 	// Segments wal.log(1..3) and wal-4(4..6) are covered by seq 6;
 	// wal-7(7..9) is not (its last record is 9 > 6), wal-10 is final.
-	n, err := PruneSegments(dir, oldest)
+	n, err := pruneSegments(dir, oldest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +206,10 @@ func TestPruneSegmentsAndCheckpoints(t *testing.T) {
 		t.Fatalf("VerifyDir after prune: %+v", vr)
 	}
 	// Remove the anchoring checkpoint: the chain loses its witness.
-	if err := RemoveCheckpoint(dir, 6); err != nil {
+	if err := removeCheckpoint(dir, 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := RemoveCheckpoint(dir, 9); err != nil {
+	if err := removeCheckpoint(dir, 9); err != nil {
 		t.Fatal(err)
 	}
 	cp := &Checkpoint{Name: "tn", Version: 5, Seq: 5, ChainHead: recs[4].Hash, Program: "p(c0)."}
@@ -227,7 +227,7 @@ func TestPruneNeverTouchesFinalSegment(t *testing.T) {
 	if len(segs) != 1 {
 		t.Fatalf("want a single segment, got %d", len(segs))
 	}
-	n, err := PruneSegments(dir, 99)
+	n, err := pruneSegments(dir, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestPruneNeverTouchesFinalSegment(t *testing.T) {
 
 func TestResetRemovesSegments(t *testing.T) {
 	dir, _ := writeSegmented(t, "tn", 10, LogOptions{RotateRecords: 3})
-	if err := Reset(dir); err != nil {
+	if err := reset(dir); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := ListSegments(dir)

@@ -33,9 +33,12 @@
 //
 // Checkpoints are written atomically (temp file, fsync, rename) and carry
 // the rendered effective program text at a version together with the
-// record count (Seq) and chain head at that point, so recovery is: pick
-// the newest checkpoint consistent with the surviving log, reparse its
-// program, replay the record suffix, verify the chain end to end.
+// record count (Seq) and chain head at that point.
+//
+// Open is the one reader of a directory and decides how its files fit
+// together, so recovery, AsOf from disk, `ordlog wal verify` and daemon
+// boot, thin policies over it, give one verdict on the same bytes. Create
+// and Log.Checkpoint are the write side.
 package wal
 
 import (
@@ -49,8 +52,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -581,170 +582,4 @@ func syncDir(dir string) error {
 	}
 	mErrDirsync.Inc()
 	return fmt.Errorf("wal: sync dir %s: %w", dir, err)
-}
-
-// Checkpoints reads every checkpoint in dir, sorted ascending by version.
-// Leftover .tmp files from interrupted writes are ignored; an unreadable
-// published checkpoint is corruption.
-func Checkpoints(dir string) ([]Checkpoint, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []Checkpoint
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "checkpoint-") || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		var cp Checkpoint
-		if err := json.Unmarshal(b, &cp); err != nil {
-			return nil, fmt.Errorf("%w: checkpoint %s: %v", ErrCorrupt, name, err)
-		}
-		if cp.Sum != cp.checksum() {
-			return nil, fmt.Errorf("%w: checkpoint %s: integrity sum mismatch", ErrCorrupt, name)
-		}
-		out = append(out, cp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
-	return out, nil
-}
-
-// Reset removes all WAL state (log, checkpoints, leftover temp files)
-// from dir, which must exist. NewEngineCtx-style fresh starts call it so a
-// replaced tenant's history cannot bleed into its successor's chain.
-func Reset(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		_, isSeg := parseSegmentName(name)
-		if name == LogName || isSeg || strings.HasPrefix(name, "checkpoint-") {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// RemoveCheckpoint deletes the checkpoint file for version; a missing
-// file is not an error. Recovery uses it to prune checkpoints that claim
-// records a crash destroyed, so the directory verifies cleanly afterwards.
-func RemoveCheckpoint(dir string, version uint64) error {
-	err := os.Remove(checkpointPath(dir, version))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
-// IsDurabilityDir reports whether dir holds WAL state (at least one
-// checkpoint): the recovery scan uses it to skip unrelated directories.
-func IsDurabilityDir(dir string) bool {
-	cps, err := Checkpoints(dir)
-	return err == nil && len(cps) > 0
-}
-
-// VerifyResult summarises a successful VerifyDir.
-type VerifyResult struct {
-	Name        string
-	Records     int
-	Segments    int
-	FirstSeq    uint64 // seq of the first retained record (> 1 after retention pruning)
-	Checkpoints int
-	Version     uint64 // version at the chain tip (last record, or newest checkpoint)
-	Head        string // chain head hash
-}
-
-// VerifyDir strictly verifies a durability directory end to end: every
-// record's CRC and chain hash across the whole segment chain (a single
-// flipped byte anywhere fails), plus every checkpoint's consistency with
-// the chain (its Seq within the retained range, its ChainHead equal to
-// the hash at that point, its Version equal to that record's). A chain
-// whose prefix was pruned by retention is anchored at a checkpoint whose
-// Seq is the pruned length and whose ChainHead the surviving records
-// extend; a pruned chain without such an anchor is corruption. Program
-// text is not parsed here — cmd/ordlog's `wal verify` layers that on top.
-func VerifyDir(dir string) (*VerifyResult, error) {
-	cps, err := Checkpoints(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(cps) == 0 {
-		return nil, fmt.Errorf("wal: %s: no checkpoint (not a durability directory)", dir)
-	}
-	name := cps[0].Name
-	for _, cp := range cps {
-		if cp.Name != name {
-			return nil, fmt.Errorf("%w: checkpoints disagree on tenant name (%q vs %q)", ErrCorrupt, name, cp.Name)
-		}
-	}
-	genesis := Genesis(name)
-	res, err := ReadAll(dir, genesis, true)
-	if err != nil {
-		return nil, err
-	}
-	first := res.First
-	last := first - 1 + uint64(len(res.Records))
-	// anchor is the chain hash at seq first-1: the genesis for an intact
-	// chain, the adopted Prev of the first surviving record after pruning
-	// (authenticated below against a checkpoint), unknown when pruning
-	// left no records at all.
-	anchor := ""
-	switch {
-	case first == 1:
-		anchor = genesis
-	case len(res.Records) > 0:
-		anchor = res.Records[0].Prev
-	}
-	hashAt := func(seq uint64) (string, bool) {
-		switch {
-		case seq == first-1:
-			return anchor, anchor != ""
-		case seq >= first && seq <= last:
-			return res.Records[seq-first].Hash, true
-		}
-		return "", false
-	}
-	anchored := first == 1
-	for _, cp := range cps {
-		if cp.Seq < first-1 {
-			return nil, fmt.Errorf("%w: checkpoint v%d at seq %d predates the retained chain (first seq %d)", ErrCorrupt, cp.Version, cp.Seq, first)
-		}
-		if cp.Seq > last {
-			return nil, fmt.Errorf("%w: checkpoint v%d claims records through seq %d, log ends at %d", ErrCorrupt, cp.Version, cp.Seq, last)
-		}
-		if anchor == "" && cp.Seq == first-1 {
-			// No surviving records to adopt an anchor from: the
-			// checkpoint's recorded head is the only witness.
-			anchor = cp.ChainHead
-		}
-		h, ok := hashAt(cp.Seq)
-		if !ok || h != cp.ChainHead {
-			return nil, fmt.Errorf("%w: checkpoint v%d chain head mismatch at seq %d", ErrCorrupt, cp.Version, cp.Seq)
-		}
-		if cp.Seq >= first && res.Records[cp.Seq-first].Version != cp.Version {
-			return nil, fmt.Errorf("%w: checkpoint v%d sits at record version %d", ErrCorrupt, cp.Version, res.Records[cp.Seq-first].Version)
-		}
-		// Any checkpoint whose ChainHead matches a hash in [first-1, last]
-		// authenticates the adopted anchor transitively: each record's
-		// hash covers its Prev, back to the anchor itself.
-		anchored = true
-	}
-	if !anchored {
-		return nil, fmt.Errorf("%w: pruned chain starting at seq %d has no anchoring checkpoint", ErrCorrupt, first)
-	}
-	head, _ := hashAt(last)
-	out := &VerifyResult{Name: name, Records: len(res.Records), Segments: res.Segments, FirstSeq: first, Checkpoints: len(cps), Head: head, Version: cps[len(cps)-1].Version}
-	if len(res.Records) > 0 {
-		out.Version = res.Records[len(res.Records)-1].Version
-	}
-	return out, nil
 }

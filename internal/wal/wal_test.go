@@ -174,7 +174,7 @@ func TestCheckpointRoundtripAndVerify(t *testing.T) {
 	}
 	writeCP(0)
 	writeCP(4)
-	cps, err := Checkpoints(dir)
+	cps, err := readCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +191,8 @@ func TestCheckpointRoundtripAndVerify(t *testing.T) {
 	if res.Head != recs[5].Hash {
 		t.Fatalf("verify head %s, want %s", res.Head, recs[5].Hash)
 	}
-	if !IsDurabilityDir(dir) {
-		t.Fatal("directory with checkpoints not recognised")
-	}
-	if IsDurabilityDir(t.TempDir()) {
-		t.Fatal("empty directory recognised as durability dir")
+	if _, err := Open(t.TempDir(), false); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("empty directory: got %v, want ErrNotDurable", err)
 	}
 }
 
@@ -281,11 +278,11 @@ func TestReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = recs
-	if err := Reset(dir); err != nil {
+	if err := reset(dir); err != nil {
 		t.Fatal(err)
 	}
-	if IsDurabilityDir(dir) {
-		t.Fatal("reset directory still recognised as durability dir")
+	if _, err := Open(dir, false); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("reset directory: got %v, want ErrNotDurable", err)
 	}
 	res, err := ReadAll(dir, Genesis("tn"), true)
 	if err != nil || len(res.Records) != 0 {
