@@ -43,8 +43,10 @@ func (s *Snapshot) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bo
 
 // ProveExplainCtx returns the rendered derivation tree of the literal as
 // of this snapshot, or ok=false when it is not in the least model (see
-// Engine.ProveExplainCtx). The tree is read off the V stages of the
-// component's full view.
+// Engine.ProveExplainCtx). Membership is read from the component's
+// memoised least model, so a non-member costs no stage run; a member's
+// tree is read off the V stages of the component's full view, which the
+// component state keeps from its first explanation on.
 func (s *Snapshot) ProveExplainCtx(ctx context.Context, comp string, l ast.Literal) (string, bool, error) {
 	i, err := s.resolve(comp)
 	if err != nil {
@@ -54,11 +56,20 @@ func (s *Snapshot) ProveExplainCtx(ctx context.Context, comp string, l ast.Liter
 		return "", false, fmt.Errorf("core: ProveExplain needs a ground literal, got %s", l)
 	}
 	id, ok := s.gp.Tab.Lookup(l.Atom)
-	if !ok {
+	if !ok || int(id) >= s.nAtoms { // an atom a later version interned
 		return "", false, nil
 	}
-	v := s.viewAt(i)
-	tree, ok, err := proof.ExplainCtx(ctx, v, interp.MkLit(id, l.Neg))
+	lit := interp.MkLit(id, l.Neg)
+	v := s.viewAt(i) // first, so a cold model's fixpoint runs over it
+	m, err := s.leastModel(ctx, i)
+	if err != nil || !m.in.HasLit(lit) {
+		return "", false, err
+	}
+	stages, err := s.comp(i).stagesOf(ctx, v)
+	if err != nil {
+		return "", false, err
+	}
+	tree, ok, err := proof.Explain(v, stages, lit)
 	if err != nil || !ok {
 		return "", false, err
 	}
@@ -94,8 +105,9 @@ func (e *Engine) ProveCtx(ctx context.Context, comp string, l ast.Literal) (bool
 
 // ProveExplainCtx returns, for a literal of the least model, the rendered
 // derivation tree: the firing rule, its body subproofs, and one blocking
-// proof per competitor. The stage computation the tree is read from polls
-// the context once per round.
+// proof per competitor. A component's first explanation in a version runs
+// the fixpoint that records the stages the tree is read from, honouring
+// the context as LeastModelCtx does; later ones reuse them.
 func (e *Engine) ProveExplainCtx(ctx context.Context, comp string, l ast.Literal) (string, bool, error) {
 	return e.Current().ProveExplainCtx(ctx, comp, l)
 }

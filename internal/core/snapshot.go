@@ -89,7 +89,8 @@ type Snapshot struct {
 // construct-once/read-many under a sync.Once; the least model uses the
 // channel-based singleflight of lazyCell so waiters can honour their own
 // contexts. Once built, both are read-only; a proof is a lookup in the
-// model. Snapshots whose visible rules agree for a component share one
+// model, and an explanation reads the stages its first one recorded.
+// Snapshots whose visible rules agree for a component share one
 // compState, so an update carries the unaffected memos over to the new
 // version.
 type compState struct {
@@ -97,6 +98,9 @@ type compState struct {
 	view     atomic.Pointer[eval.View]
 
 	least lazyCell[*Model]
+	// stages are the view's V stages (eval.View.StagesCtx), set by the
+	// state's first explanation (stagesOf) and nil until then.
+	stages atomic.Pointer[[]int32]
 	// carry is what the writes since the nearest computed model of the
 	// component left for deriving this state's model from it (cone.go);
 	// nil once the model is computed, and when no ancestor's was.
@@ -199,6 +203,21 @@ func (st *compState) viewOf(gp *ground.Program, i int, rules ground.Instances, d
 	})
 	countView(built)
 	return st.view.Load()
+}
+
+// stagesOf returns the V stages of v, the state's view, computing them on
+// first use. Concurrent first explanations may each compute them; the
+// first to finish is kept.
+func (st *compState) stagesOf(ctx context.Context, v *eval.View) ([]int32, error) {
+	if p := st.stages.Load(); p != nil {
+		return *p, nil
+	}
+	stages, err := v.StagesCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	st.stages.CompareAndSwap(nil, &stages)
+	return *st.stages.Load(), nil
 }
 
 // modelOf wraps component i's least model as of s. The model keeps no

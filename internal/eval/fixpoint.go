@@ -21,24 +21,6 @@ const checkStride = 256
 // per-run allocation to evaluation.
 var kindScratch = sync.Pool{New: func() any { return new([]int32) }}
 
-// VOnce applies the ordered immediate transformation V once (Definition 4):
-// it returns the set of head literals of rules that are applicable and
-// neither overruled nor defeated w.r.t. in. The result is a fresh
-// interpretation; an inconsistent result (possible only for interpretations
-// that are not reachable from ∅) is reported as an error.
-func (v *View) VOnce(in *interp.Interp) (*interp.Interp, error) {
-	out := v.NewInterp()
-	for r := 0; r < len(v.heads); r++ {
-		if !v.Applicable(r, in) || v.Overruled(r, in) || v.Defeated(r, in) {
-			continue
-		}
-		if !out.AddLit(v.heads[r]) {
-			return nil, fmt.Errorf("eval: V produced inconsistent pair on %s", v.G.Tab.LitString(v.heads[r]))
-		}
-	}
-	return out, nil
-}
-
 // LeastModelCtx computes lfp(V) — the least model of the program in the
 // view's component (Proposition 1, Theorem 1(b)) — with a semi-naive
 // algorithm.
@@ -66,6 +48,32 @@ func (v *View) LeastModelCtx(ctx context.Context) (*interp.Interp, error) {
 // splitting set evaluated elsewhere. The result holds seed. With a nil
 // seed it is lfp(V) itself.
 func (v *View) LeastModelFromCtx(ctx context.Context, seed []interp.Lit) (*interp.Interp, error) {
+	return v.leastFrom(ctx, seed, nil)
+}
+
+// StagesCtx runs LeastModelCtx's fixpoint and returns each literal's
+// stage, indexed by int(Lit): the round k at which the literal first
+// appears in V↑k(∅), the naive iteration of Definition 4, and 0 for a
+// literal outside lfp(V). Explanations read their well-founded order off
+// it.
+//
+// The worklist is FIFO, so it pops literals in nondecreasing stage order:
+// a rule's last condition — a body literal, or the first blocker of its
+// last live competitor — is met by the pop of a literal at the largest
+// stage among its conditions, and the rule fires one stage later. The
+// rules that fire on ∅ give stage 1.
+func (v *View) StagesCtx(ctx context.Context) ([]int32, error) {
+	stages := make([]int32, 2*v.nAtoms)
+	if _, err := v.leastFrom(ctx, nil, stages); err != nil {
+		return nil, err
+	}
+	return stages, nil
+}
+
+// leastFrom is the semi-naive fixpoint of LeastModelFromCtx; with a
+// non-nil stages (and a nil seed) it also records each derived literal's
+// stage there.
+func (v *View) leastFrom(ctx context.Context, seed []interp.Lit, stages []int32) (*interp.Interp, error) {
 	const stage = "eval: semi-naive fixpoint"
 	if err := interrupt.Check(ctx, stage); err != nil {
 		return nil, err
@@ -120,6 +128,8 @@ func (v *View) LeastModelFromCtx(ctx context.Context, seed []interp.Lit) (*inter
 		liveOver, liveDef = v.liveOverInit, v.liveDefInit
 	}
 
+	// at is the stage a head derived now enters at (StagesCtx).
+	at := int32(1)
 	fire := func(r int) error {
 		if fired[r] {
 			return nil
@@ -134,6 +144,9 @@ func (v *View) LeastModelFromCtx(ctx context.Context, seed []interp.Lit) (*inter
 			return fmt.Errorf("eval: least-model fixpoint derived inconsistent pair on %s", v.G.Tab.LitString(h))
 		}
 		nDerived++
+		if stages != nil {
+			stages[h] = at
+		}
 		queue = append(queue, h)
 		return nil
 	}
@@ -160,6 +173,9 @@ func (v *View) LeastModelFromCtx(ctx context.Context, seed []interp.Lit) (*inter
 			}
 		}
 		lit := queue[head]
+		if stages != nil {
+			at = stages[lit] + 1
+		}
 		// The new literal satisfies body occurrences of itself...
 		for _, r := range v.bodyOcc(lit) {
 			unsat[r]--
@@ -243,48 +259,58 @@ func (v *View) LeastModelFromCtx(ctx context.Context, seed []interp.Lit) (*inter
 // rules of ground(C*) w.r.t. m (Definition 8, Lemma 2). The result is
 // always a subset of m.
 func (v *View) TEnabled(m *interp.Interp) *interp.Interp {
-	// Collect applied rules once, then run a counter-based fixpoint over
-	// them treating literals as opaque tokens.
-	type arule struct {
-		head interp.Lit
-		body []interp.Lit
-	}
-	var applied []arule
-	for r := 0; r < len(v.heads); r++ {
-		if v.Applied(r, m) {
-			applied = append(applied, arule{v.heads[r], v.Body(r)})
+	pos, neg := interp.NewBitset(v.nAtoms), interp.NewBitset(v.nAtoms)
+	v.lfpT(m, pos, neg)
+	// The heads of applied rules are members of the consistent m, so
+	// pos and neg are disjoint.
+	return interp.FromBitsets(v.G.Tab, pos, neg)
+}
+
+// Possible computes lfp(T) over every visible rule, ignoring overruling
+// and defeat and tracking the two signs independently: a literal outside
+// it is in no assumption-free model, since no enabled version can derive
+// it.
+func (v *View) Possible() (pos, neg *interp.Bitset) {
+	pos, neg = interp.NewBitset(v.nAtoms), interp.NewBitset(v.nAtoms)
+	v.lfpT(nil, pos, neg)
+	return pos, neg
+}
+
+// lfpT is the one fixpoint of T (Definition 8) over a set of visible
+// rules: m's applied rules, or every rule when m is nil. It adds the
+// derived literals to pos and neg, one bit per atom and sign, so a literal
+// and its complement may both be derived. It is semi-naive: a rule's count
+// of underived body occurrences drops as its body literals are derived,
+// and it fires at zero; a rule outside the set starts below zero and never
+// fires.
+func (v *View) lfpT(m *interp.Interp, pos, neg *interp.Bitset) {
+	n := len(v.heads)
+	unsat := make([]int32, n)
+	queue := make([]interp.Lit, 0, n)
+	derive := func(l interp.Lit) {
+		b := pos
+		if l.Neg() {
+			b = neg
 		}
-	}
-	out := v.NewInterp()
-	occ := make(map[interp.Lit][]int32)
-	unsat := make([]int32, len(applied))
-	var queue []interp.Lit
-	add := func(l interp.Lit) {
-		if !out.HasLit(l) {
-			// Heads of applied rules are members of the consistent m, so
-			// AddLit cannot fail.
-			out.AddLit(l)
+		if a := int(l.Atom()); !b.Get(a) {
+			b.Set(a)
 			queue = append(queue, l)
 		}
 	}
-	for i, r := range applied {
-		unsat[i] = int32(len(r.body))
-		for _, l := range r.body {
-			occ[l] = append(occ[l], int32(i))
+	for r := 0; r < n; r++ {
+		if m != nil && !v.Applied(r, m) {
+			unsat[r] = -1
+			continue
 		}
-		if len(r.body) == 0 {
-			add(r.head)
+		if unsat[r] = v.bodyOff[r+1] - v.bodyOff[r]; unsat[r] == 0 {
+			derive(v.heads[r])
 		}
 	}
-	for len(queue) > 0 {
-		l := queue[0]
-		queue = queue[1:]
-		for _, i := range occ[l] {
-			unsat[i]--
-			if unsat[i] == 0 {
-				add(applied[i].head)
+	for head := 0; head < len(queue); head++ {
+		for _, r := range v.bodyOcc(queue[head]) {
+			if unsat[r]--; unsat[r] == 0 {
+				derive(v.heads[r])
 			}
 		}
 	}
-	return out
 }

@@ -76,8 +76,8 @@ func TestLemma1Monotone(t *testing.T) {
 						big.AddLit(interp.MkLit(id, rng.Intn(2) == 0))
 					}
 				}
-				vs, err1 := v.VOnce(small)
-				vb, err2 := v.VOnce(big)
+				vs, err1 := naive.VOnce(v, small)
+				vb, err2 := naive.VOnce(v, big)
 				if err1 != nil || err2 != nil {
 					// V of an arbitrary interpretation may derive a
 					// complementary pair; monotonicity as set inclusion is

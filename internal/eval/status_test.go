@@ -165,21 +165,21 @@ func TestTEnabledDirect(t *testing.T) {
 func TestVOnceBehaviour(t *testing.T) {
 	v := view(t, "a.\nb :- a.\n", "main", ground.ModeFull)
 	s0 := v.NewInterp()
-	s1, err := v.VOnce(s0)
+	s1, err := naive.VOnce(v, s0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1.String() != "{a}" {
 		t.Errorf("V(∅) = %s", s1)
 	}
-	s2, err := v.VOnce(s1)
+	s2, err := naive.VOnce(v, s1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.String() != "{a, b}" {
 		t.Errorf("V(V(∅)) = %s", s2)
 	}
-	s3, err := v.VOnce(s2)
+	s3, err := naive.VOnce(v, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestVOnceInconsistentInput(t *testing.T) {
 	// other (both non-blocked)... b's rule is blocked? blocked needs -b or
 	// -c in I; neither, so both defeat each other and V derives nothing —
 	// no inconsistency arises here.
-	out, err := v.VOnce(in)
+	out, err := naive.VOnce(v, in)
 	if err != nil {
 		t.Fatalf("VOnce: %v", err)
 	}

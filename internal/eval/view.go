@@ -34,10 +34,10 @@ import (
 // threatOff/threatMid/threat — is built once inside NewViewAt and never
 // mutated afterwards (construct-once/read-many). A *View is therefore safe
 // for unsynchronised sharing across goroutines; all evaluation methods
-// (VOnce, LeastModelCtx, TEnabled, IsModel, the Definition 2 status checks)
-// allocate their mutable state per call. Any future lazily built index must
-// either move into NewViewAt or be guarded, or it breaks core.Engine's
-// concurrency contract.
+// (LeastModelCtx, StagesCtx, TEnabled, Possible, IsModel, the Definition 2
+// status checks) allocate their mutable state per call. Any future lazily
+// built index must either move into NewViewAt or be guarded, or it breaks
+// core.Engine's concurrency contract.
 type View struct {
 	G    *ground.Program
 	Comp int // target component position

@@ -49,6 +49,12 @@ func NewSized(tab *Table, n int) *Interp {
 	return &Interp{tab: tab, pos: NewBitset(n), neg: NewBitset(n)}
 }
 
+// FromBitsets returns the interpretation holding the atoms of pos true and
+// those of neg false. It takes both bitsets over; they must be disjoint.
+func FromBitsets(tab *Table, pos, neg *Bitset) *Interp {
+	return &Interp{tab: tab, pos: pos, neg: neg}
+}
+
 // Value returns the truth value of atom id.
 func (in *Interp) Value(id AtomID) Value {
 	switch {

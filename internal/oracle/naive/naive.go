@@ -1,8 +1,8 @@
 // Package naive holds the brute-force oracles the evaluation engine is
-// checked against: lfp(V) by iterating Definition 4's V from the empty
-// interpretation, Definition 7's assumption-free test by searching for an
-// assumption set, and the exhaustive enumeration of every model of
-// Definition 3. Each is exponential or quadratic where the engine is
+// checked against: lfp(V) and its stages by iterating Definition 4's V
+// from the empty interpretation, lfp(T) by sweeping the rules round-robin,
+// Definition 7's assumption-free test by searching for an assumption set,
+// and the exhaustive enumeration of every model of Definition 3. Each is exponential or quadratic where the engine is
 // linear, and each is written from the paper's definitions rather than
 // from the engine's worklists. Only tests and benchmark/ import it.
 package naive
@@ -33,29 +33,100 @@ func NewViewByName(g *ground.Program, name string) (*eval.View, error) {
 	return eval.NewView(g, i), nil
 }
 
-// LeastModelNaiveCtx computes lfp(V) by iterating v.VOnce from the empty
+// VOnce applies the ordered immediate transformation V once (Definition 4):
+// it returns the set of head literals of rules that are applicable and
+// neither overruled nor defeated w.r.t. in. The result is a fresh
+// interpretation; an inconsistent result (possible only for interpretations
+// that are not reachable from ∅) is reported as an error.
+func VOnce(v *eval.View, in *interp.Interp) (*interp.Interp, error) {
+	out := v.NewInterp()
+	for r := 0; r < v.NumRules(); r++ {
+		if !v.Applicable(r, in) || v.Overruled(r, in) || v.Defeated(r, in) {
+			continue
+		}
+		if !out.AddLit(v.Head(r)) {
+			return nil, fmt.Errorf("naive: V produced inconsistent pair on %s", v.G.Tab.LitString(v.Head(r)))
+		}
+	}
+	return out, nil
+}
+
+// LeastModelNaiveCtx computes lfp(V) by iterating VOnce from the empty
 // interpretation, with a cancellation checkpoint per round. It is the
 // reference the semi-naive eval.View.LeastModelCtx is checked against.
 func LeastModelNaiveCtx(ctx context.Context, v *eval.View) (*interp.Interp, error) {
+	in, _, err := StagesNaiveCtx(ctx, v)
+	return in, err
+}
+
+// StagesNaiveCtx iterates VOnce from ∅ to lfp(V) and returns the fixpoint
+// with each member literal's stage: the round, from 1, at which it first
+// appears. It is the reference eval.View.StagesCtx is checked against.
+func StagesNaiveCtx(ctx context.Context, v *eval.View) (*interp.Interp, map[interp.Lit]int32, error) {
+	stages := make(map[interp.Lit]int32)
 	in := v.NewInterp()
-	for {
+	for round := int32(1); ; round++ {
 		if err := interrupt.Check(ctx, "naive: fixpoint round"); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		next, err := v.VOnce(in)
+		next, err := VOnce(v, in)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// V is monotone (Lemma 1), so iterating from ∅ the stages grow;
 		// union keeps the code robust even on a non-inflationary step.
 		if next.SubsetOf(in) {
-			return in, nil
+			return in, stages, nil
+		}
+		for _, l := range next.Lits() {
+			if !in.HasLit(l) {
+				stages[l] = round
+			}
 		}
 		if !next.UnionWith(in) {
-			return nil, fmt.Errorf("naive: inconsistent V stage")
+			return nil, nil, fmt.Errorf("naive: inconsistent V stage")
 		}
 		in = next
 	}
+}
+
+// TClosure computes lfp(T) over m's applied rules, or over every visible
+// rule when m is nil, by sweeping the rules in order until a sweep derives
+// nothing; the two signs are kept apart, as eval.View.Possible keeps them.
+// It is the reference TEnabled and Possible are checked against.
+func TClosure(v *eval.View, m *interp.Interp) (pos, neg *interp.Bitset) {
+	n := v.NumAtoms()
+	pos, neg = interp.NewBitset(n), interp.NewBitset(n)
+	has := func(l interp.Lit) bool {
+		if l.Neg() {
+			return neg.Get(int(l.Atom()))
+		}
+		return pos.Get(int(l.Atom()))
+	}
+	for changed := true; changed; {
+		changed = false
+		for r := 0; r < v.NumRules(); r++ {
+			if has(v.Head(r)) || m != nil && !v.Applied(r, m) {
+				continue
+			}
+			ok := true
+			for _, b := range v.Body(r) {
+				if !has(b) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				if h := v.Head(r); h.Neg() {
+					neg.Set(int(h.Atom()))
+				} else {
+					pos.Set(int(h.Atom()))
+				}
+				changed = true
+			}
+		}
+	}
+	return pos, neg
 }
 
 // IsAssumptionFreeDirect checks Definition 7 directly: m is a model and no

@@ -1,6 +1,7 @@
 // Cancellation checkpoints of the goal-directed prover: a dead context
-// fails ProveCtx/ExplainCtx with the interrupt sentinel, and the prover
-// (with its memo tables) remains usable afterwards.
+// fails ProveCtx, and the stage run explanations are read from, with the
+// interrupt sentinel, and the prover (with its memo tables) remains usable
+// afterwards.
 package proof_test
 
 import (
@@ -42,8 +43,8 @@ module c1 extends c2 {
 	if _, err := pr.ProveCtx(ctx, goal); !errors.Is(err, interrupt.ErrInterrupted) {
 		t.Fatalf("ProveCtx: err = %v, want ErrInterrupted", err)
 	}
-	if _, _, err := proof.ExplainCtx(ctx, v, goal); !errors.Is(err, interrupt.ErrInterrupted) {
-		t.Fatalf("ExplainCtx: err = %v, want ErrInterrupted", err)
+	if _, err := v.StagesCtx(ctx); !errors.Is(err, interrupt.ErrInterrupted) {
+		t.Fatalf("StagesCtx: err = %v, want ErrInterrupted", err)
 	}
 	// The prover survives an interrupted call: a live context proves the
 	// same goal.

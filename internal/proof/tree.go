@@ -2,20 +2,19 @@
 // for ordered logic programs: why a ground literal is in lfp(V) of a
 // component, as the rule instance that derives it, the trees of its body
 // literals, and one refuted body literal per competitor. The tree is read
-// off the naive V stages of the component's view, so every subtree's goal
-// enters the fixpoint strictly before its parent's. Membership itself is
-// decided by the least model; the [LV] top-down proof procedure lives in
-// this package's tests as an oracle checked against it.
+// off the V stages the component's semi-naive fixpoint records
+// (eval.View.StagesCtx), so every subtree's goal enters the fixpoint
+// strictly before its parent's. Membership itself is decided by the least
+// model; the [LV] top-down proof procedure lives in this package's tests
+// as an oracle checked against it.
 package proof
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/eval"
 	"repro/internal/interp"
-	"repro/internal/interrupt"
 )
 
 // Tree is a derivation tree witnessing least-model membership: the goal
@@ -40,27 +39,17 @@ type Refutation struct {
 	Blocker    *Tree
 }
 
-// ExplainCtx returns the derivation tree of the literal in the view's
-// component, or ok=false when the literal is not in the least model. The
-// witness is stage-respecting: every subtree's goal enters the fixpoint at
-// a strictly earlier V stage than its parent, so the justification is
-// well-founded (never circular) regardless of rule ordering. Shared
-// subproofs make the tree a DAG; rendering elides repeats. The stage
-// computation polls the context once per round.
-func ExplainCtx(ctx context.Context, v *eval.View, l interp.Lit) (*Tree, bool, error) {
-	stages, err := stagesOf(ctx, v, l)
-	if err != nil {
-		return nil, false, err
-	}
-	return explainFrom(v, l, stages)
-}
-
-// explainFrom builds the tree of l from stages that hold every literal
-// entering the fixpoint up to l's stage. build and earlyBlocker read only
-// literals staged strictly below their goal's, so stages past l's change
-// nothing.
-func explainFrom(v *eval.View, l interp.Lit, stages map[interp.Lit]int) (*Tree, bool, error) {
-	if _, ok := stages[l]; !ok {
+// Explain returns the derivation tree of the literal in the view's
+// component, or ok=false when the literal is not in the least model.
+// stages are the view's V stages (eval.View.StagesCtx): stages[l] is the
+// round at which l enters lfp(V), 0 outside it. The witness is
+// stage-respecting: every subtree's goal enters the fixpoint at a strictly
+// earlier stage than its parent, so the justification is well-founded
+// (never circular) regardless of rule ordering. Shared subproofs make the
+// tree a DAG; rendering elides repeats. It costs O(tree): build and
+// earlyBlocker read only the stages of the literals they visit.
+func Explain(v *eval.View, stages []int32, l interp.Lit) (*Tree, bool, error) {
+	if int(l) >= len(stages) || stages[l] == 0 {
 		return nil, false, nil
 	}
 	memo := make(map[interp.Lit]*Tree)
@@ -78,7 +67,7 @@ func explainFrom(v *eval.View, l interp.Lit, stages map[interp.Lit]int) (*Tree, 
 			// The rule must fire strictly below the goal's stage: body
 			// literals and one blocker per competitor all at < goalStage.
 			for _, b := range v.Body(r) {
-				if s, ok := stages[b]; !ok || s >= goalStage {
+				if s := stages[b]; s == 0 || s >= goalStage {
 					continue rules
 				}
 			}
@@ -114,40 +103,11 @@ func explainFrom(v *eval.View, l interp.Lit, stages map[interp.Lit]int) (*Tree, 
 	return t, err == nil, err
 }
 
-// stagesOf computes, for every literal of lfp(V) up to the goal's stage,
-// the V iteration at which it first appears (1-based): it stops after the
-// round the goal enters, or at the fixpoint when the goal never does.
-func stagesOf(ctx context.Context, v *eval.View, goal interp.Lit) (map[interp.Lit]int, error) {
-	stages := make(map[interp.Lit]int)
-	cur := v.NewInterp()
-	for round := 1; ; round++ {
-		if err := interrupt.Check(ctx, "proof: stage computation"); err != nil {
-			return nil, err
-		}
-		next, err := v.VOnce(cur)
-		if err != nil {
-			return nil, err
-		}
-		changed := false
-		for _, l := range next.Lits() {
-			if _, ok := stages[l]; !ok {
-				stages[l] = round
-				changed = true
-			}
-		}
-		if _, done := stages[goal]; done || !changed {
-			return stages, nil
-		}
-		next.UnionWith(cur)
-		cur = next
-	}
-}
-
 // earlyBlocker finds a body literal of competitor c whose complement
 // enters the fixpoint strictly before the given stage.
-func earlyBlocker(v *eval.View, c int, stages map[interp.Lit]int, before int) (interp.Lit, bool) {
+func earlyBlocker(v *eval.View, c int, stages []int32, before int32) (interp.Lit, bool) {
 	for _, b := range v.Body(c) {
-		if s, ok := stages[b.Complement()]; ok && s < before {
+		if s := stages[b.Complement()]; s != 0 && s < before {
 			return b.Complement(), true
 		}
 	}

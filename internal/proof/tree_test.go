@@ -27,6 +27,16 @@ func litOf(t *testing.T, v *eval.View, s string) interp.Lit {
 	return interp.MkLit(id, l.Neg)
 }
 
+// explain reads l's tree off the stages of v's fixpoint.
+func explain(t *testing.T, v *eval.View, l interp.Lit) (*proof.Tree, bool, error) {
+	t.Helper()
+	stages, err := v.StagesCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return proof.Explain(v, stages, l)
+}
+
 func TestExplainTree(t *testing.T) {
 	v := viewOf(t, `
 module c2 {
@@ -38,7 +48,7 @@ module c1 extends c2 {
   -fly(X) :- ground_animal(X).
 }
 `, "c1")
-	tree, ok, err := proof.ExplainCtx(context.Background(), v, litOf(t, v, "-fly(penguin)"))
+	tree, ok, err := explain(t, v, litOf(t, v, "-fly(penguin)"))
 	if err != nil || !ok {
 		t.Fatalf("Explain: %v %v", ok, err)
 	}
@@ -53,7 +63,7 @@ module c1 extends c2 {
 		}
 	}
 	// The unprovable direction returns ok=false without a tree.
-	tree2, ok2, err := proof.ExplainCtx(context.Background(), v, litOf(t, v, "fly(penguin)"))
+	tree2, ok2, err := explain(t, v, litOf(t, v, "fly(penguin)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +81,7 @@ p.
 -p :- q.
 -q.
 `, "main")
-	tree, ok, err := proof.ExplainCtx(context.Background(), v, litOf(t, v, "p"))
+	tree, ok, err := explain(t, v, litOf(t, v, "p"))
 	if err != nil || !ok {
 		t.Fatalf("Explain(p): %v %v", ok, err)
 	}
@@ -100,7 +110,7 @@ func TestExplainConsistentWithProve(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, l := range least.Lits() {
-				tree, ok, err := proof.ExplainCtx(context.Background(), v, l)
+				tree, ok, err := explain(t, v, l)
 				if err != nil || !ok {
 					t.Fatalf("seed %d: Explain(%s) failed: %v %v", seed, g.Tab.LitString(l), ok, err)
 				}

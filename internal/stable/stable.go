@@ -45,55 +45,13 @@ func (o *Options) fill() {
 	}
 }
 
-// possible computes lfp(T) over all visible rules, ignoring overruling and
-// defeating and tracking the two signs independently: a literal outside the
-// result can belong to no assumption-free model (its enabled version could
-// never derive it).
-func possible(v *eval.View) (pos, neg *interp.Bitset) {
-	n := v.NumAtoms()
-	pos, neg = interp.NewBitset(n), interp.NewBitset(n)
-	has := func(l interp.Lit) bool {
-		if l.Neg() {
-			return neg.Get(int(l.Atom()))
-		}
-		return pos.Get(int(l.Atom()))
-	}
-	set := func(l interp.Lit) {
-		if l.Neg() {
-			neg.Set(int(l.Atom()))
-		} else {
-			pos.Set(int(l.Atom()))
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for r := 0; r < v.NumRules(); r++ {
-			if has(v.Head(r)) {
-				continue
-			}
-			ok := true
-			for _, b := range v.Body(r) {
-				if !has(b) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				set(v.Head(r))
-				changed = true
-			}
-		}
-	}
-	return pos, neg
-}
-
 // enumState drives the three-valued DFS: the whole search when it runs
 // in-line, one prefix task at a time inside a fan-out worker.
 type enumState struct {
 	v         *eval.View
 	opts      Options
 	least     *interp.Interp
-	posP      *interp.Bitset // literals derivable at all
+	posP      *interp.Bitset // literals derivable at all (View.Possible)
 	negP      *interp.Bitset
 	atoms     []interp.AtomID // branch atoms in ascending id order
 	branchPos []int           // atom id -> index in atoms, or -1
@@ -151,7 +109,7 @@ func AssumptionFreeModelsCtx(ctx context.Context, v *eval.View, opts Options) ([
 	if err != nil {
 		return nil, err
 	}
-	posP, negP := possible(v)
+	posP, negP := v.Possible()
 	st := &enumState{v: v, opts: opts, least: least, posP: posP, negP: negP, ctxDone: ctx.Done()}
 	st.branchPos = make([]int, v.NumAtoms())
 	for i := range st.branchPos {
