@@ -319,7 +319,7 @@ func TestProductionReachesEveryExport(t *testing.T) {
 // productionLineCeiling bounds the production code TestProductionLineBudget
 // counts. A change that deletes lowers it to the new count; one that must
 // raise it says by how much and why.
-const productionLineCeiling = 20588
+const productionLineCeiling = 20562
 
 // TestProductionLineBudget counts the lines of production Go — the
 // non-test files of internal/ outside internal/oracle, of cmd/ and

@@ -3,6 +3,13 @@
 
 package ast
 
+import "slices"
+
+// SortTerms sorts ts in the CompareTerms order.
+func SortTerms(ts []Term) {
+	slices.SortFunc(ts, CompareTerms)
+}
+
 // Negate returns the complementary comparison (e.g. < becomes >=).
 func (op CmpOp) Negate() CmpOp {
 	switch op {

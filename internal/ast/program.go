@@ -314,45 +314,6 @@ func (p *OrderedProgram) Constants() []Term {
 	return out
 }
 
-// Functors returns the function symbols (name/arity) occurring in program
-// terms, sorted.
-func (p *OrderedProgram) Functors() []PredKey {
-	seen := make(map[PredKey]bool)
-	var out []PredKey
-	var walk func(t Term)
-	walk = func(t Term) {
-		if c, ok := t.(Compound); ok {
-			k := PredKey{c.Functor, len(c.Args)}
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-			}
-			for _, a := range c.Args {
-				walk(a)
-			}
-		}
-	}
-	for _, c := range p.Components {
-		for _, r := range c.Rules {
-			for _, t := range r.Head.Atom.Args {
-				walk(t)
-			}
-			for _, l := range r.Body {
-				for _, t := range l.Atom.Args {
-					walk(t)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Arity < out[j].Arity
-	})
-	return out
-}
-
 // NumRules returns the total number of rules across all components.
 func (p *OrderedProgram) NumRules() int {
 	n := 0

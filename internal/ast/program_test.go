@@ -211,10 +211,6 @@ func TestProgramInventories(t *testing.T) {
 	if got := strings.Join(names, " "); got != "3 7 a b" {
 		t.Errorf("Constants = %q, want \"3 7 a b\"", got)
 	}
-	fns := p.Functors()
-	if len(fns) != 1 || fns[0].String() != "f/1" {
-		t.Errorf("Functors = %v", fns)
-	}
 	if p.NumRules() != 1 {
 		t.Errorf("NumRules = %d", p.NumRules())
 	}

@@ -14,7 +14,6 @@ package ast
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -350,9 +349,4 @@ func termRank(t Term) int {
 		return 3
 	}
 	return 4
-}
-
-// SortTerms sorts ts in the CompareTerms order.
-func SortTerms(ts []Term) {
-	slices.SortFunc(ts, CompareTerms)
 }

@@ -141,6 +141,62 @@ func corpusFamily(t *testing.T, rng *rand.Rand) *family {
 	return f
 }
 
+// dupFactFamily is a random program of two components whose ground facts
+// are often written twice in one component, over constants c0..c2 that
+// its rules mention too, and whose universal fact u(X) ranges over the
+// universe, so a constant's last occurrence shows in every model. Its
+// writes toggle the source's facts, and now and then one over a fresh c3.
+func dupFactFamily(t *testing.T, rng *rand.Rand) *family {
+	const comps, nconst = 2, 3
+	preds := []string{"p0", "p1", "e"}
+	atom := func(n int) string {
+		if pr := preds[rng.Intn(len(preds))]; pr != "e" {
+			return fmt.Sprintf("%s(c%d)", pr, rng.Intn(n))
+		}
+		return fmt.Sprintf("e(c%d, c%d)", rng.Intn(n), rng.Intn(n))
+	}
+	rules := []string{
+		"p1(X) :- e(X, c%d).",
+		"-p0(X) :- u(X), -p1(X).",
+		"p0(c%d) :- p1(X).",
+		"-t(X) :- u(X), e(c%d, X).",
+		"p1(X) :- e(X, Y), p0(Y).",
+	}
+	var b strings.Builder
+	f := &family{small: true}
+	var facts []factEvent
+	for ci := 0; ci < comps; ci++ {
+		fmt.Fprintf(&b, "module m%d {\n  u(X).\n", ci)
+		for k := 0; k < 3; k++ {
+			a := atom(nconst)
+			for n := 1 + rng.Intn(2); n > 0; n-- {
+				fmt.Fprintf(&b, "  %s.\n", a)
+			}
+			facts = append(facts, factEvent{comp: ci, lit: lit(t, a)})
+			r := rules[rng.Intn(len(rules))]
+			if strings.Contains(r, "%d") {
+				r = fmt.Sprintf(r, rng.Intn(nconst))
+			}
+			fmt.Fprintf(&b, "  %s\n", r)
+		}
+		b.WriteString("}\n")
+		f.comps = append(f.comps, fmt.Sprintf("m%d", ci))
+	}
+	if rng.Intn(2) == 0 {
+		b.WriteString("order m0 < m1.\n")
+	}
+	f.prog = mustProgram(t, b.String())
+	f.addGoals(t, "p0(X)", "-p0(X)", "p1(X)", "-t(X)", "u(X)", "e(X, Y)", "p0(c0)", "-t(c1)", "u(c2)")
+	f.write = func(rng *rand.Rand) (int, ast.Literal, bool) {
+		if rng.Intn(4) == 0 {
+			return rng.Intn(comps), lit(t, atom(nconst+1)), rng.Intn(2) == 0
+		}
+		w := facts[rng.Intn(len(facts))]
+		return w.comp, w.lit, rng.Intn(2) == 0
+	}
+	return f
+}
+
 // readsFamily is the serving benchmark's read tenant at (40, 20): goals in
 // the query-cold templates and fresh constants c41, h21 in its writes,
 // whose last retract regrounds.

@@ -10,7 +10,9 @@ import (
 // a source program, and the index of the ground facts in effect at the
 // log's end per component (built when an event first touches it), keyed
 // by the fact's text: every rendering reads back as what it renders, so
-// two facts share a key exactly when they are equal. Every fold of the
+// two facts share a key exactly when they are equal. keys holds, per
+// indexed component, the keys of its source fact rules in source order,
+// rendered once when the index is built. Every fold of the
 // history goes through it: the write path's no-op filter (apply), the
 // WAL's divergence check (replayWAL), compaction (collapsed) and the
 // program behind every reground, AsOf and checkpoint (program). The engine's history is its tip's, touched only under the
@@ -19,6 +21,7 @@ type history struct {
 	src   *ast.OrderedProgram
 	log   []factEvent
 	facts []map[string]fact
+	keys  [][]string
 }
 
 // factEvent is one entry of the update history. ver is the version the
@@ -45,7 +48,7 @@ const (
 // replay folds log over src. An event that changes nothing at its
 // position (a collapsed log keeps some) is still its fact's last event.
 func replay(src *ast.OrderedProgram, log []factEvent) *history {
-	h := &history{src: src, log: log, facts: make([]map[string]fact, len(src.Components))}
+	h := &history{src: src, log: log, facts: make([]map[string]fact, len(src.Components)), keys: make([][]string, len(src.Components))}
 	for i, ev := range log {
 		h.fold(ev, ev.lit.String(), int32(i))
 	}
@@ -57,12 +60,15 @@ func (h *history) index(ci int) map[string]fact {
 	idx := h.facts[ci]
 	if idx == nil {
 		idx = make(map[string]fact)
+		var keys []string
 		for _, r := range h.src.Components[ci].Rules {
 			if r.IsGroundFact() {
-				idx[r.Head.String()] = fact{at: inSource, last: -1}
+				k := r.Head.String()
+				idx[k] = fact{at: inSource, last: -1}
+				keys = append(keys, k)
 			}
 		}
-		h.facts[ci] = idx
+		h.facts[ci], h.keys[ci] = idx, keys
 	}
 	return idx
 }
@@ -168,10 +174,16 @@ func (h *history) rules(ci int) []*ast.Rule {
 		return slices.Clone(src)
 	}
 	out := make([]*ast.Rule, 0, len(src))
+	keys := h.keys[ci]
 	for _, r := range src {
-		if !r.IsGroundFact() || idx[r.Head.String()].at == inSource {
-			out = append(out, r)
+		if r.IsGroundFact() {
+			k := keys[0]
+			keys = keys[1:]
+			if idx[k].at != inSource {
+				continue
+			}
 		}
+		out = append(out, r)
 	}
 	var asserted []int32
 	for _, f := range idx {

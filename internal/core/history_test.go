@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/oracle/gen"
 	"repro/internal/parser"
 )
 
@@ -32,5 +33,32 @@ func TestFactKeyIsText(t *testing.T) {
 	}
 	if _, ok := replay(src, []factEvent{{lit: l}}).facts[0]["p(c0)"]; !ok {
 		t.Errorf("a parsed fact does not key as its text")
+	}
+}
+
+// TestHistoryRulesAllocs: the effective rules of a component the history
+// touched read the fact keys its index rendered, so their allocations do
+// not grow with the source facts: on policySource(1000) after one retract
+// from kb, as on policySource(2000), a few per call.
+func TestHistoryRulesAllocs(t *testing.T) {
+	var allocs []float64
+	for _, kb := range []int{1000, 2000} {
+		src, err := parser.ParseProgram(gen.PolicySource(kb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ci, _ := src.ComponentIndex("kb")
+		l, err := parser.ParseLiteral("p(c7)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := replay(src, []factEvent{{comp: ci, lit: l, retract: true}})
+		if n := len(h.rules(ci)); n != kb-1 {
+			t.Fatalf("kb=%d: %d effective rules, want %d", kb, n, kb-1)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, func() { h.rules(ci) }))
+	}
+	if allocs[0] > 2 || allocs[1] != allocs[0] {
+		t.Errorf("rules allocates %v times at kb = 1000 and 2000, want at most 2, equal", allocs)
 	}
 }

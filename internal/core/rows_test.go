@@ -43,6 +43,23 @@ func corpusCases(format string, seeds []int64, short int, ks ...int) func(bool) 
 	}
 }
 
+// dupCases are dupFactFamily's programs at the seeds, the first short of
+// them under -short, named by format over the seed's offset.
+func dupCases(format string, seeds []int64, short int) func(bool) []scriptCase {
+	return func(isShort bool) []scriptCase {
+		var out []scriptCase
+		for _, seed := range seeds[:map[bool]int{false: len(seeds), true: short}[isShort]] {
+			out = append(out, scriptCase{fmt.Sprintf(format, seed-seeds[0]), func(t *testing.T) *family { return dupFactFamily(t, rand.New(rand.NewSource(seed))) }, seed, 0})
+		}
+		return out
+	}
+}
+
+// both are the cases of a, then those of b.
+func both(a, b func(bool) []scriptCase) func(bool) []scriptCase {
+	return func(isShort bool) []scriptCase { return append(a(isShort), b(isShort)...) }
+}
+
 // servedCases are the read and write tenants at each tenant seed, then the
 // corpus cases.
 func servedCases(tenants string, tenantSeeds []int64, corpus func(bool) []scriptCase) func(bool) []scriptCase {
@@ -95,9 +112,10 @@ func snapRow(t *testing.T, writes []string, want ...string) {
 
 // Incremental maintenance: after every write every component's least
 // model equals the oracle's, and the memoised model a rebuild over the
-// snapshot; the AF and stable models of the last version too.
+// snapshot; the AF and stable models of the last version too. The corpus
+// programs run, and dupFactFamily's, whose facts are written twice.
 func TestUpdateDifferential(t *testing.T) {
-	runRow(t, &row{cases: corpusCases("seed%03d", seedRange(0, 200, 1), 40), configs: []engineConfig{cfgFull}, readers: 2,
+	runRow(t, &row{cases: both(corpusCases("seed%03d", seedRange(0, 200, 1), 40), dupCases("dup%03d", seedRange(0, 60, 1), 12)), configs: []engineConfig{cfgFull}, readers: 2,
 		script: func(b *builder) {
 			for w := 3 + b.rng.Intn(3); w > 0; w-- {
 				b.write()
@@ -111,9 +129,10 @@ func TestUpdateDifferential(t *testing.T) {
 
 // Compaction is invisible: engines that compact by cadence, by dead ratio
 // or only at explicit Compact steps (one each, in turn), which must drain
-// the dead set, answer as the oracle on every version and AsOf version.
+// the dead set, answer as the oracle on every version and AsOf version,
+// on the corpus programs and dupFactFamily's.
 func TestChurnCompactDifferential(t *testing.T) {
-	runRow(t, &row{cases: corpusCases("seed%03d", seedRange(1000, 200, 1), 40), configs: []engineConfig{cfgEvery, cfgRatio, cfgFull}, rotate: true, readers: 2,
+	runRow(t, &row{cases: both(corpusCases("seed%03d", seedRange(1000, 200, 1), 40), dupCases("dup%03d", seedRange(1000, 60, 1), 12)), configs: []engineConfig{cfgEvery, cfgRatio, cfgFull}, rotate: true, readers: 2,
 		script: func(b *builder) {
 			for w := 4 + b.rng.Intn(4); w > 0; w-- {
 				b.write()
@@ -559,6 +578,19 @@ func TestRetractDuplicatedFactShrinksUniverse(t *testing.T) {
 		[]string{"m"}, []string{"u(X)", "-t(X)", "u(d)"}, []string{"retract m r(d, a)"})),
 		configs: []engineConfig{cfgFull}, readers: 2, script: writesAndReads(1, 4, 4, rLeast, rAnswers),
 		want: []string{"core.update.fallback.last-constant"}})
+}
+
+// A fact the source writes twice counts once while in effect: retracting
+// it, asserting it again and retracting it again leave q(a) holding a, so
+// every write stays incremental. A fact whose instance the universal fact
+// s(X) also makes still counts: s(b) holds b when t(b) goes. Every version
+// answers as the oracle.
+func TestRetractDuplicateSourceFactIncremental(t *testing.T) {
+	runRow(t, &row{cases: one(srcFamily("module m { p(a). p(a). q(a). r(X) :- p(X). s(X). s(b). t(b). }",
+		[]string{"m"}, []string{"p(a)", "r(a)", "r(X)", "q(X)", "s(X)", "t(X)"},
+		[]string{"retract m p(a)", "assert m p(a)", "retract m p(a)", "retract m t(b)"})),
+		configs: []engineConfig{cfgFull}, readers: 2, script: writesAndReads(4, 4, 4, rLeast, rAnswers, rProve),
+		want: []string{"core.update.fallback.last-constant=0", "core.updates.incremental=4"}})
 }
 
 // The batch entry point answers every slot as the oracle, its requests

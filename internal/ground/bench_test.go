@@ -6,6 +6,7 @@ package ground
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -83,6 +84,40 @@ func BenchmarkAssertFreshConstant(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = gp
+	}
+}
+
+// BenchmarkRetractFact times one retract and re-assert of p(c7) in the
+// policy tenant's kb, a predicate of 1 000 facts and then 20 000. c7 also
+// holds in bad(c7), asserted before the timer starts, so neither write
+// takes the constant's last occurrence and both stay in place.
+func BenchmarkRetractFact(b *testing.B) {
+	for _, kb := range []int{1000, 20000} {
+		b.Run(fmt.Sprintf("facts=%d", kb), func(b *testing.B) {
+			p := policyProgram(b, kb)
+			ctx := context.Background()
+			gp, err := GroundCtx(ctx, p, DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			kbComp, _ := p.ComponentIndex("kb")
+			exc, _ := p.ComponentIndex("exc")
+			if _, err := gp.AssertFacts(ctx, exc, goalLits(b, "bad(c7)")); err != nil {
+				b.Fatal(err)
+			}
+			fact := goalLits(b, "p(c7)")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := gp.RetractFacts(kbComp, fact); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := gp.AssertFacts(ctx, kbComp, fact); err != nil {
+					b.Fatal(err)
+				}
+			}
+			benchSink = gp
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/interp"
@@ -135,7 +134,7 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 		}
 	}
 	if len(newConsts) > 0 {
-		if g.hasFunctors || g.uniFallback {
+		if len(g.functors) > 0 || g.uniFallback {
 			// A fresh constant changes the functor closure, or replaces the
 			// synthetic u0 fallback constant: old universe + constant is not
 			// the universe a rebuild would compute.
@@ -189,34 +188,40 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 			continue
 		}
 		done[head] = true
-		// The fact re-enters the effective program either way, listed on its
-		// head's side after the source's, as the source of its own instance;
-		// its constants count again towards the rebuild universe.
-		fi := int32(len(g.facts) + len(g.asserted))
-		pid := g.predID(f.Atom.Key())
-		g.asserted = append(g.asserted, assertedFact{atom: head.Atom(), comp: int32(comp), pid: pid})
-		nf := g.fact(fi)
-		for _, id := range nf.args {
-			g.addRef(id, 1)
+		if idx, dup := g.findInstance(instanceHash(comp, head, nil), comp, head, nil); dup {
+			// Already instantiated at some earlier version: resurrection (or
+			// no-op) is the caller's liveness decision. The possible-atom
+			// store, targets and competitors already account for it. A fact
+			// retracted since is in effect again, and its constants count
+			// again towards the rebuild universe.
+			if fi, ok := g.factOf(idx); ok && g.facts[fi].gone {
+				g.facts[fi].gone = false
+				g.addRefs(g.argsOf(&g.facts[fi]), 1)
+			}
+			d.Existing = append(d.Existing, idx)
+			continue
 		}
+		// A new fact row, listed on its head's side after the source's, as
+		// the source of its own instance.
+		fi := int32(len(g.facts))
+		pid := g.predID(f.Atom.Key())
+		key := g.tab.Key(head.Atom())
+		g.facts = append(g.facts, fact{comp: int32(comp), pid: pid, sym: key[0], args: int32(len(g.factArgs)), at: -1, src: ^fi})
+		g.factArgs = append(g.factArgs, key[1:]...)
+		nf := &g.facts[fi]
+		args := g.argsOf(nf)
+		g.addRefs(args, 1)
 		sd := g.side(pid, false)
 		if sd.cands == nil {
 			sd.cands = make([][]int32, len(gp.Src.Components))
 		}
 		sd.cands[comp] = append(sd.cands[comp], ^fi)
-		if idx, dup := g.findInstance(instanceHash(comp, head, nil), comp, head, nil); dup {
-			// Already instantiated at some earlier version: resurrection (or
-			// no-op) is the caller's liveness decision. The possible-atom
-			// store, targets and competitors already account for it.
-			d.Existing = append(d.Existing, idx)
-			continue
-		}
-		if err := g.instantiateFacts([]int32{fi}); err != nil {
+		if err := g.instantiateFacts([]int32{fi}, true); err != nil {
 			return fail(err)
 		}
-		g.relOf(pid, false, true).InsertIDs(nf.args)
+		g.relOf(pid, false, true).InsertIDs(args)
 		if g.edbShape(pid) != nil {
-			fk := string(appendFactKey(nil, nf.sym, nf.args))
+			fk := string(appendFactKey(nil, nf.sym, args))
 			g.factComps[fk] = append(g.factComps[fk], comp)
 			freshEDB = append(freshEDB, pid)
 		}
@@ -289,11 +294,11 @@ func (gp *Program) AssertFacts(ctx context.Context, comp int, facts []ast.Litera
 
 // RetractFacts removes ground facts previously asserted in (or parsed
 // into) the component at position comp. The ground program itself only
-// forgets the fact as a future competitor source; the instances stay in
-// Rules (append-only) and the returned indexes tell the caller which
-// instances its snapshot must stop treating as live. Facts that were never
-// present are silently skipped (their absence is already the desired
-// state).
+// marks the fact retracted, so competitor passes no longer take it as a
+// rule source; the instances stay in Rules (append-only) and the returned
+// indexes tell the caller which instances its snapshot must stop treating
+// as live. Facts that were never present are silently skipped (their
+// absence is already the desired state).
 //
 // Retraction of a positive fact on a predicate the EDB/CWA competitor
 // simplification applied to returns ErrNeedsReground: grounding dropped
@@ -313,16 +318,8 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 	}
 	// Validate and collect first, mutate only once nothing can fail: a
 	// fallback must leave the program exactly as it was.
-	type hit struct {
-		idx  int32
-		pid  int32
-		neg  bool
-		args []term.ID
-		n    int // copies of the fact a rebuild drops
-	}
-	var hits []hit
+	var gone, rows []int32 // the facts' instances, and the rows in effect until now
 	dec := make(map[term.ID]int)
-	tt := g.tab.TermTable()
 	done := make(map[interp.Lit]bool, len(facts))
 	for _, f := range facts {
 		if !f.Atom.Ground() {
@@ -362,76 +359,58 @@ func (gp *Program) RetractFacts(comp int, facts []ast.Literal) ([]int32, error) 
 		// builtin-only rule (p(c) :- c < d.) with a matching head would
 		// regenerate it, so dead-marking would diverge from the rebuild. Only
 		// the ground-equal true fact — which the rebuild removes too — is
-		// safe to take in place. A rebuild removes every written copy of it,
-		// and each copy was counted in constRefs, so all of them leave the
-		// counts together — otherwise a constant's last occurrence would go
-		// unnoticed. (Once such a fact has been re-asserted this over-counts,
-		// which at worst regrounds early.)
-		copies := 0
-		args := g.tab.Key(id)[1:]
-		var refs []int32
-		if cands := g.side(pid, f.Neg).cands; known && cands != nil {
-			refs = cands[comp]
+		// safe to take in place.
+		fi, isFact := g.factOf(idx)
+		if !isFact || g.pinned(pid, f.Neg, comp, g.tab.Key(id)[1:]) {
+			return nil, needsReground("universal-fact")
 		}
-		for _, ref := range refs {
-			if ref < 0 {
-				// A source fact matches f only when it is f; asserted copies
-				// are not counted.
-				if fi := ^ref; int(fi) < len(g.facts) && slices.Equal(g.facts[fi].args, args) {
-					copies++
-				}
-				continue
+		gone = append(gone, idx)
+		if fr := &g.facts[fi]; !fr.gone {
+			rows = append(rows, fi)
+			// Compound args were rejected above, so the arguments are every
+			// constant the fact counted.
+			for _, tid := range g.argsOf(fr) {
+				dec[tid]++
 			}
-			c := g.cands[ref].c
-			if len(c.r.Body) != 0 {
-				continue
-			}
-			mark := g.f.Mark()
-			matched := g.f.Match(tt, c.atoms[0].args, args)
-			g.f.Undo(mark)
-			if matched {
-				return nil, needsReground("universal-fact")
-			}
-		}
-		h := hit{idx: idx, pid: pid, neg: f.Neg, args: args, n: max(copies, 1)}
-		hits = append(hits, h)
-		// Compound args were rejected above, so the arguments are every
-		// constant the fact counted.
-		for _, tid := range args {
-			dec[tid] += h.n
 		}
 	}
 	for k, n := range dec {
-		if int(k) >= len(g.constRefs) || g.constRefs[k]-n <= 0 {
+		if g.constRefs[k]-n <= 0 {
 			// Last occurrence of a constant: a rebuild's Herbrand universe
 			// would shrink, and with it the $dom enumerations behind both
 			// fireable and competitor instances.
 			return nil, needsReground("last-constant")
 		}
 	}
-	gone := make([]int32, 0, len(hits))
-	for _, h := range hits {
-		gone = append(gone, h.idx)
-		for _, tid := range h.args {
-			g.addRef(tid, -h.n)
-		}
-		// Forget the first asserted copy of the fact so future competitor
-		// passes no longer see it as a rule source. (Instances it already
-		// caused stay: a competitor instance with an underivable or absent
-		// premise is inert, and the seen index keeps resurrection cheap.)
-		refs := g.side(h.pid, h.neg).cands[comp]
-		for i, ref := range refs {
-			if fi := ^ref; ref < 0 && int(fi) >= len(g.facts) && slices.Equal(g.fact(fi).args, h.args) {
-				g.side(h.pid, h.neg).cands[comp] = append(refs[:i], refs[i+1:]...)
-				break
-			}
-		}
+	for _, fi := range rows {
+		g.facts[fi].gone = true
+		g.addRefs(g.argsOf(&g.facts[fi]), -1)
 	}
 	if obs.On() {
 		mDeltaRetracts.Inc()
 		mDeltaRetractInst.Add(int64(len(gone)))
 	}
 	return gone, nil
+}
+
+// pinned reports whether a bodyless rule of component comp with head sign
+// neg on predicate pid matches the ground arguments args, so a rebuild
+// keeps the instance that rule makes of them.
+func (g *grounder) pinned(pid int32, neg bool, comp int, args []term.ID) bool {
+	tt := g.tab.TermTable()
+	for _, ri := range g.side(pid, neg).bodyless {
+		c := &g.crules[ri]
+		if int(c.comp) != comp {
+			continue
+		}
+		mark := g.f.Mark()
+		matched := g.f.Match(tt, c.atoms[0].args, args)
+		g.f.Undo(mark)
+		if matched {
+			return true
+		}
+	}
+	return false
 }
 
 // deltaCompetitors re-instantiates, delta-restricted, the competitor rules

@@ -192,28 +192,7 @@ func gotDigests(t *testing.T) map[string]string {
 		{"3-retract-kb", "bad(c1)", true},
 		{"4-reassert-kb", "bad(c1)", false},
 	}, "p(k1)", "5-retract-last-constant")
-	exc, _ := p.ComponentIndex("exc")
-	re := ast.NewOrderedProgram()
-	for i, c := range p.Components {
-		rules := append([]*ast.Rule(nil), c.Rules...)
-		if i == exc {
-			for _, l := range goalLits(t, "p(k1)", "bad(c1)") {
-				rules = append(rules, ast.Fact(l))
-			}
-		}
-		if err := re.AddComponent(&ast.Component{Name: c.Name, Rules: rules}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, e := range p.Edges {
-		if err := re.AddEdge(e.Child, e.Parent); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := re.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	got["interleaved/6-reground"] = digestOf(re, DefaultOptions())
+	got["interleaved/6-reground"] = digestOf(interleavedReground(t), DefaultOptions())
 	return got
 }
 
@@ -235,6 +214,36 @@ module exc extends kb {
   bad(c3).
 }
 `
+
+// interleavedReground is the program interleavedSource's update script
+// leaves, as the engine's rebuild writes it: the asserted facts p(k1) and
+// bad(c1) at the end of exc.
+func interleavedReground(t *testing.T) *ast.OrderedProgram {
+	t.Helper()
+	p := parse(t, interleavedSource)
+	exc, _ := p.ComponentIndex("exc")
+	re := ast.NewOrderedProgram()
+	for i, c := range p.Components {
+		rules := append([]*ast.Rule(nil), c.Rules...)
+		if i == exc {
+			for _, l := range goalLits(t, "p(k1)", "bad(c1)") {
+				rules = append(rules, ast.Fact(l))
+			}
+		}
+		if err := re.AddComponent(&ast.Component{Name: c.Name, Rules: rules}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range p.Edges {
+		if err := re.AddEdge(e.Child, e.Parent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := re.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return re
+}
 
 // scriptStep is one update of an update script: a fact asserted into, or
 // retracted from, the script's component.

@@ -3,7 +3,11 @@
 
 package ground
 
-import "repro/internal/ast"
+import (
+	"repro/internal/ast"
+	"repro/internal/interp"
+	"repro/internal/storage"
+)
 
 // Incremental reports whether the program retains usable smart-grounding
 // state for in-place fact maintenance.
@@ -16,9 +20,14 @@ func (gp *Program) Incremental() bool { return gp.inc != nil && !gp.inc.poisoned
 // variables but has no constants, the conventional fresh constant "u0" is
 // added to keep the universe non-empty. A positive budget caps the universe
 // size.
+// It is the universe a grounding of p computes.
 func Universe(p *ast.OrderedProgram, maxDepth int, budget int) ([]ast.Term, error) {
-	all, _, err := universe(p, maxDepth, budget)
-	return all, err
+	g := &grounder{src: p, tab: interp.NewTable(), f: &storage.Frame{}}
+	b := g.tab.TermTable().Batch()
+	g.compileSource(b)
+	b.Done()
+	err := g.universe(maxDepth, budget)
+	return g.uni, err
 }
 
 // rules decodes every published instance, in order.

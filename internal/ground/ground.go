@@ -197,36 +197,26 @@ func GroundCtx(ctx context.Context, p *ast.OrderedProgram, opts Options) (*Progr
 	return gp, nil
 }
 
-// newGrounder computes the universe and sets up an empty grounder for p
-// under filled options, with the source compiled to term ids.
+// newGrounder sets up an empty grounder for p under filled options: the
+// source compiled to term ids, then the universe from the constants the
+// compilation counted.
 func newGrounder(ctx context.Context, p *ast.OrderedProgram, opts Options) (*grounder, error) {
-	uni, noConsts, err := universe(p, opts.MaxDepth, opts.MaxUniverse)
-	if err != nil {
-		return nil, err
-	}
 	g := &grounder{
-		src:         p,
-		ctx:         ctx,
-		opts:        opts,
-		uni:         uni,
-		uniFallback: noConsts && len(uni) > 0,
-		tab:         interp.NewTable(),
-		f:           &storage.Frame{},
+		src:  p,
+		ctx:  ctx,
+		opts: opts,
+		tab:  interp.NewTable(),
+		f:    &storage.Frame{},
 	}
 	g.gp = &Program{Src: p, Tab: g.tab}
 	g.cols = &g.gp.cols
 	g.cols.init(newRuleTable(p), 1<<10) // smart grounding resizes by its estimate
-	// Universe members get the first term ids, in universe order; joins and
-	// open-variable enumeration bind these ids. The source is then compiled
-	// against them, all under one term-table lock.
-	g.tab.TermTable().Reserve(len(uni))
 	b := g.tab.TermTable().Batch()
-	g.uniIDs = make([]term.ID, len(uni), cap(uni)) // room to grow as uni does
-	for i, t := range uni {
-		g.uniIDs[i] = b.Intern(t)
-	}
 	g.compileSource(b)
 	b.Done()
+	if err := g.universe(opts.MaxDepth, opts.MaxUniverse); err != nil {
+		return nil, err
+	}
 	if len(opts.Goal) > 0 {
 		g.rel = relevance.Analyze(p, opts.Goal)
 	}
@@ -268,30 +258,38 @@ type grounder struct {
 	bodyBuf []interp.Lit
 	// f is the frame every join and head match binds (all slots unbound
 	// between uses), sized for the widest compiled rule. uniIDs are the
-	// universe's term ids, in g.uni order. argBuf, atomBuf and idBuf are the
+	// universe's term ids, in g.uni order; uniFallback says the universe is
+	// the fresh-constant fallback. argBuf, atomBuf and idBuf are the
 	// scratch an instance's atoms are built and interned in; jls the scratch
 	// competitor and delta joins list their literals in.
-	f       *storage.Frame
-	uniIDs  []term.ID
-	argBuf  []term.ID
-	atomBuf []interp.IDAtom
-	idBuf   []interp.AtomID
-	jls     []storage.JoinLit
+	f           *storage.Frame
+	uniIDs      []term.ID
+	uniFallback bool
+	argBuf      []term.ID
+	atomBuf     []interp.IDAtom
+	idBuf       []interp.AtomID
+	jls         []storage.JoinLit
 
 	// The source compiled to ids (compileSource). preds are its predicates,
 	// and those of asserted facts, numbered densely in order of first
 	// appearance; predIDs finds them by key. crules are the rules that are
 	// not ground facts, in source order; facts the source's ground facts,
-	// in source order, and asserted the facts asserted since, numbered on
-	// after them (see fact). seq is the source order over rules and facts
+	// in source order, then the facts asserted since, and factArgs their
+	// argument ids (see fact). seq is the source order over rules and facts
 	// (>= 0: a crules index, < 0: the complement of a facts index), kept
-	// only for the run.
+	// only for the run. functors are the function symbols of rule and fact
+	// arguments in order of first appearance, depth their deepest nesting
+	// and hasVars whether some rule has a variable: with constRefs, what
+	// the universe is built from.
 	preds    []pred
 	predIDs  map[ast.PredKey]int32
 	crules   []crule
 	facts    []fact
-	asserted []assertedFact
+	factArgs []term.ID
 	seq      []int32
+	functors []ast.PredKey
+	depth    int
+	hasVars  bool
 
 	// Smart-mode state retained for incremental updates (delta.go). All of
 	// it is mutated only under the engine's write lock.
@@ -324,13 +322,11 @@ type grounder struct {
 	pass        int32               // registration passes so far (target.grownAt stamp)
 	marks       map[ast.PredKey]int // relation sizes at the end of the last (delta) pass
 	// constRefs counts, per constant (indexed by interned term id), its
-	// occurrences in the effective program (source rules plus asserted facts
-	// minus retracted ones). A retraction that would drop a count to zero
-	// shrinks the Herbrand universe a rebuild computes, so it falls back to
-	// regrounding.
-	constRefs   []int
-	uniFallback bool // universe used the fresh-constant fallback
-	hasFunctors bool // program terms use function symbols
+	// occurrences in the effective program: in every rule, and in every
+	// fact in effect, once per component however often it is written. A
+	// retraction that would drop a count to zero shrinks the Herbrand
+	// universe a rebuild computes, so it falls back to regrounding.
+	constRefs []int
 	// poisoned marks the incremental state unusable after a mid-update
 	// error (budget overrun, interruption): partial appends are already
 	// recorded in seen/rules, so further in-place updates could dedup
@@ -356,10 +352,13 @@ type pred struct {
 // side is the competitor pass's view of one predicate sign: the
 // candidates whose head has that sign, per component in source order
 // (>= 0: a cands index, < 0: the complement of a facts index), and the
-// targets with that sign, in registration order.
+// targets with that sign, in registration order. bodyless lists the crules
+// with that head sign and no body (a universal fact p(X), or a head over
+// builtins alone): the rules that can make a fact's instance too.
 type side struct {
-	cands [][]int32
-	tgts  []int32
+	cands    [][]int32
+	tgts     []int32
+	bodyless []int32
 }
 
 // predSide names one sign of one predicate.
@@ -378,40 +377,41 @@ func b2i(b bool) int {
 	return 0
 }
 
-// fact is a ground fact — no body, no builtins, a ground head — compiled
-// to ids: its component, head sign, predicate and argument ids. at is the
-// dlSrc index the fact is seeded and instantiated just before (-1 when
-// smart grounding does not take it as a fact: a slice skips it, or it
-// joins its demand guard as a rule). A source fact keeps its rule r and
-// its number in the rule table, ord; a fact asserted since grounding has
-// neither (nil, -1), and is kept as an assertedFact.
+// fact is a ground fact — no body, no builtins, a ground head — as one row
+// of ids: its component, predicate, symbol and head sign, and args, the
+// offset of its argument ids in factArgs (as many as its predicate's
+// arity). at is the dlSrc index the fact is seeded and instantiated just
+// before (-1 when smart grounding does not take it as a fact: a slice
+// skips it, it joins its demand guard as a rule, or it was asserted since
+// grounding). src is the source of its instance: a source fact's number in
+// the rule table, or, for a fact asserted since, the complement of its own
+// row. gone marks a fact retracted and not asserted again. Nothing in it
+// is a pointer.
 type fact struct {
-	r    *ast.Rule
-	args []term.ID
-	comp int32
-	pid  int32
-	sym  term.ID
-	at   int32
-	ord  int32
-	neg  bool
-}
-
-// assertedFact is a positive fact asserted since grounding: its atom,
-// whose stored key holds its predicate symbol and arguments, its
-// component and its predicate. Nothing in it is a pointer.
-type assertedFact struct {
-	atom      interp.AtomID
 	comp, pid int32
+	sym       term.ID
+	args      int32
+	at, src   int32
+	neg, gone bool
 }
 
-// fact returns fact number i: a source fact, or past them an asserted one.
-func (g *grounder) fact(i int32) fact {
-	if int(i) < len(g.facts) {
-		return g.facts[i]
+// argsOf returns the argument ids of fact f.
+func (g *grounder) argsOf(f *fact) []term.ID {
+	end := int(f.args) + g.preds[f.pid].key.Arity
+	return g.factArgs[f.args:end:end]
+}
+
+// factOf returns the row of the fact whose instance is idx, a bodyless
+// instance. Its source names the row: directly for an asserted fact, by
+// rule number for a source one (source rows come first, numbered in order).
+// false when a bodyless rule made the instance.
+func (g *grounder) factOf(idx int32) (int32, bool) {
+	src := g.cols.rows.at(int(idx)).src
+	if src < 0 {
+		return ^src, true
 	}
-	a := g.asserted[int(i)-len(g.facts)]
-	key := g.tab.Key(a.atom)
-	return fact{args: key[1:], comp: a.comp, pid: a.pid, sym: key[0], at: -1, ord: -1}
+	i := sort.Search(len(g.facts), func(i int) bool { s := g.facts[i].src; return s < 0 || s >= src })
+	return int32(i), i < len(g.facts) && g.facts[i].src == src
 }
 
 // srcRule pairs a compiled source rule with its owning component and its
@@ -451,10 +451,15 @@ type crule struct {
 	atoms []catom
 }
 
+// writeRoom is how many fact rows, argument ids and constants a grounding
+// leaves room for past the source's.
+const writeRoom = 64
+
 // compileSource compiles the whole source to ids under the batch b: a
-// ground fact to its predicate symbol and argument ids, any other rule to
-// a crule whose atoms and patterns are carved from two slabs. Every
-// constant occurrence is counted into constRefs on the way.
+// ground fact to a fact row, any other rule to a crule whose atoms and
+// patterns are carved from two slabs. Every constant occurrence is counted
+// into constRefs on the way, and every function symbol and nesting depth
+// of an argument noted.
 func (g *grounder) compileSource(b term.Batch) {
 	nFacts, nArgs, nRules, nAtoms, nPats := 0, 0, 0, 0, 0
 	for _, c := range g.src.Components {
@@ -473,11 +478,15 @@ func (g *grounder) compileSource(b term.Batch) {
 		}
 	}
 	g.predIDs = make(map[ast.PredKey]int32)
-	g.constRefs = make([]int, len(g.uniIDs), 2*len(g.uniIDs)) // room for the ids updates add
-	g.facts = make([]fact, 0, nFacts)
+	// Room past the source for what the writes after a grounding add — fact
+	// rows, their argument ids, new constants — so the first of them copies
+	// none of the source's. Argument positions plus atoms about bound the
+	// term ids constRefs is indexed by.
+	g.facts = make([]fact, 0, nFacts+writeRoom)
+	g.factArgs = make([]term.ID, 0, nArgs+writeRoom)
+	g.constRefs = make([]int, 0, nArgs+nPats+nFacts+nAtoms+writeRoom)
 	g.crules = make([]crule, 0, nRules)
 	g.seq = make([]int32, 0, nFacts+nRules)
-	ids := make([]term.ID, 0, nArgs)
 	atoms := make([]catom, 0, nAtoms)
 	pats := make([]storage.Pat, 0, nPats)
 	ord := int32(-1) // the rule's number in the rule table
@@ -485,23 +494,30 @@ func (g *grounder) compileSource(b term.Batch) {
 		for _, r := range c.Rules {
 			ord++
 			if !r.IsGroundFact() {
-				g.seq = append(g.seq, int32(len(g.crules)))
+				ri := int32(len(g.crules))
+				g.seq = append(g.seq, ri)
 				g.crules = append(g.crules, crule{})
-				g.compileRule(b, r, ci, ord, &g.crules[len(g.crules)-1], &atoms, &pats)
+				cr := &g.crules[ri]
+				g.compileRule(b, r, ci, ord, cr, &atoms, &pats)
 				g.addRuleRefs(b, r)
+				g.hasVars = g.hasVars || len(cr.vars) > 0
+				if len(r.Body) == 0 {
+					sd := g.side(cr.atoms[0].pid, cr.atoms[0].neg)
+					sd.bodyless = append(sd.bodyless, ri)
+				}
 				continue
 			}
-			start := len(ids)
+			start := int32(len(g.factArgs))
 			for _, t := range r.Head.Atom.Args {
 				id := b.Intern(t)
-				ids = append(ids, id)
-				g.addTermRefs(b, t, id)
+				g.factArgs = append(g.factArgs, id)
+				g.addTermRefs(b, t, id, true)
 			}
 			sym := b.InternSym(r.Head.Atom.Pred)
 			g.seq = append(g.seq, ^int32(len(g.facts)))
 			g.facts = append(g.facts, fact{
-				r: r, args: ids[start:len(ids):len(ids)], comp: int32(ci),
-				pid: g.predID(r.Head.Atom.Key()), sym: sym, at: -1, ord: ord, neg: r.Head.Neg,
+				comp: int32(ci), pid: g.predID(r.Head.Atom.Key()), sym: sym,
+				args: start, at: -1, src: ord, neg: r.Head.Neg,
 			})
 		}
 	}
@@ -646,14 +662,15 @@ func (g *grounder) instantiate(comp int, c *crule) error {
 // once.
 const factBatch = 32
 
-// instantiateFacts records the instances of the given facts (numbers for
-// fact), interning their heads straight from the facts' ids under one
-// atom-table lock.
-func (g *grounder) instantiateFacts(fs []int32) error {
+// instantiateFacts records the instances of the given facts (facts
+// indexes), interning their heads straight from the facts' ids under one
+// atom-table lock. first says this is each fact's first instantiation,
+// whose copies of a fact already counted leave the counts.
+func (g *grounder) instantiateFacts(fs []int32, first bool) error {
 	atoms := g.atomBuf[:0]
 	for _, i := range fs {
-		f := g.fact(i)
-		atoms = append(atoms, interp.IDAtom{Pred: g.preds[f.pid].key.Name, Sym: f.sym, Args: f.args})
+		f := &g.facts[i]
+		atoms = append(atoms, interp.IDAtom{Pred: g.preds[f.pid].key.Name, Sym: f.sym, Args: g.argsOf(f)})
 	}
 	g.atomBuf = atoms
 	ids := g.tab.InternAtoms(g.idBuf[:0], atoms)
@@ -662,9 +679,20 @@ func (g *grounder) instantiateFacts(fs []int32) error {
 		if err := g.poll(); err != nil {
 			return err
 		}
-		f := g.fact(i)
-		if err := g.record(int(f.comp), interp.MkLit(ids[k], f.neg), nil, f.ord, f.pid, ids[k]); err != nil {
+		f := &g.facts[i]
+		head := interp.MkLit(ids[k], f.neg)
+		n := g.cols.len
+		if err := g.record(int(f.comp), head, nil, f.src, f.pid, ids[k]); err != nil {
 			return err
+		}
+		if first && g.cols.len == n {
+			// Another copy of the fact recorded the instance first: the
+			// fact counts once. (When a bodyless rule made the instance, the
+			// fact stays counted; a retract of it regrounds.)
+			idx, _ := g.findInstance(instanceHash(int(f.comp), head, nil), int(f.comp), head, nil)
+			if _, ok := g.factOf(idx); ok {
+				g.addRefs(g.argsOf(f), -1)
+			}
 		}
 	}
 	return nil
@@ -819,11 +847,11 @@ func appendFactKey(buf []byte, sym term.ID, args []term.ID) []byte {
 // exactly that a rebuild's universe would no longer contain the constant.
 func (g *grounder) addRuleRefs(in term.Interner, r *ast.Rule) {
 	for _, t := range r.Head.Atom.Args {
-		g.addTermRefs(in, t, term.None)
+		g.addTermRefs(in, t, term.None, true)
 	}
 	for _, l := range r.Body {
 		for _, t := range l.Atom.Args {
-			g.addTermRefs(in, t, term.None)
+			g.addTermRefs(in, t, term.None, true)
 		}
 	}
 	for _, b := range r.Builtins {
@@ -832,9 +860,11 @@ func (g *grounder) addRuleRefs(in term.Interner, r *ast.Rule) {
 	}
 }
 
-// addTermRefs counts the constants of t; id is t's id when the caller has
-// it (term.None: intern to find it).
-func (g *grounder) addTermRefs(in term.Interner, t ast.Term, id term.ID) {
+// addTermRefs counts the constants of t and returns its nesting depth; id
+// is t's id when the caller has it (term.None: intern to find it). arg
+// says t is an atom's argument, whose function symbols and depth bound the
+// universe's functor closure (a builtin's terms do not).
+func (g *grounder) addTermRefs(in term.Interner, t ast.Term, id term.ID, arg bool) int {
 	switch c := t.(type) {
 	case ast.Sym, ast.Int:
 		if id == term.None {
@@ -842,16 +872,26 @@ func (g *grounder) addTermRefs(in term.Interner, t ast.Term, id term.ID) {
 		}
 		g.addRef(id, 1)
 	case ast.Compound:
+		d := 0
 		for _, a := range c.Args {
-			g.addTermRefs(in, a, term.None)
+			d = max(d, g.addTermRefs(in, a, term.None, arg))
 		}
+		d++
+		if arg {
+			g.depth = max(g.depth, d)
+			if f := (ast.PredKey{Name: c.Functor, Arity: len(c.Args)}); !slices.Contains(g.functors, f) {
+				g.functors = append(g.functors, f)
+			}
+		}
+		return d
 	}
+	return 0
 }
 
 func (g *grounder) addExprRefs(in term.Interner, e ast.Expr) {
 	switch e := e.(type) {
 	case ast.TermExpr:
-		g.addTermRefs(in, e.Term, term.None)
+		g.addTermRefs(in, e.Term, term.None, false)
 	case ast.BinExpr:
 		g.addExprRefs(in, e.L)
 		g.addExprRefs(in, e.R)
@@ -866,6 +906,13 @@ func (g *grounder) addRef(id term.ID, d int) {
 	g.constRefs[id] += d
 }
 
+// addRefs adds d to the occurrence count of each of the constants ids.
+func (g *grounder) addRefs(ids []term.ID, d int) {
+	for _, id := range ids {
+		g.addRef(id, d)
+	}
+}
+
 // full enumerates every substitution of every rule over the universe and
 // interns the complete Herbrand base.
 func (g *grounder) full() error {
@@ -874,7 +921,7 @@ func (g *grounder) full() error {
 			return err
 		}
 		if ref < 0 {
-			if err := g.instantiateFacts([]int32{^ref}); err != nil {
+			if err := g.instantiateFacts([]int32{^ref}, true); err != nil {
 				return err
 			}
 			continue

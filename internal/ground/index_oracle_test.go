@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/ast"
@@ -75,27 +74,14 @@ func competitorsScanOracle(g *grounder, tg *target, emit emitFn) error {
 	return nil
 }
 
-// assertedFacts lists the asserted facts in effect in component ci, in
-// assertion order.
+// assertedFacts lists the facts asserted in component ci and in effect,
+// in assertion order.
 func assertedFacts(g *grounder, ci int) []*ast.Rule {
-	var idx []int
-	for pid := range g.preds {
-		for _, sd := range g.preds[pid].sides {
-			if sd.cands == nil {
-				continue
-			}
-			for _, ref := range sd.cands[ci] {
-				if ref < 0 && int(^ref) >= len(g.facts) {
-					idx = append(idx, int(^ref))
-				}
-			}
+	var rules []*ast.Rule
+	for i := range g.facts {
+		if f := &g.facts[i]; f.src < 0 && int(f.comp) == ci && !f.gone {
+			rules = append(rules, ast.Fact(ast.Literal{Atom: ast.Atom{Pred: g.preds[f.pid].key.Name, Args: g.tab.TermTable().AppendTerms(nil, g.argsOf(f))}}))
 		}
-	}
-	sort.Ints(idx)
-	rules := make([]*ast.Rule, len(idx))
-	for i, fi := range idx {
-		f := g.fact(int32(fi))
-		rules[i] = ast.Fact(ast.Literal{Atom: ast.Atom{Pred: g.preds[f.pid].key.Name, Args: g.tab.TermTable().AppendTerms(nil, f.args)}})
 	}
 	return rules
 }

@@ -99,9 +99,9 @@ func (c *column[T]) exact(n int) {
 // the (k - start[c])-th rule of component c, numbering every component's
 // rules in order, and nBody[k] is its body length — the number of body
 // literals of every instance of it. Instances of facts asserted since
-// grounding name no rule (-1): they have no body, and their rule is the
-// fact of their head. maxBody is the longest body. A cut slice shares its
-// program's table.
+// grounding name no rule (a negative number): they have no body, and their
+// rule is the fact of their head. maxBody is the longest body. A cut slice
+// shares its program's table.
 type ruleTable struct {
 	src     *ast.OrderedProgram
 	start   []int32
@@ -123,6 +123,11 @@ func newRuleTable(p *ast.OrderedProgram) *ruleTable {
 		}
 	}
 	return rt
+}
+
+// rule returns rule src, of component comp.
+func (rt *ruleTable) rule(comp, src int32) *ast.Rule {
+	return rt.src.Components[comp].Rules[src-rt.start[comp]]
 }
 
 func (rt *ruleTable) bodyLen(src int32) int {
@@ -254,7 +259,7 @@ func (p Instances) Rule(i int) Rule {
 	row := c.rows.at(i)
 	r := Rule{Head: row.head, Comp: row.comp, Body: c.bodyOf(row)}
 	if row.src >= 0 {
-		r.Src = c.rt.src.Components[r.Comp].Rules[row.src-c.rt.start[r.Comp]]
+		r.Src = c.rt.rule(r.Comp, row.src)
 	} else {
 		r.Src = ast.Fact(ast.Literal{Atom: p.g.Tab.Atom(r.Head.Atom()), Neg: r.Head.Neg()})
 	}

@@ -109,13 +109,13 @@ func (g *grounder) factsBefore(next, i int) (int, error) {
 			continue
 		}
 		if fs = append(fs, int32(next)); len(fs) == factBatch {
-			if err := g.instantiateFacts(fs); err != nil {
+			if err := g.instantiateFacts(fs, true); err != nil {
 				return next, err
 			}
 			fs = fs[:0]
 		}
 	}
-	return next, g.instantiateFacts(fs)
+	return next, g.instantiateFacts(fs, true)
 }
 
 // takeGrown returns the targets the registration pass grew and clears the
@@ -133,7 +133,6 @@ func (g *grounder) smartPrep() error {
 	// The store shares the atom table's term table, so a term interned while
 	// filling relations is the same id the instantiation pass sees.
 	g.st = storage.NewStoreWith(g.tab.TermTable())
-	g.hasFunctors = len(g.src.Functors()) > 0
 
 	// One datalog rule per compiled rule, cut from one slab; each ground
 	// fact is a tuple seeded just before the rule that follows it.
@@ -146,14 +145,15 @@ func (g *grounder) smartPrep() error {
 		var c *crule
 		if ref < 0 {
 			f := &g.facts[^ref]
-			if g.rel != nil && !g.rel.RuleDemanded(f.r) {
+			r := g.cols.rt.rule(f.comp, f.src)
+			if g.rel != nil && !g.rel.RuleDemanded(r) {
 				g.skippedRules++
 				continue
 			}
-			guard, guarded := g.guardOf(f.r)
+			guard, guarded := g.guardOf(r)
 			if !guarded {
 				f.at = int32(len(dl))
-				seeds = append(seeds, datalog.Fact{Rel: g.relOf(f.pid, f.neg, true), Args: f.args, At: len(dl)})
+				seeds = append(seeds, datalog.Fact{Rel: g.relOf(f.pid, f.neg, true), Args: g.argsOf(f), At: len(dl)})
 				nFacts[2*int(f.pid)+b2i(f.neg)]++
 				continue
 			}
@@ -162,8 +162,8 @@ func (g *grounder) smartPrep() error {
 			var atoms []catom
 			var pats []storage.Pat
 			c = &crule{}
-			g.compileRule(g.tab.TermTable(), f.r, int(f.comp), f.ord, c, &atoms, &pats)
-			dl = append(dl, &datalog.Rule{Head: datalog.Lit{Key: g.preds[f.pid].enc[b2i(f.neg)], Args: f.r.Head.Atom.Args}, Body: []datalog.Lit{guard}})
+			g.compileRule(g.tab.TermTable(), r, int(f.comp), f.src, c, &atoms, &pats)
+			dl = append(dl, &datalog.Rule{Head: datalog.Lit{Key: g.preds[f.pid].enc[b2i(f.neg)], Args: r.Head.Atom.Args}, Body: []datalog.Lit{guard}})
 			g.dlSrc = append(g.dlSrc, g.encodeSrc(c, dl[len(dl)-1].Body))
 			continue
 		}
@@ -535,7 +535,8 @@ func (g *grounder) competitorsFor(tg *target, newFrom int) error {
 		}
 		for _, ref := range refs {
 			if ref < 0 {
-				if newFrom == 0 { // a ground fact: nothing open to revisit
+				// A ground fact in effect; it has nothing open to revisit.
+				if newFrom == 0 && !g.facts[^ref].gone {
 					if err := g.matchFact(^ref, tgArgs); err != nil {
 						return err
 					}
@@ -558,10 +559,10 @@ func (g *grounder) competitorsFor(tg *target, newFrom int) error {
 // (tgArgs: its argument ids; the fact shares its predicate).
 func (g *grounder) matchFact(fi int32, tgArgs []term.ID) error {
 	g.compCandidates++
-	if !slices.Equal(g.fact(fi).args, tgArgs) {
+	if !slices.Equal(g.argsOf(&g.facts[fi]), tgArgs) {
 		return nil
 	}
-	return g.instantiateFacts([]int32{fi})
+	return g.instantiateFacts([]int32{fi}, false)
 }
 
 // matchCandidate head-matches one candidate of component ci against the
@@ -640,7 +641,7 @@ func (g *grounder) predShapes() {
 		)
 		if ref < 0 {
 			f := &g.facts[^ref]
-			r, pid, ci = f.r, f.pid, int(f.comp)
+			r, pid, ci = g.cols.rt.rule(f.comp, f.src), f.pid, int(f.comp)
 		} else {
 			c := &g.crules[ref]
 			r, pid, ci = c.r, c.atoms[0].pid, int(c.comp)
@@ -664,7 +665,7 @@ func (g *grounder) predShapes() {
 	for i := range g.facts {
 		f := &g.facts[i]
 		if s := &g.preds[f.pid].shape; !f.neg && s.onlyFactPos && s.topCWA {
-			fk := string(appendFactKey(nil, f.sym, f.args))
+			fk := string(appendFactKey(nil, f.sym, g.argsOf(f)))
 			g.factComps[fk] = append(g.factComps[fk], int(f.comp))
 		}
 	}

@@ -16,6 +16,7 @@ package ground
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/term"
@@ -32,118 +33,104 @@ func (e *ErrBudget) Error() string {
 	return fmt.Sprintf("ground: %s budget exceeded (limit %d); raise the budget or simplify the program", e.What, e.Limit)
 }
 
-// universe is Universe that also reports whether the program has no
-// constants of its own (the universe is then empty or the u0 fallback), so
-// the grounder need not collect the constants a second time to find out.
-func universe(p *ast.OrderedProgram, maxDepth int, budget int) (all []ast.Term, noConsts bool, err error) {
+// universe computes the Herbrand universe from what compileSource noted:
+// the constants with a positive count, in the ast.CompareTerms order
+// (integers by value, then symbols by name), or the conventional fresh
+// constant u0 when there are none but some rule has a variable; then the
+// compounds of the arguments' function symbols over them, nested up to
+// maxDepth (< 0: the deepest argument), all of it in the same order. A
+// positive budget caps its size. It sets uni, uniIDs and uniFallback.
+func (g *grounder) universe(maxDepth int, budget int) error {
+	tt := g.tab.TermTable()
+	ids := make([]term.ID, 0, len(g.constRefs)+writeRoom) // room for what asserts add
+	for id, n := range g.constRefs {
+		if n > 0 {
+			ids = append(ids, term.ID(id))
+		}
+	}
+	if len(ids) == 0 && g.hasVars {
+		ids = append(ids, tt.Intern(ast.Sym("u0")))
+		g.uniFallback = true
+	}
 	if maxDepth < 0 {
-		maxDepth = programTermDepth(p)
+		maxDepth = g.depth
 	}
-	base := p.Constants()
-	noConsts = len(base) == 0
-	if noConsts && programHasVars(p) {
-		base = []ast.Term{ast.Sym("u0")}
+	if maxDepth >= 1 && len(g.functors) > 0 {
+		var err error
+		if ids, err = g.functorClosure(ids, maxDepth, budget); err != nil {
+			return err
+		}
 	}
-	all = append([]ast.Term(nil), base...)
-	functors := p.Functors()
-	if maxDepth < 1 || len(functors) == 0 {
-		return all, noConsts, checkBudget(all, budget)
+	if budget > 0 && len(ids) > budget {
+		return &ErrBudget{"universe", budget}
 	}
-	// Dedup members by interned id instead of canonical text. members holds
-	// ids of universe members only — a term interned merely as a subterm of
-	// a deeper base constant is not in it, so it can still be added when the
-	// depth rounds construct it.
-	dedup := term.NewTable()
-	members := make(map[term.ID]bool, len(all))
-	for _, t := range all {
-		members[dedup.Intern(t)] = true
+	g.uni = tt.AppendTerms(make([]ast.Term, 0, cap(ids)), ids)
+	g.uniIDs = ids
+	sort.Sort(byTerm{g.uni, g.uniIDs})
+	return nil
+}
+
+// byTerm sorts terms in the ast.CompareTerms order, their ids alongside.
+type byTerm struct {
+	terms []ast.Term
+	ids   []term.ID
+}
+
+func (s byTerm) Len() int           { return len(s.terms) }
+func (s byTerm) Less(i, j int) bool { return ast.CompareTerms(s.terms[i], s.terms[j]) < 0 }
+func (s byTerm) Swap(i, j int) {
+	s.terms[i], s.terms[j] = s.terms[j], s.terms[i]
+	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
+}
+
+// functorClosure appends to the base constants ids, round by round up to
+// maxDepth, every compound of a function symbol of the program over the
+// members so far that holds a member of the previous round — so round d
+// adds exactly the new terms of depth d — and returns the members.
+func (g *grounder) functorClosure(ids []term.ID, maxDepth, budget int) ([]term.ID, error) {
+	tt := g.tab.TermTable()
+	var members idSet
+	for _, id := range ids {
+		members.add(id)
 	}
-	grown := false
-	for d := 1; d <= maxDepth && len(functors) > 0; d++ {
-		var next []ast.Term
-		for _, f := range functors {
-			args := make([]ast.Term, f.Arity)
-			// Enumerate argument tuples from `all`, requiring at least one
-			// argument from `prev` (depth d-1) so the compound has depth d.
+	prev := 0 // ids[prev:] are the previous round's
+	for d := 1; d <= maxDepth; d++ {
+		n := len(ids)
+		for _, f := range g.functors {
+			args := make([]term.ID, f.Arity)
 			var build func(i int, usedPrev bool) error
 			build = func(i int, usedPrev bool) error {
 				if i == f.Arity {
 					if !usedPrev {
 						return nil
 					}
-					c := ast.Compound{Functor: f.Name, Args: append([]ast.Term(nil), args...)}
-					id := dedup.Intern(c)
-					if members[id] {
+					id := tt.InternCompound(f.Name, args)
+					if members.has(id) {
 						return nil
 					}
-					members[id] = true
-					next = append(next, c)
-					if budget > 0 && len(members) > budget {
+					members.add(id)
+					ids = append(ids, id)
+					if budget > 0 && len(ids) > budget {
 						return &ErrBudget{"universe", budget}
 					}
 					return nil
 				}
-				for _, t := range all {
-					args[i] = t
-					if err := build(i+1, usedPrev || ast.TermDepth(t) == d-1); err != nil {
+				for k := 0; k < n; k++ {
+					args[i] = ids[k]
+					if err := build(i+1, usedPrev || k >= prev); err != nil {
 						return err
 					}
 				}
 				return nil
 			}
 			if err := build(0, false); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		}
-		if len(next) == 0 {
+		if len(ids) == n {
 			break
 		}
-		all = append(all, next...)
-		grown = true
+		prev = n
 	}
-	if grown {
-		ast.SortTerms(all) // base came sorted from Constants
-	}
-	return all, noConsts, checkBudget(all, budget)
-}
-
-// checkBudget fails a universe larger than a positive budget.
-func checkBudget(all []ast.Term, budget int) error {
-	if budget > 0 && len(all) > budget {
-		return &ErrBudget{"universe", budget}
-	}
-	return nil
-}
-
-func programTermDepth(p *ast.OrderedProgram) int {
-	max := 0
-	upd := func(t ast.Term) {
-		if d := ast.TermDepth(t); d > max {
-			max = d
-		}
-	}
-	for _, c := range p.Components {
-		for _, r := range c.Rules {
-			for _, t := range r.Head.Atom.Args {
-				upd(t)
-			}
-			for _, l := range r.Body {
-				for _, t := range l.Atom.Args {
-					upd(t)
-				}
-			}
-		}
-	}
-	return max
-}
-
-func programHasVars(p *ast.OrderedProgram) bool {
-	for _, c := range p.Components {
-		for _, r := range c.Rules {
-			if len(r.Vars()) > 0 {
-				return true
-			}
-		}
-	}
-	return false
+	return ids, nil
 }

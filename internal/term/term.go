@@ -53,18 +53,6 @@ func NewTable() *Table {
 	}
 }
 
-// Reserve presizes an empty table for n terms, most of them symbols, so a
-// caller that knows how many it is about to intern — the grounder, its
-// universe — interns without rehashing or regrowing.
-func (t *Table) Reserve(n int) {
-	t.mu.Lock()
-	if len(t.terms) == 0 {
-		t.syms = make(map[string]ID, n)
-		t.terms = make([]ast.Term, 0, n)
-	}
-	t.mu.Unlock()
-}
-
 // Term returns the term for an id. The result shares structure with the
 // interned term; ground terms are immutable by convention.
 func (t *Table) Term(id ID) ast.Term {
